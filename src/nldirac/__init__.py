@@ -13,7 +13,7 @@ from .errors import (
     StepTooLarge,
     StepUnderflow,
 )
-from .geometry import AngleState, BackgroundPoint, GridPoint, background_at
+from .geometry import AngleState, GridPoint
 from .polar import (
     G_exact,
     ModelSpec,
@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngleState",
-    "BackgroundPoint",
     "BilinearSet",
     "DivergingState",
     "G_exact",
@@ -49,7 +48,6 @@ __all__ = [
     "X_exact",
     "assemble_spinor",
     "asymptotics_report",
-    "background_at",
     "bilinears",
     "gamma_basis",
     "module_general_p",

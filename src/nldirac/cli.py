@@ -18,7 +18,7 @@ import numpy as np
 
 from . import equations, grids, ode, singular, verify
 from .errors import DivergingState, StepUnderflow
-from .polar import ModelSpec
+from .polar import ENDPOINTS, ModelSpec
 
 SCHEMA = "1"
 
@@ -26,47 +26,40 @@ SCHEMA = "1"
 FIELDMAP_GRID = grids.GridConfig(r_min=0.01, r_max=100.0, n_r=200, n_theta=100)
 
 
+# Every key the --config file accepts; a flag of the same name overrides it.
+# "energy" and "angular_momentum" are aliases of "E" and "l"; within one
+# layer a later key in this order wins over an earlier one.
+CONFIG_KEYS = ("model", "p", "mass", "grid", "seed", "tolerances",
+               "mask_margin", "E", "energy", "l", "angular_momentum", "out",
+               "format")
+ALIASES = {"energy": "E", "angular_momentum": "l"}
+DEFAULTS = {"model": "njl", "mass": 1.0, "grid": {}, "seed": 42,
+            "tolerances": {}, "mask_margin": equations.DEFAULT_MASK_MARGIN}
+TOLERANCE_NAMES = (*verify.DEFAULT_TOLERANCES, "rtol", "atol")
+
+
 @dataclasses.dataclass
 class RunConfig:
-    model: str = "njl"          # "njl" | "soler" | "p"
-    p: float = 1.0
-    mass: float = 1.0
-    grid: grids.GridConfig = None   # command-specific default when unset
-    seed: int = 42
-    tolerances: dict = dataclasses.field(default_factory=dict)
-    mask_margin: float = equations.DEFAULT_MASK_MARGIN
-    out: str = None
-    fmt: str = None             # "csv" | "json"
-    scan_el: bool = False
-    energy: float = None        # overrides E = m when set
-    angular_momentum: float = None  # overrides l = 1/2 when set
+    spec: ModelSpec
+    grid: grids.GridConfig      # None: the command's own default grid
+    seed: int
+    tolerances: dict
+    mask_margin: float
+    out: str
+    fmt: str                    # "csv" | "json" | None
+    scan_el: bool
 
     def grid_or(self, default: grids.GridConfig) -> grids.GridConfig:
         return self.grid if self.grid is not None else default
 
-    @property
-    def model_name(self):
-        if self.model == "p":
-            return f"p:{self.p:g}"
-        return self.model
-
-    def spec(self) -> ModelSpec:
-        kw = {"m": self.mass, "p": self.p}
-        if self.energy is not None:
-            kw["E"] = self.energy
-        if self.angular_momentum is not None:
-            kw["l"] = self.angular_momentum
-        return ModelSpec(**kw)
-
 
 def _parse_model(text):
-    if text in ("njl", "soler"):
-        return text, {"njl": 1.0, "soler": 0.0}[text]
-    if text.startswith("p:"):
+    """(canonical name, p) of a model given as njl, soler or p:<value>."""
+    if text in ENDPOINTS:
+        return text, ENDPOINTS[text]
+    if isinstance(text, str) and text.startswith("p:"):
         p = float(text[2:])
-        if not 0.0 <= p <= 1.0:
-            raise argparse.ArgumentTypeError("interpolation parameter must be in [0,1]")
-        return "p", p
+        return f"p:{p:g}", p
     raise argparse.ArgumentTypeError(
         f"unknown model {text!r}; expected njl, soler or p:<value>"
     )
@@ -76,9 +69,8 @@ def _parse_grid(text):
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("--grid expects r_min,r_max,n_r,n_theta")
-    r_min, r_max = float(parts[0]), float(parts[1])
-    n_r, n_theta = int(parts[2]), int(parts[3])
-    return r_min, r_max, n_r, n_theta
+    return {"r_min": float(parts[0]), "r_max": float(parts[1]),
+            "n_r": int(parts[2]), "n_theta": int(parts[3])}
 
 
 def _parse_tol(items):
@@ -130,60 +122,68 @@ def build_parser():
     return parser
 
 
+def _read_config(path):
+    if not path:
+        return {}
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: the config must be a JSON object")
+    unknown = sorted(set(doc) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"{path}: unknown config key(s) {', '.join(unknown)}; "
+                         f"expected {', '.join(CONFIG_KEYS)}")
+    return doc
+
+
 def resolve_config(args) -> RunConfig:
-    cfg = RunConfig()
-    file_cfg = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-    # config file layer
-    if "model" in file_cfg:
-        cfg.model, cfg.p = _parse_model(file_cfg["model"])
-    if "p" in file_cfg:
-        cfg.model, cfg.p = "p", float(file_cfg["p"])
-    if "mass" in file_cfg:
-        cfg.mass = float(file_cfg["mass"])
-    grid_kw = dict(file_cfg.get("grid", {}))
-    if "seed" in file_cfg:
-        cfg.seed = int(file_cfg["seed"])
-    cfg.tolerances.update(file_cfg.get("tolerances", {}))
-    if "mask_margin" in file_cfg:
-        cfg.mask_margin = float(file_cfg["mask_margin"])
-    for key in ("E", "energy"):
-        if key in file_cfg:
-            cfg.energy = float(file_cfg[key])
-    for key in ("l", "angular_momentum"):
-        if key in file_cfg:
-            cfg.angular_momentum = float(file_cfg[key])
-    if "out" in file_cfg:
-        cfg.out = file_cfg["out"]
-    if "format" in file_cfg:
-        cfg.fmt = file_cfg["format"]
-    # flag layer
-    if args.model:
-        cfg.model, cfg.p = _parse_model(args.model)
-    if args.p_flag is not None:
-        cfg.model, cfg.p = "p", float(args.p_flag)
-    if args.mass is not None:
-        cfg.mass = args.mass
-    if args.grid:
-        r_min, r_max, n_r, n_theta = _parse_grid(args.grid)
-        grid_kw.update(r_min=r_min, r_max=r_max, n_r=n_r, n_theta=n_theta)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    cfg.tolerances.update(_parse_tol(args.tol))
-    if args.mask_margin is not None:
-        cfg.mask_margin = args.mask_margin
-    if args.out is not None:
-        cfg.out = args.out
-    if args.fmt is not None:
-        cfg.fmt = args.fmt
-    cfg.scan_el = bool(args.scan_el)
-    if grid_kw:
-        cfg.grid = grids.GridConfig(**grid_kw)
-    if cfg.mass <= 0:
-        raise SystemExit("mass must be positive")
-    return cfg
+    """Merge the built-in defaults, the --config file and the flags, each
+    layer overriding the one before it key by key.
+
+    Every value is checked here: an unknown name or an invalid value raises
+    ValueError, TypeError or argparse.ArgumentTypeError, which ``main``
+    reports as a usage error.
+    """
+    flags = {"model": args.model, "p": args.p_flag, "mass": args.mass,
+             "grid": _parse_grid(args.grid) if args.grid else None,
+             "seed": args.seed, "tolerances": _parse_tol(args.tol),
+             "mask_margin": args.mask_margin, "out": args.out,
+             "format": args.fmt}
+    raw = dict(DEFAULTS)
+    for layer in (_read_config(args.config), flags):
+        for key in CONFIG_KEYS:
+            value = layer.get(key)
+            if value is None:
+                continue
+            if key == "p":
+                raw["model"] = f"p:{value}"
+            elif key in ("grid", "tolerances"):
+                raw[key] = {**raw[key], **value}
+            else:
+                raw[ALIASES.get(key, key)] = value
+    name, p = _parse_model(raw["model"])
+    spec = ModelSpec(m=float(raw["mass"]), p=p, name=name,
+                     **{k: float(raw[k]) for k in ("E", "l") if k in raw})
+    tolerances = {k: float(v) for k, v in raw["tolerances"].items()}
+    unknown = sorted(set(tolerances) - set(TOLERANCE_NAMES))
+    if unknown:
+        raise ValueError(f"unknown tolerance name(s) {', '.join(unknown)}; "
+                         f"expected {', '.join(TOLERANCE_NAMES)}")
+    margin = float(raw["mask_margin"])
+    if not margin >= 0.0:
+        raise ValueError(f"mask margin must be non-negative, got {margin!r}")
+    if raw.get("format") not in (None, "csv", "json"):
+        raise ValueError(f"format must be csv or json, got {raw['format']!r}")
+    return RunConfig(
+        spec=spec,
+        grid=grids.GridConfig(**raw["grid"]) if raw["grid"] else None,
+        seed=int(raw["seed"]),
+        tolerances=tolerances,
+        mask_margin=margin,
+        out=raw.get("out"),
+        fmt=raw.get("format"),
+        scan_el=bool(args.scan_el),
+    )
 
 
 def _emit_json(doc, out_path):
@@ -197,7 +197,7 @@ def _emit_json(doc, out_path):
 
 def cmd_verify(cfg: RunConfig):
     report = verify.run_suites(
-        cfg.spec(), cfg.model_name, grid_cfg=cfg.grid_or(grids.GridConfig()),
+        cfg.spec, grid_cfg=cfg.grid_or(grids.GridConfig()),
         seed=cfg.seed, tolerances=cfg.tolerances, margin=cfg.mask_margin,
     )
     for name in sorted(report["suites"]):
@@ -214,9 +214,7 @@ def cmd_verify(cfg: RunConfig):
 
 
 def cmd_fieldmap(cfg: RunConfig):
-    spec = cfg.spec()
-    model = cfg.model if cfg.model != "p" else cfg.p
-    p = equations.model_p(model)
+    spec = cfg.spec
     grid_cfg = cfg.grid_or(FIELDMAP_GRID)
     rs = grids.radii(grid_cfg, m=spec.m)
     ths = grids.thetas(grid_cfg)
@@ -227,10 +225,10 @@ def cmd_fieldmap(cfg: RunConfig):
         X = float(X_exact(r, spec))
         for th in ths:
             with np.errstate(divide="ignore", invalid="ignore"):
-                phi2 = float(phi2_grid(model, r, th, spec.m))
+                phi2 = float(phi2_grid(spec, r, th))
                 sb, cb = chiral_components(X, float(th))
             masked = equations.is_masked(
-                grids.GridPoint(float(r), float(th)), spec, p, cfg.mask_margin
+                grids.GridPoint(float(r), float(th)), spec, cfg.mask_margin
             )
             rows.append((float(r), float(th), phi2, float(sb), float(cb), X,
                          masked))
@@ -238,7 +236,7 @@ def cmd_fieldmap(cfg: RunConfig):
     if cfg.fmt == "json":
         doc = {
             "schema": SCHEMA,
-            "model": cfg.model_name,
+            "model": spec.name,
             "columns": ["r", "theta", "phi2", "sin_beta", "cos_beta", "X", "masked"],
             "rows": [list(row[:6]) + [bool(row[6])] for row in rows],
         }
@@ -254,8 +252,8 @@ def cmd_fieldmap(cfg: RunConfig):
 
 
 def cmd_ode(cfg: RunConfig):
-    spec = cfg.spec()
-    if cfg.model != "soler":
+    spec = cfg.spec
+    if spec.name != "soler":
         print("error: the radial system belongs to the scalar model; "
               "run with --model soler", file=sys.stderr)
         return 2
@@ -280,25 +278,22 @@ def cmd_ode(cfg: RunConfig):
 
 
 def cmd_locus(cfg: RunConfig):
-    spec = cfg.spec()
-    model = cfg.model if cfg.model != "p" else cfg.p
-    doc = {"schema": SCHEMA, **singular.singularity_report(spec, model)}
+    doc = {"schema": SCHEMA, **singular.singularity_report(cfg.spec)}
     _emit_json(doc, cfg.out)
     return 0
 
 
 def cmd_report(cfg: RunConfig):
-    spec = cfg.spec()
-    model = cfg.model if cfg.model != "p" else cfg.p
+    spec = cfg.spec
     doc = {
         "schema": SCHEMA,
         "verify": verify.run_suites(
-            spec, cfg.model_name, grid_cfg=cfg.grid_or(grids.GridConfig()),
+            spec, grid_cfg=cfg.grid_or(grids.GridConfig()),
             seed=cfg.seed, tolerances=cfg.tolerances, margin=cfg.mask_margin,
         ),
-        "singularity": singular.singularity_report(spec, model),
+        "singularity": singular.singularity_report(spec),
     }
-    if cfg.model == "soler":
+    if spec.name == "soler":
         summary, _ = verify.ode_summary(spec, scan=cfg.scan_el)
         doc["ode"] = summary
     _emit_json(doc, cfg.out)
@@ -319,7 +314,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-    except (argparse.ArgumentTypeError, ValueError, OSError) as exc:
+    except (argparse.ArgumentTypeError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return COMMANDS[args.command](cfg)

@@ -15,7 +15,7 @@ phi^2 cos(beta) -- a one-term difference this module keeps behind the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from . import clifford, geometry, polar
 from .geometry import GridPoint
 from .polar import ModelSpec
 
-MODELS = ("njl", "soler")
+MODELS = tuple(polar.ENDPOINTS)
 DEFAULT_MASK_MARGIN = 0.02
 
 
@@ -31,27 +31,17 @@ DEFAULT_MASK_MARGIN = 0.02
 class ResidualVector:
     """Named non-negative residual norms at one grid point."""
 
-    point: GridPoint
-    masked: bool
     residuals: dict
 
     def max(self):
         return max(self.residuals.values()) if self.residuals else 0.0
 
 
-def model_p(model):
-    if model == "njl":
-        return 1.0
-    if model == "soler":
-        return 0.0
-    return float(model)
-
-
-def is_masked(pt: GridPoint, spec: ModelSpec, p, margin=DEFAULT_MASK_MARGIN):
+def is_masked(pt: GridPoint, spec: ModelSpec, margin=DEFAULT_MASK_MARGIN):
     """Singular-region mask: a shell margin for the scalar model, a ring
     margin (radius and equator jointly) whenever p > 0."""
     near_radius = abs(2.0 * spec.m * pt.r - 1.0) < margin
-    if p == 0.0:
+    if spec.p == 0.0:
         return near_radius
     return near_radius and abs(np.cos(pt.theta)) < margin
 
@@ -74,7 +64,9 @@ class FieldPoint:
     derivs: polar.PolarDerivatives
 
 
-def exact_fields(pt: GridPoint, spec: ModelSpec, p) -> FieldPoint:
+def exact_fields(pt: GridPoint, spec: ModelSpec, fields_p=None) -> FieldPoint:
+    """Closed-form fields of the model with p = fields_p (default spec.p)."""
+    p = spec.p if fields_p is None else float(fields_p)
     X = polar.X_exact(pt.r, spec)
     rxp = polar.r_dX_dr_exact(pt.r, spec)
     sa, ca, sg, cg = geometry.velocity_spin_components(X, pt.theta)
@@ -93,7 +85,7 @@ def exact_fields(pt: GridPoint, spec: ModelSpec, p) -> FieldPoint:
 # -- expanded four-equation system -------------------------------------------
 
 
-def expanded_components(pt: GridPoint, spec: ModelSpec, model, fields_p=None,
+def expanded_components(pt: GridPoint, spec: ModelSpec, fields_p=None,
                         nonlinear_scale=1.0):
     """Signed values of the four projected scalar equations.
 
@@ -101,10 +93,9 @@ def expanded_components(pt: GridPoint, spec: ModelSpec, model, fields_p=None,
     to the model's own); feeding one model's fields into the other's
     equations is the cross-model discrimination test.
     """
-    if model not in MODELS:
-        raise ValueError(f"expanded system exists for {MODELS}, got {model!r}")
-    p_fields = model_p(model) if fields_p is None else float(fields_p)
-    f = exact_fields(pt, spec, p_fields)
+    if spec.name not in MODELS:
+        raise ValueError(f"expanded system exists for {MODELS}, got {spec.name!r}")
+    f = exact_fields(pt, spec, fields_p)
     r, th = pt.r, pt.theta
     m, E, l = spec.m, spec.E, spec.l
     s, c = np.sin(th), np.cos(th)
@@ -112,7 +103,7 @@ def expanded_components(pt: GridPoint, spec: ModelSpec, model, fields_p=None,
     common = -2.0 * E * r * f.cosh_alpha + 2.0 * l * f.sinh_alpha / s \
         + 2.0 * m * r * f.cos_beta
     mom = 2.0 * E * r * f.sinh_alpha - 2.0 * l * f.cosh_alpha / s
-    if model == "njl":
+    if spec.name == "njl":
         bracket = common - r * f.phi2 * nonlinear_scale
         density_extra_r = 0.0
         density_extra_th = 0.0
@@ -142,20 +133,16 @@ def expanded_components(pt: GridPoint, spec: ModelSpec, model, fields_p=None,
     }
 
 
-def residual_expanded(pt: GridPoint, spec: ModelSpec, model, fields_p=None,
-                      nonlinear_scale=1.0, margin=DEFAULT_MASK_MARGIN):
-    comps = expanded_components(pt, spec, model, fields_p, nonlinear_scale)
-    return ResidualVector(
-        point=pt,
-        masked=is_masked(pt, spec, model_p(model), margin),
-        residuals={k: abs(v) for k, v in comps.items()},
-    )
+def residual_expanded(pt: GridPoint, spec: ModelSpec, fields_p=None,
+                      nonlinear_scale=1.0):
+    comps = expanded_components(pt, spec, fields_p, nonlinear_scale)
+    return ResidualVector({k: abs(v) for k, v in comps.items()})
 
 
 # -- covector (polar) form -----------------------------------------------------
 
 
-def covector_components(pt: GridPoint, spec: ModelSpec, model, fields_p=None,
+def covector_components(pt: GridPoint, spec: ModelSpec, fields_p=None,
                         nonlinear_scale=1.0):
     """Signed components of the chiral-angle and density covector equations.
 
@@ -169,10 +156,9 @@ def covector_components(pt: GridPoint, spec: ModelSpec, model, fields_p=None,
     annihilate the equations, and is cross-checked against the expanded
     system (r- and theta-projections agree identically).
     """
-    if model not in MODELS:
-        raise ValueError(f"covector system exists for {MODELS}, got {model!r}")
-    p_fields = model_p(model) if fields_p is None else float(fields_p)
-    f = exact_fields(pt, spec, p_fields)
+    if spec.name not in MODELS:
+        raise ValueError(f"covector system exists for {MODELS}, got {spec.name!r}")
+    f = exact_fields(pt, spec, fields_p)
     m = spec.m
     ang = polar.angle_state(pt, spec)
     ginv = geometry.inverse_metric_at(pt)
@@ -192,7 +178,7 @@ def covector_components(pt: GridPoint, spec: ModelSpec, model, fields_p=None,
     der = f.derivs
     dbeta = np.array([0.0, der.r_d_beta_dr / pt.r, der.d_beta_dtheta, 0.0])
     dlnphi2 = np.array([0.0, f.r_dlnphi2_dr / pt.r, f.dlnphi2_dtheta, 0.0])
-    if model == "njl":
+    if spec.name == "njl":
         nl_chiral = f.phi2 * nonlinear_scale
         nl_density = 0.0
     else:
@@ -209,27 +195,21 @@ def covector_components(pt: GridPoint, spec: ModelSpec, model, fields_p=None,
     return chiral, density
 
 
-def residual_polar_covector(pt: GridPoint, spec: ModelSpec, model,
-                            fields_p=None, nonlinear_scale=1.0,
-                            margin=DEFAULT_MASK_MARGIN):
+def residual_polar_covector(pt: GridPoint, spec: ModelSpec, fields_p=None,
+                            nonlinear_scale=1.0):
     """Euclidean norms of the two covector equations (they must both vanish
     componentwise, so the norm choice only sets the reporting scale)."""
-    chiral, density = covector_components(pt, spec, model, fields_p,
-                                          nonlinear_scale)
-    return ResidualVector(
-        point=pt,
-        masked=is_masked(pt, spec, model_p(model), margin),
-        residuals={
-            "chiral_norm": float(np.linalg.norm(chiral)),
-            "density_norm": float(np.linalg.norm(density)),
-        },
-    )
+    chiral, density = covector_components(pt, spec, fields_p, nonlinear_scale)
+    return ResidualVector({
+        "chiral_norm": float(np.linalg.norm(chiral)),
+        "density_norm": float(np.linalg.norm(density)),
+    })
 
 
 # -- reduced system in zeta ----------------------------------------------------
 
 
-def reduced_components(pt: GridPoint, spec: ModelSpec, p, zeta_offset=0.0,
+def reduced_components(pt: GridPoint, spec: ModelSpec, zeta_offset=0.0,
                        zeta_theta_amplitude=0.0, equation_mass=None):
     """Signed residuals of the reduced radial/angular system.
 
@@ -241,7 +221,7 @@ def reduced_components(pt: GridPoint, spec: ModelSpec, p, zeta_offset=0.0,
     a purely radial profile.  ``equation_mass`` perturbs the mass appearing
     in the equations while the trial fields keep the solution mass.
     """
-    r, th = pt.r, pt.theta
+    r, th, p = pt.r, pt.theta, spec.p
     m = spec.m if equation_mass is None else equation_mass
     c, s = np.cos(th), np.sin(th)
     z = np.log(2.0 * spec.m * r) + zeta_offset + zeta_theta_amplitude * c
@@ -279,23 +259,18 @@ def reduced_components(pt: GridPoint, spec: ModelSpec, p, zeta_offset=0.0,
     }
 
 
-def residual_reduced(pt: GridPoint, spec: ModelSpec, p, zeta_offset=0.0,
-                     zeta_theta_amplitude=0.0, equation_mass=None,
-                     margin=DEFAULT_MASK_MARGIN):
-    comps = reduced_components(pt, spec, p, zeta_offset, zeta_theta_amplitude,
+def residual_reduced(pt: GridPoint, spec: ModelSpec, zeta_offset=0.0,
+                     zeta_theta_amplitude=0.0, equation_mass=None):
+    comps = reduced_components(pt, spec, zeta_offset, zeta_theta_amplitude,
                                equation_mass)
-    return ResidualVector(
-        point=pt,
-        masked=is_masked(pt, spec, p, margin),
-        residuals={k: abs(v) for k, v in comps.items()},
-    )
+    return ResidualVector({k: abs(v) for k, v in comps.items()})
 
 
 # -- standard gamma-matrix form -------------------------------------------------
 
 
-def residual_standard(pt: GridPoint, spec: ModelSpec, p, mode="analytic",
-                      step=1e-5, coupling_sign=None, nonlinear_scale=1.0,
+def residual_standard(pt: GridPoint, spec: ModelSpec, mode="analytic",
+                      step=1e-5, coupling_sign=1.0, nonlinear_scale=1.0,
                       equation_mass=None):
     """Max component norm of i gamma^mu nabla_mu psi
     + (1/4)(Phi + i p Theta pi) psi - m psi on the assembled spinor.
@@ -306,7 +281,7 @@ def residual_standard(pt: GridPoint, spec: ModelSpec, p, mode="analytic",
     ``equation_mass`` perturbs the mass term only (fields keep spec.m).
     """
     nabla, psi = polar.covariant_derivative(
-        pt, spec, p=p, mode=mode, step=step, coupling_sign=coupling_sign
+        pt, spec, mode=mode, step=step, coupling_sign=coupling_sign
     )
     ang = polar.angle_state(pt, spec)
     xi = geometry.tetrad_at(pt, ang)
@@ -314,7 +289,7 @@ def residual_standard(pt: GridPoint, spec: ModelSpec, p, mode="analytic",
     bl = clifford.bilinears(psi)
     dirac = 1j * np.einsum("mij,mj->i", gamma_coord, nabla)
     nonlinear = 0.25 * nonlinear_scale * (
-        bl.phi * clifford.IDENTITY + 1j * p * bl.theta * clifford.PI
+        bl.phi * clifford.IDENTITY + 1j * spec.p * bl.theta * clifford.PI
     )
     m_eq = spec.m if equation_mass is None else equation_mass
     res = dirac + nonlinear @ psi - m_eq * psi
@@ -326,7 +301,11 @@ def residual_standard(pt: GridPoint, spec: ModelSpec, p, mode="analytic",
 
 @dataclass
 class SweepStats:
-    """Aggregate of unmasked residual maxima over a grid sweep."""
+    """Aggregate of unmasked residual maxima over a grid sweep.
+
+    The reductions propagate NaN, so a non-finite residual anywhere on the
+    grid reaches ``max`` and fails the suite.
+    """
 
     n_points: int = 0
     n_masked: int = 0
@@ -334,16 +313,18 @@ class SweepStats:
     mean: float = 0.0
     median: float = 0.0
     q95: float = 0.0
-    values: list = field(default_factory=list)
 
-    def finalize(self):
-        if self.values:
-            arr = np.asarray(self.values)
-            self.max = float(arr.max())
-            self.mean = float(arr.mean())
-            self.median = float(np.quantile(arr, 0.5))
-            self.q95 = float(np.quantile(arr, 0.95))
-        return self
+    @classmethod
+    def of(cls, values, n_points):
+        """Statistics of the unmasked residual maxima ``values``."""
+        values = np.asarray(values, dtype=float)
+        stats = cls(n_points=n_points, n_masked=n_points - values.size)
+        if values.size:
+            stats.max = float(values.max())
+            stats.mean = float(values.mean())
+            stats.median = float(np.quantile(values, 0.5))
+            stats.q95 = float(np.quantile(values, 0.95))
+        return stats
 
     def as_dict(self):
         return {
@@ -356,18 +337,15 @@ class SweepStats:
         }
 
 
-def sweep(points, evaluate, spec: ModelSpec, p, margin=DEFAULT_MASK_MARGIN):
+def sweep(points, evaluate, spec: ModelSpec, margin=DEFAULT_MASK_MARGIN):
     """Evaluate a per-point residual over points, skipping masked ones.
 
     ``evaluate(pt)`` returns either a float or a ResidualVector.
     """
-    stats = SweepStats()
+    points = list(points)
+    values = []
     for pt in points:
-        stats.n_points += 1
-        if is_masked(pt, spec, p, margin):
-            stats.n_masked += 1
-            continue
-        out = evaluate(pt)
-        value = out.max() if isinstance(out, ResidualVector) else float(out)
-        stats.values.append(value)
-    return stats.finalize()
+        if not is_masked(pt, spec, margin):
+            out = evaluate(pt)
+            values.append(out.max() if isinstance(out, ResidualVector) else out)
+    return SweepStats.of(values, len(points))

@@ -61,14 +61,6 @@ class AngleState:
     d_gamma_dr: float = 0.0
     d_gamma_dtheta: float = 0.0
 
-    @property
-    def alpha(self):
-        return float(np.arcsinh(self.sinh_alpha))
-
-    @property
-    def gamma(self):
-        return float(np.arctan2(self.sin_gamma, self.cos_gamma))
-
 
 def velocity_spin_components(X, theta):
     """Separated-variable parametrization of rapidity and tilt.
@@ -87,11 +79,6 @@ def angles_at(pt: GridPoint, X) -> AngleState:
     """AngleState (components only, no partials) at a grid point."""
     sa, ca, sg, cg = velocity_spin_components(X, pt.theta)
     return AngleState(sinh_alpha=sa, cosh_alpha=ca, sin_gamma=sg, cos_gamma=cg)
-
-
-def static_angles() -> AngleState:
-    """alpha = gamma = 0: the static spherical frame."""
-    return AngleState(0.0, 1.0, 0.0, 1.0)
 
 
 # -- metric and Levi-Civita connection --------------------------------------
@@ -285,49 +272,6 @@ def spin_connection_at(pt: GridPoint, ang: AngleState):
 def coordinate_epsilon_lower(pt: GridPoint):
     """eps_{mu nu rho sigma} = sqrt|g| [mu nu rho sigma], [t r theta phi] = +1."""
     return EPS4 * sqrt_abs_g(pt)
-
-
-@dataclass(frozen=True)
-class BackgroundPoint:
-    """Everything the field equations need, evaluated at one grid point.
-
-    Bundles the metric data, both frames, both connections and the momentum
-    covector; the soldering and duality of the frames and the antisymmetry
-    of the tensorial connection are guaranteed by construction and checked
-    in the test suite.
-    """
-
-    point: GridPoint
-    angles: AngleState
-    metric: np.ndarray
-    christoffel: np.ndarray
-    tetrad: np.ndarray
-    cotetrad: np.ndarray
-    spin_connection: np.ndarray
-    tensorial_connection: np.ndarray
-    momentum: np.ndarray
-
-    @property
-    def alpha(self):
-        return self.angles.alpha
-
-    @property
-    def gamma(self):
-        return self.angles.gamma
-
-
-def background_at(pt: GridPoint, ang: AngleState, energy, angular_momentum):
-    return BackgroundPoint(
-        point=pt,
-        angles=ang,
-        metric=metric_at(pt),
-        christoffel=christoffel_at(pt),
-        tetrad=tetrad_at(pt, ang),
-        cotetrad=cotetrad_at(pt, ang),
-        spin_connection=spin_connection_at(pt, ang),
-        tensorial_connection=tensorial_connection_at(pt, ang),
-        momentum=momentum_covector(energy, angular_momentum),
-    )
 
 
 # -- identity residuals -------------------------------------------------------

@@ -27,18 +27,27 @@ from .errors import SingularG, SingularPoint
 from .geometry import AngleState, GridPoint
 
 
+ENDPOINTS = {"njl": 1.0, "soler": 0.0}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    """Mass, interpolation parameter and quantum numbers of a model run.
+    """Mass, interpolation parameter, quantum numbers and name of a model run.
 
     E defaults to the mass and l to one half: the only values the chiral
     model admits, and the ones the closed-form solutions carry.
+
+    ``name`` is the model's one identity: "njl" (p = 1), "soler" (p = 0) or
+    "p:<p:g>" for an interpolating run.  It defaults to the endpoint name at
+    p = 1 and p = 0; an interpolating run at an endpoint value keeps its
+    "p:" name and uses the general density formula.
     """
 
     m: float = 1.0
     p: float = 1.0
     E: float = None
     l: float = 0.5
+    name: str = None
 
     def __post_init__(self):
         if not self.m > 0:
@@ -47,6 +56,11 @@ class ModelSpec:
             raise ValueError(f"interpolation parameter must lie in [0,1], got {self.p!r}")
         if self.E is None:
             object.__setattr__(self, "E", self.m)
+        endpoint = next((n for n, p in ENDPOINTS.items() if p == self.p), None)
+        if self.name is None:
+            object.__setattr__(self, "name", endpoint or f"p:{self.p:g}")
+        elif self.name not in (endpoint, f"p:{self.p:g}"):
+            raise ValueError(f"model name {self.name!r} does not match p = {self.p!r}")
 
     @classmethod
     def njl(cls, m=1.0, **kw):
@@ -58,7 +72,7 @@ class ModelSpec:
 
     @classmethod
     def interpolating(cls, p, m=1.0, **kw):
-        return cls(m=m, p=p, **kw)
+        return cls(m=m, p=p, name=f"p:{p:g}", **kw)
 
 
 @dataclass(frozen=True)
@@ -71,8 +85,6 @@ class PolarState:
     phi2: float
     sin_beta: float
     cos_beta: float
-    alpha: float
-    gamma: float
 
     @property
     def beta(self):
@@ -182,18 +194,17 @@ def angle_field(spec: ModelSpec):
 # -- matter distributions -----------------------------------------------------
 
 
+def _radicand(r, theta, m):
+    """16 m^4 r^4 + 8 m^2 r^2 cos 2theta + 1; vanishes only on the ring."""
+    return 16.0 * m**4 * r**4 + 8.0 * m**2 * r**2 * np.cos(2.0 * theta) + 1.0
+
+
 def _phi2_njl_raw(r, theta, m):
-    radicand = (
-        16.0 * m**4 * r**4 + 8.0 * m**2 * r**2 * np.cos(2.0 * theta) + 1.0
-    )
-    return 8.0 * m / np.sqrt(radicand)
+    return 8.0 * m / np.sqrt(_radicand(r, theta, m))
 
 
 def _phi2_soler_raw(r, theta, m):
-    radicand = (
-        16.0 * m**4 * r**4 + 8.0 * m**2 * r**2 * np.cos(2.0 * theta) + 1.0
-    )
-    return 8.0 * m * np.sqrt(radicand) / (4.0 * m**2 * r**2 - 1.0) ** 2
+    return 8.0 * m * np.sqrt(_radicand(r, theta, m)) / (4.0 * m**2 * r**2 - 1.0) ** 2
 
 
 def _phi2_general_raw(r, theta, m, p):
@@ -208,27 +219,16 @@ def module_njl(pt: GridPoint, spec: ModelSpec):
     Agrees with 2/(r sqrt(X^2 + cos^2 theta)) on the closed-form branch;
     diverges only on the equatorial ring 2mr = 1, theta = pi/2.
     """
-    radicand = (
-        16.0 * spec.m**4 * pt.r**4
-        + 8.0 * spec.m**2 * pt.r**2 * np.cos(2.0 * pt.theta)
-        + 1.0
-    )
-    if radicand <= 1e-28:
+    if _radicand(pt.r, pt.theta, spec.m) <= 1e-28:
         raise SingularPoint(pt.r, pt.theta, "equatorial ring 2mr = 1")
-    return 8.0 * spec.m / np.sqrt(radicand)
+    return _phi2_njl_raw(pt.r, pt.theta, spec.m)
 
 
 def module_soler(pt: GridPoint, spec: ModelSpec):
     """Scalar-model density; diverges on the whole sphere 2mr = 1."""
-    denom = (4.0 * spec.m**2 * pt.r**2 - 1.0) ** 2
-    if denom <= 1e-28:
+    if (4.0 * spec.m**2 * pt.r**2 - 1.0) ** 2 <= 1e-28:
         raise SingularPoint(pt.r, pt.theta, "singular sphere 2mr = 1")
-    radicand = (
-        16.0 * spec.m**4 * pt.r**4
-        + 8.0 * spec.m**2 * pt.r**2 * np.cos(2.0 * pt.theta)
-        + 1.0
-    )
-    return 8.0 * spec.m * np.sqrt(radicand) / denom
+    return _phi2_soler_raw(pt.r, pt.theta, spec.m)
 
 
 def module_general_p(pt: GridPoint, spec: ModelSpec, p=None):
@@ -245,19 +245,20 @@ def module_general_p(pt: GridPoint, spec: ModelSpec, p=None):
     return 2.0 * np.sqrt(sh * sh + c2) / (pt.r * denom)
 
 
-def phi2_grid(model, r, theta, m):
+def phi2_grid(spec: ModelSpec, r, theta):
     """Vectorized raw density on arrays; no singularity checks.
 
-    ``model`` is "njl", "soler" or an interpolation parameter.
+    The endpoint models use their own closed forms, an interpolating run the
+    general one.
     """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if model == "njl":
-            return _phi2_njl_raw(r, theta, m)
-        if model == "soler":
-            return _phi2_soler_raw(r, theta, m)
-        return _phi2_general_raw(r, theta, m, float(model))
+        if spec.name == "njl":
+            return _phi2_njl_raw(r, theta, spec.m)
+        if spec.name == "soler":
+            return _phi2_soler_raw(r, theta, spec.m)
+        return _phi2_general_raw(r, theta, spec.m, spec.p)
 
 
 def module_log_derivatives(pt: GridPoint, spec: ModelSpec, p=None):
@@ -274,12 +275,10 @@ def module_log_derivatives(pt: GridPoint, spec: ModelSpec, p=None):
     return r_dr, d_th
 
 
-def polar_state(pt: GridPoint, spec: ModelSpec, p=None) -> PolarState:
+def polar_state(pt: GridPoint, spec: ModelSpec) -> PolarState:
     """All polar variables at a point on the closed-form branch."""
-    p = spec.p if p is None else p
     X = X_exact(pt.r, spec)
     sb, cb = chiral_components(X, pt.theta)
-    ang = angle_state(pt, spec)
     try:
         G = G_exact(pt.r, spec)
     except SingularG:
@@ -288,19 +287,17 @@ def polar_state(pt: GridPoint, spec: ModelSpec, p=None) -> PolarState:
         X=X,
         zeta=zeta_exact(pt.r, spec),
         G=G,
-        phi2=module_general_p(pt, spec, p=p),
+        phi2=module_general_p(pt, spec),
         sin_beta=sb,
         cos_beta=cb,
-        alpha=ang.alpha,
-        gamma=ang.gamma,
     )
 
 
 # -- explicit spinor ----------------------------------------------------------
 
 
-def assemble_spinor(pt: GridPoint, spec: ModelSpec, phi2=None, p=None,
-                    t=0.0, azimuth=0.0):
+def assemble_spinor(pt: GridPoint, spec: ModelSpec, phi2=None, t=0.0,
+                    azimuth=0.0):
     """Rest-frame, spin-eigenstate spinor of the closed-form solution.
 
     psi = phi exp(-i(E t + l phi_az)) exp(-i beta pi/2) (1, 0, 1, 0)^T
@@ -311,7 +308,7 @@ def assemble_spinor(pt: GridPoint, spec: ModelSpec, phi2=None, p=None,
     contraction.
     """
     if phi2 is None:
-        phi2 = module_general_p(pt, spec, p=p)
+        phi2 = module_general_p(pt, spec)
     X = X_exact(pt.r, spec)
     sb, cb = chiral_components(X, pt.theta)
     # exp(-i beta pi / 2) via half-angle of the (sin, cos) pair
@@ -322,20 +319,19 @@ def assemble_spinor(pt: GridPoint, spec: ModelSpec, phi2=None, p=None,
     return np.sqrt(phi2) * phase * (rot @ rest)
 
 
-def spinor_coordinate_partials(pt: GridPoint, spec: ModelSpec, p=None,
-                               t=0.0, azimuth=0.0):
+def spinor_coordinate_partials(pt: GridPoint, spec: ModelSpec, t=0.0,
+                               azimuth=0.0):
     """Analytic d_mu psi for mu in (t, r, theta, phi_az).
 
     The t and azimuth derivatives are pure phases; the r and theta ones
     follow from the log-derivative of the density and the chiral-angle
     partials.
     """
-    p = spec.p if p is None else p
-    psi = assemble_spinor(pt, spec, p=p, t=t, azimuth=azimuth)
+    psi = assemble_spinor(pt, spec, t=t, azimuth=azimuth)
     X = X_exact(pt.r, spec)
     rxp = r_dX_dr_exact(pt.r, spec)
     der = analytic_derivatives(X, rxp, pt.theta)
-    r_dlog, dth_log = module_log_derivatives(pt, spec, p=p)
+    r_dlog, dth_log = module_log_derivatives(pt, spec)
     pipsi = clifford.PI @ psi
     return {
         geometry.T: -1j * spec.E * psi,
@@ -346,33 +342,13 @@ def spinor_coordinate_partials(pt: GridPoint, spec: ModelSpec, p=None,
     }
 
 
-SPIN_COUPLING_SIGN = None
-
-
-def spin_coupling_sign():
-    """Sign of the sigma^{ab} term in the spinor covariant derivative.
-
-    Calibrated once by evaluating the standard-form residual of the exact
-    chiral solution at a single point for both candidate signs and freezing
-    the one that annihilates it (it is +1 for this gamma basis).
-    """
-    global SPIN_COUPLING_SIGN
-    if SPIN_COUPLING_SIGN is None:
-        from .equations import residual_standard
-
-        spec = ModelSpec.njl(m=1.0)
-        pt = GridPoint(1.0, np.pi / 3)
-        res = {
-            s: residual_standard(pt, spec, p=1.0, coupling_sign=s)
-            for s in (+1.0, -1.0)
-        }
-        SPIN_COUPLING_SIGN = min(res, key=res.get)
-    return SPIN_COUPLING_SIGN
-
-
-def covariant_derivative(pt: GridPoint, spec: ModelSpec, p=None, mode="analytic",
-                         step=1e-5, coupling_sign=None):
+def covariant_derivative(pt: GridPoint, spec: ModelSpec, mode="analytic",
+                         step=1e-5, coupling_sign=1.0):
     """nabla_mu psi = d_mu psi + (sign/2) C_{ab mu} sigma^{ab} psi.
+
+    The coupling sign is +1 in this gamma basis: it is the sign for which
+    the standard-form residual of the exact solutions vanishes, and the
+    test suite pins it by showing that -1 leaves a large residual.
 
     mode="fd" recomputes the (r, theta) partials of the assembled spinor by
     Richardson-extrapolated central differences as a cross-check path.  The
@@ -382,15 +358,12 @@ def covariant_derivative(pt: GridPoint, spec: ModelSpec, p=None, mode="analytic"
     StepTooLarge instead of returning garbage.  The analytic path is
     branch-free everywhere off the singular locus.
     """
-    p = spec.p if p is None else p
-    if coupling_sign is None:
-        coupling_sign = spin_coupling_sign()
-    psi = assemble_spinor(pt, spec, p=p)
+    psi = assemble_spinor(pt, spec)
     if mode == "analytic":
-        dpsi = spinor_coordinate_partials(pt, spec, p=p)
+        dpsi = spinor_coordinate_partials(pt, spec)
     elif mode == "fd":
         def f(r, theta):
-            return assemble_spinor(GridPoint(r, theta), spec, p=p)
+            return assemble_spinor(GridPoint(r, theta), spec)
 
         d_dr, d_dth, _ = geometry.richardson_partials(f, pt.r, pt.theta, step=step)
         dpsi = {
@@ -409,7 +382,7 @@ def covariant_derivative(pt: GridPoint, spec: ModelSpec, p=None, mode="analytic"
     ), psi
 
 
-def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec, p=None,
+def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec,
                                  mode="analytic", step=1e-5,
                                  momentum_override=None):
     """Max component norm over mu of (direct nabla psi) minus its polar form
@@ -421,12 +394,11 @@ def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec, p=None,
     exact solutions; a perturbed momentum makes it rise, which is the
     sensitivity check on the phase content.
     """
-    p = spec.p if p is None else p
-    nabla, psi = covariant_derivative(pt, spec, p=p, mode=mode, step=step)
+    nabla, psi = covariant_derivative(pt, spec, mode=mode, step=step)
     X = X_exact(pt.r, spec)
     rxp = r_dX_dr_exact(pt.r, spec)
     der = analytic_derivatives(X, rxp, pt.theta)
-    r_dlog, dth_log = module_log_derivatives(pt, spec, p=p)
+    r_dlog, dth_log = module_log_derivatives(pt, spec)
     dlnphi = np.array([0.0, 0.5 * r_dlog / pt.r, 0.5 * dth_log, 0.0])
     dbeta = np.array([0.0, der.r_d_beta_dr / pt.r, der.d_beta_dtheta, 0.0])
     P = (

@@ -41,27 +41,18 @@ class LocusEstimate:
     refinements: int
 
 
-def _as_p(model):
-    if model == "njl":
-        return 1.0
-    if model == "soler":
-        return 0.0
-    return float(model)
-
-
-def singular_locus(spec: ModelSpec, p=None) -> SingularLocus:
+def singular_locus(spec: ModelSpec) -> SingularLocus:
     """Divergence set of the interpolated density: radius 1/(2m) always,
     restricted to the equator whenever p != 0."""
-    p = spec.p if p is None else _as_p(p)
     radius = 1.0 / (2.0 * spec.m)
-    if p == 0.0:
+    if spec.p == 0.0:
         return SingularLocus(kind="shell", radius=radius, angular_constraint=None)
     return SingularLocus(kind="ring", radius=radius,
                          angular_constraint="cos(theta) = 0")
 
 
-def locate_numerically(spec: ModelSpec, model=None, r_window=None,
-                       n_r=400, n_theta=200, max_refinements=6,
+def locate_numerically(spec: ModelSpec, r_window=None, n_r=400, n_theta=200,
+                       max_refinements=6,
                        target_uncertainty=None) -> LocusEstimate:
     """Locate the density maximum on a grid and refine around it.
 
@@ -71,8 +62,6 @@ def locate_numerically(spec: ModelSpec, model=None, r_window=None,
     stays bounded through all levels.  Raises GridTooCoarse when refinement
     stops shrinking the uncertainty.
     """
-    model = spec.p if model is None else model
-    p = _as_p(model)
     rc = 1.0 / (2.0 * spec.m)
     if r_window is None:
         r_window = (0.2 * rc, 2.0 * rc)
@@ -90,7 +79,7 @@ def locate_numerically(spec: ModelSpec, model=None, r_window=None,
         rs = np.linspace(r_lo, r_hi, n_r)
         ths = np.linspace(theta_lo, theta_hi, n_theta)
         Rg, Tg = np.meshgrid(rs, ths, indexing="ij")
-        vals = phi2_grid(model, Rg, Tg, spec.m)
+        vals = phi2_grid(spec, Rg, Tg)
         vals = np.where(np.isfinite(vals), vals, np.inf)
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         peak = vals[i, j]
@@ -122,7 +111,7 @@ def locate_numerically(spec: ModelSpec, model=None, r_window=None,
         # shrink to a window of a few cells around the argmax
         r_lo = max(r_window[0], rs[i] - 3 * dr)
         r_hi = min(r_window[1], rs[i] + 3 * dr)
-        if p != 0.0:
+        if spec.p != 0.0:
             theta_lo = max(1e-3, ths[j] - 3 * dth)
             theta_hi = min(np.pi - 1e-3, ths[j] + 3 * dth)
     if not diverged:
@@ -142,39 +131,36 @@ def locate_numerically(spec: ModelSpec, model=None, r_window=None,
     )
 
 
-def decay_fit(spec: ModelSpec, model=None, r_range=(10.0, 1000.0), n=40,
-              theta=np.pi / 4):
+def decay_fit(spec: ModelSpec, r_range=(10.0, 1000.0), n=40, theta=np.pi / 4):
     """Least-squares slope of ln phi^2 against ln r at large radius.
 
     Returns (exponent, amplitude): phi^2 ~ amplitude * r^exponent.
     """
-    model = spec.p if model is None else model
     rs = np.geomspace(r_range[0] / spec.m, r_range[1] / spec.m, n)
-    vals = phi2_grid(model, rs, np.full_like(rs, theta), spec.m)
+    vals = phi2_grid(spec, rs, np.full_like(rs, theta))
     slope, intercept = np.polyfit(np.log(rs), np.log(vals), 1)
     return float(slope), float(np.exp(intercept))
 
 
-def asymptotics_report(spec: ModelSpec, model=None):
+def asymptotics_report(spec: ModelSpec):
     """Tabulate phi^2 r^2 at large radii and fit the decay exponent.
 
     phi^2 r^2 approaches 2/m with an O(1/r^2) error; the origin value is the
     finite limit 8m for both models.
     """
-    model = spec.p if model is None else model
     radii = np.array([10.0, 100.0, 1000.0]) / spec.m
     thetas = np.array([np.pi / 4, np.pi / 2])
     table = []
     for r in radii:
         for th in thetas:
-            val = float(phi2_grid(model, r, th, spec.m)) * r * r
+            val = float(phi2_grid(spec, r, th)) * r * r
             table.append({"r": float(r), "theta": float(th), "phi2_r2": val})
-    exponent, amplitude = decay_fit(spec, model)
-    origin = float(phi2_grid(model, 1e-6 / spec.m, np.pi / 3, spec.m))
+    exponent, amplitude = decay_fit(spec)
+    origin = float(phi2_grid(spec, 1e-6 / spec.m, np.pi / 3))
     return {
         "limit_constant": 2.0 / spec.m,
         "phi2_r2_at_100_over_m": float(
-            phi2_grid(model, 100.0 / spec.m, np.pi / 2, spec.m)
+            phi2_grid(spec, 100.0 / spec.m, np.pi / 2)
         ) * (100.0 / spec.m) ** 2,
         "decay_exponent": exponent,
         "origin_value": origin,
@@ -183,18 +169,15 @@ def asymptotics_report(spec: ModelSpec, model=None):
     }
 
 
-def singularity_report(spec: ModelSpec, model=None):
+def singularity_report(spec: ModelSpec):
     """JSON-ready report combining the analytic locus, its numerical
     localization and the large-radius behaviour."""
-    model = spec.p if model is None else model
-    p = _as_p(model)
-    locus = singular_locus(spec, p)
-    estimate = locate_numerically(spec, model)
-    asym = asymptotics_report(spec, model)
-    name = {1.0: "njl", 0.0: "soler"}.get(p, f"p:{p}")
+    locus = singular_locus(spec)
+    estimate = locate_numerically(spec)
+    asym = asymptotics_report(spec)
     return {
-        "model": name,
-        "p": p,
+        "model": spec.name,
+        "p": spec.p,
         "locus": {
             "kind": locus.kind,
             "radius": locus.radius,

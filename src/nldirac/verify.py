@@ -3,7 +3,8 @@
 Each suite returns a dict with its max residual, tolerance and pass flag;
 ``run_suites`` assembles the full report.  Identity suites (exact algebraic
 content) run at 1e-10; everything touching finite differences or long
-evaluation chains runs at 1e-8.
+evaluation chains runs at 1e-8.  Every maximum is taken with a reduction
+that propagates NaN, so a non-finite residual at any point fails its suite.
 """
 
 from __future__ import annotations
@@ -42,107 +43,82 @@ def _entry(max_residual, tol, n, extra=None):
 
 def suite_fierz(seed=42, n=1000, tol=1e-10):
     psis = clifford.random_spinors(n, seed=seed)
-    res = clifford.fierz_residuals(psis)
-    return _entry(max(r.max() for r in res), tol, n)
+    return _entry(np.max(clifford.fierz_residuals(psis)), tol, n)
 
 
-def _random_points(spec, p, seed, n, margin):
+def _random_points(spec, seed, n):
     rng = np.random.default_rng(seed)
     return grids.sample_points(
-        rng, n, m=spec.m,
-        reject=lambda pt: equations.is_masked(pt, spec, p, margin),
+        rng, n, m=spec.m, reject=lambda pt: equations.is_masked(pt, spec),
     )
 
 
 def suite_flatness(spec, seed=42, n=50, tol=1e-10):
     """Riemann tensor of the spherical connection (analytic partials)."""
-    pts = _random_points(spec, spec.p, seed, n, DEFAULT_MASK_MARGIN)
-    worst = max(float(np.max(np.abs(geometry.riemann_at(pt)))) for pt in pts)
+    pts = _random_points(spec, seed, n)
+    worst = np.max([np.max(np.abs(geometry.riemann_at(pt))) for pt in pts])
     return _entry(worst, tol, n)
 
 
 def suite_curvature_strength(spec, seed=42, n=50, tol=1e-8):
     """Curvature and strength of the solution's potentials (must vanish)."""
-    pts = _random_points(spec, spec.p, seed, n, DEFAULT_MASK_MARGIN)
+    pts = _random_points(spec, seed, n)
     ang_field = polar.angle_field(spec)
 
     def tensorial(r, th):
         return geometry.tensorial_connection_at(GridPoint(r, th), ang_field(r, th))
 
     P = geometry.momentum_covector(spec.E, spec.l)
-    worst = 0.0
-    for pt in pts:
-        rie, far = geometry.curvature_strength_residuals(
-            pt, tensorial, lambda rr, tt: P
-        )
-        worst = max(worst, rie, far)
+    worst = np.max([
+        geometry.curvature_strength_residuals(pt, tensorial, lambda rr, tt: P)
+        for pt in pts
+    ])
     return _entry(worst, tol, n)
 
 
 def suite_transport(spec, seed=42, n=50, tol=1e-8):
-    pts = _random_points(spec, spec.p, seed, n, DEFAULT_MASK_MARGIN)
-    worst = 0.0
-    for pt in pts:
-        ws, wu = geometry.transport_residuals(pt, polar.angle_state(pt, spec))
-        worst = max(worst, ws, wu)
+    pts = _random_points(spec, seed, n)
+    worst = np.max([
+        geometry.transport_residuals(pt, polar.angle_state(pt, spec))
+        for pt in pts
+    ])
     return _entry(worst, tol, n)
 
 
 def suite_decomposition(spec, seed=42, n=50, tol=1e-8):
-    pts = _random_points(spec, spec.p, seed, n, DEFAULT_MASK_MARGIN)
-    worst = max(
-        polar.polar_decomposition_residual(pt, spec, p=spec.p) for pt in pts
-    )
+    pts = _random_points(spec, seed, n)
+    worst = np.max([polar.polar_decomposition_residual(pt, spec) for pt in pts])
     return _entry(worst, tol, n)
 
 
-def _grid_points(spec, grid_cfg):
-    return grids.points(grid_cfg, m=spec.m)
-
-
-def suite_expanded(spec, model, grid_cfg, tol=1e-8, margin=DEFAULT_MASK_MARGIN):
-    pts = _grid_points(spec, grid_cfg)
+def _grid_suite(residual, spec, grid_cfg, tol, margin):
+    """Sweep ``residual(pt, spec)`` over the grid, skipping masked points."""
     stats = equations.sweep(
-        pts,
-        lambda pt: equations.residual_expanded(pt, spec, model, margin=margin),
-        spec, equations.model_p(model), margin,
+        grids.points(grid_cfg, m=spec.m), lambda pt: residual(pt, spec),
+        spec, margin,
     )
     return _entry(stats.max, tol, stats.n_points, stats.as_dict())
 
 
-def suite_covector(spec, model, grid_cfg, tol=1e-8, margin=DEFAULT_MASK_MARGIN):
-    pts = _grid_points(spec, grid_cfg)
-    stats = equations.sweep(
-        pts,
-        lambda pt: equations.residual_polar_covector(pt, spec, model,
-                                                     margin=margin),
-        spec, equations.model_p(model), margin,
-    )
-    return _entry(stats.max, tol, stats.n_points, stats.as_dict())
+def suite_expanded(spec, grid_cfg, tol=1e-8, margin=DEFAULT_MASK_MARGIN):
+    return _grid_suite(equations.residual_expanded, spec, grid_cfg, tol, margin)
 
 
-def suite_reduced(spec, p, grid_cfg, tol=1e-8, margin=DEFAULT_MASK_MARGIN):
-    pts = _grid_points(spec, grid_cfg)
-    stats = equations.sweep(
-        pts,
-        lambda pt: equations.residual_reduced(pt, spec, p, margin=margin),
-        spec, p, margin,
-    )
-    return _entry(stats.max, tol, stats.n_points, stats.as_dict())
+def suite_covector(spec, grid_cfg, tol=1e-8, margin=DEFAULT_MASK_MARGIN):
+    return _grid_suite(equations.residual_polar_covector, spec, grid_cfg, tol,
+                       margin)
 
 
-def suite_standard(spec, p, grid_cfg, tol=1e-8, margin=DEFAULT_MASK_MARGIN):
-    pts = _grid_points(spec, grid_cfg)
-    stats = equations.sweep(
-        pts,
-        lambda pt: equations.residual_standard(pt, spec, p),
-        spec, p, margin,
-    )
-    return _entry(stats.max, tol, stats.n_points, stats.as_dict())
+def suite_reduced(spec, grid_cfg, tol=1e-8, margin=DEFAULT_MASK_MARGIN):
+    return _grid_suite(equations.residual_reduced, spec, grid_cfg, tol, margin)
 
 
-def run_suites(spec: ModelSpec, model_name, grid_cfg=None, seed=42,
-               tolerances=None, margin=DEFAULT_MASK_MARGIN):
+def suite_standard(spec, grid_cfg, tol=1e-8, margin=DEFAULT_MASK_MARGIN):
+    return _grid_suite(equations.residual_standard, spec, grid_cfg, tol, margin)
+
+
+def run_suites(spec: ModelSpec, grid_cfg=None, seed=42, tolerances=None,
+               margin=DEFAULT_MASK_MARGIN):
     """Run every applicable suite for one model; returns the JSON-ready report.
 
     The expanded and covector systems exist only for the two endpoint models;
@@ -162,23 +138,23 @@ def run_suites(spec: ModelSpec, model_name, grid_cfg=None, seed=42,
     suites["decomposition"] = suite_decomposition(
         spec, seed=seed, tol=tol["decomposition"]
     )
-    if model_name in equations.MODELS:
+    if spec.name in equations.MODELS:
         suites["expanded-residuals"] = suite_expanded(
-            spec, model_name, grid_cfg, tol=tol["expanded-residuals"], margin=margin
+            spec, grid_cfg, tol=tol["expanded-residuals"], margin=margin
         )
         suites["covector-residuals"] = suite_covector(
-            spec, model_name, grid_cfg, tol=tol["covector-residuals"], margin=margin
+            spec, grid_cfg, tol=tol["covector-residuals"], margin=margin
         )
     suites["reduced-residuals"] = suite_reduced(
-        spec, spec.p, grid_cfg, tol=tol["reduced-residuals"], margin=margin
+        spec, grid_cfg, tol=tol["reduced-residuals"], margin=margin
     )
     suites["standard-residuals"] = suite_standard(
-        spec, spec.p, grid_cfg, tol=tol["standard-residuals"], margin=margin
+        spec, grid_cfg, tol=tol["standard-residuals"], margin=margin
     )
     failing = sorted(name for name, s in suites.items() if not s["pass"])
     return {
         "schema": "1",
-        "model": model_name,
+        "model": spec.name,
         "p": spec.p,
         "mass": spec.m,
         "energy": spec.E,

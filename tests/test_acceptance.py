@@ -26,11 +26,11 @@ def _report(number, description, worst, tol, elapsed=None, limit=None):
     return ok
 
 
-def unmasked_points(n, spec, p, seed):
+def unmasked_points(n, spec, seed):
     rng = np.random.default_rng(seed)
     return grids.sample_points(
         rng, n, m=spec.m,
-        reject=lambda pt: equations.is_masked(pt, spec, p),
+        reject=lambda pt: equations.is_masked(pt, spec),
     )
 
 
@@ -46,7 +46,7 @@ def test_criterion_01_fierz_identities():
 def test_criterion_02_flat_background():
     spec = ModelSpec.njl()
     t0 = time.perf_counter()
-    pts = unmasked_points(50, spec, 1.0, seed=42)
+    pts = unmasked_points(50, spec, seed=42)
     worst = max(float(np.max(np.abs(geometry.riemann_at(pt)))) for pt in pts)
     ang_field = polar.angle_field(spec)
 
@@ -67,7 +67,7 @@ def test_criterion_02_flat_background():
 def test_criterion_03_transport_identities():
     spec = ModelSpec.njl()
     worst = 0.0
-    for pt in unmasked_points(50, spec, 1.0, seed=43):
+    for pt in unmasked_points(50, spec, seed=43):
         ws, wu = geometry.transport_residuals(pt, polar.angle_state(pt, spec))
         worst = max(worst, ws, wu)
     assert _report(3, "transport identities, analytic derivatives", worst, 1e-8)
@@ -75,9 +75,9 @@ def test_criterion_03_transport_identities():
 
 def test_criterion_04_polar_decomposition():
     worst = 0.0
-    for spec, p in ((ModelSpec.njl(), 1.0), (ModelSpec.soler(), 0.0)):
-        for pt in unmasked_points(50, spec, p, seed=44):
-            worst = max(worst, polar.polar_decomposition_residual(pt, spec, p=p))
+    for spec in (ModelSpec.njl(), ModelSpec.soler()):
+        for pt in unmasked_points(50, spec, seed=44):
+            worst = max(worst, polar.polar_decomposition_residual(pt, spec))
     assert _report(4, "polar decomposition on both exact solutions", worst, 1e-8)
 
 
@@ -85,23 +85,22 @@ def test_criterion_05_all_equation_forms():
     cfg = grids.GridConfig(r_min=0.05, r_max=20.0, n_r=25, n_theta=20)
     t0 = time.perf_counter()
     worst = 0.0
-    for model in ("njl", "soler"):
-        spec = ModelSpec.njl() if model == "njl" else ModelSpec.soler()
+    for spec in (ModelSpec.njl(), ModelSpec.soler()):
         pts = grids.points(cfg, m=spec.m)
         assert len(pts) == 500
         for pt in pts:
-            if equations.is_masked(pt, spec, spec.p):
+            if equations.is_masked(pt, spec):
                 continue
-            worst = max(worst, equations.residual_expanded(pt, spec, model).max())
+            worst = max(worst, equations.residual_expanded(pt, spec).max())
             worst = max(worst,
-                        equations.residual_polar_covector(pt, spec, model).max())
+                        equations.residual_polar_covector(pt, spec).max())
     for p in (0.0, 0.5, 1.0):
         spec = ModelSpec(m=1.0, p=p)
         for pt in grids.points(cfg, m=spec.m):
-            if equations.is_masked(pt, spec, p):
+            if equations.is_masked(pt, spec):
                 continue
-            worst = max(worst, equations.residual_reduced(pt, spec, p).max())
-            worst = max(worst, equations.residual_standard(pt, spec, p))
+            worst = max(worst, equations.residual_reduced(pt, spec).max())
+            worst = max(worst, equations.residual_standard(pt, spec))
     elapsed = time.perf_counter() - t0
     assert _report(5, "all four equation forms on 500-point grids", worst, 1e-8,
                    elapsed, 30.0)
@@ -136,10 +135,10 @@ def test_criterion_07_ode_tracking():
 
 
 def test_criterion_08_singular_loci_and_origin():
-    spec = ModelSpec(m=1.0)
-    ring = singular.locate_numerically(spec, "njl")
-    shell = singular.locate_numerically(spec, "soler")
-    cell = 1e-3 / (2.0 * spec.m)
+    njl, soler = ModelSpec.njl(m=1.0), ModelSpec.soler(m=1.0)
+    ring = singular.locate_numerically(njl)
+    shell = singular.locate_numerically(soler)
+    cell = 1e-3 / (2.0 * njl.m)
     ok = (
         ring.kind == "ring" and ring.diverged
         and abs(ring.radius - 0.5) <= cell
@@ -148,8 +147,8 @@ def test_criterion_08_singular_loci_and_origin():
         and abs(shell.radius - 0.5) <= cell
     )
     origin_worst = max(
-        abs(float(polar.phi2_grid(model, 1e-6, 0.9, 1.0)) - 8.0) / 8.0
-        for model in ("njl", "soler")
+        abs(float(polar.phi2_grid(spec, 1e-6, 0.9)) - 8.0) / 8.0
+        for spec in (njl, soler)
     )
     ok = ok and origin_worst <= 1e-10
     print(f"criterion  8 [{'PASS' if ok else 'FAIL'}] singular loci: ring at "
@@ -160,13 +159,13 @@ def test_criterion_08_singular_loci_and_origin():
 
 def test_criterion_09_asymptotics():
     ok = True
-    for model in ("njl", "soler"):
-        rep = singular.asymptotics_report(ModelSpec(m=1.0), model)
+    for spec in (ModelSpec.njl(), ModelSpec.soler()):
+        rep = singular.asymptotics_report(spec)
         exp_ok = abs(rep["decay_exponent"] + 2.0) <= 0.01
         tail_ok = abs(rep["phi2_r2_at_100_over_m"] - 2.0) / 2.0 <= 1e-3
         ok = ok and exp_ok and tail_ok
         print(f"criterion  9 [{'PASS' if exp_ok and tail_ok else 'FAIL'}] "
-              f"{model} decay exponent {rep['decay_exponent']:.4f}, "
+              f"{spec.name} decay exponent {rep['decay_exponent']:.4f}, "
               f"phi2 r^2 at 100/m = {rep['phi2_r2_at_100_over_m']:.6f}")
     assert ok
 

@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from nldirac import geometry
 from nldirac.cli import main
 
 
@@ -200,10 +202,56 @@ def test_tolerance_override_can_force_failure(capsys):
     assert report["suites"]["fierz"]["tolerance"] == 1e-20
 
 
-def test_bad_model_is_usage_error(capsys):
-    code, _, err = run(capsys, "verify", "--model", "bogus")
-    assert code == 2
-    assert "unknown model" in err
+# (argv, config file contents or None, expected part of the message); the
+# cases run in one test so that its name stays what it has always been
+USAGE_ERRORS = (
+    (["verify", "--model", "bogus"], None, "unknown model"),
+    (["locus", "--tol", "expandd=1e-30"], None, "unknown tolerance name(s) expandd"),
+    (["locus"], {"model": "njl", "masss": 2.0}, "unknown config key(s) masss"),
+    (["locus", "--mask-margin", "-0.1"], None, "mask margin must be non-negative"),
+    (["locus", "--p", "2"], None, "interpolation parameter"),
+    (["locus"], {"p": 2}, "interpolation parameter"),
+)
+
+
+def test_bad_model_is_usage_error(capsys, tmp_path):
+    for argv, config, message in USAGE_ERRORS:
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err, err
+
+
+def test_model_name_is_the_same_in_every_report(capsys):
+    for model in ("p:1", "p:0"):
+        _, out, _ = run(capsys, "verify", "--model", model, "--grid", SMALL_GRID)
+        assert json.loads(out)["model"] == model
+        _, out, _ = run(capsys, "locus", "--model", model)
+        assert json.loads(out)["model"] == model
+
+
+def test_nan_residual_fails_its_suite(capsys, monkeypatch):
+    # Python's max drops a NaN that is not its first argument; the suite must
+    # report it instead of passing over it
+    original = geometry.transport_residuals
+    calls = []
+
+    def poisoned(pt, ang):
+        calls.append(pt)
+        ws, wu = original(pt, ang)
+        return (math.nan, wu) if len(calls) == 2 else (ws, wu)
+
+    monkeypatch.setattr(geometry, "transport_residuals", poisoned)
+    code, out, err = run(capsys, "verify", "--model", "njl", "--grid", SMALL_GRID)
+    assert code == 1
+    report = json.loads(out)
+    assert report["failing_suites"] == ["transport"]
+    assert math.isnan(report["suites"]["transport"]["max_residual"])
 
 
 def test_p_flag_shorthand(capsys):

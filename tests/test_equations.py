@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nldirac import equations
+from nldirac import grids
+
 from nldirac.equations import (
     covector_components,
     expanded_components,
@@ -29,43 +32,40 @@ def random_points(n, seed=99, m=1.0, r_lo=0.1, r_hi=10.0):
 
 
 def test_masking_rules():
-    spec = ModelSpec(m=1.0)
     ring_pt = GridPoint(0.5005, np.pi / 2 + 0.001)
     off_equator = GridPoint(0.5005, 1.0)
     far_pt = GridPoint(2.0, np.pi / 2)
     # shell (p = 0): radius alone masks
-    assert is_masked(ring_pt, spec, 0.0)
-    assert is_masked(off_equator, spec, 0.0)
-    assert not is_masked(far_pt, spec, 0.0)
+    assert is_masked(ring_pt, ModelSpec.soler())
+    assert is_masked(off_equator, ModelSpec.soler())
+    assert not is_masked(far_pt, ModelSpec.soler())
     # ring (p > 0): radius and equator jointly
-    assert is_masked(ring_pt, spec, 1.0)
-    assert not is_masked(off_equator, spec, 1.0)
-    assert not is_masked(far_pt, spec, 0.5)
+    assert is_masked(ring_pt, ModelSpec.njl())
+    assert not is_masked(off_equator, ModelSpec.njl())
+    assert not is_masked(far_pt, ModelSpec(p=0.5))
 
 
 def test_expanded_residuals_vanish_on_exact_solutions():
-    for model in ("njl", "soler"):
-        spec = ModelSpec.njl() if model == "njl" else ModelSpec.soler()
+    for spec in (ModelSpec.njl(), ModelSpec.soler()):
         worst = max(
-            residual_expanded(pt, spec, model).max() for pt in random_points(100)
+            residual_expanded(pt, spec).max() for pt in random_points(100)
         )
-        assert worst <= 1e-8, model
+        assert worst <= 1e-8, spec.name
 
 
 def test_covector_residuals_vanish_on_exact_solutions():
-    for model in ("njl", "soler"):
-        spec = ModelSpec.njl() if model == "njl" else ModelSpec.soler()
+    for spec in (ModelSpec.njl(), ModelSpec.soler()):
         worst = max(
-            residual_polar_covector(pt, spec, model).max()
+            residual_polar_covector(pt, spec).max()
             for pt in random_points(100)
         )
-        assert worst <= 1e-8, model
+        assert worst <= 1e-8, spec.name
 
 
 def test_covector_temporal_and_azimuthal_components_vanish():
     spec = ModelSpec.njl()
     for pt in random_points(20):
-        chiral, density = covector_components(pt, spec, "njl")
+        chiral, density = covector_components(pt, spec)
         assert abs(chiral[0]) <= 1e-14 and abs(chiral[3]) <= 1e-14
         assert abs(density[0]) <= 1e-14 and abs(density[3]) <= 1e-14
 
@@ -74,11 +74,11 @@ def test_expanded_equals_projected_covector():
     # the four scalars are the r- and theta-projections of the two covector
     # equations (radial ones carry a factor r); they must agree even with
     # generic quantum numbers, where neither vanishes
-    for model in ("njl", "soler"):
-        spec = ModelSpec(m=1.0, p=equations.model_p(model), E=1.07, l=0.61)
+    for p in (1.0, 0.0):
+        spec = ModelSpec(m=1.0, p=p, E=1.07, l=0.61)
         for pt in random_points(30):
-            ex = expanded_components(pt, spec, model)
-            chiral, density = covector_components(pt, spec, model)
+            ex = expanded_components(pt, spec)
+            chiral, density = covector_components(pt, spec)
             assert ex["beta_r"] == pytest.approx(pt.r * chiral[1], abs=1e-10)
             assert ex["beta_theta"] == pytest.approx(chiral[2], abs=1e-10)
             assert ex["density_r"] == pytest.approx(pt.r * density[1], abs=1e-10)
@@ -88,7 +88,7 @@ def test_expanded_equals_projected_covector():
 def test_energy_rigidity():
     spec = ModelSpec(m=1.0, p=1.0, E=1.1)
     worst = max(
-        residual_expanded(pt, spec, "njl").max() for pt in random_points(50)
+        residual_expanded(pt, spec).max() for pt in random_points(50)
     )
     assert worst >= 1e-2
 
@@ -96,7 +96,7 @@ def test_energy_rigidity():
 def test_angular_momentum_rigidity():
     spec = ModelSpec(m=1.0, p=1.0, l=0.6)
     worst = max(
-        residual_expanded(pt, spec, "njl").max() for pt in random_points(50)
+        residual_expanded(pt, spec).max() for pt in random_points(50)
     )
     assert worst >= 1e-2
 
@@ -104,13 +104,14 @@ def test_angular_momentum_rigidity():
 def test_cross_model_fields_leave_residual():
     # chiral-model fields inserted in the scalar-model equations (and the
     # reverse) must fail somewhere: the nonlinearities differ
-    spec = ModelSpec(m=1.0)
     pts = random_points(100)
     njl_into_soler = max(
-        residual_expanded(pt, spec, "soler", fields_p=1.0).max() for pt in pts
+        residual_expanded(pt, ModelSpec.soler(), fields_p=1.0).max()
+        for pt in pts
     )
     soler_into_njl = max(
-        residual_expanded(pt, spec, "njl", fields_p=0.0).max() for pt in pts
+        residual_expanded(pt, ModelSpec.njl(), fields_p=0.0).max()
+        for pt in pts
     )
     assert njl_into_soler >= 1e-2
     assert soler_into_njl >= 1e-2
@@ -118,15 +119,15 @@ def test_cross_model_fields_leave_residual():
 
 def test_linear_limit_makes_models_identical():
     # with the nonlinear coupling switched off, the two systems coincide
-    spec = ModelSpec(m=1.0, E=1.2, l=0.7)
+    njl = ModelSpec.njl(m=1.0, E=1.2, l=0.7)
+    soler = ModelSpec.soler(m=1.0, E=1.2, l=0.7)
     for pt in random_points(30):
-        a = expanded_components(pt, spec, "njl", fields_p=1.0, nonlinear_scale=0.0)
-        b = expanded_components(pt, spec, "soler", fields_p=1.0, nonlinear_scale=0.0)
+        a = expanded_components(pt, njl, fields_p=1.0, nonlinear_scale=0.0)
+        b = expanded_components(pt, soler, fields_p=1.0, nonlinear_scale=0.0)
         for key in a:
             assert a[key] == pytest.approx(b[key], abs=1e-12)
-        ca, da = covector_components(pt, spec, "njl", fields_p=1.0,
-                                     nonlinear_scale=0.0)
-        cb, db = covector_components(pt, spec, "soler", fields_p=1.0,
+        ca, da = covector_components(pt, njl, fields_p=1.0, nonlinear_scale=0.0)
+        cb, db = covector_components(pt, soler, fields_p=1.0,
                                      nonlinear_scale=0.0)
         assert np.allclose(ca, cb, atol=1e-12)
         assert np.allclose(da, db, atol=1e-12)
@@ -136,7 +137,7 @@ def test_reduced_residuals_vanish_for_all_p():
     for p in (0.0, 0.5, 1.0):
         spec = ModelSpec(m=1.0, p=p)
         worst = max(
-            residual_reduced(pt, spec, p).max() for pt in random_points(200)
+            residual_reduced(pt, spec).max() for pt in random_points(200)
         )
         assert worst <= 1e-8, p
 
@@ -144,14 +145,14 @@ def test_reduced_residuals_vanish_for_all_p():
 def test_reduced_detects_radial_offset():
     spec = ModelSpec.njl()
     pt = GridPoint(1.0, np.pi / 3)
-    comps = reduced_components(pt, spec, 1.0, zeta_offset=1e-3)
+    comps = reduced_components(pt, spec, zeta_offset=1e-3)
     assert abs(comps["zeta_radial"]) >= 1e-4
 
 
 def test_reduced_detects_angular_dependence():
     spec = ModelSpec.njl()
     pt = GridPoint(1.0, 1.0)
-    comps = reduced_components(pt, spec, 1.0, zeta_theta_amplitude=0.01)
+    comps = reduced_components(pt, spec, zeta_theta_amplitude=0.01)
     assert abs(comps["separation_consistency"]) >= 1e-3
 
 
@@ -159,20 +160,19 @@ def test_standard_residual_vanishes_for_all_p():
     for p in (0.0, 0.5, 1.0):
         spec = ModelSpec(m=1.0, p=p)
         worst = max(
-            residual_standard(pt, spec, p) for pt in random_points(50)
+            residual_standard(pt, spec) for pt in random_points(50)
         )
         assert worst <= 1e-8, p
 
 
 def test_standard_residual_fd_mode():
     spec = ModelSpec.njl()
-    assert residual_standard(GridPoint(1.0, np.pi / 3), spec, 1.0,
-                             mode="fd") <= 1e-8
+    assert residual_standard(GridPoint(1.0, np.pi / 3), spec, mode="fd") <= 1e-8
 
 
 def test_standard_residual_wrong_coupling_sign_is_large():
     spec = ModelSpec.njl()
-    res = residual_standard(GridPoint(1.0, np.pi / 3), spec, 1.0,
+    res = residual_standard(GridPoint(1.0, np.pi / 3), spec,
                             coupling_sign=-1.0)
     assert res >= 1e-1
 
@@ -188,8 +188,8 @@ def test_standard_and_reduced_detect_same_perturbation():
     for pt in random_points(10):
         m_eq = 1.0 + 1e-3
         psi_scale = float(np.max(np.abs(assemble_spinor(pt, spec))))
-        std = residual_standard(pt, spec, 1.0, equation_mass=m_eq) / psi_scale
-        red = residual_reduced(pt, spec, 1.0, equation_mass=m_eq).max()
+        std = residual_standard(pt, spec, equation_mass=m_eq) / psi_scale
+        red = residual_reduced(pt, spec, equation_mass=m_eq).max()
         assert std >= 1e-5 and red >= 1e-5
         ratio = std / red
         assert 0.1 <= ratio <= 10.0
@@ -204,10 +204,10 @@ def test_all_forms_vanish_at_non_unit_mass():
         for pt in random_points(20, seed=5, m=m):
             worst = max(
                 worst,
-                residual_expanded(pt, ModelSpec.njl(m=m), "njl").max(),
-                residual_polar_covector(pt, ModelSpec.soler(m=m), "soler").max(),
-                residual_reduced(pt, ModelSpec(m=m, p=0.5), 0.5).max(),
-                residual_standard(pt, ModelSpec(m=m, p=0.5), 0.5),
+                residual_expanded(pt, ModelSpec.njl(m=m)).max(),
+                residual_polar_covector(pt, ModelSpec.soler(m=m)).max(),
+                residual_reduced(pt, ModelSpec(m=m, p=0.5)).max(),
+                residual_standard(pt, ModelSpec(m=m, p=0.5)),
                 polar_decomposition_residual(pt, ModelSpec.njl(m=m)),
             )
         assert worst <= 1e-8, m
@@ -217,7 +217,23 @@ def test_sweep_masks_and_aggregates():
     spec = ModelSpec.njl()
     pts = [GridPoint(0.5, np.pi / 2 + 1e-4), GridPoint(1.0, 1.0),
            GridPoint(2.0, 2.0)]
-    stats = sweep(pts, lambda pt: residual_expanded(pt, spec, "njl"), spec, 1.0)
+    stats = sweep(pts, lambda pt: residual_expanded(pt, spec), spec)
     assert stats.n_points == 3
     assert stats.n_masked == 1
     assert stats.max <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(margin=st.floats(0.0, 1.5), p=st.sampled_from([0.0, 0.5, 1.0]),
+       m=st.sampled_from([0.5, 1.0, 2.0]), n_r=st.integers(2, 12),
+       n_theta=st.integers(2, 9))
+def test_sweep_masks_exactly_the_masked_points(margin, p, m, n_r, n_theta):
+    spec = ModelSpec(m=m, p=p)
+    pts = grids.points(grids.GridConfig(r_min=0.2, r_max=3.0, n_r=n_r,
+                                        n_theta=n_theta), m=m)
+    evaluated = []
+    stats = sweep(pts, lambda pt: evaluated.append(pt) or 0.0, spec, margin)
+    masked = [is_masked(pt, spec, margin) for pt in pts]
+    assert stats.n_points == len(pts)
+    assert stats.n_masked == sum(masked)
+    assert evaluated == [pt for pt, skip in zip(pts, masked) if not skip]

@@ -16,7 +16,6 @@ from nldirac.geometry import (
     riemann_at,
     spin_connection_at,
     spin_covector,
-    static_angles,
     tensorial_connection_at,
     tetrad_at,
     tetrad_postulate_residual,
@@ -163,7 +162,7 @@ def test_transport_identities_finite_difference_oracle():
 
 def test_spin_connection_static_limit():
     pt = GridPoint(2.0, 0.9)
-    C = spin_connection_at(pt, static_angles())
+    C = spin_connection_at(pt, geometry.AngleState(0.0, 1.0, 0.0, 1.0))
     th = pt.theta
     assert C[0, 2, geometry.R] == 0.0 and C[0, 2, geometry.TH] == 0.0
     assert C[1, 3, geometry.R] == 0.0
@@ -198,22 +197,24 @@ def test_tetrad_solders_metric_and_duality():
         assert np.linalg.det(co) == pytest.approx(geometry.sqrt_abs_g(pt), rel=1e-10)
 
 
-def test_background_point_bundle_invariants():
+def test_frame_and_connection_invariants():
     spec = ModelSpec.njl()
     eta = np.diag([1.0, -1.0, -1.0, -1.0])
     for pt in random_points(10, seed=31):
-        bg = geometry.background_at(pt, polar.angle_state(pt, spec), spec.E,
-                                    spec.l)
-        soldered = np.einsum("am,bn,ab->mn", bg.cotetrad, bg.cotetrad, eta)
-        assert np.allclose(soldered, bg.metric, atol=1e-12)
+        ang = polar.angle_state(pt, spec)
+        co = cotetrad_at(pt, ang)
+        soldered = np.einsum("am,bn,ab->mn", co, co, eta)
+        assert np.allclose(soldered, metric_at(pt), atol=1e-12)
         assert np.allclose(
-            np.einsum("am,bm->ab", bg.tetrad, bg.cotetrad), np.eye(4),
+            np.einsum("am,bm->ab", tetrad_at(pt, ang), co), np.eye(4),
             atol=1e-12,
         )
-        R = bg.tensorial_connection
+        R = tensorial_connection_at(pt, ang)
         assert np.array_equal(R, -R.transpose(1, 0, 2))
-        assert bg.momentum[0] == spec.E and bg.momentum[3] == spec.l
-        assert np.isfinite(bg.alpha) and np.isfinite(bg.gamma)
+        P = momentum_covector(spec.E, spec.l)
+        assert P[0] == spec.E and P[3] == spec.l
+        assert np.isfinite([ang.sinh_alpha, ang.cosh_alpha, ang.sin_gamma,
+                            ang.cos_gamma]).all()
 
 
 def test_tetrad_postulate():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nldirac import clifford, polar
 from nldirac.errors import SingularG, SingularPoint
@@ -19,7 +21,6 @@ from nldirac.polar import (
     polar_decomposition_residual,
     polar_state,
     r_dX_dr_exact,
-    spin_coupling_sign,
 )
 
 def random_points(n, seed=2024, r_lo=0.1, r_hi=10.0, ring_margin=0.05):
@@ -43,6 +44,12 @@ def test_model_spec_defaults_and_validation():
         ModelSpec(m=-1.0)
     with pytest.raises(ValueError):
         ModelSpec(p=1.5)
+    # one name per model; an interpolating run at an endpoint keeps its own
+    assert ModelSpec().name == "njl" and ModelSpec(p=0.0).name == "soler"
+    assert ModelSpec(p=0.25).name == "p:0.25"
+    assert ModelSpec.interpolating(1.0).name == "p:1"
+    with pytest.raises(ValueError):
+        ModelSpec(p=0.5, name="njl")
 
 
 def test_X_exact_values():
@@ -80,7 +87,7 @@ def test_module_njl_values():
     with pytest.raises(SingularPoint):
         module_njl(GridPoint(0.5, np.pi / 2), spec)
     # same radius on the axis stays finite: radicand = 1 + 2 + 1 = 4
-    assert phi2_grid("njl", 0.5, 0.0, 1.0) == pytest.approx(4.0, rel=1e-14)
+    assert phi2_grid(spec, 0.5, 0.0) == pytest.approx(4.0, rel=1e-14)
     assert module_njl(GridPoint(0.5, 1e-3), spec) == pytest.approx(4.0, rel=1e-5)
 
 
@@ -126,6 +133,20 @@ def test_general_p_endpoint_agreement():
         assert module_general_p(pt, spec, p=0.0) == pytest.approx(soler, rel=1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(0.01, 100.0), theta=st.floats(1e-3, np.pi - 1e-3),
+       m=st.floats(0.25, 4.0))
+def test_closed_form_densities_equal_general_p(r, theta, m):
+    # r in Compton lengths; the singular radius 2mr = 1 is kept out
+    assume(abs(2.0 * r - 1.0) > 0.05)
+    pt = GridPoint(r / m, theta)
+    njl, soler = ModelSpec.njl(m=m), ModelSpec.soler(m=m)
+    assert module_njl(pt, njl) == pytest.approx(module_general_p(pt, njl),
+                                                rel=1e-12)
+    assert module_soler(pt, soler) == pytest.approx(module_general_p(pt, soler),
+                                                    rel=1e-12)
+
+
 def test_general_p_singular_on_ring():
     spec = ModelSpec.interpolating(0.5, m=1.0)
     with pytest.raises(SingularPoint):
@@ -143,13 +164,13 @@ def test_angle_state_refuses_the_ring():
 
 
 def test_module_positivity_and_tail():
-    for model, spec in (("njl", ModelSpec.njl()), ("soler", ModelSpec.soler())):
+    for spec in (ModelSpec.njl(), ModelSpec.soler()):
         for pt in random_points(50):
-            val = phi2_grid(model, pt.r, pt.theta, spec.m)
+            val = phi2_grid(spec, pt.r, pt.theta)
             assert val > 0.0
-        r2 = float(phi2_grid(model, 100.0, 1.0, spec.m)) * 100.0**2
+        r2 = float(phi2_grid(spec, 100.0, 1.0)) * 100.0**2
         assert r2 == pytest.approx(2.0, rel=1e-3)
-        r3 = float(phi2_grid(model, 1000.0, 1.0, spec.m)) * 1000.0**2
+        r3 = float(phi2_grid(spec, 1000.0, 1.0)) * 1000.0**2
         assert r3 == pytest.approx(2.0, rel=1e-5)
 
 
@@ -273,10 +294,6 @@ def test_assembled_spinor_time_phase_invariance():
     assert a.theta == pytest.approx(b.theta, abs=1e-12)
 
 
-def test_spin_coupling_sign_is_calibrated_positive():
-    assert spin_coupling_sign() == 1.0
-
-
 def test_polar_decomposition_residual_exact_solutions():
     for spec in (ModelSpec.njl(), ModelSpec.soler()):
         worst = max(
@@ -320,7 +337,7 @@ def test_module_log_derivatives_match_finite_differences():
         spec = ModelSpec(m=1.0, p=p)
         for pt in random_points(20):
             r_dr, d_th = module_log_derivatives(pt, spec)
-            f = lambda r, th: np.log(phi2_grid(p, r, th, 1.0))
+            f = lambda r, th: np.log(phi2_grid(spec, r, th))
             fd_r = pt.r * (f(pt.r + h, pt.theta) - f(pt.r - h, pt.theta)) / (2 * h)
             fd_t = (f(pt.r, pt.theta + h) - f(pt.r, pt.theta - h)) / (2 * h)
             assert r_dr == pytest.approx(fd_r, abs=2e-5)

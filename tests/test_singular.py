@@ -13,24 +13,22 @@ from nldirac.singular import (
 
 
 def test_analytic_locus_kinds():
-    spec = ModelSpec(m=1.0)
-    ring = singular_locus(spec, p=1.0)
+    ring = singular_locus(ModelSpec.njl())
     assert ring.kind == "ring"
     assert ring.radius == pytest.approx(0.5)
     assert ring.angular_constraint == "cos(theta) = 0"
-    shell = singular_locus(spec, p=0.0)
+    shell = singular_locus(ModelSpec.soler())
     assert shell.kind == "shell"
     assert shell.radius == pytest.approx(0.5)
     assert shell.angular_constraint is None
     # any chiral admixture confines the divergence to the equator
-    assert singular_locus(spec, p=0.3).kind == "ring"
+    assert singular_locus(ModelSpec(p=0.3)).kind == "ring"
     # radius scales with the inverse mass
-    assert singular_locus(ModelSpec(m=4.0), p=1.0).radius == pytest.approx(1 / 8)
+    assert singular_locus(ModelSpec(m=4.0)).radius == pytest.approx(1 / 8)
 
 
 def test_numerical_locus_ring():
-    spec = ModelSpec(m=1.0)
-    est = locate_numerically(spec, "njl")
+    est = locate_numerically(ModelSpec.njl())
     assert est.kind == "ring"
     assert est.diverged
     assert abs(2.0 * est.radius - 1.0) < 0.01
@@ -39,8 +37,7 @@ def test_numerical_locus_ring():
 
 
 def test_numerical_locus_shell():
-    spec = ModelSpec(m=1.0)
-    est = locate_numerically(spec, "soler")
+    est = locate_numerically(ModelSpec.soler())
     assert est.kind == "shell"
     assert est.diverged
     assert abs(2.0 * est.radius - 1.0) < 0.01
@@ -49,24 +46,21 @@ def test_numerical_locus_shell():
 
 
 def test_window_without_singular_radius_stays_bounded():
-    spec = ModelSpec(m=1.0)
-    est = locate_numerically(spec, "njl", r_window=(0.65, 1.2))
+    est = locate_numerically(ModelSpec.njl(), r_window=(0.65, 1.2))
     assert not est.diverged
     assert est.kind == "none"
 
 
 def test_grid_too_coarse():
-    spec = ModelSpec(m=1.0)
     with pytest.raises(GridTooCoarse):
-        locate_numerically(spec, "njl", n_r=2, n_theta=2, max_refinements=3)
+        locate_numerically(ModelSpec.njl(), n_r=2, n_theta=2, max_refinements=3)
 
 
 def test_decay_exponent_and_limit():
-    for model in ("njl", "soler"):
-        spec = ModelSpec(m=1.0)
-        exponent, _ = decay_fit(spec, model)
+    for spec in (ModelSpec.njl(), ModelSpec.soler()):
+        exponent, _ = decay_fit(spec)
         assert exponent == pytest.approx(-2.0, abs=0.01)
-        rep = asymptotics_report(spec, model)
+        rep = asymptotics_report(spec)
         assert rep["phi2_r2_at_100_over_m"] == pytest.approx(2.0, rel=1e-4)
         assert rep["origin_value"] == pytest.approx(8.0, rel=1e-10)
         assert len(rep["table"]) == 6
@@ -74,15 +68,15 @@ def test_decay_exponent_and_limit():
 
 def test_asymptotics_scale_with_mass():
     m = 2.5
-    rep = asymptotics_report(ModelSpec(m=m), "njl")
+    rep = asymptotics_report(ModelSpec.njl(m=m))
     assert rep["limit_constant"] == pytest.approx(2.0 / m)
     assert rep["phi2_r2_at_100_over_m"] == pytest.approx(2.0 / m, rel=1e-3)
     assert rep["origin_value"] == pytest.approx(8.0 * m, rel=1e-10)
 
 
 def test_origin_values_both_models():
-    for model in ("njl", "soler"):
-        val = float(phi2_grid(model, 1e-6, 0.9, 1.0))
+    for spec in (ModelSpec.njl(), ModelSpec.soler()):
+        val = float(phi2_grid(spec, 1e-6, 0.9))
         assert val == pytest.approx(8.0, rel=1e-10)
 
 
@@ -90,7 +84,7 @@ def test_chiral_density_is_finite_on_the_axis():
     # the ring divergence is cylindrically symmetric: along theta = 0 the
     # chiral density stays bounded for every radius, including 2mr = 1
     rs = np.geomspace(1e-3, 1e3, 300)
-    vals = phi2_grid("njl", rs, np.zeros_like(rs), 1.0)
+    vals = phi2_grid(ModelSpec.njl(), rs, np.zeros_like(rs))
     assert np.all(np.isfinite(vals))
     assert np.all(vals > 0.0)
     assert vals.max() <= 8.0 + 1e-12
@@ -98,17 +92,17 @@ def test_chiral_density_is_finite_on_the_axis():
 
 def test_scalar_density_diverges_uniformly_on_the_shell():
     thetas = np.linspace(0.05, np.pi - 0.05, 50)
-    near = phi2_grid("soler", np.full_like(thetas, 0.5 + 1e-7), thetas, 1.0)
+    near = phi2_grid(ModelSpec.soler(), np.full_like(thetas, 0.5 + 1e-7), thetas)
     assert np.all(near > 1e6)
 
 
 def test_singularity_report_schema():
-    rep = singularity_report(ModelSpec(m=1.0), "njl")
+    rep = singularity_report(ModelSpec.njl())
     assert rep["model"] == "njl"
     assert rep["locus"]["kind"] == "ring"
     assert rep["numerical_locus"]["diverged"] is True
     assert rep["decay_exponent"] == pytest.approx(-2.0, abs=0.01)
     assert rep["limit_constant"] == pytest.approx(2.0)
-    rep = singularity_report(ModelSpec(m=1.0, p=0.5), 0.5)
+    rep = singularity_report(ModelSpec(m=1.0, p=0.5))
     assert rep["model"] == "p:0.5"
     assert rep["locus"]["kind"] == "ring"
