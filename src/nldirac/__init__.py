@@ -17,13 +17,11 @@ from .geometry import AngleState, GridPoint
 from .polar import (
     G_exact,
     ModelSpec,
-    PolarState,
     X_exact,
     assemble_spinor,
     module_general_p,
     module_njl,
     module_soler,
-    polar_state,
 )
 from .singular import SingularLocus, asymptotics_report, singular_locus
 
@@ -39,7 +37,6 @@ __all__ = [
     "ModelSpec",
     "NonRealBilinear",
     "PoleOrOrigin",
-    "PolarState",
     "SingularG",
     "SingularLocus",
     "SingularPoint",
@@ -53,7 +50,6 @@ __all__ = [
     "module_general_p",
     "module_njl",
     "module_soler",
-    "polar_state",
     "sigma",
     "singular_locus",
 ]

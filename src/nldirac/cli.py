@@ -122,6 +122,13 @@ def build_parser():
     return parser
 
 
+def _whole(name, value):
+    """``value`` as an int; only an int or an integral float is valid."""
+    if type(value) not in (int, float) or not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _read_config(path):
     if not path:
         return {}
@@ -174,10 +181,12 @@ def resolve_config(args) -> RunConfig:
         raise ValueError(f"mask margin must be non-negative, got {margin!r}")
     if raw.get("format") not in (None, "csv", "json"):
         raise ValueError(f"format must be csv or json, got {raw['format']!r}")
+    grid = {k: _whole(f"grid {k}", v) if k in ("n_r", "n_theta") else v
+            for k, v in raw["grid"].items()}
     return RunConfig(
         spec=spec,
-        grid=grids.GridConfig(**raw["grid"]) if raw["grid"] else None,
-        seed=int(raw["seed"]),
+        grid=grids.GridConfig(**grid) if grid else None,
+        seed=_whole("seed", raw["seed"]),
         tolerances=tolerances,
         mask_margin=margin,
         out=raw.get("out"),

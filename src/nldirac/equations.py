@@ -34,7 +34,8 @@ class ResidualVector:
     residuals: dict
 
     def max(self):
-        return max(self.residuals.values()) if self.residuals else 0.0
+        """Largest residual (0.0 if none); NaN if any residual is NaN."""
+        return float(np.max(list(self.residuals.values()), initial=0.0))
 
 
 def is_masked(pt: GridPoint, spec: ModelSpec, margin=DEFAULT_MASK_MARGIN):
@@ -46,40 +47,10 @@ def is_masked(pt: GridPoint, spec: ModelSpec, margin=DEFAULT_MASK_MARGIN):
     return near_radius and abs(np.cos(pt.theta)) < margin
 
 
-@dataclass(frozen=True)
-class FieldPoint:
-    """Closed-form solution data needed by the scalar evaluators."""
-
-    X: float
-    r_dX_dr: float
-    sinh_alpha: float
-    cosh_alpha: float
-    sin_gamma: float
-    cos_gamma: float
-    sin_beta: float
-    cos_beta: float
-    phi2: float
-    r_dlnphi2_dr: float
-    dlnphi2_dtheta: float
-    derivs: polar.PolarDerivatives
-
-
-def exact_fields(pt: GridPoint, spec: ModelSpec, fields_p=None) -> FieldPoint:
+def exact_fields(pt: GridPoint, spec: ModelSpec,
+                 fields_p=None) -> polar.ClosedForm:
     """Closed-form fields of the model with p = fields_p (default spec.p)."""
-    p = spec.p if fields_p is None else float(fields_p)
-    X = polar.X_exact(pt.r, spec)
-    rxp = polar.r_dX_dr_exact(pt.r, spec)
-    sa, ca, sg, cg = geometry.velocity_spin_components(X, pt.theta)
-    sb, cb = polar.chiral_components(X, pt.theta)
-    phi2 = polar.module_general_p(pt, spec, p=p)
-    r_dlog, dth_log = polar.module_log_derivatives(pt, spec, p=p)
-    return FieldPoint(
-        X=X, r_dX_dr=rxp,
-        sinh_alpha=sa, cosh_alpha=ca, sin_gamma=sg, cos_gamma=cg,
-        sin_beta=sb, cos_beta=cb,
-        phi2=phi2, r_dlnphi2_dr=r_dlog, dlnphi2_dtheta=dth_log,
-        derivs=polar.analytic_derivatives(X, rxp, pt.theta),
-    )
+    return polar.closed_form(pt, spec, p=fields_p)
 
 
 # -- expanded four-equation system -------------------------------------------
@@ -99,10 +70,10 @@ def expanded_components(pt: GridPoint, spec: ModelSpec, fields_p=None,
     r, th = pt.r, pt.theta
     m, E, l = spec.m, spec.E, spec.l
     s, c = np.sin(th), np.cos(th)
-    der = f.derivs
-    common = -2.0 * E * r * f.cosh_alpha + 2.0 * l * f.sinh_alpha / s \
+    der, ang = f.derivs, f.ang
+    common = -2.0 * E * r * ang.cosh_alpha + 2.0 * l * ang.sinh_alpha / s \
         + 2.0 * m * r * f.cos_beta
-    mom = 2.0 * E * r * f.sinh_alpha - 2.0 * l * f.cosh_alpha / s
+    mom = 2.0 * E * r * ang.sinh_alpha - 2.0 * l * ang.cosh_alpha / s
     if spec.name == "njl":
         bracket = common - r * f.phi2 * nonlinear_scale
         density_extra_r = 0.0
@@ -110,20 +81,20 @@ def expanded_components(pt: GridPoint, spec: ModelSpec, fields_p=None,
     else:
         bracket = common - r * f.phi2 * f.cos_beta**2 * nonlinear_scale
         density_extra_r = (
-            -r * f.phi2 * f.sin_beta * f.cos_beta * f.cos_gamma * nonlinear_scale
+            -r * f.phi2 * f.sin_beta * f.cos_beta * ang.cos_gamma * nonlinear_scale
         )
         density_extra_th = (
-            -r * f.phi2 * f.sin_beta * f.cos_beta * f.sin_gamma * nonlinear_scale
+            -r * f.phi2 * f.sin_beta * f.cos_beta * ang.sin_gamma * nonlinear_scale
         )
-    beta_r = der.r_d_beta_dr + der.d_alpha_dtheta + bracket * f.cos_gamma
-    beta_theta = der.d_beta_dtheta - der.r_d_alpha_dr + bracket * f.sin_gamma
+    beta_r = der.r_d_beta_dr + der.d_alpha_dtheta + bracket * ang.cos_gamma
+    beta_theta = der.d_beta_dtheta - der.r_d_alpha_dr + bracket * ang.sin_gamma
     density_r = (
-        f.r_dlnphi2_dr + 2.0 + 2.0 * m * r * f.cos_gamma * f.sin_beta
-        + density_extra_r + der.d_gamma_dtheta - mom * f.sin_gamma
+        f.r_dlnphi2_dr + 2.0 + 2.0 * m * r * ang.cos_gamma * f.sin_beta
+        + density_extra_r + der.d_gamma_dtheta - mom * ang.sin_gamma
     )
     density_theta = (
-        f.dlnphi2_dtheta + c / s + 2.0 * m * r * f.sin_gamma * f.sin_beta
-        + density_extra_th - der.r_d_gamma_dr + mom * f.cos_gamma
+        f.dlnphi2_dtheta + c / s + 2.0 * m * r * ang.sin_gamma * f.sin_beta
+        + density_extra_th - der.r_d_gamma_dr + mom * ang.cos_gamma
     )
     return {
         "beta_r": beta_r,
@@ -160,7 +131,7 @@ def covector_components(pt: GridPoint, spec: ModelSpec, fields_p=None,
         raise ValueError(f"covector system exists for {MODELS}, got {spec.name!r}")
     f = exact_fields(pt, spec, fields_p)
     m = spec.m
-    ang = polar.angle_state(pt, spec)
+    ang = f.ang
     ginv = geometry.inverse_metric_at(pt)
     Rc = geometry.tensorial_connection_at(pt, ang)
     eps = geometry.coordinate_epsilon_lower(pt)
@@ -280,11 +251,10 @@ def residual_standard(pt: GridPoint, spec: ModelSpec, mode="analytic",
     gamma basis, tetrads, spin connection, density, chiral angle and phase.
     ``equation_mass`` perturbs the mass term only (fields keep spec.m).
     """
-    nabla, psi = polar.covariant_derivative(
+    nabla, psi, f = polar.covariant_derivative(
         pt, spec, mode=mode, step=step, coupling_sign=coupling_sign
     )
-    ang = polar.angle_state(pt, spec)
-    xi = geometry.tetrad_at(pt, ang)
+    xi = geometry.tetrad_at(pt, f.ang)
     gamma_coord = np.einsum("am,aij->mij", xi, clifford.GAMMA_STACK)
     bl = clifford.bilinears(psi)
     dirac = 1j * np.einsum("mij,mj->i", gamma_coord, nabla)

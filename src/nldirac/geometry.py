@@ -75,12 +75,6 @@ def velocity_spin_components(X, theta):
     return (np.sin(theta) / q, ch / q, X * np.sin(theta) / q, ch * c / q)
 
 
-def angles_at(pt: GridPoint, X) -> AngleState:
-    """AngleState (components only, no partials) at a grid point."""
-    sa, ca, sg, cg = velocity_spin_components(X, pt.theta)
-    return AngleState(sinh_alpha=sa, cosh_alpha=ca, sin_gamma=sg, cos_gamma=cg)
-
-
 # -- metric and Levi-Civita connection --------------------------------------
 
 

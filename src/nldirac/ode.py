@@ -116,20 +116,17 @@ def integrate(config: IntegratorConfig, initial: OdeState, spec: ModelSpec):
     def rhs(r, y):
         return soler_rhs(r, y, spec)
 
-    try:
-        out = solve_ivp(
-            rhs,
-            config.r_span,
-            [initial.X, initial.G],
-            method=config.method,
-            rtol=config.rtol,
-            atol=config.atol,
-            max_step=config.max_step,
-            dense_output=True,
-            events=guard,
-        )
-    except DivergingState:
-        raise
+    out = solve_ivp(
+        rhs,
+        config.r_span,
+        [initial.X, initial.G],
+        method=config.method,
+        rtol=config.rtol,
+        atol=config.atol,
+        max_step=config.max_step,
+        dense_output=True,
+        events=guard,
+    )
     if out.status == 1:  # guard event fired
         raise DivergingState(float(out.t[-1]))
     steps = np.abs(np.diff(out.t))
@@ -168,7 +165,7 @@ def tracking_deviation(traj: Trajectory, spec: ModelSpec, n_samples=200):
     return {
         "max_rel_X": float(dev_X.max()),
         "max_rel_G": float(dev_G.max()),
-        "max_rel": float(max(dev_X.max(), dev_G.max())),
+        "max_rel": float(np.max([dev_X.max(), dev_G.max()])),
     }
 
 
@@ -282,20 +279,11 @@ def quantum_number_scan(spec: ModelSpec, e_over_m=None, l_values=None,
         thetas = np.array([np.pi / 3, np.pi / 5])
     e_over_m = np.asarray(e_over_m, dtype=float)
     l_values = np.asarray(l_values, dtype=float)
-    surface = np.zeros((e_over_m.size, l_values.size))
-    separation = np.zeros_like(surface)
-    for i, em in enumerate(e_over_m):
-        E = em * spec.m
-        for j, l in enumerate(l_values):
-            worst = 0.0
-            worst_sep = 0.0
-            for r in radii:
-                for th in thetas:
-                    comp = generic_el_components(r, th, E, l, spec)
-                    worst = max(worst, abs(comp["eq1"]), abs(comp["eq3"]),
-                                abs(comp["eq4"]))
-                    worst_sep = max(worst_sep, abs(comp["separation"]))
-            surface[i, j] = worst
-            separation[i, j] = worst_sep
+    # axes (E, l, r, theta); the reductions propagate NaN
+    E, l, r, th = np.ix_(e_over_m * spec.m, l_values, radii, thetas)
+    comp = generic_el_components(r, th, E, l, spec)
+    surface = np.max([np.max(np.abs(comp[k]), axis=(2, 3))
+                      for k in ("eq1", "eq3", "eq4")], axis=0)
+    separation = np.max(np.abs(comp["separation"]), axis=(2, 3))
     return ScanResult(e_over_m=e_over_m, l_values=l_values, surface=surface,
                       separation=separation)

@@ -75,23 +75,6 @@ class ModelSpec:
         return cls(m=m, p=p, name=f"p:{p:g}", **kw)
 
 
-@dataclass(frozen=True)
-class PolarState:
-    """Snapshot of all polar variables at one grid point."""
-
-    X: float
-    zeta: float
-    G: float
-    phi2: float
-    sin_beta: float
-    cos_beta: float
-
-    @property
-    def beta(self):
-        """Principal value only; formulas must use the (sin, cos) pair."""
-        return float(np.arctan2(self.sin_beta, self.cos_beta))
-
-
 def X_exact(r, spec: ModelSpec):
     """Radial profile (2mr - 1/(2mr))/2 = sinh(ln 2mr); vanishes at 2mr = 1."""
     u = 2.0 * spec.m * r
@@ -166,9 +149,13 @@ def angle_state(pt: GridPoint, spec: ModelSpec) -> AngleState:
     if X * X + np.cos(pt.theta) ** 2 <= 1e-28:
         raise SingularPoint(pt.r, pt.theta,
                             "kinematic quotients are 0/0 on the ring")
-    rxp = r_dX_dr_exact(pt.r, spec)
+    d = analytic_derivatives(X, r_dX_dr_exact(pt.r, spec), pt.theta)
+    return _angles(pt, X, d)
+
+
+def _angles(pt: GridPoint, X, d: PolarDerivatives) -> AngleState:
+    """AngleState from the profile value X and the partials d built on it."""
     sa, ca, sg, cg = geometry.velocity_spin_components(X, pt.theta)
-    d = analytic_derivatives(X, rxp, pt.theta)
     return AngleState(
         sinh_alpha=sa,
         cosh_alpha=ca,
@@ -275,21 +262,39 @@ def module_log_derivatives(pt: GridPoint, spec: ModelSpec, p=None):
     return r_dr, d_th
 
 
-def polar_state(pt: GridPoint, spec: ModelSpec) -> PolarState:
-    """All polar variables at a point on the closed-form branch."""
+@dataclass(frozen=True)
+class ClosedForm:
+    """The closed-form solution at one point, each quantity evaluated once.
+
+    Every equation form and the polar decomposition read this bundle; the
+    density and its log-derivatives are those of the model with p = ``p``,
+    the kinematic quantities (X, beta, alpha, gamma) are the same for all p.
+    """
+
+    X: float
+    r_dX_dr: float
+    sin_beta: float
+    cos_beta: float
+    phi2: float
+    r_dlnphi2_dr: float
+    dlnphi2_dtheta: float
+    derivs: PolarDerivatives
+    ang: AngleState
+
+
+def closed_form(pt: GridPoint, spec: ModelSpec, p=None) -> ClosedForm:
+    """The closed-form solution at ``pt`` with density parameter p (default
+    spec.p); raises SingularPoint on the density's singular locus."""
+    phi2 = module_general_p(pt, spec, p=p)
     X = X_exact(pt.r, spec)
+    rxp = r_dX_dr_exact(pt.r, spec)
+    d = analytic_derivatives(X, rxp, pt.theta)
     sb, cb = chiral_components(X, pt.theta)
-    try:
-        G = G_exact(pt.r, spec)
-    except SingularG:
-        G = np.inf
-    return PolarState(
-        X=X,
-        zeta=zeta_exact(pt.r, spec),
-        G=G,
-        phi2=module_general_p(pt, spec),
-        sin_beta=sb,
-        cos_beta=cb,
+    r_dlog, dth_log = module_log_derivatives(pt, spec, p=p)
+    return ClosedForm(
+        X=X, r_dX_dr=rxp, sin_beta=sb, cos_beta=cb,
+        phi2=phi2, r_dlnphi2_dr=r_dlog, dlnphi2_dtheta=dth_log,
+        derivs=d, ang=_angles(pt, X, d),
     )
 
 
@@ -319,25 +324,23 @@ def assemble_spinor(pt: GridPoint, spec: ModelSpec, phi2=None, t=0.0,
     return np.sqrt(phi2) * phase * (rot @ rest)
 
 
-def spinor_coordinate_partials(pt: GridPoint, spec: ModelSpec, t=0.0,
-                               azimuth=0.0):
-    """Analytic d_mu psi for mu in (t, r, theta, phi_az).
+def spinor_coordinate_partials(pt: GridPoint, spec: ModelSpec, f: ClosedForm,
+                               psi):
+    """Analytic d_mu psi for mu in (t, r, theta, phi_az) of the spinor psi
+    assembled from the bundle f.
 
     The t and azimuth derivatives are pure phases; the r and theta ones
     follow from the log-derivative of the density and the chiral-angle
     partials.
     """
-    psi = assemble_spinor(pt, spec, t=t, azimuth=azimuth)
-    X = X_exact(pt.r, spec)
-    rxp = r_dX_dr_exact(pt.r, spec)
-    der = analytic_derivatives(X, rxp, pt.theta)
-    r_dlog, dth_log = module_log_derivatives(pt, spec)
+    der = f.derivs
     pipsi = clifford.PI @ psi
     return {
         geometry.T: -1j * spec.E * psi,
-        geometry.R: (0.5 * r_dlog / pt.r) * psi
+        geometry.R: (0.5 * f.r_dlnphi2_dr / pt.r) * psi
         - 0.5j * (der.r_d_beta_dr / pt.r) * pipsi,
-        geometry.TH: (0.5 * dth_log) * psi - 0.5j * der.d_beta_dtheta * pipsi,
+        geometry.TH: (0.5 * f.dlnphi2_dtheta) * psi
+        - 0.5j * der.d_beta_dtheta * pipsi,
         geometry.PH: -1j * spec.l * psi,
     }
 
@@ -357,15 +360,20 @@ def covariant_derivative(pt: GridPoint, spec: ModelSpec, mode="analytic",
     pointwise quantity); differencing across that curve fails loudly with
     StepTooLarge instead of returning garbage.  The analytic path is
     branch-free everywhere off the singular locus.
+
+    Returns (nabla psi stacked over mu, psi, the ClosedForm bundle both are
+    built from).
     """
-    psi = assemble_spinor(pt, spec)
+    f = closed_form(pt, spec)
+    psi = assemble_spinor(pt, spec, phi2=f.phi2)
     if mode == "analytic":
-        dpsi = spinor_coordinate_partials(pt, spec)
+        dpsi = spinor_coordinate_partials(pt, spec, f, psi)
     elif mode == "fd":
-        def f(r, theta):
+        def spinor_at(r, theta):
             return assemble_spinor(GridPoint(r, theta), spec)
 
-        d_dr, d_dth, _ = geometry.richardson_partials(f, pt.r, pt.theta, step=step)
+        d_dr, d_dth, _ = geometry.richardson_partials(spinor_at, pt.r, pt.theta,
+                                                      step=step)
         dpsi = {
             geometry.T: -1j * spec.E * psi,
             geometry.R: d_dr,
@@ -374,12 +382,11 @@ def covariant_derivative(pt: GridPoint, spec: ModelSpec, mode="analytic",
         }
     else:
         raise ValueError(f"unknown derivative mode {mode!r}")
-    ang = angle_state(pt, spec)
-    C = geometry.spin_connection_at(pt, ang)
+    C = geometry.spin_connection_at(pt, f.ang)
     spin = 0.5 * np.einsum("abm,abij->mij", C, clifford.SIGMA_UPPER_STACK)
     return np.stack(
         [dpsi[mu] + coupling_sign * spin[mu] @ psi for mu in range(4)]
-    ), psi
+    ), psi, f
 
 
 def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec,
@@ -392,33 +399,28 @@ def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec,
 
     with the tensorial connection contracted into the frame.  Vanishes on the
     exact solutions; a perturbed momentum makes it rise, which is the
-    sensitivity check on the phase content.
+    sensitivity check on the phase content.  The maximum propagates NaN.
     """
-    nabla, psi = covariant_derivative(pt, spec, mode=mode, step=step)
-    X = X_exact(pt.r, spec)
-    rxp = r_dX_dr_exact(pt.r, spec)
-    der = analytic_derivatives(X, rxp, pt.theta)
-    r_dlog, dth_log = module_log_derivatives(pt, spec)
-    dlnphi = np.array([0.0, 0.5 * r_dlog / pt.r, 0.5 * dth_log, 0.0])
+    nabla, psi, f = covariant_derivative(pt, spec, mode=mode, step=step)
+    der = f.derivs
+    dlnphi = np.array([0.0, 0.5 * f.r_dlnphi2_dr / pt.r,
+                       0.5 * f.dlnphi2_dtheta, 0.0])
     dbeta = np.array([0.0, der.r_d_beta_dr / pt.r, der.d_beta_dtheta, 0.0])
     P = (
         np.asarray(momentum_override, dtype=float)
         if momentum_override is not None
         else geometry.momentum_covector(spec.E, spec.l)
     )
-    ang = angle_state(pt, spec)
-    xi = geometry.tetrad_at(pt, ang)
+    xi = geometry.tetrad_at(pt, f.ang)
     R_flat = np.einsum(
-        "an,bp,npm->abm", xi, xi, geometry.tensorial_connection_at(pt, ang)
+        "an,bp,npm->abm", xi, xi, geometry.tensorial_connection_at(pt, f.ang)
     )
     rmat = 0.5 * np.einsum("abm,abij->mij", R_flat, clifford.SIGMA_UPPER_STACK)
-    worst = 0.0
-    for mu in range(4):
-        rhs = (
-            dlnphi[mu] * psi
-            - 0.5j * dbeta[mu] * (clifford.PI @ psi)
-            - 1j * P[mu] * psi
-            - rmat[mu] @ psi
-        )
-        worst = max(worst, float(np.max(np.abs(nabla[mu] - rhs))))
-    return worst
+    rhs = np.stack([
+        dlnphi[mu] * psi
+        - 0.5j * dbeta[mu] * (clifford.PI @ psi)
+        - 1j * P[mu] * psi
+        - rmat[mu] @ psi
+        for mu in range(4)
+    ])
+    return float(np.max(np.abs(nabla - rhs)))

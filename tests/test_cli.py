@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from nldirac import geometry
+from nldirac import geometry, ode, polar
 from nldirac.cli import main
 
 
@@ -211,6 +212,10 @@ USAGE_ERRORS = (
     (["locus", "--mask-margin", "-0.1"], None, "mask margin must be non-negative"),
     (["locus", "--p", "2"], None, "interpolation parameter"),
     (["locus"], {"p": 2}, "interpolation parameter"),
+    (["verify"], {"grid": {"n_r": 2.5}}, "grid n_r must be an integer"),
+    (["locus"], {"seed": 1.7}, "seed must be an integer"),
+    (["locus"], {"seed": True}, "seed must be an integer"),
+    (["locus"], {"grid": {"n_theta": "8"}}, "grid n_theta must be an integer"),
 )
 
 
@@ -235,9 +240,9 @@ def test_model_name_is_the_same_in_every_report(capsys):
         assert json.loads(out)["model"] == model
 
 
-def test_nan_residual_fails_its_suite(capsys, monkeypatch):
-    # Python's max drops a NaN that is not its first argument; the suite must
-    # report it instead of passing over it
+def test_nan_residual_fails_its_suite(capsys, monkeypatch, tmp_path):
+    # Python's max drops a NaN that is not its first argument; every
+    # reduction must report it instead of passing over it
     original = geometry.transport_residuals
     calls = []
 
@@ -246,12 +251,57 @@ def test_nan_residual_fails_its_suite(capsys, monkeypatch):
         ws, wu = original(pt, ang)
         return (math.nan, wu) if len(calls) == 2 else (ws, wu)
 
-    monkeypatch.setattr(geometry, "transport_residuals", poisoned)
-    code, out, err = run(capsys, "verify", "--model", "njl", "--grid", SMALL_GRID)
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "transport_residuals", poisoned)
+        code, out, err = run(capsys, "verify", "--model", "njl",
+                             "--grid", SMALL_GRID)
     assert code == 1
     report = json.loads(out)
     assert report["failing_suites"] == ["transport"]
     assert math.isnan(report["suites"]["transport"]["max_residual"])
+
+    # a NaN theta log-derivative of the density is a later component of the
+    # expanded and covector residual vectors and one term of the
+    # decomposition's fold over mu
+    log_derivatives = polar.module_log_derivatives
+
+    def nan_theta(pt, spec, p=None):
+        return log_derivatives(pt, spec, p)[0], math.nan
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polar, "module_log_derivatives", nan_theta)
+        code, out, err = run(capsys, "verify", "--model", "njl",
+                             "--grid", "0.05,20,5,4")
+    assert code == 1
+    report = json.loads(out)
+    poisoned_suites = ["covector-residuals", "decomposition",
+                       "expanded-residuals", "standard-residuals"]
+    assert report["failing_suites"] == poisoned_suites
+    for name in poisoned_suites:
+        assert math.isnan(report["suites"][name]["max_residual"]), name
+
+    # a NaN in G alone must reach the ODE's combined tracking deviation
+    integrate = ode.integrate
+
+    def nan_in_G(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        sol = traj.sol
+
+        def poisoned_sol(rs):
+            y = sol(rs)
+            y[1, -1] = math.nan
+            return y
+
+        return dataclasses.replace(traj, sol=poisoned_sol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ode, "integrate", nan_in_G)
+        code, out, err = run(capsys, "ode", "--model", "soler",
+                             "--grid", "1,10,50,2", "--out",
+                             str(tmp_path / "t.csv"))
+    summary = json.loads(out)
+    assert math.isnan(summary["max_rel_G"])
+    assert math.isnan(summary["max_deviation"])
 
 
 def test_p_flag_shorthand(capsys):

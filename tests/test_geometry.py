@@ -4,8 +4,8 @@ import pytest
 from nldirac import geometry, polar
 from nldirac.errors import PoleOrOrigin, StepTooLarge
 from nldirac.geometry import (
+    AngleState,
     GridPoint,
-    angles_at,
     christoffel_at,
     cotetrad_at,
     curvature_strength_residuals,
@@ -101,7 +101,7 @@ def test_velocity_spin_covector_norms():
     rng = np.random.default_rng(12)
     for pt in random_points(100, seed=13):
         X = rng.uniform(-5, 5)
-        ang = angles_at(pt, X)
+        ang = AngleState(*velocity_spin_components(X, pt.theta))
         ginv = inverse_metric_at(pt)
         u = velocity_covector(pt, ang)
         s = spin_covector(pt, ang)

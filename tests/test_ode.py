@@ -141,6 +141,27 @@ def test_scan_unique_zero_cell():
         assert result.surface[i0 + di, j0 + dj] >= 1e-3
 
 
+def test_scan_nan_reaches_its_cell(monkeypatch):
+    # a NaN at one (E, l, r, theta) must make its cell NaN, not be dropped by
+    # the reduction, and so keep that cell out of the zero cells
+    original = ode.generic_el_components
+    r0 = np.geomspace(0.3, 3.0, 7)[3] / SPEC.m
+
+    def poisoned(r, theta, E, l, spec):
+        comp = original(r, theta, E, l, spec)
+        hit = (E == SPEC.m) & (l == 0.5) & (r == r0) & (theta == np.pi / 3)
+        return {k: np.where(hit, np.nan, v) for k, v in comp.items()}
+
+    monkeypatch.setattr(ode, "generic_el_components", poisoned)
+    result = quantum_number_scan(SPEC)
+    nan_cells = np.argwhere(np.isnan(result.surface)).tolist()
+    i0 = int(np.argmin(np.abs(result.e_over_m - 1.0)))
+    j0 = int(np.argmin(np.abs(result.l_values - 0.5)))
+    assert nan_cells == [[i0, j0]]
+    assert np.isnan(result.separation[i0, j0])
+    assert result.zero_cells(tol=1e-10) == []
+
+
 def test_scan_separation_residual_at_wrong_l():
     comp = generic_el_components(1.0, np.pi / 3, 1.0, 0.6, SPEC)
     assert abs(comp["separation"]) >= 1e-2

@@ -13,13 +13,14 @@ from nldirac.polar import (
     analytic_derivatives,
     assemble_spinor,
     chiral_components,
+    closed_form,
+    covariant_derivative,
     module_general_p,
     module_njl,
     module_soler,
     module_log_derivatives,
     phi2_grid,
     polar_decomposition_residual,
-    polar_state,
     r_dX_dr_exact,
 )
 
@@ -234,8 +235,8 @@ def test_derivative_component_identity_across_sign_change():
 def test_polar_state_invariants():
     spec = ModelSpec.njl()
     for pt in random_points(30):
-        st = polar_state(pt, spec)
-        assert st.X == pytest.approx(np.sinh(st.zeta), abs=1e-12)
+        st = closed_form(pt, spec)
+        assert st.X == pytest.approx(np.sinh(polar.zeta_exact(pt.r, spec)), abs=1e-12)
         assert st.sin_beta**2 + st.cos_beta**2 == pytest.approx(1.0, abs=1e-12)
         assert st.phi2 > 0.0
 
@@ -301,6 +302,24 @@ def test_polar_decomposition_residual_exact_solutions():
             for pt in random_points(20)
         )
         assert worst <= 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.floats(0.0, 1.0),
+    m=st.sampled_from([0.5, 1.0, 2.0]),
+    rm=st.floats(0.6, 10.0),
+    theta=st.floats(0.2, np.pi - 0.2),
+)
+def test_analytic_and_fd_covariant_derivatives_agree(p, m, rm, theta):
+    # 2mr >= 1.2 keeps the points off the lift curve, so the
+    # finite-difference path is valid there and checks the analytic partials
+    spec = ModelSpec(m=m, p=p)
+    pt = GridPoint(rm / m, theta)
+    analytic = covariant_derivative(pt, spec)[0]
+    fd = covariant_derivative(pt, spec, mode="fd")[0]
+    scale = 1.0 + np.max(np.abs(analytic))
+    assert np.max(np.abs(analytic - fd)) <= 1e-8 * scale
 
 
 def test_polar_decomposition_residual_fd_mode():
