@@ -18,7 +18,7 @@ import numpy as np
 
 from . import equations, grids, ode, singular, verify
 from .errors import DivergingState, StepUnderflow
-from .polar import ENDPOINTS, ModelSpec
+from .polar import ENDPOINTS, ModelSpec, X_exact, chiral_components, phi2_grid
 
 SCHEMA = "1"
 
@@ -222,32 +222,29 @@ def cmd_verify(cfg: RunConfig):
     return 0
 
 
+def _fieldmap_rows(spec: ModelSpec, grid_cfg: grids.GridConfig, margin):
+    """The fieldmap's rows in r-major order, each a tuple of Python floats
+    and the mask flag, evaluated one grid row at a time."""
+    for pt in grids.points(grid_cfg, m=spec.m):
+        X = X_exact(pt.r, spec)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sb, cb = chiral_components(X, pt.theta)
+        columns = (pt.r, pt.theta, phi2_grid(spec, pt.r, pt.theta), sb, cb, X,
+                   equations.is_masked(pt, spec, margin))
+        yield from zip(*(col.tolist() for col in columns))
+
+
 def cmd_fieldmap(cfg: RunConfig):
     spec = cfg.spec
     grid_cfg = cfg.grid_or(FIELDMAP_GRID)
-    rs = grids.radii(grid_cfg, m=spec.m)
-    ths = grids.thetas(grid_cfg)
-    from .polar import X_exact, chiral_components, phi2_grid
-
-    rows = []
-    for r in rs:
-        X = float(X_exact(r, spec))
-        for th in ths:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                phi2 = float(phi2_grid(spec, r, th))
-                sb, cb = chiral_components(X, float(th))
-            masked = equations.is_masked(
-                grids.GridPoint(float(r), float(th)), spec, cfg.mask_margin
-            )
-            rows.append((float(r), float(th), phi2, float(sb), float(cb), X,
-                         masked))
+    rows = _fieldmap_rows(spec, grid_cfg, cfg.mask_margin)
     out_path = cfg.out or "fieldmap.csv"
     if cfg.fmt == "json":
         doc = {
             "schema": SCHEMA,
             "model": spec.name,
             "columns": ["r", "theta", "phi2", "sin_beta", "cos_beta", "X", "masked"],
-            "rows": [list(row[:6]) + [bool(row[6])] for row in rows],
+            "rows": [list(row) for row in rows],
         }
         _emit_json(doc, cfg.out)
         return 0
@@ -256,7 +253,8 @@ def cmd_fieldmap(cfg: RunConfig):
         for r, th, phi2, sb, cb, X, masked in rows:
             fh.write(f"{r!r},{th!r},{phi2!r},{sb!r},{cb!r},{X!r},"
                      f"{'true' if masked else 'false'}\n")
-    print(f"wrote {len(rows)} rows to {out_path}", file=sys.stderr)
+    print(f"wrote {grid_cfg.n_r * grid_cfg.n_theta} rows to {out_path}",
+          file=sys.stderr)
     return 0
 
 
@@ -271,7 +269,7 @@ def cmd_ode(cfg: RunConfig):
     grid_cfg = cfg.grid_or(grids.GridConfig(r_min=1.0, r_max=10.0, n_r=200,
                                             n_theta=2))
     try:
-        summary, traj = verify.ode_summary(
+        summary, traj, nonfinite = verify.ode_summary(
             spec, r_span=(grid_cfg.r_min, grid_cfg.r_max), rtol=rtol,
             atol=atol, scan=cfg.scan_el,
         )
@@ -283,7 +281,15 @@ def cmd_ode(cfg: RunConfig):
     doc = {"schema": SCHEMA, "model": "soler", "mass": spec.m,
            "trajectory_csv": out_path, **summary}
     _emit_json(doc, None)
-    return 0
+    return 1 if _ode_failed(nonfinite) else 0
+
+
+def _ode_failed(nonfinite):
+    """Name the ODE summary's non-finite results on stderr, if there are any;
+    returns whether there were."""
+    if nonfinite:
+        print("ode: non-finite " + ", ".join(nonfinite), file=sys.stderr)
+    return bool(nonfinite)
 
 
 def cmd_locus(cfg: RunConfig):
@@ -302,11 +308,11 @@ def cmd_report(cfg: RunConfig):
         ),
         "singularity": singular.singularity_report(spec),
     }
+    nonfinite = []
     if spec.name == "soler":
-        summary, _ = verify.ode_summary(spec, scan=cfg.scan_el)
-        doc["ode"] = summary
+        doc["ode"], _, nonfinite = verify.ode_summary(spec, scan=cfg.scan_el)
     _emit_json(doc, cfg.out)
-    return 0 if doc["verify"]["pass"] else 1
+    return 1 if _ode_failed(nonfinite) or not doc["verify"]["pass"] else 0
 
 
 COMMANDS = {

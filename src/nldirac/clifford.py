@@ -118,7 +118,8 @@ del _mat
 
 @dataclass(frozen=True)
 class BilinearSet:
-    """Real bilinear densities of a Dirac spinor.
+    """Real bilinear densities of a Dirac spinor, or of a stack of spinors
+    (the point axes then follow the Lorentz index of S and U).
 
     theta : pseudo-scalar density
     phi   : scalar density
@@ -132,70 +133,49 @@ class BilinearSet:
     U: np.ndarray
 
 
-def adjoint(psi):
-    """Dirac adjoint psi-bar = psi^dagger gamma^0."""
-    return np.asarray(psi, dtype=complex).conj() @ GAMMA[0]
-
-
 def bilinears(psi, imag_tol=1e-10):
-    """Compute (Theta, Phi, S^a, U^a) from one spinor.
+    """Compute (Theta, Phi, S^a, U^a) from one spinor, shape (4,), or from a
+    stack of spinors with the point axes after the spinor axis.
 
-    All four quantities are real for any spinor; if any imaginary part
-    exceeds ``imag_tol`` (relative to the overall bilinear scale) the
-    gamma basis itself is inconsistent and NonRealBilinear is raised.
-    Imaginary parts are discarded after the check.
+    All four quantities are real for any spinor; if an imaginary part
+    exceeds ``imag_tol`` (relative to its spinor's bilinear scale) the gamma
+    basis itself is inconsistent and NonRealBilinear is raised.  Imaginary
+    parts are discarded after the check.
     """
-    psi = np.asarray(psi, dtype=complex).reshape(4)
+    psi = np.asarray(psi, dtype=complex)
     conj = psi.conj()
-    theta = 1j * (conj @ _KERNEL_THETA @ psi)
-    phi = conj @ _KERNEL_PHI @ psi
-    U = np.einsum("i,aij,j->a", conj, _KERNEL_U, psi)
-    S = np.einsum("i,aij,j->a", conj, _KERNEL_S, psi)
-    scale = max(1.0, abs(theta), abs(phi), np.abs(U).max(), np.abs(S).max())
-    worst = max(
-        abs(theta.imag), abs(phi.imag), np.abs(U.imag).max(), np.abs(S.imag).max()
-    )
-    if worst > imag_tol * scale:
+    theta = 1j * np.einsum("i...,ij,j...->...", conj, _KERNEL_THETA, psi)
+    phi = np.einsum("i...,ij,j...->...", conj, _KERNEL_PHI, psi)
+    U = np.einsum("i...,aij,j...->a...", conj, _KERNEL_U, psi)
+    S = np.einsum("i...,aij,j...->a...", conj, _KERNEL_S, psi)
+    parts = np.stack([theta, phi, *U, *S])
+    scale = np.maximum(1.0, np.max(np.abs(parts), axis=0))
+    worst = np.max(np.abs(parts.imag), axis=0)
+    if np.any(worst > imag_tol * scale):
         raise NonRealBilinear(
-            f"imaginary part {worst:.3e} exceeds {imag_tol:.1e} x scale"
+            f"imaginary part {np.max(worst):.3e} exceeds {imag_tol:.1e} x scale"
         )
-    return BilinearSet(theta=float(theta.real), phi=float(phi.real),
-                       S=S.real.copy(), U=U.real.copy())
-
-
-def bilinears_batch(psis):
-    """Vectorized bilinears for an (n, 4) array of spinors.
-
-    Returns (theta, phi, S, U) with shapes (n,), (n,), (n, 4), (n, 4).
-    No reality check is performed here; use bilinears() for that.
-    """
-    psis = np.asarray(psis, dtype=complex).reshape(-1, 4)
-    conj = psis.conj()
-    theta = 1j * np.einsum("ni,ij,nj->n", conj, _KERNEL_THETA, psis)
-    phi = np.einsum("ni,ij,nj->n", conj, _KERNEL_PHI, psis)
-    U = np.einsum("ni,aij,nj->na", conj, _KERNEL_U, psis)
-    S = np.einsum("ni,aij,nj->na", conj, _KERNEL_S, psis)
-    return theta.real, phi.real, S.real, U.real
+    return BilinearSet(theta=theta.real, phi=phi.real, S=S.real, U=U.real)
 
 
 def lorentz_dot(v, w):
-    """Minkowski contraction v_a eta^ab w_b of flat-index 4-vectors."""
+    """Minkowski contraction v_a eta^ab w_b over the leading flat index."""
     v = np.asarray(v)
     w = np.asarray(w)
-    return v[..., 0] * w[..., 0] - np.sum(v[..., 1:] * w[..., 1:], axis=-1)
+    return v[0] * w[0] - np.sum(v[1:] * w[1:], axis=0)
 
 
 def fierz_residuals(psis):
     """Relative residuals of the two quadratic bilinear identities.
 
-    For each spinor: U.U = Theta^2 + Phi^2, S.S = -(Theta^2 + Phi^2)
+    For each row of psis: U.U = Theta^2 + Phi^2, S.S = -(Theta^2 + Phi^2)
     and U.S = 0. Returns three arrays of relative residuals.
     """
-    theta, phi, S, U = bilinears_batch(psis)
-    scalar2 = theta**2 + phi**2
-    uu = lorentz_dot(U, U)
-    ss = lorentz_dot(S, S)
-    us = lorentz_dot(U, S)
+    bl = bilinears(np.transpose(psis))
+    scalar2 = bl.theta**2 + bl.phi**2
+    uu = lorentz_dot(bl.U, bl.U)
+    ss = lorentz_dot(bl.S, bl.S)
+    us = lorentz_dot(bl.U, bl.S)
     scale = np.maximum(1.0, scalar2)
     return (
         np.abs(uu - scalar2) / scale,

@@ -11,11 +11,13 @@ independently and must all vanish on the closed-form solutions:
 The chiral model couples through phi^2 alone; the scalar model through
 phi^2 cos(beta) -- a one-term difference this module keeps behind the
 ``nonlinear_scale`` knob so the common linear part can be compared directly.
+
+Every form takes a GridPoint of floats (one point) or of arrays (a set of
+points, such as a grid row) and evaluates all of its points at once; each
+``residual_*`` returns the largest absolute component at each point.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,24 +29,17 @@ MODELS = tuple(polar.ENDPOINTS)
 DEFAULT_MASK_MARGIN = 0.02
 
 
-@dataclass(frozen=True)
-class ResidualVector:
-    """Named non-negative residual norms at one grid point."""
-
-    residuals: dict
-
-    def max(self):
-        """Largest residual (0.0 if none); NaN if any residual is NaN."""
-        return float(np.max(list(self.residuals.values()), initial=0.0))
-
-
 def is_masked(pt: GridPoint, spec: ModelSpec, margin=DEFAULT_MASK_MARGIN):
-    """Singular-region mask: a shell margin for the scalar model, a ring
-    margin (radius and equator jointly) whenever p > 0."""
-    near_radius = abs(2.0 * spec.m * pt.r - 1.0) < margin
-    if spec.p == 0.0:
-        return near_radius
-    return near_radius and abs(np.cos(pt.theta)) < margin
+    """Singular-region mask at each point: a shell margin for the scalar
+    model, a ring margin (radius and equator jointly) whenever p > 0."""
+    near_radius = np.abs(2.0 * spec.m * pt.r - 1.0) < margin
+    near_equator = np.abs(np.cos(pt.theta)) < margin
+    return near_radius & (near_equator | (spec.p == 0.0))
+
+
+def _per_point_max(components):
+    """Largest absolute component at each point; NaN if any is NaN."""
+    return np.max(np.abs(np.stack(np.broadcast_arrays(*components))), axis=0)
 
 
 def exact_fields(pt: GridPoint, spec: ModelSpec,
@@ -107,7 +102,7 @@ def expanded_components(pt: GridPoint, spec: ModelSpec, fields_p=None,
 def residual_expanded(pt: GridPoint, spec: ModelSpec, fields_p=None,
                       nonlinear_scale=1.0):
     comps = expanded_components(pt, spec, fields_p, nonlinear_scale)
-    return ResidualVector({k: abs(v) for k, v in comps.items()})
+    return _per_point_max(comps.values())
 
 
 # -- covector (polar) form -----------------------------------------------------
@@ -138,17 +133,19 @@ def covector_components(pt: GridPoint, spec: ModelSpec, fields_p=None,
     u = geometry.velocity_covector(pt, ang)
     s_cov = geometry.spin_covector(pt, ang)
     P = geometry.momentum_covector(spec.E, spec.l)
-    R_up3 = np.einsum("ax,ny,iz,xyz->ani", ginv, ginv, ginv, Rc)
-    B = 0.5 * np.einsum("mani,ani->m", eps, R_up3)
-    R_trace = np.einsum("nr,mnr->m", ginv, Rc)
-    P_up = ginv @ P
-    u_up = ginv @ u
-    s_up = ginv @ s_cov
-    Ps = P @ s_up
-    Pu = P @ u_up
+    R_up3 = np.einsum("ax...,ny...,iz...,xyz...->ani...", ginv, ginv, ginv, Rc)
+    B = 0.5 * np.einsum("mani...,ani...->m...", eps, R_up3)
+    R_trace = np.einsum("nr...,mnr...->m...", ginv, Rc)
+    P_up = np.einsum("mn...,n->m...", ginv, P)
+    u_up = np.einsum("mn...,n...->m...", ginv, u)
+    s_up = np.einsum("mn...,n...->m...", ginv, s_cov)
+    Ps = np.einsum("m,m...->...", P, s_up)
+    Pu = np.einsum("m,m...->...", P, u_up)
     der = f.derivs
-    dbeta = np.array([0.0, der.r_d_beta_dr / pt.r, der.d_beta_dtheta, 0.0])
-    dlnphi2 = np.array([0.0, f.r_dlnphi2_dr / pt.r, f.dlnphi2_dtheta, 0.0])
+    dbeta = np.stack(np.broadcast_arrays(
+        0.0, der.r_d_beta_dr / pt.r, der.d_beta_dtheta, 0.0))
+    dlnphi2 = np.stack(np.broadcast_arrays(
+        0.0, f.r_dlnphi2_dr / pt.r, f.dlnphi2_dtheta, 0.0))
     if spec.name == "njl":
         nl_chiral = f.phi2 * nonlinear_scale
         nl_density = 0.0
@@ -159,7 +156,8 @@ def covector_components(pt: GridPoint, spec: ModelSpec, fields_p=None,
         dbeta + B + 2.0 * Ps * u - 2.0 * Pu * s_cov
         + (2.0 * m * f.cos_beta - nl_chiral) * s_cov
     )
-    axial_term = -2.0 * np.einsum("r,n,a,mrna->m", P_up, u_up, s_up, eps)
+    axial_term = -2.0 * np.einsum("r...,n...,a...,mrna...->m...", P_up, u_up,
+                                  s_up, eps)
     density = (
         dlnphi2 + R_trace + axial_term + (2.0 * m - nl_density) * f.sin_beta * s_cov
     )
@@ -168,13 +166,12 @@ def covector_components(pt: GridPoint, spec: ModelSpec, fields_p=None,
 
 def residual_polar_covector(pt: GridPoint, spec: ModelSpec, fields_p=None,
                             nonlinear_scale=1.0):
-    """Euclidean norms of the two covector equations (they must both vanish
-    componentwise, so the norm choice only sets the reporting scale)."""
+    """Larger Euclidean norm of the two covector equations (they must both
+    vanish componentwise, so the norm choice only sets the reporting
+    scale)."""
     chiral, density = covector_components(pt, spec, fields_p, nonlinear_scale)
-    return ResidualVector({
-        "chiral_norm": float(np.linalg.norm(chiral)),
-        "density_norm": float(np.linalg.norm(density)),
-    })
+    return _per_point_max([np.linalg.norm(chiral, axis=0),
+                           np.linalg.norm(density, axis=0)])
 
 
 # -- reduced system in zeta ----------------------------------------------------
@@ -217,8 +214,9 @@ def reduced_components(pt: GridPoint, spec: ModelSpec, zeta_offset=0.0,
     rhs_common = S * r * phi2 / np.sqrt(D) + 2.0 * m * r * ch - 2.0 * m * r * sh - 2.0
     # 0 * inf guards: the tan/cot factors multiply d_theta zeta, which is
     # identically zero on the radial family.
-    radial_term = 0.0 if dth_z == 0.0 else dth_z * np.tanh(z) * np.tan(th)
-    angular_lhs = 0.0 if dth_z == 0.0 else dth_z * (np.cosh(z) / np.sinh(z)) * (c / s)
+    flat = zeta_theta_amplitude == 0.0
+    radial_term = 0.0 if flat else dth_z * np.tanh(z) * np.tan(th)
+    angular_lhs = 0.0 if flat else dth_z * (np.cosh(z) / np.sinh(z)) * (c / s)
     res3 = r_dz - (rhs_common + radial_term)
     res4 = angular_lhs - (rhs_common - r_dz)
     return {
@@ -234,7 +232,7 @@ def residual_reduced(pt: GridPoint, spec: ModelSpec, zeta_offset=0.0,
                      zeta_theta_amplitude=0.0, equation_mass=None):
     comps = reduced_components(pt, spec, zeta_offset, zeta_theta_amplitude,
                                equation_mass)
-    return ResidualVector({k: abs(v) for k, v in comps.items()})
+    return _per_point_max(comps.values())
 
 
 # -- standard gamma-matrix form -------------------------------------------------
@@ -243,7 +241,7 @@ def residual_reduced(pt: GridPoint, spec: ModelSpec, zeta_offset=0.0,
 def residual_standard(pt: GridPoint, spec: ModelSpec, mode="analytic",
                       step=1e-5, coupling_sign=1.0, nonlinear_scale=1.0,
                       equation_mass=None):
-    """Max component norm of i gamma^mu nabla_mu psi
+    """Largest component norm at each point of i gamma^mu nabla_mu psi
     + (1/4)(Phi + i p Theta pi) psi - m psi on the assembled spinor.
 
     Phi and Theta are recomputed from the spinor's own bilinears rather than
@@ -255,67 +253,41 @@ def residual_standard(pt: GridPoint, spec: ModelSpec, mode="analytic",
         pt, spec, mode=mode, step=step, coupling_sign=coupling_sign
     )
     xi = geometry.tetrad_at(pt, f.ang)
-    gamma_coord = np.einsum("am,aij->mij", xi, clifford.GAMMA_STACK)
+    gamma_coord = np.einsum("am...,aij->mij...", xi, clifford.GAMMA_STACK)
     bl = clifford.bilinears(psi)
-    dirac = 1j * np.einsum("mij,mj->i", gamma_coord, nabla)
+    dirac = 1j * np.einsum("mij...,mj...->i...", gamma_coord, nabla)
     nonlinear = 0.25 * nonlinear_scale * (
-        bl.phi * clifford.IDENTITY + 1j * spec.p * bl.theta * clifford.PI
+        np.multiply.outer(clifford.IDENTITY, bl.phi)
+        + 1j * spec.p * np.multiply.outer(clifford.PI, bl.theta)
     )
     m_eq = spec.m if equation_mass is None else equation_mass
-    res = dirac + nonlinear @ psi - m_eq * psi
-    return float(np.max(np.abs(res)))
+    res = dirac + np.einsum("ij...,j...->i...", nonlinear, psi) - m_eq * psi
+    return np.max(np.abs(res), axis=0)
 
 
 # -- grid sweeps ----------------------------------------------------------------
 
 
-@dataclass
-class SweepStats:
-    """Aggregate of unmasked residual maxima over a grid sweep.
+def sweep(rows, evaluate, spec: ModelSpec, margin=DEFAULT_MASK_MARGIN):
+    """Statistics of a residual over grid rows, skipping masked points.
 
-    The reductions propagate NaN, so a non-finite residual anywhere on the
-    grid reaches ``max`` and fails the suite.
+    Each row is a GridPoint of arrays; ``evaluate(pt)`` gets the row's
+    unmasked points in one GridPoint and returns their residual maxima.
+    Returns the point and mask counts and the max, mean, median and 95th
+    percentile of those maxima.  The reductions propagate NaN, so a
+    non-finite residual anywhere on the grid reaches ``max`` and fails the
+    suite.
     """
-
-    n_points: int = 0
-    n_masked: int = 0
-    max: float = 0.0
-    mean: float = 0.0
-    median: float = 0.0
-    q95: float = 0.0
-
-    @classmethod
-    def of(cls, values, n_points):
-        """Statistics of the unmasked residual maxima ``values``."""
-        values = np.asarray(values, dtype=float)
-        stats = cls(n_points=n_points, n_masked=n_points - values.size)
-        if values.size:
-            stats.max = float(values.max())
-            stats.mean = float(values.mean())
-            stats.median = float(np.quantile(values, 0.5))
-            stats.q95 = float(np.quantile(values, 0.95))
-        return stats
-
-    def as_dict(self):
-        return {
-            "n_points": self.n_points,
-            "n_masked": self.n_masked,
-            "max": self.max,
-            "mean": self.mean,
-            "median": self.median,
-            "q95": self.q95,
-        }
-
-
-def sweep(points, evaluate, spec: ModelSpec, margin=DEFAULT_MASK_MARGIN):
-    """Evaluate a per-point residual over points, skipping masked ones.
-
-    ``evaluate(pt)`` returns either a float or a ResidualVector.
-    """
-    points = list(points)
-    values = []
-    for pt in points:
-        if not is_masked(pt, spec, margin):
-            out = evaluate(pt)
-            values.append(out.max() if isinstance(out, ResidualVector) else out)
-    return SweepStats.of(values, len(points))
+    values, n_points = [], 0
+    for row in rows:
+        keep = ~is_masked(row, spec, margin)
+        n_points += keep.size
+        values.append(evaluate(GridPoint(row.r[keep], row.theta[keep])))
+    values = np.concatenate(values)
+    stats = {"n_points": n_points, "n_masked": n_points - values.size,
+             "max": 0.0, "mean": 0.0, "median": 0.0, "q95": 0.0}
+    if values.size:
+        stats.update(max=float(values.max()), mean=float(values.mean()),
+                     median=float(np.quantile(values, 0.5)),
+                     q95=float(np.quantile(values, 0.95)))
+    return stats

@@ -10,6 +10,11 @@ axis in the (r, theta) plane.  Everything downstream (tetrads, spin
 connection, tensorial connection) is an explicit closed form in those angles
 and their first partials, collected in :class:`AngleState`.
 
+Every builder takes a GridPoint of floats (one point) or of arrays (a set
+of points, such as a grid row) and puts the point axes after the tensor
+axes: (4,) + shape for a covector, (4, 4) + shape for a rank-2 field.  The
+identity residuals at the end of the module take one point.
+
 Orientation: the coordinate volume form is eps_{t r theta phi} = +r^2 sin
 (theta), matching the flat eps_{0123} = +1 through the tetrads below, whose
 determinant is +r^2 sin(theta).
@@ -30,18 +35,32 @@ COORD_NAMES = ("t", "r", "theta", "phi")
 
 @dataclass(frozen=True)
 class GridPoint:
-    """A point of the (r, theta) half-plane, poles and origin excluded."""
+    """A point of the (r, theta) half-plane, poles and origin excluded, or a
+    set of such points when ``r`` and ``theta`` are arrays."""
 
     r: float
     theta: float
 
     def __post_init__(self):
-        if not (self.r > 0.0):
-            raise PoleOrOrigin(f"radial coordinate must be positive, got {self.r!r}")
-        if not (0.0 < self.theta < np.pi):
-            raise PoleOrOrigin(
-                f"polar angle must lie strictly between 0 and pi, got {self.theta!r}"
-            )
+        r_ok = np.greater(self.r, 0.0)
+        if not np.all(r_ok):
+            raise PoleOrOrigin("radial coordinate must be positive, got "
+                               f"{self.first(~r_ok)[0]!r}")
+        theta_ok = np.greater(self.theta, 0.0) & np.less(self.theta, np.pi)
+        if not np.all(theta_ok):
+            raise PoleOrOrigin("polar angle must lie strictly between 0 and pi, "
+                               f"got {self.first(~theta_ok)[1]!r}")
+
+    @property
+    def shape(self):
+        """Shape of the point axes; () for a single point."""
+        return np.broadcast(self.r, self.theta).shape
+
+    def first(self, where):
+        """(r, theta) as floats of the first point at which ``where`` holds."""
+        r, theta, where = np.broadcast_arrays(self.r, self.theta, where)
+        i = np.argmax(where)
+        return r.flat[i].item(), theta.flat[i].item()
 
 
 @dataclass(frozen=True)
@@ -49,7 +68,8 @@ class AngleState:
     """Velocity rapidity and spin tilt at a point, through their components.
 
     The angles only ever enter through sinh/cosh and sin/cos, so those are
-    stored directly; partials default to zero (static frame).
+    stored directly; partials default to zero (static frame).  Each field is
+    a float or an array of the points' shape.
     """
 
     sinh_alpha: float
@@ -78,14 +98,21 @@ def velocity_spin_components(X, theta):
 # -- metric and Levi-Civita connection --------------------------------------
 
 
+def _diagonal(pt: GridPoint, entries):
+    out = np.zeros((4, 4) + pt.shape)
+    for i, value in enumerate(entries):
+        out[i, i] = value
+    return out
+
+
 def metric_at(pt: GridPoint):
     r, th = pt.r, pt.theta
-    return np.diag([1.0, -1.0, -r * r, -((r * np.sin(th)) ** 2)])
+    return _diagonal(pt, [1.0, -1.0, -r * r, -((r * np.sin(th)) ** 2)])
 
 
 def inverse_metric_at(pt: GridPoint):
     r, th = pt.r, pt.theta
-    return np.diag([1.0, -1.0, -1.0 / (r * r), -1.0 / (r * np.sin(th)) ** 2])
+    return _diagonal(pt, [1.0, -1.0, -1.0 / (r * r), -1.0 / (r * np.sin(th)) ** 2])
 
 
 def metric_determinant(pt: GridPoint):
@@ -102,7 +129,7 @@ def christoffel_at(pt: GridPoint):
     Exactly six independent families are nonzero; symmetric in (mu, nu).
     """
     r, th = pt.r, pt.theta
-    lam = np.zeros((4, 4, 4))
+    lam = np.zeros((4, 4, 4) + pt.shape)
     lam[TH, TH, R] = lam[TH, R, TH] = 1.0 / r
     lam[R, TH, TH] = -r
     lam[PH, PH, R] = lam[PH, R, PH] = 1.0 / r
@@ -115,7 +142,7 @@ def christoffel_at(pt: GridPoint):
 def christoffel_partials_at(pt: GridPoint):
     """Analytic partials dLam[sigma, rho, mu, nu] = d_sigma Lambda^rho_{mu nu}."""
     r, th = pt.r, pt.theta
-    d = np.zeros((4, 4, 4, 4))
+    d = np.zeros((4, 4, 4, 4) + pt.shape)
     d[R, TH, TH, R] = d[R, TH, R, TH] = -1.0 / r**2
     d[R, R, TH, TH] = -1.0
     d[R, PH, PH, R] = d[R, PH, R, PH] = -1.0 / r**2
@@ -146,7 +173,7 @@ def riemann_at(pt: GridPoint):
 
 def velocity_covector(pt: GridPoint, ang: AngleState):
     """u_mu: unit timelike, boosted along phi."""
-    u = np.zeros(4)
+    u = np.zeros((4,) + pt.shape)
     u[T] = ang.cosh_alpha
     u[PH] = pt.r * np.sin(pt.theta) * ang.sinh_alpha
     return u
@@ -154,7 +181,7 @@ def velocity_covector(pt: GridPoint, ang: AngleState):
 
 def spin_covector(pt: GridPoint, ang: AngleState):
     """s_mu: unit spacelike, tilted in the (r, theta) plane, orthogonal to u."""
-    s = np.zeros(4)
+    s = np.zeros((4,) + pt.shape)
     s[R] = ang.cos_gamma
     s[TH] = pt.r * ang.sin_gamma
     return s
@@ -169,12 +196,12 @@ def velocity_spin_partials(pt: GridPoint, ang: AngleState):
     """Coordinate partials d_mu u_nu and d_mu s_nu (analytic, first order)."""
     r, th = pt.r, pt.theta
     s_, c_ = np.sin(th), np.cos(th)
-    du = np.zeros((4, 4))
+    du = np.zeros((4, 4) + pt.shape)
     du[R, T] = ang.sinh_alpha * ang.d_alpha_dr
     du[TH, T] = ang.sinh_alpha * ang.d_alpha_dtheta
     du[R, PH] = s_ * ang.sinh_alpha + r * s_ * ang.cosh_alpha * ang.d_alpha_dr
     du[TH, PH] = r * c_ * ang.sinh_alpha + r * s_ * ang.cosh_alpha * ang.d_alpha_dtheta
-    ds = np.zeros((4, 4))
+    ds = np.zeros((4, 4) + pt.shape)
     ds[R, R] = -ang.sin_gamma * ang.d_gamma_dr
     ds[TH, R] = -ang.sin_gamma * ang.d_gamma_dtheta
     ds[R, TH] = ang.sin_gamma + r * ang.cos_gamma * ang.d_gamma_dr
@@ -190,7 +217,7 @@ def tensorial_connection_at(pt: GridPoint, ang: AngleState):
     in the first pair; unlisted independent components are zero."""
     r, th = pt.r, pt.theta
     s_, c_ = np.sin(th), np.cos(th)
-    R_ = np.zeros((4, 4, 4))
+    R_ = np.zeros((4, 4, 4) + pt.shape)
 
     def put(n, p, mu, v):
         R_[n, p, mu] = v
@@ -208,7 +235,7 @@ def tensorial_connection_at(pt: GridPoint, ang: AngleState):
 def tetrad_at(pt: GridPoint, ang: AngleState):
     """Frame vectors xi[a, mu] = xi_a^mu (flat index first)."""
     r, th = pt.r, pt.theta
-    xi = np.zeros((4, 4))
+    xi = np.zeros((4, 4) + pt.shape)
     xi[0, T] = ang.cosh_alpha
     xi[2, T] = -ang.sinh_alpha
     xi[1, R] = ang.sin_gamma
@@ -224,7 +251,7 @@ def cotetrad_at(pt: GridPoint, ang: AngleState):
     """Coframe xi[a, mu] = xi^a_mu, dual to tetrad_at and soldering the
     metric: g_{mu nu} = xi^a_mu xi^b_nu eta_ab."""
     r, th = pt.r, pt.theta
-    co = np.zeros((4, 4))
+    co = np.zeros((4, 4) + pt.shape)
     co[0, T] = ang.cosh_alpha
     co[2, T] = ang.sinh_alpha
     co[1, R] = ang.sin_gamma
@@ -246,7 +273,7 @@ def spin_connection_at(pt: GridPoint, ang: AngleState):
     th = pt.theta
     ctg = np.cos(th) * ang.cos_gamma - np.sin(th) * ang.sin_gamma
     stg = np.sin(th) * ang.cos_gamma + np.cos(th) * ang.sin_gamma
-    C = np.zeros((4, 4, 4))
+    C = np.zeros((4, 4, 4) + pt.shape)
 
     def put(a, b, mu, v):
         C[a, b, mu] = v
@@ -265,7 +292,7 @@ def spin_connection_at(pt: GridPoint, ang: AngleState):
 
 def coordinate_epsilon_lower(pt: GridPoint):
     """eps_{mu nu rho sigma} = sqrt|g| [mu nu rho sigma], [t r theta phi] = +1."""
-    return EPS4 * sqrt_abs_g(pt)
+    return np.multiply.outer(EPS4, sqrt_abs_g(pt))
 
 
 # -- identity residuals -------------------------------------------------------

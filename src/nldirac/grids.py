@@ -41,12 +41,10 @@ def thetas(cfg: GridConfig):
 
 
 def points(cfg: GridConfig, m=1.0):
-    """Row-major (r-major) list of GridPoint."""
-    out = []
-    for r in radii(cfg, m):
-        for th in thetas(cfg):
-            out.append(GridPoint(float(r), float(th)))
-    return out
+    """The grid's rows in r-major order: one GridPoint per radius, holding
+    that radius and every theta as arrays of length n_theta."""
+    ths = thetas(cfg)
+    return [GridPoint(np.full_like(ths, r), ths) for r in radii(cfg, m)]
 
 
 def sample_points(rng, n, m=1.0, r_range=(0.1, 10.0), theta_range=(0.3, np.pi - 0.3),

@@ -216,14 +216,22 @@ class ScanResult:
     separation: np.ndarray
 
     def best_cell(self):
-        i, j = np.unravel_index(np.argmin(self.surface), self.surface.shape)
-        return float(self.e_over_m[i]), float(self.l_values[j])
+        """(E/m, l) of the smallest finite cell; None if no cell is finite."""
+        finite = np.isfinite(self.surface)
+        lowest = np.min(self.surface, where=finite, initial=np.inf)
+        cells = self._cells(finite & (self.surface == lowest))
+        return cells[0] if cells else None
+
+    def _cells(self, where):
+        return [(float(self.e_over_m[i]), float(self.l_values[j]))
+                for i, j in np.argwhere(where)]
+
+    def nonfinite_cells(self):
+        """(E/m, l) of every cell whose residual is NaN or infinite."""
+        return self._cells(~np.isfinite(self.surface))
 
     def zero_cells(self, tol=1e-10):
-        idx = np.argwhere(self.surface <= tol)
-        return [
-            (float(self.e_over_m[i]), float(self.l_values[j])) for i, j in idx
-        ]
+        return self._cells(self.surface <= tol)
 
 
 def generic_el_components(r, theta, E, l, spec: ModelSpec):

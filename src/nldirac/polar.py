@@ -14,6 +14,9 @@ with G = 2/(r X^2).
 The chiral angle beta is kept as its (sin, cos) pair throughout: X changes
 sign on the sphere 2mr = 1 and an unwrapped angle would hit a branch cut
 there.
+
+Everything here takes one GridPoint or a set of them (a grid row) and puts
+the point axes after the spinor and tensor axes, as geometry does.
 """
 
 from __future__ import annotations
@@ -138,6 +141,12 @@ def analytic_derivatives(X, r_dX_dr, theta):
     )
 
 
+def _refuse(pt: GridPoint, where, detail):
+    """Raise SingularPoint at the first point of ``pt`` where ``where`` holds."""
+    if np.any(where):
+        raise SingularPoint(*pt.first(where), detail)
+
+
 def angle_state(pt: GridPoint, spec: ModelSpec) -> AngleState:
     """AngleState of the closed-form branch, with analytic partials.
 
@@ -146,9 +155,8 @@ def angle_state(pt: GridPoint, spec: ModelSpec) -> AngleState:
     singular ring, so evaluation refuses rather than picking a limit.
     """
     X = X_exact(pt.r, spec)
-    if X * X + np.cos(pt.theta) ** 2 <= 1e-28:
-        raise SingularPoint(pt.r, pt.theta,
-                            "kinematic quotients are 0/0 on the ring")
+    _refuse(pt, X * X + np.cos(pt.theta) ** 2 <= 1e-28,
+            "kinematic quotients are 0/0 on the ring")
     d = analytic_derivatives(X, r_dX_dr_exact(pt.r, spec), pt.theta)
     return _angles(pt, X, d)
 
@@ -206,15 +214,15 @@ def module_njl(pt: GridPoint, spec: ModelSpec):
     Agrees with 2/(r sqrt(X^2 + cos^2 theta)) on the closed-form branch;
     diverges only on the equatorial ring 2mr = 1, theta = pi/2.
     """
-    if _radicand(pt.r, pt.theta, spec.m) <= 1e-28:
-        raise SingularPoint(pt.r, pt.theta, "equatorial ring 2mr = 1")
+    _refuse(pt, _radicand(pt.r, pt.theta, spec.m) <= 1e-28,
+            "equatorial ring 2mr = 1")
     return _phi2_njl_raw(pt.r, pt.theta, spec.m)
 
 
 def module_soler(pt: GridPoint, spec: ModelSpec):
     """Scalar-model density; diverges on the whole sphere 2mr = 1."""
-    if (4.0 * spec.m**2 * pt.r**2 - 1.0) ** 2 <= 1e-28:
-        raise SingularPoint(pt.r, pt.theta, "singular sphere 2mr = 1")
+    _refuse(pt, (4.0 * spec.m**2 * pt.r**2 - 1.0) ** 2 <= 1e-28,
+            "singular sphere 2mr = 1")
     return _phi2_soler_raw(pt.r, pt.theta, spec.m)
 
 
@@ -224,12 +232,10 @@ def module_general_p(pt: GridPoint, spec: ModelSpec, p=None):
     Reduces to module_njl at p = 1 and to module_soler at p = 0.
     """
     p = spec.p if p is None else p
-    sh = np.sinh(zeta_exact(pt.r, spec))
-    c2 = np.cos(pt.theta) ** 2
-    denom = sh * sh + p * c2
-    if denom <= 1e-28:
-        raise SingularPoint(pt.r, pt.theta, "locus sinh^2 zeta + p cos^2 theta = 0")
-    return 2.0 * np.sqrt(sh * sh + c2) / (pt.r * denom)
+    sh2 = np.sinh(zeta_exact(pt.r, spec)) ** 2
+    _refuse(pt, sh2 + p * np.cos(pt.theta) ** 2 <= 1e-28,
+            "locus sinh^2 zeta + p cos^2 theta = 0")
+    return _phi2_general_raw(pt.r, pt.theta, spec.m, p)
 
 
 def phi2_grid(spec: ModelSpec, r, theta):
@@ -264,11 +270,13 @@ def module_log_derivatives(pt: GridPoint, spec: ModelSpec, p=None):
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """The closed-form solution at one point, each quantity evaluated once.
+    """The closed-form solution at a point or a set of points, each quantity
+    evaluated once.
 
     Every equation form and the polar decomposition read this bundle; the
     density and its log-derivatives are those of the model with p = ``p``,
     the kinematic quantities (X, beta, alpha, gamma) are the same for all p.
+    Each field is a float or an array of the points' shape.
     """
 
     X: float
@@ -284,7 +292,8 @@ class ClosedForm:
 
 def closed_form(pt: GridPoint, spec: ModelSpec, p=None) -> ClosedForm:
     """The closed-form solution at ``pt`` with density parameter p (default
-    spec.p); raises SingularPoint on the density's singular locus."""
+    spec.p); raises SingularPoint, naming the first point, on the density's
+    singular locus."""
     phi2 = module_general_p(pt, spec, p=p)
     X = X_exact(pt.r, spec)
     rxp = r_dX_dr_exact(pt.r, spec)
@@ -310,7 +319,7 @@ def assemble_spinor(pt: GridPoint, spec: ModelSpec, phi2=None, t=0.0,
     The returned components carry flat (frame) indices: the boost to the
     moving frame lives entirely in the tetrads, so bilinears of this spinor
     give the rest-frame S^a and U^a; coordinate components need a tetrad
-    contraction.
+    contraction.  Shape (4,) + the points' shape.
     """
     if phi2 is None:
         phi2 = module_general_p(pt, spec)
@@ -318,31 +327,22 @@ def assemble_spinor(pt: GridPoint, spec: ModelSpec, phi2=None, t=0.0,
     sb, cb = chiral_components(X, pt.theta)
     # exp(-i beta pi / 2) via half-angle of the (sin, cos) pair
     half = 0.5 * np.arctan2(sb, cb)
-    rot = np.cos(half) * clifford.IDENTITY - 1j * np.sin(half) * clifford.PI
+    rot = (np.multiply.outer(clifford.IDENTITY, np.cos(half))
+           - 1j * np.multiply.outer(clifford.PI, np.sin(half)))
     phase = np.exp(-1j * (spec.E * t + spec.l * azimuth))
     rest = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)
-    return np.sqrt(phi2) * phase * (rot @ rest)
+    return np.sqrt(phi2) * phase * np.einsum("ij...,j->i...", rot, rest)
 
 
-def spinor_coordinate_partials(pt: GridPoint, spec: ModelSpec, f: ClosedForm,
-                               psi):
-    """Analytic d_mu psi for mu in (t, r, theta, phi_az) of the spinor psi
-    assembled from the bundle f.
-
-    The t and azimuth derivatives are pure phases; the r and theta ones
-    follow from the log-derivative of the density and the chiral-angle
-    partials.
-    """
+def spinor_coordinate_partials(pt: GridPoint, f: ClosedForm, psi):
+    """Analytic (d_r psi, d_theta psi) of the spinor psi assembled from the
+    bundle f, from the log-derivative of the density and the chiral-angle
+    partials."""
     der = f.derivs
-    pipsi = clifford.PI @ psi
-    return {
-        geometry.T: -1j * spec.E * psi,
-        geometry.R: (0.5 * f.r_dlnphi2_dr / pt.r) * psi
-        - 0.5j * (der.r_d_beta_dr / pt.r) * pipsi,
-        geometry.TH: (0.5 * f.dlnphi2_dtheta) * psi
-        - 0.5j * der.d_beta_dtheta * pipsi,
-        geometry.PH: -1j * spec.l * psi,
-    }
+    pipsi = np.einsum("ij,j...->i...", clifford.PI, psi)
+    return ((0.5 * f.r_dlnphi2_dr / pt.r) * psi
+            - 0.5j * (der.r_d_beta_dr / pt.r) * pipsi,
+            (0.5 * f.dlnphi2_dtheta) * psi - 0.5j * der.d_beta_dtheta * pipsi)
 
 
 def covariant_derivative(pt: GridPoint, spec: ModelSpec, mode="analytic",
@@ -361,32 +361,28 @@ def covariant_derivative(pt: GridPoint, spec: ModelSpec, mode="analytic",
     StepTooLarge instead of returning garbage.  The analytic path is
     branch-free everywhere off the singular locus.
 
-    Returns (nabla psi stacked over mu, psi, the ClosedForm bundle both are
-    built from).
+    Returns (nabla psi stacked over mu, shape (4, 4) + the points' shape;
+    psi; the ClosedForm bundle both are built from).  mode="fd" takes a
+    single point.
     """
     f = closed_form(pt, spec)
     psi = assemble_spinor(pt, spec, phi2=f.phi2)
     if mode == "analytic":
-        dpsi = spinor_coordinate_partials(pt, spec, f, psi)
+        d_dr, d_dth = spinor_coordinate_partials(pt, f, psi)
     elif mode == "fd":
         def spinor_at(r, theta):
             return assemble_spinor(GridPoint(r, theta), spec)
 
         d_dr, d_dth, _ = geometry.richardson_partials(spinor_at, pt.r, pt.theta,
                                                       step=step)
-        dpsi = {
-            geometry.T: -1j * spec.E * psi,
-            geometry.R: d_dr,
-            geometry.TH: d_dth,
-            geometry.PH: -1j * spec.l * psi,
-        }
     else:
         raise ValueError(f"unknown derivative mode {mode!r}")
+    # the t and azimuth partials are the pure phases exp(-i(E t + l phi))
+    dpsi = np.stack([-1j * spec.E * psi, d_dr, d_dth, -1j * spec.l * psi])
     C = geometry.spin_connection_at(pt, f.ang)
-    spin = 0.5 * np.einsum("abm,abij->mij", C, clifford.SIGMA_UPPER_STACK)
-    return np.stack(
-        [dpsi[mu] + coupling_sign * spin[mu] @ psi for mu in range(4)]
-    ), psi, f
+    spin = 0.5 * np.einsum("abm...,abij->mij...", C, clifford.SIGMA_UPPER_STACK)
+    nabla = dpsi + coupling_sign * np.einsum("mij...,j...->mi...", spin, psi)
+    return nabla, psi, f
 
 
 def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec,
@@ -397,30 +393,30 @@ def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec,
         (nabla_mu ln phi - i/2 nabla_mu beta pi - i P_mu
          - 1/2 R_{ij mu} sigma^{ij}) psi
 
-    with the tensorial connection contracted into the frame.  Vanishes on the
-    exact solutions; a perturbed momentum makes it rise, which is the
-    sensitivity check on the phase content.  The maximum propagates NaN.
+    with the tensorial connection contracted into the frame, at each point.
+    Vanishes on the exact solutions; a perturbed momentum makes it rise,
+    which is the sensitivity check on the phase content.  The maximum
+    propagates NaN.
     """
     nabla, psi, f = covariant_derivative(pt, spec, mode=mode, step=step)
     der = f.derivs
-    dlnphi = np.array([0.0, 0.5 * f.r_dlnphi2_dr / pt.r,
-                       0.5 * f.dlnphi2_dtheta, 0.0])
-    dbeta = np.array([0.0, der.r_d_beta_dr / pt.r, der.d_beta_dtheta, 0.0])
+    dlnphi = np.stack(np.broadcast_arrays(
+        0.0, 0.5 * f.r_dlnphi2_dr / pt.r, 0.5 * f.dlnphi2_dtheta, 0.0))
+    dbeta = np.stack(np.broadcast_arrays(
+        0.0, der.r_d_beta_dr / pt.r, der.d_beta_dtheta, 0.0))
     P = (
         np.asarray(momentum_override, dtype=float)
         if momentum_override is not None
         else geometry.momentum_covector(spec.E, spec.l)
     )
     xi = geometry.tetrad_at(pt, f.ang)
-    R_flat = np.einsum(
-        "an,bp,npm->abm", xi, xi, geometry.tensorial_connection_at(pt, f.ang)
-    )
-    rmat = 0.5 * np.einsum("abm,abij->mij", R_flat, clifford.SIGMA_UPPER_STACK)
-    rhs = np.stack([
-        dlnphi[mu] * psi
-        - 0.5j * dbeta[mu] * (clifford.PI @ psi)
-        - 1j * P[mu] * psi
-        - rmat[mu] @ psi
-        for mu in range(4)
-    ])
-    return float(np.max(np.abs(nabla - rhs)))
+    R_flat = np.einsum("an...,bp...,npm...->abm...", xi, xi,
+                       geometry.tensorial_connection_at(pt, f.ang))
+    rmat = 0.5 * np.einsum("abm...,abij->mij...", R_flat,
+                           clifford.SIGMA_UPPER_STACK)
+    pipsi = np.einsum("ij,j...->i...", clifford.PI, psi)
+    rhs = (np.einsum("m...,i...->mi...", dlnphi, psi)
+           - 0.5j * np.einsum("m...,i...->mi...", dbeta, pipsi)
+           - 1j * np.einsum("m,i...->mi...", P, psi)
+           - np.einsum("mij...,j...->mi...", rmat, psi))
+    return np.max(np.abs(nabla - rhs), axis=(0, 1))

@@ -97,7 +97,7 @@ def _grid_suite(residual, spec, grid_cfg, tol, margin):
         grids.points(grid_cfg, m=spec.m), lambda pt: residual(pt, spec),
         spec, margin,
     )
-    return _entry(stats.max, tol, stats.n_points, stats.as_dict())
+    return _entry(stats["max"], tol, stats["n_points"], stats)
 
 
 def suite_expanded(spec, grid_cfg, tol=1e-8, margin=DEFAULT_MASK_MARGIN):
@@ -169,7 +169,11 @@ def run_suites(spec: ModelSpec, grid_cfg=None, seed=42, tolerances=None,
 
 def ode_summary(spec: ModelSpec, r_span=(1.0, 10.0), rtol=1e-9, atol=1e-12,
                 scan=False):
-    """Exact-branch tracking run of the scalar radial system + optional scan."""
+    """Exact-branch tracking run of the scalar radial system + optional scan.
+
+    Returns (summary, trajectory, the names of the summary's non-finite
+    results: the deviation or scan cells).
+    """
     r0 = r_span[0] / spec.m
     r1 = r_span[1] / spec.m
     cfg = ode.IntegratorConfig(r_span=(r0, r1), rtol=rtol, atol=atol)
@@ -185,14 +189,19 @@ def ode_summary(spec: ModelSpec, r_span=(1.0, 10.0), rtol=1e-9, atol=1e-12,
         "max_rel_X": dev["max_rel_X"],
         "max_rel_G": dev["max_rel_G"],
     }
+    nonfinite = ([] if np.isfinite(dev["max_rel"])
+                 else [f"max_deviation {dev['max_rel']!r}"])
     if scan:
         result = ode.quantum_number_scan(spec)
         zero_cells = result.zero_cells(tol=1e-10)
+        bad_cells = result.nonfinite_cells()
+        best = result.best_cell()
         out["scan"] = {
             "e_over_m": result.e_over_m.tolist(),
             "l_values": result.l_values.tolist(),
             "zero_cells": zero_cells,
-            "best_cell": list(result.best_cell()),
-            "unique_zero": zero_cells == [(1.0, 0.5)],
+            "best_cell": None if best is None else list(best),
+            "unique_zero": zero_cells == [(1.0, 0.5)] and not bad_cells,
         }
-    return out, traj
+        nonfinite += [f"scan cell (E/m, l) = {cell}" for cell in bad_cells]
+    return out, traj, nonfinite

@@ -299,9 +299,18 @@ def test_nan_residual_fails_its_suite(capsys, monkeypatch, tmp_path):
         code, out, err = run(capsys, "ode", "--model", "soler",
                              "--grid", "1,10,50,2", "--out",
                              str(tmp_path / "t.csv"))
+        report = run(capsys, "report", "--model", "soler",
+                     "--grid", "0.05,20,5,4")
+    assert code == 1
+    assert err == "ode: non-finite max_deviation nan\n"
     summary = json.loads(out)
     assert math.isnan(summary["max_rel_G"])
     assert math.isnan(summary["max_deviation"])
+    # report exits 1 on the same ODE result although its suites pass
+    code, out, err = report
+    assert code == 1
+    assert err == "ode: non-finite max_deviation nan\n"
+    assert json.loads(out)["verify"]["pass"] is True
 
 
 def test_p_flag_shorthand(capsys):

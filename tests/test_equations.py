@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nldirac import grids
-
+from nldirac import grids, polar
+from nldirac.errors import PoleOrOrigin, SingularPoint
 from nldirac.equations import (
+    MODELS,
     covector_components,
     expanded_components,
     is_masked,
@@ -215,12 +218,12 @@ def test_all_forms_vanish_at_non_unit_mass():
 
 def test_sweep_masks_and_aggregates():
     spec = ModelSpec.njl()
-    pts = [GridPoint(0.5, np.pi / 2 + 1e-4), GridPoint(1.0, 1.0),
-           GridPoint(2.0, 2.0)]
-    stats = sweep(pts, lambda pt: residual_expanded(pt, spec), spec)
-    assert stats.n_points == 3
-    assert stats.n_masked == 1
-    assert stats.max <= 1e-10
+    row = GridPoint(np.array([0.5, 1.0, 2.0]),
+                    np.array([np.pi / 2 + 1e-4, 1.0, 2.0]))
+    stats = sweep([row], lambda pt: residual_expanded(pt, spec), spec)
+    assert stats["n_points"] == 3
+    assert stats["n_masked"] == 1
+    assert stats["max"] <= 1e-10
 
 
 @settings(max_examples=100, deadline=None)
@@ -229,11 +232,83 @@ def test_sweep_masks_and_aggregates():
        n_theta=st.integers(2, 9))
 def test_sweep_masks_exactly_the_masked_points(margin, p, m, n_r, n_theta):
     spec = ModelSpec(m=m, p=p)
-    pts = grids.points(grids.GridConfig(r_min=0.2, r_max=3.0, n_r=n_r,
-                                        n_theta=n_theta), m=m)
+    rows = grids.points(grids.GridConfig(r_min=0.2, r_max=3.0, n_r=n_r,
+                                         n_theta=n_theta), m=m)
     evaluated = []
-    stats = sweep(pts, lambda pt: evaluated.append(pt) or 0.0, spec, margin)
+
+    def record(pt):
+        evaluated.extend(zip(pt.r.tolist(), pt.theta.tolist()))
+        return np.zeros(pt.shape)
+
+    stats = sweep(rows, record, spec, margin)
+    pts = [GridPoint(r, th) for row in rows
+           for r, th in zip(row.r.tolist(), row.theta.tolist())]
     masked = [is_masked(pt, spec, margin) for pt in pts]
-    assert stats.n_points == len(pts)
-    assert stats.n_masked == sum(masked)
-    assert evaluated == [pt for pt, skip in zip(pts, masked) if not skip]
+    assert stats["n_points"] == len(pts)
+    assert stats["n_masked"] == sum(masked)
+    assert evaluated == [(pt.r, pt.theta)
+                         for pt, skip in zip(pts, masked) if not skip]
+
+
+def _leaves(out):
+    """The arrays of an evaluator's output, in a fixed order."""
+    if dataclasses.is_dataclass(out):
+        out = [getattr(out, f.name) for f in dataclasses.fields(out)]
+    elif isinstance(out, dict):
+        out = list(out.values())
+    elif not isinstance(out, tuple):
+        return [np.asarray(out)]
+    return [leaf for item in out for leaf in _leaves(item)]
+
+
+def test_rows_equal_points():
+    # a row evaluated in one call gives what its points give one at a time,
+    # with the point axis last
+    rng = np.random.default_rng(7)
+    for model, m in [(model, m) for model in ("njl", "soler", "p:0.5")
+                     for m in (0.5, 2.0)]:
+        p = {"njl": 1.0, "soler": 0.0}.get(model, 0.5)
+        spec = ModelSpec(m=m, p=p, E=1.07 * m, l=0.61)
+        evaluators = {
+            "closed_form": lambda pt: polar.closed_form(pt, spec),
+            "covariant_derivative": lambda pt: polar.covariant_derivative(pt, spec),
+            "reduced": lambda pt: reduced_components(pt, spec),
+            "reduced, angular zeta": lambda pt: reduced_components(
+                pt, spec, zeta_theta_amplitude=0.01),
+            "reduced residual": lambda pt: residual_reduced(pt, spec),
+            "standard residual": lambda pt: residual_standard(pt, spec),
+        }
+        if spec.name in MODELS:
+            evaluators["expanded"] = lambda pt: expanded_components(pt, spec)
+            evaluators["covector"] = lambda pt: covector_components(pt, spec)
+            evaluators["expanded residual"] = (
+                lambda pt: residual_expanded(pt, spec))
+            evaluators["covector residual"] = (
+                lambda pt: residual_polar_covector(pt, spec))
+        cfg = grids.GridConfig(r_min=rng.uniform(0.03, 0.08),
+                               r_max=rng.uniform(10.0, 30.0), n_r=9, n_theta=7)
+        for row in grids.points(cfg, m=m):
+            pts = [GridPoint(r, th)
+                   for r, th in zip(row.r.tolist(), row.theta.tolist())]
+            assert is_masked(row, spec).tolist() == [
+                is_masked(pt, spec) for pt in pts]
+            keep = ~is_masked(row, spec)
+            row = GridPoint(row.r[keep], row.theta[keep])
+            pts = [pt for pt, k in zip(pts, keep) if k]
+            if not pts:  # a soler row on the masked shell
+                continue
+            for name, evaluate in evaluators.items():
+                by_point = [_leaves(evaluate(pt)) for pt in pts]
+                for k, leaf in enumerate(_leaves(evaluate(row))):
+                    expected = np.stack([out[k] for out in by_point], axis=-1)
+                    assert leaf.shape == expected.shape, (model, m, name, k)
+                    scale = max(1.0, np.max(np.abs(expected)))
+                    assert np.max(np.abs(leaf - expected)) <= 1e-12 * scale, (
+                        model, m, name, k)
+        with pytest.raises(PoleOrOrigin):
+            GridPoint(np.full(3, 1.0 / m), np.array([0.5, 0.0, 1.0]))
+        with pytest.raises(SingularPoint) as err:
+            polar.closed_form(GridPoint(np.array([2.0, 0.5, 0.5]) / m,
+                                        np.array([np.pi / 2, np.pi / 2, 1.0])),
+                              spec)
+        assert (err.value.r, err.value.theta) == (0.5 / m, np.pi / 2)

@@ -162,6 +162,30 @@ def test_scan_nan_reaches_its_cell(monkeypatch):
     assert result.zero_cells(tol=1e-10) == []
 
 
+def test_scan_nan_off_the_zero_cell_is_not_unique_zero(monkeypatch):
+    # a NaN in a cell far from (1, 1/2) must neither be named the best cell
+    # nor leave the summary claiming a unique zero
+    from nldirac import verify
+
+    original = ode.generic_el_components
+    r0 = np.geomspace(0.3, 3.0, 7)[3] / SPEC.m
+
+    def poisoned(r, theta, E, l, spec):
+        comp = original(r, theta, E, l, spec)
+        hit = (E == 1.5 * SPEC.m) & (l == 0.0) & (r == r0) & (theta == np.pi / 3)
+        return {k: np.where(hit, np.nan, v) for k, v in comp.items()}
+
+    monkeypatch.setattr(ode, "generic_el_components", poisoned)
+    result = quantum_number_scan(SPEC)
+    assert result.zero_cells(tol=1e-10) == [(1.0, 0.5)]
+    assert result.best_cell() == (1.0, 0.5)
+    assert result.nonfinite_cells() == [(1.5, 0.0)]
+    summary, _, nonfinite = verify.ode_summary(SPEC, scan=True)
+    assert summary["scan"]["best_cell"] == [1.0, 0.5]
+    assert summary["scan"]["unique_zero"] is False
+    assert nonfinite == ["scan cell (E/m, l) = (1.5, 0.0)"]
+
+
 def test_scan_separation_residual_at_wrong_l():
     comp = generic_el_components(1.0, np.pi / 3, 1.0, 0.6, SPEC)
     assert abs(comp["separation"]) >= 1e-2
