@@ -10,6 +10,7 @@ suites are seeded, no wall-clock data is emitted).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -129,6 +130,13 @@ def _whole(name, value):
     return int(value)
 
 
+def _number(name, value):
+    """``value`` as a float; only a number is valid, not a bool or a string."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _read_config(path):
     if not path:
         return {}
@@ -163,26 +171,29 @@ def resolve_config(args) -> RunConfig:
             if value is None:
                 continue
             if key == "p":
-                raw["model"] = f"p:{value}"
+                raw["model"] = f"p:{_number('p', value)}"
             elif key in ("grid", "tolerances"):
                 raw[key] = {**raw[key], **value}
             else:
                 raw[ALIASES.get(key, key)] = value
     name, p = _parse_model(raw["model"])
-    spec = ModelSpec(m=float(raw["mass"]), p=p, name=name,
-                     **{k: float(raw[k]) for k in ("E", "l") if k in raw})
-    tolerances = {k: float(v) for k, v in raw["tolerances"].items()}
+    spec = ModelSpec(m=_number("mass", raw["mass"]), p=p, name=name,
+                     **{k: _number(k, raw[k]) for k in ("E", "l") if k in raw})
+    tolerances = {k: _number(f"tolerance {k}", v)
+                  for k, v in raw["tolerances"].items()}
     unknown = sorted(set(tolerances) - set(TOLERANCE_NAMES))
     if unknown:
         raise ValueError(f"unknown tolerance name(s) {', '.join(unknown)}; "
                          f"expected {', '.join(TOLERANCE_NAMES)}")
-    margin = float(raw["mask_margin"])
+    margin = _number("mask margin", raw["mask_margin"])
     if not margin >= 0.0:
         raise ValueError(f"mask margin must be non-negative, got {margin!r}")
     if raw.get("format") not in (None, "csv", "json"):
         raise ValueError(f"format must be csv or json, got {raw['format']!r}")
-    grid = {k: _whole(f"grid {k}", v) if k in ("n_r", "n_theta") else v
-            for k, v in raw["grid"].items()}
+    if not isinstance(raw.get("out", ""), str):
+        raise ValueError(f"out must be a string, got {raw['out']!r}")
+    grid = {k: _whole(f"grid {k}", v) if k in ("n_r", "n_theta")
+            else _number(f"grid {k}", v) for k, v in raw["grid"].items()}
     return RunConfig(
         spec=spec,
         grid=grids.GridConfig(**grid) if grid else None,
@@ -196,12 +207,11 @@ def resolve_config(args) -> RunConfig:
 
 
 def _emit_json(doc, out_path):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Stream ``doc`` as indented JSON to the file or to stdout."""
+    with (open(out_path, "w", encoding="utf-8") if out_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def cmd_verify(cfg: RunConfig):

@@ -114,6 +114,7 @@ _KERNEL_S = np.stack([GAMMA[0] @ GAMMA[a] @ PI for a in range(4)])
 for _mat in (_KERNEL_PHI, _KERNEL_THETA, _KERNEL_U, _KERNEL_S):
     _mat.setflags(write=False)
 del _mat
+IMAG_TOL = 1e-10  # largest imaginary part of a bilinear, relative to its scale
 
 
 @dataclass(frozen=True)
@@ -133,12 +134,12 @@ class BilinearSet:
     U: np.ndarray
 
 
-def bilinears(psi, imag_tol=1e-10):
+def bilinears(psi):
     """Compute (Theta, Phi, S^a, U^a) from one spinor, shape (4,), or from a
     stack of spinors with the point axes after the spinor axis.
 
     All four quantities are real for any spinor; if an imaginary part
-    exceeds ``imag_tol`` (relative to its spinor's bilinear scale) the gamma
+    exceeds IMAG_TOL (relative to its spinor's bilinear scale) the gamma
     basis itself is inconsistent and NonRealBilinear is raised.  Imaginary
     parts are discarded after the check.
     """
@@ -151,9 +152,9 @@ def bilinears(psi, imag_tol=1e-10):
     parts = np.stack([theta, phi, *U, *S])
     scale = np.maximum(1.0, np.max(np.abs(parts), axis=0))
     worst = np.max(np.abs(parts.imag), axis=0)
-    if np.any(worst > imag_tol * scale):
+    if np.any(worst > IMAG_TOL * scale):
         raise NonRealBilinear(
-            f"imaginary part {np.max(worst):.3e} exceeds {imag_tol:.1e} x scale"
+            f"imaginary part {np.max(worst):.3e} exceeds {IMAG_TOL:.1e} x scale"
         )
     return BilinearSet(theta=theta.real, phi=phi.real, S=S.real, U=U.real)
 

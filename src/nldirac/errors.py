@@ -18,13 +18,11 @@ class SingularPoint(ArithmeticError):
     """Evaluation requested on (or numerically indistinguishable from) the
     singular locus of the matter distribution."""
 
-    def __init__(self, r, theta, detail=""):
+    def __init__(self, r, theta, detail):
         self.r = r
         self.theta = theta
-        msg = f"singular locus hit at r={r!r}, theta={theta!r}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"singular locus hit at r={r!r}, theta={theta!r} "
+                         f"({detail})")
 
 
 class SingularG(SingularPoint):
@@ -33,7 +31,7 @@ class SingularG(SingularPoint):
 
 
 class StepTooLarge(RuntimeError):
-    """Finite-difference Richardson estimate did not converge; the requested
+    """Finite-difference Richardson estimate did not converge; the fixed
     step is too large for the local field variation."""
 
 

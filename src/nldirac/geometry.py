@@ -30,7 +30,7 @@ from .clifford import EPS4
 from .errors import PoleOrOrigin, StepTooLarge
 
 T, R, TH, PH = 0, 1, 2, 3
-COORD_NAMES = ("t", "r", "theta", "phi")
+FD_STEP = 1e-5  # first step of every finite-difference partial
 
 
 @dataclass(frozen=True)
@@ -319,9 +319,9 @@ def transport_residuals(pt: GridPoint, ang: AngleState):
     return violation(s, ds), violation(u, du)
 
 
-def richardson_partials(f, r, theta, step=1e-5, tol_factor=1e-4):
-    """Central-difference d/dr and d/dtheta of an array-valued field with one
-    Richardson halving; raises StepTooLarge on non-convergence.
+def richardson_partials(f, r, theta):
+    """Central-difference d/dr and d/dtheta (step FD_STEP) of an array-valued
+    field with one Richardson halving; raises StepTooLarge on non-convergence.
 
     Returns (df_dr, df_dtheta, error_estimate).
     """
@@ -331,33 +331,33 @@ def richardson_partials(f, r, theta, step=1e-5, tol_factor=1e-4):
         dt = (np.asarray(f(r, theta + h)) - np.asarray(f(r, theta - h))) / (2 * h)
         return dr, dt
 
-    dr1, dt1 = central(step)
-    dr2, dt2 = central(step / 2)
+    dr1, dt1 = central(FD_STEP)
+    dr2, dt2 = central(FD_STEP / 2)
     df_dr = (4.0 * dr2 - dr1) / 3.0
     df_dt = (4.0 * dt2 - dt1) / 3.0
     est = max(float(np.max(np.abs(dr2 - dr1))), float(np.max(np.abs(dt2 - dt1))))
     scale = 1.0 + max(float(np.max(np.abs(df_dr))), float(np.max(np.abs(df_dt))))
-    if est > tol_factor * scale:
+    if est > 1e-4 * scale:
         raise StepTooLarge(
             f"finite-difference estimate {est:.3e} did not converge at "
-            f"(r={r!r}, theta={theta!r}) with step {step!r}"
+            f"(r={r!r}, theta={theta!r}) with step {FD_STEP!r}"
         )
     return df_dr, df_dt, est
 
 
-def curvature_strength_residuals(pt: GridPoint, tensorial_field, momentum,
-                                 step=1e-5):
+def curvature_strength_residuals(pt: GridPoint, tensorial_field, momentum):
     """Residual norms of the two potential identities on a flat background.
 
     ``tensorial_field(r, theta)`` must return the coordinate components
-    R_{nu rho mu}; its mixed-index curvature
+    R_{nu rho mu} and ``momentum(r, theta)`` the momentum covector P_mu.
+    The mixed-index curvature of R,
 
         nabla_mu R^i_{j nu} - nabla_nu R^i_{j mu}
         + R^i_{k mu} R^k_{j nu} - R^i_{k nu} R^k_{j mu}
 
-    must vanish (zero spacetime curvature), as must the curl of the constant
-    momentum covector (zero electromagnetic strength).  Derivatives are
-    central differences with one Richardson halving.
+    must vanish (zero spacetime curvature), as must the curl of P (zero
+    electromagnetic strength).  Derivatives are central differences with one
+    Richardson halving.
     """
     r, th = pt.r, pt.theta
 
@@ -365,7 +365,7 @@ def curvature_strength_residuals(pt: GridPoint, tensorial_field, momentum,
         p = GridPoint(rr, tt)
         return np.einsum("ix,xjn->ijn", inverse_metric_at(p), tensorial_field(rr, tt))
 
-    dR_dr, dR_dth, _ = richardson_partials(mixed, r, th, step=step)
+    dR_dr, dR_dth, _ = richardson_partials(mixed, r, th)
     dR = np.zeros((4, 4, 4, 4))
     dR[R] = dR_dr
     dR[TH] = dR_dth
@@ -387,22 +387,16 @@ def curvature_strength_residuals(pt: GridPoint, tensorial_field, momentum,
 
     # Strength: the momentum covector is constant, so its curl vanishes
     # identically; differentiate it anyway so that a perturbed P is detected.
-    if callable(momentum):
-        dP_dr, dP_dth, _ = richardson_partials(
-            lambda rr, tt: momentum(rr, tt), r, th, step=step
-        )
-        dP = np.zeros((4, 4))
-        dP[R] = dP_dr
-        dP[TH] = dP_dth
-    else:
-        dP = np.zeros((4, 4))
+    dP_dr, dP_dth, _ = richardson_partials(momentum, r, th)
+    dP = np.zeros((4, 4))
+    dP[R] = dP_dr
+    dP[TH] = dP_dth
     far = dP - dP.T
     far_norm = float(np.max(np.abs(far)))
     return rie_norm, far_norm
 
 
-def tetrad_postulate_residual(pt: GridPoint, cotetrad_field, spin_connection_field,
-                              step=1e-5):
+def tetrad_postulate_residual(pt: GridPoint, cotetrad_field, spin_connection_field):
     """Max violation of the joint covariant constancy of the coframe.
 
     d_mu xi^a_nu - Lambda^rho_{nu mu} xi^a_rho + C^a_{b mu} xi^b_nu = 0
@@ -410,7 +404,7 @@ def tetrad_postulate_residual(pt: GridPoint, cotetrad_field, spin_connection_fie
     connection; the coframe partials are taken by finite differences.
     """
     r, th = pt.r, pt.theta
-    dxi_dr, dxi_dth, _ = richardson_partials(cotetrad_field, r, th, step=step)
+    dxi_dr, dxi_dth, _ = richardson_partials(cotetrad_field, r, th)
     dxi = np.zeros((4, 4, 4))  # [mu, a, nu]
     dxi[R] = dxi_dr
     dxi[TH] = dxi_dth

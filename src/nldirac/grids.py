@@ -47,20 +47,20 @@ def points(cfg: GridConfig, m=1.0):
     return [GridPoint(np.full_like(ths, r), ths) for r in radii(cfg, m)]
 
 
-def sample_points(rng, n, m=1.0, r_range=(0.1, 10.0), theta_range=(0.3, np.pi - 0.3),
-                  reject=None, max_tries=10000):
-    """Random evaluation points: log-uniform radii, uniform angles.
+def sample_points(rng, n, m=1.0, reject=None):
+    """Random evaluation points: radii log-uniform in [0.1, 10]/m, angles
+    uniform in [0.3, pi - 0.3], at most 10000 draws.
 
-    ``reject(pt)`` may exclude e.g. masked points; radii are in units of 1/m.
+    ``reject(pt)`` may exclude e.g. masked points.
     """
     out = []
     tries = 0
     while len(out) < n:
         tries += 1
-        if tries > max_tries:
+        if tries > 10000:
             raise RuntimeError("rejection sampling did not terminate")
-        r = float(np.exp(rng.uniform(np.log(r_range[0]), np.log(r_range[1]))) / m)
-        th = float(rng.uniform(*theta_range))
+        r = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))) / m)
+        th = float(rng.uniform(0.3, np.pi - 0.3))
         pt = GridPoint(r, th)
         if reject is not None and reject(pt):
             continue

@@ -40,7 +40,6 @@ class IntegratorConfig:
     r_span: tuple
     rtol: float = 1e-9
     atol: float = 1e-12
-    method: str = "RK45"
     max_step: float = np.inf
 
     def __post_init__(self):
@@ -56,7 +55,6 @@ class Trajectory:
     sol: object  # dense-output interpolant
     n_steps: int
     min_step: float
-    spec: ModelSpec = None
 
 
 def soler_rhs(r, y, spec: ModelSpec):
@@ -120,7 +118,7 @@ def integrate(config: IntegratorConfig, initial: OdeState, spec: ModelSpec):
         rhs,
         config.r_span,
         [initial.X, initial.G],
-        method=config.method,
+        method="RK45",
         rtol=config.rtol,
         atol=config.atol,
         max_step=config.max_step,
@@ -150,18 +148,25 @@ def integrate(config: IntegratorConfig, initial: OdeState, spec: ModelSpec):
         )
     return Trajectory(
         r=out.t, X=out.y[0], G=out.y[1], sol=out.sol,
-        n_steps=len(out.t) - 1, min_step=min_step, spec=spec,
+        n_steps=len(out.t) - 1, min_step=min_step,
     )
 
 
-def tracking_deviation(traj: Trajectory, spec: ModelSpec, n_samples=200):
-    """Max relative deviation of a trajectory from the closed-form branch."""
-    rs = np.linspace(traj.r[0], traj.r[-1], n_samples)
-    y = traj.sol(rs)
+def _branch(rs, X, G, spec: ModelSpec):
+    """Closed-form (X, G) at the radii rs and the relative deviations of the
+    values X, G from them: (Xe, Ge, dev_X, dev_G)."""
     Xe = X_exact(rs, spec)
     Ge = 2.0 / (rs * Xe * Xe)
-    dev_X = np.abs(y[0] - Xe) / np.maximum(np.abs(Xe), 1e-300)
-    dev_G = np.abs(y[1] - Ge) / np.maximum(np.abs(Ge), 1e-300)
+    dev_X = np.abs(X - Xe) / np.maximum(np.abs(Xe), 1e-300)
+    dev_G = np.abs(G - Ge) / np.maximum(np.abs(Ge), 1e-300)
+    return Xe, Ge, dev_X, dev_G
+
+
+def tracking_deviation(traj: Trajectory, spec: ModelSpec):
+    """Max relative deviation of a trajectory from the closed-form branch at
+    200 evenly spaced radii."""
+    rs = np.linspace(traj.r[0], traj.r[-1], 200)
+    _, _, dev_X, dev_G = _branch(rs, *traj.sol(rs), spec)
     return {
         "max_rel_X": float(dev_X.max()),
         "max_rel_G": float(dev_G.max()),
@@ -169,33 +174,26 @@ def tracking_deviation(traj: Trajectory, spec: ModelSpec, n_samples=200):
     }
 
 
-def departure_norms(traj: Trajectory, spec: ModelSpec, n_samples=50):
-    """Euclidean distance from the closed-form branch along a trajectory.
+def departure_norms(traj: Trajectory, spec: ModelSpec):
+    """Euclidean distance from the closed-form branch at 50 evenly spaced
+    radii along a trajectory.
 
     Used to report, without interpretation, how perturbed initial data
     leaves the known solution (the scalar model is not known to be unique).
     """
-    rs = np.linspace(traj.r[0], traj.r[-1], n_samples)
+    rs = np.linspace(traj.r[0], traj.r[-1], 50)
     y = traj.sol(rs)
-    Xe = X_exact(rs, spec)
-    Ge = 2.0 / (rs * Xe * Xe)
+    Xe, Ge, _, _ = _branch(rs, *y, spec)
     return rs, np.hypot(y[0] - Xe, y[1] - Ge)
 
 
 def trajectory_to_csv(traj: Trajectory, spec: ModelSpec, path):
     """Write r, X, G, the closed-form values and relative deviations."""
+    columns = (traj.r, traj.X, traj.G, *_branch(traj.r, traj.X, traj.G, spec))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "X", "G", "X_exact", "G_exact", "dev_X", "dev_G"])
-        for i in range(traj.r.size):
-            r = float(traj.r[i])
-            Xe = float(X_exact(r, spec))
-            Ge = float(2.0 / (r * Xe * Xe))
-            dev_x = abs(traj.X[i] - Xe) / max(abs(Xe), 1e-300)
-            dev_g = abs(traj.G[i] - Ge) / max(abs(Ge), 1e-300)
-            writer.writerow([repr(r), repr(float(traj.X[i])), repr(float(traj.G[i])),
-                             repr(Xe), repr(Ge), repr(float(dev_x)),
-                             repr(float(dev_g))])
+        writer.writerows(zip(*(col.tolist() for col in columns)))
 
 
 # -- quantum-number rigidity scan ------------------------------------------------
@@ -274,19 +272,13 @@ def post_separation_components(r, E, spec: ModelSpec):
     return {"first": first, "second": second, "third": third}
 
 
-def quantum_number_scan(spec: ModelSpec, e_over_m=None, l_values=None,
-                        radii=None, thetas=None) -> ScanResult:
-    """Max-residual surface over an (E/m, l) grid; 11 x 11 by default."""
-    if e_over_m is None:
-        e_over_m = np.linspace(0.5, 1.5, 11)
-    if l_values is None:
-        l_values = np.linspace(0.0, 1.0, 11)
-    if radii is None:
-        radii = np.geomspace(0.3, 3.0, 7) / spec.m
-    if thetas is None:
-        thetas = np.array([np.pi / 3, np.pi / 5])
-    e_over_m = np.asarray(e_over_m, dtype=float)
-    l_values = np.asarray(l_values, dtype=float)
+def quantum_number_scan(spec: ModelSpec) -> ScanResult:
+    """Max-residual surface over an 11 x 11 (E/m, l) grid, each cell the
+    maximum over 7 radii and 2 polar angles."""
+    e_over_m = np.linspace(0.5, 1.5, 11)
+    l_values = np.linspace(0.0, 1.0, 11)
+    radii = np.geomspace(0.3, 3.0, 7) / spec.m
+    thetas = np.array([np.pi / 3, np.pi / 5])
     # axes (E, l, r, theta); the reductions propagate NaN
     E, l, r, th = np.ix_(e_over_m * spec.m, l_values, radii, thetas)
     comp = generic_el_components(r, th, E, l, spec)

@@ -280,7 +280,6 @@ class ClosedForm:
     """
 
     X: float
-    r_dX_dr: float
     sin_beta: float
     cos_beta: float
     phi2: float
@@ -296,12 +295,11 @@ def closed_form(pt: GridPoint, spec: ModelSpec, p=None) -> ClosedForm:
     singular locus."""
     phi2 = module_general_p(pt, spec, p=p)
     X = X_exact(pt.r, spec)
-    rxp = r_dX_dr_exact(pt.r, spec)
-    d = analytic_derivatives(X, rxp, pt.theta)
+    d = analytic_derivatives(X, r_dX_dr_exact(pt.r, spec), pt.theta)
     sb, cb = chiral_components(X, pt.theta)
     r_dlog, dth_log = module_log_derivatives(pt, spec, p=p)
     return ClosedForm(
-        X=X, r_dX_dr=rxp, sin_beta=sb, cos_beta=cb,
+        X=X, sin_beta=sb, cos_beta=cb,
         phi2=phi2, r_dlnphi2_dr=r_dlog, dlnphi2_dtheta=dth_log,
         derivs=d, ang=_angles(pt, X, d),
     )
@@ -346,7 +344,7 @@ def spinor_coordinate_partials(pt: GridPoint, f: ClosedForm, psi):
 
 
 def covariant_derivative(pt: GridPoint, spec: ModelSpec, mode="analytic",
-                         step=1e-5, coupling_sign=1.0):
+                         coupling_sign=1.0):
     """nabla_mu psi = d_mu psi + (sign/2) C_{ab mu} sigma^{ab} psi.
 
     The coupling sign is +1 in this gamma basis: it is the sign for which
@@ -373,8 +371,7 @@ def covariant_derivative(pt: GridPoint, spec: ModelSpec, mode="analytic",
         def spinor_at(r, theta):
             return assemble_spinor(GridPoint(r, theta), spec)
 
-        d_dr, d_dth, _ = geometry.richardson_partials(spinor_at, pt.r, pt.theta,
-                                                      step=step)
+        d_dr, d_dth, _ = geometry.richardson_partials(spinor_at, pt.r, pt.theta)
     else:
         raise ValueError(f"unknown derivative mode {mode!r}")
     # the t and azimuth partials are the pure phases exp(-i(E t + l phi))
@@ -386,8 +383,7 @@ def covariant_derivative(pt: GridPoint, spec: ModelSpec, mode="analytic",
 
 
 def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec,
-                                 mode="analytic", step=1e-5,
-                                 momentum_override=None):
+                                 mode="analytic", momentum_override=None):
     """Max component norm over mu of (direct nabla psi) minus its polar form
 
         (nabla_mu ln phi - i/2 nabla_mu beta pi - i P_mu
@@ -398,7 +394,7 @@ def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec,
     which is the sensitivity check on the phase content.  The maximum
     propagates NaN.
     """
-    nabla, psi, f = covariant_derivative(pt, spec, mode=mode, step=step)
+    nabla, psi, f = covariant_derivative(pt, spec, mode=mode)
     der = f.derivs
     dlnphi = np.stack(np.broadcast_arrays(
         0.0, 0.5 * f.r_dlnphi2_dr / pt.r, 0.5 * f.dlnphi2_dtheta, 0.0))

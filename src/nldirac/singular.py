@@ -52,21 +52,19 @@ def singular_locus(spec: ModelSpec) -> SingularLocus:
 
 
 def locate_numerically(spec: ModelSpec, r_window=None, n_r=400, n_theta=200,
-                       max_refinements=6,
-                       target_uncertainty=None) -> LocusEstimate:
+                       max_refinements=6) -> LocusEstimate:
     """Locate the density maximum on a grid and refine around it.
 
     Each refinement re-grids a few cells around the argmax, shrinking the
     radial uncertainty geometrically; refinement continues past the target
-    uncertainty until the peak either trips the divergence threshold or
-    stays bounded through all levels.  Raises GridTooCoarse when refinement
-    stops shrinking the uncertainty.
+    uncertainty, 1e-3 of the singular radius 1/(2m), until the peak either
+    trips the divergence threshold or stays bounded through all levels.
+    Raises GridTooCoarse when refinement stops shrinking the uncertainty.
     """
     rc = 1.0 / (2.0 * spec.m)
     if r_window is None:
         r_window = (0.2 * rc, 2.0 * rc)
-    if target_uncertainty is None:
-        target_uncertainty = 1e-3 * rc
+    target_uncertainty = 1e-3 * rc
     theta_lo, theta_hi = 1e-3, np.pi - 1e-3
     r_lo, r_hi = r_window
     diverged = False
@@ -131,13 +129,14 @@ def locate_numerically(spec: ModelSpec, r_window=None, n_r=400, n_theta=200,
     )
 
 
-def decay_fit(spec: ModelSpec, r_range=(10.0, 1000.0), n=40, theta=np.pi / 4):
-    """Least-squares slope of ln phi^2 against ln r at large radius.
+def decay_fit(spec: ModelSpec):
+    """Least-squares slope of ln phi^2 against ln r over 40 radii from 10/m
+    to 1000/m at theta = pi/4.
 
     Returns (exponent, amplitude): phi^2 ~ amplitude * r^exponent.
     """
-    rs = np.geomspace(r_range[0] / spec.m, r_range[1] / spec.m, n)
-    vals = phi2_grid(spec, rs, np.full_like(rs, theta))
+    rs = np.geomspace(10.0 / spec.m, 1000.0 / spec.m, 40)
+    vals = phi2_grid(spec, rs, np.full_like(rs, np.pi / 4))
     slope, intercept = np.polyfit(np.log(rs), np.log(vals), 1)
     return float(slope), float(np.exp(intercept))
 

@@ -30,65 +30,58 @@ DEFAULT_TOLERANCES = {
 
 
 def _entry(max_residual, tol, n, extra=None):
-    out = {
+    return {
         "max_residual": float(max_residual),
         "tolerance": float(tol),
         "n": int(n),
         "pass": bool(max_residual <= tol),
+        **(extra or {}),
     }
-    if extra:
-        out.update(extra)
-    return out
 
 
-def suite_fierz(seed=42, n=1000, tol=1e-10):
-    psis = clifford.random_spinors(n, seed=seed)
-    return _entry(np.max(clifford.fierz_residuals(psis)), tol, n)
+def suite_fierz(spec, grid_cfg, seed, tol, margin):
+    psis = clifford.random_spinors(1000, seed=seed)
+    return _entry(np.max(clifford.fierz_residuals(psis)), tol, len(psis))
 
 
-def _random_points(spec, seed, n):
+def _sampled_suite(residual, spec, seed, tol):
+    """Max of ``residual(pt)`` over 50 seeded random points outside the
+    default mask, one call per point."""
     rng = np.random.default_rng(seed)
-    return grids.sample_points(
-        rng, n, m=spec.m, reject=lambda pt: equations.is_masked(pt, spec),
-    )
+    pts = grids.sample_points(rng, 50, m=spec.m,
+                              reject=lambda pt: equations.is_masked(pt, spec))
+    return _entry(np.max([residual(pt) for pt in pts]), tol, len(pts))
 
 
-def suite_flatness(spec, seed=42, n=50, tol=1e-10):
+def suite_flatness(spec, grid_cfg, seed, tol, margin):
     """Riemann tensor of the spherical connection (analytic partials)."""
-    pts = _random_points(spec, seed, n)
-    worst = np.max([np.max(np.abs(geometry.riemann_at(pt))) for pt in pts])
-    return _entry(worst, tol, n)
+    return _sampled_suite(lambda pt: np.max(np.abs(geometry.riemann_at(pt))),
+                          spec, seed, tol)
 
 
-def suite_curvature_strength(spec, seed=42, n=50, tol=1e-8):
+def suite_curvature_strength(spec, grid_cfg, seed, tol, margin):
     """Curvature and strength of the solution's potentials (must vanish)."""
-    pts = _random_points(spec, seed, n)
     ang_field = polar.angle_field(spec)
 
     def tensorial(r, th):
         return geometry.tensorial_connection_at(GridPoint(r, th), ang_field(r, th))
 
     P = geometry.momentum_covector(spec.E, spec.l)
-    worst = np.max([
-        geometry.curvature_strength_residuals(pt, tensorial, lambda rr, tt: P)
-        for pt in pts
-    ])
-    return _entry(worst, tol, n)
+    return _sampled_suite(
+        lambda pt: geometry.curvature_strength_residuals(
+            pt, tensorial, lambda rr, tt: P),
+        spec, seed, tol)
 
 
-def suite_transport(spec, seed=42, n=50, tol=1e-8):
-    pts = _random_points(spec, seed, n)
-    worst = np.max([
-        geometry.transport_residuals(pt, polar.angle_state(pt, spec))
-        for pt in pts
-    ])
-    return _entry(worst, tol, n)
+def suite_transport(spec, grid_cfg, seed, tol, margin):
+    return _sampled_suite(
+        lambda pt: geometry.transport_residuals(pt, polar.angle_state(pt, spec)),
+        spec, seed, tol)
 
 
-def suite_decomposition(spec, seed=42, n=50, tol=1e-8):
-    pts = _random_points(spec, seed, n)
-    worst = np.max([polar.polar_decomposition_residual(pt, spec) for pt in pts])
-    return _entry(worst, tol, n)
+def suite_decomposition(spec, grid_cfg, seed, tol, margin):
+    return _sampled_suite(lambda pt: polar.polar_decomposition_residual(pt, spec),
+                          spec, seed, tol)
 
 
 def _grid_suite(residual, spec, grid_cfg, tol, margin):
@@ -100,57 +93,54 @@ def _grid_suite(residual, spec, grid_cfg, tol, margin):
     return _entry(stats["max"], tol, stats["n_points"], stats)
 
 
-def suite_expanded(spec, grid_cfg, tol=1e-8, margin=DEFAULT_MASK_MARGIN):
+def suite_expanded(spec, grid_cfg, seed, tol, margin):
     return _grid_suite(equations.residual_expanded, spec, grid_cfg, tol, margin)
 
 
-def suite_covector(spec, grid_cfg, tol=1e-8, margin=DEFAULT_MASK_MARGIN):
+def suite_covector(spec, grid_cfg, seed, tol, margin):
     return _grid_suite(equations.residual_polar_covector, spec, grid_cfg, tol,
                        margin)
 
 
-def suite_reduced(spec, grid_cfg, tol=1e-8, margin=DEFAULT_MASK_MARGIN):
+def suite_reduced(spec, grid_cfg, seed, tol, margin):
     return _grid_suite(equations.residual_reduced, spec, grid_cfg, tol, margin)
 
 
-def suite_standard(spec, grid_cfg, tol=1e-8, margin=DEFAULT_MASK_MARGIN):
+def suite_standard(spec, grid_cfg, seed, tol, margin):
     return _grid_suite(equations.residual_standard, spec, grid_cfg, tol, margin)
+
+
+# Every suite in report order; each takes (spec, grid_cfg, seed, tol, margin).
+# The sampled suites ignore the grid and the margin, fierz the model as well.
+SUITES = {
+    "fierz": suite_fierz,
+    "flatness": suite_flatness,
+    "curvature-strength": suite_curvature_strength,
+    "transport": suite_transport,
+    "decomposition": suite_decomposition,
+    "expanded-residuals": suite_expanded,
+    "covector-residuals": suite_covector,
+    "reduced-residuals": suite_reduced,
+    "standard-residuals": suite_standard,
+}
+# The expanded and covector systems exist only for the two endpoint models.
+ENDPOINT_ONLY = ("expanded-residuals", "covector-residuals")
 
 
 def run_suites(spec: ModelSpec, grid_cfg=None, seed=42, tolerances=None,
                margin=DEFAULT_MASK_MARGIN):
     """Run every applicable suite for one model; returns the JSON-ready report.
 
-    The expanded and covector systems exist only for the two endpoint models;
-    an interpolated run exercises the reduced and standard forms.
+    An interpolated run skips the ENDPOINT_ONLY suites and exercises the
+    reduced and standard forms.
     """
     grid_cfg = grid_cfg or grids.GridConfig()
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
-    suites = {}
-    suites["fierz"] = suite_fierz(seed=seed, tol=tol["fierz"])
-    suites["flatness"] = suite_flatness(spec, seed=seed, tol=tol["flatness"])
-    suites["curvature-strength"] = suite_curvature_strength(
-        spec, seed=seed, tol=tol["curvature-strength"]
-    )
-    suites["transport"] = suite_transport(spec, seed=seed, tol=tol["transport"])
-    suites["decomposition"] = suite_decomposition(
-        spec, seed=seed, tol=tol["decomposition"]
-    )
-    if spec.name in equations.MODELS:
-        suites["expanded-residuals"] = suite_expanded(
-            spec, grid_cfg, tol=tol["expanded-residuals"], margin=margin
-        )
-        suites["covector-residuals"] = suite_covector(
-            spec, grid_cfg, tol=tol["covector-residuals"], margin=margin
-        )
-    suites["reduced-residuals"] = suite_reduced(
-        spec, grid_cfg, tol=tol["reduced-residuals"], margin=margin
-    )
-    suites["standard-residuals"] = suite_standard(
-        spec, grid_cfg, tol=tol["standard-residuals"], margin=margin
-    )
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    suites = {
+        name: suite(spec, grid_cfg, seed, tol[name], margin)
+        for name, suite in SUITES.items()
+        if spec.name in equations.MODELS or name not in ENDPOINT_ONLY
+    }
     failing = sorted(name for name, s in suites.items() if not s["pass"])
     return {
         "schema": "1",

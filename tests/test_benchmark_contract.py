@@ -48,6 +48,17 @@ def test_nan_sentinel_targets_exist(perfbench):
         assert inspect.isfunction(getattr(module, attr, None)), (suite, attr)
 
 
+def test_suite_table_matches_the_benchmark(perfbench):
+    # the tracer times each suite under the function name SUITE_FUNCTIONS
+    # gives it, and every suite has a default tolerance
+    from nldirac import verify
+
+    harness, _ = perfbench
+    assert list(verify.SUITES) == list(verify.DEFAULT_TOLERANCES)
+    assert {k: f.__name__ for k, f in verify.SUITES.items()} == \
+        harness.SUITE_FUNCTIONS
+
+
 def _called_functions(argv):
     """``layer.function`` of every nldirac function that ``cli.main(argv)``
     calls, and its exit code."""

@@ -216,6 +216,19 @@ USAGE_ERRORS = (
     (["locus"], {"seed": 1.7}, "seed must be an integer"),
     (["locus"], {"seed": True}, "seed must be an integer"),
     (["locus"], {"grid": {"n_theta": "8"}}, "grid n_theta must be an integer"),
+    (["locus"], {"out": 7}, "out must be a string"),
+    (["locus"], {"out": True}, "out must be a string"),
+    (["locus"], {"out": ["a"]}, "out must be a string"),
+    (["verify"], {"tolerances": {"standard-residuals": True}},
+     "tolerance standard-residuals must be a number"),
+    (["locus"], {"mass": "2"}, "mass must be a number"),
+    (["locus"], {"energy": "1"}, "E must be a number"),
+    (["locus"], {"l": True}, "l must be a number"),
+    (["locus"], {"p": "0.5"}, "p must be a number"),
+    (["locus"], {"mask_margin": "0.1"}, "mask margin must be a number"),
+    (["verify"], {"grid": {"r_min": True}}, "grid r_min must be a number"),
+    (["verify"], {"grid": {"theta_margin": "0.01"}},
+     "grid theta_margin must be a number"),
 )
 
 
