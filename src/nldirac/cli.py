@@ -110,7 +110,8 @@ def build_parser():
         cmd.add_argument("--seed", type=int, default=None,
                          help="seed for the random-spinor/point suites (default 42)")
         cmd.add_argument("--tol", action="append", default=None, metavar="name=value",
-                         help="override a suite tolerance (or rtol/atol for ode)")
+                         help="override a suite tolerance (or rtol/atol of the "
+                              "radial integration in ode and report)")
         cmd.add_argument("--mask-margin", type=float, default=None,
                          help="half-width of the singular-region mask (default 0.02)")
         cmd.add_argument("--out", default=None, help="output file path")
@@ -185,6 +186,10 @@ def resolve_config(args) -> RunConfig:
     if unknown:
         raise ValueError(f"unknown tolerance name(s) {', '.join(unknown)}; "
                          f"expected {', '.join(TOLERANCE_NAMES)}")
+    for k in ("rtol", "atol"):
+        if k in tolerances and not tolerances[k] > 0.0:
+            raise ValueError(f"tolerance {k} must be positive, "
+                             f"got {tolerances[k]!r}")
     margin = _number("mask margin", raw["mask_margin"])
     if not margin >= 0.0:
         raise ValueError(f"mask margin must be non-negative, got {margin!r}")
@@ -274,14 +279,12 @@ def cmd_ode(cfg: RunConfig):
         print("error: the radial system belongs to the scalar model; "
               "run with --model soler", file=sys.stderr)
         return 2
-    rtol = cfg.tolerances.get("rtol", 1e-9)
-    atol = cfg.tolerances.get("atol", 1e-12)
     grid_cfg = cfg.grid_or(grids.GridConfig(r_min=1.0, r_max=10.0, n_r=200,
                                             n_theta=2))
     try:
         summary, traj, nonfinite = verify.ode_summary(
-            spec, r_span=(grid_cfg.r_min, grid_cfg.r_max), rtol=rtol,
-            atol=atol, scan=cfg.scan_el,
+            spec, r_span=(grid_cfg.r_min, grid_cfg.r_max),
+            tolerances=cfg.tolerances, scan=cfg.scan_el,
         )
     except (DivergingState, StepUnderflow, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -320,7 +323,8 @@ def cmd_report(cfg: RunConfig):
     }
     nonfinite = []
     if spec.name == "soler":
-        doc["ode"], _, nonfinite = verify.ode_summary(spec, scan=cfg.scan_el)
+        doc["ode"], _, nonfinite = verify.ode_summary(
+            spec, tolerances=cfg.tolerances, scan=cfg.scan_el)
     _emit_json(doc, cfg.out)
     return 1 if _ode_failed(nonfinite) or not doc["verify"]["pass"] else 0
 

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DivergingState, StepUnderflow
 from .polar import G_exact, ModelSpec, X_exact
@@ -35,7 +34,8 @@ class OdeState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Adaptive explicit Runge-Kutta (order 4/5) settings."""
+    """Adaptive explicit Runge-Kutta (order 4/5) settings; the rtol and atol
+    defaults are every command's defaults."""
 
     r_span: tuple
     rtol: float = 1e-9
@@ -73,17 +73,6 @@ def exact_state(r, spec: ModelSpec) -> OdeState:
     return OdeState(r=r, X=X_exact(r, spec), G=G_exact(r, spec))
 
 
-def exact_rhs(r, spec: ModelSpec):
-    """Analytic (X', G') of the closed-form branch, for rhs consistency."""
-    z = np.log(2.0 * spec.m * r)
-    X = np.sinh(z)
-    ch = np.cosh(z)
-    dX = ch / r
-    # G = 2/(r X^2):  G' = -2/(r^2 X^2) - 4 X'/(r X^3)
-    dG = -2.0 / (r**2 * X**2) - 4.0 * dX / (r * X**3)
-    return dX, dG
-
-
 def _check_span(r_span, spec: ModelSpec):
     r0, r1 = r_span
     if r0 <= 0 or r1 <= 0:
@@ -105,6 +94,9 @@ def integrate(config: IntegratorConfig, initial: OdeState, spec: ModelSpec):
     ValueError when the requested span straddles the singular radius.
     """
     _check_span(config.r_span, spec)
+    # imported here, not at the top: scipy.integrate is most of the cold
+    # start, and no other command needs it
+    from scipy.integrate import solve_ivp
 
     def guard(r, y):
         return max(abs(y[0]), abs(y[1])) - OVERFLOW_GUARD
@@ -254,22 +246,6 @@ def generic_el_components(r, theta, E, l, spec: ModelSpec):
     ) * (X * X + 1.0)
     separation = -(2.0 * l - 1.0) * (X * X + 1.0)
     return {"eq1": eq1, "eq3": eq3, "eq4": eq4, "separation": separation}
-
-
-def post_separation_components(r, E, spec: ModelSpec):
-    """The three radial equations left after l = 1/2 is forced.
-
-    They overdetermine X; on X = sinh(ln 2Er) the second holds for any E
-    while the first and third jointly force E = m.
-    """
-    m = spec.m
-    v = 2.0 * E * r
-    X = 0.5 * (v - 1.0 / v)
-    ch = 0.5 * (v + 1.0 / v)
-    first = 1.0 - 2.0 * E * r * ch + 2.0 * m * r * X  # r X'/sqrt(X^2+1) = 1 here
-    second = ch - X + 2.0 * E * r - 2.0 * ch
-    third = 1.0 - 2.0 * m * r * ch + 2.0 * E * r * X
-    return {"first": first, "second": second, "third": third}
 
 
 def quantum_number_scan(spec: ModelSpec) -> ScanResult:

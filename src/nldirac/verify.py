@@ -157,22 +157,27 @@ def run_suites(spec: ModelSpec, grid_cfg=None, seed=42, tolerances=None,
     }
 
 
-def ode_summary(spec: ModelSpec, r_span=(1.0, 10.0), rtol=1e-9, atol=1e-12,
+def ode_summary(spec: ModelSpec, r_span=(1.0, 10.0), tolerances=None,
                 scan=False):
     """Exact-branch tracking run of the scalar radial system + optional scan.
 
-    Returns (summary, trajectory, the names of the summary's non-finite
-    results: the deviation or scan cells).
+    The integrator reads "rtol" and "atol" from ``tolerances`` (the suite
+    tolerances there are ignored) and keeps its own default for each one
+    missing.  Returns (summary, trajectory, the names of the summary's
+    non-finite results: the deviation or scan cells).
     """
     r0 = r_span[0] / spec.m
     r1 = r_span[1] / spec.m
-    cfg = ode.IntegratorConfig(r_span=(r0, r1), rtol=rtol, atol=atol)
+    cfg = ode.IntegratorConfig(
+        r_span=(r0, r1),
+        **{k: v for k, v in (tolerances or {}).items() if k in ("rtol", "atol")},
+    )
     traj = ode.integrate(cfg, ode.exact_state(r0, spec), spec)
     dev = ode.tracking_deviation(traj, spec)
     out = {
         "r_span": [r0, r1],
-        "rtol": rtol,
-        "atol": atol,
+        "rtol": cfg.rtol,
+        "atol": cfg.atol,
         "n_steps": traj.n_steps,
         "min_step": traj.min_step,
         "max_deviation": dev["max_rel"],

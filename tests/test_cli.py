@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ def run(capsys, *argv):
 
 
 SMALL_GRID = "0.05,20,10,8"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def test_verify_njl_passes(capsys, tmp_path):
@@ -148,6 +153,55 @@ def test_ode_requires_the_scalar_model(capsys, tmp_path):
     assert "scalar model" in err
 
 
+def test_integrator_tolerances_reach_ode_and_report(capsys, tmp_path):
+    # --tol rtol/atol set the integrator of ode and of report alike; the
+    # suite tolerances beside them do not reach it
+    csv = str(tmp_path / "t.csv")
+    tol = ("--tol", "rtol=1e-3", "--tol", "atol=1e-5")
+    code, out, _ = run(capsys, "ode", "--model", "soler", "--out", csv)
+    assert code == 0
+    default = json.loads(out)
+    assert (default["rtol"], default["atol"]) == (1e-9, 1e-12)
+    code, out, _ = run(capsys, "ode", "--model", "soler", "--out", csv, *tol)
+    assert code == 0
+    loose = json.loads(out)
+    code, out, _ = run(capsys, "report", "--model", "soler",
+                       "--grid", "0.05,20,5,4", "--tol", "fierz=1e-9", *tol)
+    assert code == 0
+    for doc in (loose, json.loads(out)["ode"]):
+        assert (doc["rtol"], doc["atol"]) == (1e-3, 1e-5)
+        assert doc["n_steps"] == loose["n_steps"] < default["n_steps"]
+
+
+def test_cold_import_loads_scipy_only_for_ode(tmp_path):
+    # scipy.integrate is most of a cold start; only the radial integration
+    # may import it
+    script = """
+import json, sys
+from nldirac import cli
+codes = [cli.main(argv.split()) for argv in sys.argv[1:]]
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+    def fresh(*argvs):
+        proc = subprocess.run([sys.executable, "-c", script, *argvs],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    cold = fresh("verify --model njl --grid 0.05,20,5,4 --out v.json",
+                 "locus --model soler --out l.json",
+                 "fieldmap --model njl --grid 0.25,1.0,3,3 --out m.csv",
+                 "verify --model bogus")
+    assert cold == {"codes": [0, 0, 0, 2], "scipy": []}
+    ode_run = fresh("ode --model soler --grid 1,10,50,2 --out t.csv")
+    assert ode_run["codes"] == [0]
+    assert "scipy.integrate" in ode_run["scipy"]
+
+
 def test_locus_report(capsys):
     code, stdout, _ = run(capsys, "locus", "--model", "njl")
     assert code == 0
@@ -229,6 +283,10 @@ USAGE_ERRORS = (
     (["verify"], {"grid": {"r_min": True}}, "grid r_min must be a number"),
     (["verify"], {"grid": {"theta_margin": "0.01"}},
      "grid theta_margin must be a number"),
+    (["ode", "--model", "soler", "--tol", "rtol=0"], None,
+     "tolerance rtol must be positive"),
+    (["report"], {"tolerances": {"atol": -1e-12}},
+     "tolerance atol must be positive"),
 )
 
 

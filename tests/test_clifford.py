@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nldirac import clifford
 from nldirac.clifford import (
@@ -103,6 +105,18 @@ def test_bilinears_zero_spinor():
 def test_fierz_identities_random_spinors():
     res = fierz_residuals(random_spinors(1000, seed=42))
     assert max(r.max() for r in res) <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(st.floats(-100.0, 100.0, allow_subnormal=False),
+                      min_size=8, max_size=8))
+def test_fierz_identities_hold_for_any_spinor(parts):
+    # below Theta^2 + Phi^2 = 1 the residuals are absolute, so rounding in
+    # the quartic bilinears grows with |psi|^4 there
+    psi = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    norm4 = np.vdot(psi, psi).real ** 2
+    res = fierz_residuals(psi[None, :])
+    assert max(r.max() for r in res) <= 1e-10 * max(1.0, norm4)
 
 
 def test_bilinears_global_phase_invariance():

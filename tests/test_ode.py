@@ -7,11 +7,9 @@ from nldirac.ode import (
     IntegratorConfig,
     OdeState,
     departure_norms,
-    exact_rhs,
     exact_state,
     generic_el_components,
     integrate,
-    post_separation_components,
     quantum_number_scan,
     soler_rhs,
     tracking_deviation,
@@ -20,6 +18,17 @@ from nldirac.ode import (
 from nldirac.polar import ModelSpec
 
 SPEC = ModelSpec.soler(m=1.0)
+
+
+def exact_rhs(r, spec: ModelSpec):
+    """Analytic (X', G') of the closed-form branch, for rhs consistency."""
+    z = np.log(2.0 * spec.m * r)
+    X = np.sinh(z)
+    ch = np.cosh(z)
+    dX = ch / r
+    # G = 2/(r X^2):  G' = -2/(r^2 X^2) - 4 X'/(r X^3)
+    dG = -2.0 / (r**2 * X**2) - 4.0 * dX / (r * X**3)
+    return dX, dG
 
 
 def test_rhs_matches_closed_form_derivatives():
@@ -191,6 +200,22 @@ def test_scan_separation_residual_at_wrong_l():
     assert abs(comp["separation"]) >= 1e-2
     exact = generic_el_components(1.0, np.pi / 3, 1.0, 0.5, SPEC)
     assert max(abs(v) for v in exact.values()) <= 1e-10
+
+
+def post_separation_components(r, E, spec: ModelSpec):
+    """The three radial equations left after l = 1/2 is forced.
+
+    They overdetermine X; on X = sinh(ln 2Er) the second holds for any E
+    while the first and third jointly force E = m.
+    """
+    m = spec.m
+    v = 2.0 * E * r
+    X = 0.5 * (v - 1.0 / v)
+    ch = 0.5 * (v + 1.0 / v)
+    first = 1.0 - 2.0 * E * r * ch + 2.0 * m * r * X  # r X'/sqrt(X^2+1) = 1 here
+    second = ch - X + 2.0 * E * r - 2.0 * ch
+    third = 1.0 - 2.0 * m * r * ch + 2.0 * E * r * X
+    return {"first": first, "second": second, "third": third}
 
 
 def test_post_separation_system():
