@@ -10,7 +10,6 @@ from .errors import (
     PoleOrOrigin,
     SingularG,
     SingularPoint,
-    StepTooLarge,
     StepUnderflow,
 )
 from .geometry import AngleState, GridPoint
@@ -40,7 +39,6 @@ __all__ = [
     "SingularG",
     "SingularLocus",
     "SingularPoint",
-    "StepTooLarge",
     "StepUnderflow",
     "X_exact",
     "assemble_spinor",

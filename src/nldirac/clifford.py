@@ -185,14 +185,6 @@ def fierz_residuals(psis):
     )
 
 
-def anticommutator(a, b):
-    return a @ b + b @ a
-
-
-def commutator(a, b):
-    return a @ b - b @ a
-
-
 def random_spinors(n, seed=42):
     """Seeded batch of complex-normal spinors for identity suites."""
     rng = np.random.default_rng(seed)

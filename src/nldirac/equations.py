@@ -238,9 +238,8 @@ def residual_reduced(pt: GridPoint, spec: ModelSpec, zeta_offset=0.0,
 # -- standard gamma-matrix form -------------------------------------------------
 
 
-def residual_standard(pt: GridPoint, spec: ModelSpec, mode="analytic",
-                      coupling_sign=1.0, nonlinear_scale=1.0,
-                      equation_mass=None):
+def residual_standard(pt: GridPoint, spec: ModelSpec, coupling_sign=1.0,
+                      nonlinear_scale=1.0, equation_mass=None):
     """Largest component norm at each point of i gamma^mu nabla_mu psi
     + (1/4)(Phi + i p Theta pi) psi - m psi on the assembled spinor.
 
@@ -250,7 +249,7 @@ def residual_standard(pt: GridPoint, spec: ModelSpec, mode="analytic",
     ``equation_mass`` perturbs the mass term only (fields keep spec.m).
     """
     nabla, psi, f = polar.covariant_derivative(
-        pt, spec, mode=mode, coupling_sign=coupling_sign
+        pt, spec, coupling_sign=coupling_sign
     )
     xi = geometry.tetrad_at(pt, f.ang)
     gamma_coord = np.einsum("am...,aij->mij...", xi, clifford.GAMMA_STACK)

@@ -30,11 +30,6 @@ class SingularG(SingularPoint):
     i.e. on the sphere 2mr = 1."""
 
 
-class StepTooLarge(RuntimeError):
-    """Finite-difference Richardson estimate did not converge; the fixed
-    step is too large for the local field variation."""
-
-
 class DivergingState(RuntimeError):
     """ODE state exceeded the overflow guard during integration."""
 

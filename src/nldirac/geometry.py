@@ -13,7 +13,8 @@ and their first partials, collected in :class:`AngleState`.
 Every builder takes a GridPoint of floats (one point) or of arrays (a set
 of points, such as a grid row) and puts the point axes after the tensor
 axes: (4,) + shape for a covector, (4, 4) + shape for a rank-2 field.  The
-identity residuals at the end of the module take one point.
+identity residuals at the end of the module take one point and differentiate
+by complex step, so the builders take the dtype of their inputs.
 
 Orientation: the coordinate volume form is eps_{t r theta phi} = +r^2 sin
 (theta), matching the flat eps_{0123} = +1 through the tetrads below, whose
@@ -27,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import EPS4
-from .errors import PoleOrOrigin, StepTooLarge
+from .errors import PoleOrOrigin
 
 T, R, TH, PH = 0, 1, 2, 3
-FD_STEP = 1e-5  # first step of every finite-difference partial
+CS_STEP = 1e-30  # imaginary step of every complex-step partial
 
 
 @dataclass(frozen=True)
@@ -42,11 +43,12 @@ class GridPoint:
     theta: float
 
     def __post_init__(self):
-        r_ok = np.greater(self.r, 0.0)
+        r_ok = np.greater(np.real(self.r), 0.0)
         if not np.all(r_ok):
             raise PoleOrOrigin("radial coordinate must be positive, got "
                                f"{self.first(~r_ok)[0]!r}")
-        theta_ok = np.greater(self.theta, 0.0) & np.less(self.theta, np.pi)
+        theta = np.real(self.theta)
+        theta_ok = np.greater(theta, 0.0) & np.less(theta, np.pi)
         if not np.all(theta_ok):
             raise PoleOrOrigin("polar angle must lie strictly between 0 and pi, "
                                f"got {self.first(~theta_ok)[1]!r}")
@@ -98,8 +100,15 @@ def velocity_spin_components(X, theta):
 # -- metric and Levi-Civita connection --------------------------------------
 
 
+def _zeros(lead, pt: GridPoint, *values):
+    """Zeros of shape ``lead`` + the points' shape, with the dtype of the
+    coordinates and ``values``: complex under a complex-step partial, float64
+    otherwise."""
+    return np.zeros(lead + pt.shape, dtype=np.result_type(pt.r, pt.theta, *values))
+
+
 def _diagonal(pt: GridPoint, entries):
-    out = np.zeros((4, 4) + pt.shape)
+    out = _zeros((4, 4), pt, *entries)
     for i, value in enumerate(entries):
         out[i, i] = value
     return out
@@ -113,10 +122,6 @@ def metric_at(pt: GridPoint):
 def inverse_metric_at(pt: GridPoint):
     r, th = pt.r, pt.theta
     return _diagonal(pt, [1.0, -1.0, -1.0 / (r * r), -1.0 / (r * np.sin(th)) ** 2])
-
-
-def metric_determinant(pt: GridPoint):
-    return -(pt.r**4) * np.sin(pt.theta) ** 2
 
 
 def sqrt_abs_g(pt: GridPoint):
@@ -173,7 +178,7 @@ def riemann_at(pt: GridPoint):
 
 def velocity_covector(pt: GridPoint, ang: AngleState):
     """u_mu: unit timelike, boosted along phi."""
-    u = np.zeros((4,) + pt.shape)
+    u = _zeros((4,), pt, *vars(ang).values())
     u[T] = ang.cosh_alpha
     u[PH] = pt.r * np.sin(pt.theta) * ang.sinh_alpha
     return u
@@ -181,7 +186,7 @@ def velocity_covector(pt: GridPoint, ang: AngleState):
 
 def spin_covector(pt: GridPoint, ang: AngleState):
     """s_mu: unit spacelike, tilted in the (r, theta) plane, orthogonal to u."""
-    s = np.zeros((4,) + pt.shape)
+    s = _zeros((4,), pt, *vars(ang).values())
     s[R] = ang.cos_gamma
     s[TH] = pt.r * ang.sin_gamma
     return s
@@ -192,23 +197,6 @@ def momentum_covector(energy, angular_momentum):
     return np.array([energy, 0.0, 0.0, angular_momentum])
 
 
-def velocity_spin_partials(pt: GridPoint, ang: AngleState):
-    """Coordinate partials d_mu u_nu and d_mu s_nu (analytic, first order)."""
-    r, th = pt.r, pt.theta
-    s_, c_ = np.sin(th), np.cos(th)
-    du = np.zeros((4, 4) + pt.shape)
-    du[R, T] = ang.sinh_alpha * ang.d_alpha_dr
-    du[TH, T] = ang.sinh_alpha * ang.d_alpha_dtheta
-    du[R, PH] = s_ * ang.sinh_alpha + r * s_ * ang.cosh_alpha * ang.d_alpha_dr
-    du[TH, PH] = r * c_ * ang.sinh_alpha + r * s_ * ang.cosh_alpha * ang.d_alpha_dtheta
-    ds = np.zeros((4, 4) + pt.shape)
-    ds[R, R] = -ang.sin_gamma * ang.d_gamma_dr
-    ds[TH, R] = -ang.sin_gamma * ang.d_gamma_dtheta
-    ds[R, TH] = ang.sin_gamma + r * ang.cos_gamma * ang.d_gamma_dr
-    ds[TH, TH] = r * ang.cos_gamma * ang.d_gamma_dtheta
-    return du, ds
-
-
 # -- tensorial connection, tetrads, spin connection --------------------------
 
 
@@ -217,7 +205,7 @@ def tensorial_connection_at(pt: GridPoint, ang: AngleState):
     in the first pair; unlisted independent components are zero."""
     r, th = pt.r, pt.theta
     s_, c_ = np.sin(th), np.cos(th)
-    R_ = np.zeros((4, 4, 4) + pt.shape)
+    R_ = _zeros((4, 4, 4), pt, *vars(ang).values())
 
     def put(n, p, mu, v):
         R_[n, p, mu] = v
@@ -251,7 +239,7 @@ def cotetrad_at(pt: GridPoint, ang: AngleState):
     """Coframe xi[a, mu] = xi^a_mu, dual to tetrad_at and soldering the
     metric: g_{mu nu} = xi^a_mu xi^b_nu eta_ab."""
     r, th = pt.r, pt.theta
-    co = np.zeros((4, 4) + pt.shape)
+    co = _zeros((4, 4), pt, *vars(ang).values())
     co[0, T] = ang.cosh_alpha
     co[2, T] = ang.sinh_alpha
     co[1, R] = ang.sin_gamma
@@ -273,7 +261,7 @@ def spin_connection_at(pt: GridPoint, ang: AngleState):
     th = pt.theta
     ctg = np.cos(th) * ang.cos_gamma - np.sin(th) * ang.sin_gamma
     stg = np.sin(th) * ang.cos_gamma + np.cos(th) * ang.sin_gamma
-    C = np.zeros((4, 4, 4) + pt.shape)
+    C = _zeros((4, 4, 4), pt, *vars(ang).values())
 
     def put(a, b, mu, v):
         C[a, b, mu] = v
@@ -298,51 +286,53 @@ def coordinate_epsilon_lower(pt: GridPoint):
 # -- identity residuals -------------------------------------------------------
 
 
-def transport_residuals(pt: GridPoint, ang: AngleState):
+def complex_step_partials(f, r, theta):
+    """(d f/dr, d f/dtheta) of a field ``f(r, theta)`` at one point, each as
+    Im f(x + i h) / h with h = CS_STEP.
+
+    Exact to rounding, with no cancellation, for any f that is
+    complex-analytic in its arguments near the real point.  ``abs`` or
+    ``np.real`` on the differentiated path silently drops the derivative,
+    and ``arctan2`` refuses complex input.
+    """
+    h = 1j * CS_STEP
+    return (np.imag(f(r + h, theta)) / CS_STEP,
+            np.imag(f(r, theta + h)) / CS_STEP)
+
+
+def _coordinate_partials(f, r, theta):
+    """d_mu f stacked over mu (leading axis); only d_r and d_theta are
+    nonzero on the stationary, axisymmetric fields checked here."""
+    d_dr, d_dth = complex_step_partials(f, r, theta)
+    d = np.zeros((4,) + np.shape(d_dr))
+    d[R] = d_dr
+    d[TH] = d_dth
+    return d
+
+
+def transport_residuals(pt: GridPoint, angle_field):
     """Max violation of nabla_mu v_nu = v^rho R_{rho nu mu} for v in {s, u}.
 
-    Uses analytic first partials only; the identities are exact for the
-    parametrized frame, so the result is pure rounding noise.
+    ``angle_field(r, theta)`` returns the AngleState.  The covectors are
+    differentiated by complex step, while the tensorial connection is built
+    from the state's analytic partials, so a wrong partial shows here.
+    Returns (spin violation, velocity violation).
     """
+    r, th = pt.r, pt.theta
+
+    def covectors(rr, tt):
+        p = GridPoint(rr, tt)
+        ang = angle_field(rr, tt)
+        return np.stack([spin_covector(p, ang), velocity_covector(p, ang)])
+
+    vecs = covectors(r, th)  # [v, nu] for v in (s, u)
     lam = christoffel_at(pt)
-    ginv = inverse_metric_at(pt)
-    R_ = tensorial_connection_at(pt, ang)
-    u = velocity_covector(pt, ang)
-    s = spin_covector(pt, ang)
-    du, ds = velocity_spin_partials(pt, ang)
-
-    def violation(vec, dvec):
-        cov = dvec - np.einsum("rnm,r->mn", lam, vec)
-        rhs = np.einsum("r,rnm->mn", ginv @ vec, R_)
-        return float(np.max(np.abs(cov - rhs)))
-
-    return violation(s, ds), violation(u, du)
-
-
-def richardson_partials(f, r, theta):
-    """Central-difference d/dr and d/dtheta (step FD_STEP) of an array-valued
-    field with one Richardson halving; raises StepTooLarge on non-convergence.
-
-    Returns (df_dr, df_dtheta, error_estimate).
-    """
-
-    def central(h):
-        dr = (np.asarray(f(r + h, theta)) - np.asarray(f(r - h, theta))) / (2 * h)
-        dt = (np.asarray(f(r, theta + h)) - np.asarray(f(r, theta - h))) / (2 * h)
-        return dr, dt
-
-    dr1, dt1 = central(FD_STEP)
-    dr2, dt2 = central(FD_STEP / 2)
-    df_dr = (4.0 * dr2 - dr1) / 3.0
-    df_dt = (4.0 * dt2 - dt1) / 3.0
-    est = max(float(np.max(np.abs(dr2 - dr1))), float(np.max(np.abs(dt2 - dt1))))
-    scale = 1.0 + max(float(np.max(np.abs(df_dr))), float(np.max(np.abs(df_dt))))
-    if est > 1e-4 * scale:
-        raise StepTooLarge(
-            f"finite-difference estimate {est:.3e} did not converge at "
-            f"(r={r!r}, theta={theta!r}) with step {FD_STEP!r}"
-        )
-    return df_dr, df_dt, est
+    R_ = tensorial_connection_at(pt, angle_field(r, th))
+    cov = (_coordinate_partials(covectors, r, th)
+           - np.einsum("rnm,vr->mvn", lam, vecs))
+    rhs = np.einsum("vr,rnm->mvn", vecs @ inverse_metric_at(pt), R_)
+    ws, wu = np.max(np.abs(cov - rhs), axis=(0, 2))
+    return float(ws), float(wu)
 
 
 def curvature_strength_residuals(pt: GridPoint, tensorial_field, momentum):
@@ -356,8 +346,7 @@ def curvature_strength_residuals(pt: GridPoint, tensorial_field, momentum):
         + R^i_{k mu} R^k_{j nu} - R^i_{k nu} R^k_{j mu}
 
     must vanish (zero spacetime curvature), as must the curl of P (zero
-    electromagnetic strength).  Derivatives are central differences with one
-    Richardson halving.
+    electromagnetic strength).  Derivatives are complex-step partials.
     """
     r, th = pt.r, pt.theta
 
@@ -365,10 +354,7 @@ def curvature_strength_residuals(pt: GridPoint, tensorial_field, momentum):
         p = GridPoint(rr, tt)
         return np.einsum("ix,xjn->ijn", inverse_metric_at(p), tensorial_field(rr, tt))
 
-    dR_dr, dR_dth, _ = richardson_partials(mixed, r, th)
-    dR = np.zeros((4, 4, 4, 4))
-    dR[R] = dR_dr
-    dR[TH] = dR_dth
+    dR = _coordinate_partials(mixed, r, th)
     Rm = mixed(r, th)
     lam = christoffel_at(pt)
     cov = (
@@ -387,10 +373,7 @@ def curvature_strength_residuals(pt: GridPoint, tensorial_field, momentum):
 
     # Strength: the momentum covector is constant, so its curl vanishes
     # identically; differentiate it anyway so that a perturbed P is detected.
-    dP_dr, dP_dth, _ = richardson_partials(momentum, r, th)
-    dP = np.zeros((4, 4))
-    dP[R] = dP_dr
-    dP[TH] = dP_dth
+    dP = _coordinate_partials(momentum, r, th)
     far = dP - dP.T
     far_norm = float(np.max(np.abs(far)))
     return rie_norm, far_norm
@@ -401,13 +384,10 @@ def tetrad_postulate_residual(pt: GridPoint, cotetrad_field, spin_connection_fie
 
     d_mu xi^a_nu - Lambda^rho_{nu mu} xi^a_rho + C^a_{b mu} xi^b_nu = 0
     defines the link between the coordinate connection and the spin
-    connection; the coframe partials are taken by finite differences.
+    connection; the coframe partials are complex-step partials.
     """
     r, th = pt.r, pt.theta
-    dxi_dr, dxi_dth, _ = richardson_partials(cotetrad_field, r, th)
-    dxi = np.zeros((4, 4, 4))  # [mu, a, nu]
-    dxi[R] = dxi_dr
-    dxi[TH] = dxi_dth
+    dxi = _coordinate_partials(cotetrad_field, r, th)  # [mu, a, nu]
     co = cotetrad_field(r, th)
     C = spin_connection_field(r, th)
     lam = christoffel_at(pt)

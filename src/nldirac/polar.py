@@ -155,7 +155,7 @@ def angle_state(pt: GridPoint, spec: ModelSpec) -> AngleState:
     singular ring, so evaluation refuses rather than picking a limit.
     """
     X = X_exact(pt.r, spec)
-    _refuse(pt, X * X + np.cos(pt.theta) ** 2 <= 1e-28,
+    _refuse(pt, np.real(X * X + np.cos(pt.theta) ** 2) <= 1e-28,
             "kinematic quotients are 0/0 on the ring")
     d = analytic_derivatives(X, r_dX_dr_exact(pt.r, spec), pt.theta)
     return _angles(pt, X, d)
@@ -177,8 +177,9 @@ def _angles(pt: GridPoint, X, d: PolarDerivatives) -> AngleState:
 
 
 def angle_field(spec: ModelSpec):
-    """Closed-form AngleState as a callable of raw (r, theta); used by the
-    finite-difference identity checks."""
+    """Closed-form AngleState as a callable of raw (r, theta), the form the
+    identity residuals differentiate by complex step: it accepts complex
+    coordinates and stays complex-analytic in them."""
 
     def field(r, theta):
         return angle_state(GridPoint(r, theta), spec)
@@ -214,14 +215,14 @@ def module_njl(pt: GridPoint, spec: ModelSpec):
     Agrees with 2/(r sqrt(X^2 + cos^2 theta)) on the closed-form branch;
     diverges only on the equatorial ring 2mr = 1, theta = pi/2.
     """
-    _refuse(pt, _radicand(pt.r, pt.theta, spec.m) <= 1e-28,
+    _refuse(pt, np.real(_radicand(pt.r, pt.theta, spec.m)) <= 1e-28,
             "equatorial ring 2mr = 1")
     return _phi2_njl_raw(pt.r, pt.theta, spec.m)
 
 
 def module_soler(pt: GridPoint, spec: ModelSpec):
     """Scalar-model density; diverges on the whole sphere 2mr = 1."""
-    _refuse(pt, (4.0 * spec.m**2 * pt.r**2 - 1.0) ** 2 <= 1e-28,
+    _refuse(pt, np.real((4.0 * spec.m**2 * pt.r**2 - 1.0) ** 2) <= 1e-28,
             "singular sphere 2mr = 1")
     return _phi2_soler_raw(pt.r, pt.theta, spec.m)
 
@@ -233,7 +234,7 @@ def module_general_p(pt: GridPoint, spec: ModelSpec, p=None):
     """
     p = spec.p if p is None else p
     sh2 = np.sinh(zeta_exact(pt.r, spec)) ** 2
-    _refuse(pt, sh2 + p * np.cos(pt.theta) ** 2 <= 1e-28,
+    _refuse(pt, np.real(sh2 + p * np.cos(pt.theta) ** 2) <= 1e-28,
             "locus sinh^2 zeta + p cos^2 theta = 0")
     return _phi2_general_raw(pt.r, pt.theta, spec.m, p)
 
@@ -343,37 +344,23 @@ def spinor_coordinate_partials(pt: GridPoint, f: ClosedForm, psi):
             (0.5 * f.dlnphi2_dtheta) * psi - 0.5j * der.d_beta_dtheta * pipsi)
 
 
-def covariant_derivative(pt: GridPoint, spec: ModelSpec, mode="analytic",
-                         coupling_sign=1.0):
+def covariant_derivative(pt: GridPoint, spec: ModelSpec, coupling_sign=1.0):
     """nabla_mu psi = d_mu psi + (sign/2) C_{ab mu} sigma^{ab} psi.
 
     The coupling sign is +1 in this gamma basis: it is the sign for which
     the standard-form residual of the exact solutions vanishes, and the
     test suite pins it by showing that -1 leaves a large residual.
 
-    mode="fd" recomputes the (r, theta) partials of the assembled spinor by
-    Richardson-extrapolated central differences as a cross-check path.  The
-    principal-value chiral rotation makes the spinor flip sign across the
-    equatorial segment inside 2mr = 1 (a lift ambiguity, invisible to any
-    pointwise quantity); differencing across that curve fails loudly with
-    StepTooLarge instead of returning garbage.  The analytic path is
-    branch-free everywhere off the singular locus.
+    The (r, theta) partials of psi are the analytic ones of
+    spinor_coordinate_partials, branch-free everywhere off the singular
+    locus; the tests compare them with complex-step derivatives of psi.
 
     Returns (nabla psi stacked over mu, shape (4, 4) + the points' shape;
-    psi; the ClosedForm bundle both are built from).  mode="fd" takes a
-    single point.
+    psi; the ClosedForm bundle both are built from).
     """
     f = closed_form(pt, spec)
     psi = assemble_spinor(pt, spec, phi2=f.phi2)
-    if mode == "analytic":
-        d_dr, d_dth = spinor_coordinate_partials(pt, f, psi)
-    elif mode == "fd":
-        def spinor_at(r, theta):
-            return assemble_spinor(GridPoint(r, theta), spec)
-
-        d_dr, d_dth, _ = geometry.richardson_partials(spinor_at, pt.r, pt.theta)
-    else:
-        raise ValueError(f"unknown derivative mode {mode!r}")
+    d_dr, d_dth = spinor_coordinate_partials(pt, f, psi)
     # the t and azimuth partials are the pure phases exp(-i(E t + l phi))
     dpsi = np.stack([-1j * spec.E * psi, d_dr, d_dth, -1j * spec.l * psi])
     C = geometry.spin_connection_at(pt, f.ang)
@@ -383,7 +370,7 @@ def covariant_derivative(pt: GridPoint, spec: ModelSpec, mode="analytic",
 
 
 def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec,
-                                 mode="analytic", momentum_override=None):
+                                 momentum_override=None):
     """Max component norm over mu of (direct nabla psi) minus its polar form
 
         (nabla_mu ln phi - i/2 nabla_mu beta pi - i P_mu
@@ -394,7 +381,7 @@ def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec,
     which is the sensitivity check on the phase content.  The maximum
     propagates NaN.
     """
-    nabla, psi, f = covariant_derivative(pt, spec, mode=mode)
+    nabla, psi, f = covariant_derivative(pt, spec)
     der = f.derivs
     dlnphi = np.stack(np.broadcast_arrays(
         0.0, 0.5 * f.r_dlnphi2_dr / pt.r, 0.5 * f.dlnphi2_dtheta, 0.0))

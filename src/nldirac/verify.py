@@ -2,7 +2,7 @@
 
 Each suite returns a dict with its max residual, tolerance and pass flag;
 ``run_suites`` assembles the full report.  Identity suites (exact algebraic
-content) run at 1e-10; everything touching finite differences or long
+content) run at 1e-10; everything touching complex-step partials or long
 evaluation chains runs at 1e-8.  Every maximum is taken with a reduction
 that propagates NaN, so a non-finite residual at any point fails its suite.
 """
@@ -74,9 +74,9 @@ def suite_curvature_strength(spec, grid_cfg, seed, tol, margin):
 
 
 def suite_transport(spec, grid_cfg, seed, tol, margin):
+    ang_field = polar.angle_field(spec)
     return _sampled_suite(
-        lambda pt: geometry.transport_residuals(pt, polar.angle_state(pt, spec)),
-        spec, seed, tol)
+        lambda pt: geometry.transport_residuals(pt, ang_field), spec, seed, tol)
 
 
 def suite_decomposition(spec, grid_cfg, seed, tol, margin):

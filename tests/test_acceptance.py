@@ -68,9 +68,9 @@ def test_criterion_03_transport_identities():
     spec = ModelSpec.njl()
     worst = 0.0
     for pt in unmasked_points(50, spec, seed=43):
-        ws, wu = geometry.transport_residuals(pt, polar.angle_state(pt, spec))
+        ws, wu = geometry.transport_residuals(pt, polar.angle_field(spec))
         worst = max(worst, ws, wu)
-    assert _report(3, "transport identities, analytic derivatives", worst, 1e-8)
+    assert _report(3, "transport identities, complex-step partials", worst, 1e-8)
 
 
 def test_criterion_04_polar_decomposition():

@@ -51,6 +51,15 @@ def test_verify_angular_momentum_override_fails(capsys, tmp_path):
     assert "expanded-residuals" in err
 
 
+def test_verify_passes_for_another_suite_seed(capsys):
+    # the sampled suites draw points next to the ring; with this seed the
+    # curvature-strength partials once lost digits to cancellation
+    code, out, err = run(capsys, "verify", "--model", "njl", "--seed", "678993",
+                         "--grid", SMALL_GRID)
+    assert code == 0, err
+    assert json.loads(out)["suites"]["curvature-strength"]["max_residual"] <= 1e-12
+
+
 def test_verify_interpolated_model_passes(capsys):
     code, out, err = run(capsys, "verify", "--model", "p:0.5",
                          "--grid", SMALL_GRID)

@@ -168,11 +168,6 @@ def test_standard_residual_vanishes_for_all_p():
         assert worst <= 1e-8, p
 
 
-def test_standard_residual_fd_mode():
-    spec = ModelSpec.njl()
-    assert residual_standard(GridPoint(1.0, np.pi / 3), spec, mode="fd") <= 1e-8
-
-
 def test_standard_residual_wrong_coupling_sign_is_large():
     spec = ModelSpec.njl()
     res = residual_standard(GridPoint(1.0, np.pi / 3), spec,

@@ -1,17 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nldirac import geometry, polar
-from nldirac.errors import PoleOrOrigin, StepTooLarge
+from nldirac.errors import PoleOrOrigin
 from nldirac.geometry import (
     AngleState,
     GridPoint,
     christoffel_at,
+    complex_step_partials,
     cotetrad_at,
     curvature_strength_residuals,
     inverse_metric_at,
     metric_at,
-    metric_determinant,
     momentum_covector,
     riemann_at,
     spin_connection_at,
@@ -41,6 +43,36 @@ def test_gridpoint_rejects_poles_and_origin():
     for bad in [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, np.pi)]:
         with pytest.raises(PoleOrOrigin):
             GridPoint(*bad)
+    # a complex step off a valid point is judged by its real part
+    GridPoint(1.0 + 1e-30j, 1.0)
+    with pytest.raises(PoleOrOrigin):
+        GridPoint(1.0, np.pi + 1e-30j)
+
+
+def test_complex_step_partials_are_exact_to_rounding():
+    def field(r, th):
+        return np.stack([r**3 * np.sin(th), np.log(r) * np.cos(2.0 * th)])
+
+    for pt in random_points(20):
+        r, th = pt.r, pt.theta
+        d_r, d_th = complex_step_partials(field, r, th)
+        assert np.allclose(d_r, [3 * r**2 * np.sin(th), np.cos(2 * th) / r],
+                           rtol=1e-15, atol=0.0)
+        assert np.allclose(d_th, [r**3 * np.cos(th), -2 * np.log(r) * np.sin(2 * th)],
+                           rtol=1e-15, atol=0.0)
+
+
+def test_builders_take_the_dtype_of_their_inputs():
+    spec = ModelSpec.njl()
+    for r in (1.3, 1.3 + 1e-30j):
+        pt = GridPoint(r, 0.7)
+        ang = polar.angle_state(pt, spec)
+        dtype = np.result_type(r)
+        for value in (metric_at(pt), inverse_metric_at(pt),
+                      velocity_covector(pt, ang), spin_covector(pt, ang),
+                      tensorial_connection_at(pt, ang), cotetrad_at(pt, ang),
+                      spin_connection_at(pt, ang)):
+            assert value.dtype == dtype
 
 
 def test_metric_values():
@@ -50,15 +82,9 @@ def test_metric_values():
     assert g[3, 3] == pytest.approx(-4.0)
     g = metric_at(GridPoint(1.0, np.pi / 3))
     assert g[3, 3] == pytest.approx(-0.75)
-
-
-def test_metric_determinant_is_diagonal_product():
     for pt in random_points(10):
-        g = metric_at(pt)
-        assert metric_determinant(pt) == pytest.approx(
-            np.prod(np.diag(g)), rel=1e-12
-        )
-        assert np.allclose(inverse_metric_at(pt) @ g, np.eye(4), atol=1e-14)
+        assert np.allclose(inverse_metric_at(pt) @ metric_at(pt), np.eye(4),
+                           atol=1e-14)
 
 
 def test_christoffel_values_and_symmetry():
@@ -126,9 +152,25 @@ def test_transport_identities_analytic():
     spec = ModelSpec.njl()
     worst = 0.0
     for pt in random_points(50):
-        ws, wu = transport_residuals(pt, polar.angle_state(pt, spec))
+        ws, wu = transport_residuals(pt, polar.angle_field(spec))
         worst = max(worst, ws, wu)
     assert worst <= 1e-8
+
+
+def test_transport_detects_a_wrong_angle_partial():
+    # the covectors are differentiated from the angles themselves, so a
+    # partial of the AngleState that disagrees with them cannot pass
+    spec = ModelSpec.njl()
+    field = polar.angle_field(spec)
+    for name, which in (("d_gamma_dr", 0), ("d_gamma_dtheta", 0),
+                        ("d_alpha_dr", 1), ("d_alpha_dtheta", 1)):
+        def wrong(r, th, name=name):
+            ang = field(r, th)
+            return dataclasses.replace(ang, **{name: getattr(ang, name) + 0.01})
+
+        for pt in random_points(5, seed=17):
+            assert max(transport_residuals(pt, field)) <= 1e-12
+            assert transport_residuals(pt, wrong)[which] >= 1e-3, (name, pt)
 
 
 def test_transport_identities_finite_difference_oracle():
@@ -275,17 +317,3 @@ def test_curvature_residual_detects_perturbation():
         GridPoint(1.0, np.pi / 3), perturbed, lambda r, t: P
     )
     assert rie >= 1e-4
-
-
-def test_step_too_large_on_noisy_field():
-    rng = np.random.default_rng(0)
-    base = _tensorial_field(ModelSpec.njl())
-
-    def noisy(r, th):
-        return base(r, th) + 1e-3 * rng.standard_normal((4, 4, 4))
-
-    with pytest.raises(StepTooLarge):
-        curvature_strength_residuals(
-            GridPoint(1.0, np.pi / 3), noisy,
-            lambda r, t: momentum_covector(1.0, 0.5),
-        )

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nldirac import clifford, polar
+from nldirac import clifford, geometry, polar
 from nldirac.errors import SingularG, SingularPoint
-from nldirac.geometry import GridPoint
+from nldirac.geometry import GridPoint, complex_step_partials
 from nldirac.polar import (
     G_exact,
     ModelSpec,
@@ -22,6 +22,7 @@ from nldirac.polar import (
     phi2_grid,
     polar_decomposition_residual,
     r_dX_dr_exact,
+    spinor_coordinate_partials,
 )
 
 def random_points(n, seed=2024, r_lo=0.1, r_hi=10.0, ring_margin=0.05):
@@ -312,33 +313,39 @@ def test_polar_decomposition_residual_exact_solutions():
     theta=st.floats(0.2, np.pi - 0.2),
 )
 def test_analytic_and_fd_covariant_derivatives_agree(p, m, rm, theta):
-    # 2mr >= 1.2 keeps the points off the lift curve, so the
-    # finite-difference path is valid there and checks the analytic partials
+    # The (r, theta) partials of the covariant derivative's spinor against
+    # complex-step derivatives of its real and imaginary parts.  Those parts
+    # are built here from the density and the chiral pair, with the half
+    # angle cos(beta/2) = sqrt((1 + cos beta)/2) in place of arctan2 so that
+    # they stay complex-analytic; 2mr >= 1.2 keeps cos beta > 0.
     spec = ModelSpec(m=m, p=p)
     pt = GridPoint(rm / m, theta)
-    analytic = covariant_derivative(pt, spec)[0]
-    fd = covariant_derivative(pt, spec, mode="fd")[0]
+    _, psi, f = covariant_derivative(pt, spec)
+    analytic = np.stack(spinor_coordinate_partials(pt, f, psi))
+    rest = np.array([1.0, 0.0, 1.0, 0.0])
+    rotated = -1j * clifford.PI @ rest
+
+    def parts(r, th):
+        phi = np.sqrt(module_general_p(GridPoint(r, th), spec))
+        sb, cb = chiral_components(X_exact(r, spec), th)
+        cos_half = np.sqrt((1.0 + cb) / 2.0)
+        a, b = phi * cos_half, phi * sb / (2.0 * cos_half)
+        return np.stack([a * rest + b * rotated.real, b * rotated.imag])
+
+    re_im = parts(pt.r, pt.theta)
+    assert np.allclose(re_im[0] + 1j * re_im[1], psi, rtol=1e-14, atol=0.0)
+    d_r, d_th = complex_step_partials(parts, pt.r, pt.theta)
+    stepped = np.stack([d_r[0] + 1j * d_r[1], d_th[0] + 1j * d_th[1]])
     scale = 1.0 + np.max(np.abs(analytic))
-    assert np.max(np.abs(analytic - fd)) <= 1e-8 * scale
+    assert np.max(np.abs(analytic - stepped)) <= 1e-12 * scale
 
 
-def test_polar_decomposition_residual_fd_mode():
-    spec = ModelSpec.njl()
-    res = polar_decomposition_residual(GridPoint(1.0, np.pi / 3), spec, mode="fd")
-    assert res <= 1e-8
-
-
-def test_fd_mode_fails_loudly_at_chiral_branch_cut():
+def test_decomposition_exact_at_chiral_branch_cut():
     # inside 2mr = 1 the principal chiral rotation flips the spinor's sign
-    # across the equator; the finite-difference path must refuse rather than
-    # differentiate through the jump, while the analytic path is exact
-    from nldirac.errors import StepTooLarge
-
+    # across the equator; the analytic partials have no branch there
     spec = ModelSpec.njl()
     pt = GridPoint(0.3, np.pi / 2)
-    with pytest.raises(StepTooLarge):
-        polar_decomposition_residual(pt, spec, mode="fd")
-    assert polar_decomposition_residual(pt, spec, mode="analytic") <= 1e-10
+    assert polar_decomposition_residual(pt, spec) <= 1e-10
 
 
 def test_polar_decomposition_momentum_sensitivity():
@@ -350,14 +357,39 @@ def test_polar_decomposition_momentum_sensitivity():
     assert res >= 1e-3
 
 
+def _angle_partials(pair, r, theta):
+    """(d/dr, d/dtheta) of the angle whose (sin, cos) or (sinh, cosh) pair
+    is ``pair(r, theta)``: c ds - s dc, by complex step, with no branch."""
+    s, c = pair(r, theta)
+    return tuple(c * d[0] - s * d[1] for d in complex_step_partials(
+        lambda rr, tt: np.stack(pair(rr, tt)), r, theta))
+
+
 def test_module_log_derivatives_match_finite_differences():
-    h = 1e-6
+    # the differences are complex steps, exact to rounding on both sides of
+    # X = 0; the angle partials are those of the same closed form
+    close = lambda a: pytest.approx(a, rel=1e-12, abs=1e-12)
     for p in (0.0, 0.5, 1.0):
         spec = ModelSpec(m=1.0, p=p)
         for pt in random_points(20):
             r_dr, d_th = module_log_derivatives(pt, spec)
-            f = lambda r, th: np.log(phi2_grid(spec, r, th))
-            fd_r = pt.r * (f(pt.r + h, pt.theta) - f(pt.r - h, pt.theta)) / (2 * h)
-            fd_t = (f(pt.r, pt.theta + h) - f(pt.r, pt.theta - h)) / (2 * h)
-            assert r_dr == pytest.approx(fd_r, abs=2e-5)
-            assert d_th == pytest.approx(fd_t, abs=2e-5)
+            d_r, d_t = complex_step_partials(
+                lambda r, th: np.log(module_general_p(GridPoint(r, th), spec)),
+                pt.r, pt.theta)
+            assert r_dr == close(pt.r * d_r)
+            assert d_th == close(d_t)
+
+            X = lambda r: X_exact(r, spec)
+            ang = polar.angle_state(pt, spec)
+            der = analytic_derivatives(X(pt.r), r_dX_dr_exact(pt.r, spec),
+                                       pt.theta)
+            vs = geometry.velocity_spin_components
+            for pair, dr, dth in (
+                (lambda r, th: vs(X(r), th)[:2], ang.d_alpha_dr, ang.d_alpha_dtheta),
+                (lambda r, th: vs(X(r), th)[2:], ang.d_gamma_dr, ang.d_gamma_dtheta),
+                (lambda r, th: chiral_components(X(r), th),
+                 der.r_d_beta_dr / pt.r, der.d_beta_dtheta),
+            ):
+                d_r, d_t = _angle_partials(pair, pt.r, pt.theta)
+                assert dr == close(d_r)
+                assert dth == close(d_t)

@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 
-from nldirac import clifford, equations, geometry, grids, verify
+from nldirac import clifford, equations, geometry, grids, polar, verify
 from nldirac.polar import ModelSpec
 
 GRID = grids.GridConfig(r_min=0.05, r_max=20.0, n_r=5, n_theta=4)
@@ -28,9 +28,9 @@ CONTROLS = {
     "curvature-strength": (geometry, "tensorial_connection_at",
                            lambda f, d: lambda pt, ang: f(pt, ang) * (
                                1.0 + d * np.sin(3.0 * pt.r) * np.cos(2.0 * pt.theta))),
-    # shifted coordinate partials of the spin covector
-    "transport": (geometry, "velocity_spin_partials",
-                  lambda f, d: lambda pt, ang: (f(pt, ang)[0], f(pt, ang)[1] + d)),
+    # a tilt partial that disagrees with the tilt the covectors carry
+    "transport": (polar, "angle_state", lambda f, d: lambda pt, spec: (
+        dataclasses.replace(f(pt, spec), d_gamma_dr=f(pt, spec).d_gamma_dr + d))),
     # a momentum whose l disagrees with the spinor's phase
     "decomposition": (geometry, "momentum_covector",
                       lambda f, d: lambda E, l: f(E, l + d)),
