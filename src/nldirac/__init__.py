@@ -5,7 +5,6 @@ background, with verified closed-form solutions of the chiral
 from .clifford import BilinearSet, bilinears, gamma_basis, sigma
 from .errors import (
     DivergingState,
-    GridTooCoarse,
     NonRealBilinear,
     PoleOrOrigin,
     SingularG,
@@ -32,7 +31,6 @@ __all__ = [
     "DivergingState",
     "G_exact",
     "GridPoint",
-    "GridTooCoarse",
     "ModelSpec",
     "NonRealBilinear",
     "PoleOrOrigin",

@@ -186,10 +186,10 @@ def resolve_config(args) -> RunConfig:
     if unknown:
         raise ValueError(f"unknown tolerance name(s) {', '.join(unknown)}; "
                          f"expected {', '.join(TOLERANCE_NAMES)}")
-    for k in ("rtol", "atol"):
-        if k in tolerances and not tolerances[k] > 0.0:
-            raise ValueError(f"tolerance {k} must be positive, "
-                             f"got {tolerances[k]!r}")
+    for k, v in tolerances.items():
+        if not 0.0 < v < np.inf:
+            raise ValueError(f"tolerance {k} must be positive and finite, "
+                             f"got {v!r}")
     margin = _number("mask margin", raw["mask_margin"])
     if not margin >= 0.0:
         raise ValueError(f"mask margin must be non-negative, got {margin!r}")

@@ -170,14 +170,16 @@ def fierz_residuals(psis):
     """Relative residuals of the two quadratic bilinear identities.
 
     For each row of psis: U.U = Theta^2 + Phi^2, S.S = -(Theta^2 + Phi^2)
-    and U.S = 0. Returns three arrays of relative residuals.
+    and U.S = 0. Returns three arrays of residuals, each divided by
+    max(1, (psi^dag psi)^2), the size of the quartic terms and so of their
+    rounding, which Theta^2 + Phi^2 can be far below.
     """
     bl = bilinears(np.transpose(psis))
     scalar2 = bl.theta**2 + bl.phi**2
     uu = lorentz_dot(bl.U, bl.U)
     ss = lorentz_dot(bl.S, bl.S)
     us = lorentz_dot(bl.U, bl.S)
-    scale = np.maximum(1.0, scalar2)
+    scale = np.maximum(1.0, np.sum(np.abs(psis) ** 2, axis=-1) ** 2)
     return (
         np.abs(uu - scalar2) / scale,
         np.abs(ss + scalar2) / scale,

@@ -9,8 +9,7 @@ independently and must all vanish on the closed-form solutions:
 * the standard gamma-matrix form i gamma^mu nabla_mu psi + nonlinearity.
 
 The chiral model couples through phi^2 alone; the scalar model through
-phi^2 cos(beta) -- a one-term difference this module keeps behind the
-``nonlinear_scale`` knob so the common linear part can be compared directly.
+phi^2 cos(beta).
 
 Every form takes a GridPoint of floats (one point) or of arrays (a set of
 points, such as a grid row) and evaluates all of its points at once; each
@@ -42,26 +41,19 @@ def _per_point_max(components):
     return np.max(np.abs(np.stack(np.broadcast_arrays(*components))), axis=0)
 
 
-def exact_fields(pt: GridPoint, spec: ModelSpec,
-                 fields_p=None) -> polar.ClosedForm:
-    """Closed-form fields of the model with p = fields_p (default spec.p)."""
-    return polar.closed_form(pt, spec, p=fields_p)
+def exact_fields(pt: GridPoint, spec: ModelSpec) -> polar.ClosedForm:
+    """Closed-form fields of the model."""
+    return polar.closed_form(pt, spec)
 
 
 # -- expanded four-equation system -------------------------------------------
 
 
-def expanded_components(pt: GridPoint, spec: ModelSpec, fields_p=None,
-                        nonlinear_scale=1.0):
-    """Signed values of the four projected scalar equations.
-
-    ``fields_p`` selects which closed-form density is substituted (defaults
-    to the model's own); feeding one model's fields into the other's
-    equations is the cross-model discrimination test.
-    """
+def expanded_components(pt: GridPoint, spec: ModelSpec):
+    """Signed values of the four projected scalar equations."""
     if spec.name not in MODELS:
         raise ValueError(f"expanded system exists for {MODELS}, got {spec.name!r}")
-    f = exact_fields(pt, spec, fields_p)
+    f = exact_fields(pt, spec)
     r, th = pt.r, pt.theta
     m, E, l = spec.m, spec.E, spec.l
     s, c = np.sin(th), np.cos(th)
@@ -70,17 +62,13 @@ def expanded_components(pt: GridPoint, spec: ModelSpec, fields_p=None,
         + 2.0 * m * r * f.cos_beta
     mom = 2.0 * E * r * ang.sinh_alpha - 2.0 * l * ang.cosh_alpha / s
     if spec.name == "njl":
-        bracket = common - r * f.phi2 * nonlinear_scale
+        bracket = common - r * f.phi2
         density_extra_r = 0.0
         density_extra_th = 0.0
     else:
-        bracket = common - r * f.phi2 * f.cos_beta**2 * nonlinear_scale
-        density_extra_r = (
-            -r * f.phi2 * f.sin_beta * f.cos_beta * ang.cos_gamma * nonlinear_scale
-        )
-        density_extra_th = (
-            -r * f.phi2 * f.sin_beta * f.cos_beta * ang.sin_gamma * nonlinear_scale
-        )
+        bracket = common - r * f.phi2 * f.cos_beta**2
+        density_extra_r = -r * f.phi2 * f.sin_beta * f.cos_beta * ang.cos_gamma
+        density_extra_th = -r * f.phi2 * f.sin_beta * f.cos_beta * ang.sin_gamma
     beta_r = der.r_d_beta_dr + der.d_alpha_dtheta + bracket * ang.cos_gamma
     beta_theta = der.d_beta_dtheta - der.r_d_alpha_dr + bracket * ang.sin_gamma
     density_r = (
@@ -99,17 +87,14 @@ def expanded_components(pt: GridPoint, spec: ModelSpec, fields_p=None,
     }
 
 
-def residual_expanded(pt: GridPoint, spec: ModelSpec, fields_p=None,
-                      nonlinear_scale=1.0):
-    comps = expanded_components(pt, spec, fields_p, nonlinear_scale)
-    return _per_point_max(comps.values())
+def residual_expanded(pt: GridPoint, spec: ModelSpec):
+    return _per_point_max(expanded_components(pt, spec).values())
 
 
 # -- covector (polar) form -----------------------------------------------------
 
 
-def covector_components(pt: GridPoint, spec: ModelSpec, fields_p=None,
-                        nonlinear_scale=1.0):
+def covector_components(pt: GridPoint, spec: ModelSpec):
     """Signed components of the chiral-angle and density covector equations.
 
     The axial and trace contractions of the tensorial connection,
@@ -124,7 +109,7 @@ def covector_components(pt: GridPoint, spec: ModelSpec, fields_p=None,
     """
     if spec.name not in MODELS:
         raise ValueError(f"covector system exists for {MODELS}, got {spec.name!r}")
-    f = exact_fields(pt, spec, fields_p)
+    f = exact_fields(pt, spec)
     m = spec.m
     ang = f.ang
     ginv = geometry.inverse_metric_at(pt)
@@ -147,11 +132,11 @@ def covector_components(pt: GridPoint, spec: ModelSpec, fields_p=None,
     dlnphi2 = np.stack(np.broadcast_arrays(
         0.0, f.r_dlnphi2_dr / pt.r, f.dlnphi2_dtheta, 0.0))
     if spec.name == "njl":
-        nl_chiral = f.phi2 * nonlinear_scale
+        nl_chiral = f.phi2
         nl_density = 0.0
     else:
-        nl_chiral = f.phi2 * f.cos_beta**2 * nonlinear_scale
-        nl_density = f.phi2 * f.cos_beta * nonlinear_scale
+        nl_chiral = f.phi2 * f.cos_beta**2
+        nl_density = f.phi2 * f.cos_beta
     chiral = (
         dbeta + B + 2.0 * Ps * u - 2.0 * Pu * s_cov
         + (2.0 * m * f.cos_beta - nl_chiral) * s_cov
@@ -164,12 +149,11 @@ def covector_components(pt: GridPoint, spec: ModelSpec, fields_p=None,
     return chiral, density
 
 
-def residual_polar_covector(pt: GridPoint, spec: ModelSpec, fields_p=None,
-                            nonlinear_scale=1.0):
+def residual_polar_covector(pt: GridPoint, spec: ModelSpec):
     """Larger Euclidean norm of the two covector equations (they must both
     vanish componentwise, so the norm choice only sets the reporting
     scale)."""
-    chiral, density = covector_components(pt, spec, fields_p, nonlinear_scale)
+    chiral, density = covector_components(pt, spec)
     return _per_point_max([np.linalg.norm(chiral, axis=0),
                            np.linalg.norm(density, axis=0)])
 
@@ -177,34 +161,30 @@ def residual_polar_covector(pt: GridPoint, spec: ModelSpec, fields_p=None,
 # -- reduced system in zeta ----------------------------------------------------
 
 
-def reduced_components(pt: GridPoint, spec: ModelSpec, zeta_offset=0.0,
-                       zeta_theta_amplitude=0.0, equation_mass=None):
+def reduced_components(pt: GridPoint, spec: ModelSpec):
     """Signed residuals of the reduced radial/angular system.
 
-    The trial profile is zeta = ln(2mr) + zeta_offset
-    + zeta_theta_amplitude cos(theta) with the density rebuilt consistently,
-    so perturbations propagate exactly as a wrong solution would.  The last
-    two equations differ only by terms proportional to d_theta zeta; their
-    difference is returned as the separation-consistency scalar that forces
-    a purely radial profile.  ``equation_mass`` perturbs the mass appearing
-    in the equations while the trial fields keep the solution mass.
+    The profile zeta is read from polar.zeta_exact, with the density rebuilt
+    from it, so a wrong profile propagates exactly as a wrong solution
+    would.  The system is that of the radial family, r d_r zeta = 1 and
+    d_theta zeta = 0, on which the two zeta equations lose their tan/cot
+    terms: the radial one reads r d_r zeta = rhs and the angular one 0 =
+    rhs - r d_r zeta.
     """
-    r, th, p = pt.r, pt.theta, spec.p
-    m = spec.m if equation_mass is None else equation_mass
+    r, th, p, m = pt.r, pt.theta, spec.p, spec.m
     c, s = np.cos(th), np.sin(th)
-    z = np.log(2.0 * spec.m * r) + zeta_offset + zeta_theta_amplitude * c
+    z = polar.zeta_exact(r, spec)
     r_dz = 1.0
-    dth_z = -zeta_theta_amplitude * s
     sh, ch = np.sinh(z), np.cosh(z)
     D = sh * sh + c * c
     S = sh * sh + p * c * c
     phi2 = 2.0 * np.sqrt(D) / (r * S)
-    r_dlog = sh * ch * r_dz * (1.0 / D - 2.0 / S) - 1.0
-    dth_log = (sh * ch * dth_z - s * c) / D - (2.0 * sh * ch * dth_z - 2.0 * p * s * c) / S
+    r_dlog = sh * ch * (1.0 / D - 2.0 / S) - 1.0
+    dth_log = -s * c / D + 2.0 * p * s * c / S
     res1 = r_dlog - (
         (p - 1.0) * r * phi2 * sh * ch * c * c / D**1.5
         - 2.0
-        + (2.0 * m * r * ch * c * c + 2.0 * m * r * s * s * sh - dth_z * s * c
+        + (2.0 * m * r * ch * c * c + 2.0 * m * r * s * s * sh
            - 2.0 * sh * ch) / D
     )
     res2 = dth_log - (
@@ -212,55 +192,39 @@ def reduced_components(pt: GridPoint, spec: ModelSpec, zeta_offset=0.0,
         + (r_dz - 2.0 * m * r * ch + 2.0 * m * r * sh + 1.0) * s * c / D
     )
     rhs_common = S * r * phi2 / np.sqrt(D) + 2.0 * m * r * ch - 2.0 * m * r * sh - 2.0
-    # 0 * inf guards: the tan/cot factors multiply d_theta zeta, which is
-    # identically zero on the radial family.
-    flat = zeta_theta_amplitude == 0.0
-    radial_term = 0.0 if flat else dth_z * np.tanh(z) * np.tan(th)
-    angular_lhs = 0.0 if flat else dth_z * (np.cosh(z) / np.sinh(z)) * (c / s)
-    res3 = r_dz - (rhs_common + radial_term)
-    res4 = angular_lhs - (rhs_common - r_dz)
     return {
         "module_radial": res1,
         "module_angular": res2,
-        "zeta_radial": res3,
-        "zeta_angular": res4,
-        "separation_consistency": res3 - res4,
+        "zeta_radial": r_dz - rhs_common,
+        "zeta_angular": -(rhs_common - r_dz),
     }
 
 
-def residual_reduced(pt: GridPoint, spec: ModelSpec, zeta_offset=0.0,
-                     zeta_theta_amplitude=0.0, equation_mass=None):
-    comps = reduced_components(pt, spec, zeta_offset, zeta_theta_amplitude,
-                               equation_mass)
-    return _per_point_max(comps.values())
+def residual_reduced(pt: GridPoint, spec: ModelSpec):
+    return _per_point_max(reduced_components(pt, spec).values())
 
 
 # -- standard gamma-matrix form -------------------------------------------------
 
 
-def residual_standard(pt: GridPoint, spec: ModelSpec, coupling_sign=1.0,
-                      nonlinear_scale=1.0, equation_mass=None):
+def residual_standard(pt: GridPoint, spec: ModelSpec):
     """Largest component norm at each point of i gamma^mu nabla_mu psi
     + (1/4)(Phi + i p Theta pi) psi - m psi on the assembled spinor.
 
     Phi and Theta are recomputed from the spinor's own bilinears rather than
     from the polar formulas, so this residual exercises the whole chain:
     gamma basis, tetrads, spin connection, density, chiral angle and phase.
-    ``equation_mass`` perturbs the mass term only (fields keep spec.m).
     """
-    nabla, psi, f = polar.covariant_derivative(
-        pt, spec, coupling_sign=coupling_sign
-    )
+    nabla, psi, f = polar.covariant_derivative(pt, spec)
     xi = geometry.tetrad_at(pt, f.ang)
     gamma_coord = np.einsum("am...,aij->mij...", xi, clifford.GAMMA_STACK)
     bl = clifford.bilinears(psi)
     dirac = 1j * np.einsum("mij...,mj...->i...", gamma_coord, nabla)
-    nonlinear = 0.25 * nonlinear_scale * (
+    nonlinear = 0.25 * (
         np.multiply.outer(clifford.IDENTITY, bl.phi)
         + 1j * spec.p * np.multiply.outer(clifford.PI, bl.theta)
     )
-    m_eq = spec.m if equation_mass is None else equation_mass
-    res = dirac + np.einsum("ij...,j...->i...", nonlinear, psi) - m_eq * psi
+    res = dirac + np.einsum("ij...,j...->i...", nonlinear, psi) - spec.m * psi
     return np.max(np.abs(res), axis=0)
 
 

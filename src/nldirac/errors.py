@@ -41,7 +41,3 @@ class DivergingState(RuntimeError):
 class StepUnderflow(RuntimeError):
     """Adaptive integrator step collapsed, typically when approaching the
     singular radius 2mr = 1."""
-
-
-class GridTooCoarse(RuntimeError):
-    """Grid refinement failed to shrink the singular-locus uncertainty."""

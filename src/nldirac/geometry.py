@@ -223,7 +223,7 @@ def tensorial_connection_at(pt: GridPoint, ang: AngleState):
 def tetrad_at(pt: GridPoint, ang: AngleState):
     """Frame vectors xi[a, mu] = xi_a^mu (flat index first)."""
     r, th = pt.r, pt.theta
-    xi = np.zeros((4, 4) + pt.shape)
+    xi = _zeros((4, 4), pt, *vars(ang).values())
     xi[0, T] = ang.cosh_alpha
     xi[2, T] = -ang.sinh_alpha
     xi[1, R] = ang.sin_gamma
@@ -233,22 +233,6 @@ def tetrad_at(pt: GridPoint, ang: AngleState):
     xi[0, PH] = -ang.sinh_alpha / (r * np.sin(th))
     xi[2, PH] = ang.cosh_alpha / (r * np.sin(th))
     return xi
-
-
-def cotetrad_at(pt: GridPoint, ang: AngleState):
-    """Coframe xi[a, mu] = xi^a_mu, dual to tetrad_at and soldering the
-    metric: g_{mu nu} = xi^a_mu xi^b_nu eta_ab."""
-    r, th = pt.r, pt.theta
-    co = _zeros((4, 4), pt, *vars(ang).values())
-    co[0, T] = ang.cosh_alpha
-    co[2, T] = ang.sinh_alpha
-    co[1, R] = ang.sin_gamma
-    co[3, R] = -ang.cos_gamma
-    co[1, TH] = -r * ang.cos_gamma
-    co[3, TH] = -r * ang.sin_gamma
-    co[0, PH] = r * np.sin(th) * ang.sinh_alpha
-    co[2, PH] = r * np.sin(th) * ang.cosh_alpha
-    return co
 
 
 def spin_connection_at(pt: GridPoint, ang: AngleState):
@@ -378,24 +362,3 @@ def curvature_strength_residuals(pt: GridPoint, tensorial_field, momentum):
     far_norm = float(np.max(np.abs(far)))
     return rie_norm, far_norm
 
-
-def tetrad_postulate_residual(pt: GridPoint, cotetrad_field, spin_connection_field):
-    """Max violation of the joint covariant constancy of the coframe.
-
-    d_mu xi^a_nu - Lambda^rho_{nu mu} xi^a_rho + C^a_{b mu} xi^b_nu = 0
-    defines the link between the coordinate connection and the spin
-    connection; the coframe partials are complex-step partials.
-    """
-    r, th = pt.r, pt.theta
-    dxi = _coordinate_partials(cotetrad_field, r, th)  # [mu, a, nu]
-    co = cotetrad_field(r, th)
-    C = spin_connection_field(r, th)
-    lam = christoffel_at(pt)
-    eta_diag = np.array([1.0, -1.0, -1.0, -1.0])
-    c_up = eta_diag[:, None, None] * C  # C^a_{b mu}
-    total = (
-        dxi
-        - np.einsum("rnm,ar->man", lam, co)
-        + np.einsum("abm,bn->man", c_up, co)
-    )
-    return float(np.max(np.abs(total)))

@@ -220,8 +220,9 @@ class ScanResult:
         """(E/m, l) of every cell whose residual is NaN or infinite."""
         return self._cells(~np.isfinite(self.surface))
 
-    def zero_cells(self, tol=1e-10):
-        return self._cells(self.surface <= tol)
+    def zero_cells(self):
+        """(E/m, l) of every cell whose residual is at most 1e-10."""
+        return self._cells(self.surface <= 1e-10)
 
 
 def generic_el_components(r, theta, E, l, spec: ModelSpec):

@@ -227,16 +227,15 @@ def module_soler(pt: GridPoint, spec: ModelSpec):
     return _phi2_soler_raw(pt.r, pt.theta, spec.m)
 
 
-def module_general_p(pt: GridPoint, spec: ModelSpec, p=None):
+def module_general_p(pt: GridPoint, spec: ModelSpec):
     """Interpolated density 2 sqrt(sh^2 + cos^2 th) / (r [sh^2 + p cos^2 th]).
 
     Reduces to module_njl at p = 1 and to module_soler at p = 0.
     """
-    p = spec.p if p is None else p
     sh2 = np.sinh(zeta_exact(pt.r, spec)) ** 2
-    _refuse(pt, np.real(sh2 + p * np.cos(pt.theta) ** 2) <= 1e-28,
+    _refuse(pt, np.real(sh2 + spec.p * np.cos(pt.theta) ** 2) <= 1e-28,
             "locus sinh^2 zeta + p cos^2 theta = 0")
-    return _phi2_general_raw(pt.r, pt.theta, spec.m, p)
+    return _phi2_general_raw(pt.r, pt.theta, spec.m, spec.p)
 
 
 def phi2_grid(spec: ModelSpec, r, theta):
@@ -255,11 +254,10 @@ def phi2_grid(spec: ModelSpec, r, theta):
         return _phi2_general_raw(r, theta, spec.m, spec.p)
 
 
-def module_log_derivatives(pt: GridPoint, spec: ModelSpec, p=None):
+def module_log_derivatives(pt: GridPoint, spec: ModelSpec):
     """(r d_r ln phi^2, d_theta ln phi^2) of the interpolated density on the
     closed-form branch."""
-    p = spec.p if p is None else p
-    z = zeta_exact(pt.r, spec)
+    p, z = spec.p, zeta_exact(pt.r, spec)
     sh, ch = np.sinh(z), np.cosh(z)
     c, s = np.cos(pt.theta), np.sin(pt.theta)
     D = sh * sh + c * c
@@ -274,10 +272,11 @@ class ClosedForm:
     """The closed-form solution at a point or a set of points, each quantity
     evaluated once.
 
-    Every equation form and the polar decomposition read this bundle; the
-    density and its log-derivatives are those of the model with p = ``p``,
-    the kinematic quantities (X, beta, alpha, gamma) are the same for all p.
-    Each field is a float or an array of the points' shape.
+    The expanded, covector and standard forms, the polar decomposition and
+    the spinor read this bundle; the density and its log-derivatives depend
+    on the model's p, the kinematic quantities (X, beta, alpha, gamma) are
+    the same for all p.  Each field is a float or an array of the points'
+    shape.
     """
 
     X: float
@@ -290,15 +289,14 @@ class ClosedForm:
     ang: AngleState
 
 
-def closed_form(pt: GridPoint, spec: ModelSpec, p=None) -> ClosedForm:
-    """The closed-form solution at ``pt`` with density parameter p (default
-    spec.p); raises SingularPoint, naming the first point, on the density's
-    singular locus."""
-    phi2 = module_general_p(pt, spec, p=p)
+def closed_form(pt: GridPoint, spec: ModelSpec) -> ClosedForm:
+    """The closed-form solution of the model at ``pt``; raises SingularPoint,
+    naming the first point, on the density's singular locus."""
+    phi2 = module_general_p(pt, spec)
     X = X_exact(pt.r, spec)
     d = analytic_derivatives(X, r_dX_dr_exact(pt.r, spec), pt.theta)
     sb, cb = chiral_components(X, pt.theta)
-    r_dlog, dth_log = module_log_derivatives(pt, spec, p=p)
+    r_dlog, dth_log = module_log_derivatives(pt, spec)
     return ClosedForm(
         X=X, sin_beta=sb, cos_beta=cb,
         phi2=phi2, r_dlnphi2_dr=r_dlog, dlnphi2_dtheta=dth_log,
@@ -309,28 +307,23 @@ def closed_form(pt: GridPoint, spec: ModelSpec, p=None) -> ClosedForm:
 # -- explicit spinor ----------------------------------------------------------
 
 
-def assemble_spinor(pt: GridPoint, spec: ModelSpec, phi2=None, t=0.0,
-                    azimuth=0.0):
-    """Rest-frame, spin-eigenstate spinor of the closed-form solution.
+def assemble_spinor(f: ClosedForm):
+    """Rest-frame, spin-eigenstate spinor of the closed-form bundle f at
+    t = 0 and azimuth 0, where its phase exp(-i(E t + l phi_az)) is 1.
 
-    psi = phi exp(-i(E t + l phi_az)) exp(-i beta pi/2) (1, 0, 1, 0)^T
+    psi = phi exp(-i beta pi/2) (1, 0, 1, 0)^T
 
     The returned components carry flat (frame) indices: the boost to the
     moving frame lives entirely in the tetrads, so bilinears of this spinor
     give the rest-frame S^a and U^a; coordinate components need a tetrad
     contraction.  Shape (4,) + the points' shape.
     """
-    if phi2 is None:
-        phi2 = module_general_p(pt, spec)
-    X = X_exact(pt.r, spec)
-    sb, cb = chiral_components(X, pt.theta)
     # exp(-i beta pi / 2) via half-angle of the (sin, cos) pair
-    half = 0.5 * np.arctan2(sb, cb)
+    half = 0.5 * np.arctan2(f.sin_beta, f.cos_beta)
     rot = (np.multiply.outer(clifford.IDENTITY, np.cos(half))
            - 1j * np.multiply.outer(clifford.PI, np.sin(half)))
-    phase = np.exp(-1j * (spec.E * t + spec.l * azimuth))
     rest = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)
-    return np.sqrt(phi2) * phase * np.einsum("ij...,j->i...", rot, rest)
+    return np.sqrt(f.phi2) * np.einsum("ij...,j->i...", rot, rest)
 
 
 def spinor_coordinate_partials(pt: GridPoint, f: ClosedForm, psi):
@@ -344,12 +337,12 @@ def spinor_coordinate_partials(pt: GridPoint, f: ClosedForm, psi):
             (0.5 * f.dlnphi2_dtheta) * psi - 0.5j * der.d_beta_dtheta * pipsi)
 
 
-def covariant_derivative(pt: GridPoint, spec: ModelSpec, coupling_sign=1.0):
-    """nabla_mu psi = d_mu psi + (sign/2) C_{ab mu} sigma^{ab} psi.
+def covariant_derivative(pt: GridPoint, spec: ModelSpec):
+    """nabla_mu psi = d_mu psi + (1/2) C_{ab mu} sigma^{ab} psi.
 
     The coupling sign is +1 in this gamma basis: it is the sign for which
     the standard-form residual of the exact solutions vanishes, and the
-    test suite pins it by showing that -1 leaves a large residual.
+    test suite pins it by showing that -C leaves a large residual.
 
     The (r, theta) partials of psi are the analytic ones of
     spinor_coordinate_partials, branch-free everywhere off the singular
@@ -359,18 +352,17 @@ def covariant_derivative(pt: GridPoint, spec: ModelSpec, coupling_sign=1.0):
     psi; the ClosedForm bundle both are built from).
     """
     f = closed_form(pt, spec)
-    psi = assemble_spinor(pt, spec, phi2=f.phi2)
+    psi = assemble_spinor(f)
     d_dr, d_dth = spinor_coordinate_partials(pt, f, psi)
     # the t and azimuth partials are the pure phases exp(-i(E t + l phi))
     dpsi = np.stack([-1j * spec.E * psi, d_dr, d_dth, -1j * spec.l * psi])
     C = geometry.spin_connection_at(pt, f.ang)
     spin = 0.5 * np.einsum("abm...,abij->mij...", C, clifford.SIGMA_UPPER_STACK)
-    nabla = dpsi + coupling_sign * np.einsum("mij...,j...->mi...", spin, psi)
+    nabla = dpsi + np.einsum("mij...,j...->mi...", spin, psi)
     return nabla, psi, f
 
 
-def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec,
-                                 momentum_override=None):
+def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec):
     """Max component norm over mu of (direct nabla psi) minus its polar form
 
         (nabla_mu ln phi - i/2 nabla_mu beta pi - i P_mu
@@ -387,11 +379,7 @@ def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec,
         0.0, 0.5 * f.r_dlnphi2_dr / pt.r, 0.5 * f.dlnphi2_dtheta, 0.0))
     dbeta = np.stack(np.broadcast_arrays(
         0.0, der.r_d_beta_dr / pt.r, der.d_beta_dtheta, 0.0))
-    P = (
-        np.asarray(momentum_override, dtype=float)
-        if momentum_override is not None
-        else geometry.momentum_covector(spec.E, spec.l)
-    )
+    P = geometry.momentum_covector(spec.E, spec.l)
     xi = geometry.tetrad_at(pt, f.ang)
     R_flat = np.einsum("an...,bp...,npm...->abm...", xi, xi,
                        geometry.tensorial_connection_at(pt, f.ang))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse
 from .polar import ModelSpec, phi2_grid
 
 DIVERGENCE_FACTOR = 1e6  # phi^2 above this multiple of 8m marks a cell singular
@@ -51,29 +50,28 @@ def singular_locus(spec: ModelSpec) -> SingularLocus:
                          angular_constraint="cos(theta) = 0")
 
 
-def locate_numerically(spec: ModelSpec, r_window=None, n_r=400, n_theta=200,
-                       max_refinements=6) -> LocusEstimate:
+def locate_numerically(spec: ModelSpec) -> LocusEstimate:
     """Locate the density maximum on a grid and refine around it.
 
-    Each refinement re-grids a few cells around the argmax, shrinking the
-    radial uncertainty geometrically; refinement continues past the target
-    uncertainty, 1e-3 of the singular radius 1/(2m), until the peak either
-    trips the divergence threshold or stays bounded through all levels.
-    Raises GridTooCoarse when refinement stops shrinking the uncertainty.
+    The search covers r in [0.2, 2] times the singular radius 1/(2m) on a
+    400 x 200 (r, theta) grid.  Each of up to six refinements re-grids the
+    at most 6 cells around the argmax into 399, so the radial uncertainty
+    shrinks geometrically; refinement continues past the target
+    uncertainty, 1e-3 of the singular radius, until the peak either trips
+    the divergence threshold or stays bounded through all levels.
     """
     rc = 1.0 / (2.0 * spec.m)
-    if r_window is None:
-        r_window = (0.2 * rc, 2.0 * rc)
+    n_r, n_theta, levels = 400, 200, 6
+    window = (0.2 * rc, 2.0 * rc)
     target_uncertainty = 1e-3 * rc
     theta_lo, theta_hi = 1e-3, np.pi - 1e-3
-    r_lo, r_hi = r_window
+    r_lo, r_hi = window
     diverged = False
-    prev_unc = np.inf
     refinements = 0
     best_r = best_th = None
     report_r_unc = report_th_unc = None
     theta_spread = 0.0
-    for level in range(max_refinements + 1):
+    for level in range(levels + 1):
         rs = np.linspace(r_lo, r_hi, n_r)
         ths = np.linspace(theta_lo, theta_hi, n_theta)
         Rg, Tg = np.meshgrid(rs, ths, indexing="ij")
@@ -98,17 +96,11 @@ def locate_numerically(spec: ModelSpec, r_window=None, n_r=400, n_theta=200,
             # deeper levels only probe for divergence
             best_r, best_th = float(rs[i]), float(ths[j])
             report_r_unc, report_th_unc = float(dr), float(dth)
-        if dr <= target_uncertainty and (diverged or level == max_refinements):
+        if dr <= target_uncertainty and (diverged or level == levels):
             break
-        if level > 0 and dr >= prev_unc:
-            raise GridTooCoarse(
-                f"refinement level {level} did not reduce radial uncertainty "
-                f"({dr:.3e} >= {prev_unc:.3e})"
-            )
-        prev_unc = dr
         # shrink to a window of a few cells around the argmax
-        r_lo = max(r_window[0], rs[i] - 3 * dr)
-        r_hi = min(r_window[1], rs[i] + 3 * dr)
+        r_lo = max(window[0], rs[i] - 3 * dr)
+        r_hi = min(window[1], rs[i] + 3 * dr)
         if spec.p != 0.0:
             theta_lo = max(1e-3, ths[j] - 3 * dth)
             theta_hi = min(np.pi - 1e-3, ths[j] + 3 * dth)

@@ -188,7 +188,7 @@ def ode_summary(spec: ModelSpec, r_span=(1.0, 10.0), tolerances=None,
                  else [f"max_deviation {dev['max_rel']!r}"])
     if scan:
         result = ode.quantum_number_scan(spec)
-        zero_cells = result.zero_cells(tol=1e-10)
+        zero_cells = result.zero_cells()
         bad_cells = result.nonfinite_cells()
         best = result.best_cell()
         out["scan"] = {

@@ -112,7 +112,7 @@ def test_criterion_05_all_equation_forms():
 def test_criterion_06_quantum_number_rigidity():
     spec = ModelSpec(m=1.0)
     result = ode.quantum_number_scan(spec)
-    zero = result.zero_cells(tol=1e-10)
+    zero = result.zero_cells()
     ok = zero == [(1.0, 0.5)]
     i0 = int(np.argmin(np.abs(result.e_over_m - 1.0)))
     j0 = int(np.argmin(np.abs(result.l_values - 0.5)))
@@ -186,7 +186,9 @@ def test_criterion_10_interpolation_endpoints():
         soler = polar.module_soler(pt, ModelSpec.soler())
         worst = max(
             worst,
-            abs(polar.module_general_p(pt, spec, p=1.0) - njl) / njl,
-            abs(polar.module_general_p(pt, spec, p=0.0) - soler) / soler,
+            abs(polar.module_general_p(pt, ModelSpec.interpolating(1.0))
+                - njl) / njl,
+            abs(polar.module_general_p(pt, ModelSpec.interpolating(0.0))
+                - soler) / soler,
         )
     assert _report(10, "interpolated density endpoint agreement", worst, 1e-12)

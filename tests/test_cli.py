@@ -296,6 +296,20 @@ USAGE_ERRORS = (
      "tolerance rtol must be positive"),
     (["report"], {"tolerances": {"atol": -1e-12}},
      "tolerance atol must be positive"),
+    (["verify", "--tol", "fierz=nan"], None,
+     "tolerance fierz must be positive and finite, got nan"),
+    (["verify", "--tol", "fierz=0"], None, "tolerance fierz must be positive"),
+    (["verify", "--tol", "fierz=-1"], None, "tolerance fierz must be positive"),
+    (["verify", "--tol", "standard-residuals=inf"], None,
+     "tolerance standard-residuals must be positive and finite, got inf"),
+    (["ode", "--model", "soler", "--tol", "rtol=inf"], None,
+     "tolerance rtol must be positive and finite, got inf"),
+    (["report"], {"tolerances": {"atol": float("nan")}},
+     "tolerance atol must be positive and finite, got nan"),
+    (["verify"], {"tolerances": {"reduced-residuals": float("inf")}},
+     "tolerance reduced-residuals must be positive and finite"),
+    (["verify"], {"tolerances": {"flatness": 0}},
+     "tolerance flatness must be positive"),
 )
 
 
@@ -345,8 +359,8 @@ def test_nan_residual_fails_its_suite(capsys, monkeypatch, tmp_path):
     # decomposition's fold over mu
     log_derivatives = polar.module_log_derivatives
 
-    def nan_theta(pt, spec, p=None):
-        return log_derivatives(pt, spec, p)[0], math.nan
+    def nan_theta(pt, spec):
+        return log_derivatives(pt, spec)[0], math.nan
 
     with monkeypatch.context() as patch:
         patch.setattr(polar, "module_log_derivatives", nan_theta)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nldirac import grids, polar
+from nldirac import geometry, grids, polar
 from nldirac.errors import PoleOrOrigin, SingularPoint
 from nldirac.equations import (
     MODELS,
@@ -104,34 +104,46 @@ def test_angular_momentum_rigidity():
     assert worst >= 1e-2
 
 
-def test_cross_model_fields_leave_residual():
+def fields_of(p, phi2_factor=1.0):
+    """A replacement for polar.closed_form that returns the bundle of the
+    model with interpolation parameter p, with phi^2 scaled by
+    ``phi2_factor``, whatever model the equations are evaluated for."""
+    closed_form = polar.closed_form
+
+    def fields(pt, spec):
+        f = closed_form(pt, ModelSpec(m=spec.m, p=p))
+        return dataclasses.replace(f, phi2=f.phi2 * phi2_factor)
+
+    return fields
+
+
+def test_cross_model_fields_leave_residual(monkeypatch):
     # chiral-model fields inserted in the scalar-model equations (and the
     # reverse) must fail somewhere: the nonlinearities differ
     pts = random_points(100)
-    njl_into_soler = max(
-        residual_expanded(pt, ModelSpec.soler(), fields_p=1.0).max()
-        for pt in pts
-    )
-    soler_into_njl = max(
-        residual_expanded(pt, ModelSpec.njl(), fields_p=0.0).max()
-        for pt in pts
-    )
-    assert njl_into_soler >= 1e-2
-    assert soler_into_njl >= 1e-2
+    worst = {}
+    for fields_p, spec in ((1.0, ModelSpec.soler()), (0.0, ModelSpec.njl())):
+        with monkeypatch.context() as patch:
+            patch.setattr(polar, "closed_form", fields_of(fields_p))
+            worst[spec.name] = max(residual_expanded(pt, spec).max()
+                                   for pt in pts)
+    assert worst["soler"] >= 1e-2
+    assert worst["njl"] >= 1e-2
 
 
-def test_linear_limit_makes_models_identical():
-    # with the nonlinear coupling switched off, the two systems coincide
+def test_linear_limit_makes_models_identical(monkeypatch):
+    # with the nonlinear coupling switched off (phi^2 = 0 in the same
+    # fields), the two systems coincide
     njl = ModelSpec.njl(m=1.0, E=1.2, l=0.7)
     soler = ModelSpec.soler(m=1.0, E=1.2, l=0.7)
+    monkeypatch.setattr(polar, "closed_form", fields_of(1.0, phi2_factor=0.0))
     for pt in random_points(30):
-        a = expanded_components(pt, njl, fields_p=1.0, nonlinear_scale=0.0)
-        b = expanded_components(pt, soler, fields_p=1.0, nonlinear_scale=0.0)
+        a = expanded_components(pt, njl)
+        b = expanded_components(pt, soler)
         for key in a:
             assert a[key] == pytest.approx(b[key], abs=1e-12)
-        ca, da = covector_components(pt, njl, fields_p=1.0, nonlinear_scale=0.0)
-        cb, db = covector_components(pt, soler, fields_p=1.0,
-                                     nonlinear_scale=0.0)
+        ca, da = covector_components(pt, njl)
+        cb, db = covector_components(pt, soler)
         assert np.allclose(ca, cb, atol=1e-12)
         assert np.allclose(da, db, atol=1e-12)
 
@@ -145,18 +157,13 @@ def test_reduced_residuals_vanish_for_all_p():
         assert worst <= 1e-8, p
 
 
-def test_reduced_detects_radial_offset():
+def test_reduced_detects_radial_offset(monkeypatch):
     spec = ModelSpec.njl()
     pt = GridPoint(1.0, np.pi / 3)
-    comps = reduced_components(pt, spec, zeta_offset=1e-3)
+    zeta = polar.zeta_exact
+    monkeypatch.setattr(polar, "zeta_exact", lambda r, spec: zeta(r, spec) + 1e-3)
+    comps = reduced_components(pt, spec)
     assert abs(comps["zeta_radial"]) >= 1e-4
-
-
-def test_reduced_detects_angular_dependence():
-    spec = ModelSpec.njl()
-    pt = GridPoint(1.0, 1.0)
-    comps = reduced_components(pt, spec, zeta_theta_amplitude=0.01)
-    assert abs(comps["separation_consistency"]) >= 1e-3
 
 
 def test_standard_residual_vanishes_for_all_p():
@@ -168,26 +175,33 @@ def test_standard_residual_vanishes_for_all_p():
         assert worst <= 1e-8, p
 
 
-def test_standard_residual_wrong_coupling_sign_is_large():
+def test_standard_residual_wrong_coupling_sign_is_large(monkeypatch):
+    # the coupling sign of the spin connection, flipped
     spec = ModelSpec.njl()
-    res = residual_standard(GridPoint(1.0, np.pi / 3), spec,
-                            coupling_sign=-1.0)
-    assert res >= 1e-1
+    pt = GridPoint(1.0, np.pi / 3)
+    assert residual_standard(pt, spec) <= 1e-12
+    connection = geometry.spin_connection_at
+    monkeypatch.setattr(geometry, "spin_connection_at",
+                        lambda pt, ang: -connection(pt, ang))
+    assert residual_standard(pt, spec) >= 1e-1
 
 
-def test_standard_and_reduced_detect_same_perturbation():
-    # perturb the equation mass only: both presentations must flag it at
-    # comparable size (the same physics in two bases); the gamma-matrix
-    # residual is measured per unit spinor amplitude to share the reduced
-    # system's normalization
-    from nldirac.polar import assemble_spinor
-
+def test_standard_and_reduced_detect_same_perturbation(monkeypatch):
+    # perturb the equation mass only: the fields stay those of the true
+    # model while the forms are evaluated for a mass m(1 + 1e-3) and the
+    # same E.  Both presentations must flag it at comparable size (the
+    # same physics in two bases); the gamma-matrix residual is measured per
+    # unit spinor amplitude to share the reduced system's normalization
     spec = ModelSpec.njl()
+    wrong_mass = ModelSpec.njl(m=1.0 + 1e-3, E=spec.E)
+    closed_form, zeta = polar.closed_form, polar.zeta_exact
+    monkeypatch.setattr(polar, "closed_form", lambda pt, _: closed_form(pt, spec))
+    monkeypatch.setattr(polar, "zeta_exact", lambda r, _: zeta(r, spec))
     for pt in random_points(10):
-        m_eq = 1.0 + 1e-3
-        psi_scale = float(np.max(np.abs(assemble_spinor(pt, spec))))
-        std = residual_standard(pt, spec, equation_mass=m_eq) / psi_scale
-        red = residual_reduced(pt, spec, equation_mass=m_eq).max()
+        psi = polar.assemble_spinor(closed_form(pt, spec))
+        psi_scale = float(np.max(np.abs(psi)))
+        std = residual_standard(pt, wrong_mass) / psi_scale
+        red = residual_reduced(pt, wrong_mass).max()
         assert std >= 1e-5 and red >= 1e-5
         ratio = std / red
         assert 0.1 <= ratio <= 10.0
@@ -268,8 +282,6 @@ def test_rows_equal_points():
             "closed_form": lambda pt: polar.closed_form(pt, spec),
             "covariant_derivative": lambda pt: polar.covariant_derivative(pt, spec),
             "reduced": lambda pt: reduced_components(pt, spec),
-            "reduced, angular zeta": lambda pt: reduced_components(
-                pt, spec, zeta_theta_amplitude=0.01),
             "reduced residual": lambda pt: residual_reduced(pt, spec),
             "standard residual": lambda pt: residual_standard(pt, spec),
         }

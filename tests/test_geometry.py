@@ -10,7 +10,6 @@ from nldirac.geometry import (
     GridPoint,
     christoffel_at,
     complex_step_partials,
-    cotetrad_at,
     curvature_strength_residuals,
     inverse_metric_at,
     metric_at,
@@ -20,7 +19,6 @@ from nldirac.geometry import (
     spin_covector,
     tensorial_connection_at,
     tetrad_at,
-    tetrad_postulate_residual,
     transport_residuals,
     velocity_covector,
     velocity_spin_components,
@@ -70,7 +68,7 @@ def test_builders_take_the_dtype_of_their_inputs():
         dtype = np.result_type(r)
         for value in (metric_at(pt), inverse_metric_at(pt),
                       velocity_covector(pt, ang), spin_covector(pt, ang),
-                      tensorial_connection_at(pt, ang), cotetrad_at(pt, ang),
+                      tensorial_connection_at(pt, ang), tetrad_at(pt, ang),
                       spin_connection_at(pt, ang)):
             assert value.dtype == dtype
 
@@ -225,32 +223,32 @@ def test_spin_connection_equatorial_substitution():
     assert C[0, 1, geometry.PH] == pytest.approx(expected, rel=1e-14)
 
 
+ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+
+
+def _assert_orthonormal_frame(pt, xi):
+    """xi_a^mu solders the inverse metric, is orthonormal in the metric
+    (the duality of frame and coframe) and has the orientation of the
+    volume form, det xi = 1/sqrt|g|."""
+    soldered = np.einsum("am,bn,ab->mn", xi, xi, ETA)
+    assert np.allclose(soldered, inverse_metric_at(pt), atol=1e-12)
+    assert np.allclose(np.einsum("am,bn,mn->ab", xi, xi, metric_at(pt)), ETA,
+                       atol=1e-12)
+    assert np.linalg.det(xi) == pytest.approx(1.0 / geometry.sqrt_abs_g(pt),
+                                              rel=1e-10)
+
+
 def test_tetrad_solders_metric_and_duality():
     spec = ModelSpec.soler()
-    eta = np.diag([1.0, -1.0, -1.0, -1.0])
     for pt in random_points(20):
-        ang = polar.angle_state(pt, spec)
-        xi = tetrad_at(pt, ang)
-        co = cotetrad_at(pt, ang)
-        g = np.einsum("am,bn,ab->mn", co, co, eta)
-        assert np.allclose(g, metric_at(pt), atol=1e-12)
-        assert np.allclose(np.einsum("am,bm->ab", xi, co), np.eye(4), atol=1e-12)
-        # orientation: det of the coframe is +sqrt|g|
-        assert np.linalg.det(co) == pytest.approx(geometry.sqrt_abs_g(pt), rel=1e-10)
+        _assert_orthonormal_frame(pt, tetrad_at(pt, polar.angle_state(pt, spec)))
 
 
 def test_frame_and_connection_invariants():
     spec = ModelSpec.njl()
-    eta = np.diag([1.0, -1.0, -1.0, -1.0])
     for pt in random_points(10, seed=31):
         ang = polar.angle_state(pt, spec)
-        co = cotetrad_at(pt, ang)
-        soldered = np.einsum("am,bn,ab->mn", co, co, eta)
-        assert np.allclose(soldered, metric_at(pt), atol=1e-12)
-        assert np.allclose(
-            np.einsum("am,bm->ab", tetrad_at(pt, ang), co), np.eye(4),
-            atol=1e-12,
-        )
+        _assert_orthonormal_frame(pt, tetrad_at(pt, ang))
         R = tensorial_connection_at(pt, ang)
         assert np.array_equal(R, -R.transpose(1, 0, 2))
         P = momentum_covector(spec.E, spec.l)
@@ -259,20 +257,33 @@ def test_frame_and_connection_invariants():
                             ang.cos_gamma]).all()
 
 
-def test_tetrad_postulate():
-    spec = ModelSpec.njl()
+def tetrad_postulate_residual(pt, spec):
+    """Max violation of the joint covariant constancy of the coframe,
+
+        d_mu xi^a_nu - Lambda^rho_{nu mu} xi^a_rho + C^a_{b mu} xi^b_nu = 0,
+
+    the link between the coordinate connection and the spin connection.
+    The coframe xi^a_nu is the inverse transpose of tetrad_at, and its
+    partials are complex-step partials."""
     ang_field = polar.angle_field(spec)
 
-    def co_field(r, th):
-        return cotetrad_at(GridPoint(r, th), ang_field(r, th))
+    def coframe(r, th):
+        return np.linalg.inv(tetrad_at(GridPoint(r, th), ang_field(r, th))).T
 
-    def c_field(r, th):
-        return spin_connection_at(GridPoint(r, th), ang_field(r, th))
+    dxi = np.zeros((4, 4, 4))  # [mu, a, nu]
+    dxi[geometry.R], dxi[geometry.TH] = complex_step_partials(
+        coframe, pt.r, pt.theta)
+    co = coframe(pt.r, pt.theta)
+    c_up = np.diag(ETA)[:, None, None] * spin_connection_at(
+        pt, ang_field(pt.r, pt.theta))  # C^a_{b mu}
+    total = (dxi - np.einsum("rnm,ar->man", christoffel_at(pt), co)
+             + np.einsum("abm,bn->man", c_up, co))
+    return float(np.max(np.abs(total)))
 
-    worst = max(
-        tetrad_postulate_residual(pt, co_field, c_field)
-        for pt in random_points(20)
-    )
+
+def test_tetrad_postulate():
+    spec = ModelSpec.njl()
+    worst = max(tetrad_postulate_residual(pt, spec) for pt in random_points(20))
     assert worst <= 1e-8
 
 

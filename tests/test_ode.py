@@ -141,7 +141,7 @@ def test_integrator_config_validation():
 
 def test_scan_unique_zero_cell():
     result = quantum_number_scan(SPEC)
-    assert result.zero_cells(tol=1e-10) == [(1.0, 0.5)]
+    assert result.zero_cells() == [(1.0, 0.5)]
     assert result.best_cell() == (1.0, 0.5)
     # every neighbouring cell is far from zero
     i0 = int(np.argmin(np.abs(result.e_over_m - 1.0)))
@@ -168,7 +168,7 @@ def test_scan_nan_reaches_its_cell(monkeypatch):
     j0 = int(np.argmin(np.abs(result.l_values - 0.5)))
     assert nan_cells == [[i0, j0]]
     assert np.isnan(result.separation[i0, j0])
-    assert result.zero_cells(tol=1e-10) == []
+    assert result.zero_cells() == []
 
 
 def test_scan_nan_off_the_zero_cell_is_not_unique_zero(monkeypatch):
@@ -186,7 +186,7 @@ def test_scan_nan_off_the_zero_cell_is_not_unique_zero(monkeypatch):
 
     monkeypatch.setattr(ode, "generic_el_components", poisoned)
     result = quantum_number_scan(SPEC)
-    assert result.zero_cells(tol=1e-10) == [(1.0, 0.5)]
+    assert result.zero_cells() == [(1.0, 0.5)]
     assert result.best_cell() == (1.0, 0.5)
     assert result.nonfinite_cells() == [(1.5, 0.0)]
     summary, _, nonfinite = verify.ode_summary(SPEC, scan=True)

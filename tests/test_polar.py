@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -131,8 +133,10 @@ def test_general_p_endpoint_agreement():
             continue
         njl = module_njl(pt, ModelSpec.njl(m=m))
         soler = module_soler(pt, ModelSpec.soler(m=m))
-        assert module_general_p(pt, spec, p=1.0) == pytest.approx(njl, rel=1e-12)
-        assert module_general_p(pt, spec, p=0.0) == pytest.approx(soler, rel=1e-12)
+        general = {p: module_general_p(pt, ModelSpec.interpolating(p, m=m))
+                   for p in (1.0, 0.0)}
+        assert general[1.0] == pytest.approx(njl, rel=1e-12)
+        assert general[0.0] == pytest.approx(soler, rel=1e-12)
 
 
 @settings(max_examples=300, deadline=None)
@@ -245,7 +249,7 @@ def test_polar_state_invariants():
 def test_assembled_spinor_rest_frame_bilinears():
     spec = ModelSpec(m=1.0)
     pt = GridPoint(1.0, np.pi / 2)  # beta = 0 here
-    psi = assemble_spinor(pt, spec, phi2=1.0)
+    psi = assemble_spinor(dataclasses.replace(closed_form(pt, spec), phi2=1.0))
     bl = clifford.bilinears(psi)
     assert bl.phi == pytest.approx(2.0, rel=1e-14)
     assert bl.theta == pytest.approx(0.0, abs=1e-14)
@@ -254,7 +258,7 @@ def test_assembled_spinor_rest_frame_bilinears():
 def test_assembled_spinor_chiral_ratio():
     spec = ModelSpec.njl(m=1.0)
     pt = GridPoint(1.0, np.pi / 4)
-    psi = assemble_spinor(pt, spec)
+    psi = assemble_spinor(closed_form(pt, spec))
     bl = clifford.bilinears(psi)
     X = X_exact(pt.r, spec)
     assert bl.theta / bl.phi == pytest.approx(-np.cos(pt.theta) / X, rel=1e-12)
@@ -273,7 +277,7 @@ def test_assembled_spinor_vector_bilinears():
     spec = ModelSpec.njl(m=1.0)
     for pt in random_points(20, seed=77):
         phi2 = module_njl(pt, spec)
-        bl = clifford.bilinears(assemble_spinor(pt, spec))
+        bl = clifford.bilinears(assemble_spinor(closed_form(pt, spec)))
         assert np.allclose(bl.U, [2 * phi2, 0, 0, 0], rtol=1e-10, atol=1e-10)
         assert np.allclose(bl.S, [0, 0, 0, 2 * phi2], rtol=1e-10, atol=1e-10)
         ang = polar.angle_state(pt, spec)
@@ -288,10 +292,13 @@ def test_assembled_spinor_vector_bilinears():
 
 
 def test_assembled_spinor_time_phase_invariance():
+    # the spinor at time t and azimuth phi is the assembled one (t = 0,
+    # phi = 0) times exp(-i(E t + l phi)); its bilinears do not see that
     spec = ModelSpec.njl(m=1.0)
     pt = GridPoint(0.8, 1.0)
-    a = clifford.bilinears(assemble_spinor(pt, spec, t=0.0))
-    b = clifford.bilinears(assemble_spinor(pt, spec, t=1.3, azimuth=0.4))
+    psi = assemble_spinor(closed_form(pt, spec))
+    a = clifford.bilinears(psi)
+    b = clifford.bilinears(np.exp(-1j * (spec.E * 1.3 + spec.l * 0.4)) * psi)
     assert a.phi == pytest.approx(b.phi, rel=1e-12)
     assert a.theta == pytest.approx(b.theta, abs=1e-12)
 
@@ -348,12 +355,12 @@ def test_decomposition_exact_at_chiral_branch_cut():
     assert polar_decomposition_residual(pt, spec) <= 1e-10
 
 
-def test_polar_decomposition_momentum_sensitivity():
+def test_polar_decomposition_momentum_sensitivity(monkeypatch):
     spec = ModelSpec.njl()
-    res = polar_decomposition_residual(
-        GridPoint(1.0, np.pi / 3), spec,
-        momentum_override=[spec.E, 0.0, 0.0, 0.6],
-    )
+    momentum = geometry.momentum_covector
+    monkeypatch.setattr(geometry, "momentum_covector",
+                        lambda E, l: momentum(E, 0.6))
+    res = polar_decomposition_residual(GridPoint(1.0, np.pi / 3), spec)
     assert res >= 1e-3
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nldirac.errors import GridTooCoarse
+from nldirac import singular
 from nldirac.polar import ModelSpec, phi2_grid
 from nldirac.singular import (
     asymptotics_report,
@@ -45,15 +45,16 @@ def test_numerical_locus_shell():
     assert est.theta is None
 
 
-def test_window_without_singular_radius_stays_bounded():
-    est = locate_numerically(ModelSpec.njl(), r_window=(0.65, 1.2))
+def test_window_without_singular_radius_stays_bounded(monkeypatch):
+    # the density shifted outwards by 0.55/m: the search window, r in
+    # [0.1, 1.0], then sees the bounded density of r in [0.65, 1.55]
+    density = singular.phi2_grid
+    monkeypatch.setattr(singular, "phi2_grid",
+                        lambda spec, r, theta: density(spec, r + 0.55, theta))
+    est = locate_numerically(ModelSpec.njl())
     assert not est.diverged
     assert est.kind == "none"
-
-
-def test_grid_too_coarse():
-    with pytest.raises(GridTooCoarse):
-        locate_numerically(ModelSpec.njl(), n_r=2, n_theta=2, max_refinements=3)
+    assert est.refinements == 6
 
 
 def test_decay_exponent_and_limit():

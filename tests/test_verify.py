@@ -1,19 +1,35 @@
 """Every verification suite must fail on a perturbed solution.
 
-Each negative control patches one layer function that its suite reads with
-a seeded perturbation, and the suite must then appear in the report's
-``failing_suites``.  A suite added to ``verify.SUITES`` without a control
-fails ``test_every_suite_has_a_negative_control``.
+A wrong solution is fed in one way only: a negative control patches one
+layer function that its suite reads with a seeded perturbation, and the
+suite must then appear in the report's ``failing_suites``.  A suite added
+to ``verify.SUITES`` without a control fails
+``test_every_suite_has_a_negative_control``, and the forms take no argument
+beyond the point and the model, which ``test_forms_take_no_perturbation_knob``
+pins.
 """
 
 import dataclasses
+import inspect
 
 import numpy as np
 
-from nldirac import clifford, equations, geometry, grids, polar, verify
+from nldirac import clifford, equations, geometry, grids, polar, singular, verify
 from nldirac.polar import ModelSpec
 
 GRID = grids.GridConfig(r_min=0.05, r_max=20.0, n_r=5, n_theta=4)
+MODELS = (ModelSpec.njl(), ModelSpec.soler(), ModelSpec.interpolating(0.5))
+
+
+def _scaled_density(f, d):
+    """closed_form with phi^2 scaled by 1 + d: the density no longer solves
+    the nonlinear equations, which every form but the reduced one reads."""
+
+    def closed_form(pt, spec):
+        fields = f(pt, spec)
+        return dataclasses.replace(fields, phi2=fields.phi2 * (1.0 + d))
+
+    return closed_form
 
 
 # suite name -> (module, function, replacement made from the function f and
@@ -34,26 +50,60 @@ CONTROLS = {
     # a momentum whose l disagrees with the spinor's phase
     "decomposition": (geometry, "momentum_covector",
                       lambda f, d: lambda E, l: f(E, l + d)),
-    "expanded-residuals": (equations, "residual_expanded", lambda f, d: (
-        lambda pt, spec: f(pt, spec, nonlinear_scale=1.0 + d))),
-    "covector-residuals": (equations, "residual_polar_covector", lambda f, d: (
-        lambda pt, spec: f(pt, spec, nonlinear_scale=1.0 + d))),
-    "reduced-residuals": (equations, "residual_reduced", lambda f, d: (
-        lambda pt, spec: f(pt, spec, zeta_offset=d))),
-    "standard-residuals": (equations, "residual_standard", lambda f, d: (
-        lambda pt, spec: f(pt, spec, equation_mass=spec.m * (1.0 + d)))),
+    "expanded-residuals": (polar, "closed_form", _scaled_density),
+    "covector-residuals": (polar, "closed_form", _scaled_density),
+    # a profile shifted off zeta = ln 2mr
+    "reduced-residuals": (polar, "zeta_exact",
+                          lambda f, d: lambda r, spec: f(r, spec) + d),
+    "standard-residuals": (polar, "closed_form", _scaled_density),
 }
 
 
 def test_every_suite_has_a_negative_control(monkeypatch):
-    spec = ModelSpec.njl()
-    assert verify.run_suites(spec, GRID)["pass"]
-    rng = np.random.default_rng(2026)
+    # for every model, over the suites that model runs
     assert list(CONTROLS) == list(verify.SUITES)
-    for name in verify.SUITES:
-        module, attr, perturbed = CONTROLS[name]
-        d = rng.uniform(1e-3, 1e-2)
-        with monkeypatch.context() as patch:
-            patch.setattr(module, attr, perturbed(getattr(module, attr), d))
-            report = verify.run_suites(spec, GRID)
-        assert name in report["failing_suites"], (name, d, report["suites"][name])
+    for spec in MODELS:
+        clean = verify.run_suites(spec, GRID)
+        assert clean["pass"], spec.name
+        rng = np.random.default_rng(2026)
+        for name in clean["suites"]:
+            module, attr, perturbed = CONTROLS[name]
+            d = rng.uniform(1e-3, 1e-2)
+            with monkeypatch.context() as patch:
+                patch.setattr(module, attr, perturbed(getattr(module, attr), d))
+                report = verify.run_suites(spec, GRID)
+            assert name in report["failing_suites"], (
+                spec.name, name, d, report["suites"][name])
+
+
+def test_a_wrong_spin_connection_component_fails_the_standard_form(
+        monkeypatch):
+    # the standard form is the one suite that reads the spin connection;
+    # one component off by 1e-3, antisymmetry kept, must fail it
+    connection = geometry.spin_connection_at
+
+    def wrong(pt, ang):
+        C = connection(pt, ang)
+        C[1, 3, geometry.R] += 1e-3
+        C[3, 1, geometry.R] -= 1e-3
+        return C
+
+    monkeypatch.setattr(geometry, "spin_connection_at", wrong)
+    for spec in MODELS:
+        report = verify.run_suites(spec, GRID)
+        assert "standard-residuals" in report["failing_suites"], spec.name
+
+
+def test_forms_take_no_perturbation_knob():
+    # a wrong solution goes in through a patched layer function, never
+    # through an extra parameter of the form that reads it
+    forms = [getattr(equations, name) for name in (
+        "expanded_components", "residual_expanded", "covector_components",
+        "residual_polar_covector", "reduced_components", "residual_reduced",
+        "residual_standard")]
+    forms += [polar.closed_form, polar.covariant_derivative,
+              polar.polar_decomposition_residual]
+    for fn in forms:
+        assert tuple(inspect.signature(fn).parameters) == ("pt", "spec"), fn
+    assert tuple(inspect.signature(singular.locate_numerically).parameters) == (
+        "spec",)
