@@ -191,18 +191,22 @@ def resolve_config(args) -> RunConfig:
             raise ValueError(f"tolerance {k} must be positive and finite, "
                              f"got {v!r}")
     margin = _number("mask margin", raw["mask_margin"])
-    if not margin >= 0.0:
-        raise ValueError(f"mask margin must be non-negative, got {margin!r}")
+    if not 0.0 <= margin < np.inf:
+        raise ValueError(f"mask margin must be non-negative and finite, got "
+                         f"{margin!r}")
     if raw.get("format") not in (None, "csv", "json"):
         raise ValueError(f"format must be csv or json, got {raw['format']!r}")
     if not isinstance(raw.get("out", ""), str):
         raise ValueError(f"out must be a string, got {raw['out']!r}")
     grid = {k: _whole(f"grid {k}", v) if k in ("n_r", "n_theta")
             else _number(f"grid {k}", v) for k, v in raw["grid"].items()}
+    seed = _whole("seed", raw["seed"])
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
     return RunConfig(
         spec=spec,
         grid=grids.GridConfig(**grid) if grid else None,
-        seed=_whole("seed", raw["seed"]),
+        seed=seed,
         tolerances=tolerances,
         mask_margin=margin,
         out=raw.get("out"),
@@ -227,8 +231,10 @@ def cmd_verify(cfg: RunConfig):
     for name in sorted(report["suites"]):
         suite = report["suites"][name]
         status = "pass" if suite["pass"] else "FAIL"
+        masked = (", every point masked" if suite.get("n_masked") == suite["n"]
+                  else "")
         print(f"{status}  {name}: max residual {suite['max_residual']:.3e} "
-              f"(tol {suite['tolerance']:.1e})", file=sys.stderr)
+              f"(tol {suite['tolerance']:.1e}{masked})", file=sys.stderr)
     _emit_json(report, cfg.out)
     if not report["pass"]:
         print("failing suites: " + ", ".join(report["failing_suites"]),

@@ -26,6 +26,8 @@ class GridConfig:
     def __post_init__(self):
         if not (self.r_min > 0 and self.r_max > self.r_min):
             raise ValueError("need 0 < r_min < r_max")
+        if not self.r_max < np.inf:
+            raise ValueError(f"grid r_max must be finite, got {self.r_max!r}")
         if self.n_r < 2 or self.n_theta < 2:
             raise ValueError("need at least 2 points per axis")
         if not (0 < self.theta_margin < np.pi / 2):

@@ -9,6 +9,12 @@ The closed-form pair X = sinh(ln 2mr), G = 2/(r X^2) is an exact solution
 but not necessarily the only one; trajectories from perturbed data are
 integrated and reported descriptively.  G diverges on the sphere 2mr = 1,
 so every integration is confined to one side of that radius.
+
+The integrator is the explicit Dormand-Prince 5(4) pair with adaptive
+steps and a quartic dense output, numpy only.  Its initial-step rule, RMS
+error norm, step-size control and interpolant follow the standard RK45 of
+Hairer, Norsett & Wanner; tests/test_ode.py pins every step, state and
+interpolated value to a reference RK45 implementation, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .errors import DivergingState, StepUnderflow
 from .polar import G_exact, ModelSpec, X_exact
 
 OVERFLOW_GUARD = 1e12
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -34,8 +41,10 @@ class OdeState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Adaptive explicit Runge-Kutta (order 4/5) settings; the rtol and atol
-    defaults are every command's defaults."""
+    """Settings of the Dormand-Prince 5(4) integrator: a step is accepted
+    when the RMS of its error estimate, scaled by atol + rtol |y|, is below
+    1; max_step caps every step.  The rtol and atol defaults are every
+    command's defaults; an rtol below 100 machine epsilons is raised to it."""
 
     r_span: tuple
     rtol: float = 1e-9
@@ -43,8 +52,8 @@ class IntegratorConfig:
     max_step: float = np.inf
 
     def __post_init__(self):
-        if not (self.rtol > 0 and self.atol > 0):
-            raise ValueError("tolerances must be positive")
+        if not (self.rtol > 0 and self.atol > 0 and self.max_step > 0):
+            raise ValueError("tolerances and max_step must be positive")
 
 
 @dataclass
@@ -73,10 +82,12 @@ def exact_state(r, spec: ModelSpec) -> OdeState:
     return OdeState(r=r, X=X_exact(r, spec), G=G_exact(r, spec))
 
 
-def _check_span(r_span, spec: ModelSpec):
+def check_span(r_span, spec: ModelSpec):
+    """Raise ValueError unless the span is positive, non-empty and on one
+    side of the singular radius."""
     r0, r1 = r_span
-    if r0 <= 0 or r1 <= 0:
-        raise ValueError("radial span must be positive")
+    if r0 <= 0 or r1 <= 0 or r0 == r1:
+        raise ValueError("radial span must be positive and non-empty")
     rc = 1.0 / (2.0 * spec.m)
     if (r0 - rc) * (r1 - rc) < 0 or r0 == rc or r1 == rc:
         raise ValueError(
@@ -86,51 +97,149 @@ def _check_span(r_span, spec: ModelSpec):
         )
 
 
+# Dormand & Prince's 5(4) pair (Hairer, Norsett & Wanner, Solving ODEs I,
+# Sec. II.5) and Shampine's (1986) quartic dense output P.
+C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+A = np.array([[0, 0, 0, 0, 0], [1/5, 0, 0, 0, 0], [3/40, 9/40, 0, 0, 0],
+              [44/45, -56/15, 32/9, 0, 0],
+              [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+              [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+ERROR_EXPONENT = -1 / 5  # the error estimate is of order 4
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, r0, y0, f0, r_end, direction, max_step, rtol, atol):
+    """First step size from the scales of y, y' and y'' at r0 (Hairer,
+    Norsett & Wanner, Sec. II.4)."""
+    length = abs(r_end - r0)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
+    f1 = fun(r0 + h0 * direction, y0 + h0 * direction * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, length, max_step)
+
+
+def _dense_output(r, y, Q):
+    """The interpolant of a run with step ends r, states y and dense-output
+    coefficients Q = K^T P of each step: (X, G) at an array of radii.  A
+    step end belongs to the earlier step, a radius outside the run to the
+    nearest end step; the radii are evaluated in sorted runs per step."""
+    ascending = r[-1] >= r[0]
+    ends, side = (r, "left") if ascending else (r[::-1], "right")
+    last = len(Q) - 1
+
+    def sol(rs):
+        order = np.argsort(rs)
+        seg = np.clip(np.searchsorted(ends, rs[order], side=side) - 1, 0, last)
+        seg = seg if ascending else last - seg
+        cuts = np.flatnonzero(np.diff(seg)) + 1
+        parts = []
+        for run, x in zip(np.split(seg, cuts), np.split(rs[order], cuts)):
+            i = run[0]
+            h = r[i + 1] - r[i]
+            powers = np.cumprod(np.tile((x - r[i]) / h, (4, 1)), axis=0)
+            parts.append(h * np.dot(Q[i], powers) + y[i][:, None])
+        return np.hstack(parts)[:, np.argsort(order)]
+
+    return sol
+
+
+def _step_failure(r, r_span):
+    """The error of a run whose step fell below the float-spacing floor
+    after the accepted radii r."""
+    steps = np.abs(np.diff(r))
+    if steps.size and steps.min() < 1e-10 * max(map(abs, r_span)):
+        return StepUnderflow(
+            f"step collapsed to {steps.min():.3e} near r = {r[-1]!r}")
+    return DivergingState(float(r[-1]), "Required step size is less than "
+                          "spacing between numbers.")
+
+
 def integrate(config: IntegratorConfig, initial: OdeState, spec: ModelSpec):
-    """Integrate the radial system with dense output.
+    """Integrate the radial system with dense output: adaptive steps of the
+    Dormand-Prince pair, advancing with the 5th-order solution and
+    controlling the RMS of the 4th-order error estimate.
 
     Raises DivergingState when the overflow guard trips, StepUnderflow when
     the adaptive step collapses (the signature of running into 2mr = 1), and
     ValueError when the requested span straddles the singular radius.
     """
-    _check_span(config.r_span, spec)
-    # imported here, not at the top: scipy.integrate is most of the cold
-    # start, and no other command needs it
-    from scipy.integrate import solve_ivp
+    check_span(config.r_span, spec)
+    r, r_end = map(float, config.r_span)
+    y = np.array([initial.X, initial.G], dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("the initial state must be finite")
+    rtol, atol, max_step = config.rtol, config.atol, config.max_step
+    if rtol < 100 * EPS:
+        warnings.warn(f"rtol {rtol!r} raised to 100 eps", stacklevel=2)
+        rtol = 100 * EPS
 
-    def guard(r, y):
-        return max(abs(y[0]), abs(y[1])) - OVERFLOW_GUARD
-
-    guard.terminal = True
-
-    def rhs(r, y):
+    def fun(r, y):
         return soler_rhs(r, y, spec)
 
-    out = solve_ivp(
-        rhs,
-        config.r_span,
-        [initial.X, initial.G],
-        method="RK45",
-        rtol=config.rtol,
-        atol=config.atol,
-        max_step=config.max_step,
-        dense_output=True,
-        events=guard,
-    )
-    if out.status == 1:  # guard event fired
-        raise DivergingState(float(out.t[-1]))
-    steps = np.abs(np.diff(out.t))
-    min_step = float(steps.min()) if steps.size else np.inf
-    if out.status < 0:
-        if steps.size and min_step < 1e-10 * max(abs(config.r_span[0]),
-                                                 abs(config.r_span[1])):
-            raise StepUnderflow(
-                f"step collapsed to {min_step:.3e} near r = {out.t[-1]!r}"
-            )
-        raise DivergingState(float(out.t[-1]), out.message)
+    direction = np.sign(r_end - r)
+    f = fun(r, y)
+    h_abs = _initial_step(fun, r, y, f, r_end, direction, max_step, rtol, atol)
+    K = np.empty((len(C) + 1, y.size))
+    rs, ys, Qs = [r], [y], []
+    while direction * (r - r_end) < 0:
+        min_step = 10 * np.abs(np.nextafter(r, direction * np.inf) - r)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise _step_failure(np.array(rs), config.r_span)
+            r_new = r + h_abs * direction
+            if direction * (r_new - r_end) > 0:
+                r_new = r_end
+            h = r_new - r
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, len(C)):
+                K[s] = fun(r + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, B)
+            K[-1] = f_new = fun(r + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = _rms(np.dot(K.T, E) * h / scale)
+            if error < 1:
+                factor = (MAX_FACTOR if error == 0 else
+                          min(MAX_FACTOR, SAFETY * error ** ERROR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
+            rejected = True
+        Qs.append(K.T.dot(P))
+        r, y, f = r_new, y_new, f_new
+        rs.append(r)
+        ys.append(y)
+    r_all, y_all = np.array(rs), np.vstack(ys)
+    steps = np.abs(np.diff(r_all))
     interior = steps[:-1]  # the last step is truncated to land on r_end
     if interior.size and interior.min() < 1e-10 * np.abs(
-        out.t[np.argmin(interior)]
+        r_all[np.argmin(interior)]
     ):
         # the system is non-stiff away from 2mr = 1; collapsing steps mean
         # the run is grazing the singular radius
@@ -139,8 +248,9 @@ def integrate(config: IntegratorConfig, initial: OdeState, spec: ModelSpec):
             "singular radius", RuntimeWarning, stacklevel=2,
         )
     return Trajectory(
-        r=out.t, X=out.y[0], G=out.y[1], sol=out.sol,
-        n_steps=len(out.t) - 1, min_step=min_step,
+        r=r_all, X=y_all[:, 0], G=y_all[:, 1],
+        sol=_dense_output(r_all, y_all, Qs),
+        n_steps=len(r_all) - 1, min_step=float(steps.min()),
     )
 
 

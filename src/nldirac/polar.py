@@ -53,8 +53,8 @@ class ModelSpec:
     name: str = None
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError(f"mass must be positive, got {self.m!r}")
+        if not 0.0 < self.m < np.inf:
+            raise ValueError(f"mass must be positive and finite, got {self.m!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"interpolation parameter must lie in [0,1], got {self.p!r}")
         if self.E is None:

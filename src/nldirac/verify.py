@@ -85,12 +85,15 @@ def suite_decomposition(spec, grid_cfg, seed, tol, margin):
 
 
 def _grid_suite(residual, spec, grid_cfg, tol, margin):
-    """Sweep ``residual(pt, spec)`` over the grid, skipping masked points."""
+    """Sweep ``residual(pt, spec)`` over the grid, skipping masked points.
+    A sweep that masked every point has checked nothing and fails."""
     stats = equations.sweep(
         grids.points(grid_cfg, m=spec.m), lambda pt: residual(pt, spec),
         spec, margin,
     )
-    return _entry(stats["max"], tol, stats["n_points"], stats)
+    entry = _entry(stats["max"], tol, stats["n_points"], stats)
+    entry["pass"] &= stats["n_masked"] < stats["n_points"]
+    return entry
 
 
 def suite_expanded(spec, grid_cfg, seed, tol, margin):
@@ -168,6 +171,7 @@ def ode_summary(spec: ModelSpec, r_span=(1.0, 10.0), tolerances=None,
     """
     r0 = r_span[0] / spec.m
     r1 = r_span[1] / spec.m
+    ode.check_span((r0, r1), spec)  # before exact_state, which fails at 2mr = 1
     cfg = ode.IntegratorConfig(
         r_span=(r0, r1),
         **{k: v for k, v in (tolerances or {}).items() if k in ("rtol", "atol")},

@@ -155,6 +155,46 @@ def test_ode_straddling_span_is_an_error(capsys, tmp_path):
     assert "split" in err
 
 
+def test_ode_starting_on_the_singular_radius_is_an_error(capsys, tmp_path):
+    # G = 2/(r X^2) has no value at 2mr = 1; the span check names the
+    # problem before the initial state is built
+    for mass, grid in (("1", "0.5,10,5,2"), ("2", "0.5,10,5,2"),
+                       ("1", "0.05,0.5,5,2")):
+        code, out, err = run(
+            capsys, "ode", "--model", "soler", "--mass", mass, "--grid", grid,
+            "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == 1, grid
+        assert out == ""
+        assert err.startswith("error: integration span") and "split" in err
+        assert err.count("\n") == 1, err
+
+
+def test_a_grid_suite_that_masked_every_point_fails(capsys):
+    # a sweep that evaluated nothing shows nothing: its max of 0.0 must not
+    # pass, while the sampled suites, which ignore the margin, still do
+    grid_suites = ["covector-residuals", "expanded-residuals",
+                   "reduced-residuals", "standard-residuals"]
+    code, out, err = run(capsys, "verify", "--model", "soler",
+                         "--mask-margin", "100", "--grid", "0.05,20,5,4")
+    assert code == 1
+    report = json.loads(out)
+    assert report["failing_suites"] == grid_suites
+    for name in grid_suites:
+        suite = report["suites"][name]
+        assert suite["n_masked"] == suite["n_points"] == 20, name
+        assert suite["max_residual"] == 0.0 and suite["pass"] is False, name
+        assert f"FAIL  {name}: max residual 0.000e+00 (tol 1.0e-08, every " \
+               "point masked)" in err
+    # a partly masked sweep gives a verdict as before
+    code, out, err = run(capsys, "verify", "--model", "soler",
+                         "--mask-margin", "1.5", "--grid", "0.05,20,5,4")
+    assert code == 0, err
+    assert "masked" not in err
+    suite = json.loads(out)["suites"]["reduced-residuals"]
+    assert 0 < suite["n_masked"] < suite["n_points"]
+
+
 def test_ode_requires_the_scalar_model(capsys, tmp_path):
     code, _, err = run(capsys, "ode", "--model", "njl",
                        "--out", str(tmp_path / "t.csv"))
@@ -182,9 +222,9 @@ def test_integrator_tolerances_reach_ode_and_report(capsys, tmp_path):
         assert doc["n_steps"] == loose["n_steps"] < default["n_steps"]
 
 
-def test_cold_import_loads_scipy_only_for_ode(tmp_path):
-    # scipy.integrate is most of a cold start; only the radial integration
-    # may import it
+def test_no_command_imports_scipy(tmp_path):
+    # the radial integrator lives in nldirac.ode; no command, the ODE runs
+    # included, may load scipy
     script = """
 import json, sys
 from nldirac import cli
@@ -193,22 +233,19 @@ scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"codes": codes, "scipy": scipy}))
 """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-
-    def fresh(*argvs):
-        proc = subprocess.run([sys.executable, "-c", script, *argvs],
+    argvs = ("verify --model njl --grid 0.05,20,5,4 --out v.json",
+             "locus --model soler --out l.json",
+             "fieldmap --model njl --grid 0.25,1.0,3,3 --out m.csv",
+             "verify --model bogus",
+             "ode --model soler --scan-el --out t.csv",
+             "report --model soler --grid 0.05,20,5,4 --out r.json")
+    for argv, code in zip(argvs, (0, 0, 0, 2, 0, 0)):
+        proc = subprocess.run([sys.executable, "-c", script, argv],
                               cwd=tmp_path, env=env, capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout.splitlines()[-1])
-
-    cold = fresh("verify --model njl --grid 0.05,20,5,4 --out v.json",
-                 "locus --model soler --out l.json",
-                 "fieldmap --model njl --grid 0.25,1.0,3,3 --out m.csv",
-                 "verify --model bogus")
-    assert cold == {"codes": [0, 0, 0, 2], "scipy": []}
-    ode_run = fresh("ode --model soler --grid 1,10,50,2 --out t.csv")
-    assert ode_run["codes"] == [0]
-    assert "scipy.integrate" in ode_run["scipy"]
+        assert json.loads(proc.stdout.splitlines()[-1]) == \
+            {"codes": [code], "scipy": []}, argv
 
 
 def test_locus_report(capsys):
@@ -310,6 +347,30 @@ USAGE_ERRORS = (
      "tolerance reduced-residuals must be positive and finite"),
     (["verify"], {"tolerances": {"flatness": 0}},
      "tolerance flatness must be positive"),
+    (["verify", "--mask-margin", "inf"], None,
+     "mask margin must be non-negative and finite, got inf"),
+    (["verify", "--mask-margin", "nan"], None,
+     "mask margin must be non-negative and finite, got nan"),
+    (["verify"], {"mask_margin": float("inf")},
+     "mask margin must be non-negative and finite, got inf"),
+    (["verify", "--mass", "inf"], None,
+     "mass must be positive and finite, got inf"),
+    (["locus", "--model", "njl", "--mass", "inf"], None,
+     "mass must be positive and finite, got inf"),
+    (["locus"], {"mass": float("nan")}, "mass must be positive and finite"),
+    (["ode", "--model", "soler"], {"mass": float("inf")},
+     "mass must be positive and finite, got inf"),
+    (["verify", "--seed", "-1"], None, "seed must be non-negative, got -1"),
+    (["verify"], {"seed": -3}, "seed must be non-negative, got -3"),
+    (["verify", "--grid", "0.05,inf,5,4"], None,
+     "grid r_max must be finite, got inf"),
+    (["ode", "--model", "soler", "--grid", "1,inf,5,2"], None,
+     "grid r_max must be finite, got inf"),
+    (["verify"], {"grid": {"r_max": float("inf")}},
+     "grid r_max must be finite, got inf"),
+    (["fieldmap"], {"grid": {"r_min": float("nan")}},
+     "need 0 < r_min < r_max"),
+    (["locus", "--grid", "inf,inf,5,4"], None, "need 0 < r_min < r_max"),
 )
 
 

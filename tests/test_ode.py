@@ -118,6 +118,63 @@ def test_observed_convergence_order():
     assert min(orders) >= 3.5
 
 
+def _run_or_raise(run):
+    """(r, X, G, sol at 200 radii, n_steps) of a run, or the radius at which
+    it diverged."""
+    try:
+        r, X, G, sol, n_steps = run()
+    except DivergingState as exc:
+        return exc.r_last
+    rs = np.linspace(r[0], r[-1], 200)
+    return r, X, G, sol(rs), n_steps
+
+
+def test_integrator_reproduces_scipy_rk45_bit_for_bit():
+    # the in-module Dormand-Prince integrator is scipy's RK45: the same
+    # steps, states and dense output, to the last bit
+    pytest.importorskip("scipy")
+    from scipy.integrate import solve_ivp
+
+    def reference(cfg, st, spec):
+        out = solve_ivp(lambda r, y: soler_rhs(r, y, spec), cfg.r_span,
+                        [st.X, st.G], method="RK45", rtol=cfg.rtol,
+                        atol=cfg.atol, max_step=cfg.max_step,
+                        dense_output=True)
+        return out.t, out.y[0], out.y[1], out.sol, len(out.t) - 1
+
+    def ours(cfg, st, spec):
+        traj = integrate(cfg, st, spec)
+        return traj.r, traj.X, traj.G, traj.sol, traj.n_steps
+
+    cases = [  # (m, span in units of 1/m, rtol, atol, dX, max_step)
+        (m, span, rtol, atol, dX, np.inf)
+        for m in (0.5, 1.0, 2.0)
+        for span in ((1.0, 10.0), (1.0, 0.55), (0.05, 0.45))
+        for rtol, atol in ((1e-9, 1e-12), (1e-3, 1e-5))
+        for dX in (0.0, 1e-3)
+    ]
+    cases += [(1.0, (1.0, 4.0), 1e-3, 1e-5, 0.0, 0.05),
+              (1.0, (1.0, 0.5000001), 1e-9, 1e-12, 0.0, np.inf)]
+    diverged = 0
+    for m, (a, b), rtol, atol, dX, max_step in cases:
+        spec = ModelSpec.soler(m=m)
+        cfg = IntegratorConfig(r_span=(a / m, b / m), rtol=rtol, atol=atol,
+                               max_step=max_step)
+        st = exact_state(a / m, spec)
+        st = OdeState(r=st.r, X=st.X + dX, G=st.G)
+        want = _run_or_raise(lambda: reference(cfg, st, spec))
+        got = _run_or_raise(lambda: ours(cfg, st, spec))
+        case = (m, a, b, rtol, dX, max_step)
+        if isinstance(want, float):
+            diverged += 1
+            assert got == want, case
+            continue
+        assert not isinstance(got, float), case
+        for name, w, g in zip(("r", "X", "G", "sol", "n_steps"), want, got):
+            assert np.array_equal(w, g), (case, name)
+    assert diverged == 1  # the run into 2mr = 1
+
+
 def test_trajectory_csv_columns(tmp_path):
     cfg = IntegratorConfig(r_span=(1.0, 2.0), rtol=1e-9, atol=1e-12)
     traj = integrate(cfg, exact_state(1.0, SPEC), SPEC)
