@@ -12,8 +12,9 @@ The chiral model couples through phi^2 alone; the scalar model through
 phi^2 cos(beta).
 
 Every form takes a GridPoint of floats (one point) or of arrays (a set of
-points, such as a grid row) and evaluates all of its points at once; each
-``residual_*`` returns the largest absolute component at each point.
+points, such as a chunk of a grid sweep) and evaluates all of its points at
+once; each ``residual_*`` returns the largest absolute component at each
+point.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from .polar import ModelSpec
 
 MODELS = tuple(polar.ENDPOINTS)
 DEFAULT_MASK_MARGIN = 0.02
+# Points per evaluation in a grid sweep.  Whole rows cost a call each, and
+# a whole 50x40 grid in one call raised a verify's peak memory by a fifth;
+# 128 keeps that within about 1 %.
+SWEEP_CHUNK = 128
 
 
 def is_masked(pt: GridPoint, spec: ModelSpec, margin=DEFAULT_MASK_MARGIN):
@@ -112,18 +117,18 @@ def covector_components(pt: GridPoint, spec: ModelSpec):
     f = exact_fields(pt, spec)
     m = spec.m
     ang = f.ang
-    ginv = geometry.inverse_metric_at(pt)
+    g = geometry.inverse_metric_diagonal(pt)
     Rc = geometry.tensorial_connection_at(pt, ang)
     eps = geometry.coordinate_epsilon_lower(pt)
     u = geometry.velocity_covector(pt, ang)
     s_cov = geometry.spin_covector(pt, ang)
     P = geometry.momentum_covector(spec.E, spec.l)
-    R_up3 = np.einsum("ax...,ny...,iz...,xyz...->ani...", ginv, ginv, ginv, Rc)
+    R_up3 = g[:, None, None] * g[None, :, None] * g[None, None, :] * Rc
     B = 0.5 * np.einsum("mani...,ani...->m...", eps, R_up3)
-    R_trace = np.einsum("nr...,mnr...->m...", ginv, Rc)
-    P_up = np.einsum("mn...,n->m...", ginv, P)
-    u_up = np.einsum("mn...,n...->m...", ginv, u)
-    s_up = np.einsum("mn...,n...->m...", ginv, s_cov)
+    R_trace = np.einsum("n...,mnn...->m...", g, Rc)
+    P_up = np.einsum("m...,m->m...", g, P)
+    u_up = g * u
+    s_up = g * s_cov
     Ps = np.einsum("m,m...->...", P, s_up)
     Pu = np.einsum("m,m...->...", P, u_up)
     der = f.derivs
@@ -234,20 +239,23 @@ def residual_standard(pt: GridPoint, spec: ModelSpec):
 def sweep(rows, evaluate, spec: ModelSpec, margin=DEFAULT_MASK_MARGIN):
     """Statistics of a residual over grid rows, skipping masked points.
 
-    Each row is a GridPoint of arrays; ``evaluate(pt)`` gets the row's
-    unmasked points in one GridPoint and returns their residual maxima.
-    Returns the point and mask counts and the max, mean, median and 95th
-    percentile of those maxima.  The reductions propagate NaN, so a
-    non-finite residual anywhere on the grid reaches ``max`` and fails the
+    The rows (GridPoints of arrays, in r-major order) are masked in one
+    call; ``evaluate(pt)`` then gets the unmasked points in that order, at
+    most SWEEP_CHUNK of them per GridPoint, and returns their residual
+    maxima.  Returns the point and mask counts and the max, mean, median
+    and 95th percentile of those maxima.  The reductions propagate NaN, so
+    a non-finite residual anywhere on the grid reaches ``max`` and fails the
     suite.
     """
-    values, n_points = [], 0
-    for row in rows:
-        keep = ~is_masked(row, spec, margin)
-        n_points += keep.size
-        values.append(evaluate(GridPoint(row.r[keep], row.theta[keep])))
-    values = np.concatenate(values)
-    stats = {"n_points": n_points, "n_masked": n_points - values.size,
+    grid = [np.broadcast_arrays(row.r, row.theta) for row in rows]
+    r = np.concatenate([np.ravel(r) for r, _ in grid])
+    theta = np.concatenate([np.ravel(theta) for _, theta in grid])
+    keep = ~is_masked(GridPoint(r, theta), spec, margin)
+    r, theta = r[keep], theta[keep]
+    values = np.concatenate([
+        evaluate(GridPoint(r[i:i + SWEEP_CHUNK], theta[i:i + SWEEP_CHUNK]))
+        for i in range(0, r.size, SWEEP_CHUNK)] or [np.empty(0)])
+    stats = {"n_points": keep.size, "n_masked": keep.size - values.size,
              "max": 0.0, "mean": 0.0, "median": 0.0, "q95": 0.0}
     if values.size:
         stats.update(max=float(values.max()), mean=float(values.mean()),

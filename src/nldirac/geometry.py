@@ -13,8 +13,8 @@ and their first partials, collected in :class:`AngleState`.
 Every builder takes a GridPoint of floats (one point) or of arrays (a set
 of points, such as a grid row) and puts the point axes after the tensor
 axes: (4,) + shape for a covector, (4, 4) + shape for a rank-2 field.  The
-identity residuals at the end of the module take one point and differentiate
-by complex step, so the builders take the dtype of their inputs.
+identity residuals at the end of the module differentiate by complex step,
+so the builders take the dtype of their inputs.
 
 Orientation: the coordinate volume form is eps_{t r theta phi} = +r^2 sin
 (theta), matching the flat eps_{0123} = +1 through the tetrads below, whose
@@ -124,6 +124,12 @@ def inverse_metric_at(pt: GridPoint):
     return _diagonal(pt, [1.0, -1.0, -1.0 / (r * r), -1.0 / (r * np.sin(th)) ** 2])
 
 
+def inverse_metric_diagonal(pt: GridPoint):
+    """g^{mu mu}, shape (4,) + the points' shape: the metric is diagonal, so
+    raising an index is a multiplication by this, with no sum over zeros."""
+    return np.einsum("mm...->m...", inverse_metric_at(pt))
+
+
 def sqrt_abs_g(pt: GridPoint):
     return pt.r**2 * np.sin(pt.theta)
 
@@ -168,8 +174,10 @@ def riemann_at(pt: GridPoint):
     dlam = christoffel_partials_at(pt)
     # R^rho_{sigma mu nu} = d_mu Lam^rho_{nu sigma} - d_nu Lam^rho_{mu sigma}
     #                       + Lam^rho_{mu lam} Lam^lam_{nu sigma} - (mu <-> nu)
-    term = np.einsum("mrns->rsmn", dlam) - np.einsum("nrms->rsmn", dlam)
-    prod = np.einsum("rml,lns->rsmn", lam, lam) - np.einsum("rnl,lms->rsmn", lam, lam)
+    term = (np.einsum("mrns...->rsmn...", dlam)
+            - np.einsum("nrms...->rsmn...", dlam))
+    prod = (np.einsum("rml...,lns...->rsmn...", lam, lam)
+            - np.einsum("rnl...,lms...->rsmn...", lam, lam))
     return term + prod
 
 
@@ -271,7 +279,7 @@ def coordinate_epsilon_lower(pt: GridPoint):
 
 
 def complex_step_partials(f, r, theta):
-    """(d f/dr, d f/dtheta) of a field ``f(r, theta)`` at one point, each as
+    """(d f/dr, d f/dtheta) of a field ``f(r, theta)`` at each point, each as
     Im f(x + i h) / h with h = CS_STEP.
 
     Exact to rounding, with no cancellation, for any f that is
@@ -300,7 +308,8 @@ def transport_residuals(pt: GridPoint, angle_field):
     ``angle_field(r, theta)`` returns the AngleState.  The covectors are
     differentiated by complex step, while the tensorial connection is built
     from the state's analytic partials, so a wrong partial shows here.
-    Returns (spin violation, velocity violation).
+    Returns (spin violation, velocity violation), each the largest over the
+    points.
     """
     r, th = pt.r, pt.theta
 
@@ -313,9 +322,12 @@ def transport_residuals(pt: GridPoint, angle_field):
     lam = christoffel_at(pt)
     R_ = tensorial_connection_at(pt, angle_field(r, th))
     cov = (_coordinate_partials(covectors, r, th)
-           - np.einsum("rnm,vr->mvn", lam, vecs))
-    rhs = np.einsum("vr,rnm->mvn", vecs @ inverse_metric_at(pt), R_)
-    ws, wu = np.max(np.abs(cov - rhs), axis=(0, 2))
+           - np.einsum("rnm...,vr...->mvn...", lam, vecs))
+    vecs_up = vecs * inverse_metric_diagonal(pt)
+    rhs = np.einsum("vr...,rnm...->mvn...", vecs_up, R_)
+    # the largest violation of each covector over mu, nu and the points
+    ws, wu = np.max(np.moveaxis(np.abs(cov - rhs), 1, 0).reshape(2, -1),
+                    axis=1)
     return float(ws), float(wu)
 
 
@@ -331,34 +343,34 @@ def curvature_strength_residuals(pt: GridPoint, tensorial_field, momentum):
 
     must vanish (zero spacetime curvature), as must the curl of P (zero
     electromagnetic strength).  Derivatives are complex-step partials.
+    Returns the two norms, each the largest over the points.
     """
     r, th = pt.r, pt.theta
 
     def mixed(rr, tt):
-        p = GridPoint(rr, tt)
-        return np.einsum("ix,xjn->ijn", inverse_metric_at(p), tensorial_field(rr, tt))
+        return (inverse_metric_diagonal(GridPoint(rr, tt))[:, None, None]
+                * tensorial_field(rr, tt))
 
     dR = _coordinate_partials(mixed, r, th)
     Rm = mixed(r, th)
     lam = christoffel_at(pt)
     cov = (
         dR
-        + np.einsum("ism,sjn->mijn", lam, Rm)
-        - np.einsum("sjm,isn->mijn", lam, Rm)
-        - np.einsum("snm,ijs->mijn", lam, Rm)
+        + np.einsum("ism...,sjn...->mijn...", lam, Rm)
+        - np.einsum("sjm...,isn...->mijn...", lam, Rm)
+        - np.einsum("snm...,ijs...->mijn...", lam, Rm)
     )
     curv = (
-        np.einsum("mijn->ijmn", cov)
-        - np.einsum("nijm->ijmn", cov)
-        + np.einsum("ikm,kjn->ijmn", Rm, Rm)
-        - np.einsum("ikn,kjm->ijmn", Rm, Rm)
+        np.einsum("mijn...->ijmn...", cov)
+        - np.einsum("nijm...->ijmn...", cov)
+        + np.einsum("ikm...,kjn...->ijmn...", Rm, Rm)
+        - np.einsum("ikn...,kjm...->ijmn...", Rm, Rm)
     )
     rie_norm = float(np.max(np.abs(curv)))
 
     # Strength: the momentum covector is constant, so its curl vanishes
     # identically; differentiate it anyway so that a perturbed P is detected.
     dP = _coordinate_partials(momentum, r, th)
-    far = dP - dP.T
+    far = dP - np.swapaxes(dP, 0, 1)
     far_norm = float(np.max(np.abs(far)))
     return rie_norm, far_norm
-

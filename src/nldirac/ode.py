@@ -54,6 +54,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (self.rtol > 0 and self.atol > 0 and self.max_step > 0):
             raise ValueError("tolerances and max_step must be positive")
+        if self.rtol < 100 * EPS:
+            warnings.warn(f"rtol {self.rtol!r} raised to 100 eps",
+                          stacklevel=3)
+            object.__setattr__(self, "rtol", 100 * EPS)
 
 
 @dataclass
@@ -193,9 +197,6 @@ def integrate(config: IntegratorConfig, initial: OdeState, spec: ModelSpec):
     if not np.isfinite(y).all():
         raise ValueError("the initial state must be finite")
     rtol, atol, max_step = config.rtol, config.atol, config.max_step
-    if rtol < 100 * EPS:
-        warnings.warn(f"rtol {rtol!r} raised to 100 eps", stacklevel=2)
-        rtol = 100 * EPS
 
     def fun(r, y):
         return soler_rhs(r, y, spec)

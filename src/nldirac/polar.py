@@ -59,6 +59,9 @@ class ModelSpec:
             raise ValueError(f"interpolation parameter must lie in [0,1], got {self.p!r}")
         if self.E is None:
             object.__setattr__(self, "E", self.m)
+        for key, value in (("E", self.E), ("l", self.l)):
+            if not np.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         endpoint = next((n for n, p in ENDPOINTS.items() if p == self.p), None)
         if self.name is None:
             object.__setattr__(self, "name", endpoint or f"p:{self.p:g}")

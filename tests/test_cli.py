@@ -220,6 +220,13 @@ def test_integrator_tolerances_reach_ode_and_report(capsys, tmp_path):
     for doc in (loose, json.loads(out)["ode"]):
         assert (doc["rtol"], doc["atol"]) == (1e-3, 1e-5)
         assert doc["n_steps"] == loose["n_steps"] < default["n_steps"]
+    # an rtol below 100 eps is raised to it, and the output reports the rtol
+    # the run used
+    with pytest.warns(UserWarning, match="rtol 1e-20 raised to 100 eps"):
+        code, out, _ = run(capsys, "ode", "--model", "soler", "--out", csv,
+                           "--tol", "rtol=1e-20")
+    assert code == 0
+    assert json.loads(out)["rtol"] == 100 * np.finfo(float).eps
 
 
 def test_no_command_imports_scipy(tmp_path):
@@ -371,6 +378,10 @@ USAGE_ERRORS = (
     (["fieldmap"], {"grid": {"r_min": float("nan")}},
      "need 0 < r_min < r_max"),
     (["locus", "--grid", "inf,inf,5,4"], None, "need 0 < r_min < r_max"),
+    (["verify", "--grid", "0.05,20,5,4"], {"E": float("inf")},
+     "E must be finite, got inf"),
+    (["verify", "--grid", "0.05,20,5,4"], {"l": float("nan")},
+     "l must be finite, got nan"),
 )
 
 
@@ -397,19 +408,27 @@ def test_model_name_is_the_same_in_every_report(capsys):
 
 def test_nan_residual_fails_its_suite(capsys, monkeypatch, tmp_path):
     # Python's max drops a NaN that is not its first argument; every
-    # reduction must report it instead of passing over it
+    # reduction must report it instead of passing over it.  The transport
+    # suite evaluates its points in one call, so the NaN goes into the angle
+    # field at the second point of that call, behind a finite first point.
     original = geometry.transport_residuals
     calls = []
 
-    def poisoned(pt, ang):
-        calls.append(pt)
-        ws, wu = original(pt, ang)
-        return (math.nan, wu) if len(calls) == 2 else (ws, wu)
+    def poisoned(pt, angle_field):
+        calls.append(pt.shape)
+
+        def field(r, th):
+            ang = angle_field(r, th)
+            second = np.where(np.arange(np.size(r)) == 1, math.nan, 1.0)
+            return dataclasses.replace(ang, sin_gamma=ang.sin_gamma * second)
+
+        return original(pt, field)
 
     with monkeypatch.context() as patch:
         patch.setattr(geometry, "transport_residuals", poisoned)
         code, out, err = run(capsys, "verify", "--model", "njl",
                              "--grid", SMALL_GRID)
+    assert calls == [(50,)]
     assert code == 1
     report = json.loads(out)
     assert report["failing_suites"] == ["transport"]

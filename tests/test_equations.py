@@ -9,6 +9,7 @@ from nldirac import geometry, grids, polar
 from nldirac.errors import PoleOrOrigin, SingularPoint
 from nldirac.equations import (
     MODELS,
+    SWEEP_CHUNK,
     covector_components,
     expanded_components,
     is_masked,
@@ -257,6 +258,54 @@ def test_sweep_masks_exactly_the_masked_points(margin, p, m, n_r, n_theta):
     assert stats["n_masked"] == sum(masked)
     assert evaluated == [(pt.r, pt.theta)
                          for pt, skip in zip(pts, masked) if not skip]
+
+
+def _row_sweep(rows, evaluate, spec):
+    """The per-row reference of ``sweep``: each row's unmasked points in one
+    call, the values in r-major order, and the statistics taken the same
+    way."""
+    values = []
+    for row in rows:
+        keep = ~is_masked(row, spec)
+        values.append(evaluate(GridPoint(row.r[keep], row.theta[keep])))
+    values = np.concatenate(values)
+    return values, {"max": float(values.max()), "mean": float(values.mean()),
+                    "median": float(np.quantile(values, 0.5)),
+                    "q95": float(np.quantile(values, 0.95))}
+
+
+def test_chunked_sweep_equals_the_row_sweep():
+    # over two full chunks and a partial third, every form gives each point
+    # the value a per-row evaluation gives it, so the statistics agree
+    # exactly; the grid's middle radius is 2mr = 1, whose points are masked
+    # (the row for soler, the equator point otherwise)
+    cfg = grids.GridConfig(r_max=5.0, n_r=37, n_theta=9)
+    forms = {"expanded": residual_expanded,
+             "covector": residual_polar_covector,
+             "reduced": residual_reduced, "standard": residual_standard}
+    for spec in (ModelSpec.njl(m=0.7), ModelSpec.soler(m=1.3),
+                 ModelSpec(p=0.5)):
+        rows = grids.points(cfg, m=spec.m)
+        for name, form in forms.items():
+            if spec.name not in MODELS and name in ("expanded", "covector"):
+                continue
+            chunks = []
+
+            def evaluate(pt):
+                chunks.append(form(pt, spec))
+                return chunks[-1]
+
+            stats = sweep(rows, evaluate, spec)
+            expected, expected_stats = _row_sweep(
+                rows, lambda pt: form(pt, spec), spec)
+            assert expected.size == (324 if spec.p == 0.0 else 332)
+            assert [c.size for c in chunks] == [
+                SWEEP_CHUNK, SWEEP_CHUNK, expected.size - 2 * SWEEP_CHUNK]
+            assert np.array_equal(np.concatenate(chunks), expected), (
+                spec, name)
+            assert stats == {"n_points": 333,
+                             "n_masked": 333 - expected.size,
+                             **expected_stats}, (spec, name)
 
 
 def _leaves(out):

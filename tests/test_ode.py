@@ -191,6 +191,10 @@ def test_trajectory_csv_columns(tmp_path):
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(r_span=(1.0, 2.0), rtol=-1.0)
+    # the config holds the rtol the integrator runs with
+    with pytest.warns(UserWarning, match="raised to 100 eps"):
+        cfg = IntegratorConfig(r_span=(1.0, 2.0), rtol=1e-20)
+    assert cfg.rtol == 100 * np.finfo(float).eps
 
 
 # -- quantum-number scan -------------------------------------------------------

@@ -107,3 +107,66 @@ def test_forms_take_no_perturbation_knob():
         assert tuple(inspect.signature(fn).parameters) == ("pt", "spec"), fn
     assert tuple(inspect.signature(singular.locate_numerically).parameters) == (
         "spec",)
+
+
+def test_batched_sampled_residuals_equal_the_per_point_maxima():
+    # the sampled suites evaluate their points in one call; flatness and
+    # transport give the per-point maxima exactly, curvature-strength sums
+    # its batched contractions in another order
+    for spec in MODELS:
+        rng = np.random.default_rng(11)
+        pts = grids.sample_points(
+            rng, 50, m=spec.m, reject=lambda pt: equations.is_masked(pt, spec))
+        batch = geometry.GridPoint(np.array([pt.r for pt in pts]),
+                                   np.array([pt.theta for pt in pts]))
+        field = polar.angle_field(spec)
+
+        def tensorial(r, th):
+            return geometry.tensorial_connection_at(geometry.GridPoint(r, th),
+                                                    field(r, th))
+
+        P = geometry.momentum_covector(spec.E, spec.l)
+        assert np.max(np.abs(geometry.riemann_at(batch))) == max(
+            np.max(np.abs(geometry.riemann_at(pt))) for pt in pts)
+        by_point = [geometry.transport_residuals(pt, field) for pt in pts]
+        assert geometry.transport_residuals(batch, field) == tuple(
+            max(res[k] for res in by_point) for k in (0, 1))
+        by_point = [geometry.curvature_strength_residuals(
+            pt, tensorial, lambda r, t: P) for pt in pts]
+        batched = geometry.curvature_strength_residuals(
+            batch, tensorial, lambda r, t: P)
+        for k in (0, 1):
+            assert abs(batched[k] - max(res[k] for res in by_point)) <= 1e-13
+
+
+def test_a_nan_at_a_chunk_edge_fails_its_grid_suite(monkeypatch):
+    # the last point of a full chunk and the last unmasked point of the grid
+    spec = ModelSpec.njl()
+    grid = grids.GridConfig(n_r=37, n_theta=9)
+    rows = grids.points(grid, m=spec.m)
+    r = np.concatenate([row.r for row in rows])
+    theta = np.concatenate([row.theta for row in rows])
+    keep = ~equations.is_masked(geometry.GridPoint(r, theta), spec)
+    unmasked = list(zip(r[keep], theta[keep]))
+    n, chunk = len(unmasked), equations.SWEEP_CHUNK
+    assert n > 2 * chunk and n % chunk
+    for index, size in ((chunk - 1, chunk), (n - 1, n % chunk)):
+        target = unmasked[index]
+        for name, attr in (("expanded-residuals", "residual_expanded"),
+                           ("covector-residuals", "residual_polar_covector"),
+                           ("reduced-residuals", "residual_reduced"),
+                           ("standard-residuals", "residual_standard")):
+            form = getattr(equations, attr)
+            hits = []
+
+            def poisoned(pt, spec, form=form):
+                at = (pt.r == target[0]) & (pt.theta == target[1])
+                hits.extend((pt.r.size, i) for i in np.flatnonzero(at))
+                return np.where(at, np.nan, form(pt, spec))
+
+            with monkeypatch.context() as patch:
+                patch.setattr(equations, attr, poisoned)
+                entry = verify.SUITES[name](spec, grid, 42, 1e-8, 0.02)
+            assert hits == [(size, size - 1)]  # the last point of its chunk
+            assert not entry["pass"], (index, name)
+            assert np.isnan(entry["max_residual"]), (index, name)
