@@ -98,13 +98,29 @@ def levi_civita4():
 EPS4 = levi_civita4()
 EPS4.setflags(write=False)
 
-# Stacks used by the field-equation evaluators.
+# Stacks used by the field-equation evaluators: the gammas, and sigma^ab for
+# the six pairs a < b in PAIRS order.
 GAMMA_STACK = np.stack(GAMMA)
-SIGMA_UPPER_STACK = np.stack(
-    [np.stack([sigma_upper(a, b) for b in range(4)]) for a in range(4)]
-)
+PAIRS = tuple((a, b) for a in range(4) for b in range(a + 1, 4))
+_PAIR_A, _PAIR_B = (np.array(index) for index in zip(*PAIRS))
+SIGMA_PAIR_STACK = np.stack([sigma_upper(a, b) for a, b in PAIRS])
 GAMMA_STACK.setflags(write=False)
-SIGMA_UPPER_STACK.setflags(write=False)
+SIGMA_PAIR_STACK.setflags(write=False)
+
+
+def spin_action(C, psi):
+    """(1/2) C_{ab mu} sigma^{ab} psi of a field C[a, b, mu] on a spinor,
+    shape (4 mu, 4 spinor) + the points' shape.
+
+    sigma^ab is antisymmetric, so the sum over all sixteen (a, b) is the
+    sum over the six pairs a < b of (1/2)(C_ab - C_ba) sigma^ab.  The
+    difference keeps the lower triangle of C in play: a C that is not
+    antisymmetric acts exactly as in the full sum.
+    """
+    pairs = 0.5 * (C[_PAIR_A, _PAIR_B] - C[_PAIR_B, _PAIR_A])
+    sigma_psi = np.einsum("kij,j...->ki...", SIGMA_PAIR_STACK, psi)
+    return np.einsum("km...,ki...->mi...", pairs, sigma_psi)
+
 
 # Bilinear kernels: psi^dag (gamma^0 K) psi for K in {I, pi, gamma^a, gamma^a pi}.
 _KERNEL_PHI = GAMMA[0] @ IDENTITY

@@ -222,9 +222,10 @@ def residual_standard(pt: GridPoint, spec: ModelSpec):
     """
     nabla, psi, f = polar.covariant_derivative(pt, spec)
     xi = geometry.tetrad_at(pt, f.ang)
-    gamma_coord = np.einsum("am...,aij->mij...", xi, clifford.GAMMA_STACK)
+    # gamma^a xi_a^mu nabla_mu psi, the frame contraction first
+    nabla_frame = np.einsum("am...,mj...->aj...", xi, nabla)
     bl = clifford.bilinears(psi)
-    dirac = 1j * np.einsum("mij...,mj...->i...", gamma_coord, nabla)
+    dirac = 1j * np.einsum("aij,aj...->i...", clifford.GAMMA_STACK, nabla_frame)
     nonlinear = 0.25 * (
         np.multiply.outer(clifford.IDENTITY, bl.phi)
         + 1j * spec.p * np.multiply.outer(clifford.PI, bl.theta)

@@ -114,11 +114,6 @@ def _diagonal(pt: GridPoint, entries):
     return out
 
 
-def metric_at(pt: GridPoint):
-    r, th = pt.r, pt.theta
-    return _diagonal(pt, [1.0, -1.0, -r * r, -((r * np.sin(th)) ** 2)])
-
-
 def inverse_metric_at(pt: GridPoint):
     r, th = pt.r, pt.theta
     return _diagonal(pt, [1.0, -1.0, -1.0 / (r * r), -1.0 / (r * np.sin(th)) ** 2])

@@ -50,21 +50,28 @@ def points(cfg: GridConfig, m=1.0):
 
 
 def sample_points(rng, n, m=1.0, reject=None):
-    """Random evaluation points: radii log-uniform in [0.1, 10]/m, angles
-    uniform in [0.3, pi - 0.3], at most 10000 draws.
+    """n random evaluation points as one GridPoint of arrays: radii
+    log-uniform in [0.1, 10]/m, angles uniform in [0.3, pi - 0.3], at most
+    10000 draws.
 
-    ``reject(pt)`` may exclude e.g. masked points.
+    ``reject(pt)`` gets a GridPoint of arrays and returns a boolean mask of
+    the points to exclude, e.g. masked points.  The (ln r, theta) pairs are
+    drawn in blocks of the points still missing, so the points, and the
+    draws taken from ``rng``, are those of drawing one pair at a time.
     """
-    out = []
-    tries = 0
-    while len(out) < n:
-        tries += 1
-        if tries > 10000:
+    low = (np.log(0.1), 0.3)
+    high = (np.log(10.0), np.pi - 0.3)
+    r_parts, theta_parts = [], []
+    missing, draws = n, 0
+    while missing > 0:
+        block = min(missing, 10000 - draws)
+        if block == 0:
             raise RuntimeError("rejection sampling did not terminate")
-        r = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))) / m)
-        th = float(rng.uniform(0.3, np.pi - 0.3))
-        pt = GridPoint(r, th)
-        if reject is not None and reject(pt):
-            continue
-        out.append(pt)
-    return out
+        draws += block
+        log_r, theta = rng.uniform(low, high, size=(block, 2)).T
+        pt = GridPoint(np.exp(log_r) / m, theta)
+        keep = np.ones(block, dtype=bool) if reject is None else ~reject(pt)
+        r_parts.append(pt.r[keep])
+        theta_parts.append(pt.theta[keep])
+        missing -= np.count_nonzero(keep)
+    return GridPoint(np.concatenate(r_parts), np.concatenate(theta_parts))

@@ -277,12 +277,11 @@ class ClosedForm:
 
     The expanded, covector and standard forms, the polar decomposition and
     the spinor read this bundle; the density and its log-derivatives depend
-    on the model's p, the kinematic quantities (X, beta, alpha, gamma) are
+    on the model's p, the kinematic quantities (beta, alpha, gamma) are
     the same for all p.  Each field is a float or an array of the points'
     shape.
     """
 
-    X: float
     sin_beta: float
     cos_beta: float
     phi2: float
@@ -301,7 +300,7 @@ def closed_form(pt: GridPoint, spec: ModelSpec) -> ClosedForm:
     sb, cb = chiral_components(X, pt.theta)
     r_dlog, dth_log = module_log_derivatives(pt, spec)
     return ClosedForm(
-        X=X, sin_beta=sb, cos_beta=cb,
+        sin_beta=sb, cos_beta=cb,
         phi2=phi2, r_dlnphi2_dr=r_dlog, dlnphi2_dtheta=dth_log,
         derivs=d, ang=_angles(pt, X, d),
     )
@@ -360,21 +359,20 @@ def covariant_derivative(pt: GridPoint, spec: ModelSpec):
     # the t and azimuth partials are the pure phases exp(-i(E t + l phi))
     dpsi = np.stack([-1j * spec.E * psi, d_dr, d_dth, -1j * spec.l * psi])
     C = geometry.spin_connection_at(pt, f.ang)
-    spin = 0.5 * np.einsum("abm...,abij->mij...", C, clifford.SIGMA_UPPER_STACK)
-    nabla = dpsi + np.einsum("mij...,j...->mi...", spin, psi)
-    return nabla, psi, f
+    return dpsi + clifford.spin_action(C, psi), psi, f
 
 
 def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec):
-    """Max component norm over mu of (direct nabla psi) minus its polar form
+    """Largest component, over mu, the spinor index and every point, of
+    (direct nabla psi) minus its polar form
 
         (nabla_mu ln phi - i/2 nabla_mu beta pi - i P_mu
          - 1/2 R_{ij mu} sigma^{ij}) psi
 
-    with the tensorial connection contracted into the frame, at each point.
-    Vanishes on the exact solutions; a perturbed momentum makes it rise,
-    which is the sensitivity check on the phase content.  The maximum
-    propagates NaN.
+    with the tensorial connection contracted into the frame.  Vanishes on
+    the exact solutions; a perturbed momentum makes it rise, which is the
+    sensitivity check on the phase content.  Returns one float, the
+    maximum over all points, which propagates NaN.
     """
     nabla, psi, f = covariant_derivative(pt, spec)
     der = f.derivs
@@ -384,13 +382,12 @@ def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec):
         0.0, der.r_d_beta_dr / pt.r, der.d_beta_dtheta, 0.0))
     P = geometry.momentum_covector(spec.E, spec.l)
     xi = geometry.tetrad_at(pt, f.ang)
-    R_flat = np.einsum("an...,bp...,npm...->abm...", xi, xi,
-                       geometry.tensorial_connection_at(pt, f.ang))
-    rmat = 0.5 * np.einsum("abm...,abij->mij...", R_flat,
-                           clifford.SIGMA_UPPER_STACK)
+    R_frame = np.einsum("bp...,npm...->nbm...", xi,
+                        geometry.tensorial_connection_at(pt, f.ang))
+    R_flat = np.einsum("an...,nbm...->abm...", xi, R_frame)
     pipsi = np.einsum("ij,j...->i...", clifford.PI, psi)
     rhs = (np.einsum("m...,i...->mi...", dlnphi, psi)
            - 0.5j * np.einsum("m...,i...->mi...", dbeta, pipsi)
            - 1j * np.einsum("m,i...->mi...", P, psi)
-           - np.einsum("mij...,j...->mi...", rmat, psi))
-    return np.max(np.abs(nabla - rhs), axis=(0, 1))
+           - clifford.spin_action(R_flat, psi))
+    return float(np.max(np.abs(nabla - rhs)))

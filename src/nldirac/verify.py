@@ -46,13 +46,12 @@ def suite_fierz(spec, grid_cfg, seed, tol, margin):
 
 def _sampled_suite(residual, spec, seed, tol):
     """Max of ``residual(pts)`` over 50 seeded random points outside the
-    default mask, passed in one call as a GridPoint of arrays."""
+    default mask, drawn in blocks and passed in one call as a GridPoint of
+    arrays."""
     rng = np.random.default_rng(seed)
     pts = grids.sample_points(rng, 50, m=spec.m,
                               reject=lambda pt: equations.is_masked(pt, spec))
-    batch = GridPoint(np.array([pt.r for pt in pts]),
-                      np.array([pt.theta for pt in pts]))
-    return _entry(np.max(residual(batch)), tol, len(pts))
+    return _entry(np.max(residual(pts)), tol, pts.r.size)
 
 
 def suite_flatness(spec, grid_cfg, seed, tol, margin):
@@ -83,13 +82,10 @@ def suite_transport(spec, grid_cfg, seed, tol, margin):
 
 
 def suite_decomposition(spec, grid_cfg, seed, tol, margin):
-    """One call per point: the benchmark's NaN sentinel reads the residual
-    of each call as one float."""
-    def per_point(pts):
-        return [polar.polar_decomposition_residual(GridPoint(r, th), spec)
-                for r, th in zip(pts.r.tolist(), pts.theta.tolist())]
-
-    return _sampled_suite(per_point, spec, seed, tol)
+    """Polar decomposition of nabla psi on the 50 points in one call."""
+    return _sampled_suite(
+        lambda pts: polar.polar_decomposition_residual(pts, spec),
+        spec, seed, tol)
 
 
 def _grid_suite(residual, spec, grid_cfg, tol, margin):

@@ -47,18 +47,17 @@ def test_criterion_02_flat_background():
     spec = ModelSpec.njl()
     t0 = time.perf_counter()
     pts = unmasked_points(50, spec, seed=42)
-    worst = max(float(np.max(np.abs(geometry.riemann_at(pt)))) for pt in pts)
+    worst = float(np.max(np.abs(geometry.riemann_at(pts))))
     ang_field = polar.angle_field(spec)
 
     def tensorial(r, th):
         return geometry.tensorial_connection_at(GridPoint(r, th), ang_field(r, th))
 
     P = geometry.momentum_covector(spec.E, spec.l)
-    for pt in pts:
-        rie, far = geometry.curvature_strength_residuals(
-            pt, tensorial, lambda r, t: P
-        )
-        worst = max(worst, rie, far)
+    rie, far = geometry.curvature_strength_residuals(
+        pts, tensorial, lambda r, t: P
+    )
+    worst = max(worst, rie, far)
     elapsed = time.perf_counter() - t0
     assert _report(2, "flat background and vanishing potentials", worst, 1e-8,
                    elapsed, 5.0)
@@ -66,18 +65,16 @@ def test_criterion_02_flat_background():
 
 def test_criterion_03_transport_identities():
     spec = ModelSpec.njl()
-    worst = 0.0
-    for pt in unmasked_points(50, spec, seed=43):
-        ws, wu = geometry.transport_residuals(pt, polar.angle_field(spec))
-        worst = max(worst, ws, wu)
+    pts = unmasked_points(50, spec, seed=43)
+    worst = max(geometry.transport_residuals(pts, polar.angle_field(spec)))
     assert _report(3, "transport identities, complex-step partials", worst, 1e-8)
 
 
 def test_criterion_04_polar_decomposition():
     worst = 0.0
     for spec in (ModelSpec.njl(), ModelSpec.soler()):
-        for pt in unmasked_points(50, spec, seed=44):
-            worst = max(worst, polar.polar_decomposition_residual(pt, spec))
+        pts = unmasked_points(50, spec, seed=44)
+        worst = max(worst, polar.polar_decomposition_residual(pts, spec))
     assert _report(4, "polar decomposition on both exact solutions", worst, 1e-8)
 
 
@@ -176,19 +173,16 @@ def test_criterion_09_asymptotics():
 def test_criterion_10_interpolation_endpoints():
     rng = np.random.default_rng(45)
     spec = ModelSpec(m=1.0, p=0.5)
-    worst = 0.0
     pts = grids.sample_points(
         rng, 100, m=1.0,
         reject=lambda pt: abs(2 * pt.r - 1.0) < 0.05,
     )
-    for pt in pts:
-        njl = polar.module_njl(pt, ModelSpec.njl())
-        soler = polar.module_soler(pt, ModelSpec.soler())
-        worst = max(
-            worst,
-            abs(polar.module_general_p(pt, ModelSpec.interpolating(1.0))
-                - njl) / njl,
-            abs(polar.module_general_p(pt, ModelSpec.interpolating(0.0))
-                - soler) / soler,
-        )
+    njl = polar.module_njl(pts, ModelSpec.njl())
+    soler = polar.module_soler(pts, ModelSpec.soler())
+    worst = max(
+        np.max(abs(polar.module_general_p(pts, ModelSpec.interpolating(1.0))
+                   - njl) / njl),
+        np.max(abs(polar.module_general_p(pts, ModelSpec.interpolating(0.0))
+                   - soler) / soler),
+    )
     assert _report(10, "interpolated density endpoint agreement", worst, 1e-12)

@@ -434,6 +434,35 @@ def test_nan_residual_fails_its_suite(capsys, monkeypatch, tmp_path):
     assert report["failing_suites"] == ["transport"]
     assert math.isnan(report["suites"]["transport"]["max_residual"])
 
+    # decomposition evaluates its 50 points in one call too; the NaN goes
+    # into the radial log-derivative of the density at the second point,
+    # only while that call runs
+    decomposition = polar.polar_decomposition_residual
+    log_derivatives = polar.module_log_derivatives
+    calls = []
+
+    def second_point_nan(pt, spec):
+        r_dr, d_th = log_derivatives(pt, spec)
+        second = np.where(np.arange(np.size(pt.r)) == 1, math.nan, 1.0)
+        return r_dr * second, d_th
+
+    def poisoned_decomposition(pt, spec):
+        calls.append(pt.shape)
+        with monkeypatch.context() as inner:
+            inner.setattr(polar, "module_log_derivatives", second_point_nan)
+            return decomposition(pt, spec)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polar, "polar_decomposition_residual",
+                      poisoned_decomposition)
+        code, out, err = run(capsys, "verify", "--model", "njl",
+                             "--grid", SMALL_GRID)
+    assert calls == [(50,)]
+    assert code == 1
+    report = json.loads(out)
+    assert report["failing_suites"] == ["decomposition"]
+    assert math.isnan(report["suites"]["decomposition"]["max_residual"])
+
     # a NaN theta log-derivative of the density is a later component of the
     # expanded and covector residual vectors and one term of the
     # decomposition's fold over mu

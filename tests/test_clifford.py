@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nldirac import clifford
+from nldirac import clifford, equations, geometry, grids, polar
 from nldirac.clifford import (
     ETA,
     GAMMA,
@@ -19,6 +19,7 @@ from nldirac.clifford import (
     sigma_upper,
 )
 from nldirac.errors import NonRealBilinear
+from nldirac.polar import ModelSpec
 
 
 def test_anticommutators_exact():
@@ -84,6 +85,40 @@ def test_sigma_lorentz_algebra_closure():
                         + ETA[a, d] * sigma(b, c)
                     )
                     assert np.allclose(lhs, rhs, atol=1e-14), (a, b, c, d)
+
+
+def _dense_spin_action(C, psi):
+    """(1/2) C_{ab mu} sigma^{ab} psi summed over all sixteen (a, b)."""
+    dense = np.stack([np.stack([sigma_upper(a, b) for b in range(4)])
+                      for a in range(4)])
+    spin = 0.5 * np.einsum("abm...,abij->mij...", C, dense)
+    return np.einsum("mij...,j...->mi...", spin, psi)
+
+
+def test_spin_action_equals_the_dense_sum_on_the_spin_connection():
+    # bit for bit on the antisymmetric C of the closed-form solutions
+    for spec in (ModelSpec.njl(), ModelSpec.soler(), ModelSpec.interpolating(0.5)):
+        pts = grids.sample_points(
+            np.random.default_rng(7), 50, m=spec.m,
+            reject=lambda pt: equations.is_masked(pt, spec))
+        f = polar.closed_form(pts, spec)
+        psi = polar.assemble_spinor(f)
+        C = geometry.spin_connection_at(pts, f.ang)
+        action = clifford.spin_action(C, psi)
+        assert action.shape == (4, 4, 50)
+        assert np.array_equal(action, _dense_spin_action(C, psi)), spec.name
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
+def test_spin_action_equals_the_dense_sum_for_any_connection(seed, n):
+    # a C that is not antisymmetric: each entry of both triangles counts
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((4, 4, 4, n))
+    psi = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+    action = clifford.spin_action(C, psi)
+    dense = _dense_spin_action(C, psi)
+    assert np.max(np.abs(action - dense)) <= 1e-15 * np.max(np.abs(dense))
 
 
 def test_bilinears_rest_frame_column():

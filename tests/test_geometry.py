@@ -12,7 +12,6 @@ from nldirac.geometry import (
     complex_step_partials,
     curvature_strength_residuals,
     inverse_metric_at,
-    metric_at,
     momentum_covector,
     riemann_at,
     spin_connection_at,
@@ -24,6 +23,13 @@ from nldirac.geometry import (
     velocity_spin_components,
 )
 from nldirac.polar import ModelSpec
+
+
+def metric_at(pt):
+    """g_{mu nu}, the inverse of geometry.inverse_metric_at."""
+    r, th = pt.r, pt.theta
+    return np.diag([1.0, -1.0, -r * r, -((r * np.sin(th)) ** 2)])
+
 
 def random_points(n, seed=123, r_lo=0.1, r_hi=10.0, ring_margin=0.05):
     rng = np.random.default_rng(seed)
@@ -66,7 +72,7 @@ def test_builders_take_the_dtype_of_their_inputs():
         pt = GridPoint(r, 0.7)
         ang = polar.angle_state(pt, spec)
         dtype = np.result_type(r)
-        for value in (metric_at(pt), inverse_metric_at(pt),
+        for value in (inverse_metric_at(pt),
                       velocity_covector(pt, ang), spin_covector(pt, ang),
                       tensorial_connection_at(pt, ang), tetrad_at(pt, ang),
                       spin_connection_at(pt, ang)):

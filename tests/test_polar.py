@@ -241,7 +241,8 @@ def test_polar_state_invariants():
     spec = ModelSpec.njl()
     for pt in random_points(30):
         st = closed_form(pt, spec)
-        assert st.X == pytest.approx(np.sinh(polar.zeta_exact(pt.r, spec)), abs=1e-12)
+        assert polar.X_exact(pt.r, spec) == pytest.approx(
+            np.sinh(polar.zeta_exact(pt.r, spec)), abs=1e-12)
         assert st.sin_beta**2 + st.cos_beta**2 == pytest.approx(1.0, abs=1e-12)
         assert st.phi2 > 0.0
 

@@ -78,20 +78,25 @@ def test_every_suite_has_a_negative_control(monkeypatch):
 
 def test_a_wrong_spin_connection_component_fails_the_standard_form(
         monkeypatch):
-    # the standard form is the one suite that reads the spin connection;
-    # one component off by 1e-3, antisymmetry kept, must fail it
+    # the standard form reads the spin connection through nabla psi; one
+    # component off by 1e-3 must fail it, both with antisymmetry kept
+    # and as the lower-triangle entry C_{31r} alone: the spin action sums
+    # (C_ab - C_ba) sigma^ab over the pairs a < b, so both triangles count
     connection = geometry.spin_connection_at
+    for shift in ({(1, 3): 1e-3, (3, 1): -1e-3}, {(3, 1): 1e-3}):
 
-    def wrong(pt, ang):
-        C = connection(pt, ang)
-        C[1, 3, geometry.R] += 1e-3
-        C[3, 1, geometry.R] -= 1e-3
-        return C
+        def wrong(pt, ang, shift=shift):
+            C = connection(pt, ang)
+            for (a, b), d in shift.items():
+                C[a, b, geometry.R] += d
+            return C
 
-    monkeypatch.setattr(geometry, "spin_connection_at", wrong)
-    for spec in MODELS:
-        report = verify.run_suites(spec, GRID)
-        assert "standard-residuals" in report["failing_suites"], spec.name
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "spin_connection_at", wrong)
+            for spec in MODELS:
+                report = verify.run_suites(spec, GRID)
+                assert "standard-residuals" in report["failing_suites"], (
+                    spec.name, shift)
 
 
 def test_forms_take_no_perturbation_knob():
@@ -110,15 +115,15 @@ def test_forms_take_no_perturbation_knob():
 
 
 def test_batched_sampled_residuals_equal_the_per_point_maxima():
-    # the sampled suites evaluate their points in one call; flatness and
-    # transport give the per-point maxima exactly, curvature-strength sums
-    # its batched contractions in another order
+    # the sampled suites evaluate their points in one call; flatness,
+    # transport and decomposition give the per-point maxima exactly,
+    # curvature-strength sums its batched contractions in another order
     for spec in MODELS:
         rng = np.random.default_rng(11)
-        pts = grids.sample_points(
+        batch = grids.sample_points(
             rng, 50, m=spec.m, reject=lambda pt: equations.is_masked(pt, spec))
-        batch = geometry.GridPoint(np.array([pt.r for pt in pts]),
-                                   np.array([pt.theta for pt in pts]))
+        pts = [geometry.GridPoint(r, th)
+               for r, th in zip(batch.r.tolist(), batch.theta.tolist())]
         field = polar.angle_field(spec)
 
         def tensorial(r, th):
@@ -128,6 +133,8 @@ def test_batched_sampled_residuals_equal_the_per_point_maxima():
         P = geometry.momentum_covector(spec.E, spec.l)
         assert np.max(np.abs(geometry.riemann_at(batch))) == max(
             np.max(np.abs(geometry.riemann_at(pt))) for pt in pts)
+        assert polar.polar_decomposition_residual(batch, spec) == max(
+            polar.polar_decomposition_residual(pt, spec) for pt in pts)
         by_point = [geometry.transport_residuals(pt, field) for pt in pts]
         assert geometry.transport_residuals(batch, field) == tuple(
             max(res[k] for res in by_point) for k in (0, 1))
