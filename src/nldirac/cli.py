@@ -93,7 +93,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("verify", "run all identity and field-equation suites"),
-        ("fieldmap", "write the matter distribution on a grid as CSV"),
+        ("fieldmap", "write the matter distribution on a grid as CSV or JSON"),
         ("ode", "integrate the scalar-model radial system"),
         ("locus", "report singular locus and asymptotics"),
         ("report", "aggregate verify + locus (+ ode) into one JSON document"),
@@ -116,9 +116,10 @@ def build_parser():
                          help="half-width of the singular-region mask (default 0.02)")
         cmd.add_argument("--out", default=None, help="output file path")
         cmd.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                         default=None, help="output format where applicable")
+                         default=None,
+                         help="fieldmap: csv (default) or json")
         cmd.add_argument("--scan-el", action="store_true",
-                         help="ode: add the (E/m, l) quantum-number scan")
+                         help="ode and report: add the (E/m, l) quantum-number scan")
         cmd.add_argument("--config", default=None,
                          help="JSON config file; flags take precedence")
     return parser
@@ -160,6 +161,12 @@ def resolve_config(args) -> RunConfig:
     ValueError, TypeError or argparse.ArgumentTypeError, which ``main``
     reports as a usage error.
     """
+    if args.fmt is not None and args.command != "fieldmap":
+        raise ValueError(f"--format applies to fieldmap only, not "
+                         f"{args.command}")
+    if args.scan_el and args.command not in ("ode", "report"):
+        raise ValueError(f"--scan-el applies to ode and report only, not "
+                         f"{args.command}")
     flags = {"model": args.model, "p": args.p_flag, "mass": args.mass,
              "grid": _parse_grid(args.grid) if args.grid else None,
              "seed": args.seed, "tolerances": _parse_tol(args.tol),
@@ -243,39 +250,77 @@ def cmd_verify(cfg: RunConfig):
     return 0
 
 
-def _fieldmap_rows(spec: ModelSpec, grid_cfg: grids.GridConfig, margin):
-    """The fieldmap's rows in r-major order, each a tuple of Python floats
-    and the mask flag, evaluated one grid row at a time."""
-    for pt in grids.points(grid_cfg, m=spec.m):
+FIELDMAP_COLUMNS = ["r", "theta", "phi2", "sin_beta", "cos_beta", "X", "masked"]
+_FLAGS = ("false", "true")
+# json's spelling of the non-finite floats that repr spells nan, inf, -inf
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _fieldmap_layout(fmt, model):
+    """(head, line, separator, tail, non-finite spellings) of a fieldmap.
+
+    ``line`` is one row: ``{r}`` and ``{X}`` are filled once per grid row,
+    and each ``{{}}`` becomes a slot for theta, phi2, sin_beta, cos_beta and
+    the flag.  The JSON layout is that of ``json.dump(..., indent=2,
+    sort_keys=True)`` of {"columns", "model", "rows", "schema"}.
+    """
+    if fmt == "csv":
+        return (",".join(FIELDMAP_COLUMNS) + "\n",
+                "{r},{{}},{{}},{{}},{{}},{X},{{}}\n", "", "", None)
+    head = json.dumps({"columns": FIELDMAP_COLUMNS, "model": model},
+                      indent=2, sort_keys=True)
+    line = ("    [\n      {r},\n      {{}},\n      {{}},\n      {{}},\n"
+            "      {{}},\n      {X},\n      {{}}\n    ]")
+    return (head[:-len("\n}")] + ',\n  "rows": [\n', line, ",\n",
+            f'\n  ],\n  "schema": {json.dumps(SCHEMA)}\n}}\n', _JSON_NONFINITE)
+
+
+def _float_text(values, spelling):
+    """repr of each float in ``values``; a non-finite one as ``spelling``
+    spells it, if given."""
+    text = list(map(repr, values.tolist()))
+    if spelling and not np.isfinite(values).all():
+        text = [spelling.get(t, t) for t in text]
+    return text
+
+
+def _write_fieldmap_rows(fh, spec, grid_cfg, margin, line, sep, spelling):
+    """Evaluate the fieldmap one grid row (one radius, every theta) at a time
+    in r-major order and write each grid row's text in one ``fh.write``."""
+    rows = grids.points(grid_cfg, m=spec.m)
+    # every grid row shares one theta axis
+    theta_text = _float_text(rows[0].theta, spelling)
+    for i, pt in enumerate(rows):
         X = X_exact(pt.r, spec)
         with np.errstate(divide="ignore", invalid="ignore"):
             sb, cb = chiral_components(X, pt.theta)
-        columns = (pt.r, pt.theta, phi2_grid(spec, pt.r, pt.theta), sb, cb, X,
-                   equations.is_masked(pt, spec, margin))
-        yield from zip(*(col.tolist() for col in columns))
+        row_line = line.format(r=_float_text(pt.r[:1], spelling)[0],
+                               X=_float_text(X[:1], spelling)[0])
+        text = sep.join(map(
+            row_line.format, theta_text,
+            _float_text(phi2_grid(spec, pt.r, pt.theta), spelling),
+            _float_text(sb, spelling), _float_text(cb, spelling),
+            map(_FLAGS.__getitem__,
+                equations.is_masked(pt, spec, margin).tolist())))
+        fh.write(sep + text if i else text)
 
 
 def cmd_fieldmap(cfg: RunConfig):
     spec = cfg.spec
     grid_cfg = cfg.grid_or(FIELDMAP_GRID)
-    rows = _fieldmap_rows(spec, grid_cfg, cfg.mask_margin)
-    out_path = cfg.out or "fieldmap.csv"
-    if cfg.fmt == "json":
-        doc = {
-            "schema": SCHEMA,
-            "model": spec.name,
-            "columns": ["r", "theta", "phi2", "sin_beta", "cos_beta", "X", "masked"],
-            "rows": [list(row) for row in rows],
-        }
-        _emit_json(doc, cfg.out)
-        return 0
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("r,theta,phi2,sin_beta,cos_beta,X,masked\n")
-        for r, th, phi2, sb, cb, X, masked in rows:
-            fh.write(f"{r!r},{th!r},{phi2!r},{sb!r},{cb!r},{X!r},"
-                     f"{'true' if masked else 'false'}\n")
-    print(f"wrote {grid_cfg.n_r * grid_cfg.n_theta} rows to {out_path}",
-          file=sys.stderr)
+    fmt = cfg.fmt or "csv"
+    out_path = cfg.out or ("fieldmap.csv" if fmt == "csv" else None)
+    head, line, sep, tail, spelling = _fieldmap_layout(fmt, spec.name)
+    with (open(out_path, "w", encoding="utf-8",
+               newline="" if fmt == "csv" else None) if out_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write(head)
+        _write_fieldmap_rows(fh, spec, grid_cfg, cfg.mask_margin,
+                             line, sep, spelling)
+        fh.write(tail)
+    if out_path:
+        print(f"wrote {grid_cfg.n_r * grid_cfg.n_theta} rows to {out_path}",
+              file=sys.stderr)
     return 0
 
 

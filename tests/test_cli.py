@@ -1,15 +1,17 @@
 import dataclasses
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nldirac import geometry, ode, polar
+from nldirac import cli, equations, geometry, grids, ode, polar
 from nldirac.cli import main
 
 
@@ -82,9 +84,10 @@ def test_verify_json_is_deterministic(capsys, tmp_path):
 
 def test_fieldmap_contract(capsys, tmp_path):
     out = tmp_path / "map.csv"
-    code, _, _ = run(capsys, "fieldmap", "--model", "njl",
-                     "--grid", "0.25,1.0,3,3", "--out", str(out))
+    code, _, err = run(capsys, "fieldmap", "--model", "njl",
+                       "--grid", "0.25,1.0,3,3", "--out", str(out))
     assert code == 0
+    assert err == f"wrote 9 rows to {out}\n"
     lines = out.read_text().splitlines()
     assert lines[0] == "r,theta,phi2,sin_beta,cos_beta,X,masked"
     assert len(lines) == 1 + 3 * 3
@@ -289,14 +292,117 @@ def test_flag_precedence_over_config(capsys, tmp_path):
     assert doc["model"] == "njl"
 
 
-def test_fieldmap_json_format(capsys):
-    code, stdout, _ = run(capsys, "fieldmap", "--model", "njl",
-                          "--grid", "0.25,1.0,3,3", "--format", "json")
+def test_fieldmap_json_format(capsys, tmp_path):
+    code, stdout, err = run(capsys, "fieldmap", "--model", "njl",
+                            "--grid", "0.25,1.0,3,3", "--format", "json")
     assert code == 0
+    # JSON without --out goes to stdout, and stderr stays empty
+    assert err == ""
     doc = json.loads(stdout)
     assert doc["columns"] == ["r", "theta", "phi2", "sin_beta", "cos_beta",
                               "X", "masked"]
     assert len(doc["rows"]) == 9
+    out = tmp_path / "map.json"
+    code, stdout, err = run(capsys, "fieldmap", "--model", "njl",
+                            "--grid", "0.25,1.0,3,3", "--format", "json",
+                            "--out", str(out))
+    assert code == 0
+    assert (stdout, err) == ("", f"wrote 9 rows to {out}\n")
+    assert json.loads(out.read_text()) == doc
+
+
+def _reference_fieldmap(argv):
+    """The fieldmap of ``argv`` as the per-row writer produced it: one
+    f-string line per CSV row, and ``json.dump`` of the whole row-list doc."""
+    cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+    spec = cfg.spec
+    rows = []
+    for pt in grids.points(cfg.grid, m=spec.m):
+        X = polar.X_exact(pt.r, spec)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sb, cb = polar.chiral_components(X, pt.theta)
+        columns = (pt.r, pt.theta, polar.phi2_grid(spec, pt.r, pt.theta), sb,
+                   cb, X, equations.is_masked(pt, spec, cfg.mask_margin))
+        rows += zip(*(col.tolist() for col in columns))
+    if cfg.fmt == "json":
+        doc = {"schema": "1", "model": spec.name,
+               "columns": ["r", "theta", "phi2", "sin_beta", "cos_beta", "X",
+                           "masked"],
+               "rows": [list(row) for row in rows]}
+        fh = io.StringIO()
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        return fh.getvalue() + "\n"
+    return "r,theta,phi2,sin_beta,cos_beta,X,masked\n" + "".join(
+        f"{r!r},{th!r},{phi2!r},{sb!r},{cb!r},{X!r},"
+        f"{'true' if masked else 'false'}\n"
+        for r, th, phi2, sb, cb, X, masked in rows)
+
+
+def _assert_fieldmaps_match_the_reference(capsys, tmp_path, configs):
+    """Run every (model, mass, grid) as CSV, as JSON to a file and as JSON
+    to stdout; each must equal the reference byte for byte.  Returns the
+    texts by format."""
+    texts = {"csv": [], "json": []}
+    for model, mass, grid in configs:
+        for fmt, to_file in (("csv", True), ("json", True), ("json", False)):
+            argv = ["fieldmap", "--model", model, "--mass", mass,
+                    "--grid", grid, "--format", fmt]
+            out = tmp_path / f"map.{fmt}"
+            code, stdout, err = run(capsys, *argv,
+                                    *(["--out", str(out)] if to_file else []))
+            assert code == 0, argv
+            expected = _reference_fieldmap(argv)
+            if to_file:
+                assert out.read_bytes() == expected.encode(), argv
+                n_r, n_theta = map(int, grid.split(",")[2:])
+                assert (stdout, err) == (
+                    "", f"wrote {n_r * n_theta} rows to {out}\n")
+            else:
+                assert (stdout, err) == (expected, ""), argv
+            texts[fmt].append(expected)
+    return texts
+
+
+def test_fieldmap_is_byte_identical_to_the_per_row_writer(capsys, tmp_path,
+                                                          monkeypatch):
+    # both grids cross the ring and the shell at 2mr = 1, where the endpoint
+    # densities are inf or nan: those must keep json's spelling and repr's
+    configs = [(model, mass, grid)
+               for model in ("njl", "soler", "p:0.37")
+               for mass in ("0.5", "1", "2")
+               for grid in ("0.25,1.0,3,3", "0.25,1,5,101")]
+    texts = _assert_fieldmaps_match_the_reference(capsys, tmp_path, configs)
+    assert any("Infinity" in t for t in texts["json"])
+    assert any("NaN" in t for t in texts["json"])
+    assert any("inf" in t for t in texts["csv"])
+    assert any("nan" in t for t in texts["csv"])
+    # a density of the opposite sign adds -inf, spelled -Infinity in JSON
+    phi2_grid = polar.phi2_grid
+
+    def negated(spec, r, theta):
+        return -phi2_grid(spec, r, theta)
+
+    monkeypatch.setattr(polar, "phi2_grid", negated)
+    monkeypatch.setattr(cli, "phi2_grid", negated)
+    texts = _assert_fieldmaps_match_the_reference(
+        capsys, tmp_path, [("njl", "1", "0.25,1.0,3,3")])
+    assert "-Infinity" in texts["json"][0] and "-inf" in texts["csv"][0]
+
+
+def test_json_fieldmap_is_streamed(capsys, tmp_path):
+    # 30k rows; building every row as a list first peaks near 8 MB
+    out = tmp_path / "map.json"
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "fieldmap", "--model", "njl",
+                         "--grid", "0.01,100,150,200", "--format", "json",
+                         "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads(out.read_text())["rows"]) == 30000
+    assert peak < 2e6, peak
 
 
 def test_tolerance_override_can_force_failure(capsys):
@@ -382,6 +488,20 @@ USAGE_ERRORS = (
      "E must be finite, got inf"),
     (["verify", "--grid", "0.05,20,5,4"], {"l": float("nan")},
      "l must be finite, got nan"),
+    (["verify", "--model", "njl", "--format", "csv"], None,
+     "--format applies to fieldmap only, not verify"),
+    (["locus", "--format", "json"], None,
+     "--format applies to fieldmap only, not locus"),
+    (["ode", "--model", "soler", "--format", "csv"], None,
+     "--format applies to fieldmap only, not ode"),
+    (["report", "--format", "json"], None,
+     "--format applies to fieldmap only, not report"),
+    (["fieldmap", "--scan-el"], None,
+     "--scan-el applies to ode and report only, not fieldmap"),
+    (["verify", "--scan-el"], None,
+     "--scan-el applies to ode and report only, not verify"),
+    (["locus", "--scan-el"], None,
+     "--scan-el applies to ode and report only, not locus"),
 )
 
 
