@@ -37,6 +37,18 @@ ALIASES = {"energy": "E", "angular_momentum": "l"}
 DEFAULTS = {"model": "njl", "mass": 1.0, "grid": {}, "seed": 42,
             "tolerances": {}, "mask_margin": equations.DEFAULT_MASK_MARGIN}
 TOLERANCE_NAMES = (*verify.DEFAULT_TOLERANCES, "rtol", "atol")
+# The settings each command reads: config keys (the flags of the same name),
+# tolerance names, and "scan_el" for --scan-el.  A command given any other
+# setting fails with a usage error rather than ignore it.
+_VERIFY_READS = ("model", "p", "mass", "grid", "seed", *verify.DEFAULT_TOLERANCES,
+                 "mask_margin", "E", "l", "out")
+COMMAND_READS = {
+    "verify": _VERIFY_READS,
+    "report": (*_VERIFY_READS, "rtol", "atol", "scan_el"),
+    "fieldmap": ("model", "p", "mass", "grid", "mask_margin", "out", "format"),
+    "ode": ("model", "p", "mass", "grid", "rtol", "atol", "out", "scan_el"),
+    "locus": ("model", "p", "mass", "out"),
+}
 
 
 @dataclasses.dataclass
@@ -157,23 +169,19 @@ def resolve_config(args) -> RunConfig:
     """Merge the built-in defaults, the --config file and the flags, each
     layer overriding the one before it key by key.
 
-    Every value is checked here: an unknown name or an invalid value raises
+    Every value is checked here: an unknown name, an invalid value or a
+    setting that the command does not read (COMMAND_READS) raises
     ValueError, TypeError or argparse.ArgumentTypeError, which ``main``
     reports as a usage error.
     """
-    if args.fmt is not None and args.command != "fieldmap":
-        raise ValueError(f"--format applies to fieldmap only, not "
-                         f"{args.command}")
-    if args.scan_el and args.command not in ("ode", "report"):
-        raise ValueError(f"--scan-el applies to ode and report only, not "
-                         f"{args.command}")
     flags = {"model": args.model, "p": args.p_flag, "mass": args.mass,
              "grid": _parse_grid(args.grid) if args.grid else None,
              "seed": args.seed, "tolerances": _parse_tol(args.tol),
              "mask_margin": args.mask_margin, "out": args.out,
              "format": args.fmt}
+    config = _read_config(args.config)
     raw = dict(DEFAULTS)
-    for layer in (_read_config(args.config), flags):
+    for layer in (config, flags):
         for key in CONFIG_KEYS:
             value = layer.get(key)
             if value is None:
@@ -210,7 +218,7 @@ def resolve_config(args) -> RunConfig:
     seed = _whole("seed", raw["seed"])
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed!r}")
-    return RunConfig(
+    cfg = RunConfig(
         spec=spec,
         grid=grids.GridConfig(**grid) if grid else None,
         seed=seed,
@@ -220,6 +228,21 @@ def resolve_config(args) -> RunConfig:
         fmt=raw.get("format"),
         scan_el=bool(args.scan_el),
     )
+    # after the value checks, so that an invalid value is named as such
+    given = ([(ALIASES.get(k, k), k) for k, v in config.items()
+              if v is not None and k != "tolerances"]
+             + [(k, "--" + k.replace("_", "-")) for k, v in flags.items()
+                if v is not None and k != "tolerances"]
+             + [(k, f"tolerance {k}") for k in tolerances]
+             + [("scan_el", "--scan-el")] * args.scan_el)
+    for name, label in given:
+        if name not in COMMAND_READS[args.command]:
+            readers = [c for c in sorted(COMMAND_READS) if name in COMMAND_READS[c]]
+            listed = (", ".join(readers[:-1]) + " and " if readers[1:] else
+                      "") + readers[-1]
+            raise ValueError(f"{label} applies to {listed} only, not "
+                             f"{args.command}")
+    return cfg
 
 
 def _emit_json(doc, out_path):

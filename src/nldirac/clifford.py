@@ -115,11 +115,23 @@ def spin_action(C, psi):
     sigma^ab is antisymmetric, so the sum over all sixteen (a, b) is the
     sum over the six pairs a < b of (1/2)(C_ab - C_ba) sigma^ab.  The
     difference keeps the lower triangle of C in play: a C that is not
-    antisymmetric acts exactly as in the full sum.
+    antisymmetric acts exactly as in the full sum.  The six sigma^ab act on
+    psi as one (24, 4) matrix product.
     """
     pairs = 0.5 * (C[_PAIR_A, _PAIR_B] - C[_PAIR_B, _PAIR_A])
-    sigma_psi = np.einsum("kij,j...->ki...", SIGMA_PAIR_STACK, psi)
+    sigma_psi = (SIGMA_PAIR_STACK.reshape(-1, 4) @ np.reshape(psi, (4, -1))
+                 ).reshape((len(PAIRS),) + np.shape(psi))
     return np.einsum("km...,ki...->mi...", pairs, sigma_psi)
+
+
+PI_SIGNS = np.real(np.diagonal(PI)).copy()  # pi is diagonal
+PI_SIGNS.setflags(write=False)
+
+
+def pi_action(psi):
+    """pi psi, each component of psi times its sign on pi's diagonal, for a
+    spinor of shape (4,) + the points' shape."""
+    return PI_SIGNS.reshape((4,) + (1,) * (np.ndim(psi) - 1)) * psi
 
 
 # Bilinear kernels: psi^dag (gamma^0 K) psi for K in {I, pi, gamma^a, gamma^a pi}.
@@ -161,11 +173,17 @@ def bilinears(psi):
     """
     psi = np.asarray(psi, dtype=complex)
     conj = psi.conj()
-    theta = 1j * np.einsum("i...,ij,j...->...", conj, _KERNEL_THETA, psi)
-    phi = np.einsum("i...,ij,j...->...", conj, _KERNEL_PHI, psi)
-    U = np.einsum("i...,aij,j...->a...", conj, _KERNEL_U, psi)
-    S = np.einsum("i...,aij,j...->a...", conj, _KERNEL_S, psi)
-    parts = np.stack([theta, phi, *U, *S])
+    flat = np.reshape(psi, (4, -1))
+    # each kernel stack acts as one matrix product; the stacks are built
+    # here, so a patched kernel takes effect.  Two products, not one of all
+    # ten kernels, keep the intermediate at 24 rows per spinor.
+    parts = np.concatenate([
+        np.einsum("i...,ki...->k...", conj, (kernels @ flat).reshape(
+            (len(kernels) // 4, 4) + np.shape(psi)[1:]))
+        for kernels in (np.concatenate((_KERNEL_THETA, _KERNEL_PHI, *_KERNEL_U)),
+                        np.concatenate(_KERNEL_S))])
+    parts[0] *= 1j
+    theta, phi, U, S = parts[0], parts[1], parts[2:6], parts[6:]
     scale = np.maximum(1.0, np.max(np.abs(parts), axis=0))
     worst = np.max(np.abs(parts.imag), axis=0)
     if np.any(worst > IMAG_TOL * scale):

@@ -29,7 +29,9 @@ MODELS = tuple(polar.ENDPOINTS)
 DEFAULT_MASK_MARGIN = 0.02
 # Points per evaluation in a grid sweep.  Whole rows cost a call each, and
 # a whole 50x40 grid in one call raised a verify's peak memory by a fifth;
-# 128 keeps that within about 1 %.
+# 128 keeps that within about 1 %.  256 cut the standard form's time per
+# point by about a quarter but raised its allocation peak from 0.53 to
+# 0.77 MB.
 SWEEP_CHUNK = 128
 
 
@@ -123,8 +125,9 @@ def covector_components(pt: GridPoint, spec: ModelSpec):
     u = geometry.velocity_covector(pt, ang)
     s_cov = geometry.spin_covector(pt, ang)
     P = geometry.momentum_covector(spec.E, spec.l)
-    R_up3 = g[:, None, None] * g[None, :, None] * g[None, None, :] * Rc
-    B = 0.5 * np.einsum("mani...,ani...->m...", eps, R_up3)
+    # eps_{mani} R^{ani}, R with its three indices raised
+    B = 0.5 * np.einsum("mani...,ani...->m...", eps,
+                        g[:, None, None] * g[None, :, None] * g[None, None, :] * Rc)
     R_trace = np.einsum("n...,mnn...->m...", g, Rc)
     P_up = np.einsum("m...,m->m...", g, P)
     u_up = g * u
@@ -146,8 +149,10 @@ def covector_components(pt: GridPoint, spec: ModelSpec):
         dbeta + B + 2.0 * Ps * u - 2.0 * Pu * s_cov
         + (2.0 * m * f.cos_beta - nl_chiral) * s_cov
     )
-    axial_term = -2.0 * np.einsum("r...,n...,a...,mrna...->m...", P_up, u_up,
-                                  s_up, eps)
+    # eps_{mrna} P^r u^n s^a, eps against the outer product of the three
+    axial_term = -2.0 * np.einsum(
+        "mrna...,rna...->m...", eps,
+        P_up[:, None, None] * u_up[None, :, None] * s_up[None, None, :])
     density = (
         dlnphi2 + R_trace + axial_term + (2.0 * m - nl_density) * f.sin_beta * s_cov
     )
@@ -226,37 +231,49 @@ def residual_standard(pt: GridPoint, spec: ModelSpec):
     nabla_frame = np.einsum("am...,mj...->aj...", xi, nabla)
     bl = clifford.bilinears(psi)
     dirac = 1j * np.einsum("aij,aj...->i...", clifford.GAMMA_STACK, nabla_frame)
+    # (1/4)(Phi + i p Theta pi) is diagonal: one coefficient per component.
+    # einsum rounds each complex product as two real products and a sum;
+    # the multiply ufunc may fuse them and differ in the last bit.
     nonlinear = 0.25 * (
-        np.multiply.outer(clifford.IDENTITY, bl.phi)
-        + 1j * spec.p * np.multiply.outer(clifford.PI, bl.theta)
-    )
-    res = dirac + np.einsum("ij...,j...->i...", nonlinear, psi) - spec.m * psi
+        bl.phi + 1j * spec.p * np.multiply.outer(clifford.PI_SIGNS, bl.theta))
+    res = (dirac + np.einsum("i...,i...->i...", nonlinear, psi)
+           - spec.m * psi)
     return np.max(np.abs(res), axis=0)
 
 
 # -- grid sweeps ----------------------------------------------------------------
 
 
-def sweep(rows, evaluate, spec: ModelSpec, margin=DEFAULT_MASK_MARGIN):
-    """Statistics of a residual over grid rows, skipping masked points.
+def sweep_grid(rows, spec: ModelSpec, margin=DEFAULT_MASK_MARGIN):
+    """A grid prepared for sweeping: (chunks, n_points).
 
-    The rows (GridPoints of arrays, in r-major order) are masked in one
-    call; ``evaluate(pt)`` then gets the unmasked points in that order, at
-    most SWEEP_CHUNK of them per GridPoint, and returns their residual
-    maxima.  Returns the point and mask counts and the max, mean, median
-    and 95th percentile of those maxima.  The reductions propagate NaN, so
-    a non-finite residual anywhere on the grid reaches ``max`` and fails the
-    suite.
+    The rows (GridPoints of 1-D arrays in r-major order, as grids.points
+    gives them) are masked in one call; ``chunks`` holds the unmasked
+    points in that order as GridPoints of at most SWEEP_CHUNK points, and
+    ``n_points`` counts every grid point, masked ones included.  verify
+    builds this once and sweeps every grid suite over it.
     """
-    grid = [np.broadcast_arrays(row.r, row.theta) for row in rows]
-    r = np.concatenate([np.ravel(r) for r, _ in grid])
-    theta = np.concatenate([np.ravel(theta) for _, theta in grid])
+    r = np.concatenate([row.r for row in rows])
+    theta = np.concatenate([row.theta for row in rows])
     keep = ~is_masked(GridPoint(r, theta), spec, margin)
     r, theta = r[keep], theta[keep]
-    values = np.concatenate([
-        evaluate(GridPoint(r[i:i + SWEEP_CHUNK], theta[i:i + SWEEP_CHUNK]))
-        for i in range(0, r.size, SWEEP_CHUNK)] or [np.empty(0)])
-    stats = {"n_points": keep.size, "n_masked": keep.size - values.size,
+    return ([GridPoint(r[i:i + SWEEP_CHUNK], theta[i:i + SWEEP_CHUNK])
+             for i in range(0, r.size, SWEEP_CHUNK)], keep.size)
+
+
+def sweep(grid, evaluate):
+    """Statistics of a residual over the unmasked points of a grid that
+    sweep_grid prepared.
+
+    ``evaluate(pt)`` gets each chunk in order and returns the residual
+    maxima of its points.  Returns the point and mask counts and the max,
+    mean, median and 95th percentile of those maxima.  The reductions
+    propagate NaN, so a non-finite residual anywhere on the grid reaches
+    ``max`` and fails the suite.
+    """
+    chunks, n_points = grid
+    values = np.concatenate([evaluate(pt) for pt in chunks] or [np.empty(0)])
+    stats = {"n_points": n_points, "n_masked": n_points - values.size,
              "max": 0.0, "mean": 0.0, "median": 0.0, "q95": 0.0}
     if values.size:
         stats.update(max=float(values.max()), mean=float(values.mean()),

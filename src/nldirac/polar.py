@@ -319,13 +319,19 @@ def assemble_spinor(f: ClosedForm):
     moving frame lives entirely in the tetrads, so bilinears of this spinor
     give the rest-frame S^a and U^a; coordinate components need a tetrad
     contraction.  Shape (4,) + the points' shape.
+
+    pi = diag(-1, -1, 1, 1), so the rotation exp(-i beta pi/2) leaves the
+    two nonzero components phi exp(+-i beta/2), written here directly.
     """
-    # exp(-i beta pi / 2) via half-angle of the (sin, cos) pair
+    # the half angle of the (sin, cos) pair
     half = 0.5 * np.arctan2(f.sin_beta, f.cos_beta)
-    rot = (np.multiply.outer(clifford.IDENTITY, np.cos(half))
-           - 1j * np.multiply.outer(clifford.PI, np.sin(half)))
-    rest = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)
-    return np.sqrt(f.phi2) * np.einsum("ij...,j->i...", rot, rest)
+    phi = np.sqrt(f.phi2)
+    re, im = phi * np.cos(half), phi * np.sin(half)
+    psi = np.zeros((4,) + np.shape(re), dtype=complex)
+    psi.real[0] = psi.real[2] = re
+    psi.imag[0] = im
+    psi.imag[2] = -im
+    return psi
 
 
 def spinor_coordinate_partials(pt: GridPoint, f: ClosedForm, psi):
@@ -333,7 +339,7 @@ def spinor_coordinate_partials(pt: GridPoint, f: ClosedForm, psi):
     bundle f, from the log-derivative of the density and the chiral-angle
     partials."""
     der = f.derivs
-    pipsi = np.einsum("ij,j...->i...", clifford.PI, psi)
+    pipsi = clifford.pi_action(psi)
     return ((0.5 * f.r_dlnphi2_dr / pt.r) * psi
             - 0.5j * (der.r_d_beta_dr / pt.r) * pipsi,
             (0.5 * f.dlnphi2_dtheta) * psi - 0.5j * der.d_beta_dtheta * pipsi)
@@ -385,7 +391,7 @@ def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec):
     R_frame = np.einsum("bp...,npm...->nbm...", xi,
                         geometry.tensorial_connection_at(pt, f.ang))
     R_flat = np.einsum("an...,nbm...->abm...", xi, R_frame)
-    pipsi = np.einsum("ij,j...->i...", clifford.PI, psi)
+    pipsi = clifford.pi_action(psi)
     rhs = (np.einsum("m...,i...->mi...", dlnphi, psi)
            - 0.5j * np.einsum("m...,i...->mi...", dbeta, pipsi)
            - 1j * np.einsum("m,i...->mi...", P, psi)

@@ -39,7 +39,7 @@ def _entry(max_residual, tol, n, extra=None):
     }
 
 
-def suite_fierz(spec, grid_cfg, seed, tol, margin):
+def suite_fierz(spec, grid, seed, tol):
     psis = clifford.random_spinors(1000, seed=seed)
     return _entry(np.max(clifford.fierz_residuals(psis)), tol, len(psis))
 
@@ -54,13 +54,13 @@ def _sampled_suite(residual, spec, seed, tol):
     return _entry(np.max(residual(pts)), tol, pts.r.size)
 
 
-def suite_flatness(spec, grid_cfg, seed, tol, margin):
+def suite_flatness(spec, grid, seed, tol):
     """Riemann tensor of the spherical connection (analytic partials)."""
     return _sampled_suite(lambda pts: np.max(np.abs(geometry.riemann_at(pts))),
                           spec, seed, tol)
 
 
-def suite_curvature_strength(spec, grid_cfg, seed, tol, margin):
+def suite_curvature_strength(spec, grid, seed, tol):
     """Curvature and strength of the solution's potentials (must vanish)."""
     ang_field = polar.angle_field(spec)
 
@@ -74,51 +74,49 @@ def suite_curvature_strength(spec, grid_cfg, seed, tol, margin):
         spec, seed, tol)
 
 
-def suite_transport(spec, grid_cfg, seed, tol, margin):
+def suite_transport(spec, grid, seed, tol):
     ang_field = polar.angle_field(spec)
     return _sampled_suite(
         lambda pts: geometry.transport_residuals(pts, ang_field),
         spec, seed, tol)
 
 
-def suite_decomposition(spec, grid_cfg, seed, tol, margin):
+def suite_decomposition(spec, grid, seed, tol):
     """Polar decomposition of nabla psi on the 50 points in one call."""
     return _sampled_suite(
         lambda pts: polar.polar_decomposition_residual(pts, spec),
         spec, seed, tol)
 
 
-def _grid_suite(residual, spec, grid_cfg, tol, margin):
-    """Sweep ``residual(pt, spec)`` over the grid, skipping masked points.
-    A sweep that masked every point has checked nothing and fails."""
-    stats = equations.sweep(
-        grids.points(grid_cfg, m=spec.m), lambda pt: residual(pt, spec),
-        spec, margin,
-    )
+def _grid_suite(residual, spec, grid, tol):
+    """Sweep ``residual(pt, spec)`` over the prepared grid's unmasked
+    points.  A sweep that masked every point has checked nothing and
+    fails."""
+    stats = equations.sweep(grid, lambda pt: residual(pt, spec))
     entry = _entry(stats["max"], tol, stats["n_points"], stats)
     entry["pass"] &= stats["n_masked"] < stats["n_points"]
     return entry
 
 
-def suite_expanded(spec, grid_cfg, seed, tol, margin):
-    return _grid_suite(equations.residual_expanded, spec, grid_cfg, tol, margin)
+def suite_expanded(spec, grid, seed, tol):
+    return _grid_suite(equations.residual_expanded, spec, grid, tol)
 
 
-def suite_covector(spec, grid_cfg, seed, tol, margin):
-    return _grid_suite(equations.residual_polar_covector, spec, grid_cfg, tol,
-                       margin)
+def suite_covector(spec, grid, seed, tol):
+    return _grid_suite(equations.residual_polar_covector, spec, grid, tol)
 
 
-def suite_reduced(spec, grid_cfg, seed, tol, margin):
-    return _grid_suite(equations.residual_reduced, spec, grid_cfg, tol, margin)
+def suite_reduced(spec, grid, seed, tol):
+    return _grid_suite(equations.residual_reduced, spec, grid, tol)
 
 
-def suite_standard(spec, grid_cfg, seed, tol, margin):
-    return _grid_suite(equations.residual_standard, spec, grid_cfg, tol, margin)
+def suite_standard(spec, grid, seed, tol):
+    return _grid_suite(equations.residual_standard, spec, grid, tol)
 
 
-# Every suite in report order; each takes (spec, grid_cfg, seed, tol, margin).
-# The sampled suites ignore the grid and the margin, fierz the model as well.
+# Every suite in report order; each takes (spec, grid, seed, tol), where grid
+# is the equations.sweep_grid that run_suites builds once.  The sampled
+# suites ignore the grid, fierz the model as well.
 SUITES = {
     "fierz": suite_fierz,
     "flatness": suite_flatness,
@@ -139,12 +137,14 @@ def run_suites(spec: ModelSpec, grid_cfg=None, seed=42, tolerances=None,
     """Run every applicable suite for one model; returns the JSON-ready report.
 
     An interpolated run skips the ENDPOINT_ONLY suites and exercises the
-    reduced and standard forms.
+    reduced and standard forms.  The grid is built and masked once, and
+    every grid suite sweeps the same chunks of its unmasked points.
     """
-    grid_cfg = grid_cfg or grids.GridConfig()
+    grid = equations.sweep_grid(
+        grids.points(grid_cfg or grids.GridConfig(), m=spec.m), spec, margin)
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     suites = {
-        name: suite(spec, grid_cfg, seed, tol[name], margin)
+        name: suite(spec, grid, seed, tol[name])
         for name, suite in SUITES.items()
         if spec.name in equations.MODELS or name not in ENDPOINT_ONLY
     }

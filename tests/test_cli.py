@@ -502,6 +502,27 @@ USAGE_ERRORS = (
      "--scan-el applies to ode and report only, not verify"),
     (["locus", "--scan-el"], None,
      "--scan-el applies to ode and report only, not locus"),
+    # a setting the command does not read, as a flag or as a config key
+    (["locus", "--grid", "0.05,20,5,4"], None,
+     "--grid applies to fieldmap, ode, report and verify only, not locus"),
+    (["locus", "--seed", "5", "--mask-margin", "0.5"], None,
+     "--seed applies to report and verify only, not locus"),
+    (["fieldmap", "--seed", "7", "--tol", "fierz=1e-3"], None,
+     "--seed applies to report and verify only, not fieldmap"),
+    (["ode", "--model", "soler", "--mask-margin", "0.3", "--seed", "3"], None,
+     "--seed applies to report and verify only, not ode"),
+    (["verify", "--tol", "rtol=1e-9"], None,
+     "tolerance rtol applies to ode and report only, not verify"),
+    (["locus", "--tol", "standard-residuals=1e-3"], None,
+     "tolerance standard-residuals applies to report and verify only, "
+     "not locus"),
+    (["fieldmap"], {"E": 2.0}, "E applies to report and verify only, "
+     "not fieldmap"),
+    (["ode", "--model", "soler"], {"energy": 1.0},
+     "energy applies to report and verify only, not ode"),
+    (["locus"], {"format": "csv"}, "format applies to fieldmap only, not locus"),
+    (["verify"], {"mask_margin": 0.1, "tolerances": {"atol": 1e-9}},
+     "tolerance atol applies to ode and report only, not verify"),
 )
 
 
@@ -516,6 +537,32 @@ def test_bad_model_is_usage_error(capsys, tmp_path):
         assert out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert message in err, err
+
+
+def test_every_command_accepts_the_settings_it_reads(tmp_path):
+    # every setting in a command's COMMAND_READS entry, from the config file
+    # and as a flag where there is one, resolves without an error
+    config = {"model": "soler", "p": 0.0, "mass": 1.5, "grid": {"n_r": 5},
+              "seed": 3, "mask_margin": 0.1, "E": 1.5, "l": 0.5, "out": "x",
+              "format": "json"}
+    flags = {"model": ["--model", "soler"], "p": ["--p", "0"],
+             "mass": ["--mass", "1.5"], "grid": ["--grid", "0.1,5,5,4"],
+             "seed": ["--seed", "3"], "mask_margin": ["--mask-margin", "0.1"],
+             "out": ["--out", "x"], "format": ["--format", "json"],
+             "scan_el": ["--scan-el"]}
+    for command, reads in cli.COMMAND_READS.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(
+            {**{k: v for k, v in config.items() if k in reads},
+             "tolerances": {k: 1e-6 for k in cli.TOLERANCE_NAMES if k in reads}}))
+        argv = [command, "--config", str(path)]
+        argv += [arg for k, args in flags.items() if k in reads for arg in args]
+        argv += [arg for k in cli.TOLERANCE_NAMES if k in reads
+                 for arg in ("--tol", f"{k}=1e-7")]
+        cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+        assert cfg.spec.m == 1.5, command
+        assert cfg.out == "x", command
+        assert set(cfg.tolerances) == set(reads) & set(cli.TOLERANCE_NAMES)
 
 
 def test_model_name_is_the_same_in_every_report(capsys):

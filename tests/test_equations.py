@@ -19,6 +19,7 @@ from nldirac.equations import (
     residual_reduced,
     residual_standard,
     sweep,
+    sweep_grid,
 )
 from nldirac.geometry import GridPoint
 from nldirac.polar import ModelSpec
@@ -230,7 +231,7 @@ def test_sweep_masks_and_aggregates():
     spec = ModelSpec.njl()
     row = GridPoint(np.array([0.5, 1.0, 2.0]),
                     np.array([np.pi / 2 + 1e-4, 1.0, 2.0]))
-    stats = sweep([row], lambda pt: residual_expanded(pt, spec), spec)
+    stats = sweep(sweep_grid([row], spec), lambda pt: residual_expanded(pt, spec))
     assert stats["n_points"] == 3
     assert stats["n_masked"] == 1
     assert stats["max"] <= 1e-10
@@ -250,7 +251,7 @@ def test_sweep_masks_exactly_the_masked_points(margin, p, m, n_r, n_theta):
         evaluated.extend(zip(pt.r.tolist(), pt.theta.tolist()))
         return np.zeros(pt.shape)
 
-    stats = sweep(rows, record, spec, margin)
+    stats = sweep(sweep_grid(rows, spec, margin), record)
     pts = [GridPoint(r, th) for row in rows
            for r, th in zip(row.r.tolist(), row.theta.tolist())]
     masked = [is_masked(pt, spec, margin) for pt in pts]
@@ -286,6 +287,7 @@ def test_chunked_sweep_equals_the_row_sweep():
     for spec in (ModelSpec.njl(m=0.7), ModelSpec.soler(m=1.3),
                  ModelSpec(p=0.5)):
         rows = grids.points(cfg, m=spec.m)
+        grid = sweep_grid(rows, spec)
         for name, form in forms.items():
             if spec.name not in MODELS and name in ("expanded", "covector"):
                 continue
@@ -295,7 +297,7 @@ def test_chunked_sweep_equals_the_row_sweep():
                 chunks.append(form(pt, spec))
                 return chunks[-1]
 
-            stats = sweep(rows, evaluate, spec)
+            stats = sweep(grid, evaluate)
             expected, expected_stats = _row_sweep(
                 rows, lambda pt: form(pt, spec), spec)
             assert expected.size == (324 if spec.p == 0.0 else 332)

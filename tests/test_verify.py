@@ -11,6 +11,7 @@ pins.
 
 import dataclasses
 import inspect
+import tracemalloc
 
 import numpy as np
 
@@ -149,8 +150,8 @@ def test_batched_sampled_residuals_equal_the_per_point_maxima():
 def test_a_nan_at_a_chunk_edge_fails_its_grid_suite(monkeypatch):
     # the last point of a full chunk and the last unmasked point of the grid
     spec = ModelSpec.njl()
-    grid = grids.GridConfig(n_r=37, n_theta=9)
-    rows = grids.points(grid, m=spec.m)
+    rows = grids.points(grids.GridConfig(n_r=37, n_theta=9), m=spec.m)
+    grid = equations.sweep_grid(rows, spec)
     r = np.concatenate([row.r for row in rows])
     theta = np.concatenate([row.theta for row in rows])
     keep = ~equations.is_masked(geometry.GridPoint(r, theta), spec)
@@ -173,7 +174,55 @@ def test_a_nan_at_a_chunk_edge_fails_its_grid_suite(monkeypatch):
 
             with monkeypatch.context() as patch:
                 patch.setattr(equations, attr, poisoned)
-                entry = verify.SUITES[name](spec, grid, 42, 1e-8, 0.02)
+                entry = verify.SUITES[name](spec, grid, 42, 1e-8)
             assert hits == [(size, size - 1)]  # the last point of its chunk
             assert not entry["pass"], (index, name)
             assert np.isnan(entry["max_residual"]), (index, name)
+
+
+def test_run_suites_builds_and_masks_the_grid_once(monkeypatch):
+    # one grids.points call and one is_masked call over the whole grid per
+    # verify, whatever the number of grid suites; the sampled suites mask
+    # their own draws, at most 50 points per call
+    points, is_masked = grids.points, equations.is_masked
+    for spec in MODELS:
+        built, masked = [], []
+
+        def counting_points(cfg, m=1.0):
+            built.append(cfg)
+            return points(cfg, m)
+
+        def counting_is_masked(pt, spec, margin=equations.DEFAULT_MASK_MARGIN):
+            masked.append(np.size(pt.r))
+            return is_masked(pt, spec, margin)
+
+        grid = grids.GridConfig(n_r=25, n_theta=20)
+        with monkeypatch.context() as patch:
+            patch.setattr(grids, "points", counting_points)
+            patch.setattr(equations, "is_masked", counting_is_masked)
+            report = verify.run_suites(spec, grid)
+        assert report["pass"], spec.name
+        assert built == [grid]
+        assert masked.count(500) == 1
+        assert all(n <= 50 for n in masked if n != 500), masked
+        swept = [s["n_points"] for s in report["suites"].values()
+                 if "n_points" in s]
+        assert swept == [500] * (4 if spec.name in equations.MODELS else 2)
+
+
+def test_run_suites_memory_peak_stays_small():
+    # the grid suites evaluate chunks of SWEEP_CHUNK points and the
+    # bilinears stack at most 24 kernel rows per spinor, so one verify's
+    # allocations peak well under 1 MB on the benchmark's grid sizes
+    for spec, grid in (
+            (ModelSpec.soler(), grids.GridConfig(0.05, 20.0, 50, 40)),
+            (ModelSpec.interpolating(0.37), grids.GridConfig(0.05, 20.0, 70, 50))):
+        verify.run_suites(spec, grid)
+        tracemalloc.start()
+        try:
+            report = verify.run_suites(spec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["pass"], spec.name
+        assert peak <= 1_000_000, (spec.name, peak)
