@@ -12,13 +12,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
+import os
 import sys
 
 import numpy as np
 
 from . import equations, grids, ode, singular, verify
 from .errors import DivergingState, StepUnderflow
+from .geometry import GridPoint
 from .polar import ENDPOINTS, ModelSpec, X_exact, chiral_components, phi2_grid
 
 SCHEMA = "1"
@@ -96,13 +99,47 @@ def _parse_tol(items):
     return out
 
 
+def _common_flags():
+    """The flags every subcommand takes, on a parser each subcommand names as
+    a parent."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--model", default=None,
+                        help="njl | soler | p:<value> (default njl)")
+    common.add_argument("--mass", type=float, default=None,
+                        help="field mass m > 0 (default 1.0)")
+    common.add_argument("--p", dest="p_flag", type=float, default=None,
+                        help="interpolation parameter; shorthand for --model p:<v>")
+    common.add_argument("--grid", default=None, metavar="r_min,r_max,n_r,n_theta",
+                        help="radii in units of 1/m, log-spaced")
+    common.add_argument("--seed", type=int, default=None,
+                        help="seed for the random-spinor/point suites (default 42)")
+    common.add_argument("--tol", action="append", default=None, metavar="name=value",
+                        help="override a suite tolerance (or rtol/atol of the "
+                             "radial integration in ode and report)")
+    common.add_argument("--mask-margin", type=float, default=None,
+                        help="half-width of the singular-region mask (default 0.02)")
+    common.add_argument("--out", default=None, help="output file path")
+    common.add_argument("--format", dest="fmt", choices=("csv", "json"),
+                        default=None,
+                        help="fieldmap: csv (default) or json")
+    common.add_argument("--scan-el", action="store_true",
+                        help="ode and report: add the (E/m, l) quantum-number scan")
+    common.add_argument("--config", default=None,
+                        help="JSON config file; flags take precedence")
+    return common
+
+
+@functools.cache
 def build_parser():
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing keeps no state in the parser."""
     parser = argparse.ArgumentParser(
         prog="nldirac",
         description="Verify and explore the closed-form solutions of the "
                     "nonlinear Dirac models on a flat spherical background.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = _common_flags()
     for name, help_text in (
         ("verify", "run all identity and field-equation suites"),
         ("fieldmap", "write the matter distribution on a grid as CSV or JSON"),
@@ -110,30 +147,7 @@ def build_parser():
         ("locus", "report singular locus and asymptotics"),
         ("report", "aggregate verify + locus (+ ode) into one JSON document"),
     ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--model", default=None,
-                         help="njl | soler | p:<value> (default njl)")
-        cmd.add_argument("--mass", type=float, default=None,
-                         help="field mass m > 0 (default 1.0)")
-        cmd.add_argument("--p", dest="p_flag", type=float, default=None,
-                         help="interpolation parameter; shorthand for --model p:<v>")
-        cmd.add_argument("--grid", default=None, metavar="r_min,r_max,n_r,n_theta",
-                         help="radii in units of 1/m, log-spaced")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="seed for the random-spinor/point suites (default 42)")
-        cmd.add_argument("--tol", action="append", default=None, metavar="name=value",
-                         help="override a suite tolerance (or rtol/atol of the "
-                              "radial integration in ode and report)")
-        cmd.add_argument("--mask-margin", type=float, default=None,
-                         help="half-width of the singular-region mask (default 0.02)")
-        cmd.add_argument("--out", default=None, help="output file path")
-        cmd.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                         default=None,
-                         help="fieldmap: csv (default) or json")
-        cmd.add_argument("--scan-el", action="store_true",
-                         help="ode and report: add the (E/m, l) quantum-number scan")
-        cmd.add_argument("--config", default=None,
-                         help="JSON config file; flags take precedence")
+        sub.add_parser(name, help=help_text, parents=[common])
     return parser
 
 
@@ -181,7 +195,11 @@ def resolve_config(args) -> RunConfig:
              "format": args.fmt}
     config = _read_config(args.config)
     raw = dict(DEFAULTS)
-    for layer in (config, flags):
+    for layer, names in ((config, (f"{args.config}: model", "p")),
+                         (flags, ("--model", "--p"))):
+        if layer.get("model") is not None and layer.get("p") is not None:
+            raise ValueError(f"{' and '.join(names)} both set the model; "
+                             "give one of them")
         for key in CONFIG_KEYS:
             value = layer.get(key)
             if value is None:
@@ -310,10 +328,11 @@ def _float_text(values, spelling):
 def _write_fieldmap_rows(fh, spec, grid_cfg, margin, line, sep, spelling):
     """Evaluate the fieldmap one grid row (one radius, every theta) at a time
     in r-major order and write each grid row's text in one ``fh.write``."""
-    rows = grids.points(grid_cfg, m=spec.m)
+    grid = grids.points(grid_cfg, m=spec.m)
     # every grid row shares one theta axis
-    theta_text = _float_text(rows[0].theta, spelling)
-    for i, pt in enumerate(rows):
+    theta_text = _float_text(grid.theta[0], spelling)
+    for i, (r, theta) in enumerate(zip(grid.r, grid.theta)):
+        pt = GridPoint(r, theta)
         X = X_exact(pt.r, spec)
         with np.errstate(divide="ignore", invalid="ignore"):
             sb, cb = chiral_components(X, pt.theta)
@@ -412,11 +431,27 @@ COMMANDS = {
 }
 
 
+def _check_writable(path):
+    """Raise OSError, naming ``path``, if it cannot be opened for writing.
+
+    The file is opened for appending, so an existing one keeps its content,
+    and one that this check created is removed again."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
+        if cfg.out:
+            _check_writable(cfg.out)
     except (argparse.ArgumentTypeError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -116,12 +116,18 @@ def spin_action(C, psi):
     sum over the six pairs a < b of (1/2)(C_ab - C_ba) sigma^ab.  The
     difference keeps the lower triangle of C in play: a C that is not
     antisymmetric acts exactly as in the full sum.  The six sigma^ab act on
-    psi as one (24, 4) matrix product.
+    psi as one (24, 4) matrix product.  The six products are summed pair
+    by pair in PAIRS order, the order of an einsum over the pair axis, so
+    the sum rounds as that einsum does; a single broadcast product of all
+    six would need a (6, 4, 4) temporary per point.
     """
     pairs = 0.5 * (C[_PAIR_A, _PAIR_B] - C[_PAIR_B, _PAIR_A])
     sigma_psi = (SIGMA_PAIR_STACK.reshape(-1, 4) @ np.reshape(psi, (4, -1))
                  ).reshape((len(PAIRS),) + np.shape(psi))
-    return np.einsum("km...,ki...->mi...", pairs, sigma_psi)
+    out = pairs[0, :, None] * sigma_psi[0, None]
+    for k in range(1, len(PAIRS)):
+        out += pairs[k, :, None] * sigma_psi[k, None]
+    return out
 
 
 PI_SIGNS = np.real(np.diagonal(PI)).copy()  # pi is diagonal
@@ -139,7 +145,12 @@ _KERNEL_PHI = GAMMA[0] @ IDENTITY
 _KERNEL_THETA = GAMMA[0] @ PI
 _KERNEL_U = np.stack([GAMMA[0] @ GAMMA[a] for a in range(4)])
 _KERNEL_S = np.stack([GAMMA[0] @ GAMMA[a] @ PI for a in range(4)])
-for _mat in (_KERNEL_PHI, _KERNEL_THETA, _KERNEL_U, _KERNEL_S):
+# The ten kernels as two stacks, each applied as one matrix product: Theta,
+# Phi and the four U first, then the four S.  Two products, not one of all
+# ten kernels, keep the intermediate at 24 rows per spinor.
+_KERNEL_STACKS = (np.concatenate((_KERNEL_THETA, _KERNEL_PHI, *_KERNEL_U)),
+                 np.concatenate(_KERNEL_S))
+for _mat in (_KERNEL_PHI, _KERNEL_THETA, _KERNEL_U, _KERNEL_S, *_KERNEL_STACKS):
     _mat.setflags(write=False)
 del _mat
 IMAG_TOL = 1e-10  # largest imaginary part of a bilinear, relative to its scale
@@ -174,14 +185,10 @@ def bilinears(psi):
     psi = np.asarray(psi, dtype=complex)
     conj = psi.conj()
     flat = np.reshape(psi, (4, -1))
-    # each kernel stack acts as one matrix product; the stacks are built
-    # here, so a patched kernel takes effect.  Two products, not one of all
-    # ten kernels, keep the intermediate at 24 rows per spinor.
     parts = np.concatenate([
         np.einsum("i...,ki...->k...", conj, (kernels @ flat).reshape(
             (len(kernels) // 4, 4) + np.shape(psi)[1:]))
-        for kernels in (np.concatenate((_KERNEL_THETA, _KERNEL_PHI, *_KERNEL_U)),
-                        np.concatenate(_KERNEL_S))])
+        for kernels in _KERNEL_STACKS])
     parts[0] *= 1j
     theta, phi, U, S = parts[0], parts[1], parts[2:6], parts[6:]
     scale = np.maximum(1.0, np.max(np.abs(parts), axis=0))

@@ -244,19 +244,18 @@ def residual_standard(pt: GridPoint, spec: ModelSpec):
 # -- grid sweeps ----------------------------------------------------------------
 
 
-def sweep_grid(rows, spec: ModelSpec, margin=DEFAULT_MASK_MARGIN):
+def sweep_grid(grid: GridPoint, spec: ModelSpec, margin=DEFAULT_MASK_MARGIN):
     """A grid prepared for sweeping: (chunks, n_points).
 
-    The rows (GridPoints of 1-D arrays in r-major order, as grids.points
-    gives them) are masked in one call; ``chunks`` holds the unmasked
-    points in that order as GridPoints of at most SWEEP_CHUNK points, and
-    ``n_points`` counts every grid point, masked ones included.  verify
-    builds this once and sweeps every grid suite over it.
+    ``grid`` holds its points as r and theta arrays of one shape, such as
+    the (n_r, n_theta) arrays of grids.points.  It is masked in one call;
+    ``chunks`` holds the unmasked points in C (for grids.points, r-major)
+    order as GridPoints of at most SWEEP_CHUNK points, and ``n_points``
+    counts every grid point, masked ones included.  verify builds this once
+    and sweeps every grid suite over it.
     """
-    r = np.concatenate([row.r for row in rows])
-    theta = np.concatenate([row.theta for row in rows])
-    keep = ~is_masked(GridPoint(r, theta), spec, margin)
-    r, theta = r[keep], theta[keep]
+    keep = ~is_masked(grid, spec, margin)
+    r, theta = grid.r[keep], grid.theta[keep]
     return ([GridPoint(r[i:i + SWEEP_CHUNK], theta[i:i + SWEEP_CHUNK])
              for i in range(0, r.size, SWEEP_CHUNK)], keep.size)
 
@@ -276,7 +275,7 @@ def sweep(grid, evaluate):
     stats = {"n_points": n_points, "n_masked": n_points - values.size,
              "max": 0.0, "mean": 0.0, "median": 0.0, "q95": 0.0}
     if values.size:
+        median, q95 = np.quantile(values, (0.5, 0.95)).tolist()
         stats.update(max=float(values.max()), mean=float(values.mean()),
-                     median=float(np.quantile(values, 0.5)),
-                     q95=float(np.quantile(values, 0.95)))
+                     median=median, q95=q95)
     return stats

@@ -92,9 +92,15 @@ def velocity_spin_components(X, theta):
     finite off the locus X = 0, cos(theta) = 0.
     """
     c = np.cos(theta)
-    q = np.sqrt(X * X + c * c)
-    ch = np.sqrt(X * X + 1.0)
-    return (np.sin(theta) / q, ch / q, X * np.sin(theta) / q, ch * c / q)
+    return _velocity_spin(X, c, np.sin(theta), np.sqrt(X * X + c * c),
+                          np.sqrt(X * X + 1.0))
+
+
+def _velocity_spin(X, c, s, q, ch):
+    """velocity_spin_components from X, cos(theta), sin(theta),
+    q = sqrt(X^2 + cos^2 theta) and ch = sqrt(X^2 + 1), for a caller that
+    has them already (polar.closed_form)."""
+    return (s / q, ch / q, X * s / q, ch * c / q)
 
 
 # -- metric and Levi-Civita connection --------------------------------------

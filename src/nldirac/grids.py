@@ -43,10 +43,15 @@ def thetas(cfg: GridConfig):
 
 
 def points(cfg: GridConfig, m=1.0):
-    """The grid's rows in r-major order: one GridPoint per radius, holding
-    that radius and every theta as arrays of length n_theta."""
-    ths = thetas(cfg)
-    return [GridPoint(np.full_like(ths, r), ths) for r in radii(cfg, m)]
+    """The whole grid as one GridPoint of (n_r, n_theta) arrays in r-major
+    order: row i holds radius i at every theta.
+
+    Both arrays are read-only broadcast views of the two axes, so the grid
+    takes no more memory than they do, and it is validated once.
+    """
+    shape = (cfg.n_r, cfg.n_theta)
+    return GridPoint(np.broadcast_to(radii(cfg, m)[:, None], shape),
+                     np.broadcast_to(thetas(cfg), shape))
 
 
 def sample_points(rng, n, m=1.0, reject=None):

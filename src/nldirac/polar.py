@@ -108,7 +108,11 @@ def G_exact(r, spec: ModelSpec):
 def chiral_components(X, theta):
     """(sin beta, cos beta) of the chiral angle; tan beta = -cos(theta)/X."""
     c = np.cos(theta)
-    q = np.sqrt(X * X + c * c)
+    return _chiral(X, c, np.sqrt(X * X + c * c))
+
+
+def _chiral(X, c, q):
+    """chiral_components from cos(theta) and q = sqrt(X^2 + cos^2 theta)."""
     return (-c / q, X / q)
 
 
@@ -131,8 +135,12 @@ class PolarDerivatives:
 def analytic_derivatives(X, r_dX_dr, theta):
     """Closed-form partials of gamma, alpha, beta for a radial profile X(r)."""
     c, s = np.cos(theta), np.sin(theta)
-    D = X * X + c * c
-    ch = np.sqrt(X * X + 1.0)
+    return _derivatives(X, r_dX_dr, c, s, X * X + c * c, np.sqrt(X * X + 1.0))
+
+
+def _derivatives(X, r_dX_dr, c, s, D, ch):
+    """analytic_derivatives from cos(theta), sin(theta), D = X^2 + cos^2
+    theta and ch = sqrt(X^2 + 1)."""
     F = r_dX_dr / ch
     return PolarDerivatives(
         d_gamma_dtheta=X * ch / D,
@@ -158,16 +166,22 @@ def angle_state(pt: GridPoint, spec: ModelSpec) -> AngleState:
     singular ring, so evaluation refuses rather than picking a limit.
     """
     X = X_exact(pt.r, spec)
-    _refuse(pt, np.real(X * X + np.cos(pt.theta) ** 2) <= 1e-28,
+    c, s = np.cos(pt.theta), np.sin(pt.theta)
+    _refuse(pt, np.real(X * X + c ** 2) <= 1e-28,
             "kinematic quotients are 0/0 on the ring")
-    d = analytic_derivatives(X, r_dX_dr_exact(pt.r, spec), pt.theta)
-    return _angles(pt, X, d)
+    return _kinematics(pt, X, r_dX_dr_exact(pt.r, spec), c, s)[2]
 
 
-def _angles(pt: GridPoint, X, d: PolarDerivatives) -> AngleState:
-    """AngleState from the profile value X and the partials d built on it."""
-    sa, ca, sg, cg = geometry.velocity_spin_components(X, pt.theta)
-    return AngleState(
+def _kinematics(pt: GridPoint, X, r_dX_dr, c, s):
+    """(q, partials, AngleState) of the closed-form branch from the profile
+    X, r X' and the point's cos(theta) and sin(theta), with X^2 + cos^2
+    theta, its root q and sqrt(X^2 + 1) each computed once."""
+    X2 = X * X
+    D = X2 + c * c
+    q, ch = np.sqrt(D), np.sqrt(X2 + 1.0)
+    d = _derivatives(X, r_dX_dr, c, s, D, ch)
+    sa, ca, sg, cg = geometry._velocity_spin(X, c, s, q, ch)
+    return q, d, AngleState(
         sinh_alpha=sa,
         cosh_alpha=ca,
         sin_gamma=sg,
@@ -207,9 +221,13 @@ def _phi2_soler_raw(r, theta, m):
 
 
 def _phi2_general_raw(r, theta, m, p):
-    sh = np.sinh(np.log(2.0 * m * r))
-    c2 = np.cos(theta) ** 2
-    return 2.0 * np.sqrt(sh * sh + c2) / (r * (sh * sh + p * c2))
+    return _phi2_general(r, np.sinh(np.log(2.0 * m * r)), np.cos(theta) ** 2, p)
+
+
+def _phi2_general(r, sh, c2, p):
+    """The general density from sh = sinh(zeta) and c2 = cos^2 theta."""
+    sh2 = sh * sh
+    return 2.0 * np.sqrt(sh2 + c2) / (r * (sh2 + p * c2))
 
 
 def module_njl(pt: GridPoint, spec: ModelSpec):
@@ -235,10 +253,15 @@ def module_general_p(pt: GridPoint, spec: ModelSpec):
 
     Reduces to module_njl at p = 1 and to module_soler at p = 0.
     """
-    sh2 = np.sinh(zeta_exact(pt.r, spec)) ** 2
-    _refuse(pt, np.real(sh2 + spec.p * np.cos(pt.theta) ** 2) <= 1e-28,
+    return _general_density(pt, spec.p, np.sinh(zeta_exact(pt.r, spec)),
+                            np.cos(pt.theta) ** 2)
+
+
+def _general_density(pt: GridPoint, p, sh, c2):
+    """module_general_p from sh = sinh(zeta) and c2 = cos^2 theta."""
+    _refuse(pt, np.real(sh ** 2 + p * c2) <= 1e-28,
             "locus sinh^2 zeta + p cos^2 theta = 0")
-    return _phi2_general_raw(pt.r, pt.theta, spec.m, spec.p)
+    return _phi2_general(pt.r, sh, c2, p)
 
 
 def phi2_grid(spec: ModelSpec, r, theta):
@@ -293,16 +316,24 @@ class ClosedForm:
 
 def closed_form(pt: GridPoint, spec: ModelSpec) -> ClosedForm:
     """The closed-form solution of the model at ``pt``; raises SingularPoint,
-    naming the first point, on the density's singular locus."""
-    phi2 = module_general_p(pt, spec)
+    naming the first point, on the density's singular locus.
+
+    cos(theta), sin(theta), sinh(zeta), X, r X', X^2 + cos^2 theta and the
+    two square roots are computed once and shared by the formulas, each
+    evaluated as its public function would; the density log-derivatives
+    come from module_log_derivatives.
+    """
+    c, s = np.cos(pt.theta), np.sin(pt.theta)
+    phi2 = _general_density(pt, spec.p, np.sinh(zeta_exact(pt.r, spec)),
+                            c ** 2)
     X = X_exact(pt.r, spec)
-    d = analytic_derivatives(X, r_dX_dr_exact(pt.r, spec), pt.theta)
-    sb, cb = chiral_components(X, pt.theta)
+    q, d, ang = _kinematics(pt, X, r_dX_dr_exact(pt.r, spec), c, s)
+    sb, cb = _chiral(X, c, q)
     r_dlog, dth_log = module_log_derivatives(pt, spec)
     return ClosedForm(
         sin_beta=sb, cos_beta=cb,
         phi2=phi2, r_dlnphi2_dr=r_dlog, dlnphi2_dtheta=dth_log,
-        derivs=d, ang=_angles(pt, X, d),
+        derivs=d, ang=ang,
     )
 
 

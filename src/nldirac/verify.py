@@ -137,8 +137,9 @@ def run_suites(spec: ModelSpec, grid_cfg=None, seed=42, tolerances=None,
     """Run every applicable suite for one model; returns the JSON-ready report.
 
     An interpolated run skips the ENDPOINT_ONLY suites and exercises the
-    reduced and standard forms.  The grid is built and masked once, and
-    every grid suite sweeps the same chunks of its unmasked points.
+    reduced and standard forms.  The grid is built, validated and masked
+    once, and every grid suite sweeps the same chunks of its unmasked
+    points.
     """
     grid = equations.sweep_grid(
         grids.points(grid_cfg or grids.GridConfig(), m=spec.m), spec, margin)

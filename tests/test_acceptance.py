@@ -85,9 +85,10 @@ def test_criterion_05_all_equation_forms():
 
     def unmasked(spec):
         # the unmasked points of each grid row, as one GridPoint per row
-        rows = grids.points(cfg, m=spec.m)
-        assert sum(row.r.size for row in rows) == 500
-        for row in rows:
+        grid = grids.points(cfg, m=spec.m)
+        assert grid.r.size == 500
+        for r, theta in zip(grid.r, grid.theta):
+            row = GridPoint(r, theta)
             keep = ~equations.is_masked(row, spec)
             yield GridPoint(row.r[keep], row.theta[keep])
 

@@ -1,9 +1,12 @@
+import argparse
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -317,7 +320,8 @@ def _reference_fieldmap(argv):
     cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
     spec = cfg.spec
     rows = []
-    for pt in grids.points(cfg.grid, m=spec.m):
+    grid = grids.points(cfg.grid, m=spec.m)
+    for pt in map(geometry.GridPoint, grid.r, grid.theta):
         X = polar.X_exact(pt.r, spec)
         with np.errstate(divide="ignore", invalid="ignore"):
             sb, cb = polar.chiral_components(X, pt.theta)
@@ -523,14 +527,34 @@ USAGE_ERRORS = (
     (["locus"], {"format": "csv"}, "format applies to fieldmap only, not locus"),
     (["verify"], {"mask_margin": 0.1, "tolerances": {"atol": 1e-9}},
      "tolerance atol applies to ode and report only, not verify"),
+    # two settings of one layer that both set the model
+    (["verify", "--model", "soler", "--p", "0.3"], None,
+     "--model and --p both set the model"),
+    (["locus"], {"model": "njl", "p": 0.3}, "model and p both set the model"),
+    # an --out that cannot be written; {tmp} is the test's tmp_path
+    (["verify", "--model", "njl", "--grid", "0.05,20,5,4",
+      "--out", "{tmp}/missing/v.json"], None,
+     "cannot write {tmp}/missing/v.json: No such file or directory"),
+    (["ode", "--model", "soler", "--out", "{tmp}/missing/t.csv"], None,
+     "cannot write {tmp}/missing/t.csv"),
+    (["locus", "--out", "{tmp}/missing/l.json"], None,
+     "cannot write {tmp}/missing/l.json"),
+    (["fieldmap", "--grid", "0.05,20,5,4", "--out", "{tmp}/missing/x.csv"],
+     None, "cannot write {tmp}/missing/x.csv"),
+    (["report"], {"out": "{tmp}/missing/r.json"},
+     "cannot write {tmp}/missing/r.json"),
+    (["verify", "--grid", "0.05,20,5,4", "--out", "{tmp}"], None,
+     "cannot write {tmp}: Is a directory"),
 )
 
 
 def test_bad_model_is_usage_error(capsys, tmp_path):
     for argv, config, message in USAGE_ERRORS:
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        message = message.replace("{tmp}", str(tmp_path))
         if config is not None:
             path = tmp_path / "cfg.json"
-            path.write_text(json.dumps(config))
+            path.write_text(json.dumps(config).replace("{tmp}", str(tmp_path)))
             argv = argv + ["--config", str(path)]
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -541,7 +565,9 @@ def test_bad_model_is_usage_error(capsys, tmp_path):
 
 def test_every_command_accepts_the_settings_it_reads(tmp_path):
     # every setting in a command's COMMAND_READS entry, from the config file
-    # and as a flag where there is one, resolves without an error
+    # and as a flag where there is one, resolves without an error; model and
+    # p both set the model, so each run gives one of them in the config file
+    # and the other as a flag
     config = {"model": "soler", "p": 0.0, "mass": 1.5, "grid": {"n_r": 5},
               "seed": 3, "mask_margin": 0.1, "E": 1.5, "l": 0.5, "out": "x",
               "format": "json"}
@@ -550,16 +576,20 @@ def test_every_command_accepts_the_settings_it_reads(tmp_path):
              "seed": ["--seed", "3"], "mask_margin": ["--mask-margin", "0.1"],
              "out": ["--out", "x"], "format": ["--format", "json"],
              "scan_el": ["--scan-el"]}
-    for command, reads in cli.COMMAND_READS.items():
+    for (command, reads), in_config in itertools.product(
+            cli.COMMAND_READS.items(), ("model", "p")):
+        as_flag = {"model": "p", "p": "model"}[in_config]
         path = tmp_path / f"{command}.json"
         path.write_text(json.dumps(
-            {**{k: v for k, v in config.items() if k in reads},
+            {**{k: v for k, v in config.items() if k in reads and k != as_flag},
              "tolerances": {k: 1e-6 for k in cli.TOLERANCE_NAMES if k in reads}}))
         argv = [command, "--config", str(path)]
-        argv += [arg for k, args in flags.items() if k in reads for arg in args]
+        argv += [arg for k, args in flags.items()
+                 if k in reads and k != in_config for arg in args]
         argv += [arg for k in cli.TOLERANCE_NAMES if k in reads
                  for arg in ("--tol", f"{k}=1e-7")]
         cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+        assert cfg.spec.p == 0.0, command
         assert cfg.spec.m == 1.5, command
         assert cfg.out == "x", command
         assert set(cfg.tolerances) == set(reads) & set(cli.TOLERANCE_NAMES)
@@ -689,3 +719,59 @@ def test_p_flag_shorthand(capsys):
     doc = json.loads(stdout)
     assert doc["p"] == pytest.approx(0.3)
     assert doc["locus"]["kind"] == "ring"
+
+
+def test_a_model_flag_overrides_the_config_file(capsys, tmp_path):
+    # --model and --p conflict only within one layer: a flag of either kind
+    # overrides the config file's model or p
+    for config, flags, model in (({"p": 0.3}, ["--model", "njl"], "njl"),
+                                 ({"model": "soler"}, ["--p", "0.5"], "p:0.5")):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, stdout, _ = run(capsys, "locus", "--config", str(path), *flags)
+        assert code == 0, config
+        assert json.loads(stdout)["model"] == model
+
+
+def test_out_check_leaves_no_file_behind(capsys, tmp_path):
+    # the writability check removes the file it created, so a command that
+    # stops before writing leaves nothing, and an existing file is written
+    # over only by the command itself
+    out = tmp_path / "t.csv"
+    code, _, err = run(capsys, "ode", "--model", "njl", "--out", str(out))
+    assert code == 2 and "scalar model" in err
+    assert not out.exists()
+    out.write_text("kept")
+    code, _, _ = run(capsys, "ode", "--model", "njl", "--out", str(out))
+    assert code == 2
+    assert out.read_text() == "kept"
+    code, _, _ = run(capsys, "locus", "--out", str(out))
+    assert code == 0
+    assert json.loads(out.read_text())["model"] == "njl"
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    # the parser is built once per process: a second main call constructs
+    # no ArgumentParser, and every subcommand lists the same shared flags
+    cli.build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "locus", "--model", "njl")[0] == 0
+    assert built
+    built.clear()
+    assert run(capsys, "locus", "--model", "soler")[0] == 0
+    assert built == []
+    shared = ["--model", "--mass", "--p", "--grid", "--seed", "--tol",
+              "--mask-margin", "--out", "--format", "--scan-el", "--config"]
+    for command in cli.COMMANDS:
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
+        assert listed == shared, command

@@ -176,10 +176,12 @@ def test_bilinears_global_phase_invariance():
 def test_non_real_bilinear_raised_on_broken_kernel(monkeypatch):
     # reality of the bilinears encodes hermiticity of the kernels; a
     # one-sided off-diagonal corruption must be caught, it would mean the
-    # gamma basis is wrong
-    broken = clifford._KERNEL_THETA.copy()
+    # gamma basis is wrong; the Theta kernel is the first four rows of the
+    # first stack
+    stacks = clifford._KERNEL_STACKS
+    broken = stacks[0].copy()
     broken[0, 1] += 0.3
-    monkeypatch.setattr(clifford, "_KERNEL_THETA", broken)
+    monkeypatch.setattr(clifford, "_KERNEL_STACKS", (broken, *stacks[1:]))
     with pytest.raises(NonRealBilinear):
         bilinears(np.array([1.0, 0.3 + 0.2j, -0.1, 0.7j]))
 

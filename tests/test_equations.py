@@ -231,7 +231,7 @@ def test_sweep_masks_and_aggregates():
     spec = ModelSpec.njl()
     row = GridPoint(np.array([0.5, 1.0, 2.0]),
                     np.array([np.pi / 2 + 1e-4, 1.0, 2.0]))
-    stats = sweep(sweep_grid([row], spec), lambda pt: residual_expanded(pt, spec))
+    stats = sweep(sweep_grid(row, spec), lambda pt: residual_expanded(pt, spec))
     assert stats["n_points"] == 3
     assert stats["n_masked"] == 1
     assert stats["max"] <= 1e-10
@@ -243,15 +243,16 @@ def test_sweep_masks_and_aggregates():
        n_theta=st.integers(2, 9))
 def test_sweep_masks_exactly_the_masked_points(margin, p, m, n_r, n_theta):
     spec = ModelSpec(m=m, p=p)
-    rows = grids.points(grids.GridConfig(r_min=0.2, r_max=3.0, n_r=n_r,
+    grid = grids.points(grids.GridConfig(r_min=0.2, r_max=3.0, n_r=n_r,
                                          n_theta=n_theta), m=m)
+    rows = _rows(grid)
     evaluated = []
 
     def record(pt):
         evaluated.extend(zip(pt.r.tolist(), pt.theta.tolist()))
         return np.zeros(pt.shape)
 
-    stats = sweep(sweep_grid(rows, spec, margin), record)
+    stats = sweep(sweep_grid(grid, spec, margin), record)
     pts = [GridPoint(r, th) for row in rows
            for r, th in zip(row.r.tolist(), row.theta.tolist())]
     masked = [is_masked(pt, spec, margin) for pt in pts]
@@ -259,6 +260,11 @@ def test_sweep_masks_exactly_the_masked_points(margin, p, m, n_r, n_theta):
     assert stats["n_masked"] == sum(masked)
     assert evaluated == [(pt.r, pt.theta)
                          for pt, skip in zip(pts, masked) if not skip]
+
+
+def _rows(grid):
+    """The rows of a grids.points grid, one GridPoint per radius."""
+    return [GridPoint(r, theta) for r, theta in zip(grid.r, grid.theta)]
 
 
 def _row_sweep(rows, evaluate, spec):
@@ -286,8 +292,8 @@ def test_chunked_sweep_equals_the_row_sweep():
              "reduced": residual_reduced, "standard": residual_standard}
     for spec in (ModelSpec.njl(m=0.7), ModelSpec.soler(m=1.3),
                  ModelSpec(p=0.5)):
-        rows = grids.points(cfg, m=spec.m)
-        grid = sweep_grid(rows, spec)
+        rows = _rows(grids.points(cfg, m=spec.m))
+        grid = sweep_grid(grids.points(cfg, m=spec.m), spec)
         for name, form in forms.items():
             if spec.name not in MODELS and name in ("expanded", "covector"):
                 continue
@@ -345,7 +351,7 @@ def test_rows_equal_points():
                 lambda pt: residual_polar_covector(pt, spec))
         cfg = grids.GridConfig(r_min=rng.uniform(0.03, 0.08),
                                r_max=rng.uniform(10.0, 30.0), n_r=9, n_theta=7)
-        for row in grids.points(cfg, m=m):
+        for row in _rows(grids.points(cfg, m=m)):
             pts = [GridPoint(r, th)
                    for r, th in zip(row.r.tolist(), row.theta.tolist())]
             assert is_masked(row, spec).tolist() == [

@@ -61,3 +61,24 @@ def test_block_sampler_stops_after_ten_thousand_draws():
         grids.sample_points(rng, 5, reject=reject_all)
     # both gave up after the same 10000 pairs
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_points_is_the_whole_grid_in_r_major_order(monkeypatch):
+    # one GridPoint of (n_r, n_theta) arrays, validated once: row i is
+    # radius i at every theta, as the per-radius rows held it
+    cfg = grids.GridConfig(r_min=0.07, r_max=13.0, n_r=9, n_theta=5)
+    built = []
+    post_init = GridPoint.__post_init__
+
+    def counting(self):
+        built.append(np.shape(self.r))
+        post_init(self)
+
+    monkeypatch.setattr(GridPoint, "__post_init__", counting)
+    grid = grids.points(cfg, m=0.6)
+    assert built == [(9, 5)]
+    ths = grids.thetas(cfg)
+    for i, r in enumerate(grids.radii(cfg, m=0.6)):
+        assert np.array_equal(grid.r[i], np.full_like(ths, r))
+        assert np.array_equal(grid.theta[i], ths)
+    assert not grid.r.flags.writeable and not grid.theta.flags.writeable

@@ -3,17 +3,20 @@ expressions they stand in for.
 
 Each reference below builds the per-point matrix or tensor and contracts
 it: the rotation exp(-i beta pi/2) applied to the rest column, the
-three-operand einsum bilinears, the four-operand axial contraction and the
-outer-built nonlinear operator of the standard form.  The kernels skip
-those per-point objects; on the closed-form solutions every output must
-still be the same float.
+three-operand einsum bilinears, the four-operand axial contraction, the
+einsum over the pairs of the spin action and the outer-built nonlinear
+operator of the standard form.  The kernels skip those per-point objects;
+on the closed-form solutions every output must still be the same float.
+The closed form itself shares its intermediates between formulas; its
+reference evaluates each formula on its own, recomputing them.
 """
 
 import numpy as np
 import pytest
 
 from nldirac import clifford, equations, geometry, grids, polar
-from nldirac.polar import ModelSpec
+from nldirac.geometry import AngleState, GridPoint
+from nldirac.polar import ClosedForm, ModelSpec, PolarDerivatives
 
 MODELS = (ModelSpec.njl, ModelSpec.soler,
           lambda m: ModelSpec.interpolating(0.5, m=m))
@@ -150,3 +153,119 @@ def test_standard_form_equals_the_matrix_nonlinear_term():
         for model in (spec, wrong_energy):
             assert np.array_equal(equations.residual_standard(pts, model),
                                   _reference_standard(pts, model)), model
+
+
+def _reference_derivatives(X, r_dX_dr, theta):
+    """analytic_derivatives, each intermediate computed in place."""
+    c, s = np.cos(theta), np.sin(theta)
+    D = X * X + c * c
+    ch = np.sqrt(X * X + 1.0)
+    F = r_dX_dr / ch
+    return PolarDerivatives(
+        d_gamma_dtheta=X * ch / D,
+        r_d_gamma_dr=c * s * F / D,
+        d_alpha_dtheta=ch * c / D,
+        r_d_alpha_dr=-X * s * F / D,
+        d_beta_dtheta=X * s / D,
+        r_d_beta_dr=r_dX_dr * c / D,
+    )
+
+
+def _reference_angles(pt, X, d):
+    """The AngleState of the profile X and its partials d, with
+    velocity_spin_components computing its own cos, sin and roots."""
+    c = np.cos(pt.theta)
+    q = np.sqrt(X * X + c * c)
+    ch = np.sqrt(X * X + 1.0)
+    return AngleState(
+        sinh_alpha=np.sin(pt.theta) / q, cosh_alpha=ch / q,
+        sin_gamma=X * np.sin(pt.theta) / q, cos_gamma=ch * c / q,
+        d_alpha_dr=d.r_d_alpha_dr / pt.r, d_alpha_dtheta=d.d_alpha_dtheta,
+        d_gamma_dr=d.r_d_gamma_dr / pt.r, d_gamma_dtheta=d.d_gamma_dtheta)
+
+
+def _reference_closed_form(pt, spec):
+    """closed_form composed of the formulas one by one, each computing
+    cos and sin theta, sinh(zeta), X, r X' and the roots it needs."""
+    sh2 = np.sinh(np.log(2.0 * spec.m * pt.r)) ** 2
+    assert not np.any(np.real(sh2 + spec.p * np.cos(pt.theta) ** 2) <= 1e-28)
+    sh = np.sinh(np.log(2.0 * spec.m * pt.r))
+    c2 = np.cos(pt.theta) ** 2
+    phi2 = 2.0 * np.sqrt(sh * sh + c2) / (pt.r * (sh * sh + spec.p * c2))
+    u = 2.0 * spec.m * pt.r
+    X = 0.5 * (u - 1.0 / u)
+    d = _reference_derivatives(X, 0.5 * (u + 1.0 / u), pt.theta)
+    c = np.cos(pt.theta)
+    q = np.sqrt(X * X + c * c)
+    r_dlog, dth_log = polar.module_log_derivatives(pt, spec)
+    return ClosedForm(sin_beta=-c / q, cos_beta=X / q, phi2=phi2,
+                      r_dlnphi2_dr=r_dlog, dlnphi2_dtheta=dth_log, derivs=d,
+                      ang=_reference_angles(pt, X, d))
+
+
+def _scalar_points(pts, n=20):
+    """The first n points of pts, each as a GridPoint of floats."""
+    return [GridPoint(r, th) for r, th in zip(pts.r[:n].tolist(),
+                                              pts.theta[:n].tolist())]
+
+
+def _equal_fields(a, b):
+    """Whether two dataclasses hold np.array_equal values in every field."""
+    return all(np.array_equal(x, y)
+               for x, y in zip(vars(a).values(), vars(b).values()))
+
+
+def test_closed_form_equals_the_formula_by_formula_composition():
+    # on 200 points in one call and on 20 of them one float point at a time
+    for spec, pts in _cases():
+        for pt in [pts, *_scalar_points(pts)]:
+            f, ref = polar.closed_form(pt, spec), _reference_closed_form(pt, spec)
+            assert _equal_fields(f.derivs, ref.derivs), spec
+            assert _equal_fields(f.ang, ref.ang), spec
+            for name in ("sin_beta", "cos_beta", "phi2", "r_dlnphi2_dr",
+                         "dlnphi2_dtheta"):
+                assert np.array_equal(getattr(f, name), getattr(ref, name)), (
+                    spec, name)
+            # and so do the public formulas
+            assert _equal_fields(polar.angle_state(pt, spec), ref.ang), spec
+            X = polar.X_exact(pt.r, spec)
+            d = polar.analytic_derivatives(
+                X, polar.r_dX_dr_exact(pt.r, spec), pt.theta)
+            assert _equal_fields(d, ref.derivs), spec
+            assert np.array_equal(polar.chiral_components(X, pt.theta),
+                                  (ref.sin_beta, ref.cos_beta))
+            assert np.array_equal(
+                geometry.velocity_spin_components(X, pt.theta),
+                (ref.ang.sinh_alpha, ref.ang.cosh_alpha, ref.ang.sin_gamma,
+                 ref.ang.cos_gamma))
+            assert np.array_equal(polar.module_general_p(pt, spec), ref.phi2)
+            general = ModelSpec.interpolating(spec.p, m=spec.m)
+            assert np.array_equal(polar.phi2_grid(general, pt.r, pt.theta),
+                                  ref.phi2)
+
+
+def _einsum_spin_action(C, psi):
+    """spin_action with the sum over the six pairs as an einsum."""
+    pairs = 0.5 * (C[clifford._PAIR_A, clifford._PAIR_B]
+                   - C[clifford._PAIR_B, clifford._PAIR_A])
+    sigma_psi = (clifford.SIGMA_PAIR_STACK.reshape(-1, 4)
+                 @ np.reshape(psi, (4, -1))).reshape((6,) + np.shape(psi))
+    return np.einsum("km...,ki...->mi...", pairs, sigma_psi)
+
+
+def test_spin_action_equals_the_einsum_over_the_pairs():
+    rng = np.random.default_rng(5)
+    for spec, pts in _cases():
+        f = polar.closed_form(pts, spec)
+        psi = polar.assemble_spinor(f)
+        # the spin connection, and a C that is not antisymmetric
+        for C in (geometry.spin_connection_at(pts, f.ang),
+                  rng.standard_normal((4, 4, 4) + pts.shape)):
+            assert np.array_equal(clifford.spin_action(C, psi),
+                                  _einsum_spin_action(C, psi)), spec
+        pt = _scalar_points(pts, 1)[0]
+        f = polar.closed_form(pt, spec)
+        psi = polar.assemble_spinor(f)
+        C = geometry.spin_connection_at(pt, f.ang)
+        assert np.array_equal(clifford.spin_action(C, psi),
+                              _einsum_spin_action(C, psi)), spec

@@ -150,10 +150,9 @@ def test_batched_sampled_residuals_equal_the_per_point_maxima():
 def test_a_nan_at_a_chunk_edge_fails_its_grid_suite(monkeypatch):
     # the last point of a full chunk and the last unmasked point of the grid
     spec = ModelSpec.njl()
-    rows = grids.points(grids.GridConfig(n_r=37, n_theta=9), m=spec.m)
-    grid = equations.sweep_grid(rows, spec)
-    r = np.concatenate([row.r for row in rows])
-    theta = np.concatenate([row.theta for row in rows])
+    points = grids.points(grids.GridConfig(n_r=37, n_theta=9), m=spec.m)
+    grid = equations.sweep_grid(points, spec)
+    r, theta = points.r.ravel(), points.theta.ravel()
     keep = ~equations.is_masked(geometry.GridPoint(r, theta), spec)
     unmasked = list(zip(r[keep], theta[keep]))
     n, chunk = len(unmasked), equations.SWEEP_CHUNK
