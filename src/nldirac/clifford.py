@@ -87,16 +87,14 @@ def _perm_sign(p):
     return sign
 
 
-def levi_civita4():
-    """Totally antisymmetric symbol with eps_{0123} = +1, as a (4,4,4,4) array."""
-    eps = np.zeros((4, 4, 4, 4))
-    for p in permutations(range(4)):
-        eps[p] = _perm_sign(p)
-    return eps
-
-
-EPS4 = levi_civita4()
-EPS4.setflags(write=False)
+# The totally antisymmetric symbol with eps_{0123} = +1 by its 24 nonzero
+# entries: the permutations of (0, 1, 2, 3) in lexicographic order, one
+# row each, and their signs.  Every other entry has a repeated index and is
+# zero.
+EPS4_INDEX = np.array(list(permutations(range(4))))
+EPS4_SIGN = np.array([float(_perm_sign(p)) for p in EPS4_INDEX])
+EPS4_INDEX.setflags(write=False)
+EPS4_SIGN.setflags(write=False)
 
 # Stacks used by the field-equation evaluators: the gammas, and sigma^ab for
 # the six pairs a < b in PAIRS order.
@@ -115,18 +113,22 @@ def spin_action(C, psi):
     sigma^ab is antisymmetric, so the sum over all sixteen (a, b) is the
     sum over the six pairs a < b of (1/2)(C_ab - C_ba) sigma^ab.  The
     difference keeps the lower triangle of C in play: a C that is not
-    antisymmetric acts exactly as in the full sum.  The six sigma^ab act on
-    psi as one (24, 4) matrix product.  The six products are summed pair
-    by pair in PAIRS order, the order of an einsum over the pair axis, so
-    the sum rounds as that einsum does; a single broadcast product of all
-    six would need a (6, 4, 4) temporary per point.
+    antisymmetric acts exactly as in the full sum.  Each sigma^ab acts on
+    psi as one (4, 4) matrix product, and each row mu of the result adds
+    its six pair products, from zero, in PAIRS order: the order and the
+    rounding of an einsum over the pair axis.  So the working set beyond
+    the result is one spinor per point, not the six sigma^ab psi or a
+    (4, 4) product per point.
     """
-    pairs = 0.5 * (C[_PAIR_A, _PAIR_B] - C[_PAIR_B, _PAIR_A])
-    sigma_psi = (SIGMA_PAIR_STACK.reshape(-1, 4) @ np.reshape(psi, (4, -1))
-                 ).reshape((len(PAIRS),) + np.shape(psi))
-    out = pairs[0, :, None] * sigma_psi[0, None]
-    for k in range(1, len(PAIRS)):
-        out += pairs[k, :, None] * sigma_psi[k, None]
+    pairs = C[_PAIR_A, _PAIR_B]
+    pairs -= C[_PAIR_B, _PAIR_A]
+    pairs *= 0.5
+    flat = np.reshape(psi, (4, -1))
+    out = np.zeros((4,) + np.shape(psi), dtype=np.result_type(pairs, psi))
+    for k, sigma_ab in enumerate(SIGMA_PAIR_STACK):
+        sigma_psi = (sigma_ab @ flat).reshape(np.shape(psi))
+        for mu in range(4):
+            out[mu] += pairs[k, mu] * sigma_psi
     return out
 
 

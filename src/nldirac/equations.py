@@ -27,12 +27,13 @@ from .polar import ModelSpec
 
 MODELS = tuple(polar.ENDPOINTS)
 DEFAULT_MASK_MARGIN = 0.02
-# Points per evaluation in a grid sweep.  Whole rows cost a call each, and
-# a whole 50x40 grid in one call raised a verify's peak memory by a fifth;
-# 128 keeps that within about 1 %.  256 cut the standard form's time per
-# point by about a quarter but raised its allocation peak from 0.53 to
-# 0.77 MB.
-SWEEP_CHUNK = 128
+# Points per evaluation in a grid sweep.  Every call pays a fixed cost of
+# many small numpy calls, so a larger chunk costs less per point, and
+# memory sets the limit.  On 512 points the covector and standard forms
+# peak at about 1.4 KB of allocations per point (tracemalloc), the
+# expanded form at 0.25 KB and the reduced form at 0.16 KB, so a verify of
+# a 70x50 grid peaks near 0.8 MB.
+SWEEP_CHUNK = 512
 
 
 def is_masked(pt: GridPoint, spec: ModelSpec, margin=DEFAULT_MASK_MARGIN):
@@ -101,6 +102,34 @@ def residual_expanded(pt: GridPoint, spec: ModelSpec):
 # -- covector (polar) form -----------------------------------------------------
 
 
+# The (a, n, i) indices of the 24 nonzero entries eps_{m a n i}, in the
+# order of geometry.coordinate_epsilon_lower: lexicographic in (m, a, n, i),
+# so entries 6m to 6m + 5 are those of the free index m.
+_EPS_A, _EPS_N, _EPS_I = clifford.EPS4_INDEX[:, 1:].T
+
+
+def _epsilon_sum(eps, terms):
+    """eps_{m a n i} T_{a n i} summed over (a, n, i), shape (4,) + the
+    points' shape.
+
+    ``eps`` holds the 24 nonzero entries of geometry.coordinate_epsilon_lower
+    and ``terms`` the factor T at their (a, n, i), both (24,) + the points'
+    shape; ``terms`` is overwritten.  Each m adds its six products from zero
+    in lexicographic (a, n, i) order, the order in which an einsum over the
+    dense tensor adds them on an array of points; the dense tensor's zero
+    entries only add zeros to a finite sum.  On a float point einsum
+    vectorizes the sum in an order of its own, which gives the same float
+    wherever at most two of the six products are nonzero, as on the
+    closed-form solutions.
+    """
+    terms *= eps
+    blocks = terms.reshape((4, 6) + terms.shape[1:])
+    out = np.zeros((4,) + terms.shape[1:], dtype=terms.dtype)
+    for j in range(6):
+        out += blocks[:, j]
+    return out
+
+
 def covector_components(pt: GridPoint, spec: ModelSpec):
     """Signed components of the chiral-angle and density covector equations.
 
@@ -112,7 +141,9 @@ def covector_components(pt: GridPoint, spec: ModelSpec):
     are built with the coordinate volume form sqrt|g| [t r theta phi] = +1;
     that normalization is pinned by the requirement that the exact solutions
     annihilate the equations, and is cross-checked against the expanded
-    system (r- and theta-projections agree identically).
+    system (r- and theta-projections agree identically).  Both eps
+    contractions run over the 24 nonzero entries of eps only, so no rank-3
+    or rank-4 tensor is built per point beyond the connection itself.
     """
     if spec.name not in MODELS:
         raise ValueError(f"covector system exists for {MODELS}, got {spec.name!r}")
@@ -121,14 +152,20 @@ def covector_components(pt: GridPoint, spec: ModelSpec):
     ang = f.ang
     g = geometry.inverse_metric_diagonal(pt)
     Rc = geometry.tensorial_connection_at(pt, ang)
+    R_trace = np.einsum("n...,mnn...->m...", g, Rc)
+    R_eps = Rc[_EPS_A, _EPS_N, _EPS_I]
+    del Rc  # 64 values per point; dropping it keeps a chunk's peak low
     eps = geometry.coordinate_epsilon_lower(pt)
     u = geometry.velocity_covector(pt, ang)
     s_cov = geometry.spin_covector(pt, ang)
     P = geometry.momentum_covector(spec.E, spec.l)
-    # eps_{mani} R^{ani}, R with its three indices raised
-    B = 0.5 * np.einsum("mani...,ani...->m...", eps,
-                        g[:, None, None] * g[None, :, None] * g[None, None, :] * Rc)
-    R_trace = np.einsum("n...,mnn...->m...", g, Rc)
+    # eps_{mani} R^{ani}, R with its three indices raised: g^a g^n g^i R_ani
+    R_up = g[_EPS_A]
+    R_up *= g[_EPS_N]
+    R_up *= g[_EPS_I]
+    R_up *= R_eps
+    del R_eps
+    B = 0.5 * _epsilon_sum(eps, R_up)
     P_up = np.einsum("m...,m->m...", g, P)
     u_up = g * u
     s_up = g * s_cov
@@ -149,10 +186,11 @@ def covector_components(pt: GridPoint, spec: ModelSpec):
         dbeta + B + 2.0 * Ps * u - 2.0 * Pu * s_cov
         + (2.0 * m * f.cos_beta - nl_chiral) * s_cov
     )
-    # eps_{mrna} P^r u^n s^a, eps against the outer product of the three
-    axial_term = -2.0 * np.einsum(
-        "mrna...,rna...->m...", eps,
-        P_up[:, None, None] * u_up[None, :, None] * s_up[None, None, :])
+    # eps_{mrna} P^r u^n s^a
+    Pus = P_up[_EPS_A]
+    Pus *= u_up[_EPS_N]
+    Pus *= s_up[_EPS_I]
+    axial_term = -2.0 * _epsilon_sum(eps, Pus)
     density = (
         dlnphi2 + R_trace + axial_term + (2.0 * m - nl_density) * f.sin_beta * s_cov
     )
@@ -176,10 +214,11 @@ def reduced_components(pt: GridPoint, spec: ModelSpec):
 
     The profile zeta is read from polar.zeta_exact, with the density rebuilt
     from it, so a wrong profile propagates exactly as a wrong solution
-    would.  The system is that of the radial family, r d_r zeta = 1 and
-    d_theta zeta = 0, on which the two zeta equations lose their tan/cot
-    terms: the radial one reads r d_r zeta = rhs and the angular one 0 =
-    rhs - r d_r zeta.
+    would; the density's log-derivatives are those of
+    polar.module_log_derivatives, which reads the same profile.  The system
+    is that of the radial family, r d_r zeta = 1 and d_theta zeta = 0, on
+    which the two zeta equations lose their tan/cot terms: the radial one
+    reads r d_r zeta = rhs and the angular one 0 = rhs - r d_r zeta.
     """
     r, th, p, m = pt.r, pt.theta, spec.p, spec.m
     c, s = np.cos(th), np.sin(th)
@@ -189,8 +228,7 @@ def reduced_components(pt: GridPoint, spec: ModelSpec):
     D = sh * sh + c * c
     S = sh * sh + p * c * c
     phi2 = 2.0 * np.sqrt(D) / (r * S)
-    r_dlog = sh * ch * (1.0 / D - 2.0 / S) - 1.0
-    dth_log = -s * c / D + 2.0 * p * s * c / S
+    r_dlog, dth_log = polar.module_log_derivatives(pt, spec)
     res1 = r_dlog - (
         (p - 1.0) * r * phi2 * sh * ch * c * c / D**1.5
         - 2.0

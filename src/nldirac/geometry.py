@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import EPS4
+from .clifford import EPS4_SIGN
 from .errors import PoleOrOrigin
 
 T, R, TH, PH = 0, 1, 2, 3
@@ -272,8 +272,13 @@ def spin_connection_at(pt: GridPoint, ang: AngleState):
 
 
 def coordinate_epsilon_lower(pt: GridPoint):
-    """eps_{mu nu rho sigma} = sqrt|g| [mu nu rho sigma], [t r theta phi] = +1."""
-    return np.multiply.outer(EPS4, sqrt_abs_g(pt))
+    """The 24 nonzero entries of eps_{mu nu rho sigma} = sqrt|g| [mu nu rho
+    sigma], [t r theta phi] = +1, shape (24,) + the points' shape.
+
+    Entry k sits at the indices clifford.EPS4_INDEX[k], the permutations of
+    (t, r, theta, phi) in lexicographic order; every other entry is zero.
+    """
+    return np.multiply.outer(EPS4_SIGN, sqrt_abs_g(pt))
 
 
 # -- identity residuals -------------------------------------------------------

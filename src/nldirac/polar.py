@@ -389,14 +389,20 @@ def covariant_derivative(pt: GridPoint, spec: ModelSpec):
 
     Returns (nabla psi stacked over mu, shape (4, 4) + the points' shape;
     psi; the ClosedForm bundle both are built from).
+
+    Each partial d_mu psi is added in place to its row of the spin action,
+    so no stack of the four partials is built beside the result.
     """
     f = closed_form(pt, spec)
     psi = assemble_spinor(f)
-    d_dr, d_dth = spinor_coordinate_partials(pt, f, psi)
+    nabla = clifford.spin_action(geometry.spin_connection_at(pt, f.ang), psi)
     # the t and azimuth partials are the pure phases exp(-i(E t + l phi))
-    dpsi = np.stack([-1j * spec.E * psi, d_dr, d_dth, -1j * spec.l * psi])
-    C = geometry.spin_connection_at(pt, f.ang)
-    return dpsi + clifford.spin_action(C, psi), psi, f
+    nabla[0] += -1j * spec.E * psi
+    d_dr, d_dth = spinor_coordinate_partials(pt, f, psi)
+    nabla[1] += d_dr
+    nabla[2] += d_dth
+    nabla[3] += -1j * spec.l * psi
+    return nabla, psi, f
 
 
 def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec):

@@ -661,8 +661,8 @@ def test_nan_residual_fails_its_suite(capsys, monkeypatch, tmp_path):
     assert math.isnan(report["suites"]["decomposition"]["max_residual"])
 
     # a NaN theta log-derivative of the density is a later component of the
-    # expanded and covector residual vectors and one term of the
-    # decomposition's fold over mu
+    # expanded and covector residual vectors, the angular module equation of
+    # the reduced system and one term of the decomposition's fold over mu
     log_derivatives = polar.module_log_derivatives
 
     def nan_theta(pt, spec):
@@ -675,7 +675,8 @@ def test_nan_residual_fails_its_suite(capsys, monkeypatch, tmp_path):
     assert code == 1
     report = json.loads(out)
     poisoned_suites = ["covector-residuals", "decomposition",
-                       "expanded-residuals", "standard-residuals"]
+                       "expanded-residuals", "reduced-residuals",
+                       "standard-residuals"]
     assert report["failing_suites"] == poisoned_suites
     for name in poisoned_suites:
         assert math.isnan(report["suites"][name]["max_residual"]), name

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,6 @@ from nldirac.clifford import (
     bilinears,
     fierz_residuals,
     gamma_basis,
-    levi_civita4,
     lorentz_dot,
     random_spinors,
     sigma,
@@ -40,6 +41,30 @@ def test_pi_is_product_of_gammas_up_to_phase():
     prod = GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3]
     assert np.array_equal(PI, 1j * prod)
     assert np.array_equal(PI @ PI, IDENTITY)
+
+
+def levi_civita4():
+    """The totally antisymmetric symbol with eps_{0123} = +1 as a dense
+    (4, 4, 4, 4) array, each entry the sign of its index permutation
+    counted by transpositions, and zero on a repeated index."""
+    eps = np.zeros((4, 4, 4, 4))
+    for p in itertools.permutations(range(4)):
+        perm, sign = list(p), 1.0
+        for i in range(4):
+            while perm[i] != i:
+                j = perm[i]
+                perm[i], perm[j] = perm[j], perm[i]
+                sign = -sign
+        eps[p] = sign
+    return eps
+
+
+def test_epsilon_entries_are_the_nonzero_entries_in_lexicographic_order():
+    eps = levi_civita4()
+    nonzero = np.argwhere(eps)  # row-major, so lexicographic
+    assert np.array_equal(clifford.EPS4_INDEX, nonzero)
+    assert np.array_equal(clifford.EPS4_SIGN, eps[tuple(nonzero.T)])
+    assert eps[0, 1, 2, 3] == 1.0 and len(nonzero) == 24
 
 
 def test_pi_defining_relation_entrywise():

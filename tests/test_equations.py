@@ -285,8 +285,11 @@ def test_chunked_sweep_equals_the_row_sweep():
     # over two full chunks and a partial third, every form gives each point
     # the value a per-row evaluation gives it, so the statistics agree
     # exactly; the grid's middle radius is 2mr = 1, whose points are masked
-    # (the row for soler, the equator point otherwise)
-    cfg = grids.GridConfig(r_max=5.0, n_r=37, n_theta=9)
+    # (the row for soler, the equator point otherwise).  An odd number of
+    # 9-point rows, two chunks' worth and nine more (37 rows for 128-point
+    # chunks)
+    n_r = 2 * (SWEEP_CHUNK // 9) + 9
+    cfg = grids.GridConfig(r_max=5.0, n_r=n_r, n_theta=9)
     forms = {"expanded": residual_expanded,
              "covector": residual_polar_covector,
              "reduced": residual_reduced, "standard": residual_standard}
@@ -306,13 +309,14 @@ def test_chunked_sweep_equals_the_row_sweep():
             stats = sweep(grid, evaluate)
             expected, expected_stats = _row_sweep(
                 rows, lambda pt: form(pt, spec), spec)
-            assert expected.size == (324 if spec.p == 0.0 else 332)
+            assert expected.size == 9 * n_r - (9 if spec.p == 0.0 else 1)
+            assert 0 < expected.size - 2 * SWEEP_CHUNK < SWEEP_CHUNK
             assert [c.size for c in chunks] == [
                 SWEEP_CHUNK, SWEEP_CHUNK, expected.size - 2 * SWEEP_CHUNK]
             assert np.array_equal(np.concatenate(chunks), expected), (
                 spec, name)
-            assert stats == {"n_points": 333,
-                             "n_masked": 333 - expected.size,
+            assert stats == {"n_points": 9 * n_r,
+                             "n_masked": 9 * n_r - expected.size,
                              **expected_stats}, (spec, name)
 
 

@@ -3,13 +3,17 @@ expressions they stand in for.
 
 Each reference below builds the per-point matrix or tensor and contracts
 it: the rotation exp(-i beta pi/2) applied to the rest column, the
-three-operand einsum bilinears, the four-operand axial contraction, the
-einsum over the pairs of the spin action and the outer-built nonlinear
-operator of the standard form.  The kernels skip those per-point objects;
-on the closed-form solutions every output must still be the same float.
-The closed form itself shares its intermediates between formulas; its
-reference evaluates each formula on its own, recomputing them.
+three-operand einsum bilinears, the dense Levi-Civita tensor of the
+covector form's two eps contractions, the einsum over the pairs of the
+spin action, the stacked partials of the covariant derivative and the
+outer-built nonlinear operator of the standard form.  The kernels skip
+those per-point objects; on the closed-form solutions every output must
+still be the same float.  The closed form itself shares its intermediates
+between formulas; its reference evaluates each formula on its own,
+recomputing them.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -22,18 +26,28 @@ MODELS = (ModelSpec.njl, ModelSpec.soler,
           lambda m: ModelSpec.interpolating(0.5, m=m))
 
 
-def _points(spec, seed):
-    """200 seeded points outside the mask, in one GridPoint of arrays."""
+def _points(spec, seed, n=200):
+    """n seeded points outside the mask, in one GridPoint of arrays."""
     return grids.sample_points(
-        np.random.default_rng(seed), 200, m=spec.m,
+        np.random.default_rng(seed), n, m=spec.m,
         reject=lambda pt: equations.is_masked(pt, spec))
 
 
-def _cases():
+def _cases(n=200):
     for make in MODELS:
         for m, seed in ((0.5, 11), (1.0, 12), (2.0, 13)):
             spec = make(m=m)
-            yield spec, _points(spec, seed)
+            yield spec, _points(spec, seed, n)
+
+
+def _dense_epsilon(pt):
+    """eps_{mu nu rho sigma} = sqrt|g| [mu nu rho sigma] as a dense
+    (4, 4, 4, 4) + the points' shape tensor, each sign the determinant of
+    its permutation matrix."""
+    symbol = np.zeros((4, 4, 4, 4))
+    for p in itertools.permutations(range(4)):
+        symbol[p] = round(np.linalg.det(np.eye(4)[list(p)]))
+    return np.multiply.outer(symbol, pt.r**2 * np.sin(pt.theta))
 
 
 def _rotation_spinor(f):
@@ -56,12 +70,13 @@ def _einsum_bilinears(psi):
 
 
 def _reference_covector(pt, spec):
-    """covector_components with the axial term as a four-operand einsum."""
+    """covector_components with both eps contractions as einsums over the
+    dense tensor, the axial term a four-operand one."""
     f = polar.closed_form(pt, spec)
     ang = f.ang
     g = geometry.inverse_metric_diagonal(pt)
     Rc = geometry.tensorial_connection_at(pt, ang)
-    eps = geometry.coordinate_epsilon_lower(pt)
+    eps = _dense_epsilon(pt)
     u = geometry.velocity_covector(pt, ang)
     s_cov = geometry.spin_covector(pt, ang)
     P = geometry.momentum_covector(spec.E, spec.l)
@@ -90,10 +105,22 @@ def _reference_covector(pt, spec):
     return chiral, density
 
 
+def _reference_covariant_derivative(pt, spec):
+    """covariant_derivative as the stack of the four partials plus the
+    einsum spin action."""
+    f = polar.closed_form(pt, spec)
+    psi = polar.assemble_spinor(f)
+    d_dr, d_dth = polar.spinor_coordinate_partials(pt, f, psi)
+    dpsi = np.stack([-1j * spec.E * psi, d_dr, d_dth, -1j * spec.l * psi])
+    C = geometry.spin_connection_at(pt, f.ang)
+    return dpsi + _einsum_spin_action(C, psi), psi, f
+
+
 def _reference_standard(pt, spec):
-    """residual_standard with the einsum bilinears and the nonlinear
-    operator built as a 4x4 matrix per point."""
-    nabla, psi, f = polar.covariant_derivative(pt, spec)
+    """residual_standard on the reference covariant derivative, with the
+    einsum bilinears and the nonlinear operator built as a 4x4 matrix per
+    point."""
+    nabla, psi, f = _reference_covariant_derivative(pt, spec)
     xi = geometry.tetrad_at(pt, f.ang)
     nabla_frame = np.einsum("am...,mj...->aj...", xi, nabla)
     theta, phi, _, _ = _einsum_bilinears(psi)
@@ -134,25 +161,72 @@ def test_bilinears_equal_the_einsum_contractions():
 
 @pytest.mark.parametrize("make", MODELS[:2])
 def test_covector_components_equal_the_four_operand_contraction(make):
-    # the covector system exists for the two endpoint models only
+    # the covector system exists for the two endpoint models only; a sweep
+    # chunk of points in one call, and float points one at a time
     for m, seed in ((0.5, 21), (1.0, 22), (2.0, 23)):
         p = make(m=m).p
         # the solution's quantum numbers, and wrong ones
         for spec in (ModelSpec(m=m, p=p), ModelSpec(m=m, p=p, E=1.1 * m, l=0.6)):
-            pts = _points(spec, seed)
-            chiral, density = equations.covector_components(pts, spec)
-            ref_chiral, ref_density = _reference_covector(pts, spec)
+            pts = _points(spec, seed, equations.SWEEP_CHUNK)
+            for pt in [pts, *_scalar_points(pts)]:
+                chiral, density = equations.covector_components(pt, spec)
+                ref_chiral, ref_density = _reference_covector(pt, spec)
+                assert chiral.shape == density.shape == (4,) + pt.shape
+                assert np.array_equal(chiral, ref_chiral), spec
+                assert np.array_equal(density, ref_density), spec
+    with pytest.raises(ValueError):
+        equations.covector_components(pts, MODELS[2](m=1.0))
+
+
+def test_covector_epsilon_sums_keep_every_term(monkeypatch):
+    # on the solution R, P, u and s vanish in some of the slots eps reaches,
+    # so a dropped term there would not show; random fields fill every slot.
+    # The solution leaves at most two nonzero terms in each component, whose
+    # sum does not depend on the order; six random ones do.  Over an array
+    # of points einsum adds them in lexicographic order, as the kernel does;
+    # over a float point it vectorizes the sum in an order of its own, so
+    # the float points are compared on the solution only.
+    def random(lead, seed):
+        return lambda *args: np.random.default_rng(seed).standard_normal(
+            lead + args[0].shape)
+
+    monkeypatch.setattr(geometry, "tensorial_connection_at", random((4, 4, 4), 1))
+    monkeypatch.setattr(geometry, "velocity_covector", random((4,), 2))
+    monkeypatch.setattr(geometry, "spin_covector", random((4,), 3))
+    monkeypatch.setattr(geometry, "momentum_covector",
+                        lambda E, l: np.random.default_rng(4).standard_normal(4))
+    for spec in (ModelSpec.njl(), ModelSpec.soler()):
+        pts = _points(spec, 25, equations.SWEEP_CHUNK)
+        for pt in (pts, GridPoint(pts.r[:2], pts.theta[:2])):
+            chiral, density = equations.covector_components(pt, spec)
+            ref_chiral, ref_density = _reference_covector(pt, spec)
             assert np.array_equal(chiral, ref_chiral), spec
             assert np.array_equal(density, ref_density), spec
 
 
+def _wrong_energy(spec):
+    return ModelSpec(m=spec.m, p=spec.p, E=1.1 * spec.m, name=spec.name)
+
+
+def test_covariant_derivative_equals_the_stacked_partials():
+    # a sweep chunk of points in one call, and float points one at a time
+    for spec, pts in _cases(equations.SWEEP_CHUNK):
+        for model in (spec, _wrong_energy(spec)):
+            for pt in [pts, *_scalar_points(pts)]:
+                nabla, psi, f = polar.covariant_derivative(pt, model)
+                ref_nabla, ref_psi, _ = _reference_covariant_derivative(
+                    pt, model)
+                assert nabla.shape == (4, 4) + pt.shape
+                assert np.array_equal(nabla, ref_nabla), model
+                assert np.array_equal(psi, ref_psi), model
+
+
 def test_standard_form_equals_the_matrix_nonlinear_term():
-    for spec, pts in _cases():
-        wrong_energy = ModelSpec(m=spec.m, p=spec.p, E=1.1 * spec.m,
-                                 name=spec.name)
-        for model in (spec, wrong_energy):
-            assert np.array_equal(equations.residual_standard(pts, model),
-                                  _reference_standard(pts, model)), model
+    for spec, pts in _cases(equations.SWEEP_CHUNK):
+        for model in (spec, _wrong_energy(spec)):
+            for pt in [pts, *_scalar_points(pts)]:
+                assert np.array_equal(equations.residual_standard(pt, model),
+                                      _reference_standard(pt, model)), model
 
 
 def _reference_derivatives(X, r_dX_dr, theta):

@@ -148,9 +148,12 @@ def test_batched_sampled_residuals_equal_the_per_point_maxima():
 
 
 def test_a_nan_at_a_chunk_edge_fails_its_grid_suite(monkeypatch):
-    # the last point of a full chunk and the last unmasked point of the grid
+    # the last point of a full chunk and the last unmasked point of the
+    # grid, two chunks' worth of 9-point rows and nine more (37 rows for
+    # 128-point chunks)
     spec = ModelSpec.njl()
-    points = grids.points(grids.GridConfig(n_r=37, n_theta=9), m=spec.m)
+    n_r = 2 * (equations.SWEEP_CHUNK // 9) + 9
+    points = grids.points(grids.GridConfig(n_r=n_r, n_theta=9), m=spec.m)
     grid = equations.sweep_grid(points, spec)
     r, theta = points.r.ravel(), points.theta.ravel()
     keep = ~equations.is_masked(geometry.GridPoint(r, theta), spec)
@@ -209,11 +212,46 @@ def test_run_suites_builds_and_masks_the_grid_once(monkeypatch):
         assert swept == [500] * (4 if spec.name in equations.MODELS else 2)
 
 
+# Largest allocation peak of each grid form per point of a SWEEP_CHUNK
+# chunk, in bytes.  A chunk of the two heavy forms then stays near 0.8 MB,
+# inside run_suites' 1 MB guard with the grid held beside it.
+FORM_PEAK_PER_POINT = {
+    "residual_expanded": 400,
+    "residual_polar_covector": 1600,
+    "residual_reduced": 400,
+    "residual_standard": 1600,
+}
+
+
+def test_each_grid_form_peaks_under_its_bound_per_point():
+    n = equations.SWEEP_CHUNK
+    for spec in MODELS:
+        pts = grids.sample_points(
+            np.random.default_rng(9), n, m=spec.m,
+            reject=lambda pt: equations.is_masked(pt, spec))
+        for name, bound in FORM_PEAK_PER_POINT.items():
+            if (spec.name not in equations.MODELS
+                    and name in ("residual_expanded", "residual_polar_covector")):
+                continue
+            form = getattr(equations, name)
+            form(pts, spec)
+            tracemalloc.start()
+            try:
+                values = form(pts, spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert values.shape == (n,)
+            assert peak <= bound * n, (spec.name, name, peak / n)
+
+
 def test_run_suites_memory_peak_stays_small():
-    # the grid suites evaluate chunks of SWEEP_CHUNK points and the
-    # bilinears stack at most 24 kernel rows per spinor, so one verify's
-    # allocations peak well under 1 MB on the benchmark's grid sizes
+    # the grid suites evaluate chunks of SWEEP_CHUNK points, each form
+    # within FORM_PEAK_PER_POINT, and the bilinears stack at most 24 kernel
+    # rows per spinor, so one verify's allocations peak under 1 MB on the
+    # benchmark's grid sizes
     for spec, grid in (
+            (ModelSpec.njl(), grids.GridConfig(0.05, 20.0, 50, 40)),
             (ModelSpec.soler(), grids.GridConfig(0.05, 20.0, 50, 40)),
             (ModelSpec.interpolating(0.37), grids.GridConfig(0.05, 20.0, 70, 50))):
         verify.run_suites(spec, grid)
