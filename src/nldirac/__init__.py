@@ -18,8 +18,6 @@ from .polar import (
     X_exact,
     assemble_spinor,
     module_general_p,
-    module_njl,
-    module_soler,
 )
 from .singular import SingularLocus, asymptotics_report, singular_locus
 
@@ -44,8 +42,6 @@ __all__ = [
     "bilinears",
     "gamma_basis",
     "module_general_p",
-    "module_njl",
-    "module_soler",
     "sigma",
     "singular_locus",
 ]

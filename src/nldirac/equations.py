@@ -8,8 +8,11 @@ independently and must all vanish on the closed-form solutions:
 * the reduced radial/angular system in the variable zeta = arcsinh(X),
 * the standard gamma-matrix form i gamma^mu nabla_mu psi + nonlinearity.
 
-The chiral model couples through phi^2 alone; the scalar model through
-phi^2 cos(beta).
+Every form holds for any interpolation parameter p: the nonlinearity
+(1/4)(Phi + i p Theta pi) of the standard form puts phi^2 (p + (1 - p)
+cos^2 beta) in the chiral-angle equation and (1 - p) phi^2 cos beta in the
+density equation, phi^2 alone and no density term for the chiral model
+(p = 1), phi^2 cos^2 beta and phi^2 cos beta for the scalar one (p = 0).
 
 Every form takes a GridPoint of floats (one point) or of arrays (a set of
 points, such as a chunk of a grid sweep) and evaluates all of its points at
@@ -25,7 +28,6 @@ from . import clifford, geometry, polar
 from .geometry import GridPoint
 from .polar import ModelSpec
 
-MODELS = tuple(polar.ENDPOINTS)
 DEFAULT_MASK_MARGIN = 0.02
 # Points per evaluation in a grid sweep.  Every call pays a fixed cost of
 # many small numpy calls, so a larger chunk costs less per point, and
@@ -59,33 +61,25 @@ def exact_fields(pt: GridPoint, spec: ModelSpec) -> polar.ClosedForm:
 
 def expanded_components(pt: GridPoint, spec: ModelSpec):
     """Signed values of the four projected scalar equations."""
-    if spec.name not in MODELS:
-        raise ValueError(f"expanded system exists for {MODELS}, got {spec.name!r}")
     f = exact_fields(pt, spec)
     r, th = pt.r, pt.theta
-    m, E, l = spec.m, spec.E, spec.l
+    m, p, E, l = spec.m, spec.p, spec.E, spec.l
     s, c = np.sin(th), np.cos(th)
     der, ang = f.derivs, f.ang
     common = -2.0 * E * r * ang.cosh_alpha + 2.0 * l * ang.sinh_alpha / s \
         + 2.0 * m * r * f.cos_beta
     mom = 2.0 * E * r * ang.sinh_alpha - 2.0 * l * ang.cosh_alpha / s
-    if spec.name == "njl":
-        bracket = common - r * f.phi2
-        density_extra_r = 0.0
-        density_extra_th = 0.0
-    else:
-        bracket = common - r * f.phi2 * f.cos_beta**2
-        density_extra_r = -r * f.phi2 * f.sin_beta * f.cos_beta * ang.cos_gamma
-        density_extra_th = -r * f.phi2 * f.sin_beta * f.cos_beta * ang.sin_gamma
+    bracket = common - r * f.phi2 * (p + (1.0 - p) * f.cos_beta**2)
+    density_nl = -(1.0 - p) * r * f.phi2 * f.sin_beta * f.cos_beta
     beta_r = der.r_d_beta_dr + der.d_alpha_dtheta + bracket * ang.cos_gamma
     beta_theta = der.d_beta_dtheta - der.r_d_alpha_dr + bracket * ang.sin_gamma
     density_r = (
         f.r_dlnphi2_dr + 2.0 + 2.0 * m * r * ang.cos_gamma * f.sin_beta
-        + density_extra_r + der.d_gamma_dtheta - mom * ang.sin_gamma
+        + density_nl * ang.cos_gamma + der.d_gamma_dtheta - mom * ang.sin_gamma
     )
     density_theta = (
         f.dlnphi2_dtheta + c / s + 2.0 * m * r * ang.sin_gamma * f.sin_beta
-        + density_extra_th - der.r_d_gamma_dr + mom * ang.cos_gamma
+        + density_nl * ang.sin_gamma - der.r_d_gamma_dr + mom * ang.cos_gamma
     )
     return {
         "beta_r": beta_r,
@@ -145,10 +139,8 @@ def covector_components(pt: GridPoint, spec: ModelSpec):
     contractions run over the 24 nonzero entries of eps only, so no rank-3
     or rank-4 tensor is built per point beyond the connection itself.
     """
-    if spec.name not in MODELS:
-        raise ValueError(f"covector system exists for {MODELS}, got {spec.name!r}")
     f = exact_fields(pt, spec)
-    m = spec.m
+    m, p = spec.m, spec.p
     ang = f.ang
     g = geometry.inverse_metric_diagonal(pt)
     Rc = geometry.tensorial_connection_at(pt, ang)
@@ -176,12 +168,8 @@ def covector_components(pt: GridPoint, spec: ModelSpec):
         0.0, der.r_d_beta_dr / pt.r, der.d_beta_dtheta, 0.0))
     dlnphi2 = np.stack(np.broadcast_arrays(
         0.0, f.r_dlnphi2_dr / pt.r, f.dlnphi2_dtheta, 0.0))
-    if spec.name == "njl":
-        nl_chiral = f.phi2
-        nl_density = 0.0
-    else:
-        nl_chiral = f.phi2 * f.cos_beta**2
-        nl_density = f.phi2 * f.cos_beta
+    nl_chiral = f.phi2 * (p + (1.0 - p) * f.cos_beta**2)
+    nl_density = (1.0 - p) * f.phi2 * f.cos_beta
     chiral = (
         dbeta + B + 2.0 * Ps * u - 2.0 * Pu * s_cov
         + (2.0 * m * f.cos_beta - nl_chiral) * s_cov

@@ -139,9 +139,11 @@ def christoffel_at(pt: GridPoint):
     """Connection coefficients Lam[rho, mu, nu] = Lambda^rho_{mu nu}.
 
     Exactly six independent families are nonzero; symmetric in (mu, nu).
+    Complex coordinates give complex coefficients, for riemann_at's
+    complex-step partials.
     """
     r, th = pt.r, pt.theta
-    lam = np.zeros((4, 4, 4) + pt.shape)
+    lam = _zeros((4, 4, 4), pt)
     lam[TH, TH, R] = lam[TH, R, TH] = 1.0 / r
     lam[R, TH, TH] = -r
     lam[PH, PH, R] = lam[PH, R, PH] = 1.0 / r
@@ -151,28 +153,15 @@ def christoffel_at(pt: GridPoint):
     return lam
 
 
-def christoffel_partials_at(pt: GridPoint):
-    """Analytic partials dLam[sigma, rho, mu, nu] = d_sigma Lambda^rho_{mu nu}."""
-    r, th = pt.r, pt.theta
-    d = np.zeros((4, 4, 4, 4) + pt.shape)
-    d[R, TH, TH, R] = d[R, TH, R, TH] = -1.0 / r**2
-    d[R, R, TH, TH] = -1.0
-    d[R, PH, PH, R] = d[R, PH, R, PH] = -1.0 / r**2
-    d[R, R, PH, PH] = -np.sin(th) ** 2
-    d[TH, R, PH, PH] = -r * np.sin(2 * th)
-    d[TH, PH, PH, TH] = d[TH, PH, TH, PH] = -1.0 / np.sin(th) ** 2
-    d[TH, TH, PH, PH] = -np.cos(2 * th)
-    return d
-
-
 def riemann_at(pt: GridPoint):
     """Riemann tensor of the connection; identically zero here.
 
-    Assembled from the closed-form coefficients and their analytic partials,
-    so the result is a pure rounding check of flatness.
+    Assembled from the closed-form coefficients and their complex-step
+    partials, so the result is a pure rounding check of flatness.
     """
     lam = christoffel_at(pt)
-    dlam = christoffel_partials_at(pt)
+    dlam = _coordinate_partials(lambda r, th: christoffel_at(GridPoint(r, th)),
+                                pt.r, pt.theta)
     # R^rho_{sigma mu nu} = d_mu Lam^rho_{nu sigma} - d_nu Lam^rho_{mu sigma}
     #                       + Lam^rho_{mu lam} Lam^lam_{nu sigma} - (mu <-> nu)
     term = (np.einsum("mrns...->rsmn...", dlam)

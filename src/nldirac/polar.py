@@ -43,7 +43,8 @@ class ModelSpec:
     ``name`` is the model's one identity: "njl" (p = 1), "soler" (p = 0) or
     "p:<p:g>" for an interpolating run.  It defaults to the endpoint name at
     p = 1 and p = 0; an interpolating run at an endpoint value keeps its
-    "p:" name and uses the general density formula.
+    "p:" name.  Every formula reads p alone; the name labels the output and
+    selects what a report holds (verify.ENDPOINT_ONLY).
     """
 
     m: float = 1.0
@@ -207,77 +208,43 @@ def angle_field(spec: ModelSpec):
 # -- matter distributions -----------------------------------------------------
 
 
-def _radicand(r, theta, m):
-    """16 m^4 r^4 + 8 m^2 r^2 cos 2theta + 1; vanishes only on the ring."""
-    return 16.0 * m**4 * r**4 + 8.0 * m**2 * r**2 * np.cos(2.0 * theta) + 1.0
-
-
-def _phi2_njl_raw(r, theta, m):
-    return 8.0 * m / np.sqrt(_radicand(r, theta, m))
-
-
-def _phi2_soler_raw(r, theta, m):
-    return 8.0 * m * np.sqrt(_radicand(r, theta, m)) / (4.0 * m**2 * r**2 - 1.0) ** 2
-
-
-def _phi2_general_raw(r, theta, m, p):
-    return _phi2_general(r, np.sinh(np.log(2.0 * m * r)), np.cos(theta) ** 2, p)
-
-
-def _phi2_general(r, sh, c2, p):
-    """The general density from sh = sinh(zeta) and c2 = cos^2 theta."""
-    sh2 = sh * sh
+def _phi2_general(r, sh2, c2, p):
+    """The density from sh2 = sinh^2 zeta and c2 = cos^2 theta.  Callers
+    pass np.square(sinh zeta), so no sinh zeta array stays alive beside it
+    on the 80,000 points of a locus search."""
     return 2.0 * np.sqrt(sh2 + c2) / (r * (sh2 + p * c2))
 
 
-def module_njl(pt: GridPoint, spec: ModelSpec):
-    """Chiral-model density 8m / sqrt(16 m^4 r^4 + 8 m^2 r^2 cos 2theta + 1).
-
-    Agrees with 2/(r sqrt(X^2 + cos^2 theta)) on the closed-form branch;
-    diverges only on the equatorial ring 2mr = 1, theta = pi/2.
-    """
-    _refuse(pt, np.real(_radicand(pt.r, pt.theta, spec.m)) <= 1e-28,
-            "equatorial ring 2mr = 1")
-    return _phi2_njl_raw(pt.r, pt.theta, spec.m)
-
-
-def module_soler(pt: GridPoint, spec: ModelSpec):
-    """Scalar-model density; diverges on the whole sphere 2mr = 1."""
-    _refuse(pt, np.real((4.0 * spec.m**2 * pt.r**2 - 1.0) ** 2) <= 1e-28,
-            "singular sphere 2mr = 1")
-    return _phi2_soler_raw(pt.r, pt.theta, spec.m)
-
-
 def module_general_p(pt: GridPoint, spec: ModelSpec):
-    """Interpolated density 2 sqrt(sh^2 + cos^2 th) / (r [sh^2 + p cos^2 th]).
+    """Density 2 sqrt(sh^2 + cos^2 th) / (r [sh^2 + p cos^2 th]) of any p.
 
-    Reduces to module_njl at p = 1 and to module_soler at p = 0.
+    At p = 1 it is the chiral density 8m / sqrt(16 m^4 r^4 + 8 m^2 r^2
+    cos 2theta + 1), at p = 0 the scalar one sqrt(X^2 + cos^2 theta) G(r).
+    Those spellings lose digits to cancellation near 2mr = 1; this one keeps
+    full precision there.
     """
-    return _general_density(pt, spec.p, np.sinh(zeta_exact(pt.r, spec)),
+    return _general_density(pt, spec.p,
+                            np.square(np.sinh(zeta_exact(pt.r, spec))),
                             np.cos(pt.theta) ** 2)
 
 
-def _general_density(pt: GridPoint, p, sh, c2):
-    """module_general_p from sh = sinh(zeta) and c2 = cos^2 theta."""
-    _refuse(pt, np.real(sh ** 2 + p * c2) <= 1e-28,
+def _general_density(pt: GridPoint, p, sh2, c2):
+    """module_general_p from sh2 = sinh^2 zeta and c2 = cos^2 theta."""
+    _refuse(pt, np.real(sh2 + p * c2) <= 1e-28,
             "locus sinh^2 zeta + p cos^2 theta = 0")
-    return _phi2_general(pt.r, sh, c2, p)
+    return _phi2_general(pt.r, sh2, c2, p)
 
 
 def phi2_grid(spec: ModelSpec, r, theta):
-    """Vectorized raw density on arrays; no singularity checks.
+    """Vectorized raw density of any model on arrays; no singularity checks.
 
-    The endpoint models use their own closed forms, an interpolating run the
-    general one.
+    The model enters through p alone, as in module_general_p.
     """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if spec.name == "njl":
-            return _phi2_njl_raw(r, theta, spec.m)
-        if spec.name == "soler":
-            return _phi2_soler_raw(r, theta, spec.m)
-        return _phi2_general_raw(r, theta, spec.m, spec.p)
+        return _phi2_general(r, np.square(np.sinh(np.log(2.0 * spec.m * r))),
+                             np.cos(theta) ** 2, spec.p)
 
 
 def module_log_derivatives(pt: GridPoint, spec: ModelSpec):
@@ -324,7 +291,8 @@ def closed_form(pt: GridPoint, spec: ModelSpec) -> ClosedForm:
     come from module_log_derivatives.
     """
     c, s = np.cos(pt.theta), np.sin(pt.theta)
-    phi2 = _general_density(pt, spec.p, np.sinh(zeta_exact(pt.r, spec)),
+    phi2 = _general_density(pt, spec.p,
+                            np.square(np.sinh(zeta_exact(pt.r, spec))),
                             c ** 2)
     X = X_exact(pt.r, spec)
     q, d, ang = _kinematics(pt, X, r_dX_dr_exact(pt.r, spec), c, s)

@@ -178,8 +178,11 @@ def test_criterion_10_interpolation_endpoints():
         rng, 100, m=1.0,
         reject=lambda pt: abs(2 * pt.r - 1.0) < 0.05,
     )
-    njl = polar.module_njl(pts, ModelSpec.njl())
-    soler = polar.module_soler(pts, ModelSpec.soler())
+    # the paper's endpoint densities at m = 1, through the radicand
+    # 16 r^4 + 8 r^2 cos 2theta + 1
+    radicand = 16.0 * pts.r**4 + 8.0 * pts.r**2 * np.cos(2.0 * pts.theta) + 1.0
+    njl = 8.0 / np.sqrt(radicand)
+    soler = 8.0 * np.sqrt(radicand) / (4.0 * pts.r**2 - 1.0) ** 2
     worst = max(
         np.max(abs(polar.module_general_p(pts, ModelSpec.interpolating(1.0))
                    - njl) / njl),

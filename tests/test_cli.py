@@ -295,6 +295,25 @@ def test_flag_precedence_over_config(capsys, tmp_path):
     assert doc["model"] == "njl"
 
 
+def test_fieldmap_rows_do_not_depend_on_the_model_name(capsys, tmp_path):
+    # p:1 and p:0 write the rows of njl and soler byte for byte, on a grid
+    # that crosses 2mr = 1; only the JSON's model field tells them apart
+    for endpoint, general in (("njl", "p:1"), ("soler", "p:0")):
+        for mass, fmt in itertools.product(("0.5", "3"), ("csv", "json")):
+            texts = []
+            for model in (endpoint, general):
+                out = tmp_path / f"{model.replace(':', '')}.{fmt}"
+                code, _, _ = run(capsys, "fieldmap", "--model", model,
+                                 "--mass", mass, "--grid", "0.125,2,9,31",
+                                 "--format", fmt, "--out", str(out))
+                assert code == 0
+                texts.append(out.read_text())
+            if fmt == "json":
+                texts[1] = texts[1].replace(f'"model": "{general}"',
+                                            f'"model": "{endpoint}"', 1)
+            assert texts[0] == texts[1], (endpoint, mass, fmt)
+
+
 def test_fieldmap_json_format(capsys, tmp_path):
     code, stdout, err = run(capsys, "fieldmap", "--model", "njl",
                             "--grid", "0.25,1.0,3,3", "--format", "json")
@@ -369,28 +388,35 @@ def _assert_fieldmaps_match_the_reference(capsys, tmp_path, configs):
 
 def test_fieldmap_is_byte_identical_to_the_per_row_writer(capsys, tmp_path,
                                                           monkeypatch):
-    # both grids cross the ring and the shell at 2mr = 1, where the endpoint
-    # densities are inf or nan: those must keep json's spelling and repr's
+    # both grids cross the ring and the shell at 2mr = 1, where the scalar
+    # density is inf: it must keep json's spelling and repr's
     configs = [(model, mass, grid)
                for model in ("njl", "soler", "p:0.37")
                for mass in ("0.5", "1", "2")
                for grid in ("0.25,1.0,3,3", "0.25,1,5,101")]
     texts = _assert_fieldmaps_match_the_reference(capsys, tmp_path, configs)
     assert any("Infinity" in t for t in texts["json"])
-    assert any("NaN" in t for t in texts["json"])
     assert any("inf" in t for t in texts["csv"])
-    assert any("nan" in t for t in texts["csv"])
-    # a density of the opposite sign adds -inf, spelled -Infinity in JSON
+    # the density is never nan on these grids; a density of the opposite
+    # sign adds -inf on the shell, spelled -Infinity in JSON, and one that
+    # is nan where it was inf adds nan there, spelled NaN
     phi2_grid = polar.phi2_grid
 
     def negated(spec, r, theta):
         return -phi2_grid(spec, r, theta)
 
-    monkeypatch.setattr(polar, "phi2_grid", negated)
-    monkeypatch.setattr(cli, "phi2_grid", negated)
-    texts = _assert_fieldmaps_match_the_reference(
-        capsys, tmp_path, [("njl", "1", "0.25,1.0,3,3")])
-    assert "-Infinity" in texts["json"][0] and "-inf" in texts["csv"][0]
+    def nan_on_the_shell(spec, r, theta):
+        phi2 = phi2_grid(spec, r, theta)
+        return np.where(np.isinf(phi2), np.nan, phi2)
+
+    for density, spelled in ((negated, ("-Infinity", "-inf")),
+                             (nan_on_the_shell, ("NaN", "nan"))):
+        with monkeypatch.context() as patch:
+            patch.setattr(polar, "phi2_grid", density)
+            patch.setattr(cli, "phi2_grid", density)
+            texts = _assert_fieldmaps_match_the_reference(
+                capsys, tmp_path, [("soler", "1", "0.25,1.0,3,3")])
+        assert spelled[0] in texts["json"][0] and spelled[1] in texts["csv"][0]
 
 
 def test_json_fieldmap_is_streamed(capsys, tmp_path):

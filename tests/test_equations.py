@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from nldirac import geometry, grids, polar
 from nldirac.errors import PoleOrOrigin, SingularPoint
 from nldirac.equations import (
-    MODELS,
     SWEEP_CHUNK,
     covector_components,
     expanded_components,
@@ -79,7 +78,7 @@ def test_expanded_equals_projected_covector():
     # the four scalars are the r- and theta-projections of the two covector
     # equations (radial ones carry a factor r); they must agree even with
     # generic quantum numbers, where neither vanishes
-    for p in (1.0, 0.0):
+    for p in (1.0, 0.0, 0.5):
         spec = ModelSpec(m=1.0, p=p, E=1.07, l=0.61)
         for pt in random_points(30):
             ex = expanded_components(pt, spec)
@@ -148,6 +147,37 @@ def test_linear_limit_makes_models_identical(monkeypatch):
         cb, db = covector_components(pt, soler)
         assert np.allclose(ca, cb, atol=1e-12)
         assert np.allclose(da, db, atol=1e-12)
+
+
+def test_expanded_and_covector_forms_hold_for_every_p():
+    # on the default grid the interpolating solutions annihilate both forms,
+    # and an energy off by one part in a million leaves a residual
+    grid = grids.points(grids.GridConfig())
+    for p in (0.3, 0.5, 0.9):
+        spec = ModelSpec.interpolating(p)
+        wrong = ModelSpec.interpolating(p, E=spec.E * (1.0 + 1e-6))
+        for form in (residual_expanded, residual_polar_covector):
+            exact = sweep(sweep_grid(grid, spec), lambda pt: form(pt, spec))
+            off = sweep(sweep_grid(grid, wrong), lambda pt: form(pt, wrong))
+            assert exact["max"] <= 1e-12, (p, form.__name__, exact["max"])
+            assert off["max"] > 1e-8, (p, form.__name__, off["max"])
+
+
+def test_a_model_name_changes_no_residual():
+    # p alone selects the physics: the interpolating runs at p = 1 and
+    # p = 0 give the per-point residuals of njl and soler bit for bit
+    forms = (residual_expanded, residual_polar_covector, residual_reduced,
+             residual_standard)
+    for m in (0.5, 1.0, 2.0):
+        for endpoint in (ModelSpec.njl(m=m), ModelSpec.soler(m=m)):
+            general = ModelSpec.interpolating(endpoint.p, m=m)
+            chunks, _ = sweep_grid(grids.points(grids.GridConfig(), m=m),
+                                   endpoint)
+            for pt in chunks:
+                for form in forms:
+                    assert np.array_equal(form(pt, endpoint),
+                                          form(pt, general)), (
+                        endpoint.name, m, form.__name__)
 
 
 def test_reduced_residuals_vanish_for_all_p():
@@ -298,8 +328,6 @@ def test_chunked_sweep_equals_the_row_sweep():
         rows = _rows(grids.points(cfg, m=spec.m))
         grid = sweep_grid(grids.points(cfg, m=spec.m), spec)
         for name, form in forms.items():
-            if spec.name not in MODELS and name in ("expanded", "covector"):
-                continue
             chunks = []
 
             def evaluate(pt):
@@ -345,14 +373,11 @@ def test_rows_equal_points():
             "reduced": lambda pt: reduced_components(pt, spec),
             "reduced residual": lambda pt: residual_reduced(pt, spec),
             "standard residual": lambda pt: residual_standard(pt, spec),
+            "expanded": lambda pt: expanded_components(pt, spec),
+            "covector": lambda pt: covector_components(pt, spec),
+            "expanded residual": lambda pt: residual_expanded(pt, spec),
+            "covector residual": lambda pt: residual_polar_covector(pt, spec),
         }
-        if spec.name in MODELS:
-            evaluators["expanded"] = lambda pt: expanded_components(pt, spec)
-            evaluators["covector"] = lambda pt: covector_components(pt, spec)
-            evaluators["expanded residual"] = (
-                lambda pt: residual_expanded(pt, spec))
-            evaluators["covector residual"] = (
-                lambda pt: residual_polar_covector(pt, spec))
         cfg = grids.GridConfig(r_min=rng.uniform(0.03, 0.08),
                                r_max=rng.uniform(10.0, 30.0), n_r=9, n_theta=7)
         for row in _rows(grids.points(cfg, m=m)):

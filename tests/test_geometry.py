@@ -72,7 +72,7 @@ def test_builders_take_the_dtype_of_their_inputs():
         pt = GridPoint(r, 0.7)
         ang = polar.angle_state(pt, spec)
         dtype = np.result_type(r)
-        for value in (inverse_metric_at(pt),
+        for value in (inverse_metric_at(pt), christoffel_at(pt),
                       velocity_covector(pt, ang), spin_covector(pt, ang),
                       tensorial_connection_at(pt, ang), tetrad_at(pt, ang),
                       spin_connection_at(pt, ang)):

@@ -18,14 +18,37 @@ from nldirac.polar import (
     closed_form,
     covariant_derivative,
     module_general_p,
-    module_njl,
-    module_soler,
     module_log_derivatives,
     phi2_grid,
     polar_decomposition_residual,
     r_dX_dr_exact,
     spinor_coordinate_partials,
 )
+
+
+def _radicand(pt, m):
+    """16 m^4 r^4 + 8 m^2 r^2 cos 2theta + 1; vanishes only on the ring."""
+    return (16.0 * m**4 * pt.r**4 + 8.0 * m**2 * pt.r**2 * np.cos(2.0 * pt.theta)
+            + 1.0)
+
+
+def module_njl(pt, spec):
+    """Reference chiral density 8m / sqrt(16 m^4 r^4 + 8 m^2 r^2 cos 2theta
+    + 1), the paper's spelling; refuses the equatorial ring 2mr = 1."""
+    radicand = _radicand(pt, spec.m)
+    if np.any(radicand <= 1e-28):
+        raise SingularPoint(*pt.first(radicand <= 1e-28), "ring 2mr = 1")
+    return 8.0 * spec.m / np.sqrt(radicand)
+
+
+def module_soler(pt, spec):
+    """Reference scalar density 8m sqrt(radicand) / (4 m^2 r^2 - 1)^2;
+    refuses the whole sphere 2mr = 1."""
+    shell = (4.0 * spec.m**2 * pt.r**2 - 1.0) ** 2
+    if np.any(shell <= 1e-28):
+        raise SingularPoint(*pt.first(shell <= 1e-28), "sphere 2mr = 1")
+    return 8.0 * spec.m * np.sqrt(_radicand(pt, spec.m)) / shell
+
 
 def random_points(n, seed=2024, r_lo=0.1, r_hi=10.0, ring_margin=0.05):
     rng = np.random.default_rng(seed)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -107,3 +108,38 @@ def test_singularity_report_schema():
     rep = singularity_report(ModelSpec(m=1.0, p=0.5))
     assert rep["model"] == "p:0.5"
     assert rep["locus"]["kind"] == "ring"
+
+
+def _density_mp(spec, r, theta):
+    """2 sqrt(sh^2 + cos^2 theta) / (r [sh^2 + p cos^2 theta]), sh = sinh(ln
+    2mr), in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        r, theta = mpmath.mpf(r), mpmath.mpf(theta)
+        sh2 = mpmath.sinh(mpmath.log(2 * mpmath.mpf(spec.m) * r)) ** 2
+        c2 = mpmath.cos(theta) ** 2
+        return 2 * mpmath.sqrt(sh2 + c2) / (r * (sh2 + spec.p * c2))
+
+
+def test_density_keeps_full_precision_next_to_the_ring():
+    # on the equator at 2mr = 1 -+ d, against the density at the float r
+    # passed: the radicand spellings of the endpoint densities cancel there
+    # (relative error 0.2 at d = 1e-8, inf or 0 closer in).  The density
+    # reads r through the float product 2mr, exact at m = 0.5; at m = 3 it
+    # rounds, and the density's change under that one rounding (5.6e-5 at
+    # d = 1e-12) is allowed on top of the 1e-14
+    theta = np.pi / 2
+    for m in (0.5, 3.0):
+        for spec in (ModelSpec.njl(m=m), ModelSpec.soler(m=m),
+                     ModelSpec.interpolating(0.5, m=m)):
+            for d in (1e-4, 1e-6, 1e-8, 1e-12):
+                for r in ((1.0 - d) / (2.0 * m), (1.0 + d) / (2.0 * m)):
+                    exact = _density_mp(spec, r, theta)
+                    with mpmath.workdps(50):
+                        # the r at which 2mr is the float product
+                        r_product = mpmath.mpf(2.0 * m * r) / (2 * m)
+                    rounding = abs(_density_mp(spec, r_product, theta) - exact)
+                    error = abs(float(phi2_grid(spec, r, theta)) - exact)
+                    assert error <= 1e-14 * exact + rounding, (
+                        spec.name, m, d, r, float(error / exact))
+                    if m == 0.5:
+                        assert rounding == 0

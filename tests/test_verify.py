@@ -39,7 +39,8 @@ CONTROLS = {
     # a scaled velocity vector breaks U.U = Theta^2 + Phi^2
     "fierz": (clifford, "bilinears", lambda f, d: lambda psi: (
         dataclasses.replace(f(psi), U=f(psi).U * (1.0 + d)))),
-    "flatness": (geometry, "christoffel_partials_at",
+    # a scaled connection: d Lam + Lam Lam no longer cancel
+    "flatness": (geometry, "christoffel_at",
                  lambda f, d: lambda pt: f(pt) * (1.0 + d)),
     # a position-dependent rescaling of the potential is no longer flat
     "curvature-strength": (geometry, "tensorial_connection_at",
@@ -209,7 +210,7 @@ def test_run_suites_builds_and_masks_the_grid_once(monkeypatch):
         assert all(n <= 50 for n in masked if n != 500), masked
         swept = [s["n_points"] for s in report["suites"].values()
                  if "n_points" in s]
-        assert swept == [500] * (4 if spec.name in equations.MODELS else 2)
+        assert swept == [500] * (4 if spec.name in polar.ENDPOINTS else 2)
 
 
 # Largest allocation peak of each grid form per point of a SWEEP_CHUNK
@@ -230,9 +231,6 @@ def test_each_grid_form_peaks_under_its_bound_per_point():
             np.random.default_rng(9), n, m=spec.m,
             reject=lambda pt: equations.is_masked(pt, spec))
         for name, bound in FORM_PEAK_PER_POINT.items():
-            if (spec.name not in equations.MODELS
-                    and name in ("residual_expanded", "residual_polar_covector")):
-                continue
             form = getattr(equations, name)
             form(pts, spec)
             tracemalloc.start()
