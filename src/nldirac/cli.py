@@ -368,9 +368,9 @@ def cmd_fieldmap(cfg: RunConfig):
 
 def cmd_ode(cfg: RunConfig):
     spec = cfg.spec
-    if spec.name != "soler":
+    if spec.p != 0.0:
         print("error: the radial system belongs to the scalar model; "
-              "run with --model soler", file=sys.stderr)
+              "run with --model soler or p:0", file=sys.stderr)
         return 2
     grid_cfg = cfg.grid_or(grids.GridConfig(r_min=1.0, r_max=10.0, n_r=200,
                                             n_theta=2))
@@ -384,7 +384,7 @@ def cmd_ode(cfg: RunConfig):
         return 1
     out_path = cfg.out or "trajectory.csv"
     ode.trajectory_to_csv(traj, spec, out_path)
-    doc = {"schema": SCHEMA, "model": "soler", "mass": spec.m,
+    doc = {"schema": SCHEMA, "model": spec.name, "mass": spec.m,
            "trajectory_csv": out_path, **summary}
     _emit_json(doc, None)
     return 1 if _ode_failed(nonfinite) else 0
@@ -415,7 +415,7 @@ def cmd_report(cfg: RunConfig):
         "singularity": singular.singularity_report(spec),
     }
     nonfinite = []
-    if spec.name == "soler":
+    if spec.p == 0.0:
         doc["ode"], _, nonfinite = verify.ode_summary(
             spec, tolerances=cfg.tolerances, scan=cfg.scan_el)
     _emit_json(doc, cfg.out)

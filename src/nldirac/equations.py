@@ -65,21 +65,21 @@ def expanded_components(pt: GridPoint, spec: ModelSpec):
     r, th = pt.r, pt.theta
     m, p, E, l = spec.m, spec.p, spec.E, spec.l
     s, c = np.sin(th), np.cos(th)
-    der, ang = f.derivs, f.ang
+    ang = f.ang
     common = -2.0 * E * r * ang.cosh_alpha + 2.0 * l * ang.sinh_alpha / s \
         + 2.0 * m * r * f.cos_beta
     mom = 2.0 * E * r * ang.sinh_alpha - 2.0 * l * ang.cosh_alpha / s
     bracket = common - r * f.phi2 * (p + (1.0 - p) * f.cos_beta**2)
     density_nl = -(1.0 - p) * r * f.phi2 * f.sin_beta * f.cos_beta
-    beta_r = der.r_d_beta_dr + der.d_alpha_dtheta + bracket * ang.cos_gamma
-    beta_theta = der.d_beta_dtheta - der.r_d_alpha_dr + bracket * ang.sin_gamma
+    beta_r = f.r_d_beta_dr + ang.d_alpha_dtheta + bracket * ang.cos_gamma
+    beta_theta = f.d_beta_dtheta - r * ang.d_alpha_dr + bracket * ang.sin_gamma
     density_r = (
         f.r_dlnphi2_dr + 2.0 + 2.0 * m * r * ang.cos_gamma * f.sin_beta
-        + density_nl * ang.cos_gamma + der.d_gamma_dtheta - mom * ang.sin_gamma
+        + density_nl * ang.cos_gamma + ang.d_gamma_dtheta - mom * ang.sin_gamma
     )
     density_theta = (
         f.dlnphi2_dtheta + c / s + 2.0 * m * r * ang.sin_gamma * f.sin_beta
-        + density_nl * ang.sin_gamma - der.r_d_gamma_dr + mom * ang.cos_gamma
+        + density_nl * ang.sin_gamma - r * ang.d_gamma_dr + mom * ang.cos_gamma
     )
     return {
         "beta_r": beta_r,
@@ -163,9 +163,8 @@ def covector_components(pt: GridPoint, spec: ModelSpec):
     s_up = g * s_cov
     Ps = np.einsum("m,m...->...", P, s_up)
     Pu = np.einsum("m,m...->...", P, u_up)
-    der = f.derivs
     dbeta = np.stack(np.broadcast_arrays(
-        0.0, der.r_d_beta_dr / pt.r, der.d_beta_dtheta, 0.0))
+        0.0, f.r_d_beta_dr / pt.r, f.d_beta_dtheta, 0.0))
     dlnphi2 = np.stack(np.broadcast_arrays(
         0.0, f.r_dlnphi2_dr / pt.r, f.dlnphi2_dtheta, 0.0))
     nl_chiral = f.phi2 * (p + (1.0 - p) * f.cos_beta**2)
@@ -200,34 +199,30 @@ def residual_polar_covector(pt: GridPoint, spec: ModelSpec):
 def reduced_components(pt: GridPoint, spec: ModelSpec):
     """Signed residuals of the reduced radial/angular system.
 
-    The profile zeta is read from polar.zeta_exact, with the density rebuilt
-    from it, so a wrong profile propagates exactly as a wrong solution
-    would; the density's log-derivatives are those of
-    polar.module_log_derivatives, which reads the same profile.  The system
-    is that of the radial family, r d_r zeta = 1 and d_theta zeta = 0, on
-    which the two zeta equations lose their tan/cot terms: the radial one
-    reads r d_r zeta = rhs and the angular one 0 = rhs - r d_r zeta.
+    The density, its log-derivatives and the sinh/cosh of the profile zeta
+    come from polar.density, which reads zeta through polar.zeta_exact, so
+    a wrong profile propagates exactly as a wrong solution would.  The
+    system is that of the radial family, r d_r zeta = 1 and
+    d_theta zeta = 0, on which the two zeta equations lose their tan/cot
+    terms: the radial one reads r d_r zeta = rhs and the angular one
+    0 = rhs - r d_r zeta.
     """
-    r, th, p, m = pt.r, pt.theta, spec.p, spec.m
-    c, s = np.cos(th), np.sin(th)
-    z = polar.zeta_exact(r, spec)
+    r, p, m = pt.r, spec.p, spec.m
+    d = polar.density(pt, spec)
+    c, s, sh, ch, D, phi2 = d.c, d.s, d.sh, d.ch, d.D, d.phi2
     r_dz = 1.0
-    sh, ch = np.sinh(z), np.cosh(z)
-    D = sh * sh + c * c
-    S = sh * sh + p * c * c
-    phi2 = 2.0 * np.sqrt(D) / (r * S)
-    r_dlog, dth_log = polar.module_log_derivatives(pt, spec)
-    res1 = r_dlog - (
+    res1 = d.r_dlnphi2_dr - (
         (p - 1.0) * r * phi2 * sh * ch * c * c / D**1.5
         - 2.0
         + (2.0 * m * r * ch * c * c + 2.0 * m * r * s * s * sh
            - 2.0 * sh * ch) / D
     )
-    res2 = dth_log - (
+    res2 = d.dlnphi2_dtheta - (
         (p - 1.0) * r * phi2 * s * c * sh * sh / D**1.5
         + (r_dz - 2.0 * m * r * ch + 2.0 * m * r * sh + 1.0) * s * c / D
     )
-    rhs_common = S * r * phi2 / np.sqrt(D) + 2.0 * m * r * ch - 2.0 * m * r * sh - 2.0
+    rhs_common = (d.S * r * phi2 / np.sqrt(D) + 2.0 * m * r * ch
+                  - 2.0 * m * r * sh - 2.0)
     return {
         "module_radial": res1,
         "module_angular": res2,

@@ -84,25 +84,6 @@ class AngleState:
     d_gamma_dtheta: float = 0.0
 
 
-def velocity_spin_components(X, theta):
-    """Separated-variable parametrization of rapidity and tilt.
-
-    Returns (sinh_alpha, cosh_alpha, sin_gamma, cos_gamma) given the radial
-    profile value X; valid for any theta in [0, pi] since the quotients stay
-    finite off the locus X = 0, cos(theta) = 0.
-    """
-    c = np.cos(theta)
-    return _velocity_spin(X, c, np.sin(theta), np.sqrt(X * X + c * c),
-                          np.sqrt(X * X + 1.0))
-
-
-def _velocity_spin(X, c, s, q, ch):
-    """velocity_spin_components from X, cos(theta), sin(theta),
-    q = sqrt(X^2 + cos^2 theta) and ch = sqrt(X^2 + 1), for a caller that
-    has them already (polar.closed_form)."""
-    return (s / q, ch / q, X * s / q, ch * c / q)
-
-
 # -- metric and Levi-Civita connection --------------------------------------
 
 

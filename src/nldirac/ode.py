@@ -6,8 +6,8 @@ The scalar model leaves two free radial fields, X and G, governed by
     2 + r G'/G        = 2mr sqrt(X^2+1) - r G X sqrt(X^2+1) - 2mr X
 
 The closed-form pair X = sinh(ln 2mr), G = 2/(r X^2) is an exact solution
-but not necessarily the only one; trajectories from perturbed data are
-integrated and reported descriptively.  G diverges on the sphere 2mr = 1,
+but not necessarily the only one; integrate takes any initial data, so a
+perturbed trajectory can be set against it.  G diverges on the sphere 2mr = 1,
 so every integration is confined to one side of that radius.
 
 The integrator is the explicit Dormand-Prince 5(4) pair with adaptive
@@ -275,19 +275,6 @@ def tracking_deviation(traj: Trajectory, spec: ModelSpec):
         "max_rel_G": float(dev_G.max()),
         "max_rel": float(np.max([dev_X.max(), dev_G.max()])),
     }
-
-
-def departure_norms(traj: Trajectory, spec: ModelSpec):
-    """Euclidean distance from the closed-form branch at 50 evenly spaced
-    radii along a trajectory.
-
-    Used to report, without interpretation, how perturbed initial data
-    leaves the known solution (the scalar model is not known to be unique).
-    """
-    rs = np.linspace(traj.r[0], traj.r[-1], 50)
-    y = traj.sol(rs)
-    Xe, Ge, _, _ = _branch(rs, *y, spec)
-    return rs, np.hypot(y[0] - Xe, y[1] - Ge)
 
 
 def trajectory_to_csv(traj: Trajectory, spec: ModelSpec, path):

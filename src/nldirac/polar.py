@@ -117,42 +117,6 @@ def _chiral(X, c, q):
     return (-c / q, X / q)
 
 
-@dataclass(frozen=True)
-class PolarDerivatives:
-    """First partials of the tilt, rapidity and chiral angle.
-
-    All six follow from the parametrization by direct differentiation; the
-    radial ones carry the profile only through r X'(r).
-    """
-
-    d_gamma_dtheta: float
-    r_d_gamma_dr: float
-    d_alpha_dtheta: float
-    r_d_alpha_dr: float
-    d_beta_dtheta: float
-    r_d_beta_dr: float
-
-
-def analytic_derivatives(X, r_dX_dr, theta):
-    """Closed-form partials of gamma, alpha, beta for a radial profile X(r)."""
-    c, s = np.cos(theta), np.sin(theta)
-    return _derivatives(X, r_dX_dr, c, s, X * X + c * c, np.sqrt(X * X + 1.0))
-
-
-def _derivatives(X, r_dX_dr, c, s, D, ch):
-    """analytic_derivatives from cos(theta), sin(theta), D = X^2 + cos^2
-    theta and ch = sqrt(X^2 + 1)."""
-    F = r_dX_dr / ch
-    return PolarDerivatives(
-        d_gamma_dtheta=X * ch / D,
-        r_d_gamma_dr=c * s * F / D,
-        d_alpha_dtheta=ch * c / D,
-        r_d_alpha_dr=-X * s * F / D,
-        d_beta_dtheta=X * s / D,
-        r_d_beta_dr=r_dX_dr * c / D,
-    )
-
-
 def _refuse(pt: GridPoint, where, detail):
     """Raise SingularPoint at the first point of ``pt`` where ``where`` holds."""
     if np.any(where):
@@ -166,31 +130,30 @@ def angle_state(pt: GridPoint, spec: ModelSpec) -> AngleState:
     the ambiguity is removable along some paths but the locus is the physical
     singular ring, so evaluation refuses rather than picking a limit.
     """
-    X = X_exact(pt.r, spec)
-    c, s = np.cos(pt.theta), np.sin(pt.theta)
-    _refuse(pt, np.real(X * X + c ** 2) <= 1e-28,
-            "kinematic quotients are 0/0 on the ring")
-    return _kinematics(pt, X, r_dX_dr_exact(pt.r, spec), c, s)[2]
+    return _kinematics(pt, X_exact(pt.r, spec), r_dX_dr_exact(pt.r, spec),
+                       np.cos(pt.theta), np.sin(pt.theta))[2]
 
 
 def _kinematics(pt: GridPoint, X, r_dX_dr, c, s):
-    """(q, partials, AngleState) of the closed-form branch from the profile
-    X, r X' and the point's cos(theta) and sin(theta), with X^2 + cos^2
-    theta, its root q and sqrt(X^2 + 1) each computed once."""
+    """(D, q, AngleState) from the profile X, r X', cos(theta) and
+    sin(theta), with D = X^2 + cos^2 theta, q = sqrt(D) and ch = sqrt(X^2
+    + 1); refuses the ring.  The rapidity and tilt quotients are sinh alpha
+    = sin(theta)/q, cosh alpha = ch/q, sin gamma = X sin(theta)/q and
+    cos gamma = ch cos(theta)/q; their radial partials go through r X'."""
     X2 = X * X
     D = X2 + c * c
+    _refuse(pt, np.real(D) <= 1e-28, "kinematic quotients are 0/0 on the ring")
     q, ch = np.sqrt(D), np.sqrt(X2 + 1.0)
-    d = _derivatives(X, r_dX_dr, c, s, D, ch)
-    sa, ca, sg, cg = geometry._velocity_spin(X, c, s, q, ch)
-    return q, d, AngleState(
-        sinh_alpha=sa,
-        cosh_alpha=ca,
-        sin_gamma=sg,
-        cos_gamma=cg,
-        d_alpha_dr=d.r_d_alpha_dr / pt.r,
-        d_alpha_dtheta=d.d_alpha_dtheta,
-        d_gamma_dr=d.r_d_gamma_dr / pt.r,
-        d_gamma_dtheta=d.d_gamma_dtheta,
+    F = r_dX_dr / ch
+    return D, q, AngleState(
+        sinh_alpha=s / q,
+        cosh_alpha=ch / q,
+        sin_gamma=X * s / q,
+        cos_gamma=ch * c / q,
+        d_alpha_dr=-X * s * F / D / pt.r,
+        d_alpha_dtheta=ch * c / D,
+        d_gamma_dr=c * s * F / D / pt.r,
+        d_gamma_dtheta=X * ch / D,
     )
 
 
@@ -208,68 +171,80 @@ def angle_field(spec: ModelSpec):
 # -- matter distributions -----------------------------------------------------
 
 
-def _phi2_general(r, sh2, c2, p):
-    """The density from sh2 = sinh^2 zeta and c2 = cos^2 theta.  Callers
-    pass np.square(sinh zeta), so no sinh zeta array stays alive beside it
-    on the 80,000 points of a locus search."""
-    return 2.0 * np.sqrt(sh2 + c2) / (r * (sh2 + p * c2))
+def _phi2(r, D, S):
+    """phi^2 = 2 sqrt(D) / (r S), D = sinh^2 zeta + cos^2 theta and S =
+    sinh^2 zeta + p cos^2 theta."""
+    return 2.0 * np.sqrt(D) / (r * S)
+
+
+@dataclass(frozen=True)
+class Density:
+    """phi^2, its two log-derivatives and the point quantities they are
+    built from (D and S as in _phi2), each a float or an array of the
+    points' shape."""
+
+    c: float
+    s: float
+    sh: float
+    ch: float
+    D: float
+    S: float
+    phi2: float
+    r_dlnphi2_dr: float
+    dlnphi2_dtheta: float
+
+
+def density(pt: GridPoint, spec: ModelSpec) -> Density:
+    """The density step of closed_form and the reduced form: zeta, read
+    through zeta_exact, its sinh and cosh and cos/sin theta, each once.
+    Raises SingularPoint, naming the first point, on the locus S = 0."""
+    p, z = spec.p, zeta_exact(pt.r, spec)
+    sh, ch = np.sinh(z), np.cosh(z)
+    c, s = np.cos(pt.theta), np.sin(pt.theta)
+    sh2, c2 = sh * sh, c * c
+    D, S = sh2 + c2, sh2 + p * c2
+    _refuse(pt, np.real(S) <= 1e-28, "locus sinh^2 zeta + p cos^2 theta = 0")
+    return Density(
+        c=c, s=s, sh=sh, ch=ch, D=D, S=S, phi2=_phi2(pt.r, D, S),
+        r_dlnphi2_dr=sh * ch * (1.0 / D - 2.0 / S) - 1.0,
+        dlnphi2_dtheta=-s * c / D + 2.0 * p * s * c / S,
+    )
 
 
 def module_general_p(pt: GridPoint, spec: ModelSpec):
-    """Density 2 sqrt(sh^2 + cos^2 th) / (r [sh^2 + p cos^2 th]) of any p.
-
-    At p = 1 it is the chiral density 8m / sqrt(16 m^4 r^4 + 8 m^2 r^2
-    cos 2theta + 1), at p = 0 the scalar one sqrt(X^2 + cos^2 theta) G(r).
-    Those spellings lose digits to cancellation near 2mr = 1; this one keeps
-    full precision there.
-    """
-    return _general_density(pt, spec.p,
-                            np.square(np.sinh(zeta_exact(pt.r, spec))),
-                            np.cos(pt.theta) ** 2)
-
-
-def _general_density(pt: GridPoint, p, sh2, c2):
-    """module_general_p from sh2 = sinh^2 zeta and c2 = cos^2 theta."""
-    _refuse(pt, np.real(sh2 + p * c2) <= 1e-28,
-            "locus sinh^2 zeta + p cos^2 theta = 0")
-    return _phi2_general(pt.r, sh2, c2, p)
+    """The density phi^2 of any p.  At p = 1 it is the chiral density 8m /
+    sqrt(16 m^4 r^4 + 8 m^2 r^2 cos 2theta + 1), at p = 0 the scalar one
+    sqrt(X^2 + cos^2 theta) G(r); those spellings lose digits near 2mr = 1,
+    and this one keeps full precision there."""
+    return density(pt, spec).phi2
 
 
 def phi2_grid(spec: ModelSpec, r, theta):
     """Vectorized raw density of any model on arrays; no singularity checks.
 
-    The model enters through p alone, as in module_general_p.
+    D holds sinh^2 zeta until cos^2 theta is added in place, so a locus
+    search over 80,000 points keeps neither array alive beside D and S.
     """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _phi2_general(r, np.square(np.sinh(np.log(2.0 * spec.m * r))),
-                             np.cos(theta) ** 2, spec.p)
-
-
-def module_log_derivatives(pt: GridPoint, spec: ModelSpec):
-    """(r d_r ln phi^2, d_theta ln phi^2) of the interpolated density on the
-    closed-form branch."""
-    p, z = spec.p, zeta_exact(pt.r, spec)
-    sh, ch = np.sinh(z), np.cosh(z)
-    c, s = np.cos(pt.theta), np.sin(pt.theta)
-    D = sh * sh + c * c
-    S = sh * sh + p * c * c
-    r_dr = sh * ch * (1.0 / D - 2.0 / S) - 1.0
-    d_th = -s * c / D + 2.0 * p * s * c / S
-    return r_dr, d_th
+        D = np.square(np.sinh(np.log(2.0 * spec.m * r)))
+        c2 = np.cos(theta) ** 2
+        S = D + spec.p * c2
+        D += c2
+        del c2
+        return _phi2(r, D, S)
 
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """The closed-form solution at a point or a set of points, each quantity
-    evaluated once.
+    """The closed-form solution at a point or a set of points.
 
     The expanded, covector and standard forms, the polar decomposition and
-    the spinor read this bundle; the density and its log-derivatives depend
-    on the model's p, the kinematic quantities (beta, alpha, gamma) are
-    the same for all p.  Each field is a float or an array of the points'
-    shape.
+    the spinor read this bundle.  The density and its log-derivatives
+    depend on p, the chiral pair, the beta partials and ``ang`` (with the
+    alpha and gamma partials) do not.  Each field is a float or an array of
+    the points' shape.
     """
 
     sin_beta: float
@@ -277,31 +252,25 @@ class ClosedForm:
     phi2: float
     r_dlnphi2_dr: float
     dlnphi2_dtheta: float
-    derivs: PolarDerivatives
+    r_d_beta_dr: float
+    d_beta_dtheta: float
     ang: AngleState
 
 
 def closed_form(pt: GridPoint, spec: ModelSpec) -> ClosedForm:
-    """The closed-form solution of the model at ``pt``; raises SingularPoint,
-    naming the first point, on the density's singular locus.
-
-    cos(theta), sin(theta), sinh(zeta), X, r X', X^2 + cos^2 theta and the
-    two square roots are computed once and shared by the formulas, each
-    evaluated as its public function would; the density log-derivatives
-    come from module_log_derivatives.
-    """
-    c, s = np.cos(pt.theta), np.sin(pt.theta)
-    phi2 = _general_density(pt, spec.p,
-                            np.square(np.sinh(zeta_exact(pt.r, spec))),
-                            c ** 2)
-    X = X_exact(pt.r, spec)
-    q, d, ang = _kinematics(pt, X, r_dX_dr_exact(pt.r, spec), c, s)
+    """The closed-form solution of the model at ``pt`` in one pass: the
+    density step's cos(theta) and sin(theta) feed the kinematics, whose D
+    and q give the chiral pair and the beta partials.  Raises SingularPoint,
+    naming the first point, on the density's singular locus."""
+    dens = density(pt, spec)
+    c, s = dens.c, dens.s
+    X, r_dX_dr = X_exact(pt.r, spec), r_dX_dr_exact(pt.r, spec)
+    D, q, ang = _kinematics(pt, X, r_dX_dr, c, s)
     sb, cb = _chiral(X, c, q)
-    r_dlog, dth_log = module_log_derivatives(pt, spec)
     return ClosedForm(
-        sin_beta=sb, cos_beta=cb,
-        phi2=phi2, r_dlnphi2_dr=r_dlog, dlnphi2_dtheta=dth_log,
-        derivs=d, ang=ang,
+        sin_beta=sb, cos_beta=cb, phi2=dens.phi2,
+        r_dlnphi2_dr=dens.r_dlnphi2_dr, dlnphi2_dtheta=dens.dlnphi2_dtheta,
+        r_d_beta_dr=r_dX_dr * c / D, d_beta_dtheta=X * s / D, ang=ang,
     )
 
 
@@ -337,11 +306,10 @@ def spinor_coordinate_partials(pt: GridPoint, f: ClosedForm, psi):
     """Analytic (d_r psi, d_theta psi) of the spinor psi assembled from the
     bundle f, from the log-derivative of the density and the chiral-angle
     partials."""
-    der = f.derivs
     pipsi = clifford.pi_action(psi)
     return ((0.5 * f.r_dlnphi2_dr / pt.r) * psi
-            - 0.5j * (der.r_d_beta_dr / pt.r) * pipsi,
-            (0.5 * f.dlnphi2_dtheta) * psi - 0.5j * der.d_beta_dtheta * pipsi)
+            - 0.5j * (f.r_d_beta_dr / pt.r) * pipsi,
+            (0.5 * f.dlnphi2_dtheta) * psi - 0.5j * f.d_beta_dtheta * pipsi)
 
 
 def covariant_derivative(pt: GridPoint, spec: ModelSpec):
@@ -386,11 +354,10 @@ def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec):
     maximum over all points, which propagates NaN.
     """
     nabla, psi, f = covariant_derivative(pt, spec)
-    der = f.derivs
     dlnphi = np.stack(np.broadcast_arrays(
         0.0, 0.5 * f.r_dlnphi2_dr / pt.r, 0.5 * f.dlnphi2_dtheta, 0.0))
     dbeta = np.stack(np.broadcast_arrays(
-        0.0, der.r_d_beta_dr / pt.r, der.d_beta_dtheta, 0.0))
+        0.0, f.r_d_beta_dr / pt.r, f.d_beta_dtheta, 0.0))
     P = geometry.momentum_covector(spec.E, spec.l)
     xi = geometry.tetrad_at(pt, f.ang)
     R_frame = np.einsum("bp...,npm...->nbm...", xi,

@@ -202,10 +202,37 @@ def test_a_grid_suite_that_masked_every_point_fails(capsys):
 
 
 def test_ode_requires_the_scalar_model(capsys, tmp_path):
-    code, _, err = run(capsys, "ode", "--model", "njl",
-                       "--out", str(tmp_path / "t.csv"))
-    assert code == 2
-    assert "scalar model" in err
+    # the scalar model is p = 0 exactly, whatever its name
+    for model in ("njl", "p:1e-09"):
+        code, _, err = run(capsys, "ode", "--model", model,
+                           "--out", str(tmp_path / "t.csv"))
+        assert code == 2, model
+        assert "scalar model" in err and "soler or p:0" in err, model
+
+
+def test_ode_and_report_read_p_not_the_model_name(capsys, tmp_path):
+    # p:0 is the scalar model: its trajectory is soler's byte for byte,
+    # its summary differs only in the name, and its report carries the
+    # same ode block
+    docs, csvs = {}, {}
+    for model in ("soler", "p:0"):
+        csvs[model] = tmp_path / f"{model.replace(':', '')}.csv"
+        code, out, _ = run(capsys, "ode", "--model", model,
+                           "--out", str(csvs[model]))
+        assert code == 0, model
+        docs[model] = json.loads(out)
+    assert csvs["soler"].read_bytes() == csvs["p:0"].read_bytes()
+    for model, doc in docs.items():
+        assert doc.pop("model") == model
+        doc.pop("trajectory_csv")
+    assert docs["p:0"] == docs["soler"]
+    reports = {}
+    for model in ("soler", "p:0"):
+        code, out, _ = run(capsys, "report", "--model", model,
+                           "--grid", SMALL_GRID)
+        assert code == 0, model
+        reports[model] = json.loads(out)
+    assert reports["p:0"]["ode"] == reports["soler"]["ode"]
 
 
 def test_integrator_tolerances_reach_ode_and_report(capsys, tmp_path):
@@ -661,18 +688,18 @@ def test_nan_residual_fails_its_suite(capsys, monkeypatch, tmp_path):
     # into the radial log-derivative of the density at the second point,
     # only while that call runs
     decomposition = polar.polar_decomposition_residual
-    log_derivatives = polar.module_log_derivatives
+    closed_form = polar.closed_form
     calls = []
 
     def second_point_nan(pt, spec):
-        r_dr, d_th = log_derivatives(pt, spec)
+        f = closed_form(pt, spec)
         second = np.where(np.arange(np.size(pt.r)) == 1, math.nan, 1.0)
-        return r_dr * second, d_th
+        return dataclasses.replace(f, r_dlnphi2_dr=f.r_dlnphi2_dr * second)
 
     def poisoned_decomposition(pt, spec):
         calls.append(pt.shape)
         with monkeypatch.context() as inner:
-            inner.setattr(polar, "module_log_derivatives", second_point_nan)
+            inner.setattr(polar, "closed_form", second_point_nan)
             return decomposition(pt, spec)
 
     with monkeypatch.context() as patch:
@@ -688,14 +715,15 @@ def test_nan_residual_fails_its_suite(capsys, monkeypatch, tmp_path):
 
     # a NaN theta log-derivative of the density is a later component of the
     # expanded and covector residual vectors, the angular module equation of
-    # the reduced system and one term of the decomposition's fold over mu
-    log_derivatives = polar.module_log_derivatives
+    # the reduced system and one term of the decomposition's fold over mu;
+    # every form reads it from the density step
+    density = polar.density
 
     def nan_theta(pt, spec):
-        return log_derivatives(pt, spec)[0], math.nan
+        return dataclasses.replace(density(pt, spec), dlnphi2_dtheta=math.nan)
 
     with monkeypatch.context() as patch:
-        patch.setattr(polar, "module_log_derivatives", nan_theta)
+        patch.setattr(polar, "density", nan_theta)
         code, out, err = run(capsys, "verify", "--model", "njl",
                              "--grid", "0.05,20,5,4")
     assert code == 1

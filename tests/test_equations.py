@@ -198,6 +198,39 @@ def test_reduced_detects_radial_offset(monkeypatch):
     assert abs(comps["zeta_radial"]) >= 1e-4
 
 
+def test_closed_form_and_reduced_form_read_zeta_once(monkeypatch):
+    # one density step computes zeta, sinh zeta, cosh zeta, cos theta and
+    # sin theta for the density and both log-derivatives
+    zeta = polar.zeta_exact
+    calls = []
+
+    def counted(r, spec):
+        calls.append(np.shape(r))
+        return zeta(r, spec)
+
+    monkeypatch.setattr(polar, "zeta_exact", counted)
+    for spec in (ModelSpec.njl(), ModelSpec.soler(), ModelSpec.interpolating(0.37)):
+        for pt in (GridPoint(1.3, 0.7),
+                   GridPoint(np.array([0.2, 1.3, 4.0]), np.array([0.4, 0.7, 2.0]))):
+            for form in (polar.closed_form, reduced_components):
+                calls.clear()
+                form(pt, spec)
+                assert calls == [pt.shape], (spec.name, form.__name__)
+
+
+def test_reduced_form_refuses_the_singular_locus():
+    # on the scalar model's shell 2mr = 1 the reduced form names the first
+    # singular point, as every other form does, rather than return inf/NaN
+    spec = ModelSpec.soler()
+    with pytest.raises(SingularPoint) as err:
+        reduced_components(GridPoint(0.5, 1.0), spec)
+    assert (err.value.r, err.value.theta) == (0.5, 1.0)
+    with pytest.raises(SingularPoint) as err:
+        residual_reduced(GridPoint(np.array([2.0, 0.5, 0.5]),
+                                   np.array([1.0, 0.3, 2.0])), spec)
+    assert (err.value.r, err.value.theta) == (0.5, 0.3)
+
+
 def test_standard_residual_vanishes_for_all_p():
     for p in (0.0, 0.5, 1.0):
         spec = ModelSpec(m=1.0, p=p)

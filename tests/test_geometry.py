@@ -6,7 +6,6 @@ import pytest
 from nldirac import geometry, polar
 from nldirac.errors import PoleOrOrigin
 from nldirac.geometry import (
-    AngleState,
     GridPoint,
     christoffel_at,
     complex_step_partials,
@@ -20,7 +19,6 @@ from nldirac.geometry import (
     tetrad_at,
     transport_residuals,
     velocity_covector,
-    velocity_spin_components,
 )
 from nldirac.polar import ModelSpec
 
@@ -107,31 +105,40 @@ def test_riemann_vanishes():
 
 
 def test_velocity_spin_component_values():
-    sa, ca, sg, cg = velocity_spin_components(1.0, np.pi / 2)
-    assert sa == pytest.approx(1.0)
-    assert ca == pytest.approx(np.sqrt(2.0))
-    assert sg == pytest.approx(1.0)
-    assert cg == pytest.approx(0.0, abs=1e-16)
-    # on the axis: pure time-directed velocity, radial spin
-    sa, _, sg, _ = velocity_spin_components(0.7, 0.0)
-    assert sa == 0.0 and sg == 0.0
+    # the closed form's parametrization: at X = 1 on the equator, and on
+    # the axis a pure time-directed velocity with radial spin
+    spec = ModelSpec.njl()
+    r1 = (1.0 + np.sqrt(2.0)) / 2.0  # 2mr - 1/(2mr) = 2, so X = 1
+    ang = polar.angle_state(GridPoint(r1, np.pi / 2), spec)
+    assert ang.sinh_alpha == pytest.approx(1.0)
+    assert ang.cosh_alpha == pytest.approx(np.sqrt(2.0))
+    assert ang.sin_gamma == pytest.approx(1.0)
+    assert ang.cos_gamma == pytest.approx(0.0, abs=1e-16)
+    # a GridPoint excludes the axis itself; at theta = 1e-20 both are
+    # sin(theta) times an order-one factor
+    ang = polar.angle_state(GridPoint(1.0, 1e-20), spec)
+    assert ang.sinh_alpha == pytest.approx(0.0, abs=1e-19)
+    assert ang.sin_gamma == pytest.approx(0.0, abs=1e-19)
 
 
 def test_component_normalizations():
+    # X from -5 to 5 over the radii 2mr in [0.1, 10]
     rng = np.random.default_rng(11)
+    spec = ModelSpec.njl()
     for _ in range(100):
-        X = rng.uniform(-5, 5)
+        r = 0.5 * np.exp(rng.uniform(np.log(0.1), np.log(10.0)))
         th = rng.uniform(0.05, np.pi - 0.05)
-        sa, ca, sg, cg = velocity_spin_components(X, th)
-        assert ca**2 - sa**2 == pytest.approx(1.0, abs=1e-12)
-        assert sg**2 + cg**2 == pytest.approx(1.0, abs=1e-12)
+        ang = polar.angle_state(GridPoint(r, th), spec)
+        assert ang.cosh_alpha**2 - ang.sinh_alpha**2 == pytest.approx(1.0, abs=1e-12)
+        assert ang.sin_gamma**2 + ang.cos_gamma**2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_velocity_spin_covector_norms():
+    # a random mass puts a random profile value X at each point
     rng = np.random.default_rng(12)
     for pt in random_points(100, seed=13):
-        X = rng.uniform(-5, 5)
-        ang = AngleState(*velocity_spin_components(X, pt.theta))
+        spec = ModelSpec.njl(m=rng.uniform(0.05, 5.0))
+        ang = polar.angle_state(pt, spec)
         ginv = inverse_metric_at(pt)
         u = velocity_covector(pt, ang)
         s = spin_covector(pt, ang)

@@ -20,7 +20,7 @@ import pytest
 
 from nldirac import clifford, equations, geometry, grids, polar
 from nldirac.geometry import AngleState, GridPoint
-from nldirac.polar import ClosedForm, ModelSpec, PolarDerivatives
+from nldirac.polar import ClosedForm, ModelSpec
 
 MODELS = (ModelSpec.njl, ModelSpec.soler,
           lambda m: ModelSpec.interpolating(0.5, m=m))
@@ -88,9 +88,8 @@ def _reference_covector(pt, spec):
     u_up, s_up = g * u, g * s_cov
     Ps = np.einsum("m,m...->...", P, s_up)
     Pu = np.einsum("m,m...->...", P, u_up)
-    der = f.derivs
     dbeta = np.stack(np.broadcast_arrays(
-        0.0, der.r_d_beta_dr / pt.r, der.d_beta_dtheta, 0.0))
+        0.0, f.r_d_beta_dr / pt.r, f.d_beta_dtheta, 0.0))
     dlnphi2 = np.stack(np.broadcast_arrays(
         0.0, f.r_dlnphi2_dr / pt.r, f.dlnphi2_dtheta, 0.0))
     if spec.name == "njl":
@@ -229,52 +228,35 @@ def test_standard_form_equals_the_matrix_nonlinear_term():
                                       _reference_standard(pt, model)), model
 
 
-def _reference_derivatives(X, r_dX_dr, theta):
-    """analytic_derivatives, each intermediate computed in place."""
-    c, s = np.cos(theta), np.sin(theta)
-    D = X * X + c * c
-    ch = np.sqrt(X * X + 1.0)
-    F = r_dX_dr / ch
-    return PolarDerivatives(
-        d_gamma_dtheta=X * ch / D,
-        r_d_gamma_dr=c * s * F / D,
-        d_alpha_dtheta=ch * c / D,
-        r_d_alpha_dr=-X * s * F / D,
-        d_beta_dtheta=X * s / D,
-        r_d_beta_dr=r_dX_dr * c / D,
-    )
-
-
-def _reference_angles(pt, X, d):
-    """The AngleState of the profile X and its partials d, with
-    velocity_spin_components computing its own cos, sin and roots."""
-    c = np.cos(pt.theta)
-    q = np.sqrt(X * X + c * c)
-    ch = np.sqrt(X * X + 1.0)
-    return AngleState(
-        sinh_alpha=np.sin(pt.theta) / q, cosh_alpha=ch / q,
-        sin_gamma=X * np.sin(pt.theta) / q, cos_gamma=ch * c / q,
-        d_alpha_dr=d.r_d_alpha_dr / pt.r, d_alpha_dtheta=d.d_alpha_dtheta,
-        d_gamma_dr=d.r_d_gamma_dr / pt.r, d_gamma_dtheta=d.d_gamma_dtheta)
-
-
 def _reference_closed_form(pt, spec):
     """closed_form composed of the formulas one by one, each computing
-    cos and sin theta, sinh(zeta), X, r X' and the roots it needs."""
-    sh2 = np.sinh(np.log(2.0 * spec.m * pt.r)) ** 2
-    assert not np.any(np.real(sh2 + spec.p * np.cos(pt.theta) ** 2) <= 1e-28)
+    cos and sin theta, sinh(zeta), cosh(zeta), X, r X' and the sums and
+    roots it needs."""
+    p, c, s = spec.p, np.cos(pt.theta), np.sin(pt.theta)
     sh = np.sinh(np.log(2.0 * spec.m * pt.r))
-    c2 = np.cos(pt.theta) ** 2
-    phi2 = 2.0 * np.sqrt(sh * sh + c2) / (pt.r * (sh * sh + spec.p * c2))
+    assert not np.any(np.real(sh * sh + p * (c * c)) <= 1e-28)
+    phi2 = 2.0 * np.sqrt(sh * sh + c * c) / (pt.r * (sh * sh + p * (c * c)))
+    ch = np.cosh(np.log(2.0 * spec.m * pt.r))
+    r_dlog = sh * ch * (1.0 / (sh * sh + c * c)
+                        - 2.0 / (sh * sh + p * (c * c))) - 1.0
+    dth_log = -s * c / (sh * sh + c * c) + 2.0 * p * s * c / (
+        sh * sh + p * (c * c))
     u = 2.0 * spec.m * pt.r
-    X = 0.5 * (u - 1.0 / u)
-    d = _reference_derivatives(X, 0.5 * (u + 1.0 / u), pt.theta)
-    c = np.cos(pt.theta)
+    X, r_dX_dr = 0.5 * (u - 1.0 / u), 0.5 * (u + 1.0 / u)
+    D = X * X + c * c
     q = np.sqrt(X * X + c * c)
-    r_dlog, dth_log = polar.module_log_derivatives(pt, spec)
+    ch_X = np.sqrt(X * X + 1.0)
+    ang = AngleState(
+        sinh_alpha=s / q, cosh_alpha=ch_X / q,
+        sin_gamma=X * s / q, cos_gamma=ch_X * c / q,
+        d_alpha_dr=-X * s * (r_dX_dr / ch_X) / D / pt.r,
+        d_alpha_dtheta=ch_X * c / D,
+        d_gamma_dr=c * s * (r_dX_dr / ch_X) / D / pt.r,
+        d_gamma_dtheta=X * ch_X / D)
     return ClosedForm(sin_beta=-c / q, cos_beta=X / q, phi2=phi2,
-                      r_dlnphi2_dr=r_dlog, dlnphi2_dtheta=dth_log, derivs=d,
-                      ang=_reference_angles(pt, X, d))
+                      r_dlnphi2_dr=r_dlog, dlnphi2_dtheta=dth_log,
+                      r_d_beta_dr=r_dX_dr * c / D, d_beta_dtheta=X * s / D,
+                      ang=ang)
 
 
 def _scalar_points(pts, n=20):
@@ -294,24 +276,16 @@ def test_closed_form_equals_the_formula_by_formula_composition():
     for spec, pts in _cases():
         for pt in [pts, *_scalar_points(pts)]:
             f, ref = polar.closed_form(pt, spec), _reference_closed_form(pt, spec)
-            assert _equal_fields(f.derivs, ref.derivs), spec
             assert _equal_fields(f.ang, ref.ang), spec
             for name in ("sin_beta", "cos_beta", "phi2", "r_dlnphi2_dr",
-                         "dlnphi2_dtheta"):
+                         "dlnphi2_dtheta", "r_d_beta_dr", "d_beta_dtheta"):
                 assert np.array_equal(getattr(f, name), getattr(ref, name)), (
                     spec, name)
             # and so do the public formulas
             assert _equal_fields(polar.angle_state(pt, spec), ref.ang), spec
             X = polar.X_exact(pt.r, spec)
-            d = polar.analytic_derivatives(
-                X, polar.r_dX_dr_exact(pt.r, spec), pt.theta)
-            assert _equal_fields(d, ref.derivs), spec
             assert np.array_equal(polar.chiral_components(X, pt.theta),
                                   (ref.sin_beta, ref.cos_beta))
-            assert np.array_equal(
-                geometry.velocity_spin_components(X, pt.theta),
-                (ref.ang.sinh_alpha, ref.ang.cosh_alpha, ref.ang.sin_gamma,
-                 ref.ang.cos_gamma))
             assert np.array_equal(polar.module_general_p(pt, spec), ref.phi2)
             general = ModelSpec.interpolating(spec.p, m=spec.m)
             assert np.array_equal(polar.phi2_grid(general, pt.r, pt.theta),

@@ -12,13 +12,11 @@ from nldirac.polar import (
     G_exact,
     ModelSpec,
     X_exact,
-    analytic_derivatives,
     assemble_spinor,
     chiral_components,
     closed_form,
     covariant_derivative,
     module_general_p,
-    module_log_derivatives,
     phi2_grid,
     polar_decomposition_residual,
     r_dX_dr_exact,
@@ -204,44 +202,50 @@ def test_module_positivity_and_tail():
 
 
 def test_analytic_derivatives_equatorial_values():
-    X = 0.8
-    rxp = np.sqrt(X * X + 1.0)  # on-branch relation
-    der = analytic_derivatives(X, rxp, np.pi / 2)
-    assert der.d_gamma_dtheta == pytest.approx(np.sqrt(X * X + 1.0) / X)
-    assert der.r_d_gamma_dr == pytest.approx(0.0, abs=1e-16)
+    # X = 0.8 at 2r = 0.8 + sqrt(1.64); on the equator the radial partials
+    # vanish up to cos(fl(pi/2)) = 6e-17
+    spec = ModelSpec(m=1.0)
+    r = (0.8 + np.sqrt(1.64)) / 2.0
+    X = X_exact(r, spec)
+    f = closed_form(GridPoint(r, np.pi / 2), spec)
+    assert X == pytest.approx(0.8)
+    assert f.ang.d_gamma_dtheta == pytest.approx(np.sqrt(X * X + 1.0) / X)
+    assert r * f.ang.d_gamma_dr == pytest.approx(0.0, abs=1e-16)
+    assert f.d_beta_dtheta == pytest.approx(1.0 / X)
+    assert f.r_d_beta_dr == pytest.approx(0.0, abs=1e-15)
 
 
 def test_analytic_derivatives_match_finite_differences():
     spec = ModelSpec(m=1.0)
     h = 1e-5
     worst = 0.0
+
+    def angles(r, th):
+        return polar.angle_state(GridPoint(r, th), spec)
+
+    def gamma(r, th):
+        ang = angles(r, th)
+        return np.arctan2(ang.sin_gamma, ang.cos_gamma)
+
+    def alpha(r, th):
+        return np.arcsinh(angles(r, th).sinh_alpha)
+
+    def beta(r, th):
+        sb, cb = chiral_components(X_exact(r, spec), th)
+        return np.arctan2(sb, cb)
+
     # scalar-angle differences need a branch-cut-free region: keep X > 0
     for pt in random_points(50, r_lo=0.6, r_hi=10.0):
-        X = X_exact(pt.r, spec)
-        der = analytic_derivatives(X, r_dX_dr_exact(pt.r, spec), pt.theta)
-
-        def gamma(r, th):
-            sa, ca, sg, cg = polar.geometry.velocity_spin_components(
-                X_exact(r, spec), th
-            )
-            return np.arctan2(sg, cg)
-
-        def alpha(r, th):
-            sa, *_ = polar.geometry.velocity_spin_components(X_exact(r, spec), th)
-            return np.arcsinh(sa)
-
-        def beta(r, th):
-            sb, cb = chiral_components(X_exact(r, spec), th)
-            return np.arctan2(sb, cb)
-
-        for fn, dth, rdr in (
-            (gamma, der.d_gamma_dtheta, der.r_d_gamma_dr),
-            (alpha, der.d_alpha_dtheta, der.r_d_alpha_dr),
-            (beta, der.d_beta_dtheta, der.r_d_beta_dr),
+        f = closed_form(pt, spec)
+        ang = f.ang
+        for fn, dth, dr in (
+            (gamma, ang.d_gamma_dtheta, ang.d_gamma_dr),
+            (alpha, ang.d_alpha_dtheta, ang.d_alpha_dr),
+            (beta, f.d_beta_dtheta, f.r_d_beta_dr / pt.r),
         ):
             fd_th = (fn(pt.r, pt.theta + h) - fn(pt.r, pt.theta - h)) / (2 * h)
             fd_r = (fn(pt.r + h, pt.theta) - fn(pt.r - h, pt.theta)) / (2 * h)
-            worst = max(worst, abs(fd_th - dth), abs(pt.r * fd_r - rdr))
+            worst = max(worst, abs(fd_th - dth), abs(pt.r * (fd_r - dr)))
     assert worst <= 1e-6
 
 
@@ -251,12 +255,12 @@ def test_derivative_component_identity_across_sign_change():
     h = 1e-6
     for pt in random_points(30, r_lo=0.1, r_hi=10.0):
         X = X_exact(pt.r, spec)
-        der = analytic_derivatives(X, r_dX_dr_exact(pt.r, spec), pt.theta)
+        d_beta_dtheta = closed_form(pt, spec).d_beta_dtheta
         sb_p, _ = chiral_components(X, pt.theta + h)
         sb_m, _ = chiral_components(X, pt.theta - h)
         _, cb = chiral_components(X, pt.theta)
         assert (sb_p - sb_m) / (2 * h) == pytest.approx(
-            cb * der.d_beta_dtheta, abs=1e-6
+            cb * d_beta_dtheta, abs=1e-6
         )
 
 
@@ -402,24 +406,28 @@ def test_module_log_derivatives_match_finite_differences():
     close = lambda a: pytest.approx(a, rel=1e-12, abs=1e-12)
     for p in (0.0, 0.5, 1.0):
         spec = ModelSpec(m=1.0, p=p)
+
+        def angles(r, th):
+            return polar.angle_state(GridPoint(r, th), spec)
+
         for pt in random_points(20):
-            r_dr, d_th = module_log_derivatives(pt, spec)
+            f = closed_form(pt, spec)
             d_r, d_t = complex_step_partials(
                 lambda r, th: np.log(module_general_p(GridPoint(r, th), spec)),
                 pt.r, pt.theta)
-            assert r_dr == close(pt.r * d_r)
-            assert d_th == close(d_t)
+            assert f.r_dlnphi2_dr == close(pt.r * d_r)
+            assert f.dlnphi2_dtheta == close(d_t)
 
-            X = lambda r: X_exact(r, spec)
-            ang = polar.angle_state(pt, spec)
-            der = analytic_derivatives(X(pt.r), r_dX_dr_exact(pt.r, spec),
-                                       pt.theta)
-            vs = geometry.velocity_spin_components
+            ang = f.ang
             for pair, dr, dth in (
-                (lambda r, th: vs(X(r), th)[:2], ang.d_alpha_dr, ang.d_alpha_dtheta),
-                (lambda r, th: vs(X(r), th)[2:], ang.d_gamma_dr, ang.d_gamma_dtheta),
-                (lambda r, th: chiral_components(X(r), th),
-                 der.r_d_beta_dr / pt.r, der.d_beta_dtheta),
+                (lambda r, th: (angles(r, th).sinh_alpha,
+                                angles(r, th).cosh_alpha),
+                 ang.d_alpha_dr, ang.d_alpha_dtheta),
+                (lambda r, th: (angles(r, th).sin_gamma,
+                                angles(r, th).cos_gamma),
+                 ang.d_gamma_dr, ang.d_gamma_dtheta),
+                (lambda r, th: chiral_components(X_exact(r, spec), th),
+                 f.r_d_beta_dr / pt.r, f.d_beta_dtheta),
             ):
                 d_r, d_t = _angle_partials(pair, pt.r, pt.theta)
                 assert dr == close(d_r)

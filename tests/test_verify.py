@@ -2,8 +2,13 @@
 
 A wrong solution is fed in one way only: a negative control patches one
 layer function that its suite reads with a seeded perturbation, and the
-suite must then appear in the report's ``failing_suites``.  A suite added
-to ``verify.SUITES`` without a control fails
+suite must then appear in the report's ``failing_suites``.  The closed
+form has three such seams: ``polar.closed_form``, whose bundle a control
+changes with ``dataclasses.replace`` (the expanded, covector and standard
+forms and the polar decomposition read it), ``polar.zeta_exact``, which
+the density step reads for ``closed_form`` and the reduced form alike, and
+``polar.angle_state`` (the transport and curvature-strength suites).  A
+suite added to ``verify.SUITES`` without a control fails
 ``test_every_suite_has_a_negative_control``, and the forms take no argument
 beyond the point and the model, which ``test_forms_take_no_perturbation_knob``
 pins.
