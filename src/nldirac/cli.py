@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import equations, grids, ode, singular, verify
-from .errors import DivergingState, StepUnderflow
+from .errors import DivergingState, SingularPoint, StepUnderflow
 from .geometry import GridPoint
 from .polar import ENDPOINTS, ModelSpec, X_exact, chiral_components, phi2_grid
 
@@ -379,7 +379,7 @@ def cmd_ode(cfg: RunConfig):
             spec, r_span=(grid_cfg.r_min, grid_cfg.r_max),
             tolerances=cfg.tolerances, scan=cfg.scan_el,
         )
-    except (DivergingState, StepUnderflow, ValueError) as exc:
+    except (DivergingState, SingularPoint, StepUnderflow, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_path = cfg.out or "trajectory.csv"
@@ -455,7 +455,12 @@ def main(argv=None):
     except (argparse.ArgumentTypeError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return COMMANDS[args.command](cfg)
+    try:
+        return COMMANDS[args.command](cfg)
+    except SingularPoint as exc:  # a verify or report grid point unmasked
+        print(f"error: {exc}; raise --mask-margin to mask the singular region",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

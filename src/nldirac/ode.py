@@ -258,8 +258,7 @@ def integrate(config: IntegratorConfig, initial: OdeState, spec: ModelSpec):
 def _branch(rs, X, G, spec: ModelSpec):
     """Closed-form (X, G) at the radii rs and the relative deviations of the
     values X, G from them: (Xe, Ge, dev_X, dev_G)."""
-    Xe = X_exact(rs, spec)
-    Ge = 2.0 / (rs * Xe * Xe)
+    Xe, Ge = X_exact(rs, spec), G_exact(rs, spec)
     dev_X = np.abs(X - Xe) / np.maximum(np.abs(Xe), 1e-300)
     dev_G = np.abs(G - Ge) / np.maximum(np.abs(Ge), 1e-300)
     return Xe, Ge, dev_X, dev_G

@@ -99,10 +99,13 @@ def r_dX_dr_exact(r, spec: ModelSpec):
 
 
 def G_exact(r, spec: ModelSpec):
-    """Radial companion G = 2/(r X^2) of the scalar model."""
+    """Radial companion G = 2/(r X^2) of the scalar model at a radius or an
+    array of radii; refuses the first where X = 0 to rounding (2mr = 1)."""
     X = X_exact(r, spec)
-    if X == 0.0 or abs(X) < 1e-15 * max(1.0, 2.0 * spec.m * r):
-        raise SingularG(r, None, "G = 2/(r X^2) with X = 0 at 2mr = 1")
+    at_zero = np.abs(X) < 1e-15 * np.maximum(1.0, 2.0 * spec.m * r)
+    if np.any(at_zero):
+        raise SingularG(float(np.asarray(r)[at_zero][0]), None,
+                        "G = 2/(r X^2) with X = 0 at 2mr = 1")
     return 2.0 / (r * X * X)
 
 
@@ -220,20 +223,13 @@ def module_general_p(pt: GridPoint, spec: ModelSpec):
 
 
 def phi2_grid(spec: ModelSpec, r, theta):
-    """Vectorized raw density of any model on arrays; no singularity checks.
-
-    D holds sinh^2 zeta until cos^2 theta is added in place, so a locus
-    search over 80,000 points keeps neither array alive beside D and S.
-    """
+    """Vectorized raw density of any model on arrays; no singularity checks."""
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        D = np.square(np.sinh(np.log(2.0 * spec.m * r)))
+        sh2 = np.square(np.sinh(np.log(2.0 * spec.m * r)))
         c2 = np.cos(theta) ** 2
-        S = D + spec.p * c2
-        D += c2
-        del c2
-        return _phi2(r, D, S)
+        return _phi2(r, sh2 + c2, sh2 + spec.p * c2)
 
 
 @dataclass(frozen=True)

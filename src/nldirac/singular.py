@@ -9,13 +9,13 @@ off like 1/r^2, with phi^2 r^2 -> 2/m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .polar import ModelSpec, phi2_grid
 
-DIVERGENCE_FACTOR = 1e6  # phi^2 above this multiple of 8m marks a cell singular
+APPROACH_DISTANCES = (1e-11, 1e-12)  # d of r = rc (1 -+ d), outer first
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,13 @@ class SingularLocus:
 
 @dataclass(frozen=True)
 class LocusEstimate:
-    """Grid-refined numerical localization of the divergence."""
+    """Divergence of phi^2 along approach paths to 2mr = 1.  On a ring,
+    theta is pi/2 to within pi/4, the distance to the bounded path; the
+    radius is good to the innermost distance probed.  ``refinements``
+    counts the distances probed per path."""
 
     kind: str
-    radius: float
+    radius: float | None
     radius_uncertainty: float
     theta: float | None
     theta_uncertainty: float | None
@@ -51,73 +54,38 @@ def singular_locus(spec: ModelSpec) -> SingularLocus:
 
 
 def locate_numerically(spec: ModelSpec) -> LocusEstimate:
-    """Locate the density maximum on a grid and refine around it.
+    """Approach the singular radius rc = 1/(2m) along four radial paths.
 
-    The search covers r in [0.2, 2] times the singular radius 1/(2m) on a
-    400 x 200 (r, theta) grid.  Each of up to six refinements re-grids the
-    at most 6 cells around the argmax into 399, so the radial uncertainty
-    shrinks geometrically; refinement continues past the target
-    uncertainty, 1e-3 of the singular radius, until the peak either trips
-    the divergence threshold or stays bounded through all levels.
+    Each path samples phi^2 at r = rc (1 -+ d) for every d in
+    APPROACH_DISTANCES, inside and outside rc on the equator and at
+    theta = pi/4.  Its divergence order is ln(phi^2 at d = 1e-12 / phi^2 at
+    d = 1e-11) / ln 10: 1 on the equator for every p, at pi/4 2 on a shell
+    and 0 on a ring.  So the density diverges when both equator orders exceed 1/2, and
+    the locus is a shell when a pi/4 order exceeds 1.  The radius is the
+    secant root of 1/phi^2 through the two outside equator samples.
+
+    A ring with p of about 1e-23 or less is bounded at pi/4 only closer to
+    rc than d = 1e-12, which float64 cannot resolve: it reads as a shell.
     """
     rc = 1.0 / (2.0 * spec.m)
-    n_r, n_theta, levels = 400, 200, 6
-    window = (0.2 * rc, 2.0 * rc)
-    target_uncertainty = 1e-3 * rc
-    theta_lo, theta_hi = 1e-3, np.pi - 1e-3
-    r_lo, r_hi = window
-    diverged = False
-    refinements = 0
-    best_r = best_th = None
-    report_r_unc = report_th_unc = None
-    theta_spread = 0.0
-    for level in range(levels + 1):
-        rs = np.linspace(r_lo, r_hi, n_r)
-        ths = np.linspace(theta_lo, theta_hi, n_theta)
-        Rg, Tg = np.meshgrid(rs, ths, indexing="ij")
-        vals = phi2_grid(spec, Rg, Tg)
-        vals = np.where(np.isfinite(vals), vals, np.inf)
-        i, j = np.unravel_index(np.argmax(vals), vals.shape)
-        peak = vals[i, j]
-        if not np.isfinite(peak) or peak > DIVERGENCE_FACTOR * 8.0 * spec.m:
-            diverged = True
-        # shell vs ring: fraction of theta cells at the peak radius whose value
-        # stays within a decade of the peak (only meaningful on the coarse
-        # pass, before any theta-window narrowing)
-        if level == 0:
-            row = vals[i, :]
-            with np.errstate(invalid="ignore"):
-                theta_spread = float(np.mean(row >= 0.1 * min(peak, 1e300)))
-        dr = rs[1] - rs[0]
-        dth = ths[1] - ths[0]
-        refinements = level
-        if report_r_unc is None or dr <= target_uncertainty:
-            # location is reported at the first level that meets the target;
-            # deeper levels only probe for divergence
-            best_r, best_th = float(rs[i]), float(ths[j])
-            report_r_unc, report_th_unc = float(dr), float(dth)
-        if dr <= target_uncertainty and (diverged or level == levels):
-            break
-        # shrink to a window of a few cells around the argmax
-        r_lo = max(window[0], rs[i] - 3 * dr)
-        r_hi = min(window[1], rs[i] + 3 * dr)
-        if spec.p != 0.0:
-            theta_lo = max(1e-3, ths[j] - 3 * dth)
-            theta_hi = min(np.pi - 1e-3, ths[j] + 3 * dth)
-    if not diverged:
-        kind = "none"
-    elif theta_spread > 0.5:
-        kind = "shell"
-    else:
-        kind = "ring"
+    # one path a row: the equator inside and outside rc, then pi/4
+    r = rc * (1.0 + np.array([[-1.0], [1.0], [-1.0], [1.0]])
+              * np.array(APPROACH_DISTANCES))
+    phi2 = phi2_grid(spec, r, np.array([[np.pi / 2]] * 2 + [[np.pi / 4]] * 2))
+    order = np.log10(phi2[:, 1] / phi2[:, 0])
+    diverged = bool(order[:2].min() > 0.5)
+    kind = ("none" if not diverged else "shell" if order[2:].max() > 1.0
+            else "ring")
+    (r0, r1), (y0, y1) = r[1], 1.0 / phi2[1]
+    ring = kind == "ring"
     return LocusEstimate(
         kind=kind,
-        radius=best_r,
-        radius_uncertainty=report_r_unc,
-        theta=None if kind == "shell" else best_th,
-        theta_uncertainty=None if kind == "shell" else report_th_unc,
+        radius=float(r1 - y1 * (r1 - r0) / (y1 - y0)) if diverged else None,
+        radius_uncertainty=rc * APPROACH_DISTANCES[-1],
+        theta=np.pi / 2 if ring else None,
+        theta_uncertainty=np.pi / 4 if ring else None,
         diverged=diverged,
-        refinements=refinements,
+        refinements=len(APPROACH_DISTANCES),
     )
 
 
@@ -169,20 +137,8 @@ def singularity_report(spec: ModelSpec):
     return {
         "model": spec.name,
         "p": spec.p,
-        "locus": {
-            "kind": locus.kind,
-            "radius": locus.radius,
-            "angular_constraint": locus.angular_constraint,
-        },
-        "numerical_locus": {
-            "kind": estimate.kind,
-            "radius": estimate.radius,
-            "radius_uncertainty": estimate.radius_uncertainty,
-            "theta": estimate.theta,
-            "theta_uncertainty": estimate.theta_uncertainty,
-            "diverged": estimate.diverged,
-            "refinements": estimate.refinements,
-        },
+        "locus": asdict(locus),
+        "numerical_locus": asdict(estimate),
         "decay_exponent": asym["decay_exponent"],
         "limit_constant": asym["limit_constant"],
         "origin_value": asym["origin_value"],

@@ -1,18 +1,21 @@
 """The names the benchmark in perfbench/ looks up in nldirac must exist and
-be called.
+be called, and the results it reads must pass its checks.
 
 The benchmark's tracer counts the calls of each name in its EXPECTED_CALLS
-under the module that defines the function, and its NaN sentinel patches
-the module attributes in NanSentinel.TARGETS.  A function moved to another
-module or renamed, or a layer that a refactor stops calling, would otherwise
-only show up in a benchmark run.  The benchmark files are read, never
-changed.
+under the module that defines the function, reads a count off the result of
+each function in RESULT_COUNTS, and its NaN sentinel patches the module
+attributes in NanSentinel.TARGETS; its checkers read the reports' fields.  A
+function moved to another module or renamed, a layer that a refactor stops
+calling, or a report field that changes its type would otherwise only show
+up in a benchmark run.  The benchmark files are read, never changed.
 """
 
 import importlib
 import inspect
+import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,16 +26,15 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def perfbench():
     sys.path.insert(0, str(PERFBENCH))
     try:
-        checks = importlib.import_module("checks")
-        harness = importlib.import_module("harness")
+        return SimpleNamespace(**{name: importlib.import_module(name) for name
+                                  in ("checks", "harness", "spans",
+                                      "workloads")})
     finally:
         sys.path.remove(str(PERFBENCH))
-    return harness, checks
 
 
 def test_expected_calls_are_functions_of_their_layer(perfbench):
-    harness, _ = perfbench
-    for workload, names in harness.EXPECTED_CALLS.items():
+    for workload, names in perfbench.harness.EXPECTED_CALLS.items():
         for name in names:
             layer, attr = name.split(".")
             module = importlib.import_module(f"nldirac.{layer}")
@@ -42,8 +44,7 @@ def test_expected_calls_are_functions_of_their_layer(perfbench):
 
 
 def test_nan_sentinel_targets_exist(perfbench):
-    _, checks = perfbench
-    for layer, attr, suite, _ in checks.NanSentinel.TARGETS:
+    for layer, attr, suite, _ in perfbench.checks.NanSentinel.TARGETS:
         module = importlib.import_module(f"nldirac.{layer}")
         assert inspect.isfunction(getattr(module, attr, None)), (suite, attr)
 
@@ -53,10 +54,9 @@ def test_suite_table_matches_the_benchmark(perfbench):
     # gives it, and every suite has a default tolerance
     from nldirac import verify
 
-    harness, _ = perfbench
     assert list(verify.SUITES) == list(verify.DEFAULT_TOLERANCES)
     assert {k: f.__name__ for k, f in verify.SUITES.items()} == \
-        harness.SUITE_FUNCTIONS
+        perfbench.harness.SUITE_FUNCTIONS
 
 
 def _called_functions(argv):
@@ -80,7 +80,7 @@ def _called_functions(argv):
 
 
 def test_expected_calls_are_called(perfbench, tmp_path, capsys):
-    harness, _ = perfbench
+    harness = perfbench.harness
     grid = "0.05,20,5,4"
     commands = {
         "verify": ["verify", "--model", "njl", "--grid", grid],
@@ -104,3 +104,33 @@ def test_expected_calls_are_called(perfbench, tmp_path, capsys):
         seen = set().union(*(called[command] for command in runs[workload]))
         missing = [name for name in names if name not in seen]
         assert not missing, (workload, missing)
+
+
+@pytest.mark.parametrize("mass", (0.5, 1.0, 2.0))
+@pytest.mark.parametrize("model", ("njl", "soler", "p:0.05", "p:0.95"))
+def test_locus_report_passes_the_benchmark_check(perfbench, capsys, model,
+                                                 mass):
+    from nldirac import cli
+
+    argv = ["locus", "--model", model, "--mass", repr(mass)]
+    assert cli.main(argv) == 0
+    op = perfbench.workloads.Op(label=" ".join(argv), kind="locus", argv=argv,
+                                model=model, mass=mass)
+    doc = json.loads(capsys.readouterr().out)
+    assert perfbench.checks.check_locus(doc, op) == []
+
+
+def test_result_counts_read_an_int(perfbench):
+    from nldirac import ode, singular
+    from nldirac.polar import ModelSpec
+
+    spec = ModelSpec.soler()
+    results = {
+        "ode.integrate": ode.integrate(
+            ode.IntegratorConfig(r_span=(1.0, 10.0)),
+            ode.exact_state(1.0, spec), spec),
+        "singular.locate_numerically": singular.locate_numerically(spec),
+    }
+    assert set(results) == set(perfbench.spans.RESULT_COUNTS)
+    for name, (_, take) in perfbench.spans.RESULT_COUNTS.items():
+        assert type(take(results[name])) is int, name

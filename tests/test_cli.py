@@ -176,6 +176,35 @@ def test_ode_starting_on_the_singular_radius_is_an_error(capsys, tmp_path):
         assert err.count("\n") == 1, err
 
 
+def test_ode_starting_next_to_the_singular_radius_is_an_error(capsys,
+                                                            tmp_path):
+    # one ulp outside 2mr = 1 the span check passes, but X vanishes to
+    # rounding and G_exact refuses the initial state
+    code, out, err = run(capsys, "ode", "--model", "soler", "--grid",
+                         "0.5000000000000001,1,5,2",
+                         "--out", str(tmp_path / "t.csv"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: singular locus hit at r=0.5000000000000001")
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command, model", [
+    ("verify", "njl"), ("verify", "soler"), ("verify", "p:0.5"),
+    ("report", "soler")])
+def test_a_grid_point_on_the_singular_locus_is_a_usage_error(capsys, command,
+                                                            model):
+    # the 3 x 3 grid has a point at 2mr = 1 on the equator (and near the
+    # axis), which no mask margin of 0 removes
+    code, out, err = run(capsys, command, "--model", model,
+                         "--grid", "0.25,1,3,3", "--mask-margin", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: singular locus hit at r=0.5, theta=")
+    assert "raise --mask-margin" in err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
 def test_a_grid_suite_that_masked_every_point_fails(capsys):
     # a sweep that evaluated nothing shows nothing: its max of 0.0 must not
     # pass, while the sampled suites, which ignore the margin, still do

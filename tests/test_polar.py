@@ -104,6 +104,18 @@ def test_G_exact_values_and_singularity():
         G_exact(0.5, spec)
 
 
+def test_G_exact_takes_an_array_of_radii():
+    for m in (0.5, 1.0, 3.0):
+        spec = ModelSpec.soler(m=m)
+        rs = np.geomspace(0.01, 100.0, 50) / m
+        G = G_exact(rs, spec)
+        assert G.shape == rs.shape
+        assert np.array_equal(G, [G_exact(float(r), spec) for r in rs])
+        # the first radius with 2mr = 1 is named
+        with pytest.raises(SingularG, match=repr(0.5 / m)):
+            G_exact(np.array([1.0, 0.5, 2.0, 0.5]) / m, spec)
+
+
 def test_module_njl_values():
     spec = ModelSpec.njl(m=1.0)
     # regular at the origin: phi^2 -> 8m

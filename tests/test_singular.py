@@ -32,30 +32,64 @@ def test_numerical_locus_ring():
     est = locate_numerically(ModelSpec.njl())
     assert est.kind == "ring"
     assert est.diverged
-    assert abs(2.0 * est.radius - 1.0) < 0.01
-    assert abs(est.theta - np.pi / 2) < 0.02
-    assert est.radius_uncertainty <= 1e-3 / 2.0
+    assert abs(2.0 * est.radius - 1.0) <= 1e-9
+    # the innermost approach point sits 1e-12 of the radius from it, and
+    # the bounded path at pi/4 is pi/4 away from the ring
+    assert est.radius_uncertainty == pytest.approx(0.5e-12, rel=1e-15)
+    assert est.theta == np.pi / 2
+    assert est.theta_uncertainty == np.pi / 4
 
 
 def test_numerical_locus_shell():
     est = locate_numerically(ModelSpec.soler())
     assert est.kind == "shell"
     assert est.diverged
-    assert abs(2.0 * est.radius - 1.0) < 0.01
-    assert est.radius_uncertainty <= 1e-3 / 2.0
+    assert abs(2.0 * est.radius - 1.0) <= 1e-9
+    assert est.radius_uncertainty == pytest.approx(0.5e-12, rel=1e-15)
     assert est.theta is None
+    assert est.theta_uncertainty is None
+
+
+@pytest.mark.parametrize("m", (0.5, 1.0, 3.0))
+@pytest.mark.parametrize("p", (1.0, 0.5, 0.05, 1e-3, 1e-6, 1e-9, 1e-15,
+                               1e-20, 0.0))
+def test_numerical_locus_matches_the_analytic_kind(p, m):
+    # a ring at any resolvable p > 0, however thin (the bounded value at
+    # pi/4 is 2/(r p cos theta)), and a shell at p = 0
+    spec = ModelSpec(m=m, p=p)
+    est = locate_numerically(spec)
+    assert est.kind == singular_locus(spec).kind
+    assert est.diverged
+    assert abs(2.0 * m * est.radius - 1.0) <= 1e-9
+    assert est.refinements == 2
+
+
+def test_locus_search_evaluates_ten_points_at_most(monkeypatch):
+    # four paths of two points each; the radius reuses the outside equator
+    # samples
+    density, sizes = singular.phi2_grid, []
+
+    def counted(spec, r, theta):
+        sizes.append(np.size(r))
+        return density(spec, r, theta)
+
+    monkeypatch.setattr(singular, "phi2_grid", counted)
+    locate_numerically(ModelSpec.interpolating(0.5))
+    assert len(sizes) <= 5 and sum(sizes) <= 10, sizes
 
 
 def test_window_without_singular_radius_stays_bounded(monkeypatch):
-    # the density shifted outwards by 0.55/m: the search window, r in
-    # [0.1, 1.0], then sees the bounded density of r in [0.65, 1.55]
+    # the density shifted outwards by 0.55/m: the approach paths to r = 0.5
+    # then see the bounded density next to r = 1.05
     density = singular.phi2_grid
     monkeypatch.setattr(singular, "phi2_grid",
                         lambda spec, r, theta: density(spec, r + 0.55, theta))
-    est = locate_numerically(ModelSpec.njl())
-    assert not est.diverged
-    assert est.kind == "none"
-    assert est.refinements == 6
+    for spec in (ModelSpec.njl(), ModelSpec.soler()):
+        est = locate_numerically(spec)
+        assert not est.diverged
+        assert est.kind == "none"
+        assert est.radius is None
+        assert est.refinements == 2
 
 
 def test_decay_exponent_and_limit():
@@ -103,6 +137,10 @@ def test_singularity_report_schema():
     assert rep["model"] == "njl"
     assert rep["locus"]["kind"] == "ring"
     assert rep["numerical_locus"]["diverged"] is True
+    assert set(rep["numerical_locus"]) == {
+        "kind", "radius", "radius_uncertainty", "theta", "theta_uncertainty",
+        "diverged", "refinements"}
+    assert set(rep["locus"]) == {"kind", "radius", "angular_constraint"}
     assert rep["decay_exponent"] == pytest.approx(-2.0, abs=0.01)
     assert rep["limit_constant"] == pytest.approx(2.0)
     rep = singularity_report(ModelSpec(m=1.0, p=0.5))
