@@ -184,7 +184,8 @@ def bilinears(psi):
     basis itself is inconsistent and NonRealBilinear is raised.  Imaginary
     parts are discarded after the check.
     """
-    psi = np.asarray(psi, dtype=complex)
+    psi = np.asarray(psi)
+    psi = psi.astype(np.result_type(psi, 1j), copy=False)
     conj = psi.conj()
     flat = np.reshape(psi, (4, -1))
     parts = np.concatenate([

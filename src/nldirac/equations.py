@@ -15,9 +15,11 @@ density equation, phi^2 alone and no density term for the chiral model
 (p = 1), phi^2 cos^2 beta and phi^2 cos beta for the scalar one (p = 0).
 
 Every form takes a GridPoint of floats (one point) or of arrays (a set of
-points, such as a chunk of a grid sweep) and evaluates all of its points at
-once; each ``residual_*`` returns the largest absolute component at each
-point.
+points, such as a chunk of a grid sweep), the model and the closed-form
+bundle polar.closed_form built at those points, and evaluates all of its
+points at once; each ``residual_*`` returns the largest absolute component
+at each point.  ``sweep`` builds the bundle once per chunk of a grid and
+every form it runs reads it, so a wrong solution goes in as a wrong bundle.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ DEFAULT_MASK_MARGIN = 0.02
 # many small numpy calls, so a larger chunk costs less per point, and
 # memory sets the limit.  On 512 points the covector and standard forms
 # peak at about 1.4 KB of allocations per point (tracemalloc), the
-# expanded form at 0.25 KB and the reduced form at 0.16 KB, so a verify of
-# a 70x50 grid peaks near 0.8 MB.
+# expanded and reduced forms at 0.27 KB, each with the 0.21 KB bundle it
+# reads, so a verify of a 70x50 grid peaks near 0.84 MB.
 SWEEP_CHUNK = 512
 
 
@@ -52,33 +54,32 @@ def _per_point_max(components):
 
 
 def exact_fields(pt: GridPoint, spec: ModelSpec) -> polar.ClosedForm:
-    """Closed-form fields of the model."""
+    """Closed-form fields of the model: the bundle a sweep builds once per
+    chunk."""
     return polar.closed_form(pt, spec)
 
 
 # -- expanded four-equation system -------------------------------------------
 
 
-def expanded_components(pt: GridPoint, spec: ModelSpec):
+def expanded_components(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     """Signed values of the four projected scalar equations."""
-    f = exact_fields(pt, spec)
-    r, th = pt.r, pt.theta
-    m, p, E, l = spec.m, spec.p, spec.E, spec.l
-    s, c = np.sin(th), np.cos(th)
-    ang = f.ang
+    r, m, p, E, l = pt.r, spec.m, spec.p, spec.E, spec.l
+    ang, d = f.ang, f.density
+    s, c = d.s, d.c
     common = -2.0 * E * r * ang.cosh_alpha + 2.0 * l * ang.sinh_alpha / s \
         + 2.0 * m * r * f.cos_beta
     mom = 2.0 * E * r * ang.sinh_alpha - 2.0 * l * ang.cosh_alpha / s
-    bracket = common - r * f.phi2 * (p + (1.0 - p) * f.cos_beta**2)
-    density_nl = -(1.0 - p) * r * f.phi2 * f.sin_beta * f.cos_beta
+    bracket = common - r * d.phi2 * (p + (1.0 - p) * f.cos_beta**2)
+    density_nl = -(1.0 - p) * r * d.phi2 * f.sin_beta * f.cos_beta
     beta_r = f.r_d_beta_dr + ang.d_alpha_dtheta + bracket * ang.cos_gamma
     beta_theta = f.d_beta_dtheta - r * ang.d_alpha_dr + bracket * ang.sin_gamma
     density_r = (
-        f.r_dlnphi2_dr + 2.0 + 2.0 * m * r * ang.cos_gamma * f.sin_beta
+        d.r_dlnphi2_dr + 2.0 + 2.0 * m * r * ang.cos_gamma * f.sin_beta
         + density_nl * ang.cos_gamma + ang.d_gamma_dtheta - mom * ang.sin_gamma
     )
     density_theta = (
-        f.dlnphi2_dtheta + c / s + 2.0 * m * r * ang.sin_gamma * f.sin_beta
+        d.dlnphi2_dtheta + c / s + 2.0 * m * r * ang.sin_gamma * f.sin_beta
         + density_nl * ang.sin_gamma - r * ang.d_gamma_dr + mom * ang.cos_gamma
     )
     return {
@@ -89,8 +90,8 @@ def expanded_components(pt: GridPoint, spec: ModelSpec):
     }
 
 
-def residual_expanded(pt: GridPoint, spec: ModelSpec):
-    return _per_point_max(expanded_components(pt, spec).values())
+def residual_expanded(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
+    return _per_point_max(expanded_components(pt, spec, f).values())
 
 
 # -- covector (polar) form -----------------------------------------------------
@@ -124,7 +125,7 @@ def _epsilon_sum(eps, terms):
     return out
 
 
-def covector_components(pt: GridPoint, spec: ModelSpec):
+def covector_components(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     """Signed components of the chiral-angle and density covector equations.
 
     The axial and trace contractions of the tensorial connection,
@@ -139,9 +140,7 @@ def covector_components(pt: GridPoint, spec: ModelSpec):
     contractions run over the 24 nonzero entries of eps only, so no rank-3
     or rank-4 tensor is built per point beyond the connection itself.
     """
-    f = exact_fields(pt, spec)
-    m, p = spec.m, spec.p
-    ang = f.ang
+    m, p, ang, d = spec.m, spec.p, f.ang, f.density
     g = geometry.inverse_metric_diagonal(pt)
     Rc = geometry.tensorial_connection_at(pt, ang)
     R_trace = np.einsum("n...,mnn...->m...", g, Rc)
@@ -166,9 +165,9 @@ def covector_components(pt: GridPoint, spec: ModelSpec):
     dbeta = np.stack(np.broadcast_arrays(
         0.0, f.r_d_beta_dr / pt.r, f.d_beta_dtheta, 0.0))
     dlnphi2 = np.stack(np.broadcast_arrays(
-        0.0, f.r_dlnphi2_dr / pt.r, f.dlnphi2_dtheta, 0.0))
-    nl_chiral = f.phi2 * (p + (1.0 - p) * f.cos_beta**2)
-    nl_density = (1.0 - p) * f.phi2 * f.cos_beta
+        0.0, d.r_dlnphi2_dr / pt.r, d.dlnphi2_dtheta, 0.0))
+    nl_chiral = d.phi2 * (p + (1.0 - p) * f.cos_beta**2)
+    nl_density = (1.0 - p) * d.phi2 * f.cos_beta
     chiral = (
         dbeta + B + 2.0 * Ps * u - 2.0 * Pu * s_cov
         + (2.0 * m * f.cos_beta - nl_chiral) * s_cov
@@ -184,11 +183,12 @@ def covector_components(pt: GridPoint, spec: ModelSpec):
     return chiral, density
 
 
-def residual_polar_covector(pt: GridPoint, spec: ModelSpec):
+def residual_polar_covector(pt: GridPoint, spec: ModelSpec,
+                            f: polar.ClosedForm):
     """Larger Euclidean norm of the two covector equations (they must both
     vanish componentwise, so the norm choice only sets the reporting
     scale)."""
-    chiral, density = covector_components(pt, spec)
+    chiral, density = covector_components(pt, spec, f)
     return _per_point_max([np.linalg.norm(chiral, axis=0),
                            np.linalg.norm(density, axis=0)])
 
@@ -196,19 +196,18 @@ def residual_polar_covector(pt: GridPoint, spec: ModelSpec):
 # -- reduced system in zeta ----------------------------------------------------
 
 
-def reduced_components(pt: GridPoint, spec: ModelSpec):
+def reduced_components(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     """Signed residuals of the reduced radial/angular system.
 
     The density, its log-derivatives and the sinh/cosh of the profile zeta
-    come from polar.density, which reads zeta through polar.zeta_exact, so
-    a wrong profile propagates exactly as a wrong solution would.  The
-    system is that of the radial family, r d_r zeta = 1 and
-    d_theta zeta = 0, on which the two zeta equations lose their tan/cot
-    terms: the radial one reads r d_r zeta = rhs and the angular one
-    0 = rhs - r d_r zeta.
+    come from the bundle's density step, which reads zeta through
+    polar.zeta_exact, so a wrong profile propagates exactly as a wrong
+    solution would.  The system is that of the radial family, r d_r zeta =
+    1 and d_theta zeta = 0, on which the two zeta equations lose their
+    tan/cot terms: the radial one reads r d_r zeta = rhs and the angular
+    one 0 = rhs - r d_r zeta.
     """
-    r, p, m = pt.r, spec.p, spec.m
-    d = polar.density(pt, spec)
+    r, p, m, d = pt.r, spec.p, spec.m, f.density
     c, s, sh, ch, D, phi2 = d.c, d.s, d.sh, d.ch, d.D, d.phi2
     r_dz = 1.0
     res1 = d.r_dlnphi2_dr - (
@@ -231,14 +230,14 @@ def reduced_components(pt: GridPoint, spec: ModelSpec):
     }
 
 
-def residual_reduced(pt: GridPoint, spec: ModelSpec):
-    return _per_point_max(reduced_components(pt, spec).values())
+def residual_reduced(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
+    return _per_point_max(reduced_components(pt, spec, f).values())
 
 
 # -- standard gamma-matrix form -------------------------------------------------
 
 
-def residual_standard(pt: GridPoint, spec: ModelSpec):
+def residual_standard(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     """Largest component norm at each point of i gamma^mu nabla_mu psi
     + (1/4)(Phi + i p Theta pi) psi - m psi on the assembled spinor.
 
@@ -246,7 +245,7 @@ def residual_standard(pt: GridPoint, spec: ModelSpec):
     from the polar formulas, so this residual exercises the whole chain:
     gamma basis, tetrads, spin connection, density, chiral angle and phase.
     """
-    nabla, psi, f = polar.covariant_derivative(pt, spec)
+    nabla, psi = polar.covariant_derivative(pt, spec, f)
     xi = geometry.tetrad_at(pt, f.ang)
     # gamma^a xi_a^mu nabla_mu psi, the frame contraction first
     nabla_frame = np.einsum("am...,mj...->aj...", xi, nabla)
@@ -262,37 +261,43 @@ def residual_standard(pt: GridPoint, spec: ModelSpec):
     return np.max(np.abs(res), axis=0)
 
 
-# -- grid sweeps ----------------------------------------------------------------
+# -- grid sweep ------------------------------------------------------------------
 
 
-def sweep_grid(grid: GridPoint, spec: ModelSpec, margin=DEFAULT_MASK_MARGIN):
-    """A grid prepared for sweeping: (chunks, n_points).
+# The grid forms by name, in the order a sweep evaluates them.
+FORMS = {"expanded": residual_expanded, "covector": residual_polar_covector,
+         "reduced": residual_reduced, "standard": residual_standard}
 
-    ``grid`` holds its points as r and theta arrays of one shape, such as
-    the (n_r, n_theta) arrays of grids.points.  It is masked in one call;
-    ``chunks`` holds the unmasked points in C (for grids.points, r-major)
-    order as GridPoints of at most SWEEP_CHUNK points, and ``n_points``
-    counts every grid point, masked ones included.  verify builds this once
-    and sweeps every grid suite over it.
+
+def sweep(points: GridPoint, spec: ModelSpec, margin=DEFAULT_MASK_MARGIN,
+          forms=tuple(FORMS)):
+    """Statistics of each grid form in ``forms`` (names in FORMS) over the
+    unmasked points of a grid.
+
+    ``points`` holds r and theta arrays of one shape, such as the (n_r,
+    n_theta) arrays of grids.points.  It is masked in one call, and its
+    unmasked points are evaluated in C (for grids.points, r-major) order in
+    chunks of at most SWEEP_CHUNK points.  Each chunk's closed form is built
+    once, by exact_fields, and every form reads that bundle.  Returns, per
+    form, the point and mask counts (``n_points`` counts every grid point,
+    masked ones included) and the max, mean, median and 95th percentile of
+    the per-point maxima.  The reductions propagate NaN, so a non-finite
+    residual anywhere on the grid reaches ``max`` and fails the suite.
     """
-    keep = ~is_masked(grid, spec, margin)
-    r, theta = grid.r[keep], grid.theta[keep]
-    return ([GridPoint(r[i:i + SWEEP_CHUNK], theta[i:i + SWEEP_CHUNK])
-             for i in range(0, r.size, SWEEP_CHUNK)], keep.size)
+    keep = ~is_masked(points, spec, margin)
+    r, theta = points.r[keep], points.theta[keep]
+    values = {form: [np.empty(0)] for form in forms}
+    for i in range(0, r.size, SWEEP_CHUNK):
+        pt = GridPoint(r[i:i + SWEEP_CHUNK], theta[i:i + SWEEP_CHUNK])
+        f = exact_fields(pt, spec)
+        for form in forms:
+            values[form].append(FORMS[form](pt, spec, f))
+    return {form: _stats(np.concatenate(v), keep.size)
+            for form, v in values.items()}
 
 
-def sweep(grid, evaluate):
-    """Statistics of a residual over the unmasked points of a grid that
-    sweep_grid prepared.
-
-    ``evaluate(pt)`` gets each chunk in order and returns the residual
-    maxima of its points.  Returns the point and mask counts and the max,
-    mean, median and 95th percentile of those maxima.  The reductions
-    propagate NaN, so a non-finite residual anywhere on the grid reaches
-    ``max`` and fails the suite.
-    """
-    chunks, n_points = grid
-    values = np.concatenate([evaluate(pt) for pt in chunks] or [np.empty(0)])
+def _stats(values, n_points):
+    """A sweep's statistics of one form's per-point maxima."""
     stats = {"n_points": n_points, "n_masked": n_points - values.size,
              "max": 0.0, "mean": 0.0, "median": 0.0, "q95": 0.0}
     if values.size:

@@ -272,7 +272,7 @@ def _coordinate_partials(f, r, theta):
     """d_mu f stacked over mu (leading axis); only d_r and d_theta are
     nonzero on the stationary, axisymmetric fields checked here."""
     d_dr, d_dth = complex_step_partials(f, r, theta)
-    d = np.zeros((4,) + np.shape(d_dr))
+    d = np.zeros((4,) + np.shape(d_dr), dtype=np.result_type(d_dr, d_dth))
     d[R] = d_dr
     d[TH] = d_dth
     return d

@@ -198,8 +198,8 @@ class Density:
 
 
 def density(pt: GridPoint, spec: ModelSpec) -> Density:
-    """The density step of closed_form and the reduced form: zeta, read
-    through zeta_exact, its sinh and cosh and cos/sin theta, each once.
+    """The density step of closed_form: zeta, read through zeta_exact, its
+    sinh and cosh and cos/sin theta, each once.
     Raises SingularPoint, naming the first point, on the locus S = 0."""
     p, z = spec.p, zeta_exact(pt.r, spec)
     sh, ch = np.sinh(z), np.cosh(z)
@@ -236,20 +236,18 @@ def phi2_grid(spec: ModelSpec, r, theta):
 class ClosedForm:
     """The closed-form solution at a point or a set of points.
 
-    The expanded, covector and standard forms, the polar decomposition and
-    the spinor read this bundle.  The density and its log-derivatives
-    depend on p, the chiral pair, the beta partials and ``ang`` (with the
-    alpha and gamma partials) do not.  Each field is a float or an array of
-    the points' shape.
+    The four grid forms, the polar decomposition and the spinor read this
+    bundle; a sweep builds it once per chunk.  ``density`` (phi^2, its
+    log-derivatives and cos/sin theta) depends on p, the chiral pair, the
+    beta partials and ``ang`` (with the alpha and gamma partials) do not.
+    Each field is a float or an array of the points' shape.
     """
 
     sin_beta: float
     cos_beta: float
-    phi2: float
-    r_dlnphi2_dr: float
-    dlnphi2_dtheta: float
     r_d_beta_dr: float
     d_beta_dtheta: float
+    density: Density
     ang: AngleState
 
 
@@ -263,11 +261,8 @@ def closed_form(pt: GridPoint, spec: ModelSpec) -> ClosedForm:
     X, r_dX_dr = X_exact(pt.r, spec), r_dX_dr_exact(pt.r, spec)
     D, q, ang = _kinematics(pt, X, r_dX_dr, c, s)
     sb, cb = _chiral(X, c, q)
-    return ClosedForm(
-        sin_beta=sb, cos_beta=cb, phi2=dens.phi2,
-        r_dlnphi2_dr=dens.r_dlnphi2_dr, dlnphi2_dtheta=dens.dlnphi2_dtheta,
-        r_d_beta_dr=r_dX_dr * c / D, d_beta_dtheta=X * s / D, ang=ang,
-    )
+    return ClosedForm(sin_beta=sb, cos_beta=cb, r_d_beta_dr=r_dX_dr * c / D,
+                      d_beta_dtheta=X * s / D, density=dens, ang=ang)
 
 
 # -- explicit spinor ----------------------------------------------------------
@@ -289,9 +284,9 @@ def assemble_spinor(f: ClosedForm):
     """
     # the half angle of the (sin, cos) pair
     half = 0.5 * np.arctan2(f.sin_beta, f.cos_beta)
-    phi = np.sqrt(f.phi2)
+    phi = np.sqrt(f.density.phi2)
     re, im = phi * np.cos(half), phi * np.sin(half)
-    psi = np.zeros((4,) + np.shape(re), dtype=complex)
+    psi = np.zeros((4,) + np.shape(re), dtype=np.result_type(re, 1j))
     psi.real[0] = psi.real[2] = re
     psi.imag[0] = im
     psi.imag[2] = -im
@@ -302,13 +297,13 @@ def spinor_coordinate_partials(pt: GridPoint, f: ClosedForm, psi):
     """Analytic (d_r psi, d_theta psi) of the spinor psi assembled from the
     bundle f, from the log-derivative of the density and the chiral-angle
     partials."""
-    pipsi = clifford.pi_action(psi)
-    return ((0.5 * f.r_dlnphi2_dr / pt.r) * psi
+    pipsi, d = clifford.pi_action(psi), f.density
+    return ((0.5 * d.r_dlnphi2_dr / pt.r) * psi
             - 0.5j * (f.r_d_beta_dr / pt.r) * pipsi,
-            (0.5 * f.dlnphi2_dtheta) * psi - 0.5j * f.d_beta_dtheta * pipsi)
+            (0.5 * d.dlnphi2_dtheta) * psi - 0.5j * f.d_beta_dtheta * pipsi)
 
 
-def covariant_derivative(pt: GridPoint, spec: ModelSpec):
+def covariant_derivative(pt: GridPoint, spec: ModelSpec, f: ClosedForm):
     """nabla_mu psi = d_mu psi + (1/2) C_{ab mu} sigma^{ab} psi.
 
     The coupling sign is +1 in this gamma basis: it is the sign for which
@@ -320,12 +315,11 @@ def covariant_derivative(pt: GridPoint, spec: ModelSpec):
     locus; the tests compare them with complex-step derivatives of psi.
 
     Returns (nabla psi stacked over mu, shape (4, 4) + the points' shape;
-    psi; the ClosedForm bundle both are built from).
+    psi), both built from the closed-form bundle f.
 
     Each partial d_mu psi is added in place to its row of the spin action,
     so no stack of the four partials is built beside the result.
     """
-    f = closed_form(pt, spec)
     psi = assemble_spinor(f)
     nabla = clifford.spin_action(geometry.spin_connection_at(pt, f.ang), psi)
     # the t and azimuth partials are the pure phases exp(-i(E t + l phi))
@@ -334,7 +328,7 @@ def covariant_derivative(pt: GridPoint, spec: ModelSpec):
     nabla[1] += d_dr
     nabla[2] += d_dth
     nabla[3] += -1j * spec.l * psi
-    return nabla, psi, f
+    return nabla, psi
 
 
 def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec):
@@ -349,9 +343,11 @@ def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec):
     sensitivity check on the phase content.  Returns one float, the
     maximum over all points, which propagates NaN.
     """
-    nabla, psi, f = covariant_derivative(pt, spec)
+    f = closed_form(pt, spec)
+    nabla, psi = covariant_derivative(pt, spec, f)
     dlnphi = np.stack(np.broadcast_arrays(
-        0.0, 0.5 * f.r_dlnphi2_dr / pt.r, 0.5 * f.dlnphi2_dtheta, 0.0))
+        0.0, 0.5 * f.density.r_dlnphi2_dr / pt.r,
+        0.5 * f.density.dlnphi2_dtheta, 0.0))
     dbeta = np.stack(np.broadcast_arrays(
         0.0, f.r_d_beta_dr / pt.r, f.d_beta_dtheta, 0.0))
     P = geometry.momentum_covector(spec.E, spec.l)

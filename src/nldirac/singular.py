@@ -102,18 +102,11 @@ def decay_fit(spec: ModelSpec):
 
 
 def asymptotics_report(spec: ModelSpec):
-    """Tabulate phi^2 r^2 at large radii and fit the decay exponent.
+    """phi^2 r^2 at r = 100/m on the equator and the fitted decay exponent.
 
     phi^2 r^2 approaches 2/m with an O(1/r^2) error; the origin value is the
     finite limit 8m for both models.
     """
-    radii = np.array([10.0, 100.0, 1000.0]) / spec.m
-    thetas = np.array([np.pi / 4, np.pi / 2])
-    table = []
-    for r in radii:
-        for th in thetas:
-            val = float(phi2_grid(spec, r, th)) * r * r
-            table.append({"r": float(r), "theta": float(th), "phi2_r2": val})
     exponent, amplitude = decay_fit(spec)
     origin = float(phi2_grid(spec, 1e-6 / spec.m, np.pi / 3))
     return {
@@ -124,7 +117,6 @@ def asymptotics_report(spec: ModelSpec):
         "decay_exponent": exponent,
         "origin_value": origin,
         "origin_limit": 8.0 * spec.m,
-        "table": table,
     }
 
 

@@ -88,35 +88,34 @@ def suite_decomposition(spec, grid, seed, tol):
         spec, seed, tol)
 
 
-def _grid_suite(residual, spec, grid, tol):
-    """Sweep ``residual(pt, spec)`` over the prepared grid's unmasked
-    points.  A sweep that masked every point has checked nothing and
-    fails."""
-    stats = equations.sweep(grid, lambda pt: residual(pt, spec))
+def _grid_suite(stats, tol):
+    """A grid form's entry from its sweep statistics.  A sweep that masked
+    every point has checked nothing and fails."""
     entry = _entry(stats["max"], tol, stats["n_points"], stats)
     entry["pass"] &= stats["n_masked"] < stats["n_points"]
     return entry
 
 
 def suite_expanded(spec, grid, seed, tol):
-    return _grid_suite(equations.residual_expanded, spec, grid, tol)
+    return _grid_suite(grid["expanded"], tol)
 
 
 def suite_covector(spec, grid, seed, tol):
-    return _grid_suite(equations.residual_polar_covector, spec, grid, tol)
+    return _grid_suite(grid["covector"], tol)
 
 
 def suite_reduced(spec, grid, seed, tol):
-    return _grid_suite(equations.residual_reduced, spec, grid, tol)
+    return _grid_suite(grid["reduced"], tol)
 
 
 def suite_standard(spec, grid, seed, tol):
-    return _grid_suite(equations.residual_standard, spec, grid, tol)
+    return _grid_suite(grid["standard"], tol)
 
 
 # Every suite in report order; each takes (spec, grid, seed, tol), where grid
-# is the equations.sweep_grid that run_suites builds once.  The sampled
-# suites ignore the grid, fierz the model as well.
+# is the equations.sweep result that run_suites computes once: the
+# statistics of each grid form "<form>-residuals" of the report, keyed by
+# form.  The sampled suites ignore the grid, fierz the model as well.
 SUITES = {
     "fierz": suite_fierz,
     "flatness": suite_flatness,
@@ -141,17 +140,16 @@ def run_suites(spec: ModelSpec, grid_cfg=None, seed=42, tolerances=None,
 
     An interpolating run skips the ENDPOINT_ONLY suites and reports the
     reduced and standard forms.  The grid is built, validated and masked
-    once, and every grid suite sweeps the same chunks of its unmasked
-    points.
+    once, and one sweep evaluates every grid form of the report on the
+    same chunks of its unmasked points.
     """
-    grid = equations.sweep_grid(
-        grids.points(grid_cfg or grids.GridConfig(), m=spec.m), spec, margin)
+    names = [name for name in SUITES
+             if spec.name in polar.ENDPOINTS or name not in ENDPOINT_ONLY]
+    grid = equations.sweep(
+        grids.points(grid_cfg or grids.GridConfig(), m=spec.m), spec, margin,
+        [form for form in equations.FORMS if f"{form}-residuals" in names])
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
-    suites = {
-        name: suite(spec, grid, seed, tol[name])
-        for name, suite in SUITES.items()
-        if spec.name in polar.ENDPOINTS or name not in ENDPOINT_ONLY
-    }
+    suites = {name: SUITES[name](spec, grid, seed, tol[name]) for name in names}
     failing = sorted(name for name, s in suites.items() if not s["pass"])
     return {
         "schema": "1",

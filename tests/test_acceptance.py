@@ -94,13 +94,15 @@ def test_criterion_05_all_equation_forms():
 
     for spec in (ModelSpec.njl(), ModelSpec.soler()):
         for pt in unmasked(spec):
-            values.append(equations.residual_expanded(pt, spec))
-            values.append(equations.residual_polar_covector(pt, spec))
+            f = polar.closed_form(pt, spec)
+            values.append(equations.residual_expanded(pt, spec, f))
+            values.append(equations.residual_polar_covector(pt, spec, f))
     for p in (0.0, 0.5, 1.0):
         spec = ModelSpec(m=1.0, p=p)
         for pt in unmasked(spec):
-            values.append(equations.residual_reduced(pt, spec))
-            values.append(equations.residual_standard(pt, spec))
+            f = polar.closed_form(pt, spec)
+            values.append(equations.residual_reduced(pt, spec, f))
+            values.append(equations.residual_standard(pt, spec, f))
     worst = float(np.max(np.concatenate(values)))
     elapsed = time.perf_counter() - t0
     assert _report(5, "all four equation forms on 500-point grids", worst, 1e-8,

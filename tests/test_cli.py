@@ -723,7 +723,8 @@ def test_nan_residual_fails_its_suite(capsys, monkeypatch, tmp_path):
     def second_point_nan(pt, spec):
         f = closed_form(pt, spec)
         second = np.where(np.arange(np.size(pt.r)) == 1, math.nan, 1.0)
-        return dataclasses.replace(f, r_dlnphi2_dr=f.r_dlnphi2_dr * second)
+        return dataclasses.replace(f, density=dataclasses.replace(
+            f.density, r_dlnphi2_dr=f.density.r_dlnphi2_dr * second))
 
     def poisoned_decomposition(pt, spec):
         calls.append(pt.shape)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nldirac import geometry, grids, polar
+from nldirac import clifford, equations, geometry, grids, polar
 from nldirac.errors import PoleOrOrigin, SingularPoint
 from nldirac.equations import (
+    FORMS,
     SWEEP_CHUNK,
     covector_components,
     expanded_components,
@@ -18,10 +19,15 @@ from nldirac.equations import (
     residual_reduced,
     residual_standard,
     sweep,
-    sweep_grid,
 )
 from nldirac.geometry import GridPoint
 from nldirac.polar import ModelSpec
+
+
+def on_solution(form, pt, spec):
+    """``form`` at ``pt`` on the closed-form bundle of ``spec``."""
+    return form(pt, spec, polar.closed_form(pt, spec))
+
 
 def random_points(n, seed=99, m=1.0, r_lo=0.1, r_hi=10.0):
     rng = np.random.default_rng(seed)
@@ -52,7 +58,8 @@ def test_masking_rules():
 def test_expanded_residuals_vanish_on_exact_solutions():
     for spec in (ModelSpec.njl(), ModelSpec.soler()):
         worst = max(
-            residual_expanded(pt, spec).max() for pt in random_points(100)
+            on_solution(residual_expanded, pt, spec).max()
+            for pt in random_points(100)
         )
         assert worst <= 1e-8, spec.name
 
@@ -60,7 +67,7 @@ def test_expanded_residuals_vanish_on_exact_solutions():
 def test_covector_residuals_vanish_on_exact_solutions():
     for spec in (ModelSpec.njl(), ModelSpec.soler()):
         worst = max(
-            residual_polar_covector(pt, spec).max()
+            on_solution(residual_polar_covector, pt, spec).max()
             for pt in random_points(100)
         )
         assert worst <= 1e-8, spec.name
@@ -69,7 +76,7 @@ def test_covector_residuals_vanish_on_exact_solutions():
 def test_covector_temporal_and_azimuthal_components_vanish():
     spec = ModelSpec.njl()
     for pt in random_points(20):
-        chiral, density = covector_components(pt, spec)
+        chiral, density = on_solution(covector_components, pt, spec)
         assert abs(chiral[0]) <= 1e-14 and abs(chiral[3]) <= 1e-14
         assert abs(density[0]) <= 1e-14 and abs(density[3]) <= 1e-14
 
@@ -81,8 +88,8 @@ def test_expanded_equals_projected_covector():
     for p in (1.0, 0.0, 0.5):
         spec = ModelSpec(m=1.0, p=p, E=1.07, l=0.61)
         for pt in random_points(30):
-            ex = expanded_components(pt, spec)
-            chiral, density = covector_components(pt, spec)
+            ex = on_solution(expanded_components, pt, spec)
+            chiral, density = on_solution(covector_components, pt, spec)
             assert ex["beta_r"] == pytest.approx(pt.r * chiral[1], abs=1e-10)
             assert ex["beta_theta"] == pytest.approx(chiral[2], abs=1e-10)
             assert ex["density_r"] == pytest.approx(pt.r * density[1], abs=1e-10)
@@ -92,7 +99,8 @@ def test_expanded_equals_projected_covector():
 def test_energy_rigidity():
     spec = ModelSpec(m=1.0, p=1.0, E=1.1)
     worst = max(
-        residual_expanded(pt, spec).max() for pt in random_points(50)
+        on_solution(residual_expanded, pt, spec).max()
+        for pt in random_points(50)
     )
     assert worst >= 1e-2
 
@@ -100,51 +108,47 @@ def test_energy_rigidity():
 def test_angular_momentum_rigidity():
     spec = ModelSpec(m=1.0, p=1.0, l=0.6)
     worst = max(
-        residual_expanded(pt, spec).max() for pt in random_points(50)
+        on_solution(residual_expanded, pt, spec).max()
+        for pt in random_points(50)
     )
     assert worst >= 1e-2
 
 
-def fields_of(p, phi2_factor=1.0):
-    """A replacement for polar.closed_form that returns the bundle of the
-    model with interpolation parameter p, with phi^2 scaled by
-    ``phi2_factor``, whatever model the equations are evaluated for."""
-    closed_form = polar.closed_form
-
-    def fields(pt, spec):
-        f = closed_form(pt, ModelSpec(m=spec.m, p=p))
-        return dataclasses.replace(f, phi2=f.phi2 * phi2_factor)
-
-    return fields
+def fields_of(pt, spec, p, phi2_factor=1.0):
+    """The bundle of the model with interpolation parameter p, with phi^2
+    scaled by ``phi2_factor``, whatever model the equations are evaluated
+    for."""
+    f = polar.closed_form(pt, ModelSpec(m=spec.m, p=p))
+    return dataclasses.replace(f, density=dataclasses.replace(
+        f.density, phi2=f.density.phi2 * phi2_factor))
 
 
-def test_cross_model_fields_leave_residual(monkeypatch):
+def test_cross_model_fields_leave_residual():
     # chiral-model fields inserted in the scalar-model equations (and the
     # reverse) must fail somewhere: the nonlinearities differ
     pts = random_points(100)
     worst = {}
     for fields_p, spec in ((1.0, ModelSpec.soler()), (0.0, ModelSpec.njl())):
-        with monkeypatch.context() as patch:
-            patch.setattr(polar, "closed_form", fields_of(fields_p))
-            worst[spec.name] = max(residual_expanded(pt, spec).max()
-                                   for pt in pts)
+        worst[spec.name] = max(
+            residual_expanded(pt, spec, fields_of(pt, spec, fields_p)).max()
+            for pt in pts)
     assert worst["soler"] >= 1e-2
     assert worst["njl"] >= 1e-2
 
 
-def test_linear_limit_makes_models_identical(monkeypatch):
+def test_linear_limit_makes_models_identical():
     # with the nonlinear coupling switched off (phi^2 = 0 in the same
     # fields), the two systems coincide
     njl = ModelSpec.njl(m=1.0, E=1.2, l=0.7)
     soler = ModelSpec.soler(m=1.0, E=1.2, l=0.7)
-    monkeypatch.setattr(polar, "closed_form", fields_of(1.0, phi2_factor=0.0))
     for pt in random_points(30):
-        a = expanded_components(pt, njl)
-        b = expanded_components(pt, soler)
+        f = fields_of(pt, njl, 1.0, phi2_factor=0.0)
+        a = expanded_components(pt, njl, f)
+        b = expanded_components(pt, soler, f)
         for key in a:
             assert a[key] == pytest.approx(b[key], abs=1e-12)
-        ca, da = covector_components(pt, njl)
-        cb, db = covector_components(pt, soler)
+        ca, da = covector_components(pt, njl, f)
+        cb, db = covector_components(pt, soler, f)
         assert np.allclose(ca, cb, atol=1e-12)
         assert np.allclose(da, db, atol=1e-12)
 
@@ -156,11 +160,11 @@ def test_expanded_and_covector_forms_hold_for_every_p():
     for p in (0.3, 0.5, 0.9):
         spec = ModelSpec.interpolating(p)
         wrong = ModelSpec.interpolating(p, E=spec.E * (1.0 + 1e-6))
-        for form in (residual_expanded, residual_polar_covector):
-            exact = sweep(sweep_grid(grid, spec), lambda pt: form(pt, spec))
-            off = sweep(sweep_grid(grid, wrong), lambda pt: form(pt, wrong))
-            assert exact["max"] <= 1e-12, (p, form.__name__, exact["max"])
-            assert off["max"] > 1e-8, (p, form.__name__, off["max"])
+        exact = sweep(grid, spec, forms=("expanded", "covector"))
+        off = sweep(grid, wrong, forms=("expanded", "covector"))
+        for form in exact:
+            assert exact[form]["max"] <= 1e-12, (p, form, exact[form]["max"])
+            assert off[form]["max"] > 1e-8, (p, form, off[form]["max"])
 
 
 def test_a_model_name_changes_no_residual():
@@ -171,20 +175,21 @@ def test_a_model_name_changes_no_residual():
     for m in (0.5, 1.0, 2.0):
         for endpoint in (ModelSpec.njl(m=m), ModelSpec.soler(m=m)):
             general = ModelSpec.interpolating(endpoint.p, m=m)
-            chunks, _ = sweep_grid(grids.points(grids.GridConfig(), m=m),
-                                   endpoint)
-            for pt in chunks:
-                for form in forms:
-                    assert np.array_equal(form(pt, endpoint),
-                                          form(pt, general)), (
-                        endpoint.name, m, form.__name__)
+            points = grids.points(grids.GridConfig(), m=m)
+            keep = ~is_masked(points, endpoint)
+            pt = GridPoint(points.r[keep], points.theta[keep])
+            for form in forms:
+                assert np.array_equal(on_solution(form, pt, endpoint),
+                                      on_solution(form, pt, general)), (
+                    endpoint.name, m, form.__name__)
 
 
 def test_reduced_residuals_vanish_for_all_p():
     for p in (0.0, 0.5, 1.0):
         spec = ModelSpec(m=1.0, p=p)
         worst = max(
-            residual_reduced(pt, spec).max() for pt in random_points(200)
+            on_solution(residual_reduced, pt, spec).max()
+            for pt in random_points(200)
         )
         assert worst <= 1e-8, p
 
@@ -194,13 +199,14 @@ def test_reduced_detects_radial_offset(monkeypatch):
     pt = GridPoint(1.0, np.pi / 3)
     zeta = polar.zeta_exact
     monkeypatch.setattr(polar, "zeta_exact", lambda r, spec: zeta(r, spec) + 1e-3)
-    comps = reduced_components(pt, spec)
+    comps = on_solution(reduced_components, pt, spec)
     assert abs(comps["zeta_radial"]) >= 1e-4
 
 
 def test_closed_form_and_reduced_form_read_zeta_once(monkeypatch):
     # one density step computes zeta, sinh zeta, cosh zeta, cos theta and
-    # sin theta for the density and both log-derivatives
+    # sin theta for the density and both log-derivatives; the forms read
+    # them from the bundle
     zeta = polar.zeta_exact
     calls = []
 
@@ -212,10 +218,11 @@ def test_closed_form_and_reduced_form_read_zeta_once(monkeypatch):
     for spec in (ModelSpec.njl(), ModelSpec.soler(), ModelSpec.interpolating(0.37)):
         for pt in (GridPoint(1.3, 0.7),
                    GridPoint(np.array([0.2, 1.3, 4.0]), np.array([0.4, 0.7, 2.0]))):
-            for form in (polar.closed_form, reduced_components):
-                calls.clear()
-                form(pt, spec)
-                assert calls == [pt.shape], (spec.name, form.__name__)
+            calls.clear()
+            f = polar.closed_form(pt, spec)
+            for form in FORMS.values():
+                form(pt, spec, f)
+            assert calls == [pt.shape], spec.name
 
 
 def test_reduced_form_refuses_the_singular_locus():
@@ -223,11 +230,12 @@ def test_reduced_form_refuses_the_singular_locus():
     # singular point, as every other form does, rather than return inf/NaN
     spec = ModelSpec.soler()
     with pytest.raises(SingularPoint) as err:
-        reduced_components(GridPoint(0.5, 1.0), spec)
+        on_solution(reduced_components, GridPoint(0.5, 1.0), spec)
     assert (err.value.r, err.value.theta) == (0.5, 1.0)
     with pytest.raises(SingularPoint) as err:
-        residual_reduced(GridPoint(np.array([2.0, 0.5, 0.5]),
-                                   np.array([1.0, 0.3, 2.0])), spec)
+        on_solution(residual_reduced, GridPoint(np.array([2.0, 0.5, 0.5]),
+                                                np.array([1.0, 0.3, 2.0])),
+                    spec)
     assert (err.value.r, err.value.theta) == (0.5, 0.3)
 
 
@@ -235,7 +243,8 @@ def test_standard_residual_vanishes_for_all_p():
     for p in (0.0, 0.5, 1.0):
         spec = ModelSpec(m=1.0, p=p)
         worst = max(
-            residual_standard(pt, spec) for pt in random_points(50)
+            on_solution(residual_standard, pt, spec)
+            for pt in random_points(50)
         )
         assert worst <= 1e-8, p
 
@@ -244,14 +253,14 @@ def test_standard_residual_wrong_coupling_sign_is_large(monkeypatch):
     # the coupling sign of the spin connection, flipped
     spec = ModelSpec.njl()
     pt = GridPoint(1.0, np.pi / 3)
-    assert residual_standard(pt, spec) <= 1e-12
+    assert on_solution(residual_standard, pt, spec) <= 1e-12
     connection = geometry.spin_connection_at
     monkeypatch.setattr(geometry, "spin_connection_at",
                         lambda pt, ang: -connection(pt, ang))
-    assert residual_standard(pt, spec) >= 1e-1
+    assert on_solution(residual_standard, pt, spec) >= 1e-1
 
 
-def test_standard_and_reduced_detect_same_perturbation(monkeypatch):
+def test_standard_and_reduced_detect_same_perturbation():
     # perturb the equation mass only: the fields stay those of the true
     # model while the forms are evaluated for a mass m(1 + 1e-3) and the
     # same E.  Both presentations must flag it at comparable size (the
@@ -259,14 +268,12 @@ def test_standard_and_reduced_detect_same_perturbation(monkeypatch):
     # unit spinor amplitude to share the reduced system's normalization
     spec = ModelSpec.njl()
     wrong_mass = ModelSpec.njl(m=1.0 + 1e-3, E=spec.E)
-    closed_form, zeta = polar.closed_form, polar.zeta_exact
-    monkeypatch.setattr(polar, "closed_form", lambda pt, _: closed_form(pt, spec))
-    monkeypatch.setattr(polar, "zeta_exact", lambda r, _: zeta(r, spec))
     for pt in random_points(10):
-        psi = polar.assemble_spinor(closed_form(pt, spec))
+        f = polar.closed_form(pt, spec)
+        psi = polar.assemble_spinor(f)
         psi_scale = float(np.max(np.abs(psi)))
-        std = residual_standard(pt, wrong_mass) / psi_scale
-        red = residual_reduced(pt, wrong_mass).max()
+        std = residual_standard(pt, wrong_mass, f) / psi_scale
+        red = residual_reduced(pt, wrong_mass, f).max()
         assert std >= 1e-5 and red >= 1e-5
         ratio = std / red
         assert 0.1 <= ratio <= 10.0
@@ -281,10 +288,11 @@ def test_all_forms_vanish_at_non_unit_mass():
         for pt in random_points(20, seed=5, m=m):
             worst = max(
                 worst,
-                residual_expanded(pt, ModelSpec.njl(m=m)).max(),
-                residual_polar_covector(pt, ModelSpec.soler(m=m)).max(),
-                residual_reduced(pt, ModelSpec(m=m, p=0.5)).max(),
-                residual_standard(pt, ModelSpec(m=m, p=0.5)),
+                on_solution(residual_expanded, pt, ModelSpec.njl(m=m)).max(),
+                on_solution(residual_polar_covector, pt,
+                            ModelSpec.soler(m=m)).max(),
+                on_solution(residual_reduced, pt, ModelSpec(m=m, p=0.5)).max(),
+                on_solution(residual_standard, pt, ModelSpec(m=m, p=0.5)),
                 polar_decomposition_residual(pt, ModelSpec.njl(m=m)),
             )
         assert worst <= 1e-8, m
@@ -294,7 +302,7 @@ def test_sweep_masks_and_aggregates():
     spec = ModelSpec.njl()
     row = GridPoint(np.array([0.5, 1.0, 2.0]),
                     np.array([np.pi / 2 + 1e-4, 1.0, 2.0]))
-    stats = sweep(sweep_grid(row, spec), lambda pt: residual_expanded(pt, spec))
+    stats = sweep(row, spec, forms=("expanded",))["expanded"]
     assert stats["n_points"] == 3
     assert stats["n_masked"] == 1
     assert stats["max"] <= 1e-10
@@ -305,17 +313,22 @@ def test_sweep_masks_and_aggregates():
        m=st.sampled_from([0.5, 1.0, 2.0]), n_r=st.integers(2, 12),
        n_theta=st.integers(2, 9))
 def test_sweep_masks_exactly_the_masked_points(margin, p, m, n_r, n_theta):
+    # the points only are recorded: no bundle is built, so a grid point on
+    # the singular locus that margin 0 leaves unmasked raises nothing
     spec = ModelSpec(m=m, p=p)
     grid = grids.points(grids.GridConfig(r_min=0.2, r_max=3.0, n_r=n_r,
                                          n_theta=n_theta), m=m)
     rows = _rows(grid)
     evaluated = []
 
-    def record(pt):
+    def record(pt, spec, f):
         evaluated.extend(zip(pt.r.tolist(), pt.theta.tolist()))
         return np.zeros(pt.shape)
 
-    stats = sweep(sweep_grid(grid, spec, margin), record)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equations, "exact_fields", lambda pt, spec: None)
+        patch.setitem(FORMS, "expanded", record)
+        stats = sweep(grid, spec, margin, forms=("expanded",))["expanded"]
     pts = [GridPoint(r, th) for row in rows
            for r, th in zip(row.r.tolist(), row.theta.tolist())]
     masked = [is_masked(pt, spec, margin) for pt in pts]
@@ -353,28 +366,28 @@ def test_chunked_sweep_equals_the_row_sweep():
     # chunks)
     n_r = 2 * (SWEEP_CHUNK // 9) + 9
     cfg = grids.GridConfig(r_max=5.0, n_r=n_r, n_theta=9)
-    forms = {"expanded": residual_expanded,
-             "covector": residual_polar_covector,
-             "reduced": residual_reduced, "standard": residual_standard}
+    forms = dict(FORMS)
     for spec in (ModelSpec.njl(m=0.7), ModelSpec.soler(m=1.3),
                  ModelSpec(p=0.5)):
         rows = _rows(grids.points(cfg, m=spec.m))
-        grid = sweep_grid(grids.points(cfg, m=spec.m), spec)
+        chunks = {name: [] for name in forms}
+        with pytest.MonkeyPatch.context() as patch:
+            for name, form in forms.items():
+                def evaluate(pt, spec, f, form=form, chunks=chunks[name]):
+                    chunks.append(form(pt, spec, f))
+                    return chunks[-1]
+
+                patch.setitem(FORMS, name, evaluate)
+            sweeps = sweep(grids.points(cfg, m=spec.m), spec)
         for name, form in forms.items():
-            chunks = []
-
-            def evaluate(pt):
-                chunks.append(form(pt, spec))
-                return chunks[-1]
-
-            stats = sweep(grid, evaluate)
+            stats, chunks_of_form = sweeps[name], chunks[name]
             expected, expected_stats = _row_sweep(
-                rows, lambda pt: form(pt, spec), spec)
+                rows, lambda pt: on_solution(form, pt, spec), spec)
             assert expected.size == 9 * n_r - (9 if spec.p == 0.0 else 1)
             assert 0 < expected.size - 2 * SWEEP_CHUNK < SWEEP_CHUNK
-            assert [c.size for c in chunks] == [
+            assert [c.size for c in chunks_of_form] == [
                 SWEEP_CHUNK, SWEEP_CHUNK, expected.size - 2 * SWEEP_CHUNK]
-            assert np.array_equal(np.concatenate(chunks), expected), (
+            assert np.array_equal(np.concatenate(chunks_of_form), expected), (
                 spec, name)
             assert stats == {"n_points": 9 * n_r,
                              "n_masked": 9 * n_r - expected.size,
@@ -400,16 +413,19 @@ def test_rows_equal_points():
                      for m in (0.5, 2.0)]:
         p = {"njl": 1.0, "soler": 0.0}.get(model, 0.5)
         spec = ModelSpec(m=m, p=p, E=1.07 * m, l=0.61)
+        def on(form):
+            return lambda pt: on_solution(form, pt, spec)
+
         evaluators = {
             "closed_form": lambda pt: polar.closed_form(pt, spec),
-            "covariant_derivative": lambda pt: polar.covariant_derivative(pt, spec),
-            "reduced": lambda pt: reduced_components(pt, spec),
-            "reduced residual": lambda pt: residual_reduced(pt, spec),
-            "standard residual": lambda pt: residual_standard(pt, spec),
-            "expanded": lambda pt: expanded_components(pt, spec),
-            "covector": lambda pt: covector_components(pt, spec),
-            "expanded residual": lambda pt: residual_expanded(pt, spec),
-            "covector residual": lambda pt: residual_polar_covector(pt, spec),
+            "covariant_derivative": on(polar.covariant_derivative),
+            "reduced": on(reduced_components),
+            "reduced residual": on(residual_reduced),
+            "standard residual": on(residual_standard),
+            "expanded": on(expanded_components),
+            "covector": on(covector_components),
+            "expanded residual": on(residual_expanded),
+            "covector residual": on(residual_polar_covector),
         }
         cfg = grids.GridConfig(r_min=rng.uniform(0.03, 0.08),
                                r_max=rng.uniform(10.0, 30.0), n_r=9, n_theta=7)
@@ -438,3 +454,23 @@ def test_rows_equal_points():
                                         np.array([np.pi / 2, np.pi / 2, 1.0])),
                               spec)
         assert (err.value.r, err.value.theta) == (0.5 / m, np.pi / 2)
+
+
+def test_longdouble_points_give_longdouble_results():
+    # no layer rounds longdouble input to float64: the bundle, the spinor,
+    # its bilinears, the complex-step partials and the four forms keep the
+    # points' precision, on an array of points and on one point
+    ld = np.longdouble
+    for spec in (ModelSpec.njl(), ModelSpec.soler(), ModelSpec.interpolating(0.5)):
+        pts = grids.sample_points(np.random.default_rng(3), 20, m=spec.m,
+                                  reject=lambda pt: is_masked(pt, spec))
+        for pt in (GridPoint(pts.r.astype(ld), pts.theta.astype(ld)),
+                   GridPoint(ld(1.3), ld(0.7))):
+            f = polar.closed_form(pt, spec)
+            psi = polar.assemble_spinor(f)
+            partials = geometry._coordinate_partials(
+                lambda r, th: r * np.sin(th), pt.r, pt.theta)
+            real = [*_leaves(f), *_leaves(clifford.bilinears(psi)), partials,
+                    *(form(pt, spec, f) for form in FORMS.values())]
+            assert {leaf.dtype for leaf in real} == {np.dtype(ld)}, spec.name
+            assert psi.dtype == np.result_type(ld, 1j), spec.name

@@ -20,7 +20,7 @@ import pytest
 
 from nldirac import clifford, equations, geometry, grids, polar
 from nldirac.geometry import AngleState, GridPoint
-from nldirac.polar import ClosedForm, ModelSpec
+from nldirac.polar import ClosedForm, Density, ModelSpec
 
 MODELS = (ModelSpec.njl, ModelSpec.soler,
           lambda m: ModelSpec.interpolating(0.5, m=m))
@@ -56,7 +56,7 @@ def _rotation_spinor(f):
     rot = (np.multiply.outer(clifford.IDENTITY, np.cos(half))
            - 1j * np.multiply.outer(clifford.PI, np.sin(half)))
     rest = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)
-    return np.sqrt(f.phi2) * np.einsum("ij...,j->i...", rot, rest)
+    return np.sqrt(f.density.phi2) * np.einsum("ij...,j->i...", rot, rest)
 
 
 def _einsum_bilinears(psi):
@@ -74,7 +74,7 @@ def _reference_covector(pt, spec):
     dense tensor, the axial term a four-operand one, and the nonlinear
     coefficients written out for the two endpoint models."""
     f = polar.closed_form(pt, spec)
-    ang = f.ang
+    ang, d = f.ang, f.density
     g = geometry.inverse_metric_diagonal(pt)
     Rc = geometry.tensorial_connection_at(pt, ang)
     eps = _dense_epsilon(pt)
@@ -91,11 +91,11 @@ def _reference_covector(pt, spec):
     dbeta = np.stack(np.broadcast_arrays(
         0.0, f.r_d_beta_dr / pt.r, f.d_beta_dtheta, 0.0))
     dlnphi2 = np.stack(np.broadcast_arrays(
-        0.0, f.r_dlnphi2_dr / pt.r, f.dlnphi2_dtheta, 0.0))
+        0.0, d.r_dlnphi2_dr / pt.r, d.dlnphi2_dtheta, 0.0))
     if spec.name == "njl":
-        nl_chiral, nl_density = f.phi2, 0.0
+        nl_chiral, nl_density = d.phi2, 0.0
     else:
-        nl_chiral, nl_density = f.phi2 * f.cos_beta**2, f.phi2 * f.cos_beta
+        nl_chiral, nl_density = d.phi2 * f.cos_beta**2, d.phi2 * f.cos_beta
     chiral = (dbeta + B + 2.0 * Ps * u - 2.0 * Pu * s_cov
               + (2.0 * spec.m * f.cos_beta - nl_chiral) * s_cov)
     axial_term = -2.0 * np.einsum("r...,n...,a...,mrna...->m...", P_up, u_up,
@@ -105,22 +105,22 @@ def _reference_covector(pt, spec):
     return chiral, density
 
 
-def _reference_covariant_derivative(pt, spec):
+def _reference_covariant_derivative(pt, spec, f):
     """covariant_derivative as the stack of the four partials plus the
     einsum spin action."""
-    f = polar.closed_form(pt, spec)
     psi = polar.assemble_spinor(f)
     d_dr, d_dth = polar.spinor_coordinate_partials(pt, f, psi)
     dpsi = np.stack([-1j * spec.E * psi, d_dr, d_dth, -1j * spec.l * psi])
     C = geometry.spin_connection_at(pt, f.ang)
-    return dpsi + _einsum_spin_action(C, psi), psi, f
+    return dpsi + _einsum_spin_action(C, psi), psi
 
 
 def _reference_standard(pt, spec):
     """residual_standard on the reference covariant derivative, with the
     einsum bilinears and the nonlinear operator built as a 4x4 matrix per
     point."""
-    nabla, psi, f = _reference_covariant_derivative(pt, spec)
+    f = polar.closed_form(pt, spec)
+    nabla, psi = _reference_covariant_derivative(pt, spec, f)
     xi = geometry.tetrad_at(pt, f.ang)
     nabla_frame = np.einsum("am...,mj...->aj...", xi, nabla)
     theta, phi, _, _ = _einsum_bilinears(psi)
@@ -170,7 +170,8 @@ def test_covector_components_equal_the_four_operand_contraction(make):
         for spec in (ModelSpec(m=m, p=p), ModelSpec(m=m, p=p, E=1.1 * m, l=0.6)):
             pts = _points(spec, seed, equations.SWEEP_CHUNK)
             for pt in [pts, *_scalar_points(pts)]:
-                chiral, density = equations.covector_components(pt, spec)
+                chiral, density = equations.covector_components(
+                    pt, spec, polar.closed_form(pt, spec))
                 ref_chiral, ref_density = _reference_covector(pt, spec)
                 assert chiral.shape == density.shape == (4,) + pt.shape
                 assert np.array_equal(chiral, ref_chiral), spec
@@ -197,7 +198,8 @@ def test_covector_epsilon_sums_keep_every_term(monkeypatch):
     for spec in (ModelSpec.njl(), ModelSpec.soler()):
         pts = _points(spec, 25, equations.SWEEP_CHUNK)
         for pt in (pts, GridPoint(pts.r[:2], pts.theta[:2])):
-            chiral, density = equations.covector_components(pt, spec)
+            chiral, density = equations.covector_components(
+                pt, spec, polar.closed_form(pt, spec))
             ref_chiral, ref_density = _reference_covector(pt, spec)
             assert np.array_equal(chiral, ref_chiral), spec
             assert np.array_equal(density, ref_density), spec
@@ -212,9 +214,10 @@ def test_covariant_derivative_equals_the_stacked_partials():
     for spec, pts in _cases(equations.SWEEP_CHUNK):
         for model in (spec, _wrong_energy(spec)):
             for pt in [pts, *_scalar_points(pts)]:
-                nabla, psi, f = polar.covariant_derivative(pt, model)
-                ref_nabla, ref_psi, _ = _reference_covariant_derivative(
-                    pt, model)
+                f = polar.closed_form(pt, model)
+                nabla, psi = polar.covariant_derivative(pt, model, f)
+                ref_nabla, ref_psi = _reference_covariant_derivative(
+                    pt, model, f)
                 assert nabla.shape == (4, 4) + pt.shape
                 assert np.array_equal(nabla, ref_nabla), model
                 assert np.array_equal(psi, ref_psi), model
@@ -224,8 +227,10 @@ def test_standard_form_equals_the_matrix_nonlinear_term():
     for spec, pts in _cases(equations.SWEEP_CHUNK):
         for model in (spec, _wrong_energy(spec)):
             for pt in [pts, *_scalar_points(pts)]:
-                assert np.array_equal(equations.residual_standard(pt, model),
-                                      _reference_standard(pt, model)), model
+                assert np.array_equal(
+                    equations.residual_standard(
+                        pt, model, polar.closed_form(pt, model)),
+                    _reference_standard(pt, model)), model
 
 
 def _reference_closed_form(pt, spec):
@@ -253,10 +258,12 @@ def _reference_closed_form(pt, spec):
         d_alpha_dtheta=ch_X * c / D,
         d_gamma_dr=c * s * (r_dX_dr / ch_X) / D / pt.r,
         d_gamma_dtheta=X * ch_X / D)
-    return ClosedForm(sin_beta=-c / q, cos_beta=X / q, phi2=phi2,
-                      r_dlnphi2_dr=r_dlog, dlnphi2_dtheta=dth_log,
+    density = Density(c=c, s=s, sh=sh, ch=ch, D=sh * sh + c * c,
+                      S=sh * sh + p * (c * c), phi2=phi2, r_dlnphi2_dr=r_dlog,
+                      dlnphi2_dtheta=dth_log)
+    return ClosedForm(sin_beta=-c / q, cos_beta=X / q,
                       r_d_beta_dr=r_dX_dr * c / D, d_beta_dtheta=X * s / D,
-                      ang=ang)
+                      density=density, ang=ang)
 
 
 def _scalar_points(pts, n=20):
@@ -277,8 +284,9 @@ def test_closed_form_equals_the_formula_by_formula_composition():
         for pt in [pts, *_scalar_points(pts)]:
             f, ref = polar.closed_form(pt, spec), _reference_closed_form(pt, spec)
             assert _equal_fields(f.ang, ref.ang), spec
-            for name in ("sin_beta", "cos_beta", "phi2", "r_dlnphi2_dr",
-                         "dlnphi2_dtheta", "r_d_beta_dr", "d_beta_dtheta"):
+            assert _equal_fields(f.density, ref.density), spec
+            for name in ("sin_beta", "cos_beta", "r_d_beta_dr",
+                         "d_beta_dtheta"):
                 assert np.array_equal(getattr(f, name), getattr(ref, name)), (
                     spec, name)
             # and so do the public formulas
@@ -286,10 +294,11 @@ def test_closed_form_equals_the_formula_by_formula_composition():
             X = polar.X_exact(pt.r, spec)
             assert np.array_equal(polar.chiral_components(X, pt.theta),
                                   (ref.sin_beta, ref.cos_beta))
-            assert np.array_equal(polar.module_general_p(pt, spec), ref.phi2)
+            assert np.array_equal(polar.module_general_p(pt, spec),
+                                  ref.density.phi2)
             general = ModelSpec.interpolating(spec.p, m=spec.m)
             assert np.array_equal(polar.phi2_grid(general, pt.r, pt.theta),
-                                  ref.phi2)
+                                  ref.density.phi2)
 
 
 def _einsum_spin_action(C, psi):

@@ -283,13 +283,15 @@ def test_polar_state_invariants():
         assert polar.X_exact(pt.r, spec) == pytest.approx(
             np.sinh(polar.zeta_exact(pt.r, spec)), abs=1e-12)
         assert st.sin_beta**2 + st.cos_beta**2 == pytest.approx(1.0, abs=1e-12)
-        assert st.phi2 > 0.0
+        assert st.density.phi2 > 0.0
 
 
 def test_assembled_spinor_rest_frame_bilinears():
     spec = ModelSpec(m=1.0)
     pt = GridPoint(1.0, np.pi / 2)  # beta = 0 here
-    psi = assemble_spinor(dataclasses.replace(closed_form(pt, spec), phi2=1.0))
+    f = closed_form(pt, spec)
+    psi = assemble_spinor(dataclasses.replace(
+        f, density=dataclasses.replace(f.density, phi2=1.0)))
     bl = clifford.bilinears(psi)
     assert bl.phi == pytest.approx(2.0, rel=1e-14)
     assert bl.theta == pytest.approx(0.0, abs=1e-14)
@@ -367,7 +369,8 @@ def test_analytic_and_fd_covariant_derivatives_agree(p, m, rm, theta):
     # they stay complex-analytic; 2mr >= 1.2 keeps cos beta > 0.
     spec = ModelSpec(m=m, p=p)
     pt = GridPoint(rm / m, theta)
-    _, psi, f = covariant_derivative(pt, spec)
+    f = closed_form(pt, spec)
+    _, psi = covariant_derivative(pt, spec, f)
     analytic = np.stack(spinor_coordinate_partials(pt, f, psi))
     rest = np.array([1.0, 0.0, 1.0, 0.0])
     rotated = -1j * clifford.PI @ rest
@@ -427,8 +430,8 @@ def test_module_log_derivatives_match_finite_differences():
             d_r, d_t = complex_step_partials(
                 lambda r, th: np.log(module_general_p(GridPoint(r, th), spec)),
                 pt.r, pt.theta)
-            assert f.r_dlnphi2_dr == close(pt.r * d_r)
-            assert f.dlnphi2_dtheta == close(d_t)
+            assert f.density.r_dlnphi2_dr == close(pt.r * d_r)
+            assert f.density.dlnphi2_dtheta == close(d_t)
 
             ang = f.ang
             for pair, dr, dth in (

@@ -4,13 +4,14 @@ A wrong solution is fed in one way only: a negative control patches one
 layer function that its suite reads with a seeded perturbation, and the
 suite must then appear in the report's ``failing_suites``.  The closed
 form has three such seams: ``polar.closed_form``, whose bundle a control
-changes with ``dataclasses.replace`` (the expanded, covector and standard
-forms and the polar decomposition read it), ``polar.zeta_exact``, which
-the density step reads for ``closed_form`` and the reduced form alike, and
+changes with ``dataclasses.replace`` (the sweep builds it once per chunk
+and the four grid forms read it, as does the polar decomposition),
+``polar.zeta_exact``, which the bundle's density step reads, and
 ``polar.angle_state`` (the transport and curvature-strength suites).  A
 suite added to ``verify.SUITES`` without a control fails
-``test_every_suite_has_a_negative_control``, and the forms take no argument
-beyond the point and the model, which ``test_forms_take_no_perturbation_knob``
+``test_every_suite_has_a_negative_control``.  The grid forms take the
+point, the model and the bundle and nothing else, and the bundle builders
+the point and the model, which ``test_forms_take_no_perturbation_knob``
 pins.
 """
 
@@ -29,11 +30,12 @@ MODELS = (ModelSpec.njl(), ModelSpec.soler(), ModelSpec.interpolating(0.5))
 
 def _scaled_density(f, d):
     """closed_form with phi^2 scaled by 1 + d: the density no longer solves
-    the nonlinear equations, which every form but the reduced one reads."""
+    the nonlinear equations."""
 
     def closed_form(pt, spec):
         fields = f(pt, spec)
-        return dataclasses.replace(fields, phi2=fields.phi2 * (1.0 + d))
+        return dataclasses.replace(fields, density=dataclasses.replace(
+            fields.density, phi2=fields.density.phi2 * (1.0 + d)))
 
     return closed_form
 
@@ -107,15 +109,18 @@ def test_a_wrong_spin_connection_component_fails_the_standard_form(
 
 
 def test_forms_take_no_perturbation_knob():
-    # a wrong solution goes in through a patched layer function, never
-    # through an extra parameter of the form that reads it
+    # a wrong solution goes in as a wrong bundle, from a patched layer
+    # function, never through an extra parameter of the form that reads it
     forms = [getattr(equations, name) for name in (
         "expanded_components", "residual_expanded", "covector_components",
         "residual_polar_covector", "reduced_components", "residual_reduced",
         "residual_standard")]
-    forms += [polar.closed_form, polar.covariant_derivative,
-              polar.polar_decomposition_residual]
+    forms += [polar.covariant_derivative]
     for fn in forms:
+        assert tuple(inspect.signature(fn).parameters) == (
+            "pt", "spec", "f"), fn
+    for fn in (polar.closed_form, equations.exact_fields,
+               polar.polar_decomposition_residual):
         assert tuple(inspect.signature(fn).parameters) == ("pt", "spec"), fn
     assert tuple(inspect.signature(singular.locate_numerically).parameters) == (
         "spec",)
@@ -160,7 +165,6 @@ def test_a_nan_at_a_chunk_edge_fails_its_grid_suite(monkeypatch):
     spec = ModelSpec.njl()
     n_r = 2 * (equations.SWEEP_CHUNK // 9) + 9
     points = grids.points(grids.GridConfig(n_r=n_r, n_theta=9), m=spec.m)
-    grid = equations.sweep_grid(points, spec)
     r, theta = points.r.ravel(), points.theta.ravel()
     keep = ~equations.is_masked(geometry.GridPoint(r, theta), spec)
     unmasked = list(zip(r[keep], theta[keep]))
@@ -168,20 +172,18 @@ def test_a_nan_at_a_chunk_edge_fails_its_grid_suite(monkeypatch):
     assert n > 2 * chunk and n % chunk
     for index, size in ((chunk - 1, chunk), (n - 1, n % chunk)):
         target = unmasked[index]
-        for name, attr in (("expanded-residuals", "residual_expanded"),
-                           ("covector-residuals", "residual_polar_covector"),
-                           ("reduced-residuals", "residual_reduced"),
-                           ("standard-residuals", "residual_standard")):
-            form = getattr(equations, attr)
+        for form, residual in dict(equations.FORMS).items():
+            name = f"{form}-residuals"
             hits = []
 
-            def poisoned(pt, spec, form=form):
+            def poisoned(pt, spec, f, residual=residual):
                 at = (pt.r == target[0]) & (pt.theta == target[1])
                 hits.extend((pt.r.size, i) for i in np.flatnonzero(at))
-                return np.where(at, np.nan, form(pt, spec))
+                return np.where(at, np.nan, residual(pt, spec, f))
 
             with monkeypatch.context() as patch:
-                patch.setattr(equations, attr, poisoned)
+                patch.setitem(equations.FORMS, form, poisoned)
+                grid = equations.sweep(points, spec)
                 entry = verify.SUITES[name](spec, grid, 42, 1e-8)
             assert hits == [(size, size - 1)]  # the last point of its chunk
             assert not entry["pass"], (index, name)
@@ -219,8 +221,9 @@ def test_run_suites_builds_and_masks_the_grid_once(monkeypatch):
 
 
 # Largest allocation peak of each grid form per point of a SWEEP_CHUNK
-# chunk, in bytes.  A chunk of the two heavy forms then stays near 0.8 MB,
-# inside run_suites' 1 MB guard with the grid held beside it.
+# chunk, the closed-form bundle it reads included, in bytes.  A chunk of the
+# two heavy forms then stays near 0.8 MB, inside run_suites' 1 MB guard
+# with the grid held beside it.
 FORM_PEAK_PER_POINT = {
     "residual_expanded": 400,
     "residual_polar_covector": 1600,
@@ -237,10 +240,10 @@ def test_each_grid_form_peaks_under_its_bound_per_point():
             reject=lambda pt: equations.is_masked(pt, spec))
         for name, bound in FORM_PEAK_PER_POINT.items():
             form = getattr(equations, name)
-            form(pts, spec)
+            form(pts, spec, polar.closed_form(pts, spec))
             tracemalloc.start()
             try:
-                values = form(pts, spec)
+                values = form(pts, spec, polar.closed_form(pts, spec))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -266,3 +269,81 @@ def test_run_suites_memory_peak_stays_small():
             tracemalloc.stop()
         assert report["pass"], spec.name
         assert peak <= 1_000_000, (spec.name, peak)
+
+
+def test_each_chunk_builds_its_closed_form_once(monkeypatch):
+    # one bundle per sweep chunk, which every grid form reads, and one for
+    # the decomposition's 50 sampled points: 4 chunks of a 50x40 grid and 7
+    # of a 70x50 one.  The bundle builds the density step once
+    for spec, grid, builds in (
+            (ModelSpec.njl(), grids.GridConfig(0.05, 20.0, 50, 40), 5),
+            (ModelSpec.soler(), grids.GridConfig(0.05, 20.0, 50, 40), 5),
+            (ModelSpec.interpolating(0.37),
+             grids.GridConfig(0.05, 20.0, 70, 50), 8)):
+        calls = {"closed_form": 0, "density": 0}
+        with monkeypatch.context() as patch:
+            for name in calls:
+                def counted(*args, fn=getattr(polar, name), name=name):
+                    calls[name] += 1
+                    return fn(*args)
+
+                patch.setattr(polar, name, counted)
+            assert verify.run_suites(spec, grid)["pass"], spec.name
+        assert calls == {"closed_form": builds, "density": builds}, spec.name
+
+
+# The grid forms that read each leaf of the closed-form bundle: a change of
+# 1e-6 in the leaf, relative or absolute, lifts their residual above 1e-8 on
+# the default grid and leaves the other forms under it.  Every leaf is read
+# by some form, so no leaf is left unchecked.  The covector and standard
+# forms build their geometry from the point, so they read neither cos/sin
+# theta nor the zeta quantities of the density step; the reduced form reads
+# the density step alone.
+_BETA_AND_ANGLES = ("expanded", "covector", "standard")
+FORMS_READING = {
+    **dict.fromkeys(("sin_beta", "cos_beta", "r_d_beta_dr", "d_beta_dtheta"),
+                    _BETA_AND_ANGLES),
+    **dict.fromkeys((f"ang.{f.name}" for f in dataclasses.fields(
+        geometry.AngleState)), _BETA_AND_ANGLES),
+    "density.c": ("expanded", "reduced"),
+    "density.s": ("expanded", "reduced"),
+    **dict.fromkeys(("density.sh", "density.ch", "density.D", "density.S"),
+                    ("reduced",)),
+    **dict.fromkeys(("density.phi2", "density.r_dlnphi2_dr",
+                     "density.dlnphi2_dtheta"),
+                    ("expanded", "covector", "reduced", "standard")),
+}
+
+
+def _leaf_paths(f):
+    """The dotted path of each leaf of a ClosedForm, such as "ang.d_gamma_dr"."""
+    for field in dataclasses.fields(f):
+        value = getattr(f, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from (f"{field.name}.{path}" for path in _leaf_paths(value))
+        else:
+            yield field.name
+
+
+def _changed(f, path, change):
+    """f with ``change`` applied to the leaf at ``path``."""
+    name, _, rest = path.partition(".")
+    value = getattr(f, name)
+    return dataclasses.replace(f, **{
+        name: _changed(value, rest, change) if rest else change(value)})
+
+
+def test_every_bundle_leaf_is_read_by_a_grid_form():
+    assert all(FORMS_READING.values())
+    changes = (lambda x: x * (1.0 + 1e-6), lambda x: x + 1e-6)
+    for spec in MODELS:
+        points = grids.points(grids.GridConfig(), m=spec.m)
+        keep = ~equations.is_masked(points, spec)
+        pt = geometry.GridPoint(points.r[keep], points.theta[keep])
+        f = polar.closed_form(pt, spec)
+        seen = {path: {tuple(
+            form for form, residual in equations.FORMS.items()
+            if np.max(residual(pt, spec, _changed(f, path, change))) > 1e-8)
+            for change in changes} for path in _leaf_paths(f)}
+        assert seen == {path: {forms} for path, forms in FORMS_READING.items()}, (
+            spec.name)
