@@ -307,25 +307,29 @@ def transport_residuals(pt: GridPoint, angle_field):
     return float(ws), float(wu)
 
 
-def curvature_strength_residuals(pt: GridPoint, tensorial_field, momentum):
-    """Residual norms of the two potential identities on a flat background.
+def curvature_strength_residuals(pt: GridPoint, angle_field):
+    """Residual norm of the curvature identity on a flat background.
 
-    ``tensorial_field(r, theta)`` must return the coordinate components
-    R_{nu rho mu} and ``momentum(r, theta)`` the momentum covector P_mu.
-    The mixed-index curvature of R,
+    ``angle_field(r, theta)`` returns the AngleState of the tilt and boost
+    angles, from which the tensorial connection R_{nu rho mu} is built.  The
+    mixed-index curvature of R,
 
         nabla_mu R^i_{j nu} - nabla_nu R^i_{j mu}
         + R^i_{k mu} R^k_{j nu} - R^i_{k nu} R^k_{j mu}
 
-    must vanish (zero spacetime curvature), as must the curl of P (zero
-    electromagnetic strength).  Derivatives are complex-step partials.
-    Returns the two norms, each the largest over the points.
+    must vanish (zero spacetime curvature).  Derivatives are complex-step
+    partials.  The strength, the curl of the momentum covector
+    P = (E, 0, 0, l), is not computed: P is constant, so its curl vanishes
+    identically on every model, and a wrong E or l shows in the forms and
+    the decomposition instead.  Returns the norm, the largest over the
+    points, as a one-tuple.
     """
     r, th = pt.r, pt.theta
 
     def mixed(rr, tt):
-        return (inverse_metric_diagonal(GridPoint(rr, tt))[:, None, None]
-                * tensorial_field(rr, tt))
+        p = GridPoint(rr, tt)
+        return (inverse_metric_diagonal(p)[:, None, None]
+                * tensorial_connection_at(p, angle_field(rr, tt)))
 
     dR = _coordinate_partials(mixed, r, th)
     Rm = mixed(r, th)
@@ -342,11 +346,4 @@ def curvature_strength_residuals(pt: GridPoint, tensorial_field, momentum):
         + np.einsum("ikm...,kjn...->ijmn...", Rm, Rm)
         - np.einsum("ikn...,kjm...->ijmn...", Rm, Rm)
     )
-    rie_norm = float(np.max(np.abs(curv)))
-
-    # Strength: the momentum covector is constant, so its curl vanishes
-    # identically; differentiate it anyway so that a perturbed P is detected.
-    dP = _coordinate_partials(momentum, r, th)
-    far = dP - np.swapaxes(dP, 0, 1)
-    far_norm = float(np.max(np.abs(far)))
-    return rie_norm, far_norm
+    return (float(np.max(np.abs(curv))),)

@@ -11,10 +11,12 @@ perturbed trajectory can be set against it.  G diverges on the sphere 2mr = 1,
 so every integration is confined to one side of that radius.
 
 The integrator is the explicit Dormand-Prince 5(4) pair with adaptive
-steps and a quartic dense output, numpy only.  Its initial-step rule, RMS
-error norm, step-size control and interpolant follow the standard RK45 of
-Hairer, Norsett & Wanner; tests/test_ode.py pins every step, state and
-interpolated value to a reference RK45 implementation, bit for bit.
+steps, numpy only.  Its initial-step rule, RMS error norm and step-size
+control follow the standard RK45 of Hairer, Norsett & Wanner;
+tests/test_ode.py pins every step, state and the divergence radius to a
+reference RK45 implementation, bit for bit.  A run is judged at the steps it
+took: the deviation from the closed form is read at the accepted radii, the
+same rows the trajectory CSV holds.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class OdeState:
-    r: float
+    """Initial data (X, G); the start radius is the run's r_span[0]."""
+
     X: float
     G: float
 
@@ -65,7 +68,6 @@ class Trajectory:
     r: np.ndarray
     X: np.ndarray
     G: np.ndarray
-    sol: object  # dense-output interpolant
     n_steps: int
     min_step: float
 
@@ -83,7 +85,7 @@ def soler_rhs(r, y, spec: ModelSpec):
 
 
 def exact_state(r, spec: ModelSpec) -> OdeState:
-    return OdeState(r=r, X=X_exact(r, spec), G=G_exact(r, spec))
+    return OdeState(X=X_exact(r, spec), G=G_exact(r, spec))
 
 
 def check_span(r_span, spec: ModelSpec):
@@ -102,7 +104,7 @@ def check_span(r_span, spec: ModelSpec):
 
 
 # Dormand & Prince's 5(4) pair (Hairer, Norsett & Wanner, Solving ODEs I,
-# Sec. II.5) and Shampine's (1986) quartic dense output P.
+# Sec. II.5).
 C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
 A = np.array([[0, 0, 0, 0, 0], [1/5, 0, 0, 0, 0], [3/40, 9/40, 0, 0, 0],
               [44/45, -56/15, 32/9, 0, 0],
@@ -110,18 +112,6 @@ A = np.array([[0, 0, 0, 0, 0], [1/5, 0, 0, 0, 0], [3/40, 9/40, 0, 0, 0],
               [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
 B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
 E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608,
-     -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933,
-     87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304,
-     -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408,
-     701980252875/199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
 ERROR_EXPONENT = -1 / 5  # the error estimate is of order 4
 
@@ -146,31 +136,6 @@ def _initial_step(fun, r0, y0, f0, r_end, direction, max_step, rtol, atol):
     return min(100 * h0, h1, length, max_step)
 
 
-def _dense_output(r, y, Q):
-    """The interpolant of a run with step ends r, states y and dense-output
-    coefficients Q = K^T P of each step: (X, G) at an array of radii.  A
-    step end belongs to the earlier step, a radius outside the run to the
-    nearest end step; the radii are evaluated in sorted runs per step."""
-    ascending = r[-1] >= r[0]
-    ends, side = (r, "left") if ascending else (r[::-1], "right")
-    last = len(Q) - 1
-
-    def sol(rs):
-        order = np.argsort(rs)
-        seg = np.clip(np.searchsorted(ends, rs[order], side=side) - 1, 0, last)
-        seg = seg if ascending else last - seg
-        cuts = np.flatnonzero(np.diff(seg)) + 1
-        parts = []
-        for run, x in zip(np.split(seg, cuts), np.split(rs[order], cuts)):
-            i = run[0]
-            h = r[i + 1] - r[i]
-            powers = np.cumprod(np.tile((x - r[i]) / h, (4, 1)), axis=0)
-            parts.append(h * np.dot(Q[i], powers) + y[i][:, None])
-        return np.hstack(parts)[:, np.argsort(order)]
-
-    return sol
-
-
 def _step_failure(r, r_span):
     """The error of a run whose step fell below the float-spacing floor
     after the accepted radii r."""
@@ -183,9 +148,9 @@ def _step_failure(r, r_span):
 
 
 def integrate(config: IntegratorConfig, initial: OdeState, spec: ModelSpec):
-    """Integrate the radial system with dense output: adaptive steps of the
-    Dormand-Prince pair, advancing with the 5th-order solution and
-    controlling the RMS of the 4th-order error estimate.
+    """Integrate the radial system from ``initial`` at r_span[0]: adaptive
+    steps of the Dormand-Prince pair, advancing with the 5th-order solution
+    and controlling the RMS of the 4th-order error estimate.
 
     Raises DivergingState when the overflow guard trips, StepUnderflow when
     the adaptive step collapses (the signature of running into 2mr = 1), and
@@ -205,7 +170,7 @@ def integrate(config: IntegratorConfig, initial: OdeState, spec: ModelSpec):
     f = fun(r, y)
     h_abs = _initial_step(fun, r, y, f, r_end, direction, max_step, rtol, atol)
     K = np.empty((len(C) + 1, y.size))
-    rs, ys, Qs = [r], [y], []
+    rs, ys = [r], [y]
     while direction * (r - r_end) < 0:
         min_step = 10 * np.abs(np.nextafter(r, direction * np.inf) - r)
         h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
@@ -232,7 +197,6 @@ def integrate(config: IntegratorConfig, initial: OdeState, spec: ModelSpec):
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
             rejected = True
-        Qs.append(K.T.dot(P))
         r, y, f = r_new, y_new, f_new
         rs.append(r)
         ys.append(y)
@@ -250,7 +214,6 @@ def integrate(config: IntegratorConfig, initial: OdeState, spec: ModelSpec):
         )
     return Trajectory(
         r=r_all, X=y_all[:, 0], G=y_all[:, 1],
-        sol=_dense_output(r_all, y_all, Qs),
         n_steps=len(r_all) - 1, min_step=float(steps.min()),
     )
 
@@ -266,9 +229,8 @@ def _branch(rs, X, G, spec: ModelSpec):
 
 def tracking_deviation(traj: Trajectory, spec: ModelSpec):
     """Max relative deviation of a trajectory from the closed-form branch at
-    200 evenly spaced radii."""
-    rs = np.linspace(traj.r[0], traj.r[-1], 200)
-    _, _, dev_X, dev_G = _branch(rs, *traj.sol(rs), spec)
+    its accepted steps: the maxima of the CSV's dev_X and dev_G columns."""
+    _, _, dev_X, dev_G = _branch(traj.r, traj.X, traj.G, spec)
     return {
         "max_rel_X": float(dev_X.max()),
         "max_rel_G": float(dev_G.max()),

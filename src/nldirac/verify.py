@@ -13,7 +13,6 @@ import numpy as np
 
 from . import clifford, equations, geometry, grids, ode, polar
 from .equations import DEFAULT_MASK_MARGIN
-from .geometry import GridPoint
 from .polar import ModelSpec
 
 DEFAULT_TOLERANCES = {
@@ -39,53 +38,33 @@ def _entry(max_residual, tol, n, extra=None):
     }
 
 
-def suite_fierz(spec, grid, seed, tol):
+def suite_fierz(spec, grid, sample, seed, tol):
     psis = clifford.random_spinors(1000, seed=seed)
     return _entry(np.max(clifford.fierz_residuals(psis)), tol, len(psis))
 
 
-def _sampled_suite(residual, spec, seed, tol):
-    """Max of ``residual(pts)`` over 50 seeded random points outside the
-    default mask, drawn in blocks and passed in one call as a GridPoint of
-    arrays."""
-    rng = np.random.default_rng(seed)
-    pts = grids.sample_points(rng, 50, m=spec.m,
-                              reject=lambda pt: equations.is_masked(pt, spec))
-    return _entry(np.max(residual(pts)), tol, pts.r.size)
-
-
-def suite_flatness(spec, grid, seed, tol):
+def suite_flatness(spec, grid, sample, seed, tol):
     """Riemann tensor of the spherical connection (analytic partials)."""
-    return _sampled_suite(lambda pts: np.max(np.abs(geometry.riemann_at(pts))),
-                          spec, seed, tol)
+    return _entry(np.max(np.abs(geometry.riemann_at(sample))), tol,
+                  sample.r.size)
 
 
-def suite_curvature_strength(spec, grid, seed, tol):
-    """Curvature and strength of the solution's potentials (must vanish)."""
-    ang_field = polar.angle_field(spec)
-
-    def tensorial(r, th):
-        return geometry.tensorial_connection_at(GridPoint(r, th), ang_field(r, th))
-
-    P = geometry.momentum_covector(spec.E, spec.l)
-    return _sampled_suite(
-        lambda pts: geometry.curvature_strength_residuals(
-            pts, tensorial, lambda rr, tt: P),
-        spec, seed, tol)
+def suite_curvature_strength(spec, grid, sample, seed, tol):
+    """Curvature of the solution's tensorial connection (must vanish)."""
+    res = geometry.curvature_strength_residuals(sample,
+                                                polar.angle_field(spec))
+    return _entry(np.max(res), tol, sample.r.size)
 
 
-def suite_transport(spec, grid, seed, tol):
-    ang_field = polar.angle_field(spec)
-    return _sampled_suite(
-        lambda pts: geometry.transport_residuals(pts, ang_field),
-        spec, seed, tol)
+def suite_transport(spec, grid, sample, seed, tol):
+    res = geometry.transport_residuals(sample, polar.angle_field(spec))
+    return _entry(np.max(res), tol, sample.r.size)
 
 
-def suite_decomposition(spec, grid, seed, tol):
+def suite_decomposition(spec, grid, sample, seed, tol):
     """Polar decomposition of nabla psi on the 50 points in one call."""
-    return _sampled_suite(
-        lambda pts: polar.polar_decomposition_residual(pts, spec),
-        spec, seed, tol)
+    return _entry(polar.polar_decomposition_residual(sample, spec), tol,
+                  sample.r.size)
 
 
 def _grid_suite(stats, tol):
@@ -96,26 +75,28 @@ def _grid_suite(stats, tol):
     return entry
 
 
-def suite_expanded(spec, grid, seed, tol):
+def suite_expanded(spec, grid, sample, seed, tol):
     return _grid_suite(grid["expanded"], tol)
 
 
-def suite_covector(spec, grid, seed, tol):
+def suite_covector(spec, grid, sample, seed, tol):
     return _grid_suite(grid["covector"], tol)
 
 
-def suite_reduced(spec, grid, seed, tol):
+def suite_reduced(spec, grid, sample, seed, tol):
     return _grid_suite(grid["reduced"], tol)
 
 
-def suite_standard(spec, grid, seed, tol):
+def suite_standard(spec, grid, sample, seed, tol):
     return _grid_suite(grid["standard"], tol)
 
 
-# Every suite in report order; each takes (spec, grid, seed, tol), where grid
-# is the equations.sweep result that run_suites computes once: the
+# Every suite in report order; each takes (spec, grid, sample, seed, tol),
+# where grid is the equations.sweep result that run_suites computes once (the
 # statistics of each grid form "<form>-residuals" of the report, keyed by
-# form.  The sampled suites ignore the grid, fierz the model as well.
+# form) and sample the 50 points it draws once for flatness,
+# curvature-strength, transport and decomposition.  fierz draws its spinors
+# from the seed.
 SUITES = {
     "fierz": suite_fierz,
     "flatness": suite_flatness,
@@ -141,15 +122,20 @@ def run_suites(spec: ModelSpec, grid_cfg=None, seed=42, tolerances=None,
     An interpolating run skips the ENDPOINT_ONLY suites and reports the
     reduced and standard forms.  The grid is built, validated and masked
     once, and one sweep evaluates every grid form of the report on the
-    same chunks of its unmasked points.
+    same chunks of its unmasked points; the sampled suites share one
+    seeded draw of 50 points.
     """
     names = [name for name in SUITES
              if spec.name in polar.ENDPOINTS or name not in ENDPOINT_ONLY]
     grid = equations.sweep(
         grids.points(grid_cfg or grids.GridConfig(), m=spec.m), spec, margin,
         [form for form in equations.FORMS if f"{form}-residuals" in names])
+    sample = grids.sample_points(  # 50 seeded points outside the default mask
+        np.random.default_rng(seed), 50, m=spec.m,
+        reject=lambda pt: equations.is_masked(pt, spec))
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
-    suites = {name: SUITES[name](spec, grid, seed, tol[name]) for name in names}
+    suites = {name: SUITES[name](spec, grid, sample, seed, tol[name])
+              for name in names}
     failing = sorted(name for name, s in suites.items() if not s["pass"])
     return {
         "schema": "1",

@@ -48,16 +48,8 @@ def test_criterion_02_flat_background():
     t0 = time.perf_counter()
     pts = unmasked_points(50, spec, seed=42)
     worst = float(np.max(np.abs(geometry.riemann_at(pts))))
-    ang_field = polar.angle_field(spec)
-
-    def tensorial(r, th):
-        return geometry.tensorial_connection_at(GridPoint(r, th), ang_field(r, th))
-
-    P = geometry.momentum_covector(spec.E, spec.l)
-    rie, far = geometry.curvature_strength_residuals(
-        pts, tensorial, lambda r, t: P
-    )
-    worst = max(worst, rie, far)
+    (rie,) = geometry.curvature_strength_residuals(pts, polar.angle_field(spec))
+    worst = max(worst, rie)
     elapsed = time.perf_counter() - t0
     assert _report(2, "flat background and vanishing potentials", worst, 1e-8,
                    elapsed, 5.0)

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import io
 import itertools
@@ -139,6 +140,37 @@ def test_ode_summary_and_trajectory(capsys, tmp_path):
     assert summary["max_deviation"] <= 1e-6
     header = out.read_text().splitlines()[0]
     assert header == "r,X,G,X_exact,G_exact,dev_X,dev_G"
+
+
+def test_ode_deviation_is_the_maximum_of_the_csv_columns(capsys, tmp_path,
+                                                          monkeypatch):
+    # the summary's deviations are read at the steps the CSV holds, so a
+    # reader reproduces them from the file: for the closed-form data at three
+    # masses and for data started off the closed form
+    exact_state = ode.exact_state
+
+    def perturbed(r, spec):
+        st = exact_state(r, spec)
+        return dataclasses.replace(st, X=st.X + 1e-3)
+
+    runs = [(mass, False) for mass in ("0.5", "1", "2")] + [("1", True)]
+    for mass, off_branch in runs:
+        out = tmp_path / "traj.csv"
+        with monkeypatch.context() as patch:
+            if off_branch:
+                patch.setattr(ode, "exact_state", perturbed)
+            code, stdout, _ = run(capsys, "ode", "--model", "soler",
+                                  "--mass", mass, "--out", str(out))
+        assert code == 0, mass
+        summary = json.loads(stdout)
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        dev_X = max(float(row["dev_X"]) for row in rows)
+        dev_G = max(float(row["dev_G"]) for row in rows)
+        assert summary["max_rel_X"] == dev_X, (mass, off_branch)
+        assert summary["max_rel_G"] == dev_G, (mass, off_branch)
+        assert summary["max_deviation"] == max(dev_X, dev_G), (mass,
+                                                               off_branch)
+    assert summary["max_deviation"] > 1e-4  # the off-branch run departs
 
 
 def test_ode_scan_flag(capsys, tmp_path):
@@ -770,14 +802,8 @@ def test_nan_residual_fails_its_suite(capsys, monkeypatch, tmp_path):
 
     def nan_in_G(*args, **kwargs):
         traj = integrate(*args, **kwargs)
-        sol = traj.sol
-
-        def poisoned_sol(rs):
-            y = sol(rs)
-            y[1, -1] = math.nan
-            return y
-
-        return dataclasses.replace(traj, sol=poisoned_sol)
+        traj.G[-1] = math.nan
+        return traj
 
     with monkeypatch.context() as patch:
         patch.setattr(ode, "integrate", nan_in_G)

@@ -137,12 +137,6 @@ def test_batched_sampled_residuals_equal_the_per_point_maxima():
         pts = [geometry.GridPoint(r, th)
                for r, th in zip(batch.r.tolist(), batch.theta.tolist())]
         field = polar.angle_field(spec)
-
-        def tensorial(r, th):
-            return geometry.tensorial_connection_at(geometry.GridPoint(r, th),
-                                                    field(r, th))
-
-        P = geometry.momentum_covector(spec.E, spec.l)
         assert np.max(np.abs(geometry.riemann_at(batch))) == max(
             np.max(np.abs(geometry.riemann_at(pt))) for pt in pts)
         assert polar.polar_decomposition_residual(batch, spec) == max(
@@ -150,12 +144,9 @@ def test_batched_sampled_residuals_equal_the_per_point_maxima():
         by_point = [geometry.transport_residuals(pt, field) for pt in pts]
         assert geometry.transport_residuals(batch, field) == tuple(
             max(res[k] for res in by_point) for k in (0, 1))
-        by_point = [geometry.curvature_strength_residuals(
-            pt, tensorial, lambda r, t: P) for pt in pts]
-        batched = geometry.curvature_strength_residuals(
-            batch, tensorial, lambda r, t: P)
-        for k in (0, 1):
-            assert abs(batched[k] - max(res[k] for res in by_point)) <= 1e-13
+        (batched,) = geometry.curvature_strength_residuals(batch, field)
+        assert abs(batched - max(geometry.curvature_strength_residuals(
+            pt, field)[0] for pt in pts)) <= 1e-13
 
 
 def test_a_nan_at_a_chunk_edge_fails_its_grid_suite(monkeypatch):
@@ -184,7 +175,7 @@ def test_a_nan_at_a_chunk_edge_fails_its_grid_suite(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setitem(equations.FORMS, form, poisoned)
                 grid = equations.sweep(points, spec)
-                entry = verify.SUITES[name](spec, grid, 42, 1e-8)
+                entry = verify.SUITES[name](spec, grid, None, 42, 1e-8)
             assert hits == [(size, size - 1)]  # the last point of its chunk
             assert not entry["pass"], (index, name)
             assert np.isnan(entry["max_residual"]), (index, name)
@@ -192,15 +183,20 @@ def test_a_nan_at_a_chunk_edge_fails_its_grid_suite(monkeypatch):
 
 def test_run_suites_builds_and_masks_the_grid_once(monkeypatch):
     # one grids.points call and one is_masked call over the whole grid per
-    # verify, whatever the number of grid suites; the sampled suites mask
-    # their own draws, at most 50 points per call
+    # verify, whatever the number of grid suites; the sampled suites share
+    # one grids.sample_points draw, which masks at most 50 points per call
     points, is_masked = grids.points, equations.is_masked
+    sample_points = grids.sample_points
     for spec in MODELS:
-        built, masked = [], []
+        built, masked, sampled = [], [], []
 
         def counting_points(cfg, m=1.0):
             built.append(cfg)
             return points(cfg, m)
+
+        def counting_sample_points(rng, n, m=1.0, reject=None):
+            sampled.append(n)
+            return sample_points(rng, n, m, reject)
 
         def counting_is_masked(pt, spec, margin=equations.DEFAULT_MASK_MARGIN):
             masked.append(np.size(pt.r))
@@ -209,10 +205,12 @@ def test_run_suites_builds_and_masks_the_grid_once(monkeypatch):
         grid = grids.GridConfig(n_r=25, n_theta=20)
         with monkeypatch.context() as patch:
             patch.setattr(grids, "points", counting_points)
+            patch.setattr(grids, "sample_points", counting_sample_points)
             patch.setattr(equations, "is_masked", counting_is_masked)
             report = verify.run_suites(spec, grid)
         assert report["pass"], spec.name
         assert built == [grid]
+        assert sampled == [50]
         assert masked.count(500) == 1
         assert all(n <= 50 for n in masked if n != 500), masked
         swept = [s["n_points"] for s in report["suites"].values()
