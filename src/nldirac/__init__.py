@@ -2,7 +2,7 @@
 background, with verified closed-form solutions of the chiral
 (Nambu--Jona-Lasinio), scalar (Soler) and interpolating models."""
 
-from .clifford import BilinearSet, bilinears, gamma_basis, sigma
+from .clifford import BilinearSet, bilinears, sigma
 from .errors import (
     DivergingState,
     NonRealBilinear,
@@ -17,7 +17,6 @@ from .polar import (
     ModelSpec,
     X_exact,
     assemble_spinor,
-    module_general_p,
 )
 from .singular import SingularLocus, asymptotics_report, singular_locus
 
@@ -40,8 +39,6 @@ __all__ = [
     "assemble_spinor",
     "asymptotics_report",
     "bilinears",
-    "gamma_basis",
-    "module_general_p",
     "sigma",
     "singular_locus",
 ]

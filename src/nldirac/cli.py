@@ -23,8 +23,7 @@ from . import equations, grids, ode, singular, verify
 from .errors import DivergingState, SingularPoint, StepUnderflow
 from .geometry import GridPoint
 from .polar import ENDPOINTS, ModelSpec, X_exact, chiral_components, phi2_grid
-
-SCHEMA = "1"
+from .verify import SCHEMA
 
 
 FIELDMAP_GRID = grids.GridConfig(r_min=0.01, r_max=100.0, n_r=200, n_theta=100)
@@ -366,22 +365,30 @@ def cmd_fieldmap(cfg: RunConfig):
     return 0
 
 
+def _ode_summary(cfg: RunConfig, **span):
+    """verify.ode_summary of the run; None, after one ``error:`` line on
+    stderr, when the radial run fails or its span is invalid."""
+    try:
+        return verify.ode_summary(cfg.spec, tolerances=cfg.tolerances,
+                                  scan=cfg.scan_el, **span)
+    except (DivergingState, SingularPoint, StepUnderflow, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_ode(cfg: RunConfig):
     spec = cfg.spec
     if spec.p != 0.0:
         print("error: the radial system belongs to the scalar model; "
               "run with --model soler or p:0", file=sys.stderr)
         return 2
-    grid_cfg = cfg.grid_or(grids.GridConfig(r_min=1.0, r_max=10.0, n_r=200,
-                                            n_theta=2))
-    try:
-        summary, traj, nonfinite = verify.ode_summary(
-            spec, r_span=(grid_cfg.r_min, grid_cfg.r_max),
-            tolerances=cfg.tolerances, scan=cfg.scan_el,
-        )
-    except (DivergingState, SingularPoint, StepUnderflow, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # the span is the grid's radii; without a grid, ode_summary's default
+    span = {} if cfg.grid is None else {"r_span": (cfg.grid.r_min,
+                                                   cfg.grid.r_max)}
+    result = _ode_summary(cfg, **span)
+    if result is None:
         return 1
+    summary, traj, nonfinite = result
     out_path = cfg.out or "trajectory.csv"
     ode.trajectory_to_csv(traj, spec, out_path)
     doc = {"schema": SCHEMA, "model": spec.name, "mass": spec.m,
@@ -416,8 +423,10 @@ def cmd_report(cfg: RunConfig):
     }
     nonfinite = []
     if spec.p == 0.0:
-        doc["ode"], _, nonfinite = verify.ode_summary(
-            spec, tolerances=cfg.tolerances, scan=cfg.scan_el)
+        result = _ode_summary(cfg)
+        if result is None:
+            return 1
+        doc["ode"], _, nonfinite = result
     _emit_json(doc, cfg.out)
     return 1 if _ode_failed(nonfinite) or not doc["verify"]["pass"] else 0
 

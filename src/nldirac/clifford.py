@@ -49,11 +49,6 @@ for _mat in (*GAMMA, IDENTITY, PI, ETA):
     _mat.setflags(write=False)
 
 
-def gamma_basis():
-    """Return [gamma^0, gamma^1, gamma^2, gamma^3, pi, identity] as copies."""
-    return [g.copy() for g in GAMMA] + [PI.copy(), IDENTITY.copy()]
-
-
 def gamma_lower(a):
     """gamma_a = eta_ab gamma^b (diagonal metric, so a sign at most)."""
     return ETA[a, a] * GAMMA[a]

@@ -205,7 +205,8 @@ def reduced_components(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     solution would.  The system is that of the radial family, r d_r zeta =
     1 and d_theta zeta = 0, on which the two zeta equations lose their
     tan/cot terms: the radial one reads r d_r zeta = rhs and the angular
-    one 0 = rhs - r d_r zeta.
+    one 0 = rhs - r d_r zeta, the same equation.  So the form checks three
+    equations: the two module equations and this one.
     """
     r, p, m, d = pt.r, spec.p, spec.m, f.density
     c, s, sh, ch, D, phi2 = d.c, d.s, d.sh, d.ch, d.D, d.phi2
@@ -226,7 +227,6 @@ def reduced_components(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
         "module_radial": res1,
         "module_angular": res2,
         "zeta_radial": r_dz - rhs_common,
-        "zeta_angular": -(rhs_common - r_dz),
     }
 
 

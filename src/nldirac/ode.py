@@ -17,6 +17,9 @@ tests/test_ode.py pins every step, state and the divergence radius to a
 reference RK45 implementation, bit for bit.  A run is judged at the steps it
 took: the deviation from the closed form is read at the accepted radii, the
 same rows the trajectory CSV holds.
+
+The quantum-number scan holds no equations of its own: it evaluates the
+expanded form of equations on the would-be solutions of trial energies.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import equations, polar
 from .errors import DivergingState, StepUnderflow
+from .geometry import GridPoint
 from .polar import G_exact, ModelSpec, X_exact
 
 OVERFLOW_GUARD = 1e12
@@ -252,17 +257,17 @@ def trajectory_to_csv(traj: Trajectory, spec: ModelSpec, path):
 
 @dataclass
 class ScanResult:
-    """Residual surface of the generic-(E, l) chiral system.
+    """Residual surface of the field equations at trial quantum numbers.
 
-    surface[i, j] is the max residual of the separated equations with the
-    profile X built from E = e_over_m[i] * m at angular momentum l_values[j];
-    separation[i, j] isolates the (2l - 1) obstruction.
+    surface[i, j] is the largest expanded-form residual, over 7 radii and 2
+    polar angles, of the model at E = e_over_m[i] * m and l = l_values[j],
+    evaluated on the closed form of mass E: the would-be solution X =
+    sinh(ln 2Er) of that energy.  It vanishes only at E = m, l = 1/2.
     """
 
     e_over_m: np.ndarray
     l_values: np.ndarray
     surface: np.ndarray
-    separation: np.ndarray
 
     def best_cell(self):
         """(E/m, l) of the smallest finite cell; None if no cell is finite."""
@@ -284,42 +289,18 @@ class ScanResult:
         return self._cells(self.surface <= 1e-10)
 
 
-def generic_el_components(r, theta, E, l, spec: ModelSpec):
-    """Signed residuals of the chiral system before fixing E and l.
-
-    The profile is the would-be solution X = sinh(ln 2Er); the angular
-    structure separates only if 2l = 1, and the radial one only if E = m.
-    """
-    m = spec.m
-    v = 2.0 * E * r
-    X = 0.5 * (v - 1.0 / v)
-    ch = 0.5 * (v + 1.0 / v)  # = sqrt(X^2 + 1) = r X'
-    c2 = np.cos(theta) ** 2
-    s2 = np.sin(theta) ** 2
-    rxp_over_ch = 1.0  # r X' / sqrt(X^2+1) on this profile
-    eq1 = rxp_over_ch + 1.0 - 2.0 * E * r * ch + 2.0 * l - 2.0 + 2.0 * m * r * X
-    eq3 = X * (-ch + X + ch - 2.0 * E * r + 2.0 * l * ch) + (
-        1.0 - 2.0 * m * r * ch + 2.0 * E * r * X
-    ) * c2
-    eq4 = (-2.0 * m * r * X - rxp_over_ch + 2.0 * E * r * ch) * s2 - (
-        2.0 * l - 1.0
-    ) * (X * X + 1.0)
-    separation = -(2.0 * l - 1.0) * (X * X + 1.0)
-    return {"eq1": eq1, "eq3": eq3, "eq4": eq4, "separation": separation}
-
-
 def quantum_number_scan(spec: ModelSpec) -> ScanResult:
-    """Max-residual surface over an 11 x 11 (E/m, l) grid, each cell the
-    maximum over 7 radii and 2 polar angles."""
+    """Max-residual surface over an 11 x 11 (E/m, l) grid of the run's model,
+    each cell the maximum of equations.residual_expanded over 7 radii and 2
+    polar angles; the maximum propagates NaN."""
     e_over_m = np.linspace(0.5, 1.5, 11)
     l_values = np.linspace(0.0, 1.0, 11)
-    radii = np.geomspace(0.3, 3.0, 7) / spec.m
-    thetas = np.array([np.pi / 3, np.pi / 5])
-    # axes (E, l, r, theta); the reductions propagate NaN
-    E, l, r, th = np.ix_(e_over_m * spec.m, l_values, radii, thetas)
-    comp = generic_el_components(r, th, E, l, spec)
-    surface = np.max([np.max(np.abs(comp[k]), axis=(2, 3))
-                      for k in ("eq1", "eq3", "eq4")], axis=0)
-    separation = np.max(np.abs(comp["separation"]), axis=(2, 3))
-    return ScanResult(e_over_m=e_over_m, l_values=l_values, surface=surface,
-                      separation=separation)
+    pt = GridPoint(*np.meshgrid(np.geomspace(0.3, 3.0, 7) / spec.m,
+                                [np.pi / 3, np.pi / 5], indexing="ij"))
+    surface = np.empty((e_over_m.size, l_values.size))
+    for i, E in enumerate(e_over_m * spec.m):
+        f = polar.closed_form(pt, ModelSpec(m=E, p=spec.p))
+        for j, l in enumerate(l_values):
+            surface[i, j] = np.max(equations.residual_expanded(
+                pt, ModelSpec(m=spec.m, p=spec.p, E=E, l=l), f))
+    return ScanResult(e_over_m=e_over_m, l_values=l_values, surface=surface)

@@ -214,14 +214,6 @@ def density(pt: GridPoint, spec: ModelSpec) -> Density:
     )
 
 
-def module_general_p(pt: GridPoint, spec: ModelSpec):
-    """The density phi^2 of any p.  At p = 1 it is the chiral density 8m /
-    sqrt(16 m^4 r^4 + 8 m^2 r^2 cos 2theta + 1), at p = 0 the scalar one
-    sqrt(X^2 + cos^2 theta) G(r); those spellings lose digits near 2mr = 1,
-    and this one keeps full precision there."""
-    return density(pt, spec).phi2
-
-
 def phi2_grid(spec: ModelSpec, r, theta):
     """Vectorized raw density of any model on arrays; no singularity checks."""
     r = np.asarray(r, dtype=float)

@@ -102,18 +102,14 @@ def decay_fit(spec: ModelSpec):
 
 
 def asymptotics_report(spec: ModelSpec):
-    """phi^2 r^2 at r = 100/m on the equator and the fitted decay exponent.
-
-    phi^2 r^2 approaches 2/m with an O(1/r^2) error; the origin value is the
-    finite limit 8m for both models.
+    """The fitted decay exponent, the limit 2/m of phi^2 r^2 (approached with
+    an O(1/r^2) error), and phi^2 near the origin with its finite limit 8m,
+    the same for both models.
     """
     exponent, amplitude = decay_fit(spec)
     origin = float(phi2_grid(spec, 1e-6 / spec.m, np.pi / 3))
     return {
         "limit_constant": 2.0 / spec.m,
-        "phi2_r2_at_100_over_m": float(
-            phi2_grid(spec, 100.0 / spec.m, np.pi / 2)
-        ) * (100.0 / spec.m) ** 2,
         "decay_exponent": exponent,
         "origin_value": origin,
         "origin_limit": 8.0 * spec.m,

@@ -15,6 +15,9 @@ from . import clifford, equations, geometry, grids, ode, polar
 from .equations import DEFAULT_MASK_MARGIN
 from .polar import ModelSpec
 
+# The version of every JSON document the commands write.
+SCHEMA = "1"
+
 DEFAULT_TOLERANCES = {
     "fierz": 1e-10,
     "flatness": 1e-10,
@@ -138,7 +141,7 @@ def run_suites(spec: ModelSpec, grid_cfg=None, seed=42, tolerances=None,
               for name in names}
     failing = sorted(name for name, s in suites.items() if not s["pass"])
     return {
-        "schema": "1",
+        "schema": SCHEMA,
         "model": spec.name,
         "p": spec.p,
         "mass": spec.m,

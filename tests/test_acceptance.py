@@ -156,12 +156,15 @@ def test_criterion_09_asymptotics():
     ok = True
     for spec in (ModelSpec.njl(), ModelSpec.soler()):
         rep = singular.asymptotics_report(spec)
+        # phi^2 r^2 on the equator at r = 100/m, against its limit 2/m
+        r = 100.0 / spec.m
+        tail = float(polar.phi2_grid(spec, r, np.pi / 2)) * r * r
         exp_ok = abs(rep["decay_exponent"] + 2.0) <= 0.01
-        tail_ok = abs(rep["phi2_r2_at_100_over_m"] - 2.0) / 2.0 <= 1e-3
+        tail_ok = abs(tail - 2.0) / 2.0 <= 1e-3
         ok = ok and exp_ok and tail_ok
         print(f"criterion  9 [{'PASS' if exp_ok and tail_ok else 'FAIL'}] "
               f"{spec.name} decay exponent {rep['decay_exponent']:.4f}, "
-              f"phi2 r^2 at 100/m = {rep['phi2_r2_at_100_over_m']:.6f}")
+              f"phi2 r^2 at 100/m = {tail:.6f}")
     assert ok
 
 
@@ -178,9 +181,9 @@ def test_criterion_10_interpolation_endpoints():
     njl = 8.0 / np.sqrt(radicand)
     soler = 8.0 * np.sqrt(radicand) / (4.0 * pts.r**2 - 1.0) ** 2
     worst = max(
-        np.max(abs(polar.module_general_p(pts, ModelSpec.interpolating(1.0))
+        np.max(abs(polar.density(pts, ModelSpec.interpolating(1.0)).phi2
                    - njl) / njl),
-        np.max(abs(polar.module_general_p(pts, ModelSpec.interpolating(0.0))
+        np.max(abs(polar.density(pts, ModelSpec.interpolating(0.0)).phi2
                    - soler) / soler),
     )
     assert _report(10, "interpolated density endpoint agreement", worst, 1e-12)

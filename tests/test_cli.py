@@ -371,6 +371,36 @@ def test_report_aggregates(capsys):
     assert doc["ode"]["max_deviation"] <= 1e-6
 
 
+def test_a_failed_radial_run_is_one_error_line(capsys, tmp_path):
+    # at m = 1e12 the radial state leaves the overflow guard: ode and report
+    # both exit 1 with one error line, write nothing and raise nothing
+    for command in ("ode", "report"):
+        out_file = tmp_path / f"{command}.out"
+        code, stdout, err = run(capsys, command, "--model", "soler",
+                                "--mass", "1e12", "--out", str(out_file))
+        assert code == 1, command
+        assert stdout == "", command
+        assert len(err.splitlines()) == 1, (command, err)
+        assert err.startswith("error: radial state exceeded overflow guard"), (
+            command, err)
+        assert not out_file.exists(), command
+
+
+def test_tiny_masses_do_not_overflow_the_asymptotics(capsys):
+    # a tiny mass must not overflow the asymptotics: (100/m)^2 leaves the
+    # float range below m of about 1e-152
+    code, stdout, _ = run(capsys, "locus", "--mass", "1e-160")
+    assert code == 0
+    doc = json.loads(stdout)
+    assert doc["limit_constant"] == 2e160
+    assert doc["origin_value"] == pytest.approx(8e-160, rel=1e-10)
+    with np.errstate(all="ignore"):
+        code, stdout, _ = run(capsys, "report", "--mass", "1e-200")
+    doc = json.loads(stdout)
+    assert doc["singularity"]["limit_constant"] == 2e200
+    assert code == (0 if doc["verify"]["pass"] else 1)
+
+
 def test_flag_precedence_over_config(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "njl", "mass": 3.0}))

@@ -13,7 +13,6 @@ from nldirac.clifford import (
     PI,
     bilinears,
     fierz_residuals,
-    gamma_basis,
     lorentz_dot,
     random_spinors,
     sigma,
@@ -32,7 +31,7 @@ def test_anticommutators_exact():
 
 def test_basis_entries_are_exact():
     allowed = {0.0, 1.0, -1.0, 1.0j, -1.0j}
-    for mat in gamma_basis():
+    for mat in (*GAMMA, PI, IDENTITY):
         for entry in mat.ravel():
             assert complex(entry) in allowed
 

@@ -1,8 +1,10 @@
-"""Every module-level function of the package has a caller in the package.
+"""Every module-level function of the package has a caller in the package,
+and every dataclass field of the package has a reader in it.
 
 A function that only tests call is a layer kept alive for its tests: the
 test should hold its own reference instead.  The package's public API,
-``nldirac.__all__``, is the one exception.
+``nldirac.__all__``, is the one exception.  A field that no package code
+reads is a value computed for nothing.
 """
 
 import ast
@@ -25,9 +27,13 @@ def _referenced_names(node):
             yield sub.name
 
 
+def _package_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_every_function_has_a_caller_in_the_package():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _package_trees()
     counts = {}
     for tree in trees.values():
         for name in _referenced_names(tree):
@@ -43,3 +49,78 @@ def test_every_function_has_a_caller_in_the_package():
                     and node.name not in nldirac.__all__):
                 uncalled.append(f"{module}: {node.name}")
     assert uncalled == []
+
+
+def _is_dataclass(node):
+    return any("dataclass" in set(_referenced_names(d))
+               for d in node.decorator_list)
+
+
+def _annotation_name(node):
+    """The class an annotation names, as a bare or dotted name or a string."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value.rsplit(".", 1)[-1]
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def _classes_read_whole(trees, returns):
+    """Classes whose instances package code passes whole to asdict or vars.
+
+    The argument's class comes from its annotation as a parameter, or from
+    the call that built it: a constructor or a function whose return
+    annotation names the class."""
+    whole = set()
+    for tree in trees.values():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            types = {a.arg: _annotation_name(a.annotation)
+                     for a in (*fn.args.args, *fn.args.kwonlyargs)
+                     if a.annotation is not None}
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Assign)
+                        and isinstance(node.value, ast.Call)):
+                    callee = _annotation_name(node.value.func)
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            types[target.id] = returns.get(callee, callee)
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and _annotation_name(node.func) in ("asdict", "vars")
+                        and node.args):
+                    arg = node.args[0]
+                    if isinstance(arg, ast.Name):
+                        whole.add(types.get(arg.id))
+                    elif isinstance(arg, ast.Call):
+                        callee = _annotation_name(arg.func)
+                        whole.add(returns.get(callee, callee))
+    return whole
+
+
+def test_every_dataclass_field_has_a_reader_in_the_package():
+    trees = _package_trees()
+    reads = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    returns = {node.name: _annotation_name(node.returns)
+               for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.returns is not None}
+    whole = _classes_read_whole(trees, returns)
+    unread = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            if cls.name in whole:
+                continue
+            for item in cls.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)
+                        and item.target.id not in reads):
+                    unread.append(f"{module}: {cls.name}.{item.target.id}")
+    assert unread == []

@@ -294,7 +294,7 @@ def test_closed_form_equals_the_formula_by_formula_composition():
             X = polar.X_exact(pt.r, spec)
             assert np.array_equal(polar.chiral_components(X, pt.theta),
                                   (ref.sin_beta, ref.cos_beta))
-            assert np.array_equal(polar.module_general_p(pt, spec),
+            assert np.array_equal(polar.density(pt, spec).phi2,
                                   ref.density.phi2)
             general = ModelSpec.interpolating(spec.p, m=spec.m)
             assert np.array_equal(polar.phi2_grid(general, pt.r, pt.theta),

@@ -1,19 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from nldirac import ode
+from nldirac import equations, ode, polar
 from nldirac.errors import DivergingState, StepUnderflow
 from nldirac.ode import (
     IntegratorConfig,
     OdeState,
     exact_state,
-    generic_el_components,
     integrate,
     quantum_number_scan,
     soler_rhs,
     tracking_deviation,
     trajectory_to_csv,
 )
+from nldirac.geometry import GridPoint
 from nldirac.polar import ModelSpec, X_exact
 
 SPEC = ModelSpec.soler(m=1.0)
@@ -197,36 +199,56 @@ def test_integrator_config_validation():
 # -- quantum-number scan -------------------------------------------------------
 
 
+def _centre(result):
+    """(i, j) of the cell E = m, l = 1/2."""
+    return (int(np.argmin(np.abs(result.e_over_m - 1.0))),
+            int(np.argmin(np.abs(result.l_values - 0.5))))
+
+
 def test_scan_unique_zero_cell():
-    result = quantum_number_scan(SPEC)
-    assert result.zero_cells() == [(1.0, 0.5)]
-    assert result.best_cell() == (1.0, 0.5)
-    # every neighbouring cell is far from zero
-    i0 = int(np.argmin(np.abs(result.e_over_m - 1.0)))
-    j0 = int(np.argmin(np.abs(result.l_values - 0.5)))
-    for di, dj in ((0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (-1, -1)):
-        assert result.surface[i0 + di, j0 + dj] >= 1e-3
+    # the scan runs the model of the run: the closed forms exist only at
+    # E = m, l = 1/2 for every p
+    for p in (0.0, 0.5, 1.0):
+        for m in (0.5, 3.0):
+            result = quantum_number_scan(ModelSpec(m=m, p=p))
+            assert result.zero_cells() == [(1.0, 0.5)], (p, m)
+            assert result.best_cell() == (1.0, 0.5), (p, m)
+            assert result.nonfinite_cells() == [], (p, m)
+            # every neighbouring cell is far from zero
+            i0, j0 = _centre(result)
+            neighbours = result.surface[i0 - 1:i0 + 2, j0 - 1:j0 + 2].copy()
+            neighbours[1, 1] = np.inf
+            assert neighbours.min() >= 1e-3, (p, m)
+
+
+def _poison_point(monkeypatch, E_over_m, l):
+    """Make equations.residual_expanded NaN at the fourth radius and the
+    first angle of the scan cell (E/m, l) only."""
+    original = equations.residual_expanded
+
+    def poisoned(pt, spec, f):
+        res = original(pt, spec, f)
+        if spec.E == E_over_m * SPEC.m and spec.l == l:
+            res = np.where((pt.r == pt.r[3, 0]) & (pt.theta == np.pi / 3),
+                           np.nan, res)
+        return res
+
+    monkeypatch.setattr(equations, "residual_expanded", poisoned)
 
 
 def test_scan_nan_reaches_its_cell(monkeypatch):
-    # a NaN at one (E, l, r, theta) must make its cell NaN, not be dropped by
-    # the reduction, and so keep that cell out of the zero cells
-    original = ode.generic_el_components
-    r0 = np.geomspace(0.3, 3.0, 7)[3] / SPEC.m
+    # a NaN at one point of one cell must make that cell NaN, not be dropped
+    # by the reduction, and so keep that cell out of the zero cells
+    from nldirac import verify
 
-    def poisoned(r, theta, E, l, spec):
-        comp = original(r, theta, E, l, spec)
-        hit = (E == SPEC.m) & (l == 0.5) & (r == r0) & (theta == np.pi / 3)
-        return {k: np.where(hit, np.nan, v) for k, v in comp.items()}
-
-    monkeypatch.setattr(ode, "generic_el_components", poisoned)
+    _poison_point(monkeypatch, 1.0, 0.5)
     result = quantum_number_scan(SPEC)
     nan_cells = np.argwhere(np.isnan(result.surface)).tolist()
-    i0 = int(np.argmin(np.abs(result.e_over_m - 1.0)))
-    j0 = int(np.argmin(np.abs(result.l_values - 0.5)))
-    assert nan_cells == [[i0, j0]]
-    assert np.isnan(result.separation[i0, j0])
+    assert nan_cells == [list(_centre(result))]
     assert result.zero_cells() == []
+    summary, _, nonfinite = verify.ode_summary(SPEC, scan=True)
+    assert summary["scan"]["unique_zero"] is False
+    assert nonfinite == ["scan cell (E/m, l) = (1.0, 0.5)"]
 
 
 def test_scan_nan_off_the_zero_cell_is_not_unique_zero(monkeypatch):
@@ -234,15 +256,7 @@ def test_scan_nan_off_the_zero_cell_is_not_unique_zero(monkeypatch):
     # nor leave the summary claiming a unique zero
     from nldirac import verify
 
-    original = ode.generic_el_components
-    r0 = np.geomspace(0.3, 3.0, 7)[3] / SPEC.m
-
-    def poisoned(r, theta, E, l, spec):
-        comp = original(r, theta, E, l, spec)
-        hit = (E == 1.5 * SPEC.m) & (l == 0.0) & (r == r0) & (theta == np.pi / 3)
-        return {k: np.where(hit, np.nan, v) for k, v in comp.items()}
-
-    monkeypatch.setattr(ode, "generic_el_components", poisoned)
+    _poison_point(monkeypatch, 1.5, 0.0)
     result = quantum_number_scan(SPEC)
     assert result.zero_cells() == [(1.0, 0.5)]
     assert result.best_cell() == (1.0, 0.5)
@@ -253,11 +267,31 @@ def test_scan_nan_off_the_zero_cell_is_not_unique_zero(monkeypatch):
     assert nonfinite == ["scan cell (E/m, l) = (1.5, 0.0)"]
 
 
+def test_scan_of_a_wrong_density_has_no_zero_cell(monkeypatch):
+    # every bundle of the scan with phi^2 scaled by 1 + 1e-6: the density
+    # equations no longer hold, so not even (1, 1/2) reads zero
+    closed_form = polar.closed_form
+
+    def scaled(pt, spec):
+        f = closed_form(pt, spec)
+        return dataclasses.replace(f, density=dataclasses.replace(
+            f.density, phi2=f.density.phi2 * (1.0 + 1e-6)))
+
+    monkeypatch.setattr(polar, "closed_form", scaled)
+    result = quantum_number_scan(SPEC)
+    assert result.zero_cells() == []
+    assert result.best_cell() == (1.0, 0.5)
+    assert result.surface[_centre(result)] >= 1e-6
+
+
 def test_scan_separation_residual_at_wrong_l():
-    comp = generic_el_components(1.0, np.pi / 3, 1.0, 0.6, SPEC)
-    assert abs(comp["separation"]) >= 1e-2
-    exact = generic_el_components(1.0, np.pi / 3, 1.0, 0.5, SPEC)
-    assert max(abs(v) for v in exact.values()) <= 1e-10
+    # on the true solution the expanded form vanishes at l = 1/2 and is far
+    # from zero at l = 0.6: the angular structure separates only if 2l = 1
+    pt = GridPoint(1.0, np.pi / 3)
+    f = polar.closed_form(pt, SPEC)
+    assert equations.residual_expanded(pt, SPEC, f) <= 1e-10
+    wrong = ModelSpec.soler(m=1.0, l=0.6)
+    assert equations.residual_expanded(pt, wrong, f) >= 1e-2
 
 
 def post_separation_components(r, E, spec: ModelSpec):

@@ -16,12 +16,21 @@ from nldirac.polar import (
     chiral_components,
     closed_form,
     covariant_derivative,
-    module_general_p,
+    density,
     phi2_grid,
     polar_decomposition_residual,
     r_dX_dr_exact,
     spinor_coordinate_partials,
 )
+
+
+def module_general_p(pt, spec):
+    """The density phi^2 of any p, read off the closed form's density step.
+    At p = 1 it is the chiral density 8m / sqrt(16 m^4 r^4 + 8 m^2 r^2
+    cos 2theta + 1), at p = 0 the scalar one sqrt(X^2 + cos^2 theta) G(r);
+    those spellings lose digits near 2mr = 1, and this one keeps full
+    precision there."""
+    return density(pt, spec).phi2
 
 
 def _radicand(pt, m):

@@ -92,12 +92,18 @@ def test_window_without_singular_radius_stays_bounded(monkeypatch):
         assert est.refinements == 2
 
 
+def phi2_r2_at_100_over_m(spec):
+    """phi^2 r^2 on the equator at r = 100/m, which approaches 2/m."""
+    r = 100.0 / spec.m
+    return float(phi2_grid(spec, r, np.pi / 2)) * r * r
+
+
 def test_decay_exponent_and_limit():
     for spec in (ModelSpec.njl(), ModelSpec.soler()):
         exponent, _ = decay_fit(spec)
         assert exponent == pytest.approx(-2.0, abs=0.01)
         rep = asymptotics_report(spec)
-        assert rep["phi2_r2_at_100_over_m"] == pytest.approx(2.0, rel=1e-4)
+        assert phi2_r2_at_100_over_m(spec) == pytest.approx(2.0, rel=1e-4)
         assert rep["origin_value"] == pytest.approx(8.0, rel=1e-10)
 
 
@@ -105,7 +111,8 @@ def test_asymptotics_scale_with_mass():
     m = 2.5
     rep = asymptotics_report(ModelSpec.njl(m=m))
     assert rep["limit_constant"] == pytest.approx(2.0 / m)
-    assert rep["phi2_r2_at_100_over_m"] == pytest.approx(2.0 / m, rel=1e-3)
+    assert phi2_r2_at_100_over_m(ModelSpec.njl(m=m)) == pytest.approx(
+        rep["limit_constant"], rel=1e-3)
     assert rep["origin_value"] == pytest.approx(8.0 * m, rel=1e-10)
 
 
