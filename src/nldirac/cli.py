@@ -128,11 +128,19 @@ def _common_flags():
     return common
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors raise, so that main reports them as it does
+    every other usage error; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise argparse.ArgumentTypeError(message)
+
+
 @functools.cache
 def build_parser():
     """The command-line parser, built on the first call and shared by every
     later one: parsing keeps no state in the parser."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nldirac",
         description="Verify and explore the closed-form solutions of the "
                     "nonlinear Dirac models on a flat spherical background.",
@@ -456,8 +464,8 @@ def _check_writable(path):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
         if cfg.out:
             _check_writable(cfg.out)

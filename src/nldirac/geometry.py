@@ -31,7 +31,7 @@ from .clifford import EPS4_SIGN
 from .errors import PoleOrOrigin
 
 T, R, TH, PH = 0, 1, 2, 3
-CS_STEP = 1e-30  # imaginary step of every complex-step partial
+CS_STEP = 1e-30  # imaginary step of every complex-step partial (in r, <= 1e-20 r)
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,7 @@ def riemann_at(pt: GridPoint):
     partials, so the result is a pure rounding check of flatness.
     """
     lam = christoffel_at(pt)
-    dlam = _coordinate_partials(lambda r, th: christoffel_at(GridPoint(r, th)),
-                                pt.r, pt.theta)
+    dlam = _coordinate_partials(christoffel_at, pt)
     # R^rho_{sigma mu nu} = d_mu Lam^rho_{nu sigma} - d_nu Lam^rho_{mu sigma}
     #                       + Lam^rho_{mu lam} Lam^lam_{nu sigma} - (mu <-> nu)
     term = (np.einsum("mrns...->rsmn...", dlam)
@@ -254,24 +253,25 @@ def coordinate_epsilon_lower(pt: GridPoint):
 # -- identity residuals -------------------------------------------------------
 
 
-def complex_step_partials(f, r, theta):
-    """(d f/dr, d f/dtheta) of a field ``f(r, theta)`` at each point, each as
-    Im f(x + i h) / h with h = CS_STEP.
+def complex_step_partials(f, pt: GridPoint):
+    """(d f/dr, d f/dtheta) of a field ``f(pt)`` of a GridPoint at each
+    point, each as Im f(x + i h) / h.
 
-    Exact to rounding, with no cancellation, for any f that is
-    complex-analytic in its arguments near the real point.  ``abs`` or
-    ``np.real`` on the differentiated path silently drops the derivative,
-    and ``arctan2`` refuses complex input.
+    The theta step is CS_STEP; the r step is CS_STEP bounded by 1e-20 r, so
+    that it stays far below r at any mass.  Exact to rounding, with no
+    cancellation, for any f that is complex-analytic in the coordinates
+    near the real point.  ``abs`` or ``np.real`` on the differentiated path
+    silently drops the derivative, and ``arctan2`` refuses complex input.
     """
-    h = 1j * CS_STEP
-    return (np.imag(f(r + h, theta)) / CS_STEP,
-            np.imag(f(r, theta + h)) / CS_STEP)
+    h_r = np.minimum(CS_STEP, 1e-20 * pt.r)
+    return (np.imag(f(GridPoint(pt.r + 1j * h_r, pt.theta))) / h_r,
+            np.imag(f(GridPoint(pt.r, pt.theta + 1j * CS_STEP))) / CS_STEP)
 
 
-def _coordinate_partials(f, r, theta):
+def _coordinate_partials(f, pt: GridPoint):
     """d_mu f stacked over mu (leading axis); only d_r and d_theta are
     nonzero on the stationary, axisymmetric fields checked here."""
-    d_dr, d_dth = complex_step_partials(f, r, theta)
+    d_dr, d_dth = complex_step_partials(f, pt)
     d = np.zeros((4,) + np.shape(d_dr), dtype=np.result_type(d_dr, d_dth))
     d[R] = d_dr
     d[TH] = d_dth
@@ -281,23 +281,21 @@ def _coordinate_partials(f, r, theta):
 def transport_residuals(pt: GridPoint, angle_field):
     """Max violation of nabla_mu v_nu = v^rho R_{rho nu mu} for v in {s, u}.
 
-    ``angle_field(r, theta)`` returns the AngleState.  The covectors are
-    differentiated by complex step, while the tensorial connection is built
-    from the state's analytic partials, so a wrong partial shows here.
-    Returns (spin violation, velocity violation), each the largest over the
-    points.
+    ``angle_field(pt)`` returns the AngleState at a GridPoint.  The
+    covectors are differentiated by complex step, while the tensorial
+    connection is built from the state's analytic partials, so a wrong
+    partial shows here.  Returns (spin violation, velocity violation), each
+    the largest over the points.
     """
-    r, th = pt.r, pt.theta
 
-    def covectors(rr, tt):
-        p = GridPoint(rr, tt)
-        ang = angle_field(rr, tt)
+    def covectors(p):
+        ang = angle_field(p)
         return np.stack([spin_covector(p, ang), velocity_covector(p, ang)])
 
-    vecs = covectors(r, th)  # [v, nu] for v in (s, u)
+    vecs = covectors(pt)  # [v, nu] for v in (s, u)
     lam = christoffel_at(pt)
-    R_ = tensorial_connection_at(pt, angle_field(r, th))
-    cov = (_coordinate_partials(covectors, r, th)
+    R_ = tensorial_connection_at(pt, angle_field(pt))
+    cov = (_coordinate_partials(covectors, pt)
            - np.einsum("rnm...,vr...->mvn...", lam, vecs))
     vecs_up = vecs * inverse_metric_diagonal(pt)
     rhs = np.einsum("vr...,rnm...->mvn...", vecs_up, R_)
@@ -310,9 +308,9 @@ def transport_residuals(pt: GridPoint, angle_field):
 def curvature_strength_residuals(pt: GridPoint, angle_field):
     """Residual norm of the curvature identity on a flat background.
 
-    ``angle_field(r, theta)`` returns the AngleState of the tilt and boost
-    angles, from which the tensorial connection R_{nu rho mu} is built.  The
-    mixed-index curvature of R,
+    ``angle_field(pt)`` returns the AngleState of the tilt and boost angles
+    at a GridPoint, from which the tensorial connection R_{nu rho mu} is
+    built.  The mixed-index curvature of R,
 
         nabla_mu R^i_{j nu} - nabla_nu R^i_{j mu}
         + R^i_{k mu} R^k_{j nu} - R^i_{k nu} R^k_{j mu}
@@ -324,15 +322,13 @@ def curvature_strength_residuals(pt: GridPoint, angle_field):
     the decomposition instead.  Returns the norm, the largest over the
     points, as a one-tuple.
     """
-    r, th = pt.r, pt.theta
 
-    def mixed(rr, tt):
-        p = GridPoint(rr, tt)
+    def mixed(p):
         return (inverse_metric_diagonal(p)[:, None, None]
-                * tensorial_connection_at(p, angle_field(rr, tt)))
+                * tensorial_connection_at(p, angle_field(p)))
 
-    dR = _coordinate_partials(mixed, r, th)
-    Rm = mixed(r, th)
+    dR = _coordinate_partials(mixed, pt)
+    Rm = mixed(pt)
     lam = christoffel_at(pt)
     cov = (
         dR

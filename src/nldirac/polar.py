@@ -131,7 +131,9 @@ def angle_state(pt: GridPoint, spec: ModelSpec) -> AngleState:
 
     On the ring X = 0, cos(theta) = 0 the parametrization quotients are 0/0;
     the ambiguity is removable along some paths but the locus is the physical
-    singular ring, so evaluation refuses rather than picking a limit.
+    singular ring, so evaluation refuses rather than picking a limit.  It
+    stays complex-analytic in complex coordinates, so the identity residuals
+    differentiate it by complex step.
     """
     return _kinematics(pt, X_exact(pt.r, spec), r_dX_dr_exact(pt.r, spec),
                        np.cos(pt.theta), np.sin(pt.theta))[2]
@@ -158,17 +160,6 @@ def _kinematics(pt: GridPoint, X, r_dX_dr, c, s):
         d_gamma_dr=c * s * F / D / pt.r,
         d_gamma_dtheta=X * ch / D,
     )
-
-
-def angle_field(spec: ModelSpec):
-    """Closed-form AngleState as a callable of raw (r, theta), the form the
-    identity residuals differentiate by complex step: it accepts complex
-    coordinates and stays complex-analytic in them."""
-
-    def field(r, theta):
-        return angle_state(GridPoint(r, theta), spec)
-
-    return field
 
 
 # -- matter distributions -----------------------------------------------------

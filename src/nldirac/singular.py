@@ -80,7 +80,7 @@ def locate_numerically(spec: ModelSpec) -> LocusEstimate:
     ring = kind == "ring"
     return LocusEstimate(
         kind=kind,
-        radius=float(r1 - y1 * (r1 - r0) / (y1 - y0)) if diverged else None,
+        radius=float(r1 - (r1 - r0) * (y1 / (y1 - y0))) if diverged else None,
         radius_uncertainty=rc * APPROACH_DISTANCES[-1],
         theta=np.pi / 2 if ring else None,
         theta_uncertainty=np.pi / 4 if ring else None,

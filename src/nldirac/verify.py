@@ -54,13 +54,14 @@ def suite_flatness(spec, grid, sample, seed, tol):
 
 def suite_curvature_strength(spec, grid, sample, seed, tol):
     """Curvature of the solution's tensorial connection (must vanish)."""
-    res = geometry.curvature_strength_residuals(sample,
-                                                polar.angle_field(spec))
+    res = geometry.curvature_strength_residuals(
+        sample, lambda pt: polar.angle_state(pt, spec))
     return _entry(np.max(res), tol, sample.r.size)
 
 
 def suite_transport(spec, grid, sample, seed, tol):
-    res = geometry.transport_residuals(sample, polar.angle_field(spec))
+    res = geometry.transport_residuals(
+        sample, lambda pt: polar.angle_state(pt, spec))
     return _entry(np.max(res), tol, sample.r.size)
 
 

@@ -48,7 +48,8 @@ def test_criterion_02_flat_background():
     t0 = time.perf_counter()
     pts = unmasked_points(50, spec, seed=42)
     worst = float(np.max(np.abs(geometry.riemann_at(pts))))
-    (rie,) = geometry.curvature_strength_residuals(pts, polar.angle_field(spec))
+    (rie,) = geometry.curvature_strength_residuals(
+        pts, lambda p: polar.angle_state(p, spec))
     worst = max(worst, rie)
     elapsed = time.perf_counter() - t0
     assert _report(2, "flat background and vanishing potentials", worst, 1e-8,
@@ -58,7 +59,8 @@ def test_criterion_02_flat_background():
 def test_criterion_03_transport_identities():
     spec = ModelSpec.njl()
     pts = unmasked_points(50, spec, seed=43)
-    worst = max(geometry.transport_residuals(pts, polar.angle_field(spec)))
+    worst = max(geometry.transport_residuals(
+        pts, lambda p: polar.angle_state(p, spec)))
     assert _report(3, "transport identities, complex-step partials", worst, 1e-8)
 
 

@@ -401,6 +401,17 @@ def test_tiny_masses_do_not_overflow_the_asymptotics(capsys):
     assert code == (0 if doc["verify"]["pass"] else 1)
 
 
+def test_a_huge_mass_steps_no_sample_point_onto_the_locus(capsys):
+    # at m = 1e30 the sampled radii lie below CS_STEP; an r step of CS_STEP
+    # moved them onto the ring and verify exited 2 naming a singular point.
+    # It fails its suites instead: the tolerances are absolute, while the
+    # residuals grow with powers of m
+    code, stdout, err = run(capsys, "verify", "--mass", "1e30")
+    assert code == 1
+    assert "singular" not in err
+    assert json.loads(stdout)["failing_suites"]
+
+
 def test_flag_precedence_over_config(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "njl", "mass": 3.0}))
@@ -689,6 +700,15 @@ USAGE_ERRORS = (
      "cannot write {tmp}/missing/r.json"),
     (["verify", "--grid", "0.05,20,5,4", "--out", "{tmp}"], None,
      "cannot write {tmp}: Is a directory"),
+    # argparse's own errors: an unknown flag, a value of the wrong type or
+    # choice, an unknown command and none at all
+    (["verify", "--bogus", "1"], None, "unrecognized arguments: --bogus 1"),
+    (["verify", "--mass", "abc"], None,
+     "argument --mass: invalid float value: 'abc'"),
+    (["fieldmap", "--format", "xml"], None,
+     "argument --format: invalid choice: 'xml'"),
+    (["bogus"], None, "argument command: invalid choice: 'bogus'"),
+    ([], None, "the following arguments are required: command"),
 )
 
 
@@ -758,9 +778,9 @@ def test_nan_residual_fails_its_suite(capsys, monkeypatch, tmp_path):
     def poisoned(pt, angle_field):
         calls.append(pt.shape)
 
-        def field(r, th):
-            ang = angle_field(r, th)
-            second = np.where(np.arange(np.size(r)) == 1, math.nan, 1.0)
+        def field(p):
+            ang = angle_field(p)
+            second = np.where(np.arange(np.size(p.r)) == 1, math.nan, 1.0)
             return dataclasses.replace(ang, sin_gamma=ang.sin_gamma * second)
 
         return original(pt, field)

@@ -469,7 +469,7 @@ def test_longdouble_points_give_longdouble_results():
             f = polar.closed_form(pt, spec)
             psi = polar.assemble_spinor(f)
             partials = geometry._coordinate_partials(
-                lambda r, th: r * np.sin(th), pt.r, pt.theta)
+                lambda p: p.r * np.sin(p.theta), pt)
             real = [*_leaves(f), *_leaves(clifford.bilinears(psi)), partials,
                     *(form(pt, spec, f) for form in FORMS.values())]
             assert {leaf.dtype for leaf in real} == {np.dtype(ld)}, spec.name

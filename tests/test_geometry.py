@@ -52,16 +52,27 @@ def test_gridpoint_rejects_poles_and_origin():
 
 
 def test_complex_step_partials_are_exact_to_rounding():
-    def field(r, th):
+    def field(p):
+        r, th = p.r, p.theta
         return np.stack([r**3 * np.sin(th), np.log(r) * np.cos(2.0 * th)])
 
     for pt in random_points(20):
         r, th = pt.r, pt.theta
-        d_r, d_th = complex_step_partials(field, r, th)
+        d_r, d_th = complex_step_partials(field, pt)
         assert np.allclose(d_r, [3 * r**2 * np.sin(th), np.cos(2 * th) / r],
                            rtol=1e-15, atol=0.0)
         assert np.allclose(d_th, [r**3 * np.cos(th), -2 * np.log(r) * np.sin(2 * th)],
                            rtol=1e-15, atol=0.0)
+
+
+def test_radial_step_stays_below_the_coordinate():
+    # at r far below CS_STEP a fixed step would differentiate 1/r across
+    # the origin (-1/h^2 = -1e60 at r = 1e-40); the bounded step does not
+    for r in (1e-40, 1e-12, 1.0):
+        d_r, d_th = complex_step_partials(lambda p: 1.0 / p.r,
+                                          GridPoint(r, 1.0))
+        assert d_r == pytest.approx(-1.0 / r**2, rel=1e-15, abs=0.0)
+        assert d_th == 0.0
 
 
 def test_builders_take_the_dtype_of_their_inputs():
@@ -163,7 +174,7 @@ def test_transport_identities_analytic():
     spec = ModelSpec.njl()
     worst = 0.0
     for pt in random_points(50):
-        ws, wu = transport_residuals(pt, polar.angle_field(spec))
+        ws, wu = transport_residuals(pt, lambda p: polar.angle_state(p, spec))
         worst = max(worst, ws, wu)
     assert worst <= 1e-8
 
@@ -172,11 +183,14 @@ def test_transport_detects_a_wrong_angle_partial():
     # the covectors are differentiated from the angles themselves, so a
     # partial of the AngleState that disagrees with them cannot pass
     spec = ModelSpec.njl()
-    field = polar.angle_field(spec)
+
+    def field(p):
+        return polar.angle_state(p, spec)
+
     for name, which in (("d_gamma_dr", 0), ("d_gamma_dtheta", 0),
                         ("d_alpha_dr", 1), ("d_alpha_dtheta", 1)):
-        def wrong(r, th, name=name):
-            ang = field(r, th)
+        def wrong(p, name=name):
+            ang = field(p)
             return dataclasses.replace(ang, **{name: getattr(ang, name) + 0.01})
 
         for pt in random_points(5, seed=17):
@@ -278,17 +292,14 @@ def tetrad_postulate_residual(pt, spec):
     the link between the coordinate connection and the spin connection.
     The coframe xi^a_nu is the inverse transpose of tetrad_at, and its
     partials are complex-step partials."""
-    ang_field = polar.angle_field(spec)
-
-    def coframe(r, th):
-        return np.linalg.inv(tetrad_at(GridPoint(r, th), ang_field(r, th))).T
+    def coframe(p):
+        return np.linalg.inv(tetrad_at(p, polar.angle_state(p, spec))).T
 
     dxi = np.zeros((4, 4, 4))  # [mu, a, nu]
-    dxi[geometry.R], dxi[geometry.TH] = complex_step_partials(
-        coframe, pt.r, pt.theta)
-    co = coframe(pt.r, pt.theta)
+    dxi[geometry.R], dxi[geometry.TH] = complex_step_partials(coframe, pt)
+    co = coframe(pt)
     c_up = np.diag(ETA)[:, None, None] * spin_connection_at(
-        pt, ang_field(pt.r, pt.theta))  # C^a_{b mu}
+        pt, polar.angle_state(pt, spec))  # C^a_{b mu}
     total = (dxi - np.einsum("rnm,ar->man", christoffel_at(pt), co)
              + np.einsum("abm,bn->man", c_up, co))
     return float(np.max(np.abs(total)))
@@ -302,8 +313,8 @@ def test_tetrad_postulate():
 
 def test_curvature_vanishes_on_solution():
     spec = ModelSpec.njl()
-    (rie,) = curvature_strength_residuals(GridPoint(1.0, np.pi / 3),
-                                          polar.angle_field(spec))
+    (rie,) = curvature_strength_residuals(
+        GridPoint(1.0, np.pi / 3), lambda p: polar.angle_state(p, spec))
     assert rie <= 1e-8
 
 
@@ -318,6 +329,6 @@ def test_curvature_residual_detects_perturbation(monkeypatch):
         return connection(pt, ang) * bump
 
     monkeypatch.setattr(geometry, "tensorial_connection_at", perturbed)
-    (rie,) = curvature_strength_residuals(GridPoint(1.0, np.pi / 3),
-                                          polar.angle_field(spec))
+    (rie,) = curvature_strength_residuals(
+        GridPoint(1.0, np.pi / 3), lambda p: polar.angle_state(p, spec))
     assert rie >= 1e-4

@@ -384,16 +384,16 @@ def test_analytic_and_fd_covariant_derivatives_agree(p, m, rm, theta):
     rest = np.array([1.0, 0.0, 1.0, 0.0])
     rotated = -1j * clifford.PI @ rest
 
-    def parts(r, th):
-        phi = np.sqrt(module_general_p(GridPoint(r, th), spec))
-        sb, cb = chiral_components(X_exact(r, spec), th)
+    def parts(p):
+        phi = np.sqrt(module_general_p(p, spec))
+        sb, cb = chiral_components(X_exact(p.r, spec), p.theta)
         cos_half = np.sqrt((1.0 + cb) / 2.0)
         a, b = phi * cos_half, phi * sb / (2.0 * cos_half)
         return np.stack([a * rest + b * rotated.real, b * rotated.imag])
 
-    re_im = parts(pt.r, pt.theta)
+    re_im = parts(pt)
     assert np.allclose(re_im[0] + 1j * re_im[1], psi, rtol=1e-14, atol=0.0)
-    d_r, d_th = complex_step_partials(parts, pt.r, pt.theta)
+    d_r, d_th = complex_step_partials(parts, pt)
     stepped = np.stack([d_r[0] + 1j * d_r[1], d_th[0] + 1j * d_th[1]])
     scale = 1.0 + np.max(np.abs(analytic))
     assert np.max(np.abs(analytic - stepped)) <= 1e-12 * scale
@@ -416,12 +416,12 @@ def test_polar_decomposition_momentum_sensitivity(monkeypatch):
     assert res >= 1e-3
 
 
-def _angle_partials(pair, r, theta):
+def _angle_partials(pair, pt):
     """(d/dr, d/dtheta) of the angle whose (sin, cos) or (sinh, cosh) pair
-    is ``pair(r, theta)``: c ds - s dc, by complex step, with no branch."""
-    s, c = pair(r, theta)
+    is ``pair(pt)``: c ds - s dc, by complex step, with no branch."""
+    s, c = pair(pt)
     return tuple(c * d[0] - s * d[1] for d in complex_step_partials(
-        lambda rr, tt: np.stack(pair(rr, tt)), r, theta))
+        lambda p: np.stack(pair(p)), pt))
 
 
 def test_module_log_derivatives_match_finite_differences():
@@ -431,28 +431,24 @@ def test_module_log_derivatives_match_finite_differences():
     for p in (0.0, 0.5, 1.0):
         spec = ModelSpec(m=1.0, p=p)
 
-        def angles(r, th):
-            return polar.angle_state(GridPoint(r, th), spec)
-
         for pt in random_points(20):
             f = closed_form(pt, spec)
             d_r, d_t = complex_step_partials(
-                lambda r, th: np.log(module_general_p(GridPoint(r, th), spec)),
-                pt.r, pt.theta)
+                lambda p: np.log(module_general_p(p, spec)), pt)
             assert f.density.r_dlnphi2_dr == close(pt.r * d_r)
             assert f.density.dlnphi2_dtheta == close(d_t)
 
             ang = f.ang
             for pair, dr, dth in (
-                (lambda r, th: (angles(r, th).sinh_alpha,
-                                angles(r, th).cosh_alpha),
+                (lambda p: (polar.angle_state(p, spec).sinh_alpha,
+                            polar.angle_state(p, spec).cosh_alpha),
                  ang.d_alpha_dr, ang.d_alpha_dtheta),
-                (lambda r, th: (angles(r, th).sin_gamma,
-                                angles(r, th).cos_gamma),
+                (lambda p: (polar.angle_state(p, spec).sin_gamma,
+                            polar.angle_state(p, spec).cos_gamma),
                  ang.d_gamma_dr, ang.d_gamma_dtheta),
-                (lambda r, th: chiral_components(X_exact(r, spec), th),
+                (lambda p: chiral_components(X_exact(p.r, spec), p.theta),
                  f.r_d_beta_dr / pt.r, f.d_beta_dtheta),
             ):
-                d_r, d_t = _angle_partials(pair, pt.r, pt.theta)
+                d_r, d_t = _angle_partials(pair, pt)
                 assert dr == close(d_r)
                 assert dth == close(d_t)

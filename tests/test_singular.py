@@ -50,12 +50,13 @@ def test_numerical_locus_shell():
     assert est.theta_uncertainty is None
 
 
-@pytest.mark.parametrize("m", (0.5, 1.0, 3.0))
+@pytest.mark.parametrize("m", (0.5, 1.0, 3.0, 1e-200, 1e-250))
 @pytest.mark.parametrize("p", (1.0, 0.5, 0.05, 1e-3, 1e-6, 1e-9, 1e-15,
                                1e-20, 0.0))
 def test_numerical_locus_matches_the_analytic_kind(p, m):
     # a ring at any resolvable p > 0, however thin (the bounded value at
-    # pi/4 is 2/(r p cos theta)), and a shell at p = 0
+    # pi/4 is 2/(r p cos theta)), and a shell at p = 0; at the tiny masses
+    # 1/phi^2 is about 1/m, and the secant must not overflow on it
     spec = ModelSpec(m=m, p=p)
     est = locate_numerically(spec)
     assert est.kind == singular_locus(spec).kind

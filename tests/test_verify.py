@@ -108,6 +108,16 @@ def test_a_wrong_spin_connection_component_fails_the_standard_form(
                     spec.name, shift)
 
 
+def test_exact_solutions_pass_at_the_edges_of_the_stated_mass_range():
+    # README states 1e-4 <= m <= 50 on the default grid; at 1e-5 and 100
+    # flatness reads 1.164e-10 against its absolute tolerance of 1e-10
+    for m in (1e-4, 50.0):
+        for model in MODELS:
+            spec = dataclasses.replace(model, m=m, E=m)
+            report = verify.run_suites(spec)
+            assert report["pass"], (spec.name, m, report["failing_suites"])
+
+
 def test_forms_take_no_perturbation_knob():
     # a wrong solution goes in as a wrong bundle, from a patched layer
     # function, never through an extra parameter of the form that reads it
@@ -136,7 +146,9 @@ def test_batched_sampled_residuals_equal_the_per_point_maxima():
             rng, 50, m=spec.m, reject=lambda pt: equations.is_masked(pt, spec))
         pts = [geometry.GridPoint(r, th)
                for r, th in zip(batch.r.tolist(), batch.theta.tolist())]
-        field = polar.angle_field(spec)
+        def field(p, spec=spec):
+            return polar.angle_state(p, spec)
+
         assert np.max(np.abs(geometry.riemann_at(batch))) == max(
             np.max(np.abs(geometry.riemann_at(pt))) for pt in pts)
         assert polar.polar_decomposition_residual(batch, spec) == max(
