@@ -324,34 +324,64 @@ def _fieldmap_layout(fmt, model):
 
 
 def _float_text(values, spelling):
-    """repr of each float in ``values``; a non-finite one as ``spelling``
-    spells it, if given."""
-    text = list(map(repr, values.tolist()))
+    """repr of each float in ``values``, in C order; a non-finite one as
+    ``spelling`` spells it, if given."""
+    text = list(map(repr, values.ravel().tolist()))
     if spelling and not np.isfinite(values).all():
         text = [spelling.get(t, t) for t in text]
     return text
 
 
+# grid points per fieldmap block, which holds at least one grid row; a
+# larger block pays numpy's per-call cost less often but holds more text
+# before its write
+FIELDMAP_BLOCK = 1024
+
+
 def _write_fieldmap_rows(fh, spec, grid_cfg, margin, line, sep, spelling):
-    """Evaluate the fieldmap one grid row (one radius, every theta) at a time
-    in r-major order and write each grid row's text in one ``fh.write``."""
+    """Evaluate the fieldmap in blocks of whole grid rows (one radius, every
+    theta), about FIELDMAP_BLOCK points each, in r-major order, and write
+    each block's text in one ``fh.write``.
+
+    Each grid row's ``line``, filled with r and X, is cut at its five slots.
+    A point's text is ten pieces: the separator and the line's head, the
+    theta, phi2, sin_beta and cos_beta texts with the literals between them,
+    and the flag with the line's end.
+    """
     grid = grids.points(grid_cfg, m=spec.m)
+    n_r, n_theta = grid.shape
+    rows = max(1, FIELDMAP_BLOCK // n_theta)
     # every grid row shares one theta axis
     theta_text = _float_text(grid.theta[0], spelling)
-    for i, (r, theta) in enumerate(zip(grid.r, grid.theta)):
-        pt = GridPoint(r, theta)
+    for start in range(0, n_r, rows):
+        pt = GridPoint(grid.r[start:start + rows],
+                       grid.theta[start:start + rows])
         X = X_exact(pt.r, spec)
         with np.errstate(divide="ignore", invalid="ignore"):
             sb, cb = chiral_components(X, pt.theta)
-        row_line = line.format(r=_float_text(pt.r[:1], spelling)[0],
-                               X=_float_text(X[:1], spelling)[0])
-        text = sep.join(map(
-            row_line.format, theta_text,
-            _float_text(phi2_grid(spec, pt.r, pt.theta), spelling),
-            _float_text(sb, spelling), _float_text(cb, spelling),
-            map(_FLAGS.__getitem__,
-                equations.is_masked(pt, spec, margin).tolist())))
-        fh.write(sep + text if i else text)
+        heads, x_lits = [], []
+        for r_text, X_text in zip(_float_text(pt.r[:, 0], spelling),
+                                  _float_text(X[:, 0], spelling)):
+            head, *lits, x_lit, end = line.format(r=r_text,
+                                                  X=X_text).split("{}")
+            heads += [sep + head] * n_theta
+            x_lits += [x_lit] * n_theta
+        if not start:  # the map's first point follows no separator
+            heads[0] = heads[0].removeprefix(sep)
+        # the literals between the slots and the line's end are the same on
+        # every row
+        pieces = [None, None, lits[0], None, lits[1], None, lits[2], None,
+                  None, None] * len(heads)
+        pieces[0::10] = heads
+        pieces[1::10] = theta_text * (len(heads) // n_theta)
+        pieces[3::10] = _float_text(phi2_grid(spec, pt.r, pt.theta), spelling)
+        pieces[5::10] = _float_text(sb, spelling)
+        pieces[7::10] = _float_text(cb, spelling)
+        pieces[8::10] = x_lits
+        masked = equations.is_masked(pt, spec, margin).ravel().tolist()
+        pieces[9::10] = map((_FLAGS[0] + end, _FLAGS[1] + end).__getitem__,
+                            masked)
+        fh.write("".join(pieces))
 
 
 def cmd_fieldmap(cfg: RunConfig):

@@ -34,8 +34,8 @@ class DivergingState(RuntimeError):
     """ODE state exceeded the overflow guard during integration."""
 
     def __init__(self, r_last, message="state diverged"):
-        self.r_last = r_last
-        super().__init__(f"{message} (last good r = {r_last!r})")
+        self.r_last = float(r_last)
+        super().__init__(f"{message} (last good r = {self.r_last!r})")
 
 
 class StepUnderflow(RuntimeError):

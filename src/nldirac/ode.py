@@ -147,8 +147,8 @@ def _step_failure(r, r_span):
     steps = np.abs(np.diff(r))
     if steps.size and steps.min() < 1e-10 * max(map(abs, r_span)):
         return StepUnderflow(
-            f"step collapsed to {steps.min():.3e} near r = {r[-1]!r}")
-    return DivergingState(float(r[-1]), "Required step size is less than "
+            f"step collapsed to {steps.min():.3e} near r = {float(r[-1])!r}")
+    return DivergingState(r[-1], "Required step size is less than "
                           "spacing between numbers.")
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from nldirac import cli, equations, geometry, grids, ode, polar
 from nldirac.cli import main
+from nldirac.errors import DivergingState, StepUnderflow
 
 
 def run(capsys, *argv):
@@ -373,17 +374,29 @@ def test_report_aggregates(capsys):
 
 def test_a_failed_radial_run_is_one_error_line(capsys, tmp_path):
     # at m = 1e12 the radial state leaves the overflow guard: ode and report
-    # both exit 1 with one error line, write nothing and raise nothing
-    for command in ("ode", "report"):
+    # both exit 1 with one error line, write nothing and raise nothing; so
+    # does ode on a span that ends just inside the shell.  The line names
+    # the radius as a plain float, not as a numpy scalar.
+    for command, *flags in (("ode", "--mass", "1e12"),
+                            ("report", "--mass", "1e12"),
+                            ("ode", "--grid", "0.1,0.49999999,2,2")):
         out_file = tmp_path / f"{command}.out"
-        code, stdout, err = run(capsys, command, "--model", "soler",
-                                "--mass", "1e12", "--out", str(out_file))
+        code, stdout, err = run(capsys, command, "--model", "soler", *flags,
+                                "--out", str(out_file))
         assert code == 1, command
         assert stdout == "", command
         assert len(err.splitlines()) == 1, (command, err)
         assert err.startswith("error: radial state exceeded overflow guard"), (
             command, err)
+        assert "np." not in err, err
         assert not out_file.exists(), command
+    # both failures of a collapsed step, on the float array of accepted radii
+    for radii, kind in (([1.0, 1.0 + 1e-12], StepUnderflow),
+                        ([1.0, 1.5], DivergingState)):
+        exc = ode._step_failure(np.array(radii), (1.0, 2.0))
+        assert type(exc) is kind
+        assert "np." not in str(exc) and repr(radii[-1]) in str(exc), exc
+    assert type(exc.r_last) is float  # the DivergingState
 
 
 def test_tiny_masses_do_not_overflow_the_asymptotics(capsys):
@@ -517,18 +530,24 @@ def _assert_fieldmaps_match_the_reference(capsys, tmp_path, configs):
 
 def test_fieldmap_is_byte_identical_to_the_per_row_writer(capsys, tmp_path,
                                                           monkeypatch):
-    # both grids cross the ring and the shell at 2mr = 1, where the scalar
-    # density is inf: it must keep json's spelling and repr's
+    # every grid crosses the ring and the shell at 2mr = 1, where the scalar
+    # density is inf: it must keep json's spelling and repr's.  The writer
+    # evaluates blocks of whole grid rows: 3x3 and 5x101 fit in one block,
+    # 7x333 has three rows in a block and a shorter last block, and 5x1500
+    # has one row in each block
     configs = [(model, mass, grid)
                for model in ("njl", "soler", "p:0.37")
                for mass in ("0.5", "1", "2")
                for grid in ("0.25,1.0,3,3", "0.25,1,5,101")]
+    configs += [(model, "3", grid) for model in ("njl", "soler", "p:0.37")
+                for grid in ("0.25,1,7,333", "0.25,4.0,5,1500")]
     texts = _assert_fieldmaps_match_the_reference(capsys, tmp_path, configs)
     assert any("Infinity" in t for t in texts["json"])
     assert any("inf" in t for t in texts["csv"])
     # the density is never nan on these grids; a density of the opposite
     # sign adds -inf on the shell, spelled -Infinity in JSON, and one that
-    # is nan where it was inf adds nan there, spelled NaN
+    # is nan where it was inf adds nan there, spelled NaN.  On 3x3 the shell
+    # row is in the first block, on 3x600 in the second
     phi2_grid = polar.phi2_grid
 
     def negated(spec, r, theta):
@@ -544,23 +563,37 @@ def test_fieldmap_is_byte_identical_to_the_per_row_writer(capsys, tmp_path,
             patch.setattr(polar, "phi2_grid", density)
             patch.setattr(cli, "phi2_grid", density)
             texts = _assert_fieldmaps_match_the_reference(
-                capsys, tmp_path, [("soler", "1", "0.25,1.0,3,3")])
-        assert spelled[0] in texts["json"][0] and spelled[1] in texts["csv"][0]
+                capsys, tmp_path, [("soler", "1", "0.25,1.0,3,3"),
+                                   ("soler", "1", "0.25,1.0,3,600")])
+        # one CSV and two JSON texts (file and stdout) per grid
+        for json_text, csv_text, n_theta in zip(texts["json"][::2],
+                                                texts["csv"], (3, 600)):
+            # every point of the shell row r = 0.5, and no other point
+            shell = [row.split(",")[2] for row in csv_text.splitlines()[1:]
+                     if row.startswith("0.5,")]
+            assert shell == [spelled[1]] * n_theta
+            assert json_text.count(spelled[0]) == n_theta
+            assert csv_text.count(spelled[1]) == n_theta
 
 
-def test_json_fieldmap_is_streamed(capsys, tmp_path):
-    # 30k rows; building every row as a list first peaks near 8 MB
-    out = tmp_path / "map.json"
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fieldmap_is_streamed(capsys, tmp_path, fmt):
+    # 30k rows; building every row as a list first peaks near 8 MB, and the
+    # writer holds no more than one block of rows
+    out = tmp_path / f"map.{fmt}"
     tracemalloc.start()
     try:
         code, _, _ = run(capsys, "fieldmap", "--model", "njl",
-                         "--grid", "0.01,100,150,200", "--format", "json",
+                         "--grid", "0.01,100,150,200", "--format", fmt,
                          "--out", str(out))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert len(json.loads(out.read_text())["rows"]) == 30000
+    if fmt == "json":
+        assert len(json.loads(out.read_text())["rows"]) == 30000
+    else:
+        assert len(out.read_text().splitlines()) == 1 + 30000
     assert peak < 2e6, peak
 
 
