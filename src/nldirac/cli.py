@@ -51,6 +51,8 @@ COMMAND_READS = {
     "ode": ("model", "p", "mass", "grid", "rtol", "atol", "out", "scan_el"),
     "locus": ("model", "p", "mass", "out"),
 }
+# the file a command writes when no out is given (fieldmap only as CSV)
+DEFAULT_OUT = {"fieldmap": "fieldmap.csv", "ode": "trajectory.csv"}
 
 
 @dataclasses.dataclass
@@ -60,12 +62,18 @@ class RunConfig:
     seed: int
     tolerances: dict
     mask_margin: float
-    out: str
+    out: str                    # None: stdout
     fmt: str                    # "csv" | "json" | None
     scan_el: bool
 
-    def grid_or(self, default: grids.GridConfig) -> grids.GridConfig:
-        return self.grid if self.grid is not None else default
+
+def _float(name, text):
+    """``text``, a flag's or a model's value, as a float; one that is not a
+    number is an error that names the setting."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{name} must be a number, got {text!r}") from None
 
 
 def _parse_model(text):
@@ -73,7 +81,7 @@ def _parse_model(text):
     if text in ENDPOINTS:
         return text, ENDPOINTS[text]
     if isinstance(text, str) and text.startswith("p:"):
-        p = float(text[2:])
+        p = _float("p", text[2:])
         return f"p:{p:g}", p
     raise argparse.ArgumentTypeError(
         f"unknown model {text!r}; expected njl, soler or p:<value>"
@@ -84,8 +92,8 @@ def _parse_grid(text):
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("--grid expects r_min,r_max,n_r,n_theta")
-    return {"r_min": float(parts[0]), "r_max": float(parts[1]),
-            "n_r": int(parts[2]), "n_theta": int(parts[3])}
+    return {k: _float(f"grid {k}", v)
+            for k, v in zip(("r_min", "r_max", "n_r", "n_theta"), parts)}
 
 
 def _parse_tol(items):
@@ -93,8 +101,8 @@ def _parse_tol(items):
     for item in items or ():
         if "=" not in item:
             raise argparse.ArgumentTypeError("--tol expects name=value")
-        name, value = item.split("=", 1)
-        out[name.strip()] = float(value)
+        name, value = (part.strip() for part in item.split("=", 1))
+        out[name] = _float(f"tolerance {name}", value)
     return out
 
 
@@ -172,6 +180,14 @@ def _number(name, value):
     return float(value)
 
 
+def _refuse_unknown(what, names, expected):
+    """Raise ValueError naming each of ``names`` that is not ``expected``."""
+    unknown = sorted(set(names) - set(expected))
+    if unknown:
+        raise ValueError(f"{what}(s) {', '.join(unknown)}; "
+                         f"expected {', '.join(expected)}")
+
+
 def _read_config(path):
     if not path:
         return {}
@@ -179,10 +195,7 @@ def _read_config(path):
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: the config must be a JSON object")
-    unknown = sorted(set(doc) - set(CONFIG_KEYS))
-    if unknown:
-        raise ValueError(f"{path}: unknown config key(s) {', '.join(unknown)}; "
-                         f"expected {', '.join(CONFIG_KEYS)}")
+    _refuse_unknown(f"{path}: unknown config key", doc, CONFIG_KEYS)
     return doc
 
 
@@ -214,6 +227,8 @@ def resolve_config(args) -> RunConfig:
             if key == "p":
                 raw["model"] = f"p:{_number('p', value)}"
             elif key in ("grid", "tolerances"):
+                if not isinstance(value, dict):
+                    raise ValueError(f"{key} must be an object, got {value!r}")
                 raw[key] = {**raw[key], **value}
             else:
                 raw[ALIASES.get(key, key)] = value
@@ -222,10 +237,7 @@ def resolve_config(args) -> RunConfig:
                      **{k: _number(k, raw[k]) for k in ("E", "l") if k in raw})
     tolerances = {k: _number(f"tolerance {k}", v)
                   for k, v in raw["tolerances"].items()}
-    unknown = sorted(set(tolerances) - set(TOLERANCE_NAMES))
-    if unknown:
-        raise ValueError(f"unknown tolerance name(s) {', '.join(unknown)}; "
-                         f"expected {', '.join(TOLERANCE_NAMES)}")
+    _refuse_unknown("unknown tolerance name", tolerances, TOLERANCE_NAMES)
     for k, v in tolerances.items():
         if not 0.0 < v < np.inf:
             raise ValueError(f"tolerance {k} must be positive and finite, "
@@ -238,6 +250,8 @@ def resolve_config(args) -> RunConfig:
         raise ValueError(f"format must be csv or json, got {raw['format']!r}")
     if not isinstance(raw.get("out", ""), str):
         raise ValueError(f"out must be a string, got {raw['out']!r}")
+    _refuse_unknown("unknown grid key", raw["grid"],
+                    [f.name for f in dataclasses.fields(grids.GridConfig)])
     grid = {k: _whole(f"grid {k}", v) if k in ("n_r", "n_theta")
             else _number(f"grid {k}", v) for k, v in raw["grid"].items()}
     seed = _whole("seed", raw["seed"])
@@ -249,7 +263,8 @@ def resolve_config(args) -> RunConfig:
         seed=seed,
         tolerances=tolerances,
         mask_margin=margin,
-        out=raw.get("out"),
+        out=raw.get("out", None if raw.get("format") == "json"
+                    else DEFAULT_OUT.get(args.command)),
         fmt=raw.get("format"),
         scan_el=bool(args.scan_el),
     )
@@ -280,7 +295,7 @@ def _emit_json(doc, out_path):
 
 def cmd_verify(cfg: RunConfig):
     report = verify.run_suites(
-        cfg.spec, grid_cfg=cfg.grid_or(grids.GridConfig()),
+        cfg.spec, grid_cfg=cfg.grid,
         seed=cfg.seed, tolerances=cfg.tolerances, margin=cfg.mask_margin,
     )
     for name in sorted(report["suites"]):
@@ -299,28 +314,30 @@ def cmd_verify(cfg: RunConfig):
 
 
 FIELDMAP_COLUMNS = ["r", "theta", "phi2", "sin_beta", "cos_beta", "X", "masked"]
-_FLAGS = ("false", "true")
+# the masked column's texts, as an object array so that a block's mask,
+# read as 0 and 1, picks them in one numpy call
+_FLAGS = np.array(["false", "true"], dtype=object)
 # json's spelling of the non-finite floats that repr spells nan, inf, -inf
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _fieldmap_layout(fmt, model):
-    """(head, line, separator, tail, non-finite spellings) of a fieldmap.
+    """(head, separator, row separator, tail, non-finite spellings) of a
+    fieldmap as ``fmt``, csv (the default) or json.
 
-    ``line`` is one row: ``{r}`` and ``{X}`` are filled once per grid row,
-    and each ``{{}}`` becomes a slot for theta, phi2, sin_beta, cos_beta and
-    the flag.  The JSON layout is that of ``json.dump(..., indent=2,
-    sort_keys=True)`` of {"columns", "model", "rows", "schema"}.
+    The separator joins a row's seven texts and the row separator joins
+    rows; the head ends with the first row's start and the tail begins with
+    the last row's end.  The JSON layout is that of ``json.dump(...,
+    indent=2, sort_keys=True)`` of {"columns", "model", "rows", "schema"}.
     """
-    if fmt == "csv":
-        return (",".join(FIELDMAP_COLUMNS) + "\n",
-                "{r},{{}},{{}},{{}},{{}},{X},{{}}\n", "", "", None)
+    if fmt != "json":
+        return ",".join(FIELDMAP_COLUMNS) + "\n", ",", "\n", "\n", None
     head = json.dumps({"columns": FIELDMAP_COLUMNS, "model": model},
                       indent=2, sort_keys=True)
-    line = ("    [\n      {r},\n      {{}},\n      {{}},\n      {{}},\n"
-            "      {{}},\n      {X},\n      {{}}\n    ]")
-    return (head[:-len("\n}")] + ',\n  "rows": [\n', line, ",\n",
-            f'\n  ],\n  "schema": {json.dumps(SCHEMA)}\n}}\n', _JSON_NONFINITE)
+    return (head[:-len("\n}")] + ',\n  "rows": [\n    [\n      ',
+            ",\n      ", "\n    ],\n    [\n      ",
+            f'\n    ]\n  ],\n  "schema": {json.dumps(SCHEMA)}\n}}\n',
+            _JSON_NONFINITE)
 
 
 def _float_text(values, spelling):
@@ -338,67 +355,49 @@ def _float_text(values, spelling):
 FIELDMAP_BLOCK = 1024
 
 
-def _write_fieldmap_rows(fh, spec, grid_cfg, margin, line, sep, spelling):
+def _write_fieldmap_rows(fh, spec, grid_cfg, margin, sep, row_sep, spelling):
     """Evaluate the fieldmap in blocks of whole grid rows (one radius, every
     theta), about FIELDMAP_BLOCK points each, in r-major order, and write
     each block's text in one ``fh.write``.
 
-    Each grid row's ``line``, filled with r and X, is cut at its five slots.
-    A point's text is ten pieces: the separator and the line's head, the
-    theta, phi2, sin_beta and cos_beta texts with the literals between them,
-    and the flag with the line's end.
+    A block is evaluated on its column of radii and the theta axis, which
+    numpy broadcasts to the block's points: what depends on r alone is
+    computed and formatted once per radius, and what depends on theta alone
+    once per angle.
     """
-    grid = grids.points(grid_cfg, m=spec.m)
-    n_r, n_theta = grid.shape
-    rows = max(1, FIELDMAP_BLOCK // n_theta)
-    # every grid row shares one theta axis
-    theta_text = _float_text(grid.theta[0], spelling)
-    for start in range(0, n_r, rows):
-        pt = GridPoint(grid.r[start:start + rows],
-                       grid.theta[start:start + rows])
-        X = X_exact(pt.r, spec)
+    radii, theta = grids.radii(grid_cfg, m=spec.m), grids.thetas(grid_cfg)
+    rows = max(1, FIELDMAP_BLOCK // len(theta))
+    theta_text = _float_text(theta, spelling)
+    lead = ""  # the map's first row follows the head
+    for i in range(0, len(radii), rows):
+        r = radii[i:i + rows, None]
+        X = X_exact(r, spec)
         with np.errstate(divide="ignore", invalid="ignore"):
-            sb, cb = chiral_components(X, pt.theta)
-        heads, x_lits = [], []
-        for r_text, X_text in zip(_float_text(pt.r[:, 0], spelling),
-                                  _float_text(X[:, 0], spelling)):
-            head, *lits, x_lit, end = line.format(r=r_text,
-                                                  X=X_text).split("{}")
-            heads += [sep + head] * n_theta
-            x_lits += [x_lit] * n_theta
-        if not start:  # the map's first point follows no separator
-            heads[0] = heads[0].removeprefix(sep)
-        # the literals between the slots and the line's end are the same on
-        # every row
-        pieces = [None, None, lits[0], None, lits[1], None, lits[2], None,
-                  None, None] * len(heads)
-        pieces[0::10] = heads
-        pieces[1::10] = theta_text * (len(heads) // n_theta)
-        pieces[3::10] = _float_text(phi2_grid(spec, pt.r, pt.theta), spelling)
-        pieces[5::10] = _float_text(sb, spelling)
-        pieces[7::10] = _float_text(cb, spelling)
-        pieces[8::10] = x_lits
-        masked = equations.is_masked(pt, spec, margin).ravel().tolist()
-        pieces[9::10] = map((_FLAGS[0] + end, _FLAGS[1] + end).__getitem__,
-                            masked)
-        fh.write("".join(pieces))
+            sb, cb = chiral_components(X, theta)
+        masked = equations.is_masked(GridPoint(r, theta), spec, margin)
+        columns = ([t for t in _float_text(r, spelling) for _ in theta_text],
+                   theta_text * len(r),
+                   _float_text(phi2_grid(spec, r, theta), spelling),
+                   _float_text(sb, spelling),
+                   _float_text(cb, spelling),
+                   [t for t in _float_text(X, spelling) for _ in theta_text],
+                   _FLAGS[masked.ravel().astype(int)].tolist())
+        fh.write(lead + row_sep.join(map(sep.join, zip(*columns))))
+        lead = row_sep
 
 
 def cmd_fieldmap(cfg: RunConfig):
-    spec = cfg.spec
-    grid_cfg = cfg.grid_or(FIELDMAP_GRID)
-    fmt = cfg.fmt or "csv"
-    out_path = cfg.out or ("fieldmap.csv" if fmt == "csv" else None)
-    head, line, sep, tail, spelling = _fieldmap_layout(fmt, spec.name)
-    with (open(out_path, "w", encoding="utf-8",
-               newline="" if fmt == "csv" else None) if out_path
+    spec, grid_cfg = cfg.spec, cfg.grid or FIELDMAP_GRID
+    head, sep, row_sep, tail, spelling = _fieldmap_layout(cfg.fmt, spec.name)
+    with (open(cfg.out, "w", encoding="utf-8",
+               newline=None if cfg.fmt == "json" else "") if cfg.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write(head)
-        _write_fieldmap_rows(fh, spec, grid_cfg, cfg.mask_margin,
-                             line, sep, spelling)
+        _write_fieldmap_rows(fh, spec, grid_cfg, cfg.mask_margin, sep,
+                             row_sep, spelling)
         fh.write(tail)
-    if out_path:
-        print(f"wrote {grid_cfg.n_r * grid_cfg.n_theta} rows to {out_path}",
+    if cfg.out:
+        print(f"wrote {grid_cfg.n_r * grid_cfg.n_theta} rows to {cfg.out}",
               file=sys.stderr)
     return 0
 
@@ -427,10 +426,9 @@ def cmd_ode(cfg: RunConfig):
     if result is None:
         return 1
     summary, traj, nonfinite = result
-    out_path = cfg.out or "trajectory.csv"
-    ode.trajectory_to_csv(traj, spec, out_path)
+    ode.trajectory_to_csv(traj, spec, cfg.out)
     doc = {"schema": SCHEMA, "model": spec.name, "mass": spec.m,
-           "trajectory_csv": out_path, **summary}
+           "trajectory_csv": cfg.out, **summary}
     _emit_json(doc, None)
     return 1 if _ode_failed(nonfinite) else 0
 
@@ -454,7 +452,7 @@ def cmd_report(cfg: RunConfig):
     doc = {
         "schema": SCHEMA,
         "verify": verify.run_suites(
-            spec, grid_cfg=cfg.grid_or(grids.GridConfig()),
+            spec, grid_cfg=cfg.grid,
             seed=cfg.seed, tolerances=cfg.tolerances, margin=cfg.mask_margin,
         ),
         "singularity": singular.singularity_report(spec),

@@ -504,14 +504,14 @@ def _reference_fieldmap(argv):
 
 
 def _assert_fieldmaps_match_the_reference(capsys, tmp_path, configs):
-    """Run every (model, mass, grid) as CSV, as JSON to a file and as JSON
-    to stdout; each must equal the reference byte for byte.  Returns the
-    texts by format."""
+    """Run every (model, mass, grid, *further flags) as CSV, as JSON to a
+    file and as JSON to stdout; each must equal the reference byte for byte.
+    Returns the texts by format."""
     texts = {"csv": [], "json": []}
-    for model, mass, grid in configs:
+    for model, mass, grid, *flags in configs:
         for fmt, to_file in (("csv", True), ("json", True), ("json", False)):
             argv = ["fieldmap", "--model", model, "--mass", mass,
-                    "--grid", grid, "--format", fmt]
+                    "--grid", grid, "--format", fmt, *flags]
             out = tmp_path / f"map.{fmt}"
             code, stdout, err = run(capsys, *argv,
                                     *(["--out", str(out)] if to_file else []))
@@ -576,15 +576,33 @@ def test_fieldmap_is_byte_identical_to_the_per_row_writer(capsys, tmp_path,
             assert csv_text.count(spelled[1]) == n_theta
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_fieldmap_is_streamed(capsys, tmp_path, fmt):
+def test_fieldmap_mask_margin_is_that_of_the_reference(capsys, tmp_path):
+    # the mask is computed from the block's radius column and the theta
+    # axis.  At m = 1 the 7x333 grid crosses 2mr = 1 in its fourth row, and
+    # its three rows per block put the rows within 0.3 of the shell in two
+    # blocks; margin 0 masks no point
+    for margin, masked in (("0", False), ("0.3", True)):
+        configs = [(model, "1", "0.25,1,7,333", "--mask-margin", margin)
+                   for model in ("njl", "soler", "p:0.37")]
+        texts = _assert_fieldmaps_match_the_reference(capsys, tmp_path,
+                                                      configs)
+        for text in texts["csv"]:
+            assert (",true\n" in text) == masked
+
+
+@pytest.mark.parametrize("fmt, grid", [
+    ("csv", "0.01,100,150,200"), ("json", "0.01,100,150,200"),
+    ("csv", "0.01,100,20,1500"), ("json", "0.01,100,20,1500"),
+], ids=["csv", "json", "csv-20x1500", "json-20x1500"])
+def test_fieldmap_is_streamed(capsys, tmp_path, fmt, grid):
     # 30k rows; building every row as a list first peaks near 8 MB, and the
-    # writer holds no more than one block of rows
+    # writer holds no more than one block of rows, which on 20x1500 is one
+    # grid row longer than a block
     out = tmp_path / f"map.{fmt}"
     tracemalloc.start()
     try:
         code, _, _ = run(capsys, "fieldmap", "--model", "njl",
-                         "--grid", "0.01,100,150,200", "--format", fmt,
+                         "--grid", grid, "--format", fmt,
                          "--out", str(out))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -631,6 +649,18 @@ USAGE_ERRORS = (
     (["locus"], {"l": True}, "l must be a number"),
     (["locus"], {"p": "0.5"}, "p must be a number"),
     (["locus"], {"mask_margin": "0.1"}, "mask margin must be a number"),
+    (["verify"], {"grid": [1, 2]}, "grid must be an object, got [1, 2]"),
+    (["verify"], {"tolerances": "x"}, "tolerances must be an object, got 'x'"),
+    (["verify"], {"grid": {"bogus": 1}}, "unknown grid key(s) bogus; expected "
+     "r_min, r_max, n_r, n_theta, theta_margin"),
+    # a flag's count is judged as the config file's is
+    (["verify", "--grid", "0.05,20,5.5,4"], None,
+     "grid n_r must be an integer, got 5.5"),
+    (["verify", "--grid", "0.05,20,5,four"], None,
+     "grid n_theta must be a number, got 'four'"),
+    (["locus", "--model", "p:abc"], None, "p must be a number, got 'abc'"),
+    (["verify", "--tol", "fierz=abc"], None,
+     "tolerance fierz must be a number, got 'abc'"),
     (["verify"], {"grid": {"r_min": True}}, "grid r_min must be a number"),
     (["verify"], {"grid": {"theta_margin": "0.01"}},
      "grid theta_margin must be a number"),
@@ -758,6 +788,24 @@ def test_bad_model_is_usage_error(capsys, tmp_path):
         assert out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert message in err, err
+
+
+def test_a_default_output_path_is_checked_as_out_is(capsys, tmp_path,
+                                                   monkeypatch):
+    # a directory in the way of the default path fails before any work,
+    # as it does for --out
+    monkeypatch.chdir(tmp_path)
+    for argv, path in ((["fieldmap", "--grid", "0.05,20,5,4"], "fieldmap.csv"),
+                       (["ode", "--model", "soler"], "trajectory.csv")):
+        (tmp_path / path).mkdir()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: cannot write {path}: Is a directory\n", argv
+    # JSON goes to stdout, past the directory of the CSV's default path
+    code, out, err = run(capsys, "fieldmap", "--grid", "0.05,20,5,4",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["rows"]) == 20
 
 
 def test_every_command_accepts_the_settings_it_reads(tmp_path):
