@@ -91,39 +91,61 @@ EPS4_SIGN = np.array([float(_perm_sign(p)) for p in EPS4_INDEX])
 EPS4_INDEX.setflags(write=False)
 EPS4_SIGN.setflags(write=False)
 
-# Stacks used by the field-equation evaluators: the gammas, and sigma^ab for
-# the six pairs a < b in PAIRS order.
+# The gammas by their nonzero entries: row i of gamma^a holds one,
+# GAMMA_VALUE[a, i], in column GAMMA_COLUMN[a, i].  Each is +-1 or +-i, so a
+# product with one of them is exact.
 GAMMA_STACK = np.stack(GAMMA)
+GAMMA_COLUMN = np.argmax(np.abs(GAMMA_STACK), axis=2)
+GAMMA_VALUE = np.take_along_axis(GAMMA_STACK, GAMMA_COLUMN[..., None], 2)[..., 0]
+# The six pairs a < b, their a and b, and sigma^ab for each pair.  A field
+# antisymmetric in its first two indices is held as its pairs: pairs[k] =
+# C[PAIRS[k]], shape (6,) + the trailing shape of C.
 PAIRS = tuple((a, b) for a in range(4) for b in range(a + 1, 4))
-_PAIR_A, _PAIR_B = (np.array(index) for index in zip(*PAIRS))
+PAIR_A, PAIR_B = (np.array(index) for index in zip(*PAIRS))
 SIGMA_PAIR_STACK = np.stack([sigma_upper(a, b) for a, b in PAIRS])
-GAMMA_STACK.setflags(write=False)
-SIGMA_PAIR_STACK.setflags(write=False)
+for _mat in (GAMMA_STACK, GAMMA_COLUMN, GAMMA_VALUE, PAIR_A, PAIR_B,
+             SIGMA_PAIR_STACK):
+    _mat.setflags(write=False)
 
 
-def spin_action(C, psi):
-    """(1/2) C_{ab mu} sigma^{ab} psi of a field C[a, b, mu] on a spinor,
-    shape (4 mu, 4 spinor) + the points' shape.
+def expand_pairs(pairs):
+    """The dense field C[a, b] + the trailing axes of an antisymmetric field
+    held as its pairs: C[a, b] = pairs[k] and C[b, a] = -pairs[k] for the
+    k-th pair (a, b) of PAIRS, and zero for a = b."""
+    dense = np.zeros((4, 4) + np.shape(pairs)[1:], dtype=pairs.dtype)
+    dense[PAIR_A, PAIR_B] = pairs
+    dense[PAIR_B, PAIR_A] = -pairs
+    return dense
 
-    sigma^ab is antisymmetric, so the sum over all sixteen (a, b) is the
-    sum over the six pairs a < b of (1/2)(C_ab - C_ba) sigma^ab.  The
-    difference keeps the lower triangle of C in play: a C that is not
-    antisymmetric acts exactly as in the full sum.  Each sigma^ab acts on
-    psi as one (4, 4) matrix product, and each row mu of the result adds
-    its six pair products, from zero, in PAIRS order: the order and the
-    rounding of an einsum over the pair axis.  So the working set beyond
-    the result is one spinor per point, not the six sigma^ab psi or a
-    (4, 4) product per point.
+
+def spin_action(pairs, psi):
+    """(1/2) C_{ab mu} sigma^{ab} psi of a field C antisymmetric in (a, b)
+    on a spinor, shape (4 mu, 4 spinor) + the points' shape.
+
+    C comes as its pairs, pairs[k, mu] = C_{ab mu} for the k-th pair (a, b)
+    of PAIRS, shape (6, 4) + the points' shape.  sigma^ab is antisymmetric
+    too, so the sum over all sixteen (a, b) is the sum over the six pairs
+    of C_ab sigma^ab.  Each sigma^ab acts on psi as one (4, 4) matrix
+    product, and each row mu of the result adds its six pair products,
+    from zero, in PAIRS order: the order and the rounding of an einsum over
+    the pair axis.  So the working set beyond the result is one spinor per
+    point, not the six sigma^ab psi or a (4, 4) product per point.
+
+    numpy buffers the pair row a product broadcasts to the size of the
+    product.  So on more than 512 points, such as a sweep chunk, each
+    product spans two spinor components, which halves the product and its
+    buffer; on fewer, where the number of calls costs more than memory,
+    it spans all four.
     """
-    pairs = C[_PAIR_A, _PAIR_B]
-    pairs -= C[_PAIR_B, _PAIR_A]
-    pairs *= 0.5
     flat = np.reshape(psi, (4, -1))
     out = np.zeros((4,) + np.shape(psi), dtype=np.result_type(pairs, psi))
+    step = 4 if np.size(psi) <= 2048 else 2
     for k, sigma_ab in enumerate(SIGMA_PAIR_STACK):
         sigma_psi = (sigma_ab @ flat).reshape(np.shape(psi))
         for mu in range(4):
-            out[mu] += pairs[k, mu] * sigma_psi
+            pair = pairs[k, mu, None]
+            for i in range(0, 4, step):
+                out[mu, i:i + step] += pair * sigma_psi[i:i + step]
     return out
 
 

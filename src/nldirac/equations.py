@@ -33,11 +33,11 @@ from .polar import ModelSpec
 DEFAULT_MASK_MARGIN = 0.02
 # Points per evaluation in a grid sweep.  Every call pays a fixed cost of
 # many small numpy calls, so a larger chunk costs less per point, and
-# memory sets the limit.  On 512 points the covector and standard forms
-# peak at about 1.4 KB of allocations per point (tracemalloc), the
-# expanded and reduced forms at 0.27 KB, each with the 0.21 KB bundle it
-# reads, so a verify of a 70x50 grid peaks near 0.84 MB.
-SWEEP_CHUNK = 512
+# memory sets the limit.  On 1024 points the covector and standard forms
+# peak at about 0.85 KB of allocations per point (tracemalloc), the
+# expanded and reduced forms at 0.27 KB, each with the 0.17 KB bundle it
+# reads, so a verify of a 70x50 grid peaks near 0.97 MB.
+SWEEP_CHUNK = 1024
 
 
 def is_masked(pt: GridPoint, spec: ModelSpec, margin=DEFAULT_MASK_MARGIN):
@@ -101,28 +101,36 @@ def residual_expanded(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
 # order of geometry.coordinate_epsilon_lower: lexicographic in (m, a, n, i),
 # so entries 6m to 6m + 5 are those of the free index m.
 _EPS_A, _EPS_N, _EPS_I = clifford.EPS4_INDEX[:, 1:].T
+# R_{ani} at each entry from a connection held as its pairs: the entry
+# [_EPS_PAIR, i] of the pairs, times _EPS_R_SIGN, -1 where a > n.
+_EPS_PAIR = np.array([clifford.PAIRS.index((min(a, n), max(a, n)))
+                      for a, n in zip(_EPS_A, _EPS_N)])
+_EPS_R_SIGN = np.where(_EPS_A < _EPS_N, 1.0, -1.0)
 
 
 def _epsilon_sum(eps, terms):
     """eps_{m a n i} T_{a n i} summed over (a, n, i), shape (4,) + the
     points' shape.
 
-    ``eps`` holds the 24 nonzero entries of geometry.coordinate_epsilon_lower
-    and ``terms`` the factor T at their (a, n, i), both (24,) + the points'
-    shape; ``terms`` is overwritten.  Each m adds its six products from zero
-    in lexicographic (a, n, i) order, the order in which an einsum over the
-    dense tensor adds them on an array of points; the dense tensor's zero
-    entries only add zeros to a finite sum.  On a float point einsum
-    vectorizes the sum in an order of its own, which gives the same float
-    wherever at most two of the six products are nonzero, as on the
-    closed-form solutions.
+    ``eps`` holds the 24 nonzero entries of geometry.coordinate_epsilon_lower,
+    (24,) + the points' shape, and ``terms(rows)`` returns a new array of T
+    at the (a, n, i) of the entries ``rows``.  Each free index m takes its
+    six entries 6m to 6m + 5 as one block, so at most six entries of T are
+    held at a time.  Each m adds its six products in lexicographic (a, n, i)
+    order (numpy adds fewer than eight terms one after another), the order
+    in which an einsum over the dense tensor adds them on an array of
+    points; the dense tensor's zero entries only add zeros to a finite sum.
+    On a float point einsum vectorizes the sum in an order of its own, which
+    gives the same float wherever at most two of the six products are
+    nonzero, as on the closed-form solutions.
     """
-    terms *= eps
-    blocks = terms.reshape((4, 6) + terms.shape[1:])
-    out = np.zeros((4,) + terms.shape[1:], dtype=terms.dtype)
-    for j in range(6):
-        out += blocks[:, j]
-    return out
+    def block(m):
+        rows = slice(6 * m, 6 * m + 6)
+        products = terms(rows)
+        products *= eps[rows]
+        return products.sum(axis=0)
+
+    return np.stack([block(m) for m in range(4)])
 
 
 def covector_components(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
@@ -136,30 +144,28 @@ def covector_components(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     are built with the coordinate volume form sqrt|g| [t r theta phi] = +1;
     that normalization is pinned by the requirement that the exact solutions
     annihilate the equations, and is cross-checked against the expanded
-    system (r- and theta-projections agree identically).  Both eps
-    contractions run over the 24 nonzero entries of eps only, so no rank-3
-    or rank-4 tensor is built per point beyond the connection itself.
+    system (r- and theta-projections agree identically).  Both read the
+    connection's pairs, and both eps contractions run over the 24 nonzero
+    entries of eps only, six at a time, so no rank-3 or rank-4 tensor is
+    built per point.
     """
     m, p, ang, d = spec.m, spec.p, f.ang, f.density
     g = geometry.inverse_metric_diagonal(pt)
-    Rc = geometry.tensorial_connection_at(pt, ang)
-    R_trace = np.einsum("n...,mnn...->m...", g, Rc)
-    R_eps = Rc[_EPS_A, _EPS_N, _EPS_I]
-    del Rc  # 64 values per point; dropping it keeps a chunk's peak low
     eps = geometry.coordinate_epsilon_lower(pt)
+    R_trace, B = _connection_contractions(pt, ang, g, eps)
     u = geometry.velocity_covector(pt, ang)
     s_cov = geometry.spin_covector(pt, ang)
     P = geometry.momentum_covector(spec.E, spec.l)
-    # eps_{mani} R^{ani}, R with its three indices raised: g^a g^n g^i R_ani
-    R_up = g[_EPS_A]
-    R_up *= g[_EPS_N]
-    R_up *= g[_EPS_I]
-    R_up *= R_eps
-    del R_eps
-    B = 0.5 * _epsilon_sum(eps, R_up)
     P_up = np.einsum("m...,m->m...", g, P)
     u_up = g * u
     s_up = g * s_cov
+
+    def axial(rows):  # P^r u^n s^a at the entries eps_{mrna}
+        return (P_up[_EPS_A[rows]] * u_up[_EPS_N[rows]]
+                * s_up[_EPS_I[rows]])
+
+    axial_term = -2.0 * _epsilon_sum(eps, axial)
+    del eps  # 24 values per point
     Ps = np.einsum("m,m...->...", P, s_up)
     Pu = np.einsum("m,m...->...", P, u_up)
     dbeta = np.stack(np.broadcast_arrays(
@@ -172,15 +178,32 @@ def covector_components(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
         dbeta + B + 2.0 * Ps * u - 2.0 * Pu * s_cov
         + (2.0 * m * f.cos_beta - nl_chiral) * s_cov
     )
-    # eps_{mrna} P^r u^n s^a
-    Pus = P_up[_EPS_A]
-    Pus *= u_up[_EPS_N]
-    Pus *= s_up[_EPS_I]
-    axial_term = -2.0 * _epsilon_sum(eps, Pus)
     density = (
         dlnphi2 + R_trace + axial_term + (2.0 * m - nl_density) * f.sin_beta * s_cov
     )
     return chiral, density
+
+
+def _connection_contractions(pt: GridPoint, ang, g, eps):
+    """(R_mu, B_mu) of covector_components from the tensorial connection's
+    pairs: the trace g^n R_{mnn}, summed over n in order as an einsum over
+    the dense tensor sums it (its term n = m is zero), and the axial
+    half-sum eps_{mani} g^a g^n g^i R_ani / 2."""
+    Rc = geometry.tensorial_connection_at(pt, ang)
+    # the pair (a, b) gives g^b R_abb to R_a and g^a R_baa to R_b, R_baa =
+    # -pairs[k, a]: so each R_m adds its terms from zero in ascending n
+    R_trace = np.zeros((4,) + Rc.shape[2:], dtype=np.result_type(g, Rc))
+    for k, (a, b) in enumerate(clifford.PAIRS):
+        R_trace[a] += g[b] * Rc[k, b]
+        R_trace[b] -= g[a] * Rc[k, a]
+
+    def raised(rows):  # g^a g^n g^i R_ani at the entries eps_{mani}
+        i = _EPS_I[rows]
+        sign = _EPS_R_SIGN[rows].reshape((6,) + (1,) * (Rc.ndim - 2))
+        return (g[_EPS_A[rows]] * g[_EPS_N[rows]] * g[i]
+                * (Rc[_EPS_PAIR[rows], i] * sign))
+
+    return R_trace, 0.5 * _epsilon_sum(eps, raised)
 
 
 def residual_polar_covector(pt: GridPoint, spec: ModelSpec,
@@ -237,6 +260,12 @@ def residual_reduced(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
 # -- standard gamma-matrix form -------------------------------------------------
 
 
+# i gamma^a by its nonzero entries: row i holds _I_GAMMA[a, i] in column
+# clifford.GAMMA_COLUMN[a, i].  Each is +-1 or +-i, so a product with one
+# is exact.
+_I_GAMMA = 1j * clifford.GAMMA_VALUE
+
+
 def residual_standard(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     """Largest component norm at each point of i gamma^mu nabla_mu psi
     + (1/4)(Phi + i p Theta pi) psi - m psi on the assembled spinor.
@@ -244,18 +273,33 @@ def residual_standard(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     Phi and Theta are recomputed from the spinor's own bilinears rather than
     from the polar formulas, so this residual exercises the whole chain:
     gamma basis, tetrads, spin connection, density, chiral angle and phase.
+
+    The bilinears come first, of a spinor assembled for them, so their
+    kernel rows are not held beside nabla psi.  Then each frame index a
+    adds i gamma^a xi_a^mu nabla_mu psi: the frame row xi_a^mu nabla_mu psi,
+    and from it, in each row of the result, the one entry gamma^a reads.
+    That is the sum and the rounding of a frame einsum and a gamma einsum
+    over all (a, j), with no (4, 4) frame product per point.
     """
+    bl = clifford.bilinears(polar.assemble_spinor(f))
+    phi, theta = bl.phi.copy(), bl.theta.copy()
+    del bl  # and with it U and S
     nabla, psi = polar.covariant_derivative(pt, spec, f)
     xi = geometry.tetrad_at(pt, f.ang)
-    # gamma^a xi_a^mu nabla_mu psi, the frame contraction first
-    nabla_frame = np.einsum("am...,mj...->aj...", xi, nabla)
-    bl = clifford.bilinears(psi)
-    dirac = 1j * np.einsum("aij,aj...->i...", clifford.GAMMA_STACK, nabla_frame)
+    dirac = np.zeros_like(psi)
+    framed = np.empty_like(psi)
+    for a in range(4):
+        # with xi cast first, einsum needs no buffer of its own
+        np.einsum("m...,mj...->j...", xi[a].astype(psi.dtype), nabla,
+                  out=framed)
+        for i, column in enumerate(clifford.GAMMA_COLUMN[a]):
+            dirac[i] += _I_GAMMA[a, i] * framed[column]
+    del nabla, xi, framed  # before the temporaries of the last terms
     # (1/4)(Phi + i p Theta pi) is diagonal: one coefficient per component.
     # einsum rounds each complex product as two real products and a sum;
     # the multiply ufunc may fuse them and differ in the last bit.
     nonlinear = 0.25 * (
-        bl.phi + 1j * spec.p * np.multiply.outer(clifford.PI_SIGNS, bl.theta))
+        phi + 1j * spec.p * np.multiply.outer(clifford.PI_SIGNS, theta))
     res = (dirac + np.einsum("i...,i...->i...", nonlinear, psi)
            - spec.m * psi)
     return np.max(np.abs(res), axis=0)

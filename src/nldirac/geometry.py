@@ -16,6 +16,14 @@ axes: (4,) + shape for a covector, (4, 4) + shape for a rank-2 field.  The
 identity residuals at the end of the module differentiate by complex step,
 so the builders take the dtype of their inputs.
 
+The two connections, the spin connection C_{ab mu} and the tensorial
+connection R_{nu rho mu}, are antisymmetric in their first two indices and
+are held as their pairs: shape (6, 4) + the points' shape, entry [k, mu]
+the component of the k-th pair of clifford.PAIRS, (0, 1), (0, 2), (0, 3),
+(1, 2), (1, 3), (2, 3).  That is 24 values per point, not the 64 of the
+dense tensor, which clifford.expand_pairs builds where a contraction needs
+it.
+
 Orientation: the coordinate volume form is eps_{t r theta phi} = +r^2 sin
 (theta), matching the flat eps_{0123} = +1 through the tetrads below, whose
 determinant is +r^2 sin(theta).
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import EPS4_SIGN
+from .clifford import EPS4_SIGN, PAIRS, expand_pairs
 from .errors import PoleOrOrigin
 
 T, R, TH, PH = 0, 1, 2, 3
@@ -108,8 +116,9 @@ def inverse_metric_at(pt: GridPoint):
 
 def inverse_metric_diagonal(pt: GridPoint):
     """g^{mu mu}, shape (4,) + the points' shape: the metric is diagonal, so
-    raising an index is a multiplication by this, with no sum over zeros."""
-    return np.einsum("mm...->m...", inverse_metric_at(pt))
+    raising an index is a multiplication by this, with no sum over zeros.
+    A copy: the diagonal view would hold all 16 entries per point."""
+    return np.einsum("mm...->m...", inverse_metric_at(pt)).copy()
 
 
 def sqrt_abs_g(pt: GridPoint):
@@ -178,24 +187,33 @@ def momentum_covector(energy, angular_momentum):
 # -- tensorial connection, tetrads, spin connection --------------------------
 
 
+def _connection(pt: GridPoint, ang: AngleState, components):
+    """A connection in pair layout from its nonzero components, each
+    ((a, b, mu), value) for C_{ab mu} = value and so C_{ba mu} = -value;
+    every other pair entry is zero."""
+    pairs = _zeros((6, 4), pt, *vars(ang).values())
+    for (a, b, mu), value in components:
+        if a < b:
+            pairs[PAIRS.index((a, b)), mu] = value
+        else:
+            pairs[PAIRS.index((b, a)), mu] = -value
+    return pairs
+
+
 def tensorial_connection_at(pt: GridPoint, ang: AngleState):
-    """Coordinate components R[nu, rho, mu] = R_{nu rho mu}, antisymmetric
-    in the first pair; unlisted independent components are zero."""
+    """Coordinate components R_{nu rho mu}, antisymmetric in (nu, rho), as
+    their pairs (see the module docstring); unlisted independent components
+    are zero."""
     r, th = pt.r, pt.theta
     s_, c_ = np.sin(th), np.cos(th)
-    R_ = _zeros((4, 4, 4), pt, *vars(ang).values())
-
-    def put(n, p, mu, v):
-        R_[n, p, mu] = v
-        R_[p, n, mu] = -v
-
-    put(TH, PH, PH, -r * r * c_ * s_)
-    put(R, PH, PH, -r * s_ * s_)
-    put(R, TH, TH, -r * (1.0 + ang.d_gamma_dtheta))
-    put(TH, R, R, r * ang.d_gamma_dr)
-    put(T, PH, TH, r * s_ * ang.d_alpha_dtheta)
-    put(T, PH, R, r * s_ * ang.d_alpha_dr)
-    return R_
+    return _connection(pt, ang, (
+        ((TH, PH, PH), -r * r * c_ * s_),
+        ((R, PH, PH), -r * s_ * s_),
+        ((R, TH, TH), -r * (1.0 + ang.d_gamma_dtheta)),
+        ((TH, R, R), r * ang.d_gamma_dr),
+        ((T, PH, TH), r * s_ * ang.d_alpha_dtheta),
+        ((T, PH, R), r * s_ * ang.d_alpha_dr),
+    ))
 
 
 def tetrad_at(pt: GridPoint, ang: AngleState):
@@ -214,30 +232,25 @@ def tetrad_at(pt: GridPoint, ang: AngleState):
 
 
 def spin_connection_at(pt: GridPoint, ang: AngleState):
-    """Spin connection C[a, b, mu] = C_{ab mu} compatible with the tetrad.
+    """Spin connection C_{ab mu} compatible with the tetrad, antisymmetric
+    in (a, b), as its pairs (see the module docstring).
 
-    Twelve nonzero components (six independent), antisymmetric in (a, b).
-    The trig sums cos/sin(theta + gamma) come from the composition of the
-    coordinate rotation with the spin tilt.
+    Eight nonzero pair entries.  The trig sums cos/sin(theta + gamma) come
+    from the composition of the coordinate rotation with the spin tilt.
     """
     th = pt.theta
     ctg = np.cos(th) * ang.cos_gamma - np.sin(th) * ang.sin_gamma
     stg = np.sin(th) * ang.cos_gamma + np.cos(th) * ang.sin_gamma
-    C = _zeros((4, 4, 4), pt, *vars(ang).values())
-
-    def put(a, b, mu, v):
-        C[a, b, mu] = v
-        C[b, a, mu] = -v
-
-    put(0, 2, R, -ang.d_alpha_dr)
-    put(0, 2, TH, -ang.d_alpha_dtheta)
-    put(1, 3, R, -ang.d_gamma_dr)
-    put(1, 3, TH, -(1.0 + ang.d_gamma_dtheta))
-    put(0, 1, PH, -ctg * ang.sinh_alpha)
-    put(0, 3, PH, -stg * ang.sinh_alpha)
-    put(2, 3, PH, stg * ang.cosh_alpha)
-    put(1, 2, PH, -ctg * ang.cosh_alpha)
-    return C
+    return _connection(pt, ang, (
+        ((0, 2, R), -ang.d_alpha_dr),
+        ((0, 2, TH), -ang.d_alpha_dtheta),
+        ((1, 3, R), -ang.d_gamma_dr),
+        ((1, 3, TH), -(1.0 + ang.d_gamma_dtheta)),
+        ((0, 1, PH), -ctg * ang.sinh_alpha),
+        ((0, 3, PH), -stg * ang.sinh_alpha),
+        ((2, 3, PH), stg * ang.cosh_alpha),
+        ((1, 2, PH), -ctg * ang.cosh_alpha),
+    ))
 
 
 def coordinate_epsilon_lower(pt: GridPoint):
@@ -288,14 +301,14 @@ def transport_residuals(pt: GridPoint, angle_field):
     the largest over the points.
     """
 
-    def covectors(p):
-        ang = angle_field(p)
+    def covectors(p, ang):
         return np.stack([spin_covector(p, ang), velocity_covector(p, ang)])
 
-    vecs = covectors(pt)  # [v, nu] for v in (s, u)
+    ang = angle_field(pt)  # the state at the points, for both sides
+    vecs = covectors(pt, ang)  # [v, nu] for v in (s, u)
     lam = christoffel_at(pt)
-    R_ = tensorial_connection_at(pt, angle_field(pt))
-    cov = (_coordinate_partials(covectors, pt)
+    R_ = expand_pairs(tensorial_connection_at(pt, ang))
+    cov = (_coordinate_partials(lambda p: covectors(p, angle_field(p)), pt)
            - np.einsum("rnm...,vr...->mvn...", lam, vecs))
     vecs_up = vecs * inverse_metric_diagonal(pt)
     rhs = np.einsum("vr...,rnm...->mvn...", vecs_up, R_)
@@ -325,7 +338,7 @@ def curvature_strength_residuals(pt: GridPoint, angle_field):
 
     def mixed(p):
         return (inverse_metric_diagonal(p)[:, None, None]
-                * tensorial_connection_at(p, angle_field(p)))
+                * expand_pairs(tensorial_connection_at(p, angle_field(p))))
 
     dR = _coordinate_partials(mixed, pt)
     Rm = mixed(pt)

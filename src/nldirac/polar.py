@@ -335,12 +335,16 @@ def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec):
         0.0, f.r_d_beta_dr / pt.r, f.d_beta_dtheta, 0.0))
     P = geometry.momentum_covector(spec.E, spec.l)
     xi = geometry.tetrad_at(pt, f.ang)
-    R_frame = np.einsum("bp...,npm...->nbm...", xi,
-                        geometry.tensorial_connection_at(pt, f.ang))
+    R_frame = np.einsum("bp...,npm...->nbm...", xi, clifford.expand_pairs(
+        geometry.tensorial_connection_at(pt, f.ang)))
     R_flat = np.einsum("an...,nbm...->abm...", xi, R_frame)
+    # the framed connection's pairs, (1/2)(R_ab - R_ba): the two frame
+    # contractions need not keep its antisymmetry to the last bit
+    a, b = clifford.PAIR_A, clifford.PAIR_B
+    R_pairs = (R_flat[a, b] - R_flat[b, a]) * 0.5
     pipsi = clifford.pi_action(psi)
     rhs = (np.einsum("m...,i...->mi...", dlnphi, psi)
            - 0.5j * np.einsum("m...,i...->mi...", dbeta, pipsi)
            - 1j * np.einsum("m,i...->mi...", P, psi)
-           - clifford.spin_action(R_flat, psi))
+           - clifford.spin_action(R_pairs, psi))
     return float(np.max(np.abs(nabla - rhs)))

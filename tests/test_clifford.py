@@ -36,6 +36,14 @@ def test_basis_entries_are_exact():
             assert complex(entry) in allowed
 
 
+def test_each_gamma_row_holds_one_nonzero_entry():
+    # the standard form reads gamma^a through these entries alone
+    rebuilt = np.zeros((4, 4, 4), dtype=complex)
+    np.put_along_axis(rebuilt, clifford.GAMMA_COLUMN[..., None],
+                      clifford.GAMMA_VALUE[..., None], axis=2)
+    assert np.array_equal(rebuilt, np.stack(GAMMA))
+
+
 def test_pi_is_product_of_gammas_up_to_phase():
     prod = GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3]
     assert np.array_equal(PI, 1j * prod)
@@ -111,8 +119,10 @@ def test_sigma_lorentz_algebra_closure():
                     assert np.allclose(lhs, rhs, atol=1e-14), (a, b, c, d)
 
 
-def _dense_spin_action(C, psi):
-    """(1/2) C_{ab mu} sigma^{ab} psi summed over all sixteen (a, b)."""
+def _dense_spin_action(pairs, psi):
+    """(1/2) C_{ab mu} sigma^{ab} psi summed over all sixteen (a, b) of the
+    dense C of the pairs."""
+    C = clifford.expand_pairs(pairs)
     dense = np.stack([np.stack([sigma_upper(a, b) for b in range(4)])
                       for a in range(4)])
     spin = 0.5 * np.einsum("abm...,abij->mij...", C, dense)
@@ -120,28 +130,29 @@ def _dense_spin_action(C, psi):
 
 
 def test_spin_action_equals_the_dense_sum_on_the_spin_connection():
-    # bit for bit on the antisymmetric C of the closed-form solutions
+    # bit for bit on the spin connection of the closed-form solutions
     for spec in (ModelSpec.njl(), ModelSpec.soler(), ModelSpec.interpolating(0.5)):
         pts = grids.sample_points(
             np.random.default_rng(7), 50, m=spec.m,
             reject=lambda pt: equations.is_masked(pt, spec))
         f = polar.closed_form(pts, spec)
         psi = polar.assemble_spinor(f)
-        C = geometry.spin_connection_at(pts, f.ang)
-        action = clifford.spin_action(C, psi)
+        pairs = geometry.spin_connection_at(pts, f.ang)
+        action = clifford.spin_action(pairs, psi)
         assert action.shape == (4, 4, 50)
-        assert np.array_equal(action, _dense_spin_action(C, psi)), spec.name
+        assert np.array_equal(action, _dense_spin_action(pairs, psi)), spec.name
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
 def test_spin_action_equals_the_dense_sum_for_any_connection(seed, n):
-    # a C that is not antisymmetric: each entry of both triangles counts
+    # random pairs, every entry nonzero: each counts, in both triangles of
+    # the dense C
     rng = np.random.default_rng(seed)
-    C = rng.standard_normal((4, 4, 4, n))
+    pairs = rng.standard_normal((6, 4, n))
     psi = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
-    action = clifford.spin_action(C, psi)
-    dense = _dense_spin_action(C, psi)
+    action = clifford.spin_action(pairs, psi)
+    dense = _dense_spin_action(pairs, psi)
     assert np.max(np.abs(action - dense)) <= 1e-15 * np.max(np.abs(dense))
 
 

@@ -250,7 +250,7 @@ def test_standard_residual_vanishes_for_all_p():
 
 
 def test_standard_residual_wrong_coupling_sign_is_large(monkeypatch):
-    # the coupling sign of the spin connection, flipped
+    # the coupling sign of the spin connection, flipped: every pair negated
     spec = ModelSpec.njl()
     pt = GridPoint(1.0, np.pi / 3)
     assert on_solution(residual_standard, pt, spec) <= 1e-12
@@ -362,10 +362,11 @@ def test_chunked_sweep_equals_the_row_sweep():
     # the value a per-row evaluation gives it, so the statistics agree
     # exactly; the grid's middle radius is 2mr = 1, whose points are masked
     # (the row for soler, the equator point otherwise).  An odd number of
-    # 9-point rows, two chunks' worth and nine more (37 rows for 128-point
-    # chunks)
+    # 9-point rows, two chunks' worth and nine more (235 rows for 1024-point
+    # chunks), over radii wide enough that no other row comes within the
+    # mask's margin of 2mr = 1
     n_r = 2 * (SWEEP_CHUNK // 9) + 9
-    cfg = grids.GridConfig(r_max=5.0, n_r=n_r, n_theta=9)
+    cfg = grids.GridConfig(r_min=0.005, r_max=50.0, n_r=n_r, n_theta=9)
     forms = dict(FORMS)
     for spec in (ModelSpec.njl(m=0.7), ModelSpec.soler(m=1.3),
                  ModelSpec(p=0.5)):

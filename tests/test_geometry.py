@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nldirac import geometry, polar
+from nldirac.clifford import expand_pairs
 from nldirac.errors import PoleOrOrigin
 from nldirac.geometry import (
     GridPoint,
@@ -161,10 +162,10 @@ def test_velocity_spin_covector_norms():
 def test_tensorial_connection_values():
     spec = ModelSpec.njl()
     pt = GridPoint(1.3, np.pi / 2)
-    R = tensorial_connection_at(pt, polar.angle_state(pt, spec))
+    R = expand_pairs(tensorial_connection_at(pt, polar.angle_state(pt, spec)))
     assert R[geometry.TH, geometry.PH, geometry.PH] == pytest.approx(0.0, abs=1e-12)
     pt = GridPoint(1.0, np.pi / 4)
-    R = tensorial_connection_at(pt, polar.angle_state(pt, spec))
+    R = expand_pairs(tensorial_connection_at(pt, polar.angle_state(pt, spec)))
     assert R[geometry.R, geometry.PH, geometry.PH] == pytest.approx(-0.5)
     # exact antisymmetry in the first pair
     assert np.array_equal(R, -R.transpose(1, 0, 2))
@@ -209,7 +210,7 @@ def test_transport_identities_finite_difference_oracle():
         ang = polar.angle_state(pt, spec)
         lam = christoffel_at(pt)
         ginv = inverse_metric_at(pt)
-        Rc = tensorial_connection_at(pt, ang)
+        Rc = expand_pairs(tensorial_connection_at(pt, ang))
         for make in (velocity_covector, spin_covector):
             vec = make(pt, ang)
             vup = ginv @ vec
@@ -229,7 +230,7 @@ def test_transport_identities_finite_difference_oracle():
 
 def test_spin_connection_static_limit():
     pt = GridPoint(2.0, 0.9)
-    C = spin_connection_at(pt, geometry.AngleState(0.0, 1.0, 0.0, 1.0))
+    C = expand_pairs(spin_connection_at(pt, geometry.AngleState(0.0, 1.0, 0.0, 1.0)))
     th = pt.theta
     assert C[0, 2, geometry.R] == 0.0 and C[0, 2, geometry.TH] == 0.0
     assert C[1, 3, geometry.R] == 0.0
@@ -244,10 +245,80 @@ def test_spin_connection_equatorial_substitution():
     spec = ModelSpec.njl()
     pt = GridPoint(0.9, np.pi / 2)
     ang = polar.angle_state(pt, spec)
-    C = spin_connection_at(pt, ang)
+    C = expand_pairs(spin_connection_at(pt, ang))
     expected = -(np.cos(pt.theta) * ang.cos_gamma
                  - np.sin(pt.theta) * ang.sin_gamma) * ang.sinh_alpha
     assert C[0, 1, geometry.PH] == pytest.approx(expected, rel=1e-14)
+
+
+def _dense_zeros(pt, ang):
+    return np.zeros((4, 4, 4) + pt.shape, dtype=np.result_type(
+        pt.r, pt.theta, *vars(ang).values()))
+
+
+def _dense_tensorial_connection(pt, ang):
+    """R[nu, rho, mu] as a dense tensor, each put of an independent
+    component writing both triangles: the builder before the pair layout."""
+    r, th = pt.r, pt.theta
+    s_, c_ = np.sin(th), np.cos(th)
+    R_ = _dense_zeros(pt, ang)
+
+    def put(n, p, mu, v):
+        R_[n, p, mu] = v
+        R_[p, n, mu] = -v
+
+    put(geometry.TH, geometry.PH, geometry.PH, -r * r * c_ * s_)
+    put(geometry.R, geometry.PH, geometry.PH, -r * s_ * s_)
+    put(geometry.R, geometry.TH, geometry.TH, -r * (1.0 + ang.d_gamma_dtheta))
+    put(geometry.TH, geometry.R, geometry.R, r * ang.d_gamma_dr)
+    put(geometry.T, geometry.PH, geometry.TH, r * s_ * ang.d_alpha_dtheta)
+    put(geometry.T, geometry.PH, geometry.R, r * s_ * ang.d_alpha_dr)
+    return R_
+
+
+def _dense_spin_connection(pt, ang):
+    """C[a, b, mu] as a dense tensor: the builder before the pair layout."""
+    th = pt.theta
+    ctg = np.cos(th) * ang.cos_gamma - np.sin(th) * ang.sin_gamma
+    stg = np.sin(th) * ang.cos_gamma + np.cos(th) * ang.sin_gamma
+    C = _dense_zeros(pt, ang)
+
+    def put(a, b, mu, v):
+        C[a, b, mu] = v
+        C[b, a, mu] = -v
+
+    put(0, 2, geometry.R, -ang.d_alpha_dr)
+    put(0, 2, geometry.TH, -ang.d_alpha_dtheta)
+    put(1, 3, geometry.R, -ang.d_gamma_dr)
+    put(1, 3, geometry.TH, -(1.0 + ang.d_gamma_dtheta))
+    put(0, 1, geometry.PH, -ctg * ang.sinh_alpha)
+    put(0, 3, geometry.PH, -stg * ang.sinh_alpha)
+    put(2, 3, geometry.PH, stg * ang.cosh_alpha)
+    put(1, 2, geometry.PH, -ctg * ang.cosh_alpha)
+    return C
+
+
+@pytest.mark.parametrize("spec", [ModelSpec.njl(), ModelSpec.soler(),
+                                  ModelSpec.interpolating(0.37)],
+                         ids=lambda spec: spec.name)
+def test_expanded_pairs_equal_the_dense_builders(spec):
+    # float points, an array of points and both complex steps off it, as
+    # the grid forms and the complex-step identity suites build them
+    points = random_points(20, seed=41)
+    r = np.array([pt.r for pt in points])
+    theta = np.array([pt.theta for pt in points])
+    cases = [*points[:5], GridPoint(r, theta),
+             GridPoint(r + 1j * geometry.CS_STEP, theta),
+             GridPoint(r, theta + 1j * geometry.CS_STEP)]
+    for pt in cases:
+        ang = polar.angle_state(pt, spec)
+        for build, dense in ((tensorial_connection_at, _dense_tensorial_connection),
+                             (spin_connection_at, _dense_spin_connection)):
+            pairs = build(pt, ang)
+            assert pairs.shape == (6, 4) + pt.shape
+            expanded, reference = expand_pairs(pairs), dense(pt, ang)
+            assert expanded.dtype == reference.dtype
+            assert np.array_equal(expanded, reference), (spec.name, build)
 
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -276,7 +347,7 @@ def test_frame_and_connection_invariants():
     for pt in random_points(10, seed=31):
         ang = polar.angle_state(pt, spec)
         _assert_orthonormal_frame(pt, tetrad_at(pt, ang))
-        R = tensorial_connection_at(pt, ang)
+        R = expand_pairs(tensorial_connection_at(pt, ang))
         assert np.array_equal(R, -R.transpose(1, 0, 2))
         P = momentum_covector(spec.E, spec.l)
         assert P[0] == spec.E and P[3] == spec.l
@@ -298,8 +369,8 @@ def tetrad_postulate_residual(pt, spec):
     dxi = np.zeros((4, 4, 4))  # [mu, a, nu]
     dxi[geometry.R], dxi[geometry.TH] = complex_step_partials(coframe, pt)
     co = coframe(pt)
-    c_up = np.diag(ETA)[:, None, None] * spin_connection_at(
-        pt, polar.angle_state(pt, spec))  # C^a_{b mu}
+    c_up = np.diag(ETA)[:, None, None] * expand_pairs(spin_connection_at(
+        pt, polar.angle_state(pt, spec)))  # C^a_{b mu}
     total = (dxi - np.einsum("rnm,ar->man", christoffel_at(pt), co)
              + np.einsum("abm,bn->man", c_up, co))
     return float(np.max(np.abs(total)))

@@ -76,7 +76,7 @@ def _reference_covector(pt, spec):
     f = polar.closed_form(pt, spec)
     ang, d = f.ang, f.density
     g = geometry.inverse_metric_diagonal(pt)
-    Rc = geometry.tensorial_connection_at(pt, ang)
+    Rc = clifford.expand_pairs(geometry.tensorial_connection_at(pt, ang))
     eps = _dense_epsilon(pt)
     u = geometry.velocity_covector(pt, ang)
     s_cov = geometry.spin_covector(pt, ang)
@@ -111,8 +111,8 @@ def _reference_covariant_derivative(pt, spec, f):
     psi = polar.assemble_spinor(f)
     d_dr, d_dth = polar.spinor_coordinate_partials(pt, f, psi)
     dpsi = np.stack([-1j * spec.E * psi, d_dr, d_dth, -1j * spec.l * psi])
-    C = geometry.spin_connection_at(pt, f.ang)
-    return dpsi + _einsum_spin_action(C, psi), psi
+    pairs = geometry.spin_connection_at(pt, f.ang)
+    return dpsi + _einsum_spin_action(pairs, psi), psi
 
 
 def _reference_standard(pt, spec):
@@ -190,7 +190,7 @@ def test_covector_epsilon_sums_keep_every_term(monkeypatch):
         return lambda *args: np.random.default_rng(seed).standard_normal(
             lead + args[0].shape)
 
-    monkeypatch.setattr(geometry, "tensorial_connection_at", random((4, 4, 4), 1))
+    monkeypatch.setattr(geometry, "tensorial_connection_at", random((6, 4), 1))
     monkeypatch.setattr(geometry, "velocity_covector", random((4,), 2))
     monkeypatch.setattr(geometry, "spin_covector", random((4,), 3))
     monkeypatch.setattr(geometry, "momentum_covector",
@@ -301,10 +301,8 @@ def test_closed_form_equals_the_formula_by_formula_composition():
                                   ref.density.phi2)
 
 
-def _einsum_spin_action(C, psi):
+def _einsum_spin_action(pairs, psi):
     """spin_action with the sum over the six pairs as an einsum."""
-    pairs = 0.5 * (C[clifford._PAIR_A, clifford._PAIR_B]
-                   - C[clifford._PAIR_B, clifford._PAIR_A])
     sigma_psi = (clifford.SIGMA_PAIR_STACK.reshape(-1, 4)
                  @ np.reshape(psi, (4, -1))).reshape((6,) + np.shape(psi))
     return np.einsum("km...,ki...->mi...", pairs, sigma_psi)
@@ -315,14 +313,14 @@ def test_spin_action_equals_the_einsum_over_the_pairs():
     for spec, pts in _cases():
         f = polar.closed_form(pts, spec)
         psi = polar.assemble_spinor(f)
-        # the spin connection, and a C that is not antisymmetric
-        for C in (geometry.spin_connection_at(pts, f.ang),
-                  rng.standard_normal((4, 4, 4) + pts.shape)):
-            assert np.array_equal(clifford.spin_action(C, psi),
-                                  _einsum_spin_action(C, psi)), spec
+        # the spin connection, and random pairs, each entry nonzero
+        for pairs in (geometry.spin_connection_at(pts, f.ang),
+                      rng.standard_normal((6, 4) + pts.shape)):
+            assert np.array_equal(clifford.spin_action(pairs, psi),
+                                  _einsum_spin_action(pairs, psi)), spec
         pt = _scalar_points(pts, 1)[0]
         f = polar.closed_form(pt, spec)
         psi = polar.assemble_spinor(f)
-        C = geometry.spin_connection_at(pt, f.ang)
-        assert np.array_equal(clifford.spin_action(C, psi),
-                              _einsum_spin_action(C, psi)), spec
+        pairs = geometry.spin_connection_at(pt, f.ang)
+        assert np.array_equal(clifford.spin_action(pairs, psi),
+                              _einsum_spin_action(pairs, psi)), spec

@@ -88,17 +88,17 @@ def test_every_suite_has_a_negative_control(monkeypatch):
 def test_a_wrong_spin_connection_component_fails_the_standard_form(
         monkeypatch):
     # the standard form reads the spin connection through nabla psi; one
-    # component off by 1e-3 must fail it, both with antisymmetry kept
-    # and as the lower-triangle entry C_{31r} alone: the spin action sums
-    # (C_ab - C_ba) sigma^ab over the pairs a < b, so both triangles count
+    # pair entry off must fail it: by 1e-3, C_{13r} shifted with its
+    # antisymmetric partner C_{31r}, and by -5e-4, the pair (C_13 - C_31)/2
+    # of the lower-triangle entry C_{31r} alone shifted by 1e-3
     connection = geometry.spin_connection_at
-    for shift in ({(1, 3): 1e-3, (3, 1): -1e-3}, {(3, 1): 1e-3}):
+    k = clifford.PAIRS.index((1, 3))
+    for shift in (1e-3, -5e-4):
 
         def wrong(pt, ang, shift=shift):
-            C = connection(pt, ang)
-            for (a, b), d in shift.items():
-                C[a, b, geometry.R] += d
-            return C
+            pairs = connection(pt, ang)
+            pairs[k, geometry.R] += shift
+            return pairs
 
         with monkeypatch.context() as patch:
             patch.setattr(geometry, "spin_connection_at", wrong)
@@ -163,8 +163,8 @@ def test_batched_sampled_residuals_equal_the_per_point_maxima():
 
 def test_a_nan_at_a_chunk_edge_fails_its_grid_suite(monkeypatch):
     # the last point of a full chunk and the last unmasked point of the
-    # grid, two chunks' worth of 9-point rows and nine more (37 rows for
-    # 128-point chunks)
+    # grid, two chunks' worth of 9-point rows and nine more (235 rows for
+    # 1024-point chunks)
     spec = ModelSpec.njl()
     n_r = 2 * (equations.SWEEP_CHUNK // 9) + 9
     points = grids.points(grids.GridConfig(n_r=n_r, n_theta=9), m=spec.m)
@@ -232,13 +232,13 @@ def test_run_suites_builds_and_masks_the_grid_once(monkeypatch):
 
 # Largest allocation peak of each grid form per point of a SWEEP_CHUNK
 # chunk, the closed-form bundle it reads included, in bytes.  A chunk of the
-# two heavy forms then stays near 0.8 MB, inside run_suites' 1 MB guard
+# two heavy forms then stays near 0.87 MB, inside run_suites' 1 MB guard
 # with the grid held beside it.
 FORM_PEAK_PER_POINT = {
-    "residual_expanded": 400,
-    "residual_polar_covector": 1600,
-    "residual_reduced": 400,
-    "residual_standard": 1600,
+    "residual_expanded": 300,
+    "residual_polar_covector": 850,
+    "residual_reduced": 300,
+    "residual_standard": 850,
 }
 
 
@@ -283,13 +283,17 @@ def test_run_suites_memory_peak_stays_small():
 
 def test_each_chunk_builds_its_closed_form_once(monkeypatch):
     # one bundle per sweep chunk, which every grid form reads, and one for
-    # the decomposition's 50 sampled points: 4 chunks of a 50x40 grid and 7
-    # of a 70x50 one.  The bundle builds the density step once
-    for spec, grid, builds in (
-            (ModelSpec.njl(), grids.GridConfig(0.05, 20.0, 50, 40), 5),
-            (ModelSpec.soler(), grids.GridConfig(0.05, 20.0, 50, 40), 5),
+    # the decomposition's 50 sampled points: with 1024-point chunks, 2
+    # chunks of a 50x40 grid and 4 of a 70x50 one.  The bundle builds the
+    # density step once
+    for spec, grid in (
+            (ModelSpec.njl(), grids.GridConfig(0.05, 20.0, 50, 40)),
+            (ModelSpec.soler(), grids.GridConfig(0.05, 20.0, 50, 40)),
             (ModelSpec.interpolating(0.37),
-             grids.GridConfig(0.05, 20.0, 70, 50), 8)):
+             grids.GridConfig(0.05, 20.0, 70, 50))):
+        unmasked = np.count_nonzero(
+            ~equations.is_masked(grids.points(grid, m=spec.m), spec))
+        builds = -(-unmasked // equations.SWEEP_CHUNK) + 1
         calls = {"closed_form": 0, "density": 0}
         with monkeypatch.context() as patch:
             for name in calls:
