@@ -99,12 +99,17 @@ GAMMA_COLUMN = np.argmax(np.abs(GAMMA_STACK), axis=2)
 GAMMA_VALUE = np.take_along_axis(GAMMA_STACK, GAMMA_COLUMN[..., None], 2)[..., 0]
 # The six pairs a < b, their a and b, and sigma^ab for each pair.  A field
 # antisymmetric in its first two indices is held as its pairs: pairs[k] =
-# C[PAIRS[k]], shape (6,) + the trailing shape of C.
+# C[PAIRS[k]], shape (6,) + the trailing shape of C.  Each sigma^ab has one
+# nonzero entry per row too, SIGMA_VALUE[k, i] = +-1/2 or +-i/2 in column
+# SIGMA_COLUMN[k, i] for the k-th pair.
 PAIRS = tuple((a, b) for a in range(4) for b in range(a + 1, 4))
 PAIR_A, PAIR_B = (np.array(index) for index in zip(*PAIRS))
 SIGMA_PAIR_STACK = np.stack([sigma_upper(a, b) for a, b in PAIRS])
+SIGMA_COLUMN = np.argmax(np.abs(SIGMA_PAIR_STACK), axis=2)
+SIGMA_VALUE = np.take_along_axis(SIGMA_PAIR_STACK, SIGMA_COLUMN[..., None],
+                                 2)[..., 0]
 for _mat in (GAMMA_STACK, GAMMA_COLUMN, GAMMA_VALUE, PAIR_A, PAIR_B,
-             SIGMA_PAIR_STACK):
+             SIGMA_PAIR_STACK, SIGMA_COLUMN, SIGMA_VALUE):
     _mat.setflags(write=False)
 
 
@@ -125,28 +130,29 @@ def spin_action(pairs, psi):
     C comes as its pairs, pairs[k, mu] = C_{ab mu} for the k-th pair (a, b)
     of PAIRS, shape (6, 4) + the points' shape.  sigma^ab is antisymmetric
     too, so the sum over all sixteen (a, b) is the sum over the six pairs
-    of C_ab sigma^ab.  Each sigma^ab acts on psi as one (4, 4) matrix
-    product, and each row mu of the result adds its six pair products,
-    from zero, in PAIRS order: the order and the rounding of an einsum over
-    the pair axis.  So the working set beyond the result is one spinor per
-    point, not the six sigma^ab psi or a (4, 4) product per point.
-
-    numpy buffers the pair row a product broadcasts to the size of the
-    product.  So on more than 512 points, such as a sweep chunk, each
-    product spans two spinor components, which halves the product and its
-    buffer; on fewer, where the number of calls costs more than memory,
-    it spans all four.
+    of C_ab sigma^ab.  Each row of sigma^ab psi is one component of psi
+    times +-1/2 or +-i/2, exact, and each row mu of the result adds its
+    pair products, from zero, in PAIRS order: the order and the rounding of
+    an einsum over the pair axis.  A pair row or a component of psi that is
+    zero at every point would add only zeros, so it is skipped; a NaN is
+    not zero.  Each product is taken one spinor row at a time: numpy
+    buffers a broadcast operand to the size of the whole product.
     """
     flat = np.reshape(psi, (4, -1))
-    out = np.zeros((4,) + np.shape(psi), dtype=np.result_type(pairs, psi))
-    step = 4 if np.size(psi) <= 2048 else 2
-    for k, sigma_ab in enumerate(SIGMA_PAIR_STACK):
-        sigma_psi = (sigma_ab @ flat).reshape(np.shape(psi))
-        for mu in range(4):
-            pair = pairs[k, mu, None]
-            for i in range(0, 4, step):
-                out[mu, i:i + step] += pair * sigma_psi[i:i + step]
-    return out
+    rows = np.reshape(pairs, (6, 4, -1))
+    live, live_psi = rows.any(axis=2), flat.any(axis=1)
+    out = np.zeros((4,) + flat.shape, dtype=np.result_type(pairs, psi))
+    sigma_psi, product = np.empty_like(flat), np.empty_like(flat[0])
+    for k in np.flatnonzero(live.any(axis=1)):
+        spin = [(i, column) for i, column in enumerate(SIGMA_COLUMN[k])
+                if live_psi[column]]
+        for i, column in spin:
+            np.multiply(flat[column], SIGMA_VALUE[k, i], out=sigma_psi[i])
+        for mu in np.flatnonzero(live[k]):
+            pair = rows[k, mu].astype(out.dtype)
+            for i, _ in spin:
+                out[mu, i] += np.multiply(pair, sigma_psi[i], out=product)
+    return out.reshape((4,) + np.shape(psi))
 
 
 PI_SIGNS = np.real(np.diagonal(PI)).copy()  # pi is diagonal
@@ -164,11 +170,11 @@ _KERNEL_PHI = GAMMA[0] @ IDENTITY
 _KERNEL_THETA = GAMMA[0] @ PI
 _KERNEL_U = np.stack([GAMMA[0] @ GAMMA[a] for a in range(4)])
 _KERNEL_S = np.stack([GAMMA[0] @ GAMMA[a] @ PI for a in range(4)])
-# The ten kernels as two stacks, each applied as one matrix product: Theta,
-# Phi and the four U first, then the four S.  Two products, not one of all
-# ten kernels, keep the intermediate at 24 rows per spinor.
-_KERNEL_STACKS = (np.concatenate((_KERNEL_THETA, _KERNEL_PHI, *_KERNEL_U)),
-                 np.concatenate(_KERNEL_S))
+# The kernels as stacks, each one matrix product: Theta and Phi, the four U,
+# then the four S.  The intermediate is 16 rows per spinor at most, and
+# Theta and Phi alone take 8.
+_KERNEL_STACKS = (np.concatenate((_KERNEL_THETA, _KERNEL_PHI)),
+                  np.concatenate(_KERNEL_U), np.concatenate(_KERNEL_S))
 for _mat in (_KERNEL_PHI, _KERNEL_THETA, _KERNEL_U, _KERNEL_S, *_KERNEL_STACKS):
     _mat.setflags(write=False)
 del _mat
@@ -192,6 +198,27 @@ class BilinearSet:
     U: np.ndarray
 
 
+def _real_bilinears(psi, stacks):
+    """The bilinears psi^dag (gamma^0 K) psi of the kernel ``stacks``, Theta
+    first, real parts only, after the reality check of bilinears."""
+    psi = np.asarray(psi)
+    psi = psi.astype(np.result_type(psi, 1j), copy=False)
+    conj = psi.conj()
+    flat = np.reshape(psi, (4, -1))
+    parts = np.concatenate([
+        np.einsum("i...,ki...->k...", conj, (kernels @ flat).reshape(
+            (len(kernels) // 4, 4) + np.shape(psi)[1:]))
+        for kernels in stacks])
+    parts[0] *= 1j
+    scale = np.maximum(1.0, np.max(np.abs(parts), axis=0))
+    worst = np.max(np.abs(parts.imag), axis=0)
+    if np.any(worst > IMAG_TOL * scale):
+        raise NonRealBilinear(
+            f"imaginary part {np.max(worst):.3e} exceeds {IMAG_TOL:.1e} x scale"
+        )
+    return parts.real
+
+
 def bilinears(psi):
     """Compute (Theta, Phi, S^a, U^a) from one spinor, shape (4,), or from a
     stack of spinors with the point axes after the spinor axis.
@@ -201,23 +228,14 @@ def bilinears(psi):
     basis itself is inconsistent and NonRealBilinear is raised.  Imaginary
     parts are discarded after the check.
     """
-    psi = np.asarray(psi)
-    psi = psi.astype(np.result_type(psi, 1j), copy=False)
-    conj = psi.conj()
-    flat = np.reshape(psi, (4, -1))
-    parts = np.concatenate([
-        np.einsum("i...,ki...->k...", conj, (kernels @ flat).reshape(
-            (len(kernels) // 4, 4) + np.shape(psi)[1:]))
-        for kernels in _KERNEL_STACKS])
-    parts[0] *= 1j
-    theta, phi, U, S = parts[0], parts[1], parts[2:6], parts[6:]
-    scale = np.maximum(1.0, np.max(np.abs(parts), axis=0))
-    worst = np.max(np.abs(parts.imag), axis=0)
-    if np.any(worst > IMAG_TOL * scale):
-        raise NonRealBilinear(
-            f"imaginary part {np.max(worst):.3e} exceeds {IMAG_TOL:.1e} x scale"
-        )
-    return BilinearSet(theta=theta.real, phi=phi.real, S=S.real, U=U.real)
+    parts = _real_bilinears(psi, _KERNEL_STACKS)
+    return BilinearSet(theta=parts[0], phi=parts[1], S=parts[6:], U=parts[2:6])
+
+
+def theta_phi(psi):
+    """(Theta, Phi) of bilinears, stacked, from their two kernels alone; the
+    reality check reads these two and scales by the larger."""
+    return _real_bilinears(psi, _KERNEL_STACKS[:1])
 
 
 def lorentz_dot(v, w):

@@ -34,9 +34,9 @@ DEFAULT_MASK_MARGIN = 0.02
 # Points per evaluation in a grid sweep.  Every call pays a fixed cost of
 # many small numpy calls, so a larger chunk costs less per point, and
 # memory sets the limit.  On 1024 points the covector and standard forms
-# peak at about 0.85 KB of allocations per point (tracemalloc), the
-# expanded and reduced forms at 0.27 KB, each with the 0.17 KB bundle it
-# reads, so a verify of a 70x50 grid peaks near 0.97 MB.
+# peak at about 0.84 and 0.83 KB of allocations per point (tracemalloc),
+# the expanded and reduced forms at 0.27 KB, each with the 0.17 KB bundle
+# it reads, so a verify of a 70x50 grid peaks near 0.95 MB.
 SWEEP_CHUNK = 1024
 
 
@@ -270,39 +270,50 @@ def residual_standard(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     """Largest component norm at each point of i gamma^mu nabla_mu psi
     + (1/4)(Phi + i p Theta pi) psi - m psi on the assembled spinor.
 
-    Phi and Theta are recomputed from the spinor's own bilinears rather than
-    from the polar formulas, so this residual exercises the whole chain:
-    gamma basis, tetrads, spin connection, density, chiral angle and phase.
+    Phi and Theta are recomputed from the spinor's own bilinears (their two
+    kernels, clifford.theta_phi) rather than from the polar formulas, so
+    this residual exercises the whole chain: gamma basis, tetrads, spin
+    connection, density, chiral angle and phase.
 
-    The bilinears come first, of a spinor assembled for them, so their
-    kernel rows are not held beside nabla psi.  Then each frame index a
-    adds i gamma^a xi_a^mu nabla_mu psi: the frame row xi_a^mu nabla_mu psi,
-    and from it, in each row of the result, the one entry gamma^a reads.
-    That is the sum and the rounding of a frame einsum and a gamma einsum
-    over all (a, j), with no (4, 4) frame product per point.
+    Each frame index a adds i gamma^a xi_a^mu nabla_mu psi: the frame row
+    xi_a^mu nabla_mu psi, summed in ascending mu over the tetrad rows that
+    are nonzero at some point (two of the four), and from it, in each row of
+    the result, the one entry gamma^a reads.  That is the sum and the
+    rounding of a frame einsum and a gamma einsum over all (a, j), with no
+    (4, 4) frame product per point.  Every product is taken one spinor row
+    at a time, as in clifford.spin_action.
     """
-    bl = clifford.bilinears(polar.assemble_spinor(f))
-    phi, theta = bl.phi.copy(), bl.theta.copy()
-    del bl  # and with it U and S
     nabla, psi = polar.covariant_derivative(pt, spec, f)
     xi = geometry.tetrad_at(pt, f.ang)
-    dirac = np.zeros_like(psi)
-    framed = np.empty_like(psi)
+    # the point axes as one, so that every row of a point is an array
+    nabla, xi = np.reshape(nabla, (4, 4, -1)), np.reshape(xi, (4, 4, -1))
+    dirac = np.empty(nabla.shape[1:], dtype=psi.dtype)
+    framed, product = np.empty_like(dirac[0]), np.empty_like(dirac[0])
     for a in range(4):
-        # with xi cast first, einsum needs no buffer of its own
-        np.einsum("m...,mj...->j...", xi[a].astype(psi.dtype), nabla,
-                  out=framed)
+        # each frame vector has a nonzero component wherever there is a point
+        mus = np.flatnonzero(xi[a].any(axis=1)) if dirac.size else [0]
+        rows = [xi[a, mu].astype(psi.dtype) for mu in mus]
         for i, column in enumerate(clifford.GAMMA_COLUMN[a]):
-            dirac[i] += _I_GAMMA[a, i] * framed[column]
-    del nabla, xi, framed  # before the temporaries of the last terms
-    # (1/4)(Phi + i p Theta pi) is diagonal: one coefficient per component.
+            term = framed if a else dirac[i]
+            np.multiply(rows[0], nabla[mus[0], column], out=term)
+            for row, mu in zip(rows[1:], mus[1:]):
+                term += np.multiply(row, nabla[mu, column], out=product)
+            term *= _I_GAMMA[a, i]
+            if a:
+                dirac[i] += term
+    dirac = dirac.reshape(psi.shape)
+    del nabla, xi, framed, product  # before the bilinears and the last terms
+    theta, phi = clifford.theta_phi(psi)
+    # (1/4)(Phi + i p Theta pi) is diagonal: one coefficient per component,
+    # and a component of psi that is zero at every point adds only zeros.
     # einsum rounds each complex product as two real products and a sum;
     # the multiply ufunc may fuse them and differ in the last bit.
-    nonlinear = 0.25 * (
-        phi + 1j * spec.p * np.multiply.outer(clifford.PI_SIGNS, theta))
-    res = (dirac + np.einsum("i...,i...->i...", nonlinear, psi)
-           - spec.m * psi)
-    return np.max(np.abs(res), axis=0)
+    for i in np.flatnonzero(np.reshape(psi, (4, -1)).any(axis=1)):
+        nonlinear = 0.25 * (
+            phi + 1j * spec.p * (clifford.PI_SIGNS[i] * theta))
+        dirac[i] += np.einsum("...,...->...", nonlinear, psi[i])
+        dirac[i] -= spec.m * psi[i]
+    return np.max(np.abs(dirac), axis=0)
 
 
 # -- grid sweep ------------------------------------------------------------------
@@ -345,7 +356,25 @@ def _stats(values, n_points):
     stats = {"n_points": n_points, "n_masked": n_points - values.size,
              "max": 0.0, "mean": 0.0, "median": 0.0, "q95": 0.0}
     if values.size:
-        median, q95 = np.quantile(values, (0.5, 0.95)).tolist()
+        median, q95 = _quantiles(values, (0.5, 0.95))
         stats.update(max=float(values.max()), mean=float(values.mean()),
                      median=median, q95=q95)
     return stats
+
+
+def _quantiles(values, qs):
+    """np.quantile(values, qs) of a non-empty 1-D array, float for float,
+    by one sort and numpy's linear interpolation; np.quantile itself calls
+    np.unique, which imports numpy.ma."""
+    ordered = np.sort(values)
+    last = ordered.size - 1
+    if np.isnan(ordered[last]):  # NaN sorts last
+        return [np.nan] * len(qs)
+    out = []
+    for q in qs:
+        h = last * q  # between ordered[i] = a and b, a fraction g past a
+        i = min(int(h), max(last - 1, 0))
+        a, b = float(ordered[i]), float(ordered[min(i + 1, last)])
+        g = h - i
+        out.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+    return out

@@ -226,8 +226,9 @@ def tetrad_at(pt: GridPoint, ang: AngleState):
     xi[3, R] = -ang.cos_gamma
     xi[1, TH] = -ang.cos_gamma / r
     xi[3, TH] = -ang.sin_gamma / r
-    xi[0, PH] = -ang.sinh_alpha / (r * np.sin(th))
-    xi[2, PH] = ang.cosh_alpha / (r * np.sin(th))
+    r_sin = r * np.sin(th)
+    xi[0, PH] = -ang.sinh_alpha / r_sin
+    xi[2, PH] = ang.cosh_alpha / r_sin
     return xi
 
 
@@ -238,9 +239,9 @@ def spin_connection_at(pt: GridPoint, ang: AngleState):
     Eight nonzero pair entries.  The trig sums cos/sin(theta + gamma) come
     from the composition of the coordinate rotation with the spin tilt.
     """
-    th = pt.theta
-    ctg = np.cos(th) * ang.cos_gamma - np.sin(th) * ang.sin_gamma
-    stg = np.sin(th) * ang.cos_gamma + np.cos(th) * ang.sin_gamma
+    c, s = np.cos(pt.theta), np.sin(pt.theta)
+    ctg = c * ang.cos_gamma - s * ang.sin_gamma
+    stg = s * ang.cos_gamma + c * ang.sin_gamma
     return _connection(pt, ang, (
         ((0, 2, R), -ang.d_alpha_dr),
         ((0, 2, TH), -ang.d_alpha_dtheta),

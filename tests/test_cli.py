@@ -350,6 +350,23 @@ print(json.dumps({"codes": codes, "scipy": scipy}))
             {"codes": [code], "scipy": []}, argv
 
 
+def test_cold_verify_and_report_leave_numpy_ma_unimported(tmp_path):
+    # np.quantile reaches np.unique, whose first call imports numpy.ma; the
+    # sweep's statistics do without it, so a cold verify or report never
+    # loads it.  -X importtime names every module a command imports.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for argv in (["verify"], ["report", "--model", "soler"]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "nldirac.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        modules = {line.rsplit("|", 1)[-1].strip()
+                   for line in proc.stderr.splitlines()
+                   if line.startswith("import time:")}
+        assert "numpy" in modules, argv
+        assert "numpy.ma" not in modules, argv
+
+
 def test_locus_report(capsys):
     code, stdout, _ = run(capsys, "locus", "--model", "njl")
     assert code == 0

@@ -156,6 +156,47 @@ def test_spin_action_equals_the_dense_sum_for_any_connection(seed, n):
     assert np.max(np.abs(action - dense)) <= 1e-15 * np.max(np.abs(dense))
 
 
+def test_spin_action_applies_a_pair_row_nonzero_at_one_point():
+    # a pair row is skipped only where it is zero at every point of the
+    # call; nonzero at one point, it is applied there, bit for bit
+    rng = np.random.default_rng(26)
+    psi = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    for k in range(6):
+        for mu in range(4):
+            pairs = np.zeros((6, 4, 5))
+            pairs[k, mu, 2] = rng.standard_normal()
+            action = clifford.spin_action(pairs, psi)
+            assert np.array_equal(action, _dense_spin_action(pairs, psi)), (
+                k, mu)
+            assert np.all(action[mu, :, 2] != 0), (k, mu)
+            assert not np.any(np.delete(action, 2, axis=2)), (k, mu)
+
+
+def test_spin_action_carries_a_nan_pair_entry_to_its_mu_row():
+    # a NaN is not zero: in a pair row that is zero at every other point
+    # (the t row of the (0, 1) pair) and in a live one (the r row of (0, 2))
+    # it reaches the components of its mu row that psi feeds at its point,
+    # and nothing else
+    spec = ModelSpec.njl()
+    pts = grids.sample_points(
+        np.random.default_rng(7), 50, m=spec.m,
+        reject=lambda pt: equations.is_masked(pt, spec))
+    f = polar.closed_form(pts, spec)
+    psi = polar.assemble_spinor(f)
+    pairs = geometry.spin_connection_at(pts, f.ang)
+    clean = clifford.spin_action(pairs, psi)
+    for k, mu in ((0, geometry.T), (1, geometry.R)):
+        assert np.any(pairs[k, mu]) == (k == 1)
+        poisoned = pairs.copy()
+        poisoned[k, mu, 7] = np.nan
+        action = clifford.spin_action(poisoned, psi)
+        assert np.isnan(action[mu, :, 7]).any(), (k, mu)
+        assert np.array_equal(np.delete(action, 7, axis=2),
+                              np.delete(clean, 7, axis=2)), (k, mu)
+        assert np.array_equal(np.delete(action[:, :, 7], mu, axis=0),
+                              np.delete(clean[:, :, 7], mu, axis=0)), (k, mu)
+
+
 def test_bilinears_rest_frame_column():
     bl = bilinears(np.array([1.0, 0.0, 1.0, 0.0]))
     assert bl.theta == pytest.approx(0.0, abs=1e-14)
@@ -219,6 +260,20 @@ def test_non_real_bilinear_raised_on_broken_kernel(monkeypatch):
     monkeypatch.setattr(clifford, "_KERNEL_STACKS", (broken, *stacks[1:]))
     with pytest.raises(NonRealBilinear):
         bilinears(np.array([1.0, 0.3 + 0.2j, -0.1, 0.7j]))
+
+
+def test_theta_phi_checks_the_reality_of_its_two_kernels(monkeypatch):
+    # theta_phi reads the first kernel stack alone, Theta and Phi, and the
+    # same corruption of the Theta kernel is caught there
+    stacks = clifford._KERNEL_STACKS
+    psi = np.array([1.0, 0.3 + 0.2j, -0.1, 0.7j])
+    bl = bilinears(psi)
+    assert np.array_equal(clifford.theta_phi(psi), [bl.theta, bl.phi])
+    broken = stacks[0].copy()
+    broken[0, 1] += 0.3
+    monkeypatch.setattr(clifford, "_KERNEL_STACKS", (broken, *stacks[1:]))
+    with pytest.raises(NonRealBilinear):
+        clifford.theta_phi(psi)
 
 
 def test_lorentz_dot_signature():

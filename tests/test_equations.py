@@ -308,6 +308,45 @@ def test_sweep_masks_and_aggregates():
     assert stats["max"] <= 1e-10
 
 
+def _numpy_quantiles(values):
+    # inf - inf inside np.quantile's interpolation warns; the value is what
+    # the sweep must match
+    with np.errstate(invalid="ignore"):
+        return np.quantile(values, (0.5, 0.95)).tolist()
+
+
+def test_sweep_quantiles_equal_numpy_quantile():
+    # the same floats as np.quantile's linear method, without its import of
+    # numpy.ma: seeded arrays of 1 to 4000 values over 30 decades, with ties,
+    # +-inf and NaN
+    rng = np.random.default_rng(26)
+    arrays = [np.array([x]) for x in (0.0, 2.5, np.inf, -np.inf)]
+    arrays += [np.array([1.0, np.inf]), np.array([np.inf, np.inf, 3.0]),
+               np.array([-np.inf, 1.0, 2.0, np.inf]), np.full(7, 0.25)]
+    for k in range(600):
+        n = int(rng.integers(1, 4001)) if k % 3 else int(rng.integers(1, 9))
+        values = np.abs(rng.standard_normal(n)) * 10.0 ** rng.uniform(
+            -15, 15, n)
+        if k % 4 == 0:
+            values = np.round(values, 1)  # ties
+        if k % 5 == 0:
+            values[rng.integers(n)] = rng.choice((np.inf, -np.inf))
+        arrays.append(values)
+    for values in arrays:
+        got = equations._quantiles(values, (0.5, 0.95))
+        assert np.array_equal(got, _numpy_quantiles(values), equal_nan=True), (
+            values.size, got)
+    # a NaN: the sweep's max stays NaN, and the median and q95 are what
+    # np.quantile returns
+    values = rng.standard_normal(50) ** 2
+    values[17] = np.nan
+    stats = equations._stats(values, 60)
+    assert np.isnan(stats["max"])
+    assert np.array_equal([stats["median"], stats["q95"]],
+                          _numpy_quantiles(values), equal_nan=True)
+    assert (stats["n_points"], stats["n_masked"]) == (60, 10)
+
+
 @settings(max_examples=100, deadline=None)
 @given(margin=st.floats(0.0, 1.5), p=st.sampled_from([0.0, 0.5, 1.0]),
        m=st.sampled_from([0.5, 1.0, 2.0]), n_r=st.integers(2, 12),

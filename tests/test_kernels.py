@@ -18,7 +18,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nldirac import clifford, equations, geometry, grids, polar
+from nldirac import clifford, equations, geometry, grids, polar, verify
 from nldirac.geometry import AngleState, GridPoint
 from nldirac.polar import ClosedForm, Density, ModelSpec
 
@@ -159,6 +159,22 @@ def test_bilinears_equal_the_einsum_contractions():
         assert np.array_equal(bl.S, S.real)
 
 
+def test_theta_phi_equals_the_einsum_contractions():
+    # the standard form's Theta and Phi from their two kernels alone are
+    # those of the ten-kernel bilinears and of the three-operand einsums
+    spinors = [polar.assemble_spinor(polar.closed_form(pts, spec))
+               for spec, pts in _cases()]
+    spinors.append(np.transpose(clifford.random_spinors(1000, seed=42)))
+    for psi in spinors:
+        theta, phi, _, _ = _einsum_bilinears(psi)
+        bl = clifford.bilinears(psi)
+        got_theta, got_phi = clifford.theta_phi(psi)
+        assert np.array_equal(got_theta, theta.real)
+        assert np.array_equal(got_phi, phi.real)
+        assert np.array_equal(got_theta, bl.theta)
+        assert np.array_equal(got_phi, bl.phi)
+
+
 @pytest.mark.parametrize("make", MODELS[:2])
 def test_covector_components_equal_the_four_operand_contraction(make):
     # the endpoint models against the reference's own njl and soler
@@ -231,6 +247,33 @@ def test_standard_form_equals_the_matrix_nonlinear_term():
                     equations.residual_standard(
                         pt, model, polar.closed_form(pt, model)),
                     _reference_standard(pt, model)), model
+
+
+def test_a_nan_in_the_spinor_fails_the_standard_form(monkeypatch):
+    # skipping the rows and components that are zero at every point must
+    # not skip a NaN: in either a nonzero component of psi or one that is
+    # zero everywhere else, a NaN at one point makes that point's residual
+    # non-finite and fails standard-residuals through run_suites
+    assemble = polar.assemble_spinor
+    spec = ModelSpec.njl()
+    pts = _points(spec, 26, 50)
+    f = polar.closed_form(pts, spec)
+    for component in (0, 1):
+        def poisoned(f):
+            psi = assemble(f)
+            psi.reshape(4, -1)[component, 1] = np.nan
+            return psi
+
+        with monkeypatch.context() as patch:
+            patch.setattr(polar, "assemble_spinor", poisoned)
+            res = equations.residual_standard(pts, spec, f)
+            report = verify.run_suites(spec, grids.GridConfig(n_r=25,
+                                                              n_theta=20))
+        assert not np.isfinite(res[1]), component
+        assert np.isfinite(np.delete(res, 1)).all(), component
+        assert "standard-residuals" in report["failing_suites"], component
+        assert not np.isfinite(
+            report["suites"]["standard-residuals"]["max_residual"])
 
 
 def _reference_closed_form(pt, spec):

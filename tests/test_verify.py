@@ -232,13 +232,13 @@ def test_run_suites_builds_and_masks_the_grid_once(monkeypatch):
 
 # Largest allocation peak of each grid form per point of a SWEEP_CHUNK
 # chunk, the closed-form bundle it reads included, in bytes.  A chunk of the
-# two heavy forms then stays near 0.87 MB, inside run_suites' 1 MB guard
+# two heavy forms then stays near 0.86 MB, inside run_suites' 1 MB guard
 # with the grid held beside it.
 FORM_PEAK_PER_POINT = {
     "residual_expanded": 300,
     "residual_polar_covector": 850,
     "residual_reduced": 300,
-    "residual_standard": 850,
+    "residual_standard": 830,
 }
 
 
@@ -263,9 +263,9 @@ def test_each_grid_form_peaks_under_its_bound_per_point():
 
 def test_run_suites_memory_peak_stays_small():
     # the grid suites evaluate chunks of SWEEP_CHUNK points, each form
-    # within FORM_PEAK_PER_POINT, and the bilinears stack at most 24 kernel
-    # rows per spinor, so one verify's allocations peak under 1 MB on the
-    # benchmark's grid sizes
+    # within FORM_PEAK_PER_POINT, and fierz's bilinears stack at most 16
+    # kernel rows per spinor (the standard form's Theta and Phi take 8), so
+    # one verify's allocations peak under 1 MB on the benchmark's grid sizes
     for spec, grid in (
             (ModelSpec.njl(), grids.GridConfig(0.05, 20.0, 50, 40)),
             (ModelSpec.soler(), grids.GridConfig(0.05, 20.0, 50, 40)),
