@@ -150,7 +150,7 @@ def covector_components(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     built per point.
     """
     m, p, ang, d = spec.m, spec.p, f.ang, f.density
-    g = geometry.inverse_metric_diagonal(pt)
+    g = geometry.inverse_metric_at(pt)
     eps = geometry.coordinate_epsilon_lower(pt)
     R_trace, B = _connection_contractions(pt, ang, g, eps)
     u = geometry.velocity_covector(pt, ang)
@@ -222,9 +222,9 @@ def residual_polar_covector(pt: GridPoint, spec: ModelSpec,
 def reduced_components(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     """Signed residuals of the reduced radial/angular system.
 
-    The density, its log-derivatives and the sinh/cosh of the profile zeta
-    come from the bundle's density step, which reads zeta through
-    polar.zeta_exact, so a wrong profile propagates exactly as a wrong
+    The density, its log-derivatives, sinh zeta = X, cosh zeta and the
+    root of D come from the bundle's density step, which reads the profile
+    through polar.X_exact, so a wrong profile propagates exactly as a wrong
     solution would.  The system is that of the radial family, r d_r zeta =
     1 and d_theta zeta = 0, on which the two zeta equations lose their
     tan/cot terms: the radial one reads r d_r zeta = rhs and the angular
@@ -232,19 +232,19 @@ def reduced_components(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     equations: the two module equations and this one.
     """
     r, p, m, d = pt.r, spec.p, spec.m, f.density
-    c, s, sh, ch, D, phi2 = d.c, d.s, d.sh, d.ch, d.D, d.phi2
+    c, s, sh, ch, D, q, phi2 = d.c, d.s, d.sh, d.ch, d.D, d.q, d.phi2
     r_dz = 1.0
     res1 = d.r_dlnphi2_dr - (
-        (p - 1.0) * r * phi2 * sh * ch * c * c / D**1.5
+        (p - 1.0) * r * phi2 * sh * ch * c * c / (D * q)
         - 2.0
         + (2.0 * m * r * ch * c * c + 2.0 * m * r * s * s * sh
            - 2.0 * sh * ch) / D
     )
     res2 = d.dlnphi2_dtheta - (
-        (p - 1.0) * r * phi2 * s * c * sh * sh / D**1.5
+        (p - 1.0) * r * phi2 * s * c * sh * sh / (D * q)
         + (r_dz - 2.0 * m * r * ch + 2.0 * m * r * sh + 1.0) * s * c / D
     )
-    rhs_common = (d.S * r * phi2 / np.sqrt(D) + 2.0 * m * r * ch
+    rhs_common = (d.S * r * phi2 / q + 2.0 * m * r * ch
                   - 2.0 * m * r * sh - 2.0)
     return {
         "module_radial": res1,

@@ -102,23 +102,15 @@ def _zeros(lead, pt: GridPoint, *values):
     return np.zeros(lead + pt.shape, dtype=np.result_type(pt.r, pt.theta, *values))
 
 
-def _diagonal(pt: GridPoint, entries):
-    out = _zeros((4, 4), pt, *entries)
-    for i, value in enumerate(entries):
-        out[i, i] = value
-    return out
-
-
 def inverse_metric_at(pt: GridPoint):
-    r, th = pt.r, pt.theta
-    return _diagonal(pt, [1.0, -1.0, -1.0 / (r * r), -1.0 / (r * np.sin(th)) ** 2])
-
-
-def inverse_metric_diagonal(pt: GridPoint):
     """g^{mu mu}, shape (4,) + the points' shape: the metric is diagonal, so
-    raising an index is a multiplication by this, with no sum over zeros.
-    A copy: the diagonal view would hold all 16 entries per point."""
-    return np.einsum("mm...->m...", inverse_metric_at(pt)).copy()
+    raising an index is a multiplication by this, with no sum over zeros."""
+    r, th = pt.r, pt.theta
+    entries = (1.0, -1.0, -1.0 / (r * r), -1.0 / (r * np.sin(th)) ** 2)
+    out = _zeros((4,), pt, *entries)
+    for mu, value in enumerate(entries):
+        out[mu] = value
+    return out
 
 
 def sqrt_abs_g(pt: GridPoint):
@@ -311,7 +303,7 @@ def transport_residuals(pt: GridPoint, angle_field):
     R_ = expand_pairs(tensorial_connection_at(pt, ang))
     cov = (_coordinate_partials(lambda p: covectors(p, angle_field(p)), pt)
            - np.einsum("rnm...,vr...->mvn...", lam, vecs))
-    vecs_up = vecs * inverse_metric_diagonal(pt)
+    vecs_up = vecs * inverse_metric_at(pt)
     rhs = np.einsum("vr...,rnm...->mvn...", vecs_up, R_)
     # the largest violation of each covector over mu, nu and the points
     ws, wu = np.max(np.moveaxis(np.abs(cov - rhs), 1, 0).reshape(2, -1),
@@ -338,7 +330,7 @@ def curvature_strength_residuals(pt: GridPoint, angle_field):
     """
 
     def mixed(p):
-        return (inverse_metric_diagonal(p)[:, None, None]
+        return (inverse_metric_at(p)[:, None, None]
                 * expand_pairs(tensorial_connection_at(p, angle_field(p))))
 
     dR = _coordinate_partials(mixed, pt)

@@ -1,11 +1,12 @@
 """Polar variables of the closed-form solutions and the explicit spinor.
 
 The radial profile of both models is X(r) = (1/2)(2mr - 1/(2mr)), which is
-sinh(zeta) for zeta = ln(2mr).  The chiral angle and the kinematic angles are
-algebraic in X and cos(theta); the particle density phi^2 depends on the
-model through the interpolation parameter p in [0, 1]:
+sinh(zeta) for zeta = ln(2mr); cosh zeta = sqrt(X^2 + 1) = r X'.  Every
+quantity here reads the profile through X_exact.  The chiral angle and the
+kinematic angles are algebraic in X and cos(theta); the particle density
+phi^2 depends on the model through the interpolation parameter p in [0, 1]:
 
-    phi^2 = 2 sqrt(sinh^2 zeta + cos^2 theta) / (r [sinh^2 zeta + p cos^2 theta])
+    phi^2 = 2 sqrt(X^2 + cos^2 theta) / (r [X^2 + p cos^2 theta])
 
 with p = 1 the chiral (Nambu--Jona-Lasinio) density and p = 0 the purely
 scalar (Soler) density, where it factorizes as sqrt(X^2 + cos^2 theta) G(r)
@@ -83,19 +84,13 @@ class ModelSpec:
 
 
 def X_exact(r, spec: ModelSpec):
-    """Radial profile (2mr - 1/(2mr))/2 = sinh(ln 2mr); vanishes at 2mr = 1."""
+    """Radial profile (u - 1/u)/2 = sinh(ln u), u = 2mr; vanishes at u = 1.
+
+    Written as (u - 1)(u + 1)(0.5/u): next to u = 1 the difference u - 1
+    is exact, so X keeps its full relative precision at the locus, where
+    the spelling u - 1/u cancels.  Complex-analytic in r."""
     u = 2.0 * spec.m * r
-    return 0.5 * (u - 1.0 / u)
-
-
-def zeta_exact(r, spec: ModelSpec):
-    return np.log(2.0 * spec.m * r)
-
-
-def r_dX_dr_exact(r, spec: ModelSpec):
-    """r X'(r) = cosh(ln 2mr) on the closed-form branch."""
-    u = 2.0 * spec.m * r
-    return 0.5 * (u + 1.0 / u)
+    return (u - 1.0) * (u + 1.0) * (0.5 / u)
 
 
 def G_exact(r, spec: ModelSpec):
@@ -135,29 +130,27 @@ def angle_state(pt: GridPoint, spec: ModelSpec) -> AngleState:
     stays complex-analytic in complex coordinates, so the identity residuals
     differentiate it by complex step.
     """
-    return _kinematics(pt, X_exact(pt.r, spec), r_dX_dr_exact(pt.r, spec),
-                       np.cos(pt.theta), np.sin(pt.theta))[2]
-
-
-def _kinematics(pt: GridPoint, X, r_dX_dr, c, s):
-    """(D, q, AngleState) from the profile X, r X', cos(theta) and
-    sin(theta), with D = X^2 + cos^2 theta, q = sqrt(D) and ch = sqrt(X^2
-    + 1); refuses the ring.  The rapidity and tilt quotients are sinh alpha
-    = sin(theta)/q, cosh alpha = ch/q, sin gamma = X sin(theta)/q and
-    cos gamma = ch cos(theta)/q; their radial partials go through r X'."""
+    X, c = X_exact(pt.r, spec), np.cos(pt.theta)
     X2 = X * X
     D = X2 + c * c
     _refuse(pt, np.real(D) <= 1e-28, "kinematic quotients are 0/0 on the ring")
-    q, ch = np.sqrt(D), np.sqrt(X2 + 1.0)
-    F = r_dX_dr / ch
-    return D, q, AngleState(
+    return _kinematics(pt, X, np.sqrt(X2 + 1.0), c, np.sin(pt.theta), D,
+                       np.sqrt(D))
+
+
+def _kinematics(pt: GridPoint, X, ch, c, s, D, q):
+    """AngleState from the profile X, ch = cosh zeta = sqrt(X^2 + 1) = r X',
+    cos(theta), sin(theta), D = X^2 + cos^2 theta and q = sqrt(D).  The
+    rapidity and tilt quotients are sinh alpha = sin(theta)/q, cosh alpha =
+    ch/q, sin gamma = X sin(theta)/q and cos gamma = ch cos(theta)/q."""
+    return AngleState(
         sinh_alpha=s / q,
         cosh_alpha=ch / q,
         sin_gamma=X * s / q,
         cos_gamma=ch * c / q,
-        d_alpha_dr=-X * s * F / D / pt.r,
+        d_alpha_dr=-X * s / D / pt.r,
         d_alpha_dtheta=ch * c / D,
-        d_gamma_dr=c * s * F / D / pt.r,
+        d_gamma_dr=c * s / D / pt.r,
         d_gamma_dtheta=X * ch / D,
     )
 
@@ -165,23 +158,25 @@ def _kinematics(pt: GridPoint, X, r_dX_dr, c, s):
 # -- matter distributions -----------------------------------------------------
 
 
-def _phi2(r, D, S):
-    """phi^2 = 2 sqrt(D) / (r S), D = sinh^2 zeta + cos^2 theta and S =
-    sinh^2 zeta + p cos^2 theta."""
-    return 2.0 * np.sqrt(D) / (r * S)
+def _phi2(r, q, S):
+    """phi^2 = 2 q / (r S), q = sqrt(D), D = X^2 + cos^2 theta and S = X^2
+    + p cos^2 theta."""
+    return 2.0 * q / (r * S)
 
 
 @dataclass(frozen=True)
 class Density:
     """phi^2, its two log-derivatives and the point quantities they are
-    built from (D and S as in _phi2), each a float or an array of the
-    points' shape."""
+    built from: cos/sin theta, sh = X = sinh zeta, ch = cosh zeta = sqrt(X^2
+    + 1), and D, q = sqrt(D) and S as in _phi2; each a float or an array of
+    the points' shape."""
 
     c: float
     s: float
     sh: float
     ch: float
     D: float
+    q: float
     S: float
     phi2: float
     r_dlnphi2_dr: float
@@ -189,17 +184,17 @@ class Density:
 
 
 def density(pt: GridPoint, spec: ModelSpec) -> Density:
-    """The density step of closed_form: zeta, read through zeta_exact, its
-    sinh and cosh and cos/sin theta, each once.
-    Raises SingularPoint, naming the first point, on the locus S = 0."""
-    p, z = spec.p, zeta_exact(pt.r, spec)
-    sh, ch = np.sinh(z), np.cosh(z)
+    """The density step of closed_form: the profile X, read through
+    X_exact, cosh zeta = sqrt(X^2 + 1), cos/sin theta, D and its root, each
+    once.  Raises SingularPoint, naming the first point, on the locus S = 0."""
+    p, sh = spec.p, X_exact(pt.r, spec)
     c, s = np.cos(pt.theta), np.sin(pt.theta)
     sh2, c2 = sh * sh, c * c
     D, S = sh2 + c2, sh2 + p * c2
-    _refuse(pt, np.real(S) <= 1e-28, "locus sinh^2 zeta + p cos^2 theta = 0")
+    _refuse(pt, np.real(S) <= 1e-28, "locus X^2 + p cos^2 theta = 0")
+    ch, q = np.sqrt(sh2 + 1.0), np.sqrt(D)
     return Density(
-        c=c, s=s, sh=sh, ch=ch, D=D, S=S, phi2=_phi2(pt.r, D, S),
+        c=c, s=s, sh=sh, ch=ch, D=D, q=q, S=S, phi2=_phi2(pt.r, q, S),
         r_dlnphi2_dr=sh * ch * (1.0 / D - 2.0 / S) - 1.0,
         dlnphi2_dtheta=-s * c / D + 2.0 * p * s * c / S,
     )
@@ -210,9 +205,9 @@ def phi2_grid(spec: ModelSpec, r, theta):
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sh2 = np.square(np.sinh(np.log(2.0 * spec.m * r)))
+        X2 = np.square(X_exact(r, spec))
         c2 = np.cos(theta) ** 2
-        return _phi2(r, sh2 + c2, sh2 + spec.p * c2)
+        return _phi2(r, np.sqrt(X2 + c2), X2 + spec.p * c2)
 
 
 @dataclass(frozen=True)
@@ -236,16 +231,18 @@ class ClosedForm:
 
 def closed_form(pt: GridPoint, spec: ModelSpec) -> ClosedForm:
     """The closed-form solution of the model at ``pt`` in one pass: the
-    density step's cos(theta) and sin(theta) feed the kinematics, whose D
-    and q give the chiral pair and the beta partials.  Raises SingularPoint,
-    naming the first point, on the density's singular locus."""
+    density step's X, cosh zeta, cos(theta), sin(theta), D and q feed the
+    kinematics, the chiral pair and the beta partials.  Raises
+    SingularPoint, naming the first point, on the density's singular locus
+    S = 0, which holds the kinematics' ring D = 0 (S <= D for p in [0, 1])."""
     dens = density(pt, spec)
-    c, s = dens.c, dens.s
-    X, r_dX_dr = X_exact(pt.r, spec), r_dX_dr_exact(pt.r, spec)
-    D, q, ang = _kinematics(pt, X, r_dX_dr, c, s)
+    X, c, s, D, q = dens.sh, dens.c, dens.s, dens.D, dens.q
+    ang = _kinematics(pt, X, dens.ch, c, s, D, q)
     sb, cb = _chiral(X, c, q)
-    return ClosedForm(sin_beta=sb, cos_beta=cb, r_d_beta_dr=r_dX_dr * c / D,
-                      d_beta_dtheta=X * s / D, density=dens, ang=ang)
+    # r d_r beta = d_theta alpha = ch cos(theta)/D, held as one array
+    return ClosedForm(sin_beta=sb, cos_beta=cb,
+                      r_d_beta_dr=ang.d_alpha_dtheta, d_beta_dtheta=X * s / D,
+                      density=dens, ang=ang)
 
 
 # -- explicit spinor ----------------------------------------------------------

@@ -197,24 +197,24 @@ def test_reduced_residuals_vanish_for_all_p():
 def test_reduced_detects_radial_offset(monkeypatch):
     spec = ModelSpec.njl()
     pt = GridPoint(1.0, np.pi / 3)
-    zeta = polar.zeta_exact
-    monkeypatch.setattr(polar, "zeta_exact", lambda r, spec: zeta(r, spec) + 1e-3)
+    X = polar.X_exact
+    monkeypatch.setattr(polar, "X_exact", lambda r, spec: X(r, spec) + 1e-3)
     comps = on_solution(reduced_components, pt, spec)
     assert abs(comps["zeta_radial"]) >= 1e-4
 
 
-def test_closed_form_and_reduced_form_read_zeta_once(monkeypatch):
-    # one density step computes zeta, sinh zeta, cosh zeta, cos theta and
-    # sin theta for the density and both log-derivatives; the forms read
-    # them from the bundle
-    zeta = polar.zeta_exact
+def test_closed_form_and_angle_state_evaluate_the_profile_once(monkeypatch):
+    # one density step computes X, cosh zeta, cos theta, sin theta, D and
+    # its root for the density, both log-derivatives and the kinematics;
+    # the forms read them from the bundle.  angle_state evaluates X once too
+    X = polar.X_exact
     calls = []
 
     def counted(r, spec):
         calls.append(np.shape(r))
-        return zeta(r, spec)
+        return X(r, spec)
 
-    monkeypatch.setattr(polar, "zeta_exact", counted)
+    monkeypatch.setattr(polar, "X_exact", counted)
     for spec in (ModelSpec.njl(), ModelSpec.soler(), ModelSpec.interpolating(0.37)):
         for pt in (GridPoint(1.3, 0.7),
                    GridPoint(np.array([0.2, 1.3, 4.0]), np.array([0.4, 0.7, 2.0]))):
@@ -222,6 +222,9 @@ def test_closed_form_and_reduced_form_read_zeta_once(monkeypatch):
             f = polar.closed_form(pt, spec)
             for form in FORMS.values():
                 form(pt, spec, f)
+            assert calls == [pt.shape], spec.name
+            calls.clear()
+            polar.angle_state(pt, spec)
             assert calls == [pt.shape], spec.name
 
 

@@ -25,7 +25,7 @@ from nldirac.polar import ModelSpec
 
 
 def metric_at(pt):
-    """g_{mu nu}, the inverse of geometry.inverse_metric_at."""
+    """g_{mu nu}, the inverse of the diagonal geometry.inverse_metric_at."""
     r, th = pt.r, pt.theta
     return np.diag([1.0, -1.0, -r * r, -((r * np.sin(th)) ** 2)])
 
@@ -97,8 +97,9 @@ def test_metric_values():
     g = metric_at(GridPoint(1.0, np.pi / 3))
     assert g[3, 3] == pytest.approx(-0.75)
     for pt in random_points(10):
-        assert np.allclose(inverse_metric_at(pt) @ metric_at(pt), np.eye(4),
-                           atol=1e-14)
+        assert inverse_metric_at(pt).shape == (4,)
+        assert np.allclose(inverse_metric_at(pt)[:, None] * metric_at(pt),
+                           np.eye(4), atol=1e-14)
 
 
 def test_christoffel_values_and_symmetry():
@@ -154,9 +155,9 @@ def test_velocity_spin_covector_norms():
         ginv = inverse_metric_at(pt)
         u = velocity_covector(pt, ang)
         s = spin_covector(pt, ang)
-        assert u @ ginv @ u == pytest.approx(1.0, abs=1e-12)
-        assert s @ ginv @ s == pytest.approx(-1.0, abs=1e-12)
-        assert u @ ginv @ s == pytest.approx(0.0, abs=1e-12)
+        assert u @ (ginv * u) == pytest.approx(1.0, abs=1e-12)
+        assert s @ (ginv * s) == pytest.approx(-1.0, abs=1e-12)
+        assert u @ (ginv * s) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tensorial_connection_values():
@@ -213,7 +214,7 @@ def test_transport_identities_finite_difference_oracle():
         Rc = expand_pairs(tensorial_connection_at(pt, ang))
         for make in (velocity_covector, spin_covector):
             vec = make(pt, ang)
-            vup = ginv @ vec
+            vup = ginv * vec
 
             def field(r, th):
                 p = GridPoint(r, th)
@@ -329,7 +330,7 @@ def _assert_orthonormal_frame(pt, xi):
     (the duality of frame and coframe) and has the orientation of the
     volume form, det xi = 1/sqrt|g|."""
     soldered = np.einsum("am,bn,ab->mn", xi, xi, ETA)
-    assert np.allclose(soldered, inverse_metric_at(pt), atol=1e-12)
+    assert np.allclose(soldered, np.diag(inverse_metric_at(pt)), atol=1e-12)
     assert np.allclose(np.einsum("am,bn,mn->ab", xi, xi, metric_at(pt)), ETA,
                        atol=1e-12)
     assert np.linalg.det(xi) == pytest.approx(1.0 / geometry.sqrt_abs_g(pt),

@@ -75,7 +75,7 @@ def _reference_covector(pt, spec):
     coefficients written out for the two endpoint models."""
     f = polar.closed_form(pt, spec)
     ang, d = f.ang, f.density
-    g = geometry.inverse_metric_diagonal(pt)
+    g = geometry.inverse_metric_at(pt)
     Rc = clifford.expand_pairs(geometry.tensorial_connection_at(pt, ang))
     eps = _dense_epsilon(pt)
     u = geometry.velocity_covector(pt, ang)
@@ -278,34 +278,32 @@ def test_a_nan_in_the_spinor_fails_the_standard_form(monkeypatch):
 
 def _reference_closed_form(pt, spec):
     """closed_form composed of the formulas one by one, each computing
-    cos and sin theta, sinh(zeta), cosh(zeta), X, r X' and the sums and
-    roots it needs."""
+    cos and sin theta, the profile X, cosh zeta = sqrt(X^2 + 1) and the
+    sums and roots it needs."""
     p, c, s = spec.p, np.cos(pt.theta), np.sin(pt.theta)
-    sh = np.sinh(np.log(2.0 * spec.m * pt.r))
-    assert not np.any(np.real(sh * sh + p * (c * c)) <= 1e-28)
-    phi2 = 2.0 * np.sqrt(sh * sh + c * c) / (pt.r * (sh * sh + p * (c * c)))
-    ch = np.cosh(np.log(2.0 * spec.m * pt.r))
-    r_dlog = sh * ch * (1.0 / (sh * sh + c * c)
-                        - 2.0 / (sh * sh + p * (c * c))) - 1.0
-    dth_log = -s * c / (sh * sh + c * c) + 2.0 * p * s * c / (
-        sh * sh + p * (c * c))
     u = 2.0 * spec.m * pt.r
-    X, r_dX_dr = 0.5 * (u - 1.0 / u), 0.5 * (u + 1.0 / u)
+    X = (u - 1.0) * (u + 1.0) * (0.5 / u)
+    assert not np.any(np.real(X * X + p * (c * c)) <= 1e-28)
+    phi2 = 2.0 * np.sqrt(X * X + c * c) / (pt.r * (X * X + p * (c * c)))
+    ch = np.sqrt(X * X + 1.0)
+    r_dlog = X * ch * (1.0 / (X * X + c * c)
+                       - 2.0 / (X * X + p * (c * c))) - 1.0
+    dth_log = -s * c / (X * X + c * c) + 2.0 * p * s * c / (
+        X * X + p * (c * c))
     D = X * X + c * c
     q = np.sqrt(X * X + c * c)
-    ch_X = np.sqrt(X * X + 1.0)
     ang = AngleState(
-        sinh_alpha=s / q, cosh_alpha=ch_X / q,
-        sin_gamma=X * s / q, cos_gamma=ch_X * c / q,
-        d_alpha_dr=-X * s * (r_dX_dr / ch_X) / D / pt.r,
-        d_alpha_dtheta=ch_X * c / D,
-        d_gamma_dr=c * s * (r_dX_dr / ch_X) / D / pt.r,
-        d_gamma_dtheta=X * ch_X / D)
-    density = Density(c=c, s=s, sh=sh, ch=ch, D=sh * sh + c * c,
-                      S=sh * sh + p * (c * c), phi2=phi2, r_dlnphi2_dr=r_dlog,
+        sinh_alpha=s / q, cosh_alpha=ch / q,
+        sin_gamma=X * s / q, cos_gamma=ch * c / q,
+        d_alpha_dr=-X * s / D / pt.r,
+        d_alpha_dtheta=ch * c / D,
+        d_gamma_dr=c * s / D / pt.r,
+        d_gamma_dtheta=X * ch / D)
+    density = Density(c=c, s=s, sh=X, ch=ch, D=X * X + c * c, q=q,
+                      S=X * X + p * (c * c), phi2=phi2, r_dlnphi2_dr=r_dlog,
                       dlnphi2_dtheta=dth_log)
     return ClosedForm(sin_beta=-c / q, cos_beta=X / q,
-                      r_d_beta_dr=r_dX_dr * c / D, d_beta_dtheta=X * s / D,
+                      r_d_beta_dr=ch * c / D, d_beta_dtheta=X * s / D,
                       density=density, ang=ang)
 
 

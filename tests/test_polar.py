@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -19,7 +20,6 @@ from nldirac.polar import (
     density,
     phi2_grid,
     polar_decomposition_residual,
-    r_dX_dr_exact,
     spinor_coordinate_partials,
 )
 
@@ -100,7 +100,24 @@ def test_X_is_sinh_of_log_over_six_decades():
     X = X_exact(rs, spec)
     ref = np.sinh(np.log(2.0 * rs))
     assert np.max(np.abs(X - ref) / np.maximum(np.abs(ref), 1.0)) <= 1e-14
-    assert np.allclose(r_dX_dr_exact(rs, spec), np.cosh(np.log(2 * rs)), rtol=1e-14)
+    # cosh zeta = sqrt(X^2 + 1) = r X' of the density step
+    ch = density(GridPoint(rs, 1.0), spec).ch
+    assert np.allclose(ch, np.cosh(np.log(2 * rs)), rtol=1e-14)
+
+
+def test_profile_keeps_full_precision_next_to_the_locus():
+    # at 2mr = 1 -+ d, against 50 digits at the float product u = 2mr: the
+    # spelling (u - 1/u)/2 cancels there (5.6e-5 relative at d = 1e-12)
+    for m in (0.5, 1.7, 3.0):
+        spec = ModelSpec.soler(m=m)
+        for d in (1e-4, 1e-8, 1e-12):
+            for r in ((1.0 - d) / (2.0 * m), (1.0 + d) / (2.0 * m)):
+                with mpmath.workdps(50):
+                    u = mpmath.mpf(2.0 * m * r)
+                    X = (u - 1 / u) / 2
+                    G = 2 / (mpmath.mpf(r) * X * X)
+                assert abs(X_exact(r, spec) / X - 1) <= 1e-15, (m, d, r)
+                assert abs(G_exact(r, spec) / G - 1) <= 1e-15, (m, d, r)
 
 
 def test_G_exact_values_and_singularity():
@@ -290,7 +307,7 @@ def test_polar_state_invariants():
     for pt in random_points(30):
         st = closed_form(pt, spec)
         assert polar.X_exact(pt.r, spec) == pytest.approx(
-            np.sinh(polar.zeta_exact(pt.r, spec)), abs=1e-12)
+            np.sinh(np.log(2.0 * spec.m * pt.r)), abs=1e-12)
         assert st.sin_beta**2 + st.cos_beta**2 == pytest.approx(1.0, abs=1e-12)
         assert st.density.phi2 > 0.0
 
@@ -336,9 +353,9 @@ def test_assembled_spinor_vector_bilinears():
         ginv = geometry.inverse_metric_at(pt)
         u_up = np.einsum("am,a->m", xi, bl.U) / (2 * phi2)
         s_up = np.einsum("am,a->m", xi, bl.S) / (2 * phi2)
-        assert np.allclose(u_up, ginv @ geometry.velocity_covector(pt, ang),
+        assert np.allclose(u_up, ginv * geometry.velocity_covector(pt, ang),
                            atol=1e-10)
-        assert np.allclose(s_up, ginv @ geometry.spin_covector(pt, ang),
+        assert np.allclose(s_up, ginv * geometry.spin_covector(pt, ang),
                            atol=1e-10)
 
 

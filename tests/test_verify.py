@@ -6,10 +6,10 @@ suite must then appear in the report's ``failing_suites``.  The closed
 form has three such seams: ``polar.closed_form``, whose bundle a control
 changes with ``dataclasses.replace`` (the sweep builds it once per chunk
 and the four grid forms read it, as does the polar decomposition),
-``polar.zeta_exact``, which the bundle's density step reads, and
-``polar.angle_state`` (the transport and curvature-strength suites).  A
-suite added to ``verify.SUITES`` without a control fails
-``test_every_suite_has_a_negative_control``.  The grid forms take the
+``polar.X_exact``, the one radial profile, which the density step and
+the kinematics read, and ``polar.angle_state`` itself (the transport and
+curvature-strength suites).  A suite added to ``verify.SUITES`` without a
+control fails ``test_every_suite_has_a_negative_control``.  The grid forms take the
 point, the model and the bundle and nothing else, and the bundle builders
 the point and the model, which ``test_forms_take_no_perturbation_knob``
 pins.
@@ -61,8 +61,8 @@ CONTROLS = {
                       lambda f, d: lambda E, l: f(E, l + d)),
     "expanded-residuals": (polar, "closed_form", _scaled_density),
     "covector-residuals": (polar, "closed_form", _scaled_density),
-    # a profile shifted off zeta = ln 2mr
-    "reduced-residuals": (polar, "zeta_exact",
+    # a profile shifted off X = sinh(ln 2mr)
+    "reduced-residuals": (polar, "X_exact",
                           lambda f, d: lambda r, spec: f(r, spec) + d),
     "standard-residuals": (polar, "closed_form", _scaled_density),
 }
@@ -83,6 +83,23 @@ def test_every_suite_has_a_negative_control(monkeypatch):
                 report = verify.run_suites(spec, GRID)
             assert name in report["failing_suites"], (
                 spec.name, name, d, report["suites"][name])
+
+
+def test_a_shifted_profile_fails_the_forms_and_the_kinematic_suites(
+        monkeypatch):
+    # the bundle and angle_state read the one profile X_exact, so a shifted
+    # X reaches the reduced and standard forms and, through the
+    # kinematics, the transport and curvature-strength suites
+    rng = np.random.default_rng(27)
+    X = polar.X_exact
+    for spec in MODELS:
+        d = rng.uniform(1e-3, 1e-2)
+        with monkeypatch.context() as patch:
+            patch.setattr(polar, "X_exact", lambda r, spec: X(r, spec) + d)
+            report = verify.run_suites(spec, GRID)
+        assert {"reduced-residuals", "standard-residuals", "transport",
+                "curvature-strength"} <= set(report["failing_suites"]), (
+            spec.name, d, report["failing_suites"])
 
 
 def test_a_wrong_spin_connection_component_fails_the_standard_form(
@@ -311,8 +328,8 @@ def test_each_chunk_builds_its_closed_form_once(monkeypatch):
 # the default grid and leaves the other forms under it.  Every leaf is read
 # by some form, so no leaf is left unchecked.  The covector and standard
 # forms build their geometry from the point, so they read neither cos/sin
-# theta nor the zeta quantities of the density step; the reduced form reads
-# the density step alone.
+# theta nor the profile quantities of the density step; the reduced form
+# reads the density step alone.
 _BETA_AND_ANGLES = ("expanded", "covector", "standard")
 FORMS_READING = {
     **dict.fromkeys(("sin_beta", "cos_beta", "r_d_beta_dr", "d_beta_dtheta"),
@@ -321,8 +338,8 @@ FORMS_READING = {
         geometry.AngleState)), _BETA_AND_ANGLES),
     "density.c": ("expanded", "reduced"),
     "density.s": ("expanded", "reduced"),
-    **dict.fromkeys(("density.sh", "density.ch", "density.D", "density.S"),
-                    ("reduced",)),
+    **dict.fromkeys(("density.sh", "density.ch", "density.D", "density.q",
+                     "density.S"), ("reduced",)),
     **dict.fromkeys(("density.phi2", "density.r_dlnphi2_dr",
                      "density.dlnphi2_dtheta"),
                     ("expanded", "covector", "reduced", "standard")),
