@@ -22,7 +22,7 @@ import numpy as np
 from . import equations, grids, ode, singular, verify
 from .errors import DivergingState, SingularPoint, StepUnderflow
 from .geometry import GridPoint
-from .polar import ENDPOINTS, ModelSpec, X_exact, chiral_components, phi2_grid
+from .polar import ModelSpec, X_exact, chiral_components, phi2_grid
 from .verify import SCHEMA
 
 
@@ -68,24 +68,12 @@ class RunConfig:
 
 
 def _float(name, text):
-    """``text``, a flag's or a model's value, as a float; one that is not a
-    number is an error that names the setting."""
+    """``text``, a value within a flag, as a float; one that is not a number
+    is an error that names the setting."""
     try:
         return float(text)
     except ValueError:
         raise ValueError(f"{name} must be a number, got {text!r}") from None
-
-
-def _parse_model(text):
-    """(canonical name, p) of a model given as njl, soler or p:<value>."""
-    if text in ENDPOINTS:
-        return text, ENDPOINTS[text]
-    if isinstance(text, str) and text.startswith("p:"):
-        p = _float("p", text[2:])
-        return f"p:{p:g}", p
-    raise argparse.ArgumentTypeError(
-        f"unknown model {text!r}; expected njl, soler or p:<value>"
-    )
 
 
 def _parse_grid(text):
@@ -232,8 +220,7 @@ def resolve_config(args) -> RunConfig:
                 raw[key] = {**raw[key], **value}
             else:
                 raw[ALIASES.get(key, key)] = value
-    name, p = _parse_model(raw["model"])
-    spec = ModelSpec(m=_number("mass", raw["mass"]), p=p, name=name,
+    spec = ModelSpec(name=raw["model"], m=_number("mass", raw["mass"]),
                      **{k: _number(k, raw[k]) for k in ("E", "l") if k in raw})
     tolerances = {k: _number(f"tolerance {k}", v)
                   for k, v in raw["tolerances"].items()}
@@ -505,6 +492,9 @@ def main(argv=None):
     except SingularPoint as exc:  # a verify or report grid point unmasked
         print(f"error: {exc}; raise --mask-margin to mask the singular region",
               file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:  # locus or report at an extreme mass
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,17 +51,16 @@ class OdeState:
 class IntegratorConfig:
     """Settings of the Dormand-Prince 5(4) integrator: a step is accepted
     when the RMS of its error estimate, scaled by atol + rtol |y|, is below
-    1; max_step caps every step.  The rtol and atol defaults are every
-    command's defaults; an rtol below 100 machine epsilons is raised to it."""
+    1.  The rtol and atol defaults are every command's defaults; an rtol
+    below 100 machine epsilons is raised to it."""
 
     r_span: tuple
     rtol: float = 1e-9
     atol: float = 1e-12
-    max_step: float = np.inf
 
     def __post_init__(self):
-        if not (self.rtol > 0 and self.atol > 0 and self.max_step > 0):
-            raise ValueError("tolerances and max_step must be positive")
+        if not (self.rtol > 0 and self.atol > 0):
+            raise ValueError("tolerances must be positive")
         if self.rtol < 100 * EPS:
             warnings.warn(f"rtol {self.rtol!r} raised to 100 eps",
                           stacklevel=3)
@@ -82,10 +81,11 @@ def soler_rhs(r, y, spec: ModelSpec):
     X, G = y
     if abs(X) > OVERFLOW_GUARD or abs(G) > OVERFLOW_GUARD:
         raise DivergingState(r, "radial state exceeded overflow guard")
-    m = spec.m
     ch = np.sqrt(X * X + 1.0)
-    dX = (ch / r) * (2.0 * m * r * ch - 2.0 * m * r * X - 2.0 + r * X * X * G)
-    dG = (G / r) * (2.0 * m * r * ch - r * G * X * ch - 2.0 * m * r * X - 2.0)
+    # 2mr (ch - X); for X > 0 as 2mr / (ch + X), which does not cancel
+    u = 2.0 * spec.m * r * (1.0 / (ch + X) if X > 0 else ch - X)
+    dX = (ch / r) * (u - 2.0 + r * X * X * G)
+    dG = (G / r) * (u - r * G * X * ch - 2.0)
     return np.array([dX, dG])
 
 
@@ -125,7 +125,7 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, r0, y0, f0, r_end, direction, max_step, rtol, atol):
+def _initial_step(fun, r0, y0, f0, r_end, direction, rtol, atol):
     """First step size from the scales of y, y' and y'' at r0 (Hairer,
     Norsett & Wanner, Sec. II.4)."""
     length = abs(r_end - r0)
@@ -138,7 +138,7 @@ def _initial_step(fun, r0, y0, f0, r_end, direction, max_step, rtol, atol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, length, max_step)
+    return min(100 * h0, h1, length)
 
 
 def _step_failure(r, r_span):
@@ -166,19 +166,19 @@ def integrate(config: IntegratorConfig, initial: OdeState, spec: ModelSpec):
     y = np.array([initial.X, initial.G], dtype=float)
     if not np.isfinite(y).all():
         raise ValueError("the initial state must be finite")
-    rtol, atol, max_step = config.rtol, config.atol, config.max_step
+    rtol, atol = config.rtol, config.atol
 
     def fun(r, y):
         return soler_rhs(r, y, spec)
 
     direction = np.sign(r_end - r)
     f = fun(r, y)
-    h_abs = _initial_step(fun, r, y, f, r_end, direction, max_step, rtol, atol)
+    h_abs = _initial_step(fun, r, y, f, r_end, direction, rtol, atol)
     K = np.empty((len(C) + 1, y.size))
     rs, ys = [r], [y]
     while direction * (r - r_end) < 0:
         min_step = 10 * np.abs(np.nextafter(r, direction * np.inf) - r)
-        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
@@ -299,8 +299,8 @@ def quantum_number_scan(spec: ModelSpec) -> ScanResult:
                                 [np.pi / 3, np.pi / 5], indexing="ij"))
     surface = np.empty((e_over_m.size, l_values.size))
     for i, E in enumerate(e_over_m * spec.m):
-        f = polar.closed_form(pt, ModelSpec(m=E, p=spec.p))
+        f = polar.closed_form(pt, replace(spec, m=E))
         for j, l in enumerate(l_values):
             surface[i, j] = np.max(equations.residual_expanded(
-                pt, ModelSpec(m=spec.m, p=spec.p, E=E, l=l), f))
+                pt, replace(spec, E=E, l=l), f))
     return ScanResult(e_over_m=e_over_m, l_values=l_values, surface=surface)

@@ -22,7 +22,7 @@ the point axes after the spinor and tensor axes, as geometry does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,51 +36,47 @@ ENDPOINTS = {"njl": 1.0, "soler": 0.0}
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Mass, interpolation parameter, quantum numbers and name of a model run.
+    """Model, mass and quantum numbers of a run.
 
-    E defaults to the mass and l to one half: the only values the chiral
+    ``name`` is the model's text, njl, soler or p:<value>, parsed here and
+    nowhere else: p, which cannot be passed, is 1, 0 or the value, and a
+    "p:" name becomes the canonical "p:<p:g>" (p:0.50 reads p:0.5), at an
+    endpoint value too.  Every formula reads p alone; the name labels the
+    output and selects what a report holds (verify.ENDPOINT_ONLY).  E
+    defaults to the mass and l to one half: the only values the chiral
     model admits, and the ones the closed-form solutions carry.
-
-    ``name`` is the model's one identity: "njl" (p = 1), "soler" (p = 0) or
-    "p:<p:g>" for an interpolating run.  It defaults to the endpoint name at
-    p = 1 and p = 0; an interpolating run at an endpoint value keeps its
-    "p:" name.  Every formula reads p alone; the name labels the output and
-    selects what a report holds (verify.ENDPOINT_ONLY).
     """
 
+    name: str = "njl"
     m: float = 1.0
-    p: float = 1.0
     E: float = None
     l: float = 0.5
-    name: str = None
+    p: float = field(init=False)
 
     def __post_init__(self):
+        name = self.name
+        if name in ENDPOINTS:
+            p = ENDPOINTS[name]
+        elif isinstance(name, str) and name.startswith("p:"):
+            try:
+                p = float(name[2:])
+            except ValueError:
+                raise ValueError(f"p must be a number, got {name[2:]!r}") from None
+            name = f"p:{p:g}"
+        else:
+            raise ValueError(f"unknown model {name!r}; expected njl, soler "
+                             "or p:<value>")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "p", p)
         if not 0.0 < self.m < np.inf:
             raise ValueError(f"mass must be positive and finite, got {self.m!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"interpolation parameter must lie in [0,1], got {self.p!r}")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"interpolation parameter must lie in [0,1], got {p!r}")
         if self.E is None:
             object.__setattr__(self, "E", self.m)
         for key, value in (("E", self.E), ("l", self.l)):
             if not np.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value!r}")
-        endpoint = next((n for n, p in ENDPOINTS.items() if p == self.p), None)
-        if self.name is None:
-            object.__setattr__(self, "name", endpoint or f"p:{self.p:g}")
-        elif self.name not in (endpoint, f"p:{self.p:g}"):
-            raise ValueError(f"model name {self.name!r} does not match p = {self.p!r}")
-
-    @classmethod
-    def njl(cls, m=1.0, **kw):
-        return cls(m=m, p=1.0, **kw)
-
-    @classmethod
-    def soler(cls, m=1.0, **kw):
-        return cls(m=m, p=0.0, **kw)
-
-    @classmethod
-    def interpolating(cls, p, m=1.0, **kw):
-        return cls(m=m, p=p, name=f"p:{p:g}", **kw)
 
 
 def X_exact(r, spec: ModelSpec):

@@ -53,6 +53,17 @@ def singular_locus(spec: ModelSpec) -> SingularLocus:
                          angular_constraint="cos(theta) = 0")
 
 
+def _samples(spec: ModelSpec, r, theta):
+    """phi2_grid at (r, theta); FloatingPointError, naming the mass, if a
+    sample is not finite and nonzero (r S or r over- or underflowed)."""
+    with np.errstate(over="ignore"):
+        phi2 = phi2_grid(spec, r, theta)
+    if not np.all(np.isfinite(phi2) & (phi2 != 0.0)):
+        raise FloatingPointError(f"phi^2 over- or underflows at mass "
+                                 f"{spec.m!r}")
+    return phi2
+
+
 def locate_numerically(spec: ModelSpec) -> LocusEstimate:
     """Approach the singular radius rc = 1/(2m) along four radial paths.
 
@@ -71,7 +82,7 @@ def locate_numerically(spec: ModelSpec) -> LocusEstimate:
     # one path a row: the equator inside and outside rc, then pi/4
     r = rc * (1.0 + np.array([[-1.0], [1.0], [-1.0], [1.0]])
               * np.array(APPROACH_DISTANCES))
-    phi2 = phi2_grid(spec, r, np.array([[np.pi / 2]] * 2 + [[np.pi / 4]] * 2))
+    phi2 = _samples(spec, r, np.array([[np.pi / 2]] * 2 + [[np.pi / 4]] * 2))
     order = np.log10(phi2[:, 1] / phi2[:, 0])
     diverged = bool(order[:2].min() > 0.5)
     kind = ("none" if not diverged else "shell" if order[2:].max() > 1.0
@@ -95,8 +106,9 @@ def decay_fit(spec: ModelSpec):
 
     Returns (exponent, amplitude): phi^2 ~ amplitude * r^exponent.
     """
-    rs = np.geomspace(10.0 / spec.m, 1000.0 / spec.m, 40)
-    vals = phi2_grid(spec, rs, np.full_like(rs, np.pi / 4))
+    with np.errstate(invalid="ignore"):  # inf radii below m = 1e-307
+        rs = np.geomspace(10.0 / spec.m, 1000.0 / spec.m, 40)
+    vals = _samples(spec, rs, np.full_like(rs, np.pi / 4))
     slope, intercept = np.polyfit(np.log(rs), np.log(vals), 1)
     return float(slope), float(np.exp(intercept))
 
@@ -107,7 +119,7 @@ def asymptotics_report(spec: ModelSpec):
     the same for both models.
     """
     exponent, amplitude = decay_fit(spec)
-    origin = float(phi2_grid(spec, 1e-6 / spec.m, np.pi / 3))
+    origin = float(_samples(spec, 1e-6 / spec.m, np.pi / 3))
     return {
         "limit_constant": 2.0 / spec.m,
         "decay_exponent": exponent,

@@ -44,7 +44,7 @@ def test_criterion_01_fierz_identities():
 
 
 def test_criterion_02_flat_background():
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     t0 = time.perf_counter()
     pts = unmasked_points(50, spec, seed=42)
     worst = float(np.max(np.abs(geometry.riemann_at(pts))))
@@ -57,7 +57,7 @@ def test_criterion_02_flat_background():
 
 
 def test_criterion_03_transport_identities():
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     pts = unmasked_points(50, spec, seed=43)
     worst = max(geometry.transport_residuals(
         pts, lambda p: polar.angle_state(p, spec)))
@@ -66,7 +66,7 @@ def test_criterion_03_transport_identities():
 
 def test_criterion_04_polar_decomposition():
     worst = 0.0
-    for spec in (ModelSpec.njl(), ModelSpec.soler()):
+    for spec in (ModelSpec("njl"), ModelSpec("soler")):
         pts = unmasked_points(50, spec, seed=44)
         worst = max(worst, polar.polar_decomposition_residual(pts, spec))
     assert _report(4, "polar decomposition on both exact solutions", worst, 1e-8)
@@ -86,13 +86,13 @@ def test_criterion_05_all_equation_forms():
             keep = ~equations.is_masked(row, spec)
             yield GridPoint(row.r[keep], row.theta[keep])
 
-    for spec in (ModelSpec.njl(), ModelSpec.soler()):
+    for spec in (ModelSpec("njl"), ModelSpec("soler")):
         for pt in unmasked(spec):
             f = polar.closed_form(pt, spec)
             values.append(equations.residual_expanded(pt, spec, f))
             values.append(equations.residual_polar_covector(pt, spec, f))
-    for p in (0.0, 0.5, 1.0):
-        spec = ModelSpec(m=1.0, p=p)
+    for model in ("soler", "p:0.5", "njl"):
+        spec = ModelSpec(model, m=1.0)
         for pt in unmasked(spec):
             f = polar.closed_form(pt, spec)
             values.append(equations.residual_reduced(pt, spec, f))
@@ -121,7 +121,7 @@ def test_criterion_06_quantum_number_rigidity():
 
 
 def test_criterion_07_ode_tracking():
-    spec = ModelSpec.soler(m=1.0)
+    spec = ModelSpec("soler", m=1.0)
     t0 = time.perf_counter()
     cfg = ode.IntegratorConfig(r_span=(1.0, 10.0), rtol=1e-9, atol=1e-12)
     traj = ode.integrate(cfg, ode.exact_state(1.0, spec), spec)
@@ -132,7 +132,7 @@ def test_criterion_07_ode_tracking():
 
 
 def test_criterion_08_singular_loci_and_origin():
-    njl, soler = ModelSpec.njl(m=1.0), ModelSpec.soler(m=1.0)
+    njl, soler = ModelSpec("njl", m=1.0), ModelSpec("soler", m=1.0)
     ring = singular.locate_numerically(njl)
     shell = singular.locate_numerically(soler)
     cell = 1e-3 / (2.0 * njl.m)
@@ -156,7 +156,7 @@ def test_criterion_08_singular_loci_and_origin():
 
 def test_criterion_09_asymptotics():
     ok = True
-    for spec in (ModelSpec.njl(), ModelSpec.soler()):
+    for spec in (ModelSpec("njl"), ModelSpec("soler")):
         rep = singular.asymptotics_report(spec)
         # phi^2 r^2 on the equator at r = 100/m, against its limit 2/m
         r = 100.0 / spec.m
@@ -172,7 +172,7 @@ def test_criterion_09_asymptotics():
 
 def test_criterion_10_interpolation_endpoints():
     rng = np.random.default_rng(45)
-    spec = ModelSpec(m=1.0, p=0.5)
+    spec = ModelSpec("p:0.5", m=1.0)
     pts = grids.sample_points(
         rng, 100, m=1.0,
         reject=lambda pt: abs(2 * pt.r - 1.0) < 0.05,
@@ -183,9 +183,9 @@ def test_criterion_10_interpolation_endpoints():
     njl = 8.0 / np.sqrt(radicand)
     soler = 8.0 * np.sqrt(radicand) / (4.0 * pts.r**2 - 1.0) ** 2
     worst = max(
-        np.max(abs(polar.density(pts, ModelSpec.interpolating(1.0)).phi2
+        np.max(abs(polar.density(pts, ModelSpec("p:1")).phi2
                    - njl) / njl),
-        np.max(abs(polar.density(pts, ModelSpec.interpolating(0.0)).phi2
+        np.max(abs(polar.density(pts, ModelSpec("p:0")).phi2
                    - soler) / soler),
     )
     assert _report(10, "interpolated density endpoint agreement", worst, 1e-12)

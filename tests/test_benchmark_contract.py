@@ -124,7 +124,7 @@ def test_result_counts_read_an_int(perfbench):
     from nldirac import ode, singular
     from nldirac.polar import ModelSpec
 
-    spec = ModelSpec.soler()
+    spec = ModelSpec("soler")
     results = {
         "ode.integrate": ode.integrate(
             ode.IntegratorConfig(r_span=(1.0, 10.0)),

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -429,6 +430,29 @@ def test_tiny_masses_do_not_overflow_the_asymptotics(capsys):
     doc = json.loads(stdout)
     assert doc["singularity"]["limit_constant"] == 2e200
     assert code == (0 if doc["verify"]["pass"] else 1)
+
+
+@pytest.mark.parametrize("model", ["njl", "soler", "p:0.5"])
+def test_locus_outside_the_mass_range_is_one_error_line(capsys, model):
+    # phi^2 samples that over- or underflow: the decay fit's r S at 1e-300
+    # and 1e-305, the radius 1/(2m) at 1e-310, the samples next to the
+    # locus at 1e300 (and, for the shell, at 1e290)
+    masses = ["1e-300", "1e-305", "1e-310", "1e300"] + ["1e290"] * (
+        model == "soler")
+    for mass in masses:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "locus", "--model", model,
+                                 "--mass", mass)
+        assert (code, out) == (2, ""), mass
+        assert err == (f"error: phi^2 over- or underflows at mass "
+                       f"{float(mass)!r}\n")
+    # the singularity part of report refuses it too, after its verify part
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, "report", "--model", model,
+                             "--mass", "1e300")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: phi^2 over- or underflows at mass 1e+300\n")
 
 
 def test_a_huge_mass_steps_no_sample_point_onto_the_locus(capsys):

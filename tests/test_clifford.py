@@ -131,7 +131,7 @@ def _dense_spin_action(pairs, psi):
 
 def test_spin_action_equals_the_dense_sum_on_the_spin_connection():
     # bit for bit on the spin connection of the closed-form solutions
-    for spec in (ModelSpec.njl(), ModelSpec.soler(), ModelSpec.interpolating(0.5)):
+    for spec in (ModelSpec("njl"), ModelSpec("soler"), ModelSpec("p:0.5")):
         pts = grids.sample_points(
             np.random.default_rng(7), 50, m=spec.m,
             reject=lambda pt: equations.is_masked(pt, spec))
@@ -177,7 +177,7 @@ def test_spin_action_carries_a_nan_pair_entry_to_its_mu_row():
     # (the t row of the (0, 1) pair) and in a live one (the r row of (0, 2))
     # it reaches the components of its mu row that psi feeds at its point,
     # and nothing else
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     pts = grids.sample_points(
         np.random.default_rng(7), 50, m=spec.m,
         reject=lambda pt: equations.is_masked(pt, spec))

@@ -1,5 +1,5 @@
-"""Every module-level function of the package has a caller in the package,
-and every dataclass field of the package has a reader in it.
+"""Every module-level function and every method of the package has a caller
+in the package, and every dataclass field of the package has a reader in it.
 
 A function that only tests call is a layer kept alive for its tests: the
 test should hold its own reference instead.  The package's public API,
@@ -8,6 +8,7 @@ reads is a value computed for nothing.
 """
 
 import ast
+import importlib
 import pathlib
 
 import nldirac
@@ -32,22 +33,55 @@ def _package_trees():
             for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def test_every_function_has_a_caller_in_the_package():
-    trees = _package_trees()
+def _reference_counts(trees):
     counts = {}
     for tree in trees.values():
         for name in _referenced_names(tree):
             counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+def _uncalled(node, counts):
+    """Whether no package code outside the def ``node`` references its
+    name."""
+    own = sum(name == node.name for name in _referenced_names(node))
+    return counts.get(node.name, 0) == own
+
+
+def test_every_function_has_a_caller_in_the_package():
+    trees = _package_trees()
+    counts = _reference_counts(trees)
     uncalled = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            # references inside the function's own def do not count
-            own = sum(name == node.name for name in _referenced_names(node))
-            if (counts.get(node.name, 0) == own
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and _uncalled(node, counts)
                     and node.name not in nldirac.__all__):
                 uncalled.append(f"{module}: {node.name}")
+    assert uncalled == []
+
+
+def test_every_method_has_a_caller_in_the_package():
+    # a method, classmethod or staticmethod of a package class; dunders are
+    # called by Python, and an override of a base-class method by the base
+    trees = _package_trees()
+    counts = _reference_counts(trees)
+    uncalled = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            live = getattr(importlib.import_module(
+                f"{nldirac.__name__}.{module[:-len('.py')]}"), cls.name)
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = node.name
+                if (name.startswith("__") and name.endswith("__")
+                        or any(hasattr(base, name) for base in live.__mro__[1:])):
+                    continue
+                if _uncalled(node, counts):
+                    uncalled.append(f"{module}: {cls.name}.{name}")
     assert uncalled == []
 
 

@@ -46,17 +46,17 @@ def test_masking_rules():
     off_equator = GridPoint(0.5005, 1.0)
     far_pt = GridPoint(2.0, np.pi / 2)
     # shell (p = 0): radius alone masks
-    assert is_masked(ring_pt, ModelSpec.soler())
-    assert is_masked(off_equator, ModelSpec.soler())
-    assert not is_masked(far_pt, ModelSpec.soler())
+    assert is_masked(ring_pt, ModelSpec("soler"))
+    assert is_masked(off_equator, ModelSpec("soler"))
+    assert not is_masked(far_pt, ModelSpec("soler"))
     # ring (p > 0): radius and equator jointly
-    assert is_masked(ring_pt, ModelSpec.njl())
-    assert not is_masked(off_equator, ModelSpec.njl())
-    assert not is_masked(far_pt, ModelSpec(p=0.5))
+    assert is_masked(ring_pt, ModelSpec("njl"))
+    assert not is_masked(off_equator, ModelSpec("njl"))
+    assert not is_masked(far_pt, ModelSpec("p:0.5"))
 
 
 def test_expanded_residuals_vanish_on_exact_solutions():
-    for spec in (ModelSpec.njl(), ModelSpec.soler()):
+    for spec in (ModelSpec("njl"), ModelSpec("soler")):
         worst = max(
             on_solution(residual_expanded, pt, spec).max()
             for pt in random_points(100)
@@ -65,7 +65,7 @@ def test_expanded_residuals_vanish_on_exact_solutions():
 
 
 def test_covector_residuals_vanish_on_exact_solutions():
-    for spec in (ModelSpec.njl(), ModelSpec.soler()):
+    for spec in (ModelSpec("njl"), ModelSpec("soler")):
         worst = max(
             on_solution(residual_polar_covector, pt, spec).max()
             for pt in random_points(100)
@@ -74,7 +74,7 @@ def test_covector_residuals_vanish_on_exact_solutions():
 
 
 def test_covector_temporal_and_azimuthal_components_vanish():
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     for pt in random_points(20):
         chiral, density = on_solution(covector_components, pt, spec)
         assert abs(chiral[0]) <= 1e-14 and abs(chiral[3]) <= 1e-14
@@ -85,8 +85,8 @@ def test_expanded_equals_projected_covector():
     # the four scalars are the r- and theta-projections of the two covector
     # equations (radial ones carry a factor r); they must agree even with
     # generic quantum numbers, where neither vanishes
-    for p in (1.0, 0.0, 0.5):
-        spec = ModelSpec(m=1.0, p=p, E=1.07, l=0.61)
+    for model in ("njl", "soler", "p:0.5"):
+        spec = ModelSpec(model, m=1.0, E=1.07, l=0.61)
         for pt in random_points(30):
             ex = on_solution(expanded_components, pt, spec)
             chiral, density = on_solution(covector_components, pt, spec)
@@ -97,7 +97,7 @@ def test_expanded_equals_projected_covector():
 
 
 def test_energy_rigidity():
-    spec = ModelSpec(m=1.0, p=1.0, E=1.1)
+    spec = ModelSpec("njl", m=1.0, E=1.1)
     worst = max(
         on_solution(residual_expanded, pt, spec).max()
         for pt in random_points(50)
@@ -106,7 +106,7 @@ def test_energy_rigidity():
 
 
 def test_angular_momentum_rigidity():
-    spec = ModelSpec(m=1.0, p=1.0, l=0.6)
+    spec = ModelSpec("njl", m=1.0, l=0.6)
     worst = max(
         on_solution(residual_expanded, pt, spec).max()
         for pt in random_points(50)
@@ -114,11 +114,10 @@ def test_angular_momentum_rigidity():
     assert worst >= 1e-2
 
 
-def fields_of(pt, spec, p, phi2_factor=1.0):
-    """The bundle of the model with interpolation parameter p, with phi^2
-    scaled by ``phi2_factor``, whatever model the equations are evaluated
-    for."""
-    f = polar.closed_form(pt, ModelSpec(m=spec.m, p=p))
+def fields_of(pt, spec, model, phi2_factor=1.0):
+    """The bundle of the model named ``model``, with phi^2 scaled by
+    ``phi2_factor``, whatever model the equations are evaluated for."""
+    f = polar.closed_form(pt, ModelSpec(model, m=spec.m))
     return dataclasses.replace(f, density=dataclasses.replace(
         f.density, phi2=f.density.phi2 * phi2_factor))
 
@@ -128,9 +127,9 @@ def test_cross_model_fields_leave_residual():
     # reverse) must fail somewhere: the nonlinearities differ
     pts = random_points(100)
     worst = {}
-    for fields_p, spec in ((1.0, ModelSpec.soler()), (0.0, ModelSpec.njl())):
+    for fields, spec in (("njl", ModelSpec("soler")), ("soler", ModelSpec("njl"))):
         worst[spec.name] = max(
-            residual_expanded(pt, spec, fields_of(pt, spec, fields_p)).max()
+            residual_expanded(pt, spec, fields_of(pt, spec, fields)).max()
             for pt in pts)
     assert worst["soler"] >= 1e-2
     assert worst["njl"] >= 1e-2
@@ -139,10 +138,10 @@ def test_cross_model_fields_leave_residual():
 def test_linear_limit_makes_models_identical():
     # with the nonlinear coupling switched off (phi^2 = 0 in the same
     # fields), the two systems coincide
-    njl = ModelSpec.njl(m=1.0, E=1.2, l=0.7)
-    soler = ModelSpec.soler(m=1.0, E=1.2, l=0.7)
+    njl = ModelSpec("njl", m=1.0, E=1.2, l=0.7)
+    soler = ModelSpec("soler", m=1.0, E=1.2, l=0.7)
     for pt in random_points(30):
-        f = fields_of(pt, njl, 1.0, phi2_factor=0.0)
+        f = fields_of(pt, njl, "njl", phi2_factor=0.0)
         a = expanded_components(pt, njl, f)
         b = expanded_components(pt, soler, f)
         for key in a:
@@ -158,8 +157,8 @@ def test_expanded_and_covector_forms_hold_for_every_p():
     # and an energy off by one part in a million leaves a residual
     grid = grids.points(grids.GridConfig())
     for p in (0.3, 0.5, 0.9):
-        spec = ModelSpec.interpolating(p)
-        wrong = ModelSpec.interpolating(p, E=spec.E * (1.0 + 1e-6))
+        spec = ModelSpec(f"p:{p}")
+        wrong = ModelSpec(f"p:{p}", E=spec.E * (1.0 + 1e-6))
         exact = sweep(grid, spec, forms=("expanded", "covector"))
         off = sweep(grid, wrong, forms=("expanded", "covector"))
         for form in exact:
@@ -173,8 +172,8 @@ def test_a_model_name_changes_no_residual():
     forms = (residual_expanded, residual_polar_covector, residual_reduced,
              residual_standard)
     for m in (0.5, 1.0, 2.0):
-        for endpoint in (ModelSpec.njl(m=m), ModelSpec.soler(m=m)):
-            general = ModelSpec.interpolating(endpoint.p, m=m)
+        for endpoint in (ModelSpec("njl", m=m), ModelSpec("soler", m=m)):
+            general = ModelSpec(f"p:{endpoint.p}", m=m)
             points = grids.points(grids.GridConfig(), m=m)
             keep = ~is_masked(points, endpoint)
             pt = GridPoint(points.r[keep], points.theta[keep])
@@ -185,17 +184,17 @@ def test_a_model_name_changes_no_residual():
 
 
 def test_reduced_residuals_vanish_for_all_p():
-    for p in (0.0, 0.5, 1.0):
-        spec = ModelSpec(m=1.0, p=p)
+    for model in ("soler", "p:0.5", "njl"):
+        spec = ModelSpec(model, m=1.0)
         worst = max(
             on_solution(residual_reduced, pt, spec).max()
             for pt in random_points(200)
         )
-        assert worst <= 1e-8, p
+        assert worst <= 1e-8, model
 
 
 def test_reduced_detects_radial_offset(monkeypatch):
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     pt = GridPoint(1.0, np.pi / 3)
     X = polar.X_exact
     monkeypatch.setattr(polar, "X_exact", lambda r, spec: X(r, spec) + 1e-3)
@@ -215,7 +214,7 @@ def test_closed_form_and_angle_state_evaluate_the_profile_once(monkeypatch):
         return X(r, spec)
 
     monkeypatch.setattr(polar, "X_exact", counted)
-    for spec in (ModelSpec.njl(), ModelSpec.soler(), ModelSpec.interpolating(0.37)):
+    for spec in (ModelSpec("njl"), ModelSpec("soler"), ModelSpec("p:0.37")):
         for pt in (GridPoint(1.3, 0.7),
                    GridPoint(np.array([0.2, 1.3, 4.0]), np.array([0.4, 0.7, 2.0]))):
             calls.clear()
@@ -231,7 +230,7 @@ def test_closed_form_and_angle_state_evaluate_the_profile_once(monkeypatch):
 def test_reduced_form_refuses_the_singular_locus():
     # on the scalar model's shell 2mr = 1 the reduced form names the first
     # singular point, as every other form does, rather than return inf/NaN
-    spec = ModelSpec.soler()
+    spec = ModelSpec("soler")
     with pytest.raises(SingularPoint) as err:
         on_solution(reduced_components, GridPoint(0.5, 1.0), spec)
     assert (err.value.r, err.value.theta) == (0.5, 1.0)
@@ -243,18 +242,18 @@ def test_reduced_form_refuses_the_singular_locus():
 
 
 def test_standard_residual_vanishes_for_all_p():
-    for p in (0.0, 0.5, 1.0):
-        spec = ModelSpec(m=1.0, p=p)
+    for model in ("soler", "p:0.5", "njl"):
+        spec = ModelSpec(model, m=1.0)
         worst = max(
             on_solution(residual_standard, pt, spec)
             for pt in random_points(50)
         )
-        assert worst <= 1e-8, p
+        assert worst <= 1e-8, model
 
 
 def test_standard_residual_wrong_coupling_sign_is_large(monkeypatch):
     # the coupling sign of the spin connection, flipped: every pair negated
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     pt = GridPoint(1.0, np.pi / 3)
     assert on_solution(residual_standard, pt, spec) <= 1e-12
     connection = geometry.spin_connection_at
@@ -269,8 +268,8 @@ def test_standard_and_reduced_detect_same_perturbation():
     # same E.  Both presentations must flag it at comparable size (the
     # same physics in two bases); the gamma-matrix residual is measured per
     # unit spinor amplitude to share the reduced system's normalization
-    spec = ModelSpec.njl()
-    wrong_mass = ModelSpec.njl(m=1.0 + 1e-3, E=spec.E)
+    spec = ModelSpec("njl")
+    wrong_mass = ModelSpec("njl", m=1.0 + 1e-3, E=spec.E)
     for pt in random_points(10):
         f = polar.closed_form(pt, spec)
         psi = polar.assemble_spinor(f)
@@ -291,18 +290,18 @@ def test_all_forms_vanish_at_non_unit_mass():
         for pt in random_points(20, seed=5, m=m):
             worst = max(
                 worst,
-                on_solution(residual_expanded, pt, ModelSpec.njl(m=m)).max(),
+                on_solution(residual_expanded, pt, ModelSpec("njl", m=m)).max(),
                 on_solution(residual_polar_covector, pt,
-                            ModelSpec.soler(m=m)).max(),
-                on_solution(residual_reduced, pt, ModelSpec(m=m, p=0.5)).max(),
-                on_solution(residual_standard, pt, ModelSpec(m=m, p=0.5)),
-                polar_decomposition_residual(pt, ModelSpec.njl(m=m)),
+                            ModelSpec("soler", m=m)).max(),
+                on_solution(residual_reduced, pt, ModelSpec("p:0.5", m=m)).max(),
+                on_solution(residual_standard, pt, ModelSpec("p:0.5", m=m)),
+                polar_decomposition_residual(pt, ModelSpec("njl", m=m)),
             )
         assert worst <= 1e-8, m
 
 
 def test_sweep_masks_and_aggregates():
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     row = GridPoint(np.array([0.5, 1.0, 2.0]),
                     np.array([np.pi / 2 + 1e-4, 1.0, 2.0]))
     stats = sweep(row, spec, forms=("expanded",))["expanded"]
@@ -351,13 +350,14 @@ def test_sweep_quantiles_equal_numpy_quantile():
 
 
 @settings(max_examples=100, deadline=None)
-@given(margin=st.floats(0.0, 1.5), p=st.sampled_from([0.0, 0.5, 1.0]),
+@given(margin=st.floats(0.0, 1.5),
+       model=st.sampled_from(["soler", "p:0.5", "njl"]),
        m=st.sampled_from([0.5, 1.0, 2.0]), n_r=st.integers(2, 12),
        n_theta=st.integers(2, 9))
-def test_sweep_masks_exactly_the_masked_points(margin, p, m, n_r, n_theta):
+def test_sweep_masks_exactly_the_masked_points(margin, model, m, n_r, n_theta):
     # the points only are recorded: no bundle is built, so a grid point on
     # the singular locus that margin 0 leaves unmasked raises nothing
-    spec = ModelSpec(m=m, p=p)
+    spec = ModelSpec(model, m=m)
     grid = grids.points(grids.GridConfig(r_min=0.2, r_max=3.0, n_r=n_r,
                                          n_theta=n_theta), m=m)
     rows = _rows(grid)
@@ -410,8 +410,8 @@ def test_chunked_sweep_equals_the_row_sweep():
     n_r = 2 * (SWEEP_CHUNK // 9) + 9
     cfg = grids.GridConfig(r_min=0.005, r_max=50.0, n_r=n_r, n_theta=9)
     forms = dict(FORMS)
-    for spec in (ModelSpec.njl(m=0.7), ModelSpec.soler(m=1.3),
-                 ModelSpec(p=0.5)):
+    for spec in (ModelSpec("njl", m=0.7), ModelSpec("soler", m=1.3),
+                 ModelSpec("p:0.5")):
         rows = _rows(grids.points(cfg, m=spec.m))
         chunks = {name: [] for name in forms}
         with pytest.MonkeyPatch.context() as patch:
@@ -454,8 +454,7 @@ def test_rows_equal_points():
     rng = np.random.default_rng(7)
     for model, m in [(model, m) for model in ("njl", "soler", "p:0.5")
                      for m in (0.5, 2.0)]:
-        p = {"njl": 1.0, "soler": 0.0}.get(model, 0.5)
-        spec = ModelSpec(m=m, p=p, E=1.07 * m, l=0.61)
+        spec = ModelSpec(model, m=m, E=1.07 * m, l=0.61)
         def on(form):
             return lambda pt: on_solution(form, pt, spec)
 
@@ -504,7 +503,7 @@ def test_longdouble_points_give_longdouble_results():
     # its bilinears, the complex-step partials and the four forms keep the
     # points' precision, on an array of points and on one point
     ld = np.longdouble
-    for spec in (ModelSpec.njl(), ModelSpec.soler(), ModelSpec.interpolating(0.5)):
+    for spec in (ModelSpec("njl"), ModelSpec("soler"), ModelSpec("p:0.5")):
         pts = grids.sample_points(np.random.default_rng(3), 20, m=spec.m,
                                   reject=lambda pt: is_masked(pt, spec))
         for pt in (GridPoint(pts.r.astype(ld), pts.theta.astype(ld)),

@@ -77,7 +77,7 @@ def test_radial_step_stays_below_the_coordinate():
 
 
 def test_builders_take_the_dtype_of_their_inputs():
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     for r in (1.3, 1.3 + 1e-30j):
         pt = GridPoint(r, 0.7)
         ang = polar.angle_state(pt, spec)
@@ -120,7 +120,7 @@ def test_riemann_vanishes():
 def test_velocity_spin_component_values():
     # the closed form's parametrization: at X = 1 on the equator, and on
     # the axis a pure time-directed velocity with radial spin
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     r1 = (1.0 + np.sqrt(2.0)) / 2.0  # 2mr - 1/(2mr) = 2, so X = 1
     ang = polar.angle_state(GridPoint(r1, np.pi / 2), spec)
     assert ang.sinh_alpha == pytest.approx(1.0)
@@ -137,7 +137,7 @@ def test_velocity_spin_component_values():
 def test_component_normalizations():
     # X from -5 to 5 over the radii 2mr in [0.1, 10]
     rng = np.random.default_rng(11)
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     for _ in range(100):
         r = 0.5 * np.exp(rng.uniform(np.log(0.1), np.log(10.0)))
         th = rng.uniform(0.05, np.pi - 0.05)
@@ -150,7 +150,7 @@ def test_velocity_spin_covector_norms():
     # a random mass puts a random profile value X at each point
     rng = np.random.default_rng(12)
     for pt in random_points(100, seed=13):
-        spec = ModelSpec.njl(m=rng.uniform(0.05, 5.0))
+        spec = ModelSpec("njl", m=rng.uniform(0.05, 5.0))
         ang = polar.angle_state(pt, spec)
         ginv = inverse_metric_at(pt)
         u = velocity_covector(pt, ang)
@@ -161,7 +161,7 @@ def test_velocity_spin_covector_norms():
 
 
 def test_tensorial_connection_values():
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     pt = GridPoint(1.3, np.pi / 2)
     R = expand_pairs(tensorial_connection_at(pt, polar.angle_state(pt, spec)))
     assert R[geometry.TH, geometry.PH, geometry.PH] == pytest.approx(0.0, abs=1e-12)
@@ -173,7 +173,7 @@ def test_tensorial_connection_values():
 
 
 def test_transport_identities_analytic():
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     worst = 0.0
     for pt in random_points(50):
         ws, wu = transport_residuals(pt, lambda p: polar.angle_state(p, spec))
@@ -184,7 +184,7 @@ def test_transport_identities_analytic():
 def test_transport_detects_a_wrong_angle_partial():
     # the covectors are differentiated from the angles themselves, so a
     # partial of the AngleState that disagrees with them cannot pass
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
 
     def field(p):
         return polar.angle_state(p, spec)
@@ -204,7 +204,7 @@ def test_transport_identities_finite_difference_oracle():
     # independent check: differentiate the covectors numerically; plain
     # central differences lose two orders within ~0.1 of the ring radius,
     # so sample clear of it
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     h = 1e-5
     worst = 0.0
     for pt in random_points(10, seed=7, r_lo=0.3, r_hi=5.0, ring_margin=0.15):
@@ -243,7 +243,7 @@ def test_spin_connection_static_limit():
 
 
 def test_spin_connection_equatorial_substitution():
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     pt = GridPoint(0.9, np.pi / 2)
     ang = polar.angle_state(pt, spec)
     C = expand_pairs(spin_connection_at(pt, ang))
@@ -299,8 +299,8 @@ def _dense_spin_connection(pt, ang):
     return C
 
 
-@pytest.mark.parametrize("spec", [ModelSpec.njl(), ModelSpec.soler(),
-                                  ModelSpec.interpolating(0.37)],
+@pytest.mark.parametrize("spec", [ModelSpec("njl"), ModelSpec("soler"),
+                                  ModelSpec("p:0.37")],
                          ids=lambda spec: spec.name)
 def test_expanded_pairs_equal_the_dense_builders(spec):
     # float points, an array of points and both complex steps off it, as
@@ -338,13 +338,13 @@ def _assert_orthonormal_frame(pt, xi):
 
 
 def test_tetrad_solders_metric_and_duality():
-    spec = ModelSpec.soler()
+    spec = ModelSpec("soler")
     for pt in random_points(20):
         _assert_orthonormal_frame(pt, tetrad_at(pt, polar.angle_state(pt, spec)))
 
 
 def test_frame_and_connection_invariants():
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     for pt in random_points(10, seed=31):
         ang = polar.angle_state(pt, spec)
         _assert_orthonormal_frame(pt, tetrad_at(pt, ang))
@@ -378,13 +378,13 @@ def tetrad_postulate_residual(pt, spec):
 
 
 def test_tetrad_postulate():
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     worst = max(tetrad_postulate_residual(pt, spec) for pt in random_points(20))
     assert worst <= 1e-8
 
 
 def test_curvature_vanishes_on_solution():
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     (rie,) = curvature_strength_residuals(
         GridPoint(1.0, np.pi / 3), lambda p: polar.angle_state(p, spec))
     assert rie <= 1e-8
@@ -393,7 +393,7 @@ def test_curvature_vanishes_on_solution():
 def test_curvature_residual_detects_perturbation(monkeypatch):
     # the verify control's seam: a position-dependent rescaling of the
     # tensorial connection is no longer flat
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     connection = geometry.tensorial_connection_at
 
     def perturbed(pt, ang):

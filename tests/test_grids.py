@@ -30,7 +30,7 @@ def half(pt):
 
 
 def test_block_sampler_reproduces_the_scalar_stream():
-    spec = ModelSpec.soler(m=0.7)
+    spec = ModelSpec("soler", m=0.7)
     rejects = (None, half, lambda pt: equations.is_masked(pt, spec, 1.0))
     for seed in (42, 678993):
         for reject in rejects:

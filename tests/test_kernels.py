@@ -22,8 +22,7 @@ from nldirac import clifford, equations, geometry, grids, polar, verify
 from nldirac.geometry import AngleState, GridPoint
 from nldirac.polar import ClosedForm, Density, ModelSpec
 
-MODELS = (ModelSpec.njl, ModelSpec.soler,
-          lambda m: ModelSpec.interpolating(0.5, m=m))
+MODELS = ("njl", "soler", "p:0.5")
 
 
 def _points(spec, seed, n=200):
@@ -34,9 +33,9 @@ def _points(spec, seed, n=200):
 
 
 def _cases(n=200):
-    for make in MODELS:
+    for model in MODELS:
         for m, seed in ((0.5, 11), (1.0, 12), (2.0, 13)):
-            spec = make(m=m)
+            spec = ModelSpec(model, m=m)
             yield spec, _points(spec, seed, n)
 
 
@@ -141,7 +140,7 @@ def test_assembled_spinor_equals_the_rotated_rest_column():
         assert np.array_equal(clifford.pi_action(psi),
                               np.einsum("ij,j...->i...", clifford.PI, psi))
     # a single point keeps the shape (4,)
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     f = polar.closed_form(geometry.GridPoint(0.8, 1.0), spec)
     assert np.array_equal(polar.assemble_spinor(f), _rotation_spinor(f))
 
@@ -175,15 +174,15 @@ def test_theta_phi_equals_the_einsum_contractions():
         assert np.array_equal(got_phi, bl.phi)
 
 
-@pytest.mark.parametrize("make", MODELS[:2])
-def test_covector_components_equal_the_four_operand_contraction(make):
+@pytest.mark.parametrize("model", MODELS[:2])
+def test_covector_components_equal_the_four_operand_contraction(model):
     # the endpoint models against the reference's own njl and soler
     # coefficients; a sweep chunk of points in one call, and float points
     # one at a time
     for m, seed in ((0.5, 21), (1.0, 22), (2.0, 23)):
-        p = make(m=m).p
         # the solution's quantum numbers, and wrong ones
-        for spec in (ModelSpec(m=m, p=p), ModelSpec(m=m, p=p, E=1.1 * m, l=0.6)):
+        for spec in (ModelSpec(model, m=m),
+                     ModelSpec(model, m=m, E=1.1 * m, l=0.6)):
             pts = _points(spec, seed, equations.SWEEP_CHUNK)
             for pt in [pts, *_scalar_points(pts)]:
                 chiral, density = equations.covector_components(
@@ -211,7 +210,7 @@ def test_covector_epsilon_sums_keep_every_term(monkeypatch):
     monkeypatch.setattr(geometry, "spin_covector", random((4,), 3))
     monkeypatch.setattr(geometry, "momentum_covector",
                         lambda E, l: np.random.default_rng(4).standard_normal(4))
-    for spec in (ModelSpec.njl(), ModelSpec.soler()):
+    for spec in (ModelSpec("njl"), ModelSpec("soler")):
         pts = _points(spec, 25, equations.SWEEP_CHUNK)
         for pt in (pts, GridPoint(pts.r[:2], pts.theta[:2])):
             chiral, density = equations.covector_components(
@@ -222,7 +221,7 @@ def test_covector_epsilon_sums_keep_every_term(monkeypatch):
 
 
 def _wrong_energy(spec):
-    return ModelSpec(m=spec.m, p=spec.p, E=1.1 * spec.m, name=spec.name)
+    return ModelSpec(spec.name, m=spec.m, E=1.1 * spec.m)
 
 
 def test_covariant_derivative_equals_the_stacked_partials():
@@ -255,7 +254,7 @@ def test_a_nan_in_the_spinor_fails_the_standard_form(monkeypatch):
     # zero everywhere else, a NaN at one point makes that point's residual
     # non-finite and fails standard-residuals through run_suites
     assemble = polar.assemble_spinor
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     pts = _points(spec, 26, 50)
     f = polar.closed_form(pts, spec)
     for component in (0, 1):
@@ -337,7 +336,7 @@ def test_closed_form_equals_the_formula_by_formula_composition():
                                   (ref.sin_beta, ref.cos_beta))
             assert np.array_equal(polar.density(pt, spec).phi2,
                                   ref.density.phi2)
-            general = ModelSpec.interpolating(spec.p, m=spec.m)
+            general = ModelSpec(f"p:{spec.p}", m=spec.m)
             assert np.array_equal(polar.phi2_grid(general, pt.r, pt.theta),
                                   ref.density.phi2)
 

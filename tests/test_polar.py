@@ -70,20 +70,29 @@ def random_points(n, seed=2024, r_lo=0.1, r_hi=10.0, ring_margin=0.05):
 
 
 def test_model_spec_defaults_and_validation():
-    spec = ModelSpec.njl(m=2.0)
+    spec = ModelSpec("njl", m=2.0)
     assert spec.E == 2.0 and spec.l == 0.5 and spec.p == 1.0
-    assert ModelSpec.soler().p == 0.0
-    assert ModelSpec.interpolating(0.3).p == 0.3
-    with pytest.raises(ValueError):
+    assert ModelSpec("soler").p == 0.0
+    assert ModelSpec("p:0.3").p == 0.3
+    with pytest.raises(ValueError, match="mass must be positive"):
         ModelSpec(m=-1.0)
-    with pytest.raises(ValueError):
-        ModelSpec(p=1.5)
-    # one name per model; an interpolating run at an endpoint keeps its own
-    assert ModelSpec().name == "njl" and ModelSpec(p=0.0).name == "soler"
-    assert ModelSpec(p=0.25).name == "p:0.25"
-    assert ModelSpec.interpolating(1.0).name == "p:1"
-    with pytest.raises(ValueError):
-        ModelSpec(p=0.5, name="njl")
+    with pytest.raises(ValueError, match="interpolation parameter"):
+        ModelSpec("p:1.5")
+    with pytest.raises(ValueError, match="unknown model 'bogus'"):
+        ModelSpec("bogus")
+    with pytest.raises(ValueError, match="p must be a number, got 'abc'"):
+        ModelSpec("p:abc")
+    # p is derived from the model's text and cannot be given beside it
+    with pytest.raises(TypeError):
+        ModelSpec("njl", p=0.5)
+    # one canonical name per model; an interpolating run at an endpoint
+    # keeps its own
+    assert ModelSpec().name == "njl"
+    assert ModelSpec("p:0.250").name == "p:0.25"
+    assert ModelSpec("p:1.0").name == "p:1" and ModelSpec("p:1").p == 1.0
+    # a copy with another mass or energy keeps the model
+    copy = dataclasses.replace(ModelSpec("p:0.50"), m=2.0, E=3.0)
+    assert (copy.name, copy.p, copy.m, copy.E) == ("p:0.5", 0.5, 2.0, 3.0)
 
 
 def test_X_exact_values():
@@ -109,7 +118,7 @@ def test_profile_keeps_full_precision_next_to_the_locus():
     # at 2mr = 1 -+ d, against 50 digits at the float product u = 2mr: the
     # spelling (u - 1/u)/2 cancels there (5.6e-5 relative at d = 1e-12)
     for m in (0.5, 1.7, 3.0):
-        spec = ModelSpec.soler(m=m)
+        spec = ModelSpec("soler", m=m)
         for d in (1e-4, 1e-8, 1e-12):
             for r in ((1.0 - d) / (2.0 * m), (1.0 + d) / (2.0 * m)):
                 with mpmath.workdps(50):
@@ -132,7 +141,7 @@ def test_G_exact_values_and_singularity():
 
 def test_G_exact_takes_an_array_of_radii():
     for m in (0.5, 1.0, 3.0):
-        spec = ModelSpec.soler(m=m)
+        spec = ModelSpec("soler", m=m)
         rs = np.geomspace(0.01, 100.0, 50) / m
         G = G_exact(rs, spec)
         assert G.shape == rs.shape
@@ -143,7 +152,7 @@ def test_G_exact_takes_an_array_of_radii():
 
 
 def test_module_njl_values():
-    spec = ModelSpec.njl(m=1.0)
+    spec = ModelSpec("njl", m=1.0)
     # regular at the origin: phi^2 -> 8m
     assert module_njl(GridPoint(1e-6, 1.1), spec) == pytest.approx(8.0, rel=1e-10)
     # on the singular ring
@@ -155,7 +164,7 @@ def test_module_njl_values():
 
 
 def test_module_soler_values():
-    spec = ModelSpec.soler(m=1.0)
+    spec = ModelSpec("soler", m=1.0)
     for th in (0.3, 1.2, np.pi / 2):
         with pytest.raises(SingularPoint):
             module_soler(GridPoint(0.5, th), spec)
@@ -169,7 +178,7 @@ def test_module_soler_values():
 def test_module_prefactor_consistency_with_closed_form():
     # the compact 2/(r sqrt(X^2 + cos^2)) form and the explicit radicand form
     # of the chiral density must agree once the exact profile is inserted
-    spec = ModelSpec.njl(m=1.0)
+    spec = ModelSpec("njl", m=1.0)
     for pt in random_points(100):
         X = X_exact(pt.r, spec)
         compact = 2.0 / (pt.r * np.sqrt(X * X + np.cos(pt.theta) ** 2))
@@ -177,7 +186,7 @@ def test_module_prefactor_consistency_with_closed_form():
 
 
 def test_module_soler_factorizes_through_G():
-    spec = ModelSpec.soler(m=1.0)
+    spec = ModelSpec("soler", m=1.0)
     for pt in random_points(100):
         X = X_exact(pt.r, spec)
         factored = np.sqrt(X * X + np.cos(pt.theta) ** 2) * G_exact(pt.r, spec)
@@ -186,13 +195,13 @@ def test_module_soler_factorizes_through_G():
 
 def test_general_p_endpoint_agreement():
     m = 1.3
-    spec = ModelSpec(m=m, p=0.5)
+    spec = ModelSpec("p:0.5", m=m)
     for pt in random_points(100, r_lo=0.05 / m, r_hi=20.0 / m):
         if abs(2 * m * pt.r - 1) < 0.05:
             continue
-        njl = module_njl(pt, ModelSpec.njl(m=m))
-        soler = module_soler(pt, ModelSpec.soler(m=m))
-        general = {p: module_general_p(pt, ModelSpec.interpolating(p, m=m))
+        njl = module_njl(pt, ModelSpec("njl", m=m))
+        soler = module_soler(pt, ModelSpec("soler", m=m))
+        general = {p: module_general_p(pt, ModelSpec(f"p:{p}", m=m))
                    for p in (1.0, 0.0)}
         assert general[1.0] == pytest.approx(njl, rel=1e-12)
         assert general[0.0] == pytest.approx(soler, rel=1e-12)
@@ -205,7 +214,7 @@ def test_closed_form_densities_equal_general_p(r, theta, m):
     # r in Compton lengths; the singular radius 2mr = 1 is kept out
     assume(abs(2.0 * r - 1.0) > 0.05)
     pt = GridPoint(r / m, theta)
-    njl, soler = ModelSpec.njl(m=m), ModelSpec.soler(m=m)
+    njl, soler = ModelSpec("njl", m=m), ModelSpec("soler", m=m)
     assert module_njl(pt, njl) == pytest.approx(module_general_p(pt, njl),
                                                 rel=1e-12)
     assert module_soler(pt, soler) == pytest.approx(module_general_p(pt, soler),
@@ -213,7 +222,7 @@ def test_closed_form_densities_equal_general_p(r, theta, m):
 
 
 def test_general_p_singular_on_ring():
-    spec = ModelSpec.interpolating(0.5, m=1.0)
+    spec = ModelSpec("p:0.5", m=1.0)
     with pytest.raises(SingularPoint):
         module_general_p(GridPoint(0.5, np.pi / 2), spec)
     # off the equator the interpolated density is finite at 2mr = 1
@@ -222,14 +231,14 @@ def test_general_p_singular_on_ring():
 
 def test_angle_state_refuses_the_ring():
     # the kinematic quotients are 0/0 exactly there; no limit is taken
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     with pytest.raises(SingularPoint):
         polar.angle_state(GridPoint(0.5, np.pi / 2), spec)
     assert polar.angle_state(GridPoint(0.5, 1.0), spec).cosh_alpha > 0
 
 
 def test_module_positivity_and_tail():
-    for spec in (ModelSpec.njl(), ModelSpec.soler()):
+    for spec in (ModelSpec("njl"), ModelSpec("soler")):
         for pt in random_points(50):
             val = phi2_grid(spec, pt.r, pt.theta)
             assert val > 0.0
@@ -303,7 +312,7 @@ def test_derivative_component_identity_across_sign_change():
 
 
 def test_polar_state_invariants():
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     for pt in random_points(30):
         st = closed_form(pt, spec)
         assert polar.X_exact(pt.r, spec) == pytest.approx(
@@ -324,7 +333,7 @@ def test_assembled_spinor_rest_frame_bilinears():
 
 
 def test_assembled_spinor_chiral_ratio():
-    spec = ModelSpec.njl(m=1.0)
+    spec = ModelSpec("njl", m=1.0)
     pt = GridPoint(1.0, np.pi / 4)
     psi = assemble_spinor(closed_form(pt, spec))
     bl = clifford.bilinears(psi)
@@ -342,7 +351,7 @@ def test_assembled_spinor_vector_bilinears():
     # versions follow by contracting with the frame vectors
     from nldirac import geometry
 
-    spec = ModelSpec.njl(m=1.0)
+    spec = ModelSpec("njl", m=1.0)
     for pt in random_points(20, seed=77):
         phi2 = module_njl(pt, spec)
         bl = clifford.bilinears(assemble_spinor(closed_form(pt, spec)))
@@ -362,7 +371,7 @@ def test_assembled_spinor_vector_bilinears():
 def test_assembled_spinor_time_phase_invariance():
     # the spinor at time t and azimuth phi is the assembled one (t = 0,
     # phi = 0) times exp(-i(E t + l phi)); its bilinears do not see that
-    spec = ModelSpec.njl(m=1.0)
+    spec = ModelSpec("njl", m=1.0)
     pt = GridPoint(0.8, 1.0)
     psi = assemble_spinor(closed_form(pt, spec))
     a = clifford.bilinears(psi)
@@ -372,7 +381,7 @@ def test_assembled_spinor_time_phase_invariance():
 
 
 def test_polar_decomposition_residual_exact_solutions():
-    for spec in (ModelSpec.njl(), ModelSpec.soler()):
+    for spec in (ModelSpec("njl"), ModelSpec("soler")):
         worst = max(
             polar_decomposition_residual(pt, spec)
             for pt in random_points(20)
@@ -393,7 +402,7 @@ def test_analytic_and_fd_covariant_derivatives_agree(p, m, rm, theta):
     # are built here from the density and the chiral pair, with the half
     # angle cos(beta/2) = sqrt((1 + cos beta)/2) in place of arctan2 so that
     # they stay complex-analytic; 2mr >= 1.2 keeps cos beta > 0.
-    spec = ModelSpec(m=m, p=p)
+    spec = ModelSpec(f"p:{p}", m=m)
     pt = GridPoint(rm / m, theta)
     f = closed_form(pt, spec)
     _, psi = covariant_derivative(pt, spec, f)
@@ -419,13 +428,13 @@ def test_analytic_and_fd_covariant_derivatives_agree(p, m, rm, theta):
 def test_decomposition_exact_at_chiral_branch_cut():
     # inside 2mr = 1 the principal chiral rotation flips the spinor's sign
     # across the equator; the analytic partials have no branch there
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     pt = GridPoint(0.3, np.pi / 2)
     assert polar_decomposition_residual(pt, spec) <= 1e-10
 
 
 def test_polar_decomposition_momentum_sensitivity(monkeypatch):
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     momentum = geometry.momentum_covector
     monkeypatch.setattr(geometry, "momentum_covector",
                         lambda E, l: momentum(E, 0.6))
@@ -445,8 +454,8 @@ def test_module_log_derivatives_match_finite_differences():
     # the differences are complex steps, exact to rounding on both sides of
     # X = 0; the angle partials are those of the same closed form
     close = lambda a: pytest.approx(a, rel=1e-12, abs=1e-12)
-    for p in (0.0, 0.5, 1.0):
-        spec = ModelSpec(m=1.0, p=p)
+    for model in ("soler", "p:0.5", "njl"):
+        spec = ModelSpec(model, m=1.0)
 
         for pt in random_points(20):
             f = closed_form(pt, spec)

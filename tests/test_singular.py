@@ -14,22 +14,22 @@ from nldirac.singular import (
 
 
 def test_analytic_locus_kinds():
-    ring = singular_locus(ModelSpec.njl())
+    ring = singular_locus(ModelSpec("njl"))
     assert ring.kind == "ring"
     assert ring.radius == pytest.approx(0.5)
     assert ring.angular_constraint == "cos(theta) = 0"
-    shell = singular_locus(ModelSpec.soler())
+    shell = singular_locus(ModelSpec("soler"))
     assert shell.kind == "shell"
     assert shell.radius == pytest.approx(0.5)
     assert shell.angular_constraint is None
     # any chiral admixture confines the divergence to the equator
-    assert singular_locus(ModelSpec(p=0.3)).kind == "ring"
+    assert singular_locus(ModelSpec("p:0.3")).kind == "ring"
     # radius scales with the inverse mass
     assert singular_locus(ModelSpec(m=4.0)).radius == pytest.approx(1 / 8)
 
 
 def test_numerical_locus_ring():
-    est = locate_numerically(ModelSpec.njl())
+    est = locate_numerically(ModelSpec("njl"))
     assert est.kind == "ring"
     assert est.diverged
     assert abs(2.0 * est.radius - 1.0) <= 1e-9
@@ -41,7 +41,7 @@ def test_numerical_locus_ring():
 
 
 def test_numerical_locus_shell():
-    est = locate_numerically(ModelSpec.soler())
+    est = locate_numerically(ModelSpec("soler"))
     assert est.kind == "shell"
     assert est.diverged
     assert abs(2.0 * est.radius - 1.0) <= 1e-9
@@ -57,7 +57,7 @@ def test_numerical_locus_matches_the_analytic_kind(p, m):
     # a ring at any resolvable p > 0, however thin (the bounded value at
     # pi/4 is 2/(r p cos theta)), and a shell at p = 0; at the tiny masses
     # 1/phi^2 is about 1/m, and the secant must not overflow on it
-    spec = ModelSpec(m=m, p=p)
+    spec = ModelSpec(f"p:{p}", m=m)
     est = locate_numerically(spec)
     assert est.kind == singular_locus(spec).kind
     assert est.diverged
@@ -75,7 +75,7 @@ def test_locus_search_evaluates_ten_points_at_most(monkeypatch):
         return density(spec, r, theta)
 
     monkeypatch.setattr(singular, "phi2_grid", counted)
-    locate_numerically(ModelSpec.interpolating(0.5))
+    locate_numerically(ModelSpec("p:0.5"))
     assert len(sizes) <= 5 and sum(sizes) <= 10, sizes
 
 
@@ -85,7 +85,7 @@ def test_window_without_singular_radius_stays_bounded(monkeypatch):
     density = singular.phi2_grid
     monkeypatch.setattr(singular, "phi2_grid",
                         lambda spec, r, theta: density(spec, r + 0.55, theta))
-    for spec in (ModelSpec.njl(), ModelSpec.soler()):
+    for spec in (ModelSpec("njl"), ModelSpec("soler")):
         est = locate_numerically(spec)
         assert not est.diverged
         assert est.kind == "none"
@@ -100,7 +100,7 @@ def phi2_r2_at_100_over_m(spec):
 
 
 def test_decay_exponent_and_limit():
-    for spec in (ModelSpec.njl(), ModelSpec.soler()):
+    for spec in (ModelSpec("njl"), ModelSpec("soler")):
         exponent, _ = decay_fit(spec)
         assert exponent == pytest.approx(-2.0, abs=0.01)
         rep = asymptotics_report(spec)
@@ -110,15 +110,15 @@ def test_decay_exponent_and_limit():
 
 def test_asymptotics_scale_with_mass():
     m = 2.5
-    rep = asymptotics_report(ModelSpec.njl(m=m))
+    rep = asymptotics_report(ModelSpec("njl", m=m))
     assert rep["limit_constant"] == pytest.approx(2.0 / m)
-    assert phi2_r2_at_100_over_m(ModelSpec.njl(m=m)) == pytest.approx(
+    assert phi2_r2_at_100_over_m(ModelSpec("njl", m=m)) == pytest.approx(
         rep["limit_constant"], rel=1e-3)
     assert rep["origin_value"] == pytest.approx(8.0 * m, rel=1e-10)
 
 
 def test_origin_values_both_models():
-    for spec in (ModelSpec.njl(), ModelSpec.soler()):
+    for spec in (ModelSpec("njl"), ModelSpec("soler")):
         val = float(phi2_grid(spec, 1e-6, 0.9))
         assert val == pytest.approx(8.0, rel=1e-10)
 
@@ -127,7 +127,7 @@ def test_chiral_density_is_finite_on_the_axis():
     # the ring divergence is cylindrically symmetric: along theta = 0 the
     # chiral density stays bounded for every radius, including 2mr = 1
     rs = np.geomspace(1e-3, 1e3, 300)
-    vals = phi2_grid(ModelSpec.njl(), rs, np.zeros_like(rs))
+    vals = phi2_grid(ModelSpec("njl"), rs, np.zeros_like(rs))
     assert np.all(np.isfinite(vals))
     assert np.all(vals > 0.0)
     assert vals.max() <= 8.0 + 1e-12
@@ -135,12 +135,12 @@ def test_chiral_density_is_finite_on_the_axis():
 
 def test_scalar_density_diverges_uniformly_on_the_shell():
     thetas = np.linspace(0.05, np.pi - 0.05, 50)
-    near = phi2_grid(ModelSpec.soler(), np.full_like(thetas, 0.5 + 1e-7), thetas)
+    near = phi2_grid(ModelSpec("soler"), np.full_like(thetas, 0.5 + 1e-7), thetas)
     assert np.all(near > 1e6)
 
 
 def test_singularity_report_schema():
-    rep = singularity_report(ModelSpec.njl())
+    rep = singularity_report(ModelSpec("njl"))
     assert rep["model"] == "njl"
     assert rep["locus"]["kind"] == "ring"
     assert rep["numerical_locus"]["diverged"] is True
@@ -150,7 +150,7 @@ def test_singularity_report_schema():
     assert set(rep["locus"]) == {"kind", "radius", "angular_constraint"}
     assert rep["decay_exponent"] == pytest.approx(-2.0, abs=0.01)
     assert rep["limit_constant"] == pytest.approx(2.0)
-    rep = singularity_report(ModelSpec(m=1.0, p=0.5))
+    rep = singularity_report(ModelSpec("p:0.5", m=1.0))
     assert rep["model"] == "p:0.5"
     assert rep["locus"]["kind"] == "ring"
 
@@ -174,8 +174,8 @@ def test_density_keeps_full_precision_next_to_the_ring():
     # d = 1e-12) is allowed on top of the 1e-14
     theta = np.pi / 2
     for m in (0.5, 3.0):
-        for spec in (ModelSpec.njl(m=m), ModelSpec.soler(m=m),
-                     ModelSpec.interpolating(0.5, m=m)):
+        for spec in (ModelSpec("njl", m=m), ModelSpec("soler", m=m),
+                     ModelSpec("p:0.5", m=m)):
             for d in (1e-4, 1e-6, 1e-8, 1e-12):
                 for r in ((1.0 - d) / (2.0 * m), (1.0 + d) / (2.0 * m)):
                     exact = _density_mp(spec, r, theta)

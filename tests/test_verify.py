@@ -25,7 +25,7 @@ from nldirac import clifford, equations, geometry, grids, polar, singular, verif
 from nldirac.polar import ModelSpec
 
 GRID = grids.GridConfig(r_min=0.05, r_max=20.0, n_r=5, n_theta=4)
-MODELS = (ModelSpec.njl(), ModelSpec.soler(), ModelSpec.interpolating(0.5))
+MODELS = (ModelSpec("njl"), ModelSpec("soler"), ModelSpec("p:0.5"))
 
 
 def _scaled_density(f, d):
@@ -182,7 +182,7 @@ def test_a_nan_at_a_chunk_edge_fails_its_grid_suite(monkeypatch):
     # the last point of a full chunk and the last unmasked point of the
     # grid, two chunks' worth of 9-point rows and nine more (235 rows for
     # 1024-point chunks)
-    spec = ModelSpec.njl()
+    spec = ModelSpec("njl")
     n_r = 2 * (equations.SWEEP_CHUNK // 9) + 9
     points = grids.points(grids.GridConfig(n_r=n_r, n_theta=9), m=spec.m)
     r, theta = points.r.ravel(), points.theta.ravel()
@@ -284,9 +284,9 @@ def test_run_suites_memory_peak_stays_small():
     # kernel rows per spinor (the standard form's Theta and Phi take 8), so
     # one verify's allocations peak under 1 MB on the benchmark's grid sizes
     for spec, grid in (
-            (ModelSpec.njl(), grids.GridConfig(0.05, 20.0, 50, 40)),
-            (ModelSpec.soler(), grids.GridConfig(0.05, 20.0, 50, 40)),
-            (ModelSpec.interpolating(0.37), grids.GridConfig(0.05, 20.0, 70, 50))):
+            (ModelSpec("njl"), grids.GridConfig(0.05, 20.0, 50, 40)),
+            (ModelSpec("soler"), grids.GridConfig(0.05, 20.0, 50, 40)),
+            (ModelSpec("p:0.37"), grids.GridConfig(0.05, 20.0, 70, 50))):
         verify.run_suites(spec, grid)
         tracemalloc.start()
         try:
@@ -304,9 +304,9 @@ def test_each_chunk_builds_its_closed_form_once(monkeypatch):
     # chunks of a 50x40 grid and 4 of a 70x50 one.  The bundle builds the
     # density step once
     for spec, grid in (
-            (ModelSpec.njl(), grids.GridConfig(0.05, 20.0, 50, 40)),
-            (ModelSpec.soler(), grids.GridConfig(0.05, 20.0, 50, 40)),
-            (ModelSpec.interpolating(0.37),
+            (ModelSpec("njl"), grids.GridConfig(0.05, 20.0, 50, 40)),
+            (ModelSpec("soler"), grids.GridConfig(0.05, 20.0, 50, 40)),
+            (ModelSpec("p:0.37"),
              grids.GridConfig(0.05, 20.0, 70, 50))):
         unmasked = np.count_nonzero(
             ~equations.is_masked(grids.points(grid, m=spec.m), spec))
