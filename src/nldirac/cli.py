@@ -342,17 +342,18 @@ def _float_text(values, spelling):
 FIELDMAP_BLOCK = 1024
 
 
-def _write_fieldmap_rows(fh, spec, grid_cfg, margin, sep, row_sep, spelling):
-    """Evaluate the fieldmap in blocks of whole grid rows (one radius, every
-    theta), about FIELDMAP_BLOCK points each, in r-major order, and write
-    each block's text in one ``fh.write``.
+def _write_fieldmap_rows(fh, spec, radii, theta, margin, sep, row_sep,
+                         spelling):
+    """Evaluate the fieldmap of the grid axes ``radii`` and ``theta`` in
+    blocks of whole grid rows (one radius, every theta), about
+    FIELDMAP_BLOCK points each, in r-major order, and write each block's
+    text in one ``fh.write``.
 
     A block is evaluated on its column of radii and the theta axis, which
     numpy broadcasts to the block's points: what depends on r alone is
     computed and formatted once per radius, and what depends on theta alone
     once per angle.
     """
-    radii, theta = grids.radii(grid_cfg, m=spec.m), grids.thetas(grid_cfg)
     rows = max(1, FIELDMAP_BLOCK // len(theta))
     theta_text = _float_text(theta, spelling)
     lead = ""  # the map's first row follows the head
@@ -375,12 +376,14 @@ def _write_fieldmap_rows(fh, spec, grid_cfg, margin, sep, row_sep, spelling):
 
 def cmd_fieldmap(cfg: RunConfig):
     spec, grid_cfg = cfg.spec, cfg.grid or FIELDMAP_GRID
+    # before anything is written: the radii refuse an extreme mass
+    radii, theta = grids.radii(grid_cfg, m=spec.m), grids.thetas(grid_cfg)
     head, sep, row_sep, tail, spelling = _fieldmap_layout(cfg.fmt, spec.name)
     with (open(cfg.out, "w", encoding="utf-8",
                newline=None if cfg.fmt == "json" else "") if cfg.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write(head)
-        _write_fieldmap_rows(fh, spec, grid_cfg, cfg.mask_margin, sep,
+        _write_fieldmap_rows(fh, spec, radii, theta, cfg.mask_margin, sep,
                              row_sep, spelling)
         fh.write(tail)
     if cfg.out:
@@ -493,7 +496,7 @@ def main(argv=None):
         print(f"error: {exc}; raise --mask-margin to mask the singular region",
               file=sys.stderr)
         return 2
-    except FloatingPointError as exc:  # locus or report at an extreme mass
+    except FloatingPointError as exc:  # a command at an extreme mass
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

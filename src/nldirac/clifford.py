@@ -143,12 +143,12 @@ def spin_action(pairs, psi):
     live, live_psi = rows.any(axis=2), flat.any(axis=1)
     out = np.zeros((4,) + flat.shape, dtype=np.result_type(pairs, psi))
     sigma_psi, product = np.empty_like(flat), np.empty_like(flat[0])
-    for k in np.flatnonzero(live.any(axis=1)):
+    for k in live.any(axis=1).nonzero()[0]:
         spin = [(i, column) for i, column in enumerate(SIGMA_COLUMN[k])
                 if live_psi[column]]
         for i, column in spin:
             np.multiply(flat[column], SIGMA_VALUE[k, i], out=sigma_psi[i])
-        for mu in np.flatnonzero(live[k]):
+        for mu in live[k].nonzero()[0]:
             pair = rows[k, mu].astype(out.dtype)
             for i, _ in spin:
                 out[mu, i] += np.multiply(pair, sigma_psi[i], out=product)
@@ -170,9 +170,9 @@ _KERNEL_PHI = GAMMA[0] @ IDENTITY
 _KERNEL_THETA = GAMMA[0] @ PI
 _KERNEL_U = np.stack([GAMMA[0] @ GAMMA[a] for a in range(4)])
 _KERNEL_S = np.stack([GAMMA[0] @ GAMMA[a] @ PI for a in range(4)])
-# The kernels as stacks, each one matrix product: Theta and Phi, the four U,
-# then the four S.  The intermediate is 16 rows per spinor at most, and
-# Theta and Phi alone take 8.
+# The kernels as stacks: Theta and Phi, the four U, then the four S.  The
+# bilinears take them two at a time, one matrix product each, so that the
+# product holds 8 rows per spinor at most.
 _KERNEL_STACKS = (np.concatenate((_KERNEL_THETA, _KERNEL_PHI)),
                   np.concatenate(_KERNEL_U), np.concatenate(_KERNEL_S))
 for _mat in (_KERNEL_PHI, _KERNEL_THETA, _KERNEL_U, _KERNEL_S, *_KERNEL_STACKS):
@@ -200,15 +200,28 @@ class BilinearSet:
 
 def _real_bilinears(psi, stacks):
     """The bilinears psi^dag (gamma^0 K) psi of the kernel ``stacks``, Theta
-    first, real parts only, after the reality check of bilinears."""
+    first, real parts only, after the reality check of bilinears.
+
+    The kernels are applied two at a time, one matrix product each, and
+    each bilinear is one contraction of its product with conj(psi).  Row i
+    of a kernel is taken only where psi_i is nonzero at some point (a NaN
+    is not zero): a row whose psi_i is zero at every point adds only zeros
+    to the contraction's sum over i, which adds the others in the same
+    order.
+    """
     psi = np.asarray(psi)
     psi = psi.astype(np.result_type(psi, 1j), copy=False)
-    conj = psi.conj()
     flat = np.reshape(psi, (4, -1))
-    parts = np.concatenate([
-        np.einsum("i...,ki...->k...", conj, (kernels @ flat).reshape(
-            (len(kernels) // 4, 4) + np.shape(psi)[1:]))
-        for kernels in stacks])
+    live = flat.any(axis=1).nonzero()[0]
+    conj = (psi if live.size == 4 else psi[live]).conj()
+    kernels = np.concatenate(stacks).reshape(-1, 4, 4)[:, live]
+    parts = np.empty((len(kernels),) + np.shape(psi)[1:], dtype=psi.dtype)
+    for k in range(0, len(kernels), 2):
+        two = kernels[k:k + 2]
+        np.einsum("i...,ki...->k...", conj,
+                  (two.reshape(-1, 4) @ flat).reshape(
+                      two.shape[:2] + np.shape(psi)[1:]),
+                  out=parts[k:k + 2])
     parts[0] *= 1j
     scale = np.maximum(1.0, np.max(np.abs(parts), axis=0))
     worst = np.max(np.abs(parts.imag), axis=0)
@@ -253,7 +266,9 @@ def fierz_residuals(psis):
     max(1, (psi^dag psi)^2), the size of the quartic terms and so of their
     rounding, which Theta^2 + Phi^2 can be far below.
     """
-    bl = bilinears(np.transpose(psis))
+    # one spinor component per row, contiguous: numpy reads a row of the
+    # transposed view a stride apart
+    bl = bilinears(np.ascontiguousarray(np.transpose(psis)))
     scalar2 = bl.theta**2 + bl.phi**2
     uu = lorentz_dot(bl.U, bl.U)
     ss = lorentz_dot(bl.S, bl.S)

@@ -24,6 +24,8 @@ every form it runs reads it, so a wrong solution goes in as a wrong bundle.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import clifford, geometry, polar
@@ -34,9 +36,9 @@ DEFAULT_MASK_MARGIN = 0.02
 # Points per evaluation in a grid sweep.  Every call pays a fixed cost of
 # many small numpy calls, so a larger chunk costs less per point, and
 # memory sets the limit.  On 1024 points the covector and standard forms
-# peak at about 0.84 and 0.83 KB of allocations per point (tracemalloc),
+# peak at about 0.84 and 0.80 KB of allocations per point (tracemalloc),
 # the expanded and reduced forms at 0.27 KB, each with the 0.17 KB bundle
-# it reads, so a verify of a 70x50 grid peaks near 0.95 MB.
+# it reads, so a verify of a 70x50 grid peaks near 0.92 MB.
 SWEEP_CHUNK = 1024
 
 
@@ -49,8 +51,9 @@ def is_masked(pt: GridPoint, spec: ModelSpec, margin=DEFAULT_MASK_MARGIN):
 
 
 def _per_point_max(components):
-    """Largest absolute component at each point; NaN if any is NaN."""
-    return np.max(np.abs(np.stack(np.broadcast_arrays(*components))), axis=0)
+    """Largest absolute component at each point; NaN if any is NaN (as
+    np.maximum propagates it)."""
+    return functools.reduce(np.maximum, [np.abs(c) for c in components])
 
 
 def exact_fields(pt: GridPoint, spec: ModelSpec) -> polar.ClosedForm:
@@ -168,10 +171,9 @@ def covector_components(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     del eps  # 24 values per point
     Ps = np.einsum("m,m...->...", P, s_up)
     Pu = np.einsum("m,m...->...", P, u_up)
-    dbeta = np.stack(np.broadcast_arrays(
-        0.0, f.r_d_beta_dr / pt.r, f.d_beta_dtheta, 0.0))
-    dlnphi2 = np.stack(np.broadcast_arrays(
-        0.0, d.r_dlnphi2_dr / pt.r, d.dlnphi2_dtheta, 0.0))
+    dbeta = geometry.gradient_covector(f.r_d_beta_dr / pt.r, f.d_beta_dtheta)
+    dlnphi2 = geometry.gradient_covector(d.r_dlnphi2_dr / pt.r,
+                                         d.dlnphi2_dtheta)
     nl_chiral = d.phi2 * (p + (1.0 - p) * f.cos_beta**2)
     nl_density = (1.0 - p) * d.phi2 * f.cos_beta
     chiral = (
@@ -291,7 +293,7 @@ def residual_standard(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     framed, product = np.empty_like(dirac[0]), np.empty_like(dirac[0])
     for a in range(4):
         # each frame vector has a nonzero component wherever there is a point
-        mus = np.flatnonzero(xi[a].any(axis=1)) if dirac.size else [0]
+        mus = xi[a].any(axis=1).nonzero()[0] if dirac.size else [0]
         rows = [xi[a, mu].astype(psi.dtype) for mu in mus]
         for i, column in enumerate(clifford.GAMMA_COLUMN[a]):
             term = framed if a else dirac[i]
@@ -308,7 +310,7 @@ def residual_standard(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     # and a component of psi that is zero at every point adds only zeros.
     # einsum rounds each complex product as two real products and a sum;
     # the multiply ufunc may fuse them and differ in the last bit.
-    for i in np.flatnonzero(np.reshape(psi, (4, -1)).any(axis=1)):
+    for i in np.reshape(psi, (4, -1)).any(axis=1).nonzero()[0]:
         nonlinear = 0.25 * (
             phi + 1j * spec.p * (clifford.PI_SIGNS[i] * theta))
         dirac[i] += np.einsum("...,...->...", nonlinear, psi[i])

@@ -22,7 +22,8 @@ are held as their pairs: shape (6, 4) + the points' shape, entry [k, mu]
 the component of the k-th pair of clifford.PAIRS, (0, 1), (0, 2), (0, 3),
 (1, 2), (1, 3), (2, 3).  That is 24 values per point, not the 64 of the
 dense tensor, which clifford.expand_pairs builds where a contraction needs
-it.
+it.  The flatness and curvature identities contract their fields by their
+live entries, those nonzero at some point (see nldirac.sparse).
 
 Orientation: the coordinate volume form is eps_{t r theta phi} = +r^2 sin
 (theta), matching the flat eps_{0123} = +1 through the tetrads below, whose
@@ -31,14 +32,18 @@ determinant is +r^2 sin(theta).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clifford import EPS4_SIGN, PAIRS, expand_pairs
 from .errors import PoleOrOrigin
+from .sparse import (FLAT, Live, constant, contract, dense, live, permute,
+                     signed_sum)
 
 T, R, TH, PH = 0, 1, 2, 3
+_PAIR_INDEX = {pair: k for k, pair in enumerate(PAIRS)}  # k of clifford.PAIRS
 CS_STEP = 1e-30  # imaginary step of every complex-step partial (in r, <= 1e-20 r)
 
 
@@ -52,16 +57,16 @@ class GridPoint:
 
     def __post_init__(self):
         r_ok = np.greater(np.real(self.r), 0.0)
-        if not np.all(r_ok):
+        if not r_ok.all():
             raise PoleOrOrigin("radial coordinate must be positive, got "
                                f"{self.first(~r_ok)[0]!r}")
         theta = np.real(self.theta)
         theta_ok = np.greater(theta, 0.0) & np.less(theta, np.pi)
-        if not np.all(theta_ok):
+        if not theta_ok.all():
             raise PoleOrOrigin("polar angle must lie strictly between 0 and pi, "
                                f"got {self.first(~theta_ok)[1]!r}")
 
-    @property
+    @functools.cached_property
     def shape(self):
         """Shape of the point axes; () for a single point."""
         return np.broadcast(self.r, self.theta).shape
@@ -124,32 +129,36 @@ def christoffel_at(pt: GridPoint):
     Complex coordinates give complex coefficients, for riemann_at's
     complex-step partials.
     """
-    r, th = pt.r, pt.theta
+    r, s_, c_ = pt.r, np.sin(pt.theta), np.cos(pt.theta)
     lam = _zeros((4, 4, 4), pt)
     lam[TH, TH, R] = lam[TH, R, TH] = 1.0 / r
     lam[R, TH, TH] = -r
     lam[PH, PH, R] = lam[PH, R, PH] = 1.0 / r
-    lam[R, PH, PH] = -r * np.sin(th) ** 2
-    lam[PH, PH, TH] = lam[PH, TH, PH] = np.cos(th) / np.sin(th)
-    lam[TH, PH, PH] = -np.cos(th) * np.sin(th)
+    lam[R, PH, PH] = -r * s_ ** 2
+    lam[PH, PH, TH] = lam[PH, TH, PH] = c_ / s_
+    lam[TH, PH, PH] = -c_ * s_
     return lam
 
 
 def riemann_at(pt: GridPoint):
-    """Riemann tensor of the connection; identically zero here.
+    """Riemann tensor R[rho, sigma, mu, nu] of the connection, shape (4, 4,
+    4, 4) + the points' shape; identically zero here.
 
     Assembled from the closed-form coefficients and their complex-step
-    partials, so the result is a pure rounding check of flatness.
+    partials, so the result is a pure rounding check of flatness.  The
+    products of coefficients are formed over their live entries alone (see
+    nldirac.sparse).
     """
-    lam = christoffel_at(pt)
-    dlam = _coordinate_partials(christoffel_at, pt)
+    lam = live(christoffel_at(pt), 3)
+    dlam = _live_partials(lambda p: live(christoffel_at(p), 3), pt)
     # R^rho_{sigma mu nu} = d_mu Lam^rho_{nu sigma} - d_nu Lam^rho_{mu sigma}
     #                       + Lam^rho_{mu lam} Lam^lam_{nu sigma} - (mu <-> nu)
-    term = (np.einsum("mrns...->rsmn...", dlam)
-            - np.einsum("nrms...->rsmn...", dlam))
-    prod = (np.einsum("rml...,lns...->rsmn...", lam, lam)
-            - np.einsum("rnl...,lms...->rsmn...", lam, lam))
-    return term + prod
+    # where the second product is the first with mu and nu swapped
+    term = signed_sum((1, permute("mrns->rsmn", dlam)),
+                      (-1, permute("nrms->rsmn", dlam)))
+    prod = contract("rml,lns->rsmn", lam, lam)
+    prod = signed_sum((1, prod), (-1, permute("rsnm->rsmn", prod)))
+    return dense(signed_sum((1, term), (1, prod)), pt.shape)
 
 
 # -- covectors of the spinor fluid -------------------------------------------
@@ -176,6 +185,16 @@ def momentum_covector(energy, angular_momentum):
     return np.array([energy, 0.0, 0.0, angular_momentum])
 
 
+def gradient_covector(d_dr, d_dtheta):
+    """The gradient (0, d_r, d_theta, 0) of a stationary, axisymmetric
+    field from its two partials, shape (4,) + the points' shape."""
+    out = np.zeros((4,) + np.broadcast_shapes(np.shape(d_dr),
+                                              np.shape(d_dtheta)),
+                   dtype=np.result_type(float, d_dr, d_dtheta))
+    out[R], out[TH] = d_dr, d_dtheta
+    return out
+
+
 # -- tensorial connection, tetrads, spin connection --------------------------
 
 
@@ -186,9 +205,9 @@ def _connection(pt: GridPoint, ang: AngleState, components):
     pairs = _zeros((6, 4), pt, *vars(ang).values())
     for (a, b, mu), value in components:
         if a < b:
-            pairs[PAIRS.index((a, b)), mu] = value
+            pairs[_PAIR_INDEX[a, b], mu] = value
         else:
-            pairs[PAIRS.index((b, a)), mu] = -value
+            pairs[_PAIR_INDEX[b, a], mu] = -value
     return pairs
 
 
@@ -322,30 +341,82 @@ def curvature_strength_residuals(pt: GridPoint, angle_field):
         + R^i_{k mu} R^k_{j nu} - R^i_{k nu} R^k_{j mu}
 
     must vanish (zero spacetime curvature).  Derivatives are complex-step
-    partials.  The strength, the curl of the momentum covector
-    P = (E, 0, 0, l), is not computed: P is constant, so its curl vanishes
-    identically on every model, and a wrong E or l shows in the forms and
-    the decomposition instead.  Returns the norm, the largest over the
-    points, as a one-tuple.
+    partials, and every product and sum runs over the live entries of its
+    fields (see nldirac.sparse).  The strength, the curl of the momentum
+    covector P = (E, 0, 0, l), is not computed: P is constant, so its curl
+    vanishes identically on every model, and a wrong E or l shows in the
+    forms and the decomposition instead.  Returns the norm, the largest
+    over the points, as a one-tuple.
     """
 
     def mixed(p):
-        return (inverse_metric_at(p)[:, None, None]
-                * expand_pairs(tensorial_connection_at(p, angle_field(p))))
+        return _live_pairs(tensorial_connection_at(p, angle_field(p)),
+                           inverse_metric_at(p))
 
-    dR = _coordinate_partials(mixed, pt)
+    dR = _live_partials(mixed, pt)
     Rm = mixed(pt)
-    lam = christoffel_at(pt)
-    cov = (
-        dR
-        + np.einsum("ism...,sjn...->mijn...", lam, Rm)
-        - np.einsum("sjm...,isn...->mijn...", lam, Rm)
-        - np.einsum("snm...,ijs...->mijn...", lam, Rm)
-    )
-    curv = (
-        np.einsum("mijn...->ijmn...", cov)
-        - np.einsum("nijm...->ijmn...", cov)
-        + np.einsum("ikm...,kjn...->ijmn...", Rm, Rm)
-        - np.einsum("ikn...,kjm...->ijmn...", Rm, Rm)
-    )
-    return (float(np.max(np.abs(curv))),)
+    lam = live(christoffel_at(pt), 3)
+    cov = signed_sum((1, dR), (1, contract("ism,sjn->mijn", lam, Rm)),
+                     (-1, contract("sjm,isn->mijn", lam, Rm)),
+                     (-1, contract("snm,ijs->mijn", lam, Rm)))
+    # R^i_{k nu} R^k_{j mu} is the first product with mu and nu swapped
+    prod = contract("ikm,kjn->ijmn", Rm, Rm)
+    curv = signed_sum((1, permute("mijn->ijmn", cov)),
+                      (-1, permute("nijm->ijmn", cov)),
+                      (1, prod), (-1, permute("ijnm->ijmn", prod)))
+    return (float(np.abs(curv.values).max(initial=0.0)),)
+
+
+# -- the identities' fields by their live entries (see nldirac.sparse) -----
+
+
+def _live_pairs(pairs, g):
+    """The live entries of g^a C[a, b, mu] for a connection C held as its
+    pairs (see the module docstring) and the inverse metric ``g``, shape
+    (4,) + the points' shape: g^a pairs[k, mu] at (a, b, mu) and g^b
+    (-pairs[k, mu]) at (b, a, mu) for the k-th pair (a, b), the entries of
+    g[:, None, None] * expand_pairs(pairs)."""
+    rows = np.reshape(pairs, (24, -1))
+    index, source, negative, raised = _pair_plan(
+        tuple(rows.any(axis=1).nonzero()[0].tolist()))
+    values = rows.take(source, axis=0)
+    np.negative(values, out=values, where=negative)
+    return Live(3, index,
+                np.reshape(g, (4, -1)).take(raised, axis=0) * values)
+
+
+def _live_partials(field, pt: GridPoint):
+    """d_mu of a field stacked over mu (the leading index), ``field(p)``
+    its live entries at a GridPoint p: d_r and d_theta by
+    complex_step_partials, the only ones nonzero on the stationary,
+    axisymmetric fields checked here, at the entries live at some point."""
+    seen = []
+
+    def values(p):
+        seen.append(field(p))
+        return seen[-1].values
+
+    d_dr, d_dth = complex_step_partials(values, pt)
+    step = 4 ** seen[0].rank
+    index = [R * step + k for k in seen[0].index]
+    index += [TH * step + k for k in seen[1].index]
+    stacked = np.concatenate([d_dr, d_dth])
+    keep = stacked.any(axis=1).nonzero()[0].tolist()
+    return Live(seen[0].rank + 1, tuple(index[k] for k in keep),
+                stacked.take(keep, axis=0))
+
+
+@functools.lru_cache(maxsize=256)
+def _pair_plan(live_rows):
+    """The plan of _live_pairs for the live rows k * 4 + mu of the pairs:
+    the entries, ascending, and for each its row, its sign and its first
+    index."""
+    entries = []
+    for row in live_rows:
+        (a, b), mu = PAIRS[row // 4], row % 4
+        entries += [(FLAT[a, b, mu], row, False, a),
+                    (FLAT[b, a, mu], row, True, b)]
+    entries.sort()
+    index, source, negative, raised = zip(*entries) if entries else ((),) * 4
+    return (index, constant(source), constant(negative, bool)[:, None],
+            constant(raised))

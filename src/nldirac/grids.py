@@ -35,7 +35,14 @@ class GridConfig:
 
 
 def radii(cfg: GridConfig, m=1.0):
-    return np.geomspace(cfg.r_min / m, cfg.r_max / m, cfg.n_r)
+    """The grid's radii, log-spaced from r_min/m to r_max/m.  Raises
+    FloatingPointError, naming the mass, unless both ends are finite and
+    positive: at an extreme mass r/m over- or underflows."""
+    r_min, r_max = cfg.r_min / m, cfg.r_max / m
+    if not 0.0 < r_min <= r_max < np.inf:
+        raise FloatingPointError(f"grid radii r/m over- or underflow at mass "
+                                 f"{m!r}")
+    return np.geomspace(r_min, r_max, cfg.n_r)
 
 
 def thetas(cfg: GridConfig):

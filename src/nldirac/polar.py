@@ -272,11 +272,32 @@ def assemble_spinor(f: ClosedForm):
 def spinor_coordinate_partials(pt: GridPoint, f: ClosedForm, psi):
     """Analytic (d_r psi, d_theta psi) of the spinor psi assembled from the
     bundle f, from the log-derivative of the density and the chiral-angle
-    partials."""
-    pipsi, d = clifford.pi_action(psi), f.density
-    return ((0.5 * d.r_dlnphi2_dr / pt.r) * psi
-            - 0.5j * (f.r_d_beta_dr / pt.r) * pipsi,
-            (0.5 * d.dlnphi2_dtheta) * psi - 0.5j * f.d_beta_dtheta * pipsi)
+    partials: (d ln phi) psi - (i/2)(d beta) pi psi.
+
+    Each component of psi that is nonzero at some point is taken one row
+    at a time, as clifford.spin_action takes them: numpy buffers a
+    broadcast operand to the size of the whole product.  The partials of
+    a component that is zero at every point are zero; a NaN is not zero.
+    """
+    d = f.density
+    coefficients = (
+        (0.5 * d.r_dlnphi2_dr / pt.r, 0.5j * (f.r_d_beta_dr / pt.r)),
+        (0.5 * d.dlnphi2_dtheta, 0.5j * f.d_beta_dtheta))
+    dtype = np.result_type(psi, *(c for pair in coefficients for c in pair))
+    partials = [np.zeros(np.shape(psi), dtype=dtype) for _ in coefficients]
+    for i in _live_components(psi):
+        pipsi = clifford.PI_SIGNS[i] * psi[i]
+        for partial, (ln_phi, beta) in zip(partials, coefficients):
+            row = partial[i, ...]
+            np.multiply(ln_phi, psi[i], out=row)
+            row -= beta * pipsi
+    return tuple(partials)
+
+
+def _live_components(psi):
+    """The components of a spinor, shape (4,) + the points' shape, that are
+    nonzero (or NaN) at some point."""
+    return np.reshape(psi, (4, -1)).any(axis=1).nonzero()[0]
 
 
 def covariant_derivative(pt: GridPoint, spec: ModelSpec, f: ClosedForm):
@@ -294,16 +315,19 @@ def covariant_derivative(pt: GridPoint, spec: ModelSpec, f: ClosedForm):
     psi), both built from the closed-form bundle f.
 
     Each partial d_mu psi is added in place to its row of the spin action,
-    so no stack of the four partials is built beside the result.
+    so no stack of the four partials is built beside the result, and the
+    two phase partials are added on the components of psi that are nonzero
+    at some point, one at a time.
     """
     psi = assemble_spinor(f)
     nabla = clifford.spin_action(geometry.spin_connection_at(pt, f.ang), psi)
-    # the t and azimuth partials are the pure phases exp(-i(E t + l phi))
-    nabla[0] += -1j * spec.E * psi
     d_dr, d_dth = spinor_coordinate_partials(pt, f, psi)
     nabla[1] += d_dr
     nabla[2] += d_dth
-    nabla[3] += -1j * spec.l * psi
+    # the t and azimuth partials are the pure phases exp(-i(E t + l phi))
+    for i in _live_components(psi):
+        nabla[0, i] += -1j * spec.E * psi[i]
+        nabla[3, i] += -1j * spec.l * psi[i]
     return nabla, psi
 
 
@@ -321,11 +345,9 @@ def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec):
     """
     f = closed_form(pt, spec)
     nabla, psi = covariant_derivative(pt, spec, f)
-    dlnphi = np.stack(np.broadcast_arrays(
-        0.0, 0.5 * f.density.r_dlnphi2_dr / pt.r,
-        0.5 * f.density.dlnphi2_dtheta, 0.0))
-    dbeta = np.stack(np.broadcast_arrays(
-        0.0, f.r_d_beta_dr / pt.r, f.d_beta_dtheta, 0.0))
+    dlnphi = geometry.gradient_covector(0.5 * f.density.r_dlnphi2_dr / pt.r,
+                                        0.5 * f.density.dlnphi2_dtheta)
+    dbeta = geometry.gradient_covector(f.r_d_beta_dr / pt.r, f.d_beta_dtheta)
     P = geometry.momentum_covector(spec.E, spec.l)
     xi = geometry.tetrad_at(pt, f.ang)
     R_frame = np.einsum("bp...,npm...->nbm...", xi, clifford.expand_pairs(

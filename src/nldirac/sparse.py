@@ -1,0 +1,175 @@
+"""Fields by their live entries: the products and sums of an einsum over
+a dense field, formed over the entries that are not zero at every point.
+
+A field of rank k with four values per index, shape (4,) * k + the points'
+shape, is held as a Live: the flat C-order indices of its live entries,
+the ones nonzero (or NaN, or inf) at some point, read from the data with
+``any`` over the points, and their values, one row per entry.  The
+flatness and curvature identities contract fields that are mostly zero:
+9 of the 64 Christoffel symbols and 12 of the 64 entries of the mixed
+tensorial connection are live.
+
+Each operation gives the floats of the einsum it stands for on an array
+of points: a contraction adds the products of each entry from zero in
+ascending order of the summed index, as that einsum does, and the dense
+field's zero entries only add zeros to a finite sum.  A product of two
+entries is rounded as einsum rounds it, so complex values, under a
+complex-step partial, give its floats too.  A NaN or an inf at an entry
+that is zero on the solutions is live and reaches the result.
+
+The index bookkeeping of an operation, its plan, depends on which entries
+are live alone, so each plan is computed once per pattern and kept.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import operator
+from typing import NamedTuple
+
+import numpy as np
+
+# The indices of each flat C-order index k of a field of rank r,
+# DIGITS[r][k], for the ranks up to 4 that the identities use, and the
+# flat index of each tuple of indices.
+DIGITS = [list(itertools.product(range(4), repeat=r)) for r in range(5)]
+FLAT = {digits: k for each in DIGITS for k, digits in enumerate(each)}
+
+
+class Live(NamedTuple):
+    """A field of rank ``rank`` by its live entries: ``index`` their flat
+    C-order indices, ascending, and ``values`` their values, one row each,
+    shape (len(index), number of points)."""
+
+    rank: int
+    index: tuple
+    values: np.ndarray
+
+
+def live(field, rank):
+    """The live entries of a field of shape (4,) * rank + the points'
+    shape."""
+    flat = np.reshape(field, (4 ** rank, -1))
+    index = flat.any(axis=1).nonzero()[0]
+    return Live(rank, tuple(index.tolist()), flat.take(index, axis=0))
+
+
+def contract(subscripts, a: Live, b: Live):
+    """np.einsum(subscripts, a, b) of two fields by their live entries, for
+    subscripts such as "ism,sjn->mijn" (the point axes implied) that sum
+    one index: the output's live entries, each the sum of its products in
+    ascending order of the summed index."""
+    rank, index, left, right, later = _contraction(subscripts, a.index,
+                                                   b.index)
+    # einsum rounds a complex product as two real products and a sum; the
+    # multiply ufunc may fuse them
+    products = np.einsum("...,...->...", a.values.take(left, axis=0),
+                         b.values.take(right, axis=0))
+    values = products[:len(index)]  # the first product of each entry
+    for start, stop, at in later:  # the second products, the third, ...
+        values[at] += products[start:stop]
+    return Live(rank, index, values)
+
+
+def signed_sum(*terms):
+    """The signed sum of fields (sign, field), sign 1 or -1, the first
+    positive, over the union of their live entries, added in the order
+    given; an entry live in one field alone takes its value, negated for
+    sign -1, as a sum with zeros does."""
+    index, rows = _union(tuple(field.index for _, field in terms))
+    values = np.zeros((len(index), terms[0][1].values.shape[1]),
+                      dtype=np.result_type(*(f.values for _, f in terms)))
+    values[rows[0]] = terms[0][1].values
+    for (sign, field), at in zip(terms[1:], rows[1:]):
+        if sign > 0:
+            values[at] += field.values
+        else:
+            values[at] -= field.values
+    return Live(terms[0][1].rank, index, values)
+
+
+def permute(subscripts, a: Live):
+    """np.einsum(subscripts, a) for a permutation of the indices, such as
+    "mijn->ijmn"."""
+    index, order = _permutation(subscripts, a.index)
+    return Live(a.rank, index, a.values.take(order, axis=0))
+
+
+def dense(a: Live, shape):
+    """The dense field, shape (4,) * rank + ``shape``, zero off the live
+    entries."""
+    out = np.zeros((4 ** a.rank, a.values.shape[1]), dtype=a.values.dtype)
+    out[list(a.index)] = a.values
+    return out.reshape((4,) * a.rank + shape)
+
+
+def constant(items, dtype=int):
+    """A read-only array of ``items``: every call that finds a plan in its
+    cache shares the plan's arrays."""
+    out = np.array(items, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _contraction(subscripts, left, right):
+    """The plan of contract: the output's rank and live entries, the rows
+    of the two factors of each product, and for the products after the
+    first of an entry, their range and their entries' rows.  The products
+    come by rank within their entry, in ascending order of the summed
+    index: first the first product of every entry, then every second one,
+    and so on."""
+    inputs, out = subscripts.split("->")
+    sa, sb = inputs.split(",")
+    (summed,) = set(sa) & set(sb) - set(out)
+    by_summed = {}  # the right factor's entries by the summed index
+    for j, k in enumerate(right):
+        db = dict(zip(sb, DIGITS[len(sb)][k]))
+        by_summed.setdefault(db[summed], []).append((j, db))
+    terms = []
+    for i, k in enumerate(left):
+        da = dict(zip(sa, DIGITS[len(sa)][k]))
+        for j, db in by_summed.get(da[summed], ()):
+            both = {**da, **db}
+            terms.append((FLAT[tuple(both[c] for c in out)], da[summed],
+                          i, j))
+    terms.sort()
+    index = tuple(sorted({t[0] for t in terms}))
+    row = {k: n for n, k in enumerate(index)}
+    by_rank = []  # by_rank[q]: the (q + 1)-th product of each entry
+    for n, t in enumerate(terms):
+        q = 0 if n == 0 or terms[n - 1][0] != t[0] else q + 1
+        if q == len(by_rank):
+            by_rank.append([])
+        by_rank[q].append(t)
+    ordered = [t for rank in by_rank for t in rank]
+    later, start = [], len(index)
+    for rank in by_rank[1:]:
+        later.append((start, start + len(rank),
+                      constant([row[t[0]] for t in rank])))
+        start += len(rank)
+    return (len(out), index, constant([t[2] for t in ordered]),
+            constant([t[3] for t in ordered]), tuple(later))
+
+
+@functools.lru_cache(maxsize=256)
+def _union(indices):
+    """The plan of signed_sum: the union of sets of entries, ascending,
+    and the rows of each set in it."""
+    index = tuple(sorted(set().union(*indices)))
+    row = {k: n for n, k in enumerate(index)}
+    return index, tuple(constant([row[k] for k in each])
+                        for each in indices)
+
+
+@functools.lru_cache(maxsize=256)
+def _permutation(subscripts, index):
+    """The plan of permute: the permuted entries, ascending, and the row
+    each one takes."""
+    source, out = subscripts.split("->")
+    pick = operator.itemgetter(*(source.index(c) for c in out))
+    moved = sorted((FLAT[pick(DIGITS[len(source)][k])], n)
+                   for n, k in enumerate(index))
+    return (tuple(k for k, _ in moved),
+            constant([n for _, n in moved]))

@@ -455,6 +455,25 @@ def test_locus_outside_the_mass_range_is_one_error_line(capsys, model):
     assert err.endswith("error: phi^2 over- or underflows at mass 1e+300\n")
 
 
+@pytest.mark.parametrize("command", ["verify", "report", "fieldmap"])
+def test_grid_radii_outside_the_floats_are_one_error_line(capsys, tmp_path,
+                                                          command):
+    # r/m overflows at m = 1e-310 (the default radii and the fieldmap's),
+    # and underflows to zero at m = 1e300 with r_min = 1e-30; nothing is
+    # written, to stdout or to --out
+    out_file = tmp_path / "out"
+    for argv in (["--mass", "1e-310"],
+                 ["--mass", "1e300", "--grid", "1e-30,1,5,4"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, command, "--model", "njl", *argv,
+                                 "--out", str(out_file))
+        assert (code, out) == (2, ""), argv
+        assert err == (f"error: grid radii r/m over- or underflow at mass "
+                       f"{float(argv[1])!r}\n"), argv
+        assert not out_file.exists(), argv
+
+
 def test_a_huge_mass_steps_no_sample_point_onto_the_locus(capsys):
     # at m = 1e30 the sampled radii lie below CS_STEP; an r step of CS_STEP
     # moved them onto the ring and verify exited 2 naming a singular point.

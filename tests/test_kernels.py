@@ -6,11 +6,12 @@ it: the rotation exp(-i beta pi/2) applied to the rest column, the
 three-operand einsum bilinears, the dense Levi-Civita tensor of the
 covector form's two eps contractions, the einsum over the pairs of the
 spin action, the stacked partials of the covariant derivative and the
-outer-built nonlinear operator of the standard form.  The kernels skip
-those per-point objects; on the closed-form solutions every output must
-still be the same float.  The closed form itself shares its intermediates
-between formulas; its reference evaluates each formula on its own,
-recomputing them.
+outer-built nonlinear operator of the standard form, and the einsums over
+the dense Christoffel symbols and tensorial connection of the flatness
+and curvature identities.  The kernels skip those per-point objects; on
+the closed-form solutions every output must still be the same float.
+The closed form itself shares its intermediates between formulas; its
+reference evaluates each formula on its own, recomputing them.
 """
 
 import itertools
@@ -18,7 +19,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nldirac import clifford, equations, geometry, grids, polar, verify
+from nldirac import clifford, equations, geometry, grids, polar, sparse, verify
 from nldirac.geometry import AngleState, GridPoint
 from nldirac.polar import ClosedForm, Density, ModelSpec
 
@@ -364,3 +365,100 @@ def test_spin_action_equals_the_einsum_over_the_pairs():
         pairs = geometry.spin_connection_at(pt, f.ang)
         assert np.array_equal(clifford.spin_action(pairs, psi),
                               _einsum_spin_action(pairs, psi)), spec
+
+
+def _reference_riemann(pt):
+    """riemann_at with each product and sum an einsum over the dense
+    Christoffel symbols and their stacked complex-step partials."""
+    lam = geometry.christoffel_at(pt)
+    d_dr, d_dth = geometry.complex_step_partials(geometry.christoffel_at, pt)
+    dlam = np.zeros((4,) + np.shape(d_dr), dtype=np.result_type(d_dr, d_dth))
+    dlam[geometry.R], dlam[geometry.TH] = d_dr, d_dth
+    term = (np.einsum("mrns...->rsmn...", dlam)
+            - np.einsum("nrms...->rsmn...", dlam))
+    prod = (np.einsum("rml...,lns...->rsmn...", lam, lam)
+            - np.einsum("rnl...,lms...->rsmn...", lam, lam))
+    return term + prod
+
+
+def _mixed_connection(pt, spec):
+    """g^i R_{ij mu} of the closed form as a dense tensor."""
+    pairs = geometry.tensorial_connection_at(pt, polar.angle_state(pt, spec))
+    return (geometry.inverse_metric_at(pt)[:, None, None]
+            * clifford.expand_pairs(pairs))
+
+
+def _reference_curvature(pt, spec):
+    """curvature_strength_residuals with each product and sum an einsum
+    over the dense mixed connection, its stacked partials and the dense
+    Christoffel symbols."""
+    d_dr, d_dth = geometry.complex_step_partials(
+        lambda p: _mixed_connection(p, spec), pt)
+    dR = np.zeros((4,) + np.shape(d_dr), dtype=np.result_type(d_dr, d_dth))
+    dR[geometry.R], dR[geometry.TH] = d_dr, d_dth
+    Rm, lam = _mixed_connection(pt, spec), geometry.christoffel_at(pt)
+    cov = (dR + np.einsum("ism...,sjn...->mijn...", lam, Rm)
+           - np.einsum("sjm...,isn...->mijn...", lam, Rm)
+           - np.einsum("snm...,ijs...->mijn...", lam, Rm))
+    curv = (np.einsum("mijn...->ijmn...", cov)
+            - np.einsum("nijm...->ijmn...", cov)
+            + np.einsum("ikm...,kjn...->ijmn...", Rm, Rm)
+            - np.einsum("ikn...,kjm...->ijmn...", Rm, Rm))
+    return (float(np.max(np.abs(curv))),)
+
+
+def _stepped(pts):
+    """pts under the r step and under the theta step of the complex-step
+    partials."""
+    h_r = np.minimum(geometry.CS_STEP, 1e-20 * pts.r)
+    return [GridPoint(pts.r + 1j * h_r, pts.theta),
+            GridPoint(pts.r, pts.theta + 1j * geometry.CS_STEP)]
+
+
+def test_flatness_and_curvature_equal_the_dense_einsums():
+    # the sampled suites' 50 points in one call, under both complex steps,
+    # and float points one at a time
+    for spec, pts in _cases(50):
+        for pt in [pts, *_stepped(pts), *_scalar_points(pts, 10)]:
+            riemann = geometry.riemann_at(pt)
+            assert riemann.shape == (4, 4, 4, 4) + pt.shape
+            assert np.array_equal(riemann, _reference_riemann(pt)), spec
+            assert geometry.curvature_strength_residuals(
+                pt, lambda p: polar.angle_state(p, spec)) == (
+                    _reference_curvature(pt, spec)), spec
+
+
+def test_live_mixed_connection_equals_the_dense_product_at_the_steps():
+    # at the points of both complex steps, where the partials read it, and
+    # at the real points
+    for spec, pts in _cases(50):
+        for p in [pts, *_stepped(pts)]:
+            pairs = geometry.tensorial_connection_at(
+                p, polar.angle_state(p, spec))
+            live = geometry._live_pairs(pairs, geometry.inverse_metric_at(p))
+            assert len(live.index) == 12, spec
+            assert np.array_equal(sparse.dense(live, p.shape),
+                                  _mixed_connection(p, spec)), spec
+
+
+@pytest.mark.parametrize("subscripts", [
+    "rml,lns->rsmn", "ism,sjn->mijn", "sjm,isn->mijn", "snm,ijs->mijn",
+    "ikm,kjn->ijmn"])
+def test_live_contraction_equals_the_einsum(subscripts):
+    # random fields whose entries are live with probability 0.15, 0.5 and
+    # 1, so that an entry sums from one to four products, each field with
+    # one more entry live at one point alone
+    rng = np.random.default_rng(29)
+    inputs, out = subscripts.split("->")
+    dense = ",".join(f"{s}..." for s in inputs.split(",")) + f"->{out}..."
+    for share in (0.15, 0.5, 1.0):
+        a, b = (rng.standard_normal((4, 4, 4, 7))
+                * (rng.random((4, 4, 4, 1)) < share) for _ in range(2))
+        for field in (a, b):
+            zero = np.argwhere(~field.any(axis=-1))
+            if len(zero):
+                field[tuple(zero[0])][3] = rng.standard_normal()
+        live = sparse.contract(subscripts, sparse.live(a, 3),
+                               sparse.live(b, 3))
+        assert np.array_equal(sparse.dense(live, (7,)),
+                              np.einsum(dense, a, b)), share

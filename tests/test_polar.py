@@ -425,6 +425,37 @@ def test_analytic_and_fd_covariant_derivatives_agree(p, m, rm, theta):
     assert np.max(np.abs(analytic - stepped)) <= 1e-12 * scale
 
 
+def test_a_nan_in_a_zero_spinor_component_reaches_its_partials_and_phases(
+        monkeypatch):
+    # the partials and the phase terms of nabla psi act on the components
+    # of psi that are nonzero at some point; a NaN is not zero, so at one
+    # point of a component that is zero everywhere else it reaches that
+    # component's partials and its t and azimuth rows there, and nothing
+    # else (the spin connection has no t row)
+    spec = ModelSpec("njl")
+    pts = GridPoint(np.linspace(0.2, 3.0, 9), np.linspace(0.4, 2.7, 9))
+    f = polar.closed_form(pts, spec)
+    assemble = polar.assemble_spinor
+    clean_nabla, _ = polar.covariant_derivative(pts, spec, f)
+    for component in (1, 3):
+        def poisoned(f, component=component):
+            psi = assemble(f)
+            psi[component, 4] = np.nan
+            return psi
+
+        psi = poisoned(f)
+        for partial in polar.spinor_coordinate_partials(pts, f, psi):
+            assert np.isnan(partial[component, 4]), component
+            assert not np.isnan(np.delete(partial, 4, axis=1)).any()
+        with monkeypatch.context() as patch:
+            patch.setattr(polar, "assemble_spinor", poisoned)
+            nabla, _ = polar.covariant_derivative(pts, spec, f)
+        for mu in (geometry.T, geometry.PH):
+            assert np.isnan(nabla[mu, component, 4]), (component, mu)
+        assert np.array_equal(nabla[geometry.T, :, :4],
+                              clean_nabla[geometry.T, :, :4])
+
+
 def test_decomposition_exact_at_chiral_branch_cut():
     # inside 2mr = 1 the principal chiral rotation flips the spinor's sign
     # across the equator; the analytic partials have no branch there

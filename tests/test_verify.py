@@ -210,6 +210,147 @@ def test_a_nan_at_a_chunk_edge_fails_its_grid_suite(monkeypatch):
             assert np.isnan(entry["max_residual"]), (index, name)
 
 
+# The sampled suites form their products over the entries of a field that
+# are nonzero at some point; a NaN or an inf is not zero.  At one point of
+# an entry that is zero on the solutions, it must still reach the suites
+# that read the field, and fail them through run_suites.
+NONFINITE = (np.nan, np.inf)
+
+
+def _sampled_structure(spec):
+    """The sampled suites' points and angle state for ``spec``."""
+    sample = grids.sample_points(
+        np.random.default_rng(42), 50, m=spec.m,
+        reject=lambda pt: equations.is_masked(pt, spec))
+    return sample, polar.angle_state(sample, spec)
+
+
+def _assert_nonfinite_failure(report, names, case):
+    for name in names:
+        assert not np.isfinite(report["suites"][name]["max_residual"]), (
+            name, case)
+        assert name in report["failing_suites"], (name, case)
+
+
+def test_a_nonfinite_zero_christoffel_entry_fails_its_suites(monkeypatch):
+    # every entry of the 64 that is zero at every sampled point
+    spec = ModelSpec("njl")
+    sample, _ = _sampled_structure(spec)
+    christoffel = geometry.christoffel_at
+    zero = [index for index in np.ndindex(4, 4, 4)
+            if not christoffel(sample)[index].any()]
+    assert len(zero) == 55
+    for value in NONFINITE:
+        for index in zero:
+
+            def poisoned(pt, index=index, value=value):
+                lam = christoffel(pt)
+                lam[index][7] = value
+                return lam
+
+            with monkeypatch.context() as patch:
+                patch.setattr(geometry, "christoffel_at", poisoned)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    report = verify.run_suites(spec, GRID)
+            _assert_nonfinite_failure(
+                report, ("flatness", "curvature-strength", "transport"),
+                (index, value))
+
+
+def test_a_nonfinite_zero_pair_row_fails_its_suites(monkeypatch):
+    # every row of the tensorial connection's pairs, (pair, mu), that is
+    # zero at every sampled point
+    for spec in MODELS:
+        sample, ang = _sampled_structure(spec)
+        connection = geometry.tensorial_connection_at
+        zero = [index for index in np.ndindex(6, 4)
+                if not connection(sample, ang)[index].any()]
+        assert len(zero) == 18, spec.name
+        for value in NONFINITE:
+            for index in zero:
+
+                def poisoned(pt, ang, index=index, value=value):
+                    pairs = connection(pt, ang)
+                    pairs[index][7] = value
+                    return pairs
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(geometry, "tensorial_connection_at",
+                                  poisoned)
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        report = verify.run_suites(spec, GRID)
+                _assert_nonfinite_failure(
+                    report, ("curvature-strength", "transport",
+                             "decomposition"), (spec.name, index, value))
+
+
+def test_a_nonfinite_zero_spinor_component_or_kernel_entry_fails_fierz(
+        monkeypatch):
+    # a component of the random spinors zero but at one spinor, and each
+    # kernel's first zero entry
+    spec = ModelSpec("njl")
+    spinors = clifford.random_spinors
+    stacks = clifford._KERNEL_STACKS
+    for value in NONFINITE:
+        for component in range(4):
+
+            def poisoned(n, seed=42, component=component, value=value):
+                psis = spinors(n, seed)
+                psis[:, component] = 0.0
+                psis[7, component] = value
+                return psis
+
+            with monkeypatch.context() as patch:
+                patch.setattr(clifford, "random_spinors", poisoned)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    report = verify.run_suites(spec, GRID)
+            _assert_nonfinite_failure(report, ("fierz",), (component, value))
+        for s, stack in enumerate(stacks):
+            for row in range(0, len(stack), 4):
+                broken = stack.copy()
+                column = np.flatnonzero(broken[row] == 0)[0]
+                broken[row, column] = value
+                with monkeypatch.context() as patch:
+                    patch.setattr(clifford, "_KERNEL_STACKS", (
+                        *stacks[:s], broken, *stacks[s + 1:]))
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        report = verify.run_suites(spec, GRID)
+                _assert_nonfinite_failure(report, ("fierz",),
+                                          (s, row, column, value))
+
+
+# Largest allocation peak of each sampled suite, in bytes: the five run on
+# the same 50 points (fierz on its 1000 spinors), so the bounds do not
+# depend on the grid.  The products of flatness and curvature-strength run
+# over the live entries of their fields, not over dense rank-5 arrays, and
+# the bilinears of fierz take two kernels at a time.
+SUITE_PEAK = {
+    "fierz": 490_000,
+    "flatness": 210_000,
+    "curvature-strength": 170_000,
+    "transport": 120_000,
+    "decomposition": 160_000,
+}
+
+
+def test_each_sampled_suite_peaks_under_its_bound():
+    assert set(SUITE_PEAK) == set(verify.SUITES) - {
+        f"{form}-residuals" for form in equations.FORMS}
+    for spec in MODELS:
+        sample, _ = _sampled_structure(spec)
+        for name, bound in SUITE_PEAK.items():
+            suite, tol = verify.SUITES[name], verify.DEFAULT_TOLERANCES[name]
+            suite(spec, None, sample, 42, tol)
+            tracemalloc.start()
+            try:
+                entry = suite(spec, None, sample, 42, tol)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert entry["pass"], (spec.name, name)
+            assert peak <= bound, (spec.name, name, peak)
+
+
 def test_run_suites_builds_and_masks_the_grid_once(monkeypatch):
     # one grids.points call and one is_masked call over the whole grid per
     # verify, whatever the number of grid suites; the sampled suites share
@@ -255,7 +396,7 @@ FORM_PEAK_PER_POINT = {
     "residual_expanded": 300,
     "residual_polar_covector": 850,
     "residual_reduced": 300,
-    "residual_standard": 830,
+    "residual_standard": 800,
 }
 
 
@@ -280,9 +421,9 @@ def test_each_grid_form_peaks_under_its_bound_per_point():
 
 def test_run_suites_memory_peak_stays_small():
     # the grid suites evaluate chunks of SWEEP_CHUNK points, each form
-    # within FORM_PEAK_PER_POINT, and fierz's bilinears stack at most 16
-    # kernel rows per spinor (the standard form's Theta and Phi take 8), so
-    # one verify's allocations peak under 1 MB on the benchmark's grid sizes
+    # within FORM_PEAK_PER_POINT, and the sampled suites within SUITE_PEAK
+    # (fierz's bilinears take 8 kernel rows per spinor at a time), so one
+    # verify's allocations peak under 1 MB on the benchmark's grid sizes
     for spec, grid in (
             (ModelSpec("njl"), grids.GridConfig(0.05, 20.0, 50, 40)),
             (ModelSpec("soler"), grids.GridConfig(0.05, 20.0, 50, 40)),
