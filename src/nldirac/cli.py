@@ -281,6 +281,7 @@ def _emit_json(doc, out_path):
 
 
 def cmd_verify(cfg: RunConfig):
+    verify.check_mass(cfg.spec, cfg.grid)
     report = verify.run_suites(
         cfg.spec, grid_cfg=cfg.grid,
         seed=cfg.seed, tolerances=cfg.tolerances, margin=cfg.mask_margin,
@@ -439,13 +440,17 @@ def cmd_locus(cfg: RunConfig):
 
 def cmd_report(cfg: RunConfig):
     spec = cfg.spec
+    # the grid's radii, then the singularity part, refuse an extreme mass
+    # before the verify part evaluates a metric out of the floats
+    grids.radii(cfg.grid or grids.GridConfig(), spec.m)
+    singularity = singular.singularity_report(spec)
     doc = {
         "schema": SCHEMA,
         "verify": verify.run_suites(
             spec, grid_cfg=cfg.grid,
             seed=cfg.seed, tolerances=cfg.tolerances, margin=cfg.mask_margin,
         ),
-        "singularity": singular.singularity_report(spec),
+        "singularity": singularity,
     }
     nonfinite = []
     if spec.p == 0.0:

@@ -103,6 +103,7 @@ GAMMA_VALUE = np.take_along_axis(GAMMA_STACK, GAMMA_COLUMN[..., None], 2)[..., 0
 # nonzero entry per row too, SIGMA_VALUE[k, i] = +-1/2 or +-i/2 in column
 # SIGMA_COLUMN[k, i] for the k-th pair.
 PAIRS = tuple((a, b) for a in range(4) for b in range(a + 1, 4))
+PAIR_INDEX = {pair: k for k, pair in enumerate(PAIRS)}  # k of each pair
 PAIR_A, PAIR_B = (np.array(index) for index in zip(*PAIRS))
 SIGMA_PAIR_STACK = np.stack([sigma_upper(a, b) for a, b in PAIRS])
 SIGMA_COLUMN = np.argmax(np.abs(SIGMA_PAIR_STACK), axis=2)
@@ -114,12 +115,16 @@ for _mat in (GAMMA_STACK, GAMMA_COLUMN, GAMMA_VALUE, PAIR_A, PAIR_B,
 
 
 def expand_pairs(pairs):
-    """The dense field C[a, b] + the trailing axes of an antisymmetric field
-    held as its pairs: C[a, b] = pairs[k] and C[b, a] = -pairs[k] for the
-    k-th pair (a, b) of PAIRS, and zero for a = b."""
-    dense = np.zeros((4, 4) + np.shape(pairs)[1:], dtype=pairs.dtype)
-    dense[PAIR_A, PAIR_B] = pairs
-    dense[PAIR_B, PAIR_A] = -pairs
+    """The dense field C[a, b, mu] + the point axes of a field antisymmetric
+    in (a, b), held as the Live of its pair rows (see spin_action):
+    C[a, b, mu] = pairs[k, mu] and C[b, a, mu] = -pairs[k, mu] for each
+    live row of the k-th pair (a, b) of PAIRS, and zero elsewhere."""
+    values = pairs.values
+    dense = np.zeros((4, 4, 4) + values.shape[1:], dtype=values.dtype)
+    for row, value in zip(pairs.index, values):
+        (a, b), mu = PAIRS[row // 4], row % 4
+        dense[a, b, mu] = value
+        dense[b, a, mu] = -value
     return dense
 
 
@@ -127,31 +132,37 @@ def spin_action(pairs, psi):
     """(1/2) C_{ab mu} sigma^{ab} psi of a field C antisymmetric in (a, b)
     on a spinor, shape (4 mu, 4 spinor) + the points' shape.
 
-    C comes as its pairs, pairs[k, mu] = C_{ab mu} for the k-th pair (a, b)
-    of PAIRS, shape (6, 4) + the points' shape.  sigma^ab is antisymmetric
-    too, so the sum over all sixteen (a, b) is the sum over the six pairs
-    of C_ab sigma^ab.  Each row of sigma^ab psi is one component of psi
-    times +-1/2 or +-i/2, exact, and each row mu of the result adds its
-    pair products, from zero, in PAIRS order: the order and the rounding of
-    an einsum over the pair axis.  A pair row or a component of psi that is
-    zero at every point would add only zeros, so it is skipped; a NaN is
-    not zero.  Each product is taken one spinor row at a time: numpy
-    buffers a broadcast operand to the size of the whole product.
+    C comes as the Live of its pair rows (see nldirac.sparse): row [k, mu]
+    of the layout (6, 4) is C_{ab mu} for the k-th pair (a, b) of PAIRS.
+    sigma^ab is antisymmetric too, so the sum over all sixteen (a, b) is
+    the sum over the six pairs of C_ab sigma^ab.  Each row of sigma^ab psi
+    is one component of psi times +-1/2 or +-i/2, exact, and each row mu of
+    the result adds its pair products, from zero, in PAIRS order: the order
+    and the rounding of an einsum over the pair axis.  A pair row that is
+    not live, or a component of psi that is zero at every point, would add
+    only zeros, so it is skipped; a NaN is not zero.  Each product is taken
+    one spinor row at a time: numpy buffers a broadcast operand to the
+    size of the whole product.
     """
     flat = np.reshape(psi, (4, -1))
-    rows = np.reshape(pairs, (6, 4, -1))
-    live, live_psi = rows.any(axis=2), flat.any(axis=1)
-    out = np.zeros((4,) + flat.shape, dtype=np.result_type(pairs, psi))
+    live_psi = flat.any(axis=1)
+    rows = np.reshape(pairs.values, (len(pairs.index), -1))
+    out = np.zeros((4,) + flat.shape,
+                   dtype=np.result_type(pairs.values, psi))
     sigma_psi, product = np.empty_like(flat), np.empty_like(flat[0])
-    for k in live.any(axis=1).nonzero()[0]:
-        spin = [(i, column) for i, column in enumerate(SIGMA_COLUMN[k])
-                if live_psi[column]]
-        for i, column in spin:
-            np.multiply(flat[column], SIGMA_VALUE[k, i], out=sigma_psi[i])
-        for mu in live[k].nonzero()[0]:
-            pair = rows[k, mu].astype(out.dtype)
-            for i, _ in spin:
-                out[mu, i] += np.multiply(pair, sigma_psi[i], out=product)
+    pair = np.empty_like(product)
+    last = None
+    for row, entry in zip(rows, pairs.index):
+        k, mu = divmod(entry, 4)
+        if k != last:  # the first live row of the pair k
+            last = k
+            spin = [(i, column) for i, column in enumerate(SIGMA_COLUMN[k])
+                    if live_psi[column]]
+            for i, column in spin:
+                np.multiply(flat[column], SIGMA_VALUE[k, i], out=sigma_psi[i])
+        pair[...] = row
+        for i, _ in spin:
+            out[mu, i] += np.multiply(pair, sigma_psi[i], out=product)
     return out.reshape((4,) + np.shape(psi))
 
 

@@ -28,7 +28,7 @@ import functools
 
 import numpy as np
 
-from . import clifford, geometry, polar
+from . import clifford, geometry, polar, sparse
 from .geometry import GridPoint
 from .polar import ModelSpec
 
@@ -36,9 +36,9 @@ DEFAULT_MASK_MARGIN = 0.02
 # Points per evaluation in a grid sweep.  Every call pays a fixed cost of
 # many small numpy calls, so a larger chunk costs less per point, and
 # memory sets the limit.  On 1024 points the covector and standard forms
-# peak at about 0.84 and 0.80 KB of allocations per point (tracemalloc),
-# the expanded and reduced forms at 0.27 KB, each with the 0.17 KB bundle
-# it reads, so a verify of a 70x50 grid peaks near 0.92 MB.
+# peak at about 0.54 and 0.67 KB of allocations per point (tracemalloc),
+# the expanded and reduced forms at 0.25 KB, each with the 0.17 KB bundle
+# it reads, so a verify of a 70x50 grid peaks near 0.79 MB.
 SWEEP_CHUNK = 1024
 
 
@@ -100,40 +100,76 @@ def residual_expanded(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
 # -- covector (polar) form -----------------------------------------------------
 
 
-# The (a, n, i) indices of the 24 nonzero entries eps_{m a n i}, in the
-# order of geometry.coordinate_epsilon_lower: lexicographic in (m, a, n, i),
-# so entries 6m to 6m + 5 are those of the free index m.
-_EPS_A, _EPS_N, _EPS_I = clifford.EPS4_INDEX[:, 1:].T
-# R_{ani} at each entry from a connection held as its pairs: the entry
-# [_EPS_PAIR, i] of the pairs, times _EPS_R_SIGN, -1 where a > n.
-_EPS_PAIR = np.array([clifford.PAIRS.index((min(a, n), max(a, n)))
-                      for a, n in zip(_EPS_A, _EPS_N)])
-_EPS_R_SIGN = np.where(_EPS_A < _EPS_N, 1.0, -1.0)
+def _epsilon_sums(pt: GridPoint, *terms):
+    """eps_{m a n i} T_{a n i} summed over (a, n, i) for each T of
+    ``terms``: for each, the rows {m: sum} of the free indices m that have
+    a product.
 
-
-def _epsilon_sum(eps, terms):
-    """eps_{m a n i} T_{a n i} summed over (a, n, i), shape (4,) + the
-    points' shape.
-
-    ``eps`` holds the 24 nonzero entries of geometry.coordinate_epsilon_lower,
-    (24,) + the points' shape, and ``terms(rows)`` returns a new array of T
-    at the (a, n, i) of the entries ``rows``.  Each free index m takes its
-    six entries 6m to 6m + 5 as one block, so at most six entries of T are
-    held at a time.  Each m adds its six products in lexicographic (a, n, i)
-    order (numpy adds fewer than eight terms one after another), the order
-    in which an einsum over the dense tensor adds them on an array of
-    points; the dense tensor's zero entries only add zeros to a finite sum.
-    On a float point einsum vectorizes the sum in an order of its own, which
-    gives the same float wherever at most two of the six products are
-    nonzero, as on the closed-form solutions.
+    ``term(a, n, i)`` returns a new array of T at (a, n, i), or None where
+    an operand has no live entry, so that T is zero at every point.  Each
+    free index m takes the six entries of eps that
+    geometry.coordinate_epsilon_lower builds for it, serves every T with
+    them and lets them go, so at most six are held at a time.  Each m adds
+    its products in lexicographic (a, n, i) order, the order in which an
+    einsum over the dense tensors adds them on an array of points (numpy
+    adds fewer than eight terms one after another); the products left out
+    are zero, and only add zeros to a finite sum.  On a float point einsum
+    vectorizes the sum in an order of its own, which gives the same float
+    wherever at most two products are nonzero, as on the closed-form
+    solutions.
     """
-    def block(m):
-        rows = slice(6 * m, 6 * m + 6)
-        products = terms(rows)
-        products *= eps[rows]
-        return products.sum(axis=0)
+    sums = [{} for _ in terms]
 
-    return np.stack([block(m) for m in range(4)])
+    def add(eps):  # the products of one block of eps
+        for k, value in zip(eps.index, eps.values):
+            mu, a, n, i = sparse.DIGITS[4][k]
+            for term, rows in zip(terms, sums):
+                product = term(a, n, i)
+                if product is not None:
+                    product *= value
+                    _add(rows, mu, product)
+
+    for m in range(4):
+        add(geometry.coordinate_epsilon_lower(pt, m))
+    return sums
+
+
+def _add(rows, key, term, sign=1.0):
+    """Add ``term``, times a sign of 1 or -1, to the row ``key`` of the
+    rows {key: row}, as a dense sum from zero adds it: a new row takes the
+    term, negated for -1."""
+    if key not in rows:
+        rows[key] = term if sign > 0 else -term
+    elif sign > 0:
+        rows[key] += term
+    else:
+        rows[key] -= term
+
+
+def _rows(field: sparse.Live):
+    """The rows {flat index: row} of a field's live entries."""
+    return dict(zip(field.index, field.values))
+
+
+def _scaled(rows, factor):
+    """The rows {mu: row} times ``factor``, one at a time."""
+    return ((mu, row * factor) for mu, row in rows.items())
+
+
+def _covector_sum(pt: GridPoint, terms):
+    """The dense covector, shape (4,) + the points' shape, of the signed
+    sum of ``terms``, each (sign, rows) for rows (mu, row) of its live
+    entries: each row adds its terms from zero in the order given, as the
+    sum of the dense covectors does, and a term that is zero there adds
+    nothing."""
+    out = np.zeros((4,) + pt.shape, dtype=np.result_type(pt.r, pt.theta))
+    for sign, rows in terms:
+        for mu, row in rows:
+            if sign > 0:
+                out[mu] += row
+            else:
+                out[mu] -= row
+    return out
 
 
 def covector_components(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
@@ -147,65 +183,84 @@ def covector_components(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     are built with the coordinate volume form sqrt|g| [t r theta phi] = +1;
     that normalization is pinned by the requirement that the exact solutions
     annihilate the equations, and is cross-checked against the expanded
-    system (r- and theta-projections agree identically).  Both read the
-    connection's pairs, and both eps contractions run over the 24 nonzero
-    entries of eps only, six at a time, so no rank-3 or rank-4 tensor is
-    built per point.
+    system (r- and theta-projections agree identically).  Every operand is
+    the Live its builder returns, and every product and sum runs over its
+    live entries alone, in the order and with the rounding of the einsums
+    and sums over the dense fields: no rank-3 or rank-4 tensor, and no zero
+    entry of a covector, is built per point.
     """
     m, p, ang, d = spec.m, spec.p, f.ang, f.density
-    g = geometry.inverse_metric_at(pt)
-    eps = geometry.coordinate_epsilon_lower(pt)
-    R_trace, B = _connection_contractions(pt, ang, g, eps)
-    u = geometry.velocity_covector(pt, ang)
-    s_cov = geometry.spin_covector(pt, ang)
-    P = geometry.momentum_covector(spec.E, spec.l)
-    P_up = np.einsum("m...,m->m...", g, P)
-    u_up = g * u
-    s_up = g * s_cov
-
-    def axial(rows):  # P^r u^n s^a at the entries eps_{mrna}
-        return (P_up[_EPS_A[rows]] * u_up[_EPS_N[rows]]
-                * s_up[_EPS_I[rows]])
-
-    axial_term = -2.0 * _epsilon_sum(eps, axial)
-    del eps  # 24 values per point
-    Ps = np.einsum("m,m...->...", P, s_up)
-    Pu = np.einsum("m,m...->...", P, u_up)
-    dbeta = geometry.gradient_covector(f.r_d_beta_dr / pt.r, f.d_beta_dtheta)
-    dlnphi2 = geometry.gradient_covector(d.r_dlnphi2_dr / pt.r,
-                                         d.dlnphi2_dtheta)
+    u, s_cov = (_rows(geometry.velocity_covector(pt, ang)),
+                _rows(geometry.spin_covector(pt, ang)))
+    R_trace, B, axial, Ps, Pu = _contractions(pt, spec, ang, u, s_cov)
     nl_chiral = d.phi2 * (p + (1.0 - p) * f.cos_beta**2)
+    chiral = [(1.0, _rows(geometry.gradient_covector(
+        f.r_d_beta_dr / pt.r, f.d_beta_dtheta)).items()),
+        (1.0, _scaled(B, 0.5))]
+    if Ps is not None:
+        chiral.append((1.0, _scaled(u, 2.0 * Ps)))
+    if Pu is not None:
+        chiral.append((-1.0, _scaled(s_cov, 2.0 * Pu)))
+    chiral.append((1.0, _scaled(s_cov, 2.0 * m * f.cos_beta - nl_chiral)))
+    chiral = _covector_sum(pt, chiral)
     nl_density = (1.0 - p) * d.phi2 * f.cos_beta
-    chiral = (
-        dbeta + B + 2.0 * Ps * u - 2.0 * Pu * s_cov
-        + (2.0 * m * f.cos_beta - nl_chiral) * s_cov
-    )
-    density = (
-        dlnphi2 + R_trace + axial_term + (2.0 * m - nl_density) * f.sin_beta * s_cov
-    )
+    density = _covector_sum(pt, (
+        (1.0, _rows(geometry.gradient_covector(
+            d.r_dlnphi2_dr / pt.r, d.dlnphi2_dtheta)).items()),
+        (1.0, R_trace.items()), (1.0, _scaled(axial, -2.0)),
+        (1.0, _scaled(s_cov, (2.0 * m - nl_density) * f.sin_beta))))
     return chiral, density
 
 
-def _connection_contractions(pt: GridPoint, ang, g, eps):
-    """(R_mu, B_mu) of covector_components from the tensorial connection's
-    pairs: the trace g^n R_{mnn}, summed over n in order as an einsum over
-    the dense tensor sums it (its term n = m is zero), and the axial
-    half-sum eps_{mani} g^a g^n g^i R_ani / 2."""
-    Rc = geometry.tensorial_connection_at(pt, ang)
-    # the pair (a, b) gives g^b R_abb to R_a and g^a R_baa to R_b, R_baa =
-    # -pairs[k, a]: so each R_m adds its terms from zero in ascending n
-    R_trace = np.zeros((4,) + Rc.shape[2:], dtype=np.result_type(g, Rc))
-    for k, (a, b) in enumerate(clifford.PAIRS):
-        R_trace[a] += g[b] * Rc[k, b]
-        R_trace[b] -= g[a] * Rc[k, a]
+def _contractions(pt: GridPoint, spec: ModelSpec, ang, u, s_cov):
+    """The contractions of covector_components, each as the rows {mu: row}
+    of its live entries, or None without any: the trace R_mu, the eps sums
+    of the tensorial connection, eps_{mani} g^a g^n g^i R_ani, and of the
+    momentum, eps_{mani} P^a u^n s^i, and the contractions P_m s^m and P_m
+    u^m, from the velocity and spin rows ``u`` and ``s_cov``.
 
-    def raised(rows):  # g^a g^n g^i R_ani at the entries eps_{mani}
-        i = _EPS_I[rows]
-        sign = _EPS_R_SIGN[rows].reshape((6,) + (1,) * (Rc.ndim - 2))
-        return (g[_EPS_A[rows]] * g[_EPS_N[rows]] * g[i]
-                * (Rc[_EPS_PAIR[rows], i] * sign))
+    The trace g^n R_{mnn} sums over n in order as an einsum over the dense
+    tensor sums it, from zero (its term n = m is zero): the live pair row
+    [k, b] of the pair (a, b) gives g^b R_abb to R_a, and [k, a] gives
+    g^a R_baa = -g^a pairs[k, a] to R_b.
+    """
+    g = geometry.inverse_metric_at(pt)
+    P = geometry.momentum_covector(spec.E, spec.l)
+    # the raised covectors at their live entries, v^mu = g^mu v_mu
+    P_up = {mu: g[mu] * P[mu] for mu in np.flatnonzero(P).tolist()}
+    u_up = {mu: g[mu] * row for mu, row in u.items()}
+    s_up = {mu: g[mu] * row for mu, row in s_cov.items()}
+    Rc = _rows(geometry.tensorial_connection_at(pt, ang))
+    R_trace = {}
+    for entry, row in Rc.items():
+        (a, b), mu = clifford.PAIRS[entry // 4], entry % 4
+        if mu == b:
+            _add(R_trace, a, g[b] * row)
+        elif mu == a:
+            _add(R_trace, b, g[a] * row, -1.0)
 
-    return R_trace, 0.5 * _epsilon_sum(eps, raised)
+    def raised(a, n, i):  # g^a g^n g^i R_ani, R_ani = -R_nai
+        row = Rc.get(clifford.PAIR_INDEX[min(a, n), max(a, n)] * 4 + i)
+        if row is None:
+            return None
+        return g[a] * g[n] * g[i] * (row * (1.0 if a < n else -1.0))
+
+    def axial(a, n, i):  # P^a u^n s^i
+        if a in P_up and n in u_up and i in s_up:
+            return P_up[a] * u_up[n] * s_up[i]
+        return None
+
+    return (R_trace, *_epsilon_sums(pt, raised, axial),
+            *(_contract_momentum(P, v_up) for v_up in (s_up, u_up)))
+
+
+def _contract_momentum(P, v_up):
+    """P_m v^m, an einsum over the entries live in both P and v, or None
+    if there are none."""
+    mus = [mu for mu in v_up if P[mu]]
+    if not mus:
+        return None
+    return np.einsum("m,m...->...", P[mus], np.stack([v_up[mu] for mu in mus]))
 
 
 def residual_polar_covector(pt: GridPoint, spec: ModelSpec,
@@ -278,9 +333,9 @@ def residual_standard(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     connection, density, chiral angle and phase.
 
     Each frame index a adds i gamma^a xi_a^mu nabla_mu psi: the frame row
-    xi_a^mu nabla_mu psi, summed in ascending mu over the tetrad rows that
-    are nonzero at some point (two of the four), and from it, in each row of
-    the result, the one entry gamma^a reads.  That is the sum and the
+    xi_a^mu nabla_mu psi, summed in ascending mu over the live entries of
+    the tetrad's frame vector a (two of the four), and from it, in each row
+    of the result, the one entry gamma^a reads.  That is the sum and the
     rounding of a frame einsum and a gamma einsum over all (a, j), with no
     (4, 4) frame product per point.  Every product is taken one spinor row
     at a time, as in clifford.spin_action.
@@ -288,21 +343,21 @@ def residual_standard(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     nabla, psi = polar.covariant_derivative(pt, spec, f)
     xi = geometry.tetrad_at(pt, f.ang)
     # the point axes as one, so that every row of a point is an array
-    nabla, xi = np.reshape(nabla, (4, 4, -1)), np.reshape(xi, (4, 4, -1))
-    dirac = np.empty(nabla.shape[1:], dtype=psi.dtype)
+    nabla = np.reshape(nabla, (4, 4, -1))
+    frame = {}  # [(mu, xi_a^mu)] of each frame vector a, ascending in mu
+    for entry, row in zip(xi.index, np.reshape(xi.values,
+                                                (len(xi.index), -1))):
+        frame.setdefault(entry // 4, []).append((entry % 4, row))
+    dirac = np.zeros(nabla.shape[1:], dtype=psi.dtype)
     framed, product = np.empty_like(dirac[0]), np.empty_like(dirac[0])
-    for a in range(4):
-        # each frame vector has a nonzero component wherever there is a point
-        mus = xi[a].any(axis=1).nonzero()[0] if dirac.size else [0]
-        rows = [xi[a, mu].astype(psi.dtype) for mu in mus]
+    for a, ((mu, row), *rest) in frame.items():
         for i, column in enumerate(clifford.GAMMA_COLUMN[a]):
-            term = framed if a else dirac[i]
-            np.multiply(rows[0], nabla[mus[0], column], out=term)
-            for row, mu in zip(rows[1:], mus[1:]):
-                term += np.multiply(row, nabla[mu, column], out=product)
-            term *= _I_GAMMA[a, i]
-            if a:
-                dirac[i] += term
+            np.multiply(row, nabla[mu, column], out=framed)
+            for later, later_row in rest:
+                framed += np.multiply(later_row, nabla[later, column],
+                                      out=product)
+            framed *= _I_GAMMA[a, i]
+            dirac[i] += framed
     dirac = dirac.reshape(psi.shape)
     del nabla, xi, framed, product  # before the bilinears and the last terms
     theta, phi = clifford.theta_phi(psi)

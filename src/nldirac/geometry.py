@@ -16,14 +16,18 @@ axes: (4,) + shape for a covector, (4, 4) + shape for a rank-2 field.  The
 identity residuals at the end of the module differentiate by complex step,
 so the builders take the dtype of their inputs.
 
-The two connections, the spin connection C_{ab mu} and the tensorial
-connection R_{nu rho mu}, are antisymmetric in their first two indices and
-are held as their pairs: shape (6, 4) + the points' shape, entry [k, mu]
-the component of the k-th pair of clifford.PAIRS, (0, 1), (0, 2), (0, 3),
-(1, 2), (1, 3), (2, 3).  That is 24 values per point, not the 64 of the
-dense tensor, which clifford.expand_pairs builds where a contraction needs
-it.  The flatness and curvature identities contract their fields by their
-live entries, those nonzero at some point (see nldirac.sparse).
+The builders of the fields (the Christoffel symbols, the covectors, the
+tetrad, both connections and the Levi-Civita tensor) return the entries
+their formulas write as a sparse.Live, and no zeros: every consumer takes
+the entries that exist from what the builder returns.  The two connections,
+the spin connection C_{ab mu} and the tensorial connection R_{nu rho mu},
+are antisymmetric in their first two indices and are held as their pairs:
+the layout (6, 4), entry [k, mu] the component of the k-th pair of
+clifford.PAIRS, (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), of which
+8 and 6 rows are live.  clifford.expand_pairs builds the dense tensor of
+64 values per point where a sampled suite contracts it.  The flatness and
+curvature identities contract their fields by their live entries (see
+nldirac.sparse).
 
 Orientation: the coordinate volume form is eps_{t r theta phi} = +r^2 sin
 (theta), matching the flat eps_{0123} = +1 through the tetrads below, whose
@@ -33,17 +37,17 @@ determinant is +r^2 sin(theta).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import EPS4_SIGN, PAIRS, expand_pairs
+from .clifford import EPS4_INDEX, EPS4_SIGN, PAIR_INDEX, PAIRS, expand_pairs
 from .errors import PoleOrOrigin
-from .sparse import (FLAT, Live, constant, contract, dense, live, permute,
-                     signed_sum)
+from .sparse import (FLAT, Live, build, constant, contract, dense, flatten,
+                     permute, signed_sum)
 
 T, R, TH, PH = 0, 1, 2, 3
-_PAIR_INDEX = {pair: k for k, pair in enumerate(PAIRS)}  # k of clifford.PAIRS
 CS_STEP = 1e-30  # imaginary step of every complex-step partial (in r, <= 1e-20 r)
 
 
@@ -70,6 +74,20 @@ class GridPoint:
     def shape(self):
         """Shape of the point axes; () for a single point."""
         return np.broadcast(self.r, self.theta).shape
+
+    @functools.cached_property
+    def steps(self):
+        """(h_r, the points under the r step, the points under the theta
+        step) of complex_step_partials, built once per GridPoint."""
+        h_r = np.minimum(CS_STEP, 1e-20 * self.r)
+        return (h_r, GridPoint(self.r + 1j * h_r, self.theta),
+                GridPoint(self.r, self.theta + 1j * CS_STEP))
+
+    @functools.cached_property
+    def christoffel(self):
+        """christoffel_at of the points, built once per GridPoint: the
+        sampled suites read it from the one sample of a verify."""
+        return christoffel_at(self)
 
     def first(self, where):
         """(r, theta) as floats of the first point at which ``where`` holds."""
@@ -100,11 +118,16 @@ class AngleState:
 # -- metric and Levi-Civita connection --------------------------------------
 
 
-def _zeros(lead, pt: GridPoint, *values):
-    """Zeros of shape ``lead`` + the points' shape, with the dtype of the
-    coordinates and ``values``: complex under a complex-step partial, float64
-    otherwise."""
-    return np.zeros(lead + pt.shape, dtype=np.result_type(pt.r, pt.theta, *values))
+def _dtype(pt: GridPoint, *values):
+    """The dtype of the coordinates and ``values``: complex under a
+    complex-step partial, float64 otherwise."""
+    return np.result_type(pt.r, pt.theta, *values)
+
+
+def _field(shape, pt: GridPoint, ang: AngleState, entries):
+    """The Live of the entries ``entries`` at the points (see
+    sparse.build), with the dtype of the points and the angle state."""
+    return build(shape, pt.shape, _dtype(pt, *vars(ang).values()), entries)
 
 
 def inverse_metric_at(pt: GridPoint):
@@ -112,7 +135,7 @@ def inverse_metric_at(pt: GridPoint):
     raising an index is a multiplication by this, with no sum over zeros."""
     r, th = pt.r, pt.theta
     entries = (1.0, -1.0, -1.0 / (r * r), -1.0 / (r * np.sin(th)) ** 2)
-    out = _zeros((4,), pt, *entries)
+    out = np.empty((4,) + pt.shape, dtype=_dtype(pt, *entries))
     for mu, value in enumerate(entries):
         out[mu] = value
     return out
@@ -123,21 +146,23 @@ def sqrt_abs_g(pt: GridPoint):
 
 
 def christoffel_at(pt: GridPoint):
-    """Connection coefficients Lam[rho, mu, nu] = Lambda^rho_{mu nu}.
+    """Connection coefficients Lam[rho, mu, nu] = Lambda^rho_{mu nu}: the
+    Live of the rank-3 tensor on its nine nonzero entries.
 
     Exactly six independent families are nonzero; symmetric in (mu, nu).
     Complex coordinates give complex coefficients, for riemann_at's
     complex-step partials.
     """
     r, s_, c_ = pt.r, np.sin(pt.theta), np.cos(pt.theta)
-    lam = _zeros((4, 4, 4), pt)
-    lam[TH, TH, R] = lam[TH, R, TH] = 1.0 / r
-    lam[R, TH, TH] = -r
-    lam[PH, PH, R] = lam[PH, R, PH] = 1.0 / r
-    lam[R, PH, PH] = -r * s_ ** 2
-    lam[PH, PH, TH] = lam[PH, TH, PH] = c_ / s_
-    lam[TH, PH, PH] = -c_ * s_
-    return lam
+    inverse_r, cot = 1.0 / r, c_ / s_
+    return build((4, 4, 4), pt.shape, _dtype(pt), (
+        ((TH, TH, R), inverse_r), ((TH, R, TH), inverse_r),
+        ((R, TH, TH), -r),
+        ((PH, PH, R), inverse_r), ((PH, R, PH), inverse_r),
+        ((R, PH, PH), -r * s_ ** 2),
+        ((PH, PH, TH), cot), ((PH, TH, PH), cot),
+        ((TH, PH, PH), -c_ * s_),
+    ))
 
 
 def riemann_at(pt: GridPoint):
@@ -149,8 +174,8 @@ def riemann_at(pt: GridPoint):
     products of coefficients are formed over their live entries alone (see
     nldirac.sparse).
     """
-    lam = live(christoffel_at(pt), 3)
-    dlam = _live_partials(lambda p: live(christoffel_at(p), 3), pt)
+    lam = flatten(pt.christoffel)
+    dlam = _live_partials(lambda p: flatten(christoffel_at(p)), pt)
     # R^rho_{sigma mu nu} = d_mu Lam^rho_{nu sigma} - d_nu Lam^rho_{mu sigma}
     #                       + Lam^rho_{mu lam} Lam^lam_{nu sigma} - (mu <-> nu)
     # where the second product is the first with mu and nu swapped
@@ -165,19 +190,17 @@ def riemann_at(pt: GridPoint):
 
 
 def velocity_covector(pt: GridPoint, ang: AngleState):
-    """u_mu: unit timelike, boosted along phi."""
-    u = _zeros((4,), pt, *vars(ang).values())
-    u[T] = ang.cosh_alpha
-    u[PH] = pt.r * np.sin(pt.theta) * ang.sinh_alpha
-    return u
+    """u_mu: unit timelike, boosted along phi; its t and phi entries."""
+    return _field((4,), pt, ang, (
+        ((T,), ang.cosh_alpha),
+        ((PH,), pt.r * np.sin(pt.theta) * ang.sinh_alpha)))
 
 
 def spin_covector(pt: GridPoint, ang: AngleState):
-    """s_mu: unit spacelike, tilted in the (r, theta) plane, orthogonal to u."""
-    s = _zeros((4,), pt, *vars(ang).values())
-    s[R] = ang.cos_gamma
-    s[TH] = pt.r * ang.sin_gamma
-    return s
+    """s_mu: unit spacelike, tilted in the (r, theta) plane, orthogonal to
+    u; its r and theta entries."""
+    return _field((4,), pt, ang, (((R,), ang.cos_gamma),
+                                  ((TH,), pt.r * ang.sin_gamma)))
 
 
 def momentum_covector(energy, angular_momentum):
@@ -187,12 +210,10 @@ def momentum_covector(energy, angular_momentum):
 
 def gradient_covector(d_dr, d_dtheta):
     """The gradient (0, d_r, d_theta, 0) of a stationary, axisymmetric
-    field from its two partials, shape (4,) + the points' shape."""
-    out = np.zeros((4,) + np.broadcast_shapes(np.shape(d_dr),
-                                              np.shape(d_dtheta)),
-                   dtype=np.result_type(float, d_dr, d_dtheta))
-    out[R], out[TH] = d_dr, d_dtheta
-    return out
+    field from its two partials: its r and theta entries."""
+    return build((4,), np.broadcast_shapes(np.shape(d_dr), np.shape(d_dtheta)),
+                 np.result_type(float, d_dr, d_dtheta),
+                 (((R,), d_dr), ((TH,), d_dtheta)))
 
 
 # -- tensorial connection, tetrads, spin connection --------------------------
@@ -200,15 +221,12 @@ def gradient_covector(d_dr, d_dtheta):
 
 def _connection(pt: GridPoint, ang: AngleState, components):
     """A connection in pair layout from its nonzero components, each
-    ((a, b, mu), value) for C_{ab mu} = value and so C_{ba mu} = -value;
-    every other pair entry is zero."""
-    pairs = _zeros((6, 4), pt, *vars(ang).values())
-    for (a, b, mu), value in components:
-        if a < b:
-            pairs[_PAIR_INDEX[a, b], mu] = value
-        else:
-            pairs[_PAIR_INDEX[b, a], mu] = -value
-    return pairs
+    ((a, b, mu), value) for C_{ab mu} = value and so C_{ba mu} = -value:
+    the Live of those pair rows."""
+    return _field((6, 4), pt, ang, [
+        ((PAIR_INDEX[a, b], mu), value) if a < b
+        else ((PAIR_INDEX[b, a], mu), -value)
+        for (a, b, mu), value in components])
 
 
 def tensorial_connection_at(pt: GridPoint, ang: AngleState):
@@ -228,19 +246,20 @@ def tensorial_connection_at(pt: GridPoint, ang: AngleState):
 
 
 def tetrad_at(pt: GridPoint, ang: AngleState):
-    """Frame vectors xi[a, mu] = xi_a^mu (flat index first)."""
+    """Frame vectors xi[a, mu] = xi_a^mu (flat index first): the Live of
+    their eight nonzero components, two per frame vector."""
     r, th = pt.r, pt.theta
-    xi = _zeros((4, 4), pt, *vars(ang).values())
-    xi[0, T] = ang.cosh_alpha
-    xi[2, T] = -ang.sinh_alpha
-    xi[1, R] = ang.sin_gamma
-    xi[3, R] = -ang.cos_gamma
-    xi[1, TH] = -ang.cos_gamma / r
-    xi[3, TH] = -ang.sin_gamma / r
     r_sin = r * np.sin(th)
-    xi[0, PH] = -ang.sinh_alpha / r_sin
-    xi[2, PH] = ang.cosh_alpha / r_sin
-    return xi
+    return _field((4, 4), pt, ang, (
+        ((0, T), ang.cosh_alpha),
+        ((2, T), -ang.sinh_alpha),
+        ((1, R), ang.sin_gamma),
+        ((3, R), -ang.cos_gamma),
+        ((1, TH), -ang.cos_gamma / r),
+        ((3, TH), -ang.sin_gamma / r),
+        ((0, PH), -ang.sinh_alpha / r_sin),
+        ((2, PH), ang.cosh_alpha / r_sin),
+    ))
 
 
 def spin_connection_at(pt: GridPoint, ang: AngleState):
@@ -265,14 +284,23 @@ def spin_connection_at(pt: GridPoint, ang: AngleState):
     ))
 
 
-def coordinate_epsilon_lower(pt: GridPoint):
-    """The 24 nonzero entries of eps_{mu nu rho sigma} = sqrt|g| [mu nu rho
-    sigma], [t r theta phi] = +1, shape (24,) + the points' shape.
+# The flat indices of the 24 nonzero entries of the Levi-Civita symbol,
+# ascending (the permutations of (0, 1, 2, 3) in lexicographic order), six
+# for each first index.
+_EPS4_FLAT = tuple(FLAT[tuple(p)] for p in EPS4_INDEX.tolist())
 
-    Entry k sits at the indices clifford.EPS4_INDEX[k], the permutations of
-    (t, r, theta, phi) in lexicographic order; every other entry is zero.
+
+def coordinate_epsilon_lower(pt: GridPoint, mu):
+    """The six nonzero entries eps_{mu nu rho sigma} of the first index
+    ``mu`` of eps = sqrt|g| [mu nu rho sigma], [t r theta phi] = +1: a Live
+    of the rank-4 tensor that holds those entries alone, the permutations
+    of (t, r, theta, phi) that start with mu.  A contraction over eps takes
+    it one first index at a time, so at most six of its 24 entries are
+    held per point.
     """
-    return np.multiply.outer(EPS4_SIGN, sqrt_abs_g(pt))
+    rows = slice(6 * mu, 6 * mu + 6)
+    return Live((4, 4, 4, 4), _EPS4_FLAT[rows],
+                np.multiply.outer(EPS4_SIGN[rows], sqrt_abs_g(pt)))
 
 
 # -- identity residuals -------------------------------------------------------
@@ -288,9 +316,9 @@ def complex_step_partials(f, pt: GridPoint):
     near the real point.  ``abs`` or ``np.real`` on the differentiated path
     silently drops the derivative, and ``arctan2`` refuses complex input.
     """
-    h_r = np.minimum(CS_STEP, 1e-20 * pt.r)
-    return (np.imag(f(GridPoint(pt.r + 1j * h_r, pt.theta))) / h_r,
-            np.imag(f(GridPoint(pt.r, pt.theta + 1j * CS_STEP))) / CS_STEP)
+    h_r, r_step, theta_step = pt.steps
+    return (np.imag(f(r_step)) / h_r,
+            np.imag(f(theta_step)) / CS_STEP)
 
 
 def _coordinate_partials(f, pt: GridPoint):
@@ -314,11 +342,12 @@ def transport_residuals(pt: GridPoint, angle_field):
     """
 
     def covectors(p, ang):
-        return np.stack([spin_covector(p, ang), velocity_covector(p, ang)])
+        return np.stack([dense(spin_covector(p, ang), p.shape),
+                         dense(velocity_covector(p, ang), p.shape)])
 
     ang = angle_field(pt)  # the state at the points, for both sides
     vecs = covectors(pt, ang)  # [v, nu] for v in (s, u)
-    lam = christoffel_at(pt)
+    lam = dense(pt.christoffel, pt.shape)
     R_ = expand_pairs(tensorial_connection_at(pt, ang))
     cov = (_coordinate_partials(lambda p: covectors(p, angle_field(p)), pt)
            - np.einsum("rnm...,vr...->mvn...", lam, vecs))
@@ -355,7 +384,7 @@ def curvature_strength_residuals(pt: GridPoint, angle_field):
 
     dR = _live_partials(mixed, pt)
     Rm = mixed(pt)
-    lam = live(christoffel_at(pt), 3)
+    lam = flatten(pt.christoffel)
     cov = signed_sum((1, dR), (1, contract("ism,sjn->mijn", lam, Rm)),
                      (-1, contract("sjm,isn->mijn", lam, Rm)),
                      (-1, contract("snm,ijs->mijn", lam, Rm)))
@@ -370,18 +399,18 @@ def curvature_strength_residuals(pt: GridPoint, angle_field):
 # -- the identities' fields by their live entries (see nldirac.sparse) -----
 
 
-def _live_pairs(pairs, g):
-    """The live entries of g^a C[a, b, mu] for a connection C held as its
-    pairs (see the module docstring) and the inverse metric ``g``, shape
-    (4,) + the points' shape: g^a pairs[k, mu] at (a, b, mu) and g^b
-    (-pairs[k, mu]) at (b, a, mu) for the k-th pair (a, b), the entries of
-    g[:, None, None] * expand_pairs(pairs)."""
-    rows = np.reshape(pairs, (24, -1))
-    index, source, negative, raised = _pair_plan(
-        tuple(rows.any(axis=1).nonzero()[0].tolist()))
-    values = rows.take(source, axis=0)
+def _live_pairs(pairs: Live, g):
+    """The live entries of g^a C[a, b, mu] for a connection C held as the
+    Live of its pair rows (see the module docstring) and the inverse
+    metric ``g``, shape (4,) + the points' shape: g^a pairs[k, mu] at (a,
+    b, mu) and g^b (-pairs[k, mu]) at (b, a, mu) for each live row [k, mu]
+    of the k-th pair (a, b), the entries of g[:, None, None] *
+    expand_pairs(pairs)."""
+    index, source, negative, raised = _pair_plan(pairs.index)
+    values = np.reshape(pairs.values, (len(pairs.index), -1)).take(source,
+                                                                    axis=0)
     np.negative(values, out=values, where=negative)
-    return Live(3, index,
+    return Live((4, 4, 4), index,
                 np.reshape(g, (4, -1)).take(raised, axis=0) * values)
 
 
@@ -397,25 +426,25 @@ def _live_partials(field, pt: GridPoint):
         return seen[-1].values
 
     d_dr, d_dth = complex_step_partials(values, pt)
-    step = 4 ** seen[0].rank
+    step = math.prod(seen[0].shape)
     index = [R * step + k for k in seen[0].index]
     index += [TH * step + k for k in seen[1].index]
     stacked = np.concatenate([d_dr, d_dth])
     keep = stacked.any(axis=1).nonzero()[0].tolist()
-    return Live(seen[0].rank + 1, tuple(index[k] for k in keep),
+    return Live((4,) + seen[0].shape, tuple(index[k] for k in keep),
                 stacked.take(keep, axis=0))
 
 
 @functools.lru_cache(maxsize=256)
 def _pair_plan(live_rows):
     """The plan of _live_pairs for the live rows k * 4 + mu of the pairs:
-    the entries, ascending, and for each its row, its sign and its first
-    index."""
+    the entries, ascending, and for each the position of its row among
+    the live rows, its sign and its first index."""
     entries = []
-    for row in live_rows:
+    for n, row in enumerate(live_rows):
         (a, b), mu = PAIRS[row // 4], row % 4
-        entries += [(FLAT[a, b, mu], row, False, a),
-                    (FLAT[b, a, mu], row, True, b)]
+        entries += [(FLAT[a, b, mu], n, False, a),
+                    (FLAT[b, a, mu], n, True, b)]
     entries.sort()
     index, source, negative, raised = zip(*entries) if entries else ((),) * 4
     return (index, constant(source), constant(negative, bool)[:, None],

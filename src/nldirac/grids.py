@@ -8,6 +8,10 @@ import numpy as np
 
 from .geometry import GridPoint
 
+# The box of sample_points: radii in units of 1/m, and polar angles.
+SAMPLE_R = (0.1, 10.0)
+SAMPLE_THETA = (0.3, np.pi - 0.3)
+
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -71,8 +75,8 @@ def sample_points(rng, n, m=1.0, reject=None):
     drawn in blocks of the points still missing, so the points, and the
     draws taken from ``rng``, are those of drawing one pair at a time.
     """
-    low = (np.log(0.1), 0.3)
-    high = (np.log(10.0), np.pi - 0.3)
+    low = (np.log(SAMPLE_R[0]), SAMPLE_THETA[0])
+    high = (np.log(SAMPLE_R[1]), SAMPLE_THETA[1])
     r_parts, theta_parts = [], []
     missing, draws = n, 0
     while missing > 0:

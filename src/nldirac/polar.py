@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import clifford, geometry
+from . import clifford, geometry, sparse
 from .errors import SingularG, SingularPoint
 from .geometry import AngleState, GridPoint
 
@@ -274,21 +274,24 @@ def spinor_coordinate_partials(pt: GridPoint, f: ClosedForm, psi):
     bundle f, from the log-derivative of the density and the chiral-angle
     partials: (d ln phi) psi - (i/2)(d beta) pi psi.
 
-    Each component of psi that is nonzero at some point is taken one row
-    at a time, as clifford.spin_action takes them: numpy buffers a
-    broadcast operand to the size of the whole product.  The partials of
-    a component that is zero at every point are zero; a NaN is not zero.
+    Each is the sparse.Live of the spinor (layout (4,)) on the components
+    of psi that are nonzero at some point, taken one row at a time, as
+    clifford.spin_action takes them: numpy buffers a broadcast operand to
+    the size of the whole product.  The partials of a component that is
+    zero at every point are zero; a NaN is not zero.
     """
     d = f.density
     coefficients = (
         (0.5 * d.r_dlnphi2_dr / pt.r, 0.5j * (f.r_d_beta_dr / pt.r)),
         (0.5 * d.dlnphi2_dtheta, 0.5j * f.d_beta_dtheta))
     dtype = np.result_type(psi, *(c for pair in coefficients for c in pair))
-    partials = [np.zeros(np.shape(psi), dtype=dtype) for _ in coefficients]
-    for i in _live_components(psi):
+    live = tuple(_live_components(psi).tolist())
+    partials = [sparse.Live((4,), live, np.empty(
+        (len(live),) + np.shape(psi)[1:], dtype=dtype)) for _ in coefficients]
+    for n, i in enumerate(live):
         pipsi = clifford.PI_SIGNS[i] * psi[i]
         for partial, (ln_phi, beta) in zip(partials, coefficients):
-            row = partial[i, ...]
+            row = partial.values[n, ...]
             np.multiply(ln_phi, psi[i], out=row)
             row -= beta * pipsi
     return tuple(partials)
@@ -315,15 +318,16 @@ def covariant_derivative(pt: GridPoint, spec: ModelSpec, f: ClosedForm):
     psi), both built from the closed-form bundle f.
 
     Each partial d_mu psi is added in place to its row of the spin action,
-    so no stack of the four partials is built beside the result, and the
-    two phase partials are added on the components of psi that are nonzero
-    at some point, one at a time.
+    one live component at a time, so no stack of the four partials is built
+    beside the result, and the two phase partials are added on the
+    components of psi that are nonzero at some point, one at a time.
     """
     psi = assemble_spinor(f)
     nabla = clifford.spin_action(geometry.spin_connection_at(pt, f.ang), psi)
-    d_dr, d_dth = spinor_coordinate_partials(pt, f, psi)
-    nabla[1] += d_dr
-    nabla[2] += d_dth
+    for mu, partial in zip((geometry.R, geometry.TH),
+                           spinor_coordinate_partials(pt, f, psi)):
+        for i, row in zip(partial.index, partial.values):
+            nabla[mu, i] += row
     # the t and azimuth partials are the pure phases exp(-i(E t + l phi))
     for i in _live_components(psi):
         nabla[0, i] += -1j * spec.E * psi[i]
@@ -345,11 +349,13 @@ def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec):
     """
     f = closed_form(pt, spec)
     nabla, psi = covariant_derivative(pt, spec, f)
-    dlnphi = geometry.gradient_covector(0.5 * f.density.r_dlnphi2_dr / pt.r,
-                                        0.5 * f.density.dlnphi2_dtheta)
-    dbeta = geometry.gradient_covector(f.r_d_beta_dr / pt.r, f.d_beta_dtheta)
+    dlnphi = sparse.dense(geometry.gradient_covector(
+        0.5 * f.density.r_dlnphi2_dr / pt.r, 0.5 * f.density.dlnphi2_dtheta),
+        pt.shape)
+    dbeta = sparse.dense(geometry.gradient_covector(
+        f.r_d_beta_dr / pt.r, f.d_beta_dtheta), pt.shape)
     P = geometry.momentum_covector(spec.E, spec.l)
-    xi = geometry.tetrad_at(pt, f.ang)
+    xi = sparse.dense(geometry.tetrad_at(pt, f.ang), pt.shape)
     R_frame = np.einsum("bp...,npm...->nbm...", xi, clifford.expand_pairs(
         geometry.tensorial_connection_at(pt, f.ang)))
     R_flat = np.einsum("an...,nbm...->abm...", xi, R_frame)
@@ -361,5 +367,5 @@ def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec):
     rhs = (np.einsum("m...,i...->mi...", dlnphi, psi)
            - 0.5j * np.einsum("m...,i...->mi...", dbeta, pipsi)
            - 1j * np.einsum("m,i...->mi...", P, psi)
-           - clifford.spin_action(R_pairs, psi))
+           - clifford.spin_action(sparse.live(R_pairs, (6, 4)), psi))
     return float(np.max(np.abs(nabla - rhs)))

@@ -1,13 +1,18 @@
 """Fields by their live entries: the products and sums of an einsum over
 a dense field, formed over the entries that are not zero at every point.
 
-A field of rank k with four values per index, shape (4,) * k + the points'
-shape, is held as a Live: the flat C-order indices of its live entries,
-the ones nonzero (or NaN, or inf) at some point, read from the data with
-``any`` over the points, and their values, one row per entry.  The
-flatness and curvature identities contract fields that are mostly zero:
-9 of the 64 Christoffel symbols and 12 of the 64 entries of the mixed
-tensorial connection are live.
+A field whose dense layout has the shape ``shape`` + the points' shape,
+(4,) * k for a tensor of rank k or (6, 4) for a connection held as its
+pairs (see nldirac.geometry), is held as a Live: the flat C-order indices
+of its live entries and their values, one row per entry.  A builder of
+nldirac.geometry returns the entries its formula writes, and ``live``
+reads them from a dense field with ``any`` over the points, so that an
+entry nonzero (or NaN, or inf) at some point is live.  Every consumer
+takes the entries that exist from the Live it is handed and skips the
+others, which would only add zeros.  The fields of the grid forms and of
+the identities are mostly zero: 8 of the 16 tetrad entries, 6 and 8 of
+the 24 pair rows of the two connections, 9 of the 64 Christoffel symbols
+and 12 of the 64 entries of the mixed tensorial connection are live.
 
 Each operation gives the floats of the einsum it stands for on an array
 of points: a contraction adds the products of each entry from zero in
@@ -25,8 +30,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,22 +43,74 @@ DIGITS = [list(itertools.product(range(4), repeat=r)) for r in range(5)]
 FLAT = {digits: k for each in DIGITS for k, digits in enumerate(each)}
 
 
-class Live(NamedTuple):
-    """A field of rank ``rank`` by its live entries: ``index`` their flat
-    C-order indices, ascending, and ``values`` their values, one row each,
-    shape (len(index), number of points)."""
+@dataclass(frozen=True, eq=False)
+class Live:
+    """A field by its live entries: ``shape`` its dense layout before the
+    point axes, ``index`` the flat C-order indices of its live entries in
+    that layout, ascending, and ``values`` their values, one row each, the
+    point axes after it (or the points flattened to one axis).
 
-    rank: int
+    An entry reads and writes as field[indices] of the dense layout, and
+    only a live one; -field and field * factor, a factor per point, give
+    the Live of the dense result, whose zero entries stay zero.
+    """
+
+    shape: tuple
     index: tuple
     values: np.ndarray
 
+    def _row(self, indices):
+        try:
+            return self.index.index(_flat_index(indices, self.shape))
+        except ValueError:
+            raise KeyError(f"entry {indices} is not live") from None
 
-def live(field, rank):
-    """The live entries of a field of shape (4,) * rank + the points'
-    shape."""
-    flat = np.reshape(field, (4 ** rank, -1))
+    def __getitem__(self, indices):
+        return self.values[self._row(indices)]
+
+    def __setitem__(self, indices, value):
+        self.values[self._row(indices)] = value
+
+    def __neg__(self):
+        return Live(self.shape, self.index, -self.values)
+
+    def __mul__(self, factor):
+        return Live(self.shape, self.index, self.values * factor)
+
+
+def _flat_index(indices, shape):
+    """The flat C-order index of ``indices`` in the layout ``shape``."""
+    k = 0
+    for i, n in zip(indices, shape, strict=True):
+        k = k * n + i
+    return k
+
+
+def live(field, shape):
+    """The live entries of a field of shape ``shape`` + the points'
+    shape, read from the data."""
+    flat = np.reshape(field, (math.prod(shape), -1))
     index = flat.any(axis=1).nonzero()[0]
-    return Live(rank, tuple(index.tolist()), flat.take(index, axis=0))
+    return Live(tuple(shape), tuple(index.tolist()), flat.take(index, axis=0))
+
+
+def flatten(a: Live):
+    """The Live ``a`` with its point axes as one, as ``live`` reads them."""
+    return Live(a.shape, a.index, np.reshape(a.values, (len(a.index), -1)))
+
+
+def build(shape, points, dtype, entries):
+    """The Live of the entries a formula writes, each (indices, value) of
+    the dense layout ``shape``, a value a float or an array that broadcasts
+    to the points' shape ``points``, with the dtype ``dtype``.  The
+    entries are taken in ascending order of their flat index; two entries
+    at one index would be two live rows, so there are none."""
+    index, order = _build_plan(tuple(shape),
+                               tuple(indices for indices, _ in entries))
+    values = np.empty((len(index),) + tuple(points), dtype=dtype)
+    for row, n in enumerate(order):
+        values[row] = entries[n][1]
+    return Live(tuple(shape), index, values)
 
 
 def contract(subscripts, a: Live, b: Live):
@@ -60,8 +118,8 @@ def contract(subscripts, a: Live, b: Live):
     subscripts such as "ism,sjn->mijn" (the point axes implied) that sum
     one index: the output's live entries, each the sum of its products in
     ascending order of the summed index."""
-    rank, index, left, right, later = _contraction(subscripts, a.index,
-                                                   b.index)
+    out, index, left, right, later = _contraction(subscripts, a.index,
+                                                  b.index)
     # einsum rounds a complex product as two real products and a sum; the
     # multiply ufunc may fuse them
     products = np.einsum("...,...->...", a.values.take(left, axis=0),
@@ -69,7 +127,7 @@ def contract(subscripts, a: Live, b: Live):
     values = products[:len(index)]  # the first product of each entry
     for start, stop, at in later:  # the second products, the third, ...
         values[at] += products[start:stop]
-    return Live(rank, index, values)
+    return Live((4,) * out, index, values)
 
 
 def signed_sum(*terms):
@@ -78,7 +136,7 @@ def signed_sum(*terms):
     given; an entry live in one field alone takes its value, negated for
     sign -1, as a sum with zeros does."""
     index, rows = _union(tuple(field.index for _, field in terms))
-    values = np.zeros((len(index), terms[0][1].values.shape[1]),
+    values = np.zeros((len(index),) + terms[0][1].values.shape[1:],
                       dtype=np.result_type(*(f.values for _, f in terms)))
     values[rows[0]] = terms[0][1].values
     for (sign, field), at in zip(terms[1:], rows[1:]):
@@ -86,22 +144,23 @@ def signed_sum(*terms):
             values[at] += field.values
         else:
             values[at] -= field.values
-    return Live(terms[0][1].rank, index, values)
+    return Live(terms[0][1].shape, index, values)
 
 
 def permute(subscripts, a: Live):
     """np.einsum(subscripts, a) for a permutation of the indices, such as
     "mijn->ijmn"."""
     index, order = _permutation(subscripts, a.index)
-    return Live(a.rank, index, a.values.take(order, axis=0))
+    return Live(a.shape, index, a.values.take(order, axis=0))
 
 
 def dense(a: Live, shape):
-    """The dense field, shape (4,) * rank + ``shape``, zero off the live
+    """The dense field, shape a.shape + ``shape``, zero off the live
     entries."""
-    out = np.zeros((4 ** a.rank, a.values.shape[1]), dtype=a.values.dtype)
-    out[list(a.index)] = a.values
-    return out.reshape((4,) * a.rank + shape)
+    out = np.zeros((math.prod(a.shape), math.prod(shape)),
+                   dtype=a.values.dtype)
+    out[list(a.index)] = np.reshape(a.values, (len(a.index), -1))
+    return out.reshape(a.shape + shape)
 
 
 def constant(items, dtype=int):
@@ -114,7 +173,7 @@ def constant(items, dtype=int):
 
 @functools.lru_cache(maxsize=256)
 def _contraction(subscripts, left, right):
-    """The plan of contract: the output's rank and live entries, the rows
+    """The plan of contract: the output's rank, its live entries, the rows
     of the two factors of each product, and for the products after the
     first of an entry, their range and their entries' rows.  The products
     come by rank within their entry, in ascending order of the summed
@@ -151,6 +210,15 @@ def _contraction(subscripts, left, right):
         start += len(rank)
     return (len(out), index, constant([t[2] for t in ordered]),
             constant([t[3] for t in ordered]), tuple(later))
+
+
+@functools.lru_cache(maxsize=256)
+def _build_plan(shape, entries):
+    """The plan of build: the flat indices of the entries, ascending, and
+    the position of each among the entries."""
+    flat = sorted((_flat_index(indices, shape), n)
+                  for n, indices in enumerate(entries))
+    return tuple(k for k, _ in flat), tuple(n for _, n in flat)
 
 
 @functools.lru_cache(maxsize=256)

@@ -9,10 +9,13 @@ that propagates NaN, so a non-finite residual at any point fails its suite.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from . import clifford, equations, geometry, grids, ode, polar
 from .equations import DEFAULT_MASK_MARGIN
+from .geometry import GridPoint
 from .polar import ModelSpec
 
 # The version of every JSON document the commands write.
@@ -41,34 +44,68 @@ def _entry(max_residual, tol, n, extra=None):
     }
 
 
+class Sample(NamedTuple):
+    """The sampled suites' points and the solution's angle state at them.
+
+    ``angle_field(pt)`` returns polar.angle_state(pt, spec): evaluated once,
+    by draw_sample, at the points and at the two complex steps off them
+    (GridPoint.steps), which curvature-strength and transport both read,
+    and at any other GridPoint when it is asked.  The Christoffel symbols
+    at the points are built once too, as ``points.christoffel``.  A Sample
+    lives for one run_suites call.
+    """
+
+    points: GridPoint
+    angle_field: Callable
+
+
+def draw_sample(spec: ModelSpec, seed):
+    """The Sample of a verify: 50 seeded points outside the default mask
+    and the angle states there."""
+    points = grids.sample_points(
+        np.random.default_rng(seed), 50, m=spec.m,
+        reject=lambda pt: equations.is_masked(pt, spec))
+    # by id, each with its GridPoint, which keeps the id unique
+    states = {id(pt): (pt, polar.angle_state(pt, spec))
+              for pt in (points, *points.steps[1:])}
+
+    def angle_field(pt):
+        if id(pt) in states:
+            return states[id(pt)][1]
+        return polar.angle_state(pt, spec)
+
+    return Sample(points, angle_field)
+
+
 def suite_fierz(spec, grid, sample, seed, tol):
     psis = clifford.random_spinors(1000, seed=seed)
     return _entry(np.max(clifford.fierz_residuals(psis)), tol, len(psis))
 
 
 def suite_flatness(spec, grid, sample, seed, tol):
-    """Riemann tensor of the spherical connection (analytic partials)."""
-    return _entry(np.max(np.abs(geometry.riemann_at(sample))), tol,
-                  sample.r.size)
+    """Riemann tensor of the spherical connection (analytic partials); the
+    largest entry of its absolute values, taken in place."""
+    riemann = geometry.riemann_at(sample.points)
+    return _entry(np.max(np.abs(riemann, out=riemann)), tol,
+                  sample.points.r.size)
 
 
 def suite_curvature_strength(spec, grid, sample, seed, tol):
     """Curvature of the solution's tensorial connection (must vanish)."""
-    res = geometry.curvature_strength_residuals(
-        sample, lambda pt: polar.angle_state(pt, spec))
-    return _entry(np.max(res), tol, sample.r.size)
+    res = geometry.curvature_strength_residuals(sample.points,
+                                                sample.angle_field)
+    return _entry(np.max(res), tol, sample.points.r.size)
 
 
 def suite_transport(spec, grid, sample, seed, tol):
-    res = geometry.transport_residuals(
-        sample, lambda pt: polar.angle_state(pt, spec))
-    return _entry(np.max(res), tol, sample.r.size)
+    res = geometry.transport_residuals(sample.points, sample.angle_field)
+    return _entry(np.max(res), tol, sample.points.r.size)
 
 
 def suite_decomposition(spec, grid, sample, seed, tol):
     """Polar decomposition of nabla psi on the 50 points in one call."""
-    return _entry(polar.polar_decomposition_residual(sample, spec), tol,
-                  sample.r.size)
+    return _entry(polar.polar_decomposition_residual(sample.points, spec),
+                  tol, sample.points.r.size)
 
 
 def _grid_suite(stats, tol):
@@ -98,7 +135,7 @@ def suite_standard(spec, grid, sample, seed, tol):
 # Every suite in report order; each takes (spec, grid, sample, seed, tol),
 # where grid is the equations.sweep result that run_suites computes once (the
 # statistics of each grid form "<form>-residuals" of the report, keyed by
-# form) and sample the 50 points it draws once for flatness,
+# form) and sample the Sample it draws once (draw_sample) for flatness,
 # curvature-strength, transport and decomposition.  fierz draws its spinors
 # from the seed.
 SUITES = {
@@ -119,6 +156,28 @@ SUITES = {
 ENDPOINT_ONLY = ("expanded-residuals", "covector-residuals")
 
 
+def check_mass(spec: ModelSpec, grid_cfg=None):
+    """Raise FloatingPointError, naming the mass, unless the metric entries
+    that the suites read stay inside the floats: the grid's radii (see
+    grids.radii, which refuses first), and g^{theta theta}, g^{phi phi} and
+    sqrt|g| finite and nonzero at the smallest and largest radius of the
+    grid and of the sample, at their smallest sin(theta) and at the
+    equator.  Outside, r^2 over- or underflows and every suite that reads
+    the metric would compute with inf, 0 or NaN."""
+    cfg = grid_cfg or grids.GridConfig()
+    radii = grids.radii(cfg, spec.m)
+    r = np.array([radii[0], radii[-1], *grids.SAMPLE_R])
+    r[2:] /= spec.m
+    theta = [min(cfg.theta_margin, grids.SAMPLE_THETA[0]), 0.5 * np.pi]
+    corners = GridPoint(*np.meshgrid(r, theta))
+    with np.errstate(all="ignore"):  # the entries are what is checked
+        entries = np.concatenate([geometry.inverse_metric_at(corners)[2:],
+                                  geometry.sqrt_abs_g(corners)[None]])
+    if not (np.isfinite(entries).all() and entries.all()):
+        raise FloatingPointError(f"metric entries r^2 over- or underflow at "
+                                 f"mass {spec.m!r}")
+
+
 def run_suites(spec: ModelSpec, grid_cfg=None, seed=42, tolerances=None,
                margin=DEFAULT_MASK_MARGIN):
     """Run every applicable suite for one model; returns the JSON-ready report.
@@ -127,16 +186,15 @@ def run_suites(spec: ModelSpec, grid_cfg=None, seed=42, tolerances=None,
     reduced and standard forms.  The grid is built, validated and masked
     once, and one sweep evaluates every grid form of the report on the
     same chunks of its unmasked points; the sampled suites share one
-    seeded draw of 50 points.
+    seeded draw of 50 points, the angle states and the Christoffel symbols
+    there (see Sample).
     """
     names = [name for name in SUITES
              if spec.name in polar.ENDPOINTS or name not in ENDPOINT_ONLY]
     grid = equations.sweep(
         grids.points(grid_cfg or grids.GridConfig(), m=spec.m), spec, margin,
         [form for form in equations.FORMS if f"{form}-residuals" in names])
-    sample = grids.sample_points(  # 50 seeded points outside the default mask
-        np.random.default_rng(seed), 50, m=spec.m,
-        reject=lambda pt: equations.is_masked(pt, spec))
+    sample = draw_sample(spec, seed)
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     suites = {name: SUITES[name](spec, grid, sample, seed, tol[name])
               for name in names}

@@ -474,6 +474,26 @@ def test_grid_radii_outside_the_floats_are_one_error_line(capsys, tmp_path,
         assert not out_file.exists(), argv
 
 
+@pytest.mark.parametrize("mass", ["1e-300", "1e300"])
+def test_a_mass_whose_metric_leaves_the_floats_is_one_error_line(
+        capsys, tmp_path, mass):
+    # r^2 over- or underflows at the grid's and the sample's radii: verify
+    # refuses the mass before a suite computes with inf or 0, and report
+    # refuses it in its singularity part, which runs before its verify
+    # part; neither warns, and nothing is written
+    out_file = tmp_path / "out"
+    for command, message in (
+            ("verify", "metric entries r^2 over- or underflow"),
+            ("report", "phi^2 over- or underflows")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, command, "--model", "njl",
+                                 "--mass", mass, "--out", str(out_file))
+        assert (code, out) == (2, ""), command
+        assert err == f"error: {message} at mass {float(mass)!r}\n", command
+        assert not out_file.exists(), command
+
+
 def test_a_huge_mass_steps_no_sample_point_onto_the_locus(capsys):
     # at m = 1e30 the sampled radii lie below CS_STEP; an r step of CS_STEP
     # moved them onto the ring and verify exited 2 naming a singular point.

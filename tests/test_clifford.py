@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nldirac import clifford, equations, geometry, grids, polar
+from nldirac import clifford, equations, geometry, grids, polar, sparse
 from nldirac.clifford import (
     ETA,
     GAMMA,
@@ -149,7 +149,8 @@ def test_spin_action_equals_the_dense_sum_for_any_connection(seed, n):
     # random pairs, every entry nonzero: each counts, in both triangles of
     # the dense C
     rng = np.random.default_rng(seed)
-    pairs = rng.standard_normal((6, 4, n))
+    pairs = sparse.live(rng.standard_normal((6, 4, n)), (6, 4))
+    assert len(pairs.index) == 24
     psi = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
     action = clifford.spin_action(pairs, psi)
     dense = _dense_spin_action(pairs, psi)
@@ -158,13 +159,15 @@ def test_spin_action_equals_the_dense_sum_for_any_connection(seed, n):
 
 def test_spin_action_applies_a_pair_row_nonzero_at_one_point():
     # a pair row is skipped only where it is zero at every point of the
-    # call; nonzero at one point, it is applied there, bit for bit
+    # call; nonzero at one point, it is live and applied there, bit for bit
     rng = np.random.default_rng(26)
     psi = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
     for k in range(6):
         for mu in range(4):
-            pairs = np.zeros((6, 4, 5))
-            pairs[k, mu, 2] = rng.standard_normal()
+            dense = np.zeros((6, 4, 5))
+            dense[k, mu, 2] = rng.standard_normal()
+            pairs = sparse.live(dense, (6, 4))
+            assert pairs.index == (4 * k + mu,)
             action = clifford.spin_action(pairs, psi)
             assert np.array_equal(action, _dense_spin_action(pairs, psi)), (
                 k, mu)
@@ -185,11 +188,13 @@ def test_spin_action_carries_a_nan_pair_entry_to_its_mu_row():
     psi = polar.assemble_spinor(f)
     pairs = geometry.spin_connection_at(pts, f.ang)
     clean = clifford.spin_action(pairs, psi)
+    dense = sparse.dense(pairs, pts.shape)
     for k, mu in ((0, geometry.T), (1, geometry.R)):
-        assert np.any(pairs[k, mu]) == (k == 1)
-        poisoned = pairs.copy()
+        assert ((4 * k + mu) in pairs.index) == (k == 1)
+        assert np.any(dense[k, mu]) == (k == 1)
+        poisoned = dense.copy()
         poisoned[k, mu, 7] = np.nan
-        action = clifford.spin_action(poisoned, psi)
+        action = clifford.spin_action(sparse.live(poisoned, (6, 4)), psi)
         assert np.isnan(action[mu, :, 7]).any(), (k, mu)
         assert np.array_equal(np.delete(action, 7, axis=2),
                               np.delete(clean, 7, axis=2)), (k, mu)

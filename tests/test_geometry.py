@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nldirac import geometry, polar
+from nldirac import geometry, polar, sparse
 from nldirac.clifford import expand_pairs
 from nldirac.errors import PoleOrOrigin
 from nldirac.geometry import (
@@ -28,6 +28,11 @@ def metric_at(pt):
     """g_{mu nu}, the inverse of the diagonal geometry.inverse_metric_at."""
     r, th = pt.r, pt.theta
     return np.diag([1.0, -1.0, -r * r, -((r * np.sin(th)) ** 2)])
+
+
+def dense(field, pt):
+    """The dense field of a builder's Live at the points of ``pt``."""
+    return sparse.dense(field, pt.shape)
 
 
 def random_points(n, seed=123, r_lo=0.1, r_hi=10.0, ring_margin=0.05):
@@ -82,11 +87,11 @@ def test_builders_take_the_dtype_of_their_inputs():
         pt = GridPoint(r, 0.7)
         ang = polar.angle_state(pt, spec)
         dtype = np.result_type(r)
-        for value in (inverse_metric_at(pt), christoffel_at(pt),
-                      velocity_covector(pt, ang), spin_covector(pt, ang),
-                      tensorial_connection_at(pt, ang), tetrad_at(pt, ang),
-                      spin_connection_at(pt, ang)):
-            assert value.dtype == dtype
+        assert inverse_metric_at(pt).dtype == dtype
+        for value in (christoffel_at(pt), velocity_covector(pt, ang),
+                      spin_covector(pt, ang), tensorial_connection_at(pt, ang),
+                      tetrad_at(pt, ang), spin_connection_at(pt, ang)):
+            assert value.values.dtype == dtype
 
 
 def test_metric_values():
@@ -109,6 +114,8 @@ def test_christoffel_values_and_symmetry():
     assert lam[geometry.TH, geometry.PH, geometry.PH] == pytest.approx(0.0, abs=1e-16)
     for pt in random_points(5):
         lam = christoffel_at(pt)
+        assert len(lam.index) == 9
+        lam = dense(lam, pt)
         assert np.allclose(lam, lam.transpose(0, 2, 1), atol=0.0)
 
 
@@ -153,8 +160,8 @@ def test_velocity_spin_covector_norms():
         spec = ModelSpec("njl", m=rng.uniform(0.05, 5.0))
         ang = polar.angle_state(pt, spec)
         ginv = inverse_metric_at(pt)
-        u = velocity_covector(pt, ang)
-        s = spin_covector(pt, ang)
+        u = dense(velocity_covector(pt, ang), pt)
+        s = dense(spin_covector(pt, ang), pt)
         assert u @ (ginv * u) == pytest.approx(1.0, abs=1e-12)
         assert s @ (ginv * s) == pytest.approx(-1.0, abs=1e-12)
         assert u @ (ginv * s) == pytest.approx(0.0, abs=1e-12)
@@ -209,16 +216,16 @@ def test_transport_identities_finite_difference_oracle():
     worst = 0.0
     for pt in random_points(10, seed=7, r_lo=0.3, r_hi=5.0, ring_margin=0.15):
         ang = polar.angle_state(pt, spec)
-        lam = christoffel_at(pt)
+        lam = dense(christoffel_at(pt), pt)
         ginv = inverse_metric_at(pt)
         Rc = expand_pairs(tensorial_connection_at(pt, ang))
         for make in (velocity_covector, spin_covector):
-            vec = make(pt, ang)
+            vec = dense(make(pt, ang), pt)
             vup = ginv * vec
 
             def field(r, th):
                 p = GridPoint(r, th)
-                return make(p, polar.angle_state(p, spec))
+                return dense(make(p, polar.angle_state(p, spec)), p)
 
             dv = np.zeros((4, 4))
             dv[geometry.R] = (field(pt.r + h, pt.theta) - field(pt.r - h, pt.theta)) / (2 * h)
@@ -316,7 +323,8 @@ def test_expanded_pairs_equal_the_dense_builders(spec):
         for build, dense in ((tensorial_connection_at, _dense_tensorial_connection),
                              (spin_connection_at, _dense_spin_connection)):
             pairs = build(pt, ang)
-            assert pairs.shape == (6, 4) + pt.shape
+            assert pairs.shape == (6, 4)
+            assert pairs.values.shape == (len(pairs.index),) + pt.shape
             expanded, reference = expand_pairs(pairs), dense(pt, ang)
             assert expanded.dtype == reference.dtype
             assert np.array_equal(expanded, reference), (spec.name, build)
@@ -340,14 +348,15 @@ def _assert_orthonormal_frame(pt, xi):
 def test_tetrad_solders_metric_and_duality():
     spec = ModelSpec("soler")
     for pt in random_points(20):
-        _assert_orthonormal_frame(pt, tetrad_at(pt, polar.angle_state(pt, spec)))
+        _assert_orthonormal_frame(
+            pt, dense(tetrad_at(pt, polar.angle_state(pt, spec)), pt))
 
 
 def test_frame_and_connection_invariants():
     spec = ModelSpec("njl")
     for pt in random_points(10, seed=31):
         ang = polar.angle_state(pt, spec)
-        _assert_orthonormal_frame(pt, tetrad_at(pt, ang))
+        _assert_orthonormal_frame(pt, dense(tetrad_at(pt, ang), pt))
         R = expand_pairs(tensorial_connection_at(pt, ang))
         assert np.array_equal(R, -R.transpose(1, 0, 2))
         P = momentum_covector(spec.E, spec.l)
@@ -365,14 +374,15 @@ def tetrad_postulate_residual(pt, spec):
     The coframe xi^a_nu is the inverse transpose of tetrad_at, and its
     partials are complex-step partials."""
     def coframe(p):
-        return np.linalg.inv(tetrad_at(p, polar.angle_state(p, spec))).T
+        return np.linalg.inv(dense(tetrad_at(p, polar.angle_state(p, spec)),
+                                   p)).T
 
     dxi = np.zeros((4, 4, 4))  # [mu, a, nu]
     dxi[geometry.R], dxi[geometry.TH] = complex_step_partials(coframe, pt)
     co = coframe(pt)
     c_up = np.diag(ETA)[:, None, None] * expand_pairs(spin_connection_at(
         pt, polar.angle_state(pt, spec)))  # C^a_{b mu}
-    total = (dxi - np.einsum("rnm,ar->man", christoffel_at(pt), co)
+    total = (dxi - np.einsum("rnm,ar->man", dense(christoffel_at(pt), pt), co)
              + np.einsum("abm,bn->man", c_up, co))
     return float(np.max(np.abs(total)))
 

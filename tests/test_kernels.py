@@ -78,8 +78,8 @@ def _reference_covector(pt, spec):
     g = geometry.inverse_metric_at(pt)
     Rc = clifford.expand_pairs(geometry.tensorial_connection_at(pt, ang))
     eps = _dense_epsilon(pt)
-    u = geometry.velocity_covector(pt, ang)
-    s_cov = geometry.spin_covector(pt, ang)
+    u = sparse.dense(geometry.velocity_covector(pt, ang), pt.shape)
+    s_cov = sparse.dense(geometry.spin_covector(pt, ang), pt.shape)
     P = geometry.momentum_covector(spec.E, spec.l)
     R_up3 = g[:, None, None] * g[None, :, None] * g[None, None, :] * Rc
     B = 0.5 * np.einsum("mani...,ani...->m...", eps, R_up3)
@@ -109,7 +109,8 @@ def _reference_covariant_derivative(pt, spec, f):
     """covariant_derivative as the stack of the four partials plus the
     einsum spin action."""
     psi = polar.assemble_spinor(f)
-    d_dr, d_dth = polar.spinor_coordinate_partials(pt, f, psi)
+    d_dr, d_dth = (sparse.dense(partial, pt.shape) for partial
+                   in polar.spinor_coordinate_partials(pt, f, psi))
     dpsi = np.stack([-1j * spec.E * psi, d_dr, d_dth, -1j * spec.l * psi])
     pairs = geometry.spin_connection_at(pt, f.ang)
     return dpsi + _einsum_spin_action(pairs, psi), psi
@@ -121,7 +122,7 @@ def _reference_standard(pt, spec):
     point."""
     f = polar.closed_form(pt, spec)
     nabla, psi = _reference_covariant_derivative(pt, spec, f)
-    xi = geometry.tetrad_at(pt, f.ang)
+    xi = sparse.dense(geometry.tetrad_at(pt, f.ang), pt.shape)
     nabla_frame = np.einsum("am...,mj...->aj...", xi, nabla)
     theta, phi, _, _ = _einsum_bilinears(psi)
     dirac = 1j * np.einsum("aij,aj...->i...", clifford.GAMMA_STACK, nabla_frame)
@@ -203,8 +204,8 @@ def test_covector_epsilon_sums_keep_every_term(monkeypatch):
     # over a float point it vectorizes the sum in an order of its own, so
     # the float points are compared on the solution only.
     def random(lead, seed):
-        return lambda *args: np.random.default_rng(seed).standard_normal(
-            lead + args[0].shape)
+        return lambda *args: sparse.live(np.random.default_rng(
+            seed).standard_normal(lead + args[0].shape), lead)
 
     monkeypatch.setattr(geometry, "tensorial_connection_at", random((6, 4), 1))
     monkeypatch.setattr(geometry, "velocity_covector", random((4,), 2))
@@ -343,10 +344,12 @@ def test_closed_form_equals_the_formula_by_formula_composition():
 
 
 def _einsum_spin_action(pairs, psi):
-    """spin_action with the sum over the six pairs as an einsum."""
+    """spin_action with the sum over the six pairs as an einsum over the
+    dense pair layout of the Live of the pair rows."""
     sigma_psi = (clifford.SIGMA_PAIR_STACK.reshape(-1, 4)
                  @ np.reshape(psi, (4, -1))).reshape((6,) + np.shape(psi))
-    return np.einsum("km...,ki...->mi...", pairs, sigma_psi)
+    return np.einsum("km...,ki...->mi...",
+                     sparse.dense(pairs, np.shape(psi)[1:]), sigma_psi)
 
 
 def test_spin_action_equals_the_einsum_over_the_pairs():
@@ -356,7 +359,8 @@ def test_spin_action_equals_the_einsum_over_the_pairs():
         psi = polar.assemble_spinor(f)
         # the spin connection, and random pairs, each entry nonzero
         for pairs in (geometry.spin_connection_at(pts, f.ang),
-                      rng.standard_normal((6, 4) + pts.shape)):
+                      sparse.live(rng.standard_normal((6, 4) + pts.shape),
+                                  (6, 4))):
             assert np.array_equal(clifford.spin_action(pairs, psi),
                                   _einsum_spin_action(pairs, psi)), spec
         pt = _scalar_points(pts, 1)[0]
@@ -370,8 +374,11 @@ def test_spin_action_equals_the_einsum_over_the_pairs():
 def _reference_riemann(pt):
     """riemann_at with each product and sum an einsum over the dense
     Christoffel symbols and their stacked complex-step partials."""
-    lam = geometry.christoffel_at(pt)
-    d_dr, d_dth = geometry.complex_step_partials(geometry.christoffel_at, pt)
+    def christoffel(p):
+        return sparse.dense(geometry.christoffel_at(p), p.shape)
+
+    lam = christoffel(pt)
+    d_dr, d_dth = geometry.complex_step_partials(christoffel, pt)
     dlam = np.zeros((4,) + np.shape(d_dr), dtype=np.result_type(d_dr, d_dth))
     dlam[geometry.R], dlam[geometry.TH] = d_dr, d_dth
     term = (np.einsum("mrns...->rsmn...", dlam)
@@ -396,7 +403,8 @@ def _reference_curvature(pt, spec):
         lambda p: _mixed_connection(p, spec), pt)
     dR = np.zeros((4,) + np.shape(d_dr), dtype=np.result_type(d_dr, d_dth))
     dR[geometry.R], dR[geometry.TH] = d_dr, d_dth
-    Rm, lam = _mixed_connection(pt, spec), geometry.christoffel_at(pt)
+    Rm = _mixed_connection(pt, spec)
+    lam = sparse.dense(geometry.christoffel_at(pt), pt.shape)
     cov = (dR + np.einsum("ism...,sjn...->mijn...", lam, Rm)
            - np.einsum("sjm...,isn...->mijn...", lam, Rm)
            - np.einsum("snm...,ijs...->mijn...", lam, Rm))
@@ -458,7 +466,7 @@ def test_live_contraction_equals_the_einsum(subscripts):
             zero = np.argwhere(~field.any(axis=-1))
             if len(zero):
                 field[tuple(zero[0])][3] = rng.standard_normal()
-        live = sparse.contract(subscripts, sparse.live(a, 3),
-                               sparse.live(b, 3))
+        live = sparse.contract(subscripts, sparse.live(a, (4, 4, 4)),
+                               sparse.live(b, (4, 4, 4)))
         assert np.array_equal(sparse.dense(live, (7,)),
                               np.einsum(dense, a, b)), share

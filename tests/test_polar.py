@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nldirac import clifford, geometry, polar
+from nldirac import clifford, geometry, polar, sparse
 from nldirac.errors import SingularG, SingularPoint
 from nldirac.geometry import GridPoint, complex_step_partials
 from nldirac.polar import (
@@ -358,14 +358,14 @@ def test_assembled_spinor_vector_bilinears():
         assert np.allclose(bl.U, [2 * phi2, 0, 0, 0], rtol=1e-10, atol=1e-10)
         assert np.allclose(bl.S, [0, 0, 0, 2 * phi2], rtol=1e-10, atol=1e-10)
         ang = polar.angle_state(pt, spec)
-        xi = geometry.tetrad_at(pt, ang)
+        xi = sparse.dense(geometry.tetrad_at(pt, ang), pt.shape)
         ginv = geometry.inverse_metric_at(pt)
         u_up = np.einsum("am,a->m", xi, bl.U) / (2 * phi2)
         s_up = np.einsum("am,a->m", xi, bl.S) / (2 * phi2)
-        assert np.allclose(u_up, ginv * geometry.velocity_covector(pt, ang),
-                           atol=1e-10)
-        assert np.allclose(s_up, ginv * geometry.spin_covector(pt, ang),
-                           atol=1e-10)
+        u = sparse.dense(geometry.velocity_covector(pt, ang), pt.shape)
+        s = sparse.dense(geometry.spin_covector(pt, ang), pt.shape)
+        assert np.allclose(u_up, ginv * u, atol=1e-10)
+        assert np.allclose(s_up, ginv * s, atol=1e-10)
 
 
 def test_assembled_spinor_time_phase_invariance():
@@ -406,7 +406,8 @@ def test_analytic_and_fd_covariant_derivatives_agree(p, m, rm, theta):
     pt = GridPoint(rm / m, theta)
     f = closed_form(pt, spec)
     _, psi = covariant_derivative(pt, spec, f)
-    analytic = np.stack(spinor_coordinate_partials(pt, f, psi))
+    analytic = np.stack([sparse.dense(partial, pt.shape) for partial
+                         in spinor_coordinate_partials(pt, f, psi)])
     rest = np.array([1.0, 0.0, 1.0, 0.0])
     rotated = -1j * clifford.PI @ rest
 
@@ -444,7 +445,9 @@ def test_a_nan_in_a_zero_spinor_component_reaches_its_partials_and_phases(
             return psi
 
         psi = poisoned(f)
-        for partial in polar.spinor_coordinate_partials(pts, f, psi):
+        for live in polar.spinor_coordinate_partials(pts, f, psi):
+            assert component in live.index
+            partial = sparse.dense(live, pts.shape)
             assert np.isnan(partial[component, 4]), component
             assert not np.isnan(np.delete(partial, 4, axis=1)).any()
         with monkeypatch.context() as patch:

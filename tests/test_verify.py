@@ -21,7 +21,8 @@ import tracemalloc
 
 import numpy as np
 
-from nldirac import clifford, equations, geometry, grids, polar, singular, verify
+from nldirac import (clifford, equations, geometry, grids, polar, singular,
+                     sparse, verify)
 from nldirac.polar import ModelSpec
 
 GRID = grids.GridConfig(r_min=0.05, r_max=20.0, n_r=5, n_theta=4)
@@ -237,16 +238,16 @@ def test_a_nonfinite_zero_christoffel_entry_fails_its_suites(monkeypatch):
     spec = ModelSpec("njl")
     sample, _ = _sampled_structure(spec)
     christoffel = geometry.christoffel_at
-    zero = [index for index in np.ndindex(4, 4, 4)
-            if not christoffel(sample)[index].any()]
+    lam = sparse.dense(christoffel(sample), sample.shape)
+    zero = [index for index in np.ndindex(4, 4, 4) if not lam[index].any()]
     assert len(zero) == 55
     for value in NONFINITE:
         for index in zero:
 
             def poisoned(pt, index=index, value=value):
-                lam = christoffel(pt)
+                lam = sparse.dense(christoffel(pt), pt.shape)
                 lam[index][7] = value
-                return lam
+                return sparse.live(lam, (4, 4, 4))
 
             with monkeypatch.context() as patch:
                 patch.setattr(geometry, "christoffel_at", poisoned)
@@ -263,16 +264,16 @@ def test_a_nonfinite_zero_pair_row_fails_its_suites(monkeypatch):
     for spec in MODELS:
         sample, ang = _sampled_structure(spec)
         connection = geometry.tensorial_connection_at
-        zero = [index for index in np.ndindex(6, 4)
-                if not connection(sample, ang)[index].any()]
+        pairs = sparse.dense(connection(sample, ang), sample.shape)
+        zero = [index for index in np.ndindex(6, 4) if not pairs[index].any()]
         assert len(zero) == 18, spec.name
         for value in NONFINITE:
             for index in zero:
 
                 def poisoned(pt, ang, index=index, value=value):
-                    pairs = connection(pt, ang)
+                    pairs = sparse.dense(connection(pt, ang), pt.shape)
                     pairs[index][7] = value
-                    return pairs
+                    return sparse.live(pairs, (6, 4))
 
                 with monkeypatch.context() as patch:
                     patch.setattr(geometry, "tensorial_connection_at",
@@ -319,14 +320,119 @@ def test_a_nonfinite_zero_spinor_component_or_kernel_entry_fails_fierz(
                                           (s, row, column, value))
 
 
+# The builders of the heavy forms' operands return the entries their
+# formulas write; an entry they leave out, patched in with a NaN or an inf
+# at one point, is live and must reach the form that reads the field, and
+# fail it through run_suites.  (module, builder, its layout, the form.)
+HEAVY_OPERANDS = (
+    (geometry, "tetrad_at", (4, 4), "standard-residuals"),
+    (geometry, "spin_connection_at", (6, 4), "standard-residuals"),
+    (geometry, "tensorial_connection_at", (6, 4), "covector-residuals"),
+    (geometry, "velocity_covector", (4,), "covector-residuals"),
+    (geometry, "spin_covector", (4,), "covector-residuals"),
+    (geometry, "gradient_covector", (4,), "covector-residuals"),
+)
+
+
+def _with_entry(builder, layout, index, value):
+    """``builder`` with ``value`` at the point 7 of the entry ``index`` of
+    its dense layout, and that entry live."""
+
+    def poisoned(*args):
+        field = builder(*args)
+        points = field.values.shape[1:]
+        dense = sparse.dense(field, points)
+        dense[index][7] = value
+        return sparse.live(dense, layout)
+
+    return poisoned
+
+
+def test_a_nonfinite_left_out_entry_fails_its_heavy_form(monkeypatch):
+    # every entry of the dense layout that each builder leaves out, on the
+    # endpoint models, which run both heavy forms
+    for spec in MODELS[:2]:
+        sample, ang = _sampled_structure(spec)
+        arguments = {"gradient_covector": (sample.r, sample.theta)}
+        for module, name, layout, form in HEAVY_OPERANDS:
+            builder = getattr(module, name)
+            field = builder(*arguments.get(name, (sample, ang)))
+            left_out = [index for index in np.ndindex(layout)
+                        if np.ravel_multi_index(index, layout)
+                        not in field.index]
+            assert len(left_out) == np.prod(layout) - len(field.index) > 0
+            for value in NONFINITE:
+                for index in left_out:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(module, name, _with_entry(
+                            builder, layout, index, value))
+                        with np.errstate(invalid="ignore", over="ignore"):
+                            report = verify.run_suites(spec, GRID)
+                    _assert_nonfinite_failure(report, (form,),
+                                              (spec.name, name, index, value))
+
+
+def test_a_nonfinite_zero_spinor_component_fails_the_standard_form(
+        monkeypatch):
+    # psi's components 1 and 3 are zero on the solutions; the standard form
+    # takes the live components from the assembled spinor itself
+    assemble = polar.assemble_spinor
+    for spec in MODELS:
+        for value in NONFINITE:
+            for component in (1, 3):
+
+                def poisoned(f, component=component, value=value):
+                    psi = assemble(f)
+                    psi[component, 7] = value
+                    return psi
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(polar, "assemble_spinor", poisoned)
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        report = verify.run_suites(spec, GRID)
+                _assert_nonfinite_failure(report, ("standard-residuals",),
+                                          (spec.name, component, value))
+
+
+def test_sampled_suites_share_their_sample_states(monkeypatch):
+    # one angle state at each point set of the sample, the points and the
+    # two complex steps off them, which curvature-strength and transport
+    # both read, and one Christoffel build at the points, which flatness,
+    # curvature-strength and transport read (riemann_at differentiates it
+    # at the two steps): three calls of each per verify
+    angle_state, christoffel_at = polar.angle_state, geometry.christoffel_at
+    for spec in MODELS:
+        calls = {"angle_state": [], "christoffel_at": []}
+
+        def counted_angle_state(pt, spec):
+            calls["angle_state"].append(pt)
+            return angle_state(pt, spec)
+
+        def counted_christoffel_at(pt):
+            calls["christoffel_at"].append(pt)
+            return christoffel_at(pt)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(polar, "angle_state", counted_angle_state)
+            patch.setattr(geometry, "christoffel_at", counted_christoffel_at)
+            report = verify.run_suites(spec, GRID)
+        assert report["pass"], spec.name
+        for name, points in calls.items():
+            assert len(points) == len({id(pt) for pt in points}) == 3, (
+                spec.name, name)
+
+
 # Largest allocation peak of each sampled suite, in bytes: the five run on
 # the same 50 points (fierz on its 1000 spinors), so the bounds do not
 # depend on the grid.  The products of flatness and curvature-strength run
-# over the live entries of their fields, not over dense rank-5 arrays, and
-# the bilinears of fierz take two kernels at a time.
+# over the live entries of their fields, not over dense rank-5 arrays,
+# flatness takes the absolute values of its dense Riemann tensor in place,
+# and the bilinears of fierz take two kernels at a time.  Each suite is
+# handed the Sample of a verify, which holds the angle states the suites
+# share.
 SUITE_PEAK = {
     "fierz": 490_000,
-    "flatness": 210_000,
+    "flatness": 152_000,
     "curvature-strength": 170_000,
     "transport": 120_000,
     "decomposition": 160_000,
@@ -337,10 +443,11 @@ def test_each_sampled_suite_peaks_under_its_bound():
     assert set(SUITE_PEAK) == set(verify.SUITES) - {
         f"{form}-residuals" for form in equations.FORMS}
     for spec in MODELS:
-        sample, _ = _sampled_structure(spec)
         for name, bound in SUITE_PEAK.items():
             suite, tol = verify.SUITES[name], verify.DEFAULT_TOLERANCES[name]
-            suite(spec, None, sample, 42, tol)
+            suite(spec, None, verify.draw_sample(spec, 42), 42, tol)
+            # a Sample of its own, so that the suite builds what it shares
+            sample = verify.draw_sample(spec, 42)
             tracemalloc.start()
             try:
                 entry = suite(spec, None, sample, 42, tol)
@@ -389,14 +496,15 @@ def test_run_suites_builds_and_masks_the_grid_once(monkeypatch):
 
 
 # Largest allocation peak of each grid form per point of a SWEEP_CHUNK
-# chunk, the closed-form bundle it reads included, in bytes.  A chunk of the
-# two heavy forms then stays near 0.86 MB, inside run_suites' 1 MB guard
-# with the grid held beside it.
+# chunk, the closed-form bundle it reads included, in bytes.  The heavy
+# forms hold the live entries of their geometry alone, so a chunk of them
+# stays near 0.69 MB, inside run_suites' 1 MB guard with the grid held
+# beside it.
 FORM_PEAK_PER_POINT = {
     "residual_expanded": 300,
-    "residual_polar_covector": 850,
+    "residual_polar_covector": 550,
     "residual_reduced": 300,
-    "residual_standard": 800,
+    "residual_standard": 680,
 }
 
 
