@@ -337,6 +337,30 @@ def _float_text(values, spelling):
     return text
 
 
+def _mirrored_text(values, spelling):
+    """``_float_text`` of ``values``, grid rows over the theta axis, which
+    is symmetric about pi/2, formatting only what the mirror cannot give.
+
+    The front ceil(n/2) columns are formatted.  Back column j takes the text
+    of column n-1-j where the bits are equal, or that text with its sign
+    flipped where they are negated (not for a NaN: repr(-nan) is 'nan');
+    spelled texts flip too, Infinity <-> -Infinity."""
+    n = values.shape[1]
+    half = n - n // 2
+    front = np.array(_float_text(values[:, :half], spelling),
+                     dtype=object).reshape(-1, half)
+    back = front[:, :n // 2][:, ::-1].copy()
+    bits = values.view(np.int64)
+    mirror = bits[:, :n // 2][:, ::-1]
+    same = bits[:, half:] == mirror
+    flip = ((bits[:, half:] == mirror ^ np.iinfo(np.int64).min)
+            & ~np.isnan(values[:, half:]))
+    back[flip] = [t[1:] if t[0] == "-" else "-" + t for t in back[flip]]
+    rest = ~(same | flip)
+    back[rest] = _float_text(values[:, half:][rest], spelling)
+    return np.concatenate((front, back), axis=1).ravel().tolist()
+
+
 # grid points per fieldmap block, which holds at least one grid row; a
 # larger block pays numpy's per-call cost less often but holds more text
 # before its write
@@ -353,7 +377,8 @@ def _write_fieldmap_rows(fh, spec, radii, theta, margin, sep, row_sep,
     A block is evaluated on its column of radii and the theta axis, which
     numpy broadcasts to the block's points: what depends on r alone is
     computed and formatted once per radius, and what depends on theta alone
-    once per angle.
+    once per angle.  A point's value that repeats, or negates, that of its
+    mirror across the equator reuses the mirror's text.
     """
     rows = max(1, FIELDMAP_BLOCK // len(theta))
     theta_text = _float_text(theta, spelling)
@@ -366,9 +391,8 @@ def _write_fieldmap_rows(fh, spec, radii, theta, margin, sep, row_sep,
         masked = equations.is_masked(GridPoint(r, theta), spec, margin)
         columns = ([t for t in _float_text(r, spelling) for _ in theta_text],
                    theta_text * len(r),
-                   _float_text(phi2_grid(spec, r, theta), spelling),
-                   _float_text(sb, spelling),
-                   _float_text(cb, spelling),
+                   *(_mirrored_text(v, spelling)
+                     for v in (phi2_grid(spec, r, theta), sb, cb)),
                    [t for t in _float_text(X, spelling) for _ in theta_text],
                    _FLAGS[masked.ravel().astype(int)].tolist())
         fh.write(lead + row_sep.join(map(sep.join, zip(*columns))))
@@ -421,15 +445,22 @@ def cmd_ode(cfg: RunConfig):
     doc = {"schema": SCHEMA, "model": spec.name, "mass": spec.m,
            "trajectory_csv": cfg.out, **summary}
     _emit_json(doc, None)
-    return 1 if _ode_failed(nonfinite) else 0
+    return 1 if _ode_failed(summary, nonfinite) else 0
 
 
-def _ode_failed(nonfinite):
-    """Name the ODE summary's non-finite results on stderr, if there are any;
-    returns whether there were."""
+def _ode_failed(summary, nonfinite):
+    """Name on stderr what fails the ODE summary: its non-finite results, and
+    an (E/m, l) scan that does not single out (1, 1/2); returns whether
+    anything did."""
     if nonfinite:
         print("ode: non-finite " + ", ".join(nonfinite), file=sys.stderr)
-    return bool(nonfinite)
+    scan = summary.get("scan")
+    wrong_scan = scan is not None and not scan["unique_zero"]
+    if wrong_scan:
+        cells = ", ".join(map(str, scan["zero_cells"])) or "none"
+        print(f"ode: the (E/m, l) scan's zero cells are {cells}, not only "
+              "(1.0, 0.5)", file=sys.stderr)
+    return bool(nonfinite) or wrong_scan
 
 
 def cmd_locus(cfg: RunConfig):
@@ -459,7 +490,8 @@ def cmd_report(cfg: RunConfig):
             return 1
         doc["ode"], _, nonfinite = result
     _emit_json(doc, cfg.out)
-    return 1 if _ode_failed(nonfinite) or not doc["verify"]["pass"] else 0
+    failed = _ode_failed(doc.get("ode", {}), nonfinite)
+    return 1 if failed or not doc["verify"]["pass"] else 0
 
 
 COMMANDS = {

@@ -186,6 +186,69 @@ def test_ode_scan_flag(capsys, tmp_path):
     assert summary["scan"]["unique_zero"] is True
 
 
+def _scaled_density_scan(monkeypatch):
+    """ode.quantum_number_scan on bundles whose phi^2 is scaled by 1 + 1e-6,
+    as in test_ode's wrong-density scan; nothing else sees the scaling."""
+    closed_form, scan = polar.closed_form, ode.quantum_number_scan
+
+    def scaled(pt, spec):
+        f = closed_form(pt, spec)
+        return dataclasses.replace(f, density=dataclasses.replace(
+            f.density, phi2=f.density.phi2 * (1.0 + 1e-6)))
+
+    def wrong_scan(spec):
+        with monkeypatch.context() as patch:
+            patch.setattr(polar, "closed_form", scaled)
+            return scan(spec)
+
+    return wrong_scan
+
+
+def _scan_with_a_second_zero(monkeypatch):
+    """ode.quantum_number_scan with the cell (E/m, l) = (0.5, 0) set to 0."""
+    scan = ode.quantum_number_scan
+
+    def second_zero(spec):
+        result = scan(spec)
+        result.surface[0, 0] = 0.0
+        return result
+
+    return second_zero
+
+
+@pytest.mark.parametrize("command", ["ode", "report"])
+@pytest.mark.parametrize("patch, zero_cells, cells_text", [
+    (None, [[1.0, 0.5]], None),
+    (_scaled_density_scan, [], "none"),
+    (_scan_with_a_second_zero, [[0.5, 0.0], [1.0, 0.5]],
+     "(0.5, 0.0), (1.0, 0.5)"),
+], ids=["exact", "no-zero", "two-zeros"])
+def test_a_scan_without_a_unique_zero_fails(capsys, tmp_path, monkeypatch,
+                                            command, patch, zero_cells,
+                                            cells_text):
+    # ode --scan-el and report --scan-el exit 1, with one line naming the
+    # zero cells, unless the scan singles out (E/m, l) = (1, 1/2); the
+    # patches reach the scan alone, so report's verify part still passes
+    if patch is not None:
+        monkeypatch.setattr(ode, "quantum_number_scan", patch(monkeypatch))
+    flags = (["--out", str(tmp_path / "t.csv")] if command == "ode"
+             else ["--grid", SMALL_GRID])
+    code, out, err = run(capsys, command, "--model", "soler", "--scan-el",
+                         *flags)
+    doc = json.loads(out)
+    scan = (doc if command == "ode" else doc["ode"])["scan"]
+    assert scan["zero_cells"] == zero_cells
+    assert scan["unique_zero"] is (cells_text is None)
+    if command == "report":
+        assert doc["verify"]["pass"] is True
+    if cells_text is None:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 1
+        assert err == (f"ode: the (E/m, l) scan's zero cells are "
+                       f"{cells_text}, not only (1.0, 0.5)\n")
+
+
 def test_ode_straddling_span_is_an_error(capsys, tmp_path):
     code, _, err = run(
         capsys, "ode", "--model", "soler", "--grid", "0.3,1,50,2",
@@ -693,6 +756,88 @@ def test_fieldmap_is_streamed(capsys, tmp_path, fmt, grid):
     else:
         assert len(out.read_text().splitlines()) == 1 + 30000
     assert peak < 2e6, peak
+
+
+@pytest.mark.parametrize("n_theta", [1, 2, 3, 4, 7])
+def test_mirrored_text_is_the_text_of_every_value(n_theta):
+    # the back half of each row equal to its mirror, its negation, a NaN of
+    # either sign against a NaN, or unrelated; the values include infinities
+    # and zeros of both signs.  Every text must be repr's, or json's
+    # spelling of it
+    rng = np.random.default_rng(n_theta)
+    values = rng.normal(size=(40, n_theta)) * 10.0 ** rng.integers(
+        -300, 300, size=(40, n_theta))
+    special = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0])
+    values = np.where(rng.random(values.shape) < 0.4,
+                      rng.choice(special, size=values.shape), values)
+    how = rng.integers(0, 4, size=values.shape)
+    for j in range(n_theta // 2):
+        front, k = values[:, j], n_theta - 1 - j
+        values[:, k] = np.select(
+            [how[:, k] == 0, how[:, k] == 1, how[:, k] == 2],
+            [front, -front, np.copysign(np.nan, -np.copysign(1.0, front))],
+            values[:, k])
+    for spelling in (None, cli._JSON_NONFINITE):
+        assert (cli._mirrored_text(values, spelling)
+                == cli._float_text(values, spelling))
+
+
+def test_fieldmap_mirror_reuse_matches_the_reference(capsys, tmp_path,
+                                                     monkeypatch):
+    # a row's back half reuses the text of its mirror where the bits match
+    # or are negated; each patch drives one path of that reuse, on odd and
+    # even numbers of angles.  phi^2 scaled by 1 + 1e-12 theta breaks every
+    # mirror pair, so each back-half value is formatted; sin beta set to
+    # +-inf where |sin beta| > 0.5, antisymmetric across the equator, flips
+    # inf and Infinity; phi^2 NaN at small radii, and at large radii NaN of
+    # the sign of cos theta (repr(-nan) is 'nan'), reuses and refuses NaNs
+    phi2_grid, chiral = polar.phi2_grid, polar.chiral_components
+
+    def unmirrored(spec, r, theta):
+        return phi2_grid(spec, r, theta) * (1.0 + 1e-12 * theta)
+
+    def infinite(X, theta):
+        sb, cb = chiral(X, theta)
+        return np.where(np.abs(sb) > 0.5, np.copysign(np.inf, sb), sb), cb
+
+    def nan_pairs(spec, r, theta):
+        return np.where(r < 0.5, np.nan,
+                        np.where(r > 2.0, np.copysign(np.nan, np.cos(theta)),
+                                 phi2_grid(spec, r, theta)))
+
+    configs = [("njl", "1", f"0.25,4,9,{n_theta}") for n_theta in (2, 3, 8, 101)]
+    for name, function, spelled in (
+            ("phi2_grid", unmirrored, ()),
+            ("chiral_components", infinite, ("Infinity", "-Infinity")),
+            ("phi2_grid", nan_pairs, ("NaN",))):
+        with monkeypatch.context() as patch:
+            patch.setattr(polar, name, function)
+            patch.setattr(cli, name, function)
+            texts = _assert_fieldmaps_match_the_reference(capsys, tmp_path,
+                                                          configs)
+        for word in spelled:
+            assert all(f" {word}," in text for text in texts["json"]), word
+        assert all("-nan" not in text for text in texts["csv"])
+
+
+def test_fieldmap_formats_a_mirrored_half_once(capsys, tmp_path,
+                                               monkeypatch):
+    # the solutions are mirror symmetric through the equatorial plane and the
+    # theta axis about pi/2, so most back-half texts are reused: the floats
+    # formatted, the axes' included, stay below 0.7 of the three per-point
+    # columns' (they are 1.01 of them when each value is formatted)
+    float_text, counted = cli._float_text, []
+
+    def counting(values, spelling):
+        counted.append(values.size)
+        return float_text(values, spelling)
+
+    monkeypatch.setattr(cli, "_float_text", counting)
+    code, _, _ = run(capsys, "fieldmap", "--model", "njl",
+                     "--grid", "0.01,100,40,250",
+                     "--out", str(tmp_path / "map.csv"))
+    assert code == 0
+    assert sum(counted) <= 0.7 * 3 * 40 * 250, sum(counted) / (3 * 40 * 250)
 
 
 def test_tolerance_override_can_force_failure(capsys):
