@@ -471,10 +471,11 @@ def cmd_locus(cfg: RunConfig):
 
 def cmd_report(cfg: RunConfig):
     spec = cfg.spec
-    # the grid's radii, then the singularity part, refuse an extreme mass
-    # before the verify part evaluates a metric out of the floats
+    # the grid's radii, the singularity part and then the metric entries
+    # refuse an extreme mass before the verify part evaluates them
     grids.radii(cfg.grid or grids.GridConfig(), spec.m)
     singularity = singular.singularity_report(spec)
+    verify.check_mass(spec, cfg.grid)
     doc = {
         "schema": SCHEMA,
         "verify": verify.run_suites(

@@ -23,6 +23,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import NonRealBilinear
+from .sparse import live_rows
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -83,12 +84,11 @@ def _perm_sign(p):
 
 
 # The totally antisymmetric symbol with eps_{0123} = +1 by its 24 nonzero
-# entries: the permutations of (0, 1, 2, 3) in lexicographic order, one
-# row each, and their signs.  Every other entry has a repeated index and is
-# zero.
-EPS4_INDEX = np.array(list(permutations(range(4))))
+# entries: their index tuples, the permutations of (0, 1, 2, 3) in
+# lexicographic order, and their signs.  Every other entry has a repeated
+# index and is zero.
+EPS4_INDEX = tuple(permutations(range(4)))
 EPS4_SIGN = np.array([float(_perm_sign(p)) for p in EPS4_INDEX])
-EPS4_INDEX.setflags(write=False)
 EPS4_SIGN.setflags(write=False)
 
 # The gammas by their nonzero entries: row i of gamma^a holds one,
@@ -121,8 +121,8 @@ def expand_pairs(pairs):
     live row of the k-th pair (a, b) of PAIRS, and zero elsewhere."""
     values = pairs.values
     dense = np.zeros((4, 4, 4) + values.shape[1:], dtype=values.dtype)
-    for row, value in zip(pairs.index, values):
-        (a, b), mu = PAIRS[row // 4], row % 4
+    for (k, mu), value in zip(pairs.index, values):
+        a, b = PAIRS[k]
         dense[a, b, mu] = value
         dense[b, a, mu] = -value
     return dense
@@ -132,8 +132,9 @@ def spin_action(pairs, psi):
     """(1/2) C_{ab mu} sigma^{ab} psi of a field C antisymmetric in (a, b)
     on a spinor, shape (4 mu, 4 spinor) + the points' shape.
 
-    C comes as the Live of its pair rows (see nldirac.sparse): row [k, mu]
-    of the layout (6, 4) is C_{ab mu} for the k-th pair (a, b) of PAIRS.
+    C comes as the Live of its pair rows (see nldirac.sparse): the entry
+    (k, mu) of the layout (6, 4) is C_{ab mu} for the k-th pair (a, b) of
+    PAIRS.
     sigma^ab is antisymmetric too, so the sum over all sixteen (a, b) is
     the sum over the six pairs of C_ab sigma^ab.  Each row of sigma^ab psi
     is one component of psi times +-1/2 or +-i/2, exact, and each row mu of
@@ -145,19 +146,18 @@ def spin_action(pairs, psi):
     size of the whole product.
     """
     flat = np.reshape(psi, (4, -1))
-    live_psi = flat.any(axis=1)
+    live_psi = set(live_rows(flat).tolist())
     rows = np.reshape(pairs.values, (len(pairs.index), -1))
     out = np.zeros((4,) + flat.shape,
                    dtype=np.result_type(pairs.values, psi))
     sigma_psi, product = np.empty_like(flat), np.empty_like(flat[0])
     pair = np.empty_like(product)
     last = None
-    for row, entry in zip(rows, pairs.index):
-        k, mu = divmod(entry, 4)
+    for row, (k, mu) in zip(rows, pairs.index):
         if k != last:  # the first live row of the pair k
             last = k
             spin = [(i, column) for i, column in enumerate(SIGMA_COLUMN[k])
-                    if live_psi[column]]
+                    if column in live_psi]
             for i, column in spin:
                 np.multiply(flat[column], SIGMA_VALUE[k, i], out=sigma_psi[i])
         pair[...] = row
@@ -223,7 +223,7 @@ def _real_bilinears(psi, stacks):
     psi = np.asarray(psi)
     psi = psi.astype(np.result_type(psi, 1j), copy=False)
     flat = np.reshape(psi, (4, -1))
-    live = flat.any(axis=1).nonzero()[0]
+    live = live_rows(flat)
     conj = (psi if live.size == 4 else psi[live]).conj()
     kernels = np.concatenate(stacks).reshape(-1, 4, 4)[:, live]
     parts = np.empty((len(kernels),) + np.shape(psi)[1:], dtype=psi.dtype)

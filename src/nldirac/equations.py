@@ -121,8 +121,7 @@ def _epsilon_sums(pt: GridPoint, *terms):
     sums = [{} for _ in terms]
 
     def add(eps):  # the products of one block of eps
-        for k, value in zip(eps.index, eps.values):
-            mu, a, n, i = sparse.DIGITS[4][k]
+        for (mu, a, n, i), value in zip(eps.index, eps.values):
             for term, rows in zip(terms, sums):
                 product = term(a, n, i)
                 if product is not None:
@@ -146,9 +145,9 @@ def _add(rows, key, term, sign=1.0):
         rows[key] -= term
 
 
-def _rows(field: sparse.Live):
-    """The rows {flat index: row} of a field's live entries."""
-    return dict(zip(field.index, field.values))
+def _rows(covector: sparse.Live):
+    """The rows {mu: row} of a covector's live entries."""
+    return {mu: row for (mu,), row in zip(covector.index, covector.values)}
 
 
 def _scaled(rows, factor):
@@ -220,8 +219,8 @@ def _contractions(pt: GridPoint, spec: ModelSpec, ang, u, s_cov):
     u^m, from the velocity and spin rows ``u`` and ``s_cov``.
 
     The trace g^n R_{mnn} sums over n in order as an einsum over the dense
-    tensor sums it, from zero (its term n = m is zero): the live pair row
-    [k, b] of the pair (a, b) gives g^b R_abb to R_a, and [k, a] gives
+    tensor sums it, from zero (its term n = m is zero): the live pair entry
+    (k, b) of the pair (a, b) gives g^b R_abb to R_a, and (k, a) gives
     g^a R_baa = -g^a pairs[k, a] to R_b.
     """
     g = geometry.inverse_metric_at(pt)
@@ -230,17 +229,18 @@ def _contractions(pt: GridPoint, spec: ModelSpec, ang, u, s_cov):
     P_up = {mu: g[mu] * P[mu] for mu in np.flatnonzero(P).tolist()}
     u_up = {mu: g[mu] * row for mu, row in u.items()}
     s_up = {mu: g[mu] * row for mu, row in s_cov.items()}
-    Rc = _rows(geometry.tensorial_connection_at(pt, ang))
+    pairs = geometry.tensorial_connection_at(pt, ang)
+    Rc = dict(zip(pairs.index, pairs.values))  # {(k, mu): row}
     R_trace = {}
-    for entry, row in Rc.items():
-        (a, b), mu = clifford.PAIRS[entry // 4], entry % 4
+    for (k, mu), row in Rc.items():
+        a, b = clifford.PAIRS[k]
         if mu == b:
             _add(R_trace, a, g[b] * row)
         elif mu == a:
             _add(R_trace, b, g[a] * row, -1.0)
 
     def raised(a, n, i):  # g^a g^n g^i R_ani, R_ani = -R_nai
-        row = Rc.get(clifford.PAIR_INDEX[min(a, n), max(a, n)] * 4 + i)
+        row = Rc.get((clifford.PAIR_INDEX[min(a, n), max(a, n)], i))
         if row is None:
             return None
         return g[a] * g[n] * g[i] * (row * (1.0 if a < n else -1.0))
@@ -345,9 +345,9 @@ def residual_standard(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     # the point axes as one, so that every row of a point is an array
     nabla = np.reshape(nabla, (4, 4, -1))
     frame = {}  # [(mu, xi_a^mu)] of each frame vector a, ascending in mu
-    for entry, row in zip(xi.index, np.reshape(xi.values,
-                                                (len(xi.index), -1))):
-        frame.setdefault(entry // 4, []).append((entry % 4, row))
+    for (a, mu), row in zip(xi.index, np.reshape(xi.values,
+                                                  (len(xi.index), -1))):
+        frame.setdefault(a, []).append((mu, row))
     dirac = np.zeros(nabla.shape[1:], dtype=psi.dtype)
     framed, product = np.empty_like(dirac[0]), np.empty_like(dirac[0])
     for a, ((mu, row), *rest) in frame.items():
@@ -365,7 +365,7 @@ def residual_standard(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     # and a component of psi that is zero at every point adds only zeros.
     # einsum rounds each complex product as two real products and a sum;
     # the multiply ufunc may fuse them and differ in the last bit.
-    for i in np.reshape(psi, (4, -1)).any(axis=1).nonzero()[0]:
+    for i in sparse.live_rows(psi):
         nonlinear = 0.25 * (
             phi + 1j * spec.p * (clifford.PI_SIGNS[i] * theta))
         dirac[i] += np.einsum("...,...->...", nonlinear, psi[i])

@@ -18,16 +18,16 @@ so the builders take the dtype of their inputs.
 
 The builders of the fields (the Christoffel symbols, the covectors, the
 tetrad, both connections and the Levi-Civita tensor) return the entries
-their formulas write as a sparse.Live, and no zeros: every consumer takes
-the entries that exist from what the builder returns.  The two connections,
-the spin connection C_{ab mu} and the tensorial connection R_{nu rho mu},
-are antisymmetric in their first two indices and are held as their pairs:
-the layout (6, 4), entry [k, mu] the component of the k-th pair of
-clifford.PAIRS, (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), of which
-8 and 6 rows are live.  clifford.expand_pairs builds the dense tensor of
-64 values per point where a sampled suite contracts it.  The flatness and
-curvature identities contract their fields by their live entries (see
-nldirac.sparse).
+their formulas write as a sparse.Live, each named by its index tuple, such
+as (TH, TH, R), and no zeros: every consumer takes the entries that exist
+from what the builder returns.  The two connections, the spin connection
+C_{ab mu} and the tensorial connection R_{nu rho mu}, are antisymmetric in
+their first two indices and are held as their pairs: the layout (6, 4),
+entry (k, mu) the mu component of the k-th pair of clifford.PAIRS, (0, 1),
+(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), of which 8 and 6 are live.
+clifford.expand_pairs builds the dense tensor of 64 values per point where
+a sampled suite contracts it.  The flatness and curvature identities
+contract their fields by their live entries (see nldirac.sparse).
 
 Orientation: the coordinate volume form is eps_{t r theta phi} = +r^2 sin
 (theta), matching the flat eps_{0123} = +1 through the tetrads below, whose
@@ -37,15 +37,14 @@ determinant is +r^2 sin(theta).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clifford import EPS4_INDEX, EPS4_SIGN, PAIR_INDEX, PAIRS, expand_pairs
 from .errors import PoleOrOrigin
-from .sparse import (FLAT, Live, build, constant, contract, dense, flatten,
-                     permute, signed_sum)
+from .sparse import (Live, build, constant, contract, dense, flatten,
+                     live_rows, permute, signed_sum)
 
 T, R, TH, PH = 0, 1, 2, 3
 CS_STEP = 1e-30  # imaginary step of every complex-step partial (in r, <= 1e-20 r)
@@ -284,12 +283,6 @@ def spin_connection_at(pt: GridPoint, ang: AngleState):
     ))
 
 
-# The flat indices of the 24 nonzero entries of the Levi-Civita symbol,
-# ascending (the permutations of (0, 1, 2, 3) in lexicographic order), six
-# for each first index.
-_EPS4_FLAT = tuple(FLAT[tuple(p)] for p in EPS4_INDEX.tolist())
-
-
 def coordinate_epsilon_lower(pt: GridPoint, mu):
     """The six nonzero entries eps_{mu nu rho sigma} of the first index
     ``mu`` of eps = sqrt|g| [mu nu rho sigma], [t r theta phi] = +1: a Live
@@ -299,7 +292,7 @@ def coordinate_epsilon_lower(pt: GridPoint, mu):
     held per point.
     """
     rows = slice(6 * mu, 6 * mu + 6)
-    return Live((4, 4, 4, 4), _EPS4_FLAT[rows],
+    return Live((4, 4, 4, 4), EPS4_INDEX[rows],
                 np.multiply.outer(EPS4_SIGN[rows], sqrt_abs_g(pt)))
 
 
@@ -403,8 +396,8 @@ def _live_pairs(pairs: Live, g):
     """The live entries of g^a C[a, b, mu] for a connection C held as the
     Live of its pair rows (see the module docstring) and the inverse
     metric ``g``, shape (4,) + the points' shape: g^a pairs[k, mu] at (a,
-    b, mu) and g^b (-pairs[k, mu]) at (b, a, mu) for each live row [k, mu]
-    of the k-th pair (a, b), the entries of g[:, None, None] *
+    b, mu) and g^b (-pairs[k, mu]) at (b, a, mu) for each live entry (k,
+    mu) of the k-th pair (a, b), the entries of g[:, None, None] *
     expand_pairs(pairs)."""
     index, source, negative, raised = _pair_plan(pairs.index)
     values = np.reshape(pairs.values, (len(pairs.index), -1)).take(source,
@@ -426,25 +419,23 @@ def _live_partials(field, pt: GridPoint):
         return seen[-1].values
 
     d_dr, d_dth = complex_step_partials(values, pt)
-    step = math.prod(seen[0].shape)
-    index = [R * step + k for k in seen[0].index]
-    index += [TH * step + k for k in seen[1].index]
+    index = [(R,) + indices for indices in seen[0].index]
+    index += [(TH,) + indices for indices in seen[1].index]
     stacked = np.concatenate([d_dr, d_dth])
-    keep = stacked.any(axis=1).nonzero()[0].tolist()
+    keep = live_rows(stacked).tolist()
     return Live((4,) + seen[0].shape, tuple(index[k] for k in keep),
                 stacked.take(keep, axis=0))
 
 
 @functools.lru_cache(maxsize=256)
-def _pair_plan(live_rows):
-    """The plan of _live_pairs for the live rows k * 4 + mu of the pairs:
+def _pair_plan(rows):
+    """The plan of _live_pairs for the live entries (k, mu) of the pairs:
     the entries, ascending, and for each the position of its row among
     the live rows, its sign and its first index."""
     entries = []
-    for n, row in enumerate(live_rows):
-        (a, b), mu = PAIRS[row // 4], row % 4
-        entries += [(FLAT[a, b, mu], n, False, a),
-                    (FLAT[b, a, mu], n, True, b)]
+    for n, (k, mu) in enumerate(rows):
+        a, b = PAIRS[k]
+        entries += [((a, b, mu), n, False, a), ((b, a, mu), n, True, b)]
     entries.sort()
     index, source, negative, raised = zip(*entries) if entries else ((),) * 4
     return (index, constant(source), constant(negative, bool)[:, None],

@@ -38,15 +38,21 @@ class GridConfig:
             raise ValueError("theta_margin must lie in (0, pi/2)")
 
 
-def radii(cfg: GridConfig, m=1.0):
-    """The grid's radii, log-spaced from r_min/m to r_max/m.  Raises
-    FloatingPointError, naming the mass, unless both ends are finite and
+def over_mass(lengths, m):
+    """The radii r/m of ``lengths`` r in units of 1/m.  Raises
+    FloatingPointError, naming the mass, unless each is finite and
     positive: at an extreme mass r/m over- or underflows."""
-    r_min, r_max = cfg.r_min / m, cfg.r_max / m
-    if not 0.0 < r_min <= r_max < np.inf:
+    out = [r / m for r in lengths]
+    if not all(0.0 < r < np.inf for r in out):
         raise FloatingPointError(f"grid radii r/m over- or underflow at mass "
                                  f"{m!r}")
-    return np.geomspace(r_min, r_max, cfg.n_r)
+    return out
+
+
+def radii(cfg: GridConfig, m=1.0):
+    """The grid's radii, log-spaced from r_min/m to r_max/m (see
+    over_mass)."""
+    return np.geomspace(*over_mass((cfg.r_min, cfg.r_max), m), cfg.n_r)
 
 
 def thetas(cfg: GridConfig):

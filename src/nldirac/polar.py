@@ -275,7 +275,8 @@ def spinor_coordinate_partials(pt: GridPoint, f: ClosedForm, psi):
     partials: (d ln phi) psi - (i/2)(d beta) pi psi.
 
     Each is the sparse.Live of the spinor (layout (4,)) on the components
-    of psi that are nonzero at some point, taken one row at a time, as
+    i of psi that are nonzero at some point (sparse.live_rows), its
+    entries named (i,), taken one row at a time, as
     clifford.spin_action takes them: numpy buffers a broadcast operand to
     the size of the whole product.  The partials of a component that is
     zero at every point are zero; a NaN is not zero.
@@ -285,8 +286,8 @@ def spinor_coordinate_partials(pt: GridPoint, f: ClosedForm, psi):
         (0.5 * d.r_dlnphi2_dr / pt.r, 0.5j * (f.r_d_beta_dr / pt.r)),
         (0.5 * d.dlnphi2_dtheta, 0.5j * f.d_beta_dtheta))
     dtype = np.result_type(psi, *(c for pair in coefficients for c in pair))
-    live = tuple(_live_components(psi).tolist())
-    partials = [sparse.Live((4,), live, np.empty(
+    live = sparse.live_rows(psi).tolist()
+    partials = [sparse.Live((4,), tuple((i,) for i in live), np.empty(
         (len(live),) + np.shape(psi)[1:], dtype=dtype)) for _ in coefficients]
     for n, i in enumerate(live):
         pipsi = clifford.PI_SIGNS[i] * psi[i]
@@ -295,12 +296,6 @@ def spinor_coordinate_partials(pt: GridPoint, f: ClosedForm, psi):
             np.multiply(ln_phi, psi[i], out=row)
             row -= beta * pipsi
     return tuple(partials)
-
-
-def _live_components(psi):
-    """The components of a spinor, shape (4,) + the points' shape, that are
-    nonzero (or NaN) at some point."""
-    return np.reshape(psi, (4, -1)).any(axis=1).nonzero()[0]
 
 
 def covariant_derivative(pt: GridPoint, spec: ModelSpec, f: ClosedForm):
@@ -326,10 +321,10 @@ def covariant_derivative(pt: GridPoint, spec: ModelSpec, f: ClosedForm):
     nabla = clifford.spin_action(geometry.spin_connection_at(pt, f.ang), psi)
     for mu, partial in zip((geometry.R, geometry.TH),
                            spinor_coordinate_partials(pt, f, psi)):
-        for i, row in zip(partial.index, partial.values):
+        for (i,), row in zip(partial.index, partial.values):
             nabla[mu, i] += row
     # the t and azimuth partials are the pure phases exp(-i(E t + l phi))
-    for i in _live_components(psi):
+    for i in sparse.live_rows(psi):
         nabla[0, i] += -1j * spec.E * psi[i]
         nabla[3, i] += -1j * spec.l * psi[i]
     return nabla, psi

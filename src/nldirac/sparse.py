@@ -3,16 +3,17 @@ a dense field, formed over the entries that are not zero at every point.
 
 A field whose dense layout has the shape ``shape`` + the points' shape,
 (4,) * k for a tensor of rank k or (6, 4) for a connection held as its
-pairs (see nldirac.geometry), is held as a Live: the flat C-order indices
-of its live entries and their values, one row per entry.  A builder of
-nldirac.geometry returns the entries its formula writes, and ``live``
-reads them from a dense field with ``any`` over the points, so that an
-entry nonzero (or NaN, or inf) at some point is live.  Every consumer
-takes the entries that exist from the Live it is handed and skips the
-others, which would only add zeros.  The fields of the grid forms and of
-the identities are mostly zero: 8 of the 16 tetrad entries, 6 and 8 of
-the 24 pair rows of the two connections, 9 of the 64 Christoffel symbols
-and 12 of the 64 entries of the mixed tensorial connection are live.
+pairs (see nldirac.geometry), is held as a Live: the indices of its live
+entries, each a tuple such as (TH, TH, R), and their values, one row per
+entry.  A builder of nldirac.geometry returns the entries its formula
+writes, and ``live`` reads them from a dense field with ``live_rows``, so
+that an entry nonzero (or NaN, or inf) at some point is live.  Every
+consumer takes the entries that exist from the Live it is handed and
+skips the others, which would only add zeros.  The fields of the grid
+forms and of the identities are mostly zero: 8 of the 16 tetrad entries,
+6 and 8 of the 24 pair rows of the two connections, 9 of the 64
+Christoffel symbols and 12 of the 64 entries of the mixed tensorial
+connection are live.
 
 Each operation gives the floats of the einsum it stands for on an array
 of points: a contraction adds the products of each entry from zero in
@@ -23,75 +24,48 @@ complex-step partial, give its floats too.  A NaN or an inf at an entry
 that is zero on the solutions is live and reaches the result.
 
 The index bookkeeping of an operation, its plan, depends on which entries
-are live alone, so each plan is computed once per pattern and kept.
+are live alone, so each plan is computed once per pattern and kept.  The
+flat C-order position of an entry in its layout is read only where a Live
+meets a dense field, in ``live`` and ``dense``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-# The indices of each flat C-order index k of a field of rank r,
-# DIGITS[r][k], for the ranks up to 4 that the identities use, and the
-# flat index of each tuple of indices.
-DIGITS = [list(itertools.product(range(4), repeat=r)) for r in range(5)]
-FLAT = {digits: k for each in DIGITS for k, digits in enumerate(each)}
-
 
 @dataclass(frozen=True, eq=False)
 class Live:
     """A field by its live entries: ``shape`` its dense layout before the
-    point axes, ``index`` the flat C-order indices of its live entries in
-    that layout, ascending, and ``values`` their values, one row each, the
-    point axes after it (or the points flattened to one axis).
-
-    An entry reads and writes as field[indices] of the dense layout, and
-    only a live one; -field and field * factor, a factor per point, give
-    the Live of the dense result, whose zero entries stay zero.
-    """
+    point axes, ``index`` the indices of its live entries in that layout,
+    each a tuple of len(shape) ints, in ascending lexicographic order, and
+    ``values`` their values, one row each, the point axes after it (or the
+    points flattened to one axis)."""
 
     shape: tuple
     index: tuple
     values: np.ndarray
 
-    def _row(self, indices):
-        try:
-            return self.index.index(_flat_index(indices, self.shape))
-        except ValueError:
-            raise KeyError(f"entry {indices} is not live") from None
 
-    def __getitem__(self, indices):
-        return self.values[self._row(indices)]
-
-    def __setitem__(self, indices, value):
-        self.values[self._row(indices)] = value
-
-    def __neg__(self):
-        return Live(self.shape, self.index, -self.values)
-
-    def __mul__(self, factor):
-        return Live(self.shape, self.index, self.values * factor)
-
-
-def _flat_index(indices, shape):
-    """The flat C-order index of ``indices`` in the layout ``shape``."""
-    k = 0
-    for i, n in zip(indices, shape, strict=True):
-        k = k * n + i
-    return k
+def live_rows(field):
+    """The rows of a field, shape (n,) + the points' shape, that are
+    nonzero (or NaN, or inf) at some point, ascending."""
+    return np.reshape(field, (len(field), -1)).any(axis=1).nonzero()[0]
 
 
 def live(field, shape):
     """The live entries of a field of shape ``shape`` + the points'
     shape, read from the data."""
+    shape = tuple(shape)
     flat = np.reshape(field, (math.prod(shape), -1))
-    index = flat.any(axis=1).nonzero()[0]
-    return Live(tuple(shape), tuple(index.tolist()), flat.take(index, axis=0))
+    rows = live_rows(flat)
+    index = zip(*(i.tolist() for i in np.unravel_index(rows, shape)))
+    return Live(shape, tuple(index), flat.take(rows, axis=0))
 
 
 def flatten(a: Live):
@@ -103,10 +77,9 @@ def build(shape, points, dtype, entries):
     """The Live of the entries a formula writes, each (indices, value) of
     the dense layout ``shape``, a value a float or an array that broadcasts
     to the points' shape ``points``, with the dtype ``dtype``.  The
-    entries are taken in ascending order of their flat index; two entries
-    at one index would be two live rows, so there are none."""
-    index, order = _build_plan(tuple(shape),
-                               tuple(indices for indices, _ in entries))
+    entries are taken in ascending order of their indices; two entries at
+    one index would be two live rows, so there are none."""
+    index, order = _build_plan(tuple(indices for indices, _ in entries))
     values = np.empty((len(index),) + tuple(points), dtype=dtype)
     for row, n in enumerate(order):
         values[row] = entries[n][1]
@@ -159,7 +132,8 @@ def dense(a: Live, shape):
     entries."""
     out = np.zeros((math.prod(a.shape), math.prod(shape)),
                    dtype=a.values.dtype)
-    out[list(a.index)] = np.reshape(a.values, (len(a.index), -1))
+    out[_positions(a.shape, a.index)] = np.reshape(a.values,
+                                                   (len(a.index), -1))
     return out.reshape(a.shape + shape)
 
 
@@ -183,16 +157,15 @@ def _contraction(subscripts, left, right):
     sa, sb = inputs.split(",")
     (summed,) = set(sa) & set(sb) - set(out)
     by_summed = {}  # the right factor's entries by the summed index
-    for j, k in enumerate(right):
-        db = dict(zip(sb, DIGITS[len(sb)][k]))
+    for j, indices in enumerate(right):
+        db = dict(zip(sb, indices))
         by_summed.setdefault(db[summed], []).append((j, db))
     terms = []
-    for i, k in enumerate(left):
-        da = dict(zip(sa, DIGITS[len(sa)][k]))
+    for i, indices in enumerate(left):
+        da = dict(zip(sa, indices))
         for j, db in by_summed.get(da[summed], ()):
             both = {**da, **db}
-            terms.append((FLAT[tuple(both[c] for c in out)], da[summed],
-                          i, j))
+            terms.append((tuple(both[c] for c in out), da[summed], i, j))
     terms.sort()
     index = tuple(sorted({t[0] for t in terms}))
     row = {k: n for n, k in enumerate(index)}
@@ -213,12 +186,11 @@ def _contraction(subscripts, left, right):
 
 
 @functools.lru_cache(maxsize=256)
-def _build_plan(shape, entries):
-    """The plan of build: the flat indices of the entries, ascending, and
-    the position of each among the entries."""
-    flat = sorted((_flat_index(indices, shape), n)
-                  for n, indices in enumerate(entries))
-    return tuple(k for k, _ in flat), tuple(n for _, n in flat)
+def _build_plan(entries):
+    """The plan of build: the indices of the entries, ascending, and the
+    position of each among the entries."""
+    order = sorted(range(len(entries)), key=entries.__getitem__)
+    return tuple(entries[n] for n in order), tuple(order)
 
 
 @functools.lru_cache(maxsize=256)
@@ -237,7 +209,14 @@ def _permutation(subscripts, index):
     each one takes."""
     source, out = subscripts.split("->")
     pick = operator.itemgetter(*(source.index(c) for c in out))
-    moved = sorted((FLAT[pick(DIGITS[len(source)][k])], n)
-                   for n, k in enumerate(index))
+    moved = sorted((pick(indices), n) for n, indices in enumerate(index))
     return (tuple(k for k, _ in moved),
             constant([n for _, n in moved]))
+
+
+@functools.lru_cache(maxsize=256)
+def _positions(shape, index):
+    """The plan of dense: the flat C-order position of each entry of
+    ``index`` in the layout ``shape``."""
+    return constant([np.ravel_multi_index(indices, shape)
+                     for indices in index])

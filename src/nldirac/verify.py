@@ -51,8 +51,10 @@ class Sample(NamedTuple):
     by draw_sample, at the points and at the two complex steps off them
     (GridPoint.steps), which curvature-strength and transport both read,
     and at any other GridPoint when it is asked.  The Christoffel symbols
-    at the points are built once too, as ``points.christoffel``.  A Sample
-    lives for one run_suites call.
+    at the points are built once too, as ``points.christoffel``: the
+    sparse.Live of their nine entries, each named by its index tuple (rho,
+    mu, nu), which flatness, curvature-strength and transport read.  A
+    Sample lives for one run_suites call.
     """
 
     points: GridPoint
@@ -221,10 +223,11 @@ def ode_summary(spec: ModelSpec, r_span=(1.0, 10.0), tolerances=None,
     The integrator reads "rtol" and "atol" from ``tolerances`` (the suite
     tolerances there are ignored) and keeps its own default for each one
     missing.  Returns (summary, trajectory, the names of the summary's
-    non-finite results: the deviation or scan cells).
+    non-finite results: the deviation or scan cells).  Raises
+    FloatingPointError, naming the mass, where the span r/m leaves the
+    floats (grids.over_mass).
     """
-    r0 = r_span[0] / spec.m
-    r1 = r_span[1] / spec.m
+    r0, r1 = grids.over_mass(r_span, spec.m)
     ode.check_span((r0, r1), spec)  # before exact_state, which fails at 2mr = 1
     cfg = ode.IntegratorConfig(
         r_span=(r0, r1),

@@ -488,11 +488,14 @@ def test_tiny_masses_do_not_overflow_the_asymptotics(capsys):
     doc = json.loads(stdout)
     assert doc["limit_constant"] == 2e160
     assert doc["origin_value"] == pytest.approx(8e-160, rel=1e-10)
-    with np.errstate(all="ignore"):
-        code, stdout, _ = run(capsys, "report", "--mass", "1e-200")
-    doc = json.loads(stdout)
-    assert doc["singularity"]["limit_constant"] == 2e200
-    assert code == (0 if doc["verify"]["pass"] else 1)
+    # report's singularity part holds at 1e-200, and its verify part
+    # refuses the mass as verify does, before a suite reads the metric
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(capsys, "report", "--mass", "1e-200")
+    assert (code, stdout) == (2, "")
+    assert err == ("error: metric entries r^2 over- or underflow at mass "
+                   "1e-200\n")
 
 
 @pytest.mark.parametrize("model", ["njl", "soler", "p:0.5"])
@@ -510,7 +513,7 @@ def test_locus_outside_the_mass_range_is_one_error_line(capsys, model):
         assert (code, out) == (2, ""), mass
         assert err == (f"error: phi^2 over- or underflows at mass "
                        f"{float(mass)!r}\n")
-    # the singularity part of report refuses it too, after its verify part
+    # the singularity part of report refuses it too, before its verify part
     with np.errstate(all="ignore"):
         code, out, err = run(capsys, "report", "--model", model,
                              "--mass", "1e300")
@@ -530,6 +533,23 @@ def test_grid_radii_outside_the_floats_are_one_error_line(capsys, tmp_path,
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, command, "--model", "njl", *argv,
+                                 "--out", str(out_file))
+        assert (code, out) == (2, ""), argv
+        assert err == (f"error: grid radii r/m over- or underflow at mass "
+                       f"{float(argv[1])!r}\n"), argv
+        assert not out_file.exists(), argv
+
+
+def test_an_ode_span_outside_the_floats_is_one_error_line(capsys, tmp_path):
+    # the span r/m overflows at m = 1e-310 (the default span of 1 to 10)
+    # and underflows to zero at m = 1e300 with r_min = 1e-30: the check
+    # grids.radii makes refuses it, naming the mass, and nothing is written
+    out_file = tmp_path / "trajectory.csv"
+    for argv in (["--mass", "1e-310"],
+                 ["--mass", "1e300", "--grid", "1e-30,1,5,2"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "ode", "--model", "soler", *argv,
                                  "--out", str(out_file))
         assert (code, out) == (2, ""), argv
         assert err == (f"error: grid radii r/m over- or underflow at mass "

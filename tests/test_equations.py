@@ -257,8 +257,12 @@ def test_standard_residual_wrong_coupling_sign_is_large(monkeypatch):
     pt = GridPoint(1.0, np.pi / 3)
     assert on_solution(residual_standard, pt, spec) <= 1e-12
     connection = geometry.spin_connection_at
-    monkeypatch.setattr(geometry, "spin_connection_at",
-                        lambda pt, ang: -connection(pt, ang))
+
+    def negated(pt, ang):
+        pairs = connection(pt, ang)
+        return dataclasses.replace(pairs, values=-pairs.values)
+
+    monkeypatch.setattr(geometry, "spin_connection_at", negated)
     assert on_solution(residual_standard, pt, spec) >= 1e-1
 
 

@@ -109,9 +109,11 @@ def test_metric_values():
 
 def test_christoffel_values_and_symmetry():
     lam = christoffel_at(GridPoint(2.0, 1.0))
-    assert lam[geometry.TH, geometry.TH, geometry.R] == pytest.approx(0.5)
+    entry = lam.index.index((geometry.TH, geometry.TH, geometry.R))
+    assert lam.values[entry] == pytest.approx(0.5)
     lam = christoffel_at(GridPoint(1.0, np.pi / 2))
-    assert lam[geometry.TH, geometry.PH, geometry.PH] == pytest.approx(0.0, abs=1e-16)
+    entry = lam.index.index((geometry.TH, geometry.PH, geometry.PH))
+    assert lam.values[entry] == pytest.approx(0.0, abs=1e-16)
     for pt in random_points(5):
         lam = christoffel_at(pt)
         assert len(lam.index) == 9
@@ -330,7 +332,57 @@ def test_expanded_pairs_equal_the_dense_builders(spec):
             assert np.array_equal(expanded, reference), (spec.name, build)
 
 
-ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+def _live_fields(pt, ang):
+    """(name, dense layout, Live) of every builder of a field by its live
+    entries, at the points of ``pt`` with the angle state ``ang``."""
+    yield "christoffel_at", (4, 4, 4), christoffel_at(pt)
+    yield "velocity_covector", (4,), velocity_covector(pt, ang)
+    yield "spin_covector", (4,), spin_covector(pt, ang)
+    yield "gradient_covector", (4,), geometry.gradient_covector(
+        ang.d_gamma_dr, ang.d_alpha_dtheta)
+    yield "tetrad_at", (4, 4), tetrad_at(pt, ang)
+    yield "tensorial_connection_at", (6, 4), tensorial_connection_at(pt, ang)
+    yield "spin_connection_at", (6, 4), spin_connection_at(pt, ang)
+    for mu in range(4):
+        yield (f"coordinate_epsilon_lower {mu}", (4, 4, 4, 4),
+               geometry.coordinate_epsilon_lower(pt, mu))
+
+
+@pytest.mark.parametrize("spec", [ModelSpec("njl"), ModelSpec("soler"),
+                                  ModelSpec("p:0.37")],
+                         ids=lambda spec: spec.name)
+def test_every_builder_names_its_entries_by_their_index_tuples(spec):
+    # a float point, an array of points and both complex steps off it: each
+    # live entry is a tuple of len(shape) ints inside the layout, the
+    # entries strictly ascending; dense fills a zero array at them, and
+    # live reads them back from it
+    points = random_points(20, seed=43)
+    pts = GridPoint(np.array([pt.r for pt in points]),
+                    np.array([pt.theta for pt in points]))
+    for pt in (points[0], pts, *pts.steps[1:]):
+        for name, layout, field in _live_fields(pt, polar.angle_state(pt, spec)):
+            assert isinstance(field, sparse.Live), name
+            assert field.shape == layout, name
+            for indices in field.index:
+                assert type(indices) is tuple, (name, indices)
+                assert len(indices) == len(layout), (name, indices)
+                assert all(type(i) is int and 0 <= i < n
+                           for i, n in zip(indices, layout)), (name, indices)
+            assert all(a < b for a, b in zip(field.index, field.index[1:])), (
+                name, field.index)
+            assert field.values.shape == (len(field.index),) + pt.shape, name
+            filled = np.zeros(layout + pt.shape, dtype=field.values.dtype)
+            for indices, value in zip(field.index, field.values):
+                filled[indices] = value
+            full = sparse.dense(field, pt.shape)
+            assert full.dtype == filled.dtype, name
+            assert np.array_equal(full, filled), name
+            back, flat = sparse.live(full, layout), sparse.flatten(field)
+            assert back.shape == layout and back.index == field.index, name
+            assert np.array_equal(back.values, flat.values), name
+
+
+ETA =np.diag([1.0, -1.0, -1.0, -1.0])
 
 
 def _assert_orthonormal_frame(pt, xi):
@@ -408,7 +460,8 @@ def test_curvature_residual_detects_perturbation(monkeypatch):
 
     def perturbed(pt, ang):
         bump = 1.0 + 1e-3 * np.sin(3.0 * pt.r) * np.cos(2.0 * pt.theta)
-        return connection(pt, ang) * bump
+        field = connection(pt, ang)
+        return dataclasses.replace(field, values=field.values * bump)
 
     monkeypatch.setattr(geometry, "tensorial_connection_at", perturbed)
     (rie,) = curvature_strength_residuals(

@@ -446,7 +446,7 @@ def test_a_nan_in_a_zero_spinor_component_reaches_its_partials_and_phases(
 
         psi = poisoned(f)
         for live in polar.spinor_coordinate_partials(pts, f, psi):
-            assert component in live.index
+            assert (component,) in live.index
             partial = sparse.dense(live, pts.shape)
             assert np.isnan(partial[component, 4]), component
             assert not np.isnan(np.delete(partial, 4, axis=1)).any()
