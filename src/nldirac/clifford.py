@@ -17,13 +17,14 @@ identities hold exactly in floating point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
 from .errors import NonRealBilinear
-from .sparse import live_rows
+from .sparse import Live, constant, live_rows
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -114,18 +115,32 @@ for _mat in (GAMMA_STACK, GAMMA_COLUMN, GAMMA_VALUE, PAIR_A, PAIR_B,
     _mat.setflags(write=False)
 
 
-def expand_pairs(pairs):
-    """The dense field C[a, b, mu] + the point axes of a field antisymmetric
-    in (a, b), held as the Live of its pair rows (see spin_action):
+def unpaired(pairs):
+    """The Live of layout (4, 4, 4) of a field C antisymmetric in its first
+    two indices, held as the Live of its pair rows (see spin_action):
     C[a, b, mu] = pairs[k, mu] and C[b, a, mu] = -pairs[k, mu] for each
-    live row of the k-th pair (a, b) of PAIRS, and zero elsewhere."""
-    values = pairs.values
-    dense = np.zeros((4, 4, 4) + values.shape[1:], dtype=values.dtype)
-    for (k, mu), value in zip(pairs.index, values):
+    live entry (k, mu) of the k-th pair (a, b) of PAIRS, in ascending
+    order, with the point axes of ``pairs``."""
+    index, source, sign = unpaired_plan(pairs.index)
+    values = pairs.values.take(source, axis=0)
+    np.negative(values, out=values, where=(sign < 0).reshape(
+        sign.shape + (1,) * (values.ndim - 1)))
+    return Live((4, 4, 4), index, values)
+
+
+@functools.lru_cache(maxsize=256)
+def unpaired_plan(rows):
+    """The plan of unpaired for the live pair entries ``rows``, each (k,
+    mu): the entries (a, b, mu) and (b, a, mu) of each, ascending, and for
+    each entry the position of its pair entry in ``rows`` and its sign,
+    1.0 or -1.0."""
+    entries = []
+    for n, (k, mu) in enumerate(rows):
         a, b = PAIRS[k]
-        dense[a, b, mu] = value
-        dense[b, a, mu] = -value
-    return dense
+        entries += [((a, b, mu), n, 1.0), ((b, a, mu), n, -1.0)]
+    entries.sort()
+    index, source, sign = zip(*entries) if entries else ((),) * 3
+    return index, constant(source), constant(sign, float)
 
 
 def spin_action(pairs, psi):
@@ -134,10 +149,10 @@ def spin_action(pairs, psi):
 
     C comes as the Live of its pair rows (see nldirac.sparse): the entry
     (k, mu) of the layout (6, 4) is C_{ab mu} for the k-th pair (a, b) of
-    PAIRS.
-    sigma^ab is antisymmetric too, so the sum over all sixteen (a, b) is
-    the sum over the six pairs of C_ab sigma^ab.  Each row of sigma^ab psi
-    is one component of psi times +-1/2 or +-i/2, exact, and each row mu of
+    PAIRS, as unpaired expands it.  sigma^ab is antisymmetric too, so the
+    sum over all sixteen (a, b) is the sum over the six pairs of C_ab
+    sigma^ab, with no entry (b, a).  Each row of sigma^ab psi is one
+    component of psi times +-1/2 or +-i/2, exact, and each row mu of
     the result adds its pair products, from zero, in PAIRS order: the order
     and the rounding of an einsum over the pair axis.  A pair row that is
     not live, or a component of psi that is zero at every point, would add
@@ -147,7 +162,7 @@ def spin_action(pairs, psi):
     """
     flat = np.reshape(psi, (4, -1))
     live_psi = set(live_rows(flat).tolist())
-    rows = np.reshape(pairs.values, (len(pairs.index), -1))
+    rows = np.reshape(pairs.values, (len(pairs.index), flat.shape[1]))
     out = np.zeros((4,) + flat.shape,
                    dtype=np.result_type(pairs.values, psi))
     sigma_psi, product = np.empty_like(flat), np.empty_like(flat[0])

@@ -218,10 +218,10 @@ def _contractions(pt: GridPoint, spec: ModelSpec, ang, u, s_cov):
     momentum, eps_{mani} P^a u^n s^i, and the contractions P_m s^m and P_m
     u^m, from the velocity and spin rows ``u`` and ``s_cov``.
 
-    The trace g^n R_{mnn} sums over n in order as an einsum over the dense
-    tensor sums it, from zero (its term n = m is zero): the live pair entry
-    (k, b) of the pair (a, b) gives g^b R_abb to R_a, and (k, a) gives
-    g^a R_baa = -g^a pairs[k, a] to R_b.
+    R_{ani} is read at its live entries through clifford.unpaired_plan,
+    each a view of its pair row and a sign.  The trace g^n R_{mnn} sums
+    over n in order as an einsum over the dense tensor sums it, from zero
+    (its term n = m is zero).
     """
     g = geometry.inverse_metric_at(pt)
     P = geometry.momentum_covector(spec.E, spec.l)
@@ -230,20 +230,20 @@ def _contractions(pt: GridPoint, spec: ModelSpec, ang, u, s_cov):
     u_up = {mu: g[mu] * row for mu, row in u.items()}
     s_up = {mu: g[mu] * row for mu, row in s_cov.items()}
     pairs = geometry.tensorial_connection_at(pt, ang)
-    Rc = dict(zip(pairs.index, pairs.values))  # {(k, mu): row}
+    index, source, sign = clifford.unpaired_plan(pairs.index)
+    # {(a, n, i): (pair row, sign)}, ascending
+    Rc = {entry: (pairs.values[n], s) for entry, n, s
+          in zip(index, source.tolist(), sign.tolist())}
     R_trace = {}
-    for (k, mu), row in Rc.items():
-        a, b = clifford.PAIRS[k]
-        if mu == b:
-            _add(R_trace, a, g[b] * row)
-        elif mu == a:
-            _add(R_trace, b, g[a] * row, -1.0)
+    for (a, n, i), (row, s) in Rc.items():
+        if i == n:
+            _add(R_trace, a, g[n] * row, s)
 
-    def raised(a, n, i):  # g^a g^n g^i R_ani, R_ani = -R_nai
-        row = Rc.get((clifford.PAIR_INDEX[min(a, n), max(a, n)], i))
-        if row is None:
+    def raised(a, n, i):  # g^a g^n g^i R_ani
+        if (a, n, i) not in Rc:
             return None
-        return g[a] * g[n] * g[i] * (row * (1.0 if a < n else -1.0))
+        row, s = Rc[a, n, i]
+        return g[a] * g[n] * g[i] * (row * s)
 
     def axial(a, n, i):  # P^a u^n s^i
         if a in P_up and n in u_up and i in s_up:
@@ -345,8 +345,8 @@ def residual_standard(pt: GridPoint, spec: ModelSpec, f: polar.ClosedForm):
     # the point axes as one, so that every row of a point is an array
     nabla = np.reshape(nabla, (4, 4, -1))
     frame = {}  # [(mu, xi_a^mu)] of each frame vector a, ascending in mu
-    for (a, mu), row in zip(xi.index, np.reshape(xi.values,
-                                                  (len(xi.index), -1))):
+    for (a, mu), row in zip(xi.index, np.reshape(
+            xi.values, (len(xi.index), nabla.shape[-1]))):
         frame.setdefault(a, []).append((mu, row))
     dirac = np.zeros(nabla.shape[1:], dtype=psi.dtype)
     framed, product = np.empty_like(dirac[0]), np.empty_like(dirac[0])

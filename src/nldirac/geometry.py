@@ -25,9 +25,11 @@ C_{ab mu} and the tensorial connection R_{nu rho mu}, are antisymmetric in
 their first two indices and are held as their pairs: the layout (6, 4),
 entry (k, mu) the mu component of the k-th pair of clifford.PAIRS, (0, 1),
 (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), of which 8 and 6 are live.
-clifford.expand_pairs builds the dense tensor of 64 values per point where
-a sampled suite contracts it.  The flatness and curvature identities
-contract their fields by their live entries (see nldirac.sparse).
+clifford.unpaired gives the Live of the tensor, layout (4, 4, 4), with
+both signs of each live pair entry; a sampled suite that contracts it
+densely expands that with sparse.dense.  The flatness and curvature
+identities contract their fields by their live entries (see
+nldirac.sparse).
 
 Orientation: the coordinate volume form is eps_{t r theta phi} = +r^2 sin
 (theta), matching the flat eps_{0123} = +1 through the tetrads below, whose
@@ -41,10 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import EPS4_INDEX, EPS4_SIGN, PAIR_INDEX, PAIRS, expand_pairs
+from .clifford import EPS4_INDEX, EPS4_SIGN, PAIR_INDEX, unpaired
 from .errors import PoleOrOrigin
-from .sparse import (Live, build, constant, contract, dense, flatten,
-                     live_rows, permute, signed_sum)
+from .sparse import (Live, build, contract, dense, live_rows, permute,
+                     signed_sum)
 
 T, R, TH, PH = 0, 1, 2, 3
 CS_STEP = 1e-30  # imaginary step of every complex-step partial (in r, <= 1e-20 r)
@@ -173,8 +175,8 @@ def riemann_at(pt: GridPoint):
     products of coefficients are formed over their live entries alone (see
     nldirac.sparse).
     """
-    lam = flatten(pt.christoffel)
-    dlam = _live_partials(lambda p: flatten(christoffel_at(p)), pt)
+    lam = pt.christoffel
+    dlam = _live_partials(christoffel_at, pt)
     # R^rho_{sigma mu nu} = d_mu Lam^rho_{nu sigma} - d_nu Lam^rho_{mu sigma}
     #                       + Lam^rho_{mu lam} Lam^lam_{nu sigma} - (mu <-> nu)
     # where the second product is the first with mu and nu swapped
@@ -341,7 +343,7 @@ def transport_residuals(pt: GridPoint, angle_field):
     ang = angle_field(pt)  # the state at the points, for both sides
     vecs = covectors(pt, ang)  # [v, nu] for v in (s, u)
     lam = dense(pt.christoffel, pt.shape)
-    R_ = expand_pairs(tensorial_connection_at(pt, ang))
+    R_ = dense(unpaired(tensorial_connection_at(pt, ang)), pt.shape)
     cov = (_coordinate_partials(lambda p: covectors(p, angle_field(p)), pt)
            - np.einsum("rnm...,vr...->mvn...", lam, vecs))
     vecs_up = vecs * inverse_metric_at(pt)
@@ -371,13 +373,9 @@ def curvature_strength_residuals(pt: GridPoint, angle_field):
     over the points, as a one-tuple.
     """
 
-    def mixed(p):
-        return _live_pairs(tensorial_connection_at(p, angle_field(p)),
-                           inverse_metric_at(p))
-
-    dR = _live_partials(mixed, pt)
-    Rm = mixed(pt)
-    lam = flatten(pt.christoffel)
+    dR = _live_partials(lambda p: _mixed_connection(p, angle_field(p)), pt)
+    Rm = _mixed_connection(pt, angle_field(pt))
+    lam = pt.christoffel
     cov = signed_sum((1, dR), (1, contract("ism,sjn->mijn", lam, Rm)),
                      (-1, contract("sjm,isn->mijn", lam, Rm)),
                      (-1, contract("snm,ijs->mijn", lam, Rm)))
@@ -392,19 +390,14 @@ def curvature_strength_residuals(pt: GridPoint, angle_field):
 # -- the identities' fields by their live entries (see nldirac.sparse) -----
 
 
-def _live_pairs(pairs: Live, g):
-    """The live entries of g^a C[a, b, mu] for a connection C held as the
-    Live of its pair rows (see the module docstring) and the inverse
-    metric ``g``, shape (4,) + the points' shape: g^a pairs[k, mu] at (a,
-    b, mu) and g^b (-pairs[k, mu]) at (b, a, mu) for each live entry (k,
-    mu) of the k-th pair (a, b), the entries of g[:, None, None] *
-    expand_pairs(pairs)."""
-    index, source, negative, raised = _pair_plan(pairs.index)
-    values = np.reshape(pairs.values, (len(pairs.index), -1)).take(source,
-                                                                    axis=0)
-    np.negative(values, out=values, where=negative)
-    return Live((4, 4, 4), index,
-                np.reshape(g, (4, -1)).take(raised, axis=0) * values)
+def _mixed_connection(pt: GridPoint, ang: AngleState):
+    """The live entries of the mixed tensorial connection g^a R_{a b mu}:
+    those of clifford.unpaired, each times the inverse metric at its first
+    index."""
+    R_ = unpaired(tensorial_connection_at(pt, ang))
+    g = inverse_metric_at(pt)
+    return Live(R_.shape, R_.index,
+                g.take([a for a, _, _ in R_.index], axis=0) * R_.values)
 
 
 def _live_partials(field, pt: GridPoint):
@@ -425,18 +418,3 @@ def _live_partials(field, pt: GridPoint):
     keep = live_rows(stacked).tolist()
     return Live((4,) + seen[0].shape, tuple(index[k] for k in keep),
                 stacked.take(keep, axis=0))
-
-
-@functools.lru_cache(maxsize=256)
-def _pair_plan(rows):
-    """The plan of _live_pairs for the live entries (k, mu) of the pairs:
-    the entries, ascending, and for each the position of its row among
-    the live rows, its sign and its first index."""
-    entries = []
-    for n, (k, mu) in enumerate(rows):
-        a, b = PAIRS[k]
-        entries += [((a, b, mu), n, False, a), ((b, a, mu), n, True, b)]
-    entries.sort()
-    index, source, negative, raised = zip(*entries) if entries else ((),) * 4
-    return (index, constant(source), constant(negative, bool)[:, None],
-            constant(raised))

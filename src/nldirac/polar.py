@@ -351,8 +351,9 @@ def polar_decomposition_residual(pt: GridPoint, spec: ModelSpec):
         f.r_d_beta_dr / pt.r, f.d_beta_dtheta), pt.shape)
     P = geometry.momentum_covector(spec.E, spec.l)
     xi = sparse.dense(geometry.tetrad_at(pt, f.ang), pt.shape)
-    R_frame = np.einsum("bp...,npm...->nbm...", xi, clifford.expand_pairs(
-        geometry.tensorial_connection_at(pt, f.ang)))
+    R_frame = np.einsum("bp...,npm...->nbm...", xi, sparse.dense(
+        clifford.unpaired(geometry.tensorial_connection_at(pt, f.ang)),
+        pt.shape))
     R_flat = np.einsum("an...,nbm...->abm...", xi, R_frame)
     # the framed connection's pairs, (1/2)(R_ab - R_ba): the two frame
     # contractions need not keep its antisymmetry to the last bit

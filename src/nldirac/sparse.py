@@ -5,9 +5,11 @@ A field whose dense layout has the shape ``shape`` + the points' shape,
 (4,) * k for a tensor of rank k or (6, 4) for a connection held as its
 pairs (see nldirac.geometry), is held as a Live: the indices of its live
 entries, each a tuple such as (TH, TH, R), and their values, one row per
-entry.  A builder of nldirac.geometry returns the entries its formula
-writes, and ``live`` reads them from a dense field with ``live_rows``, so
-that an entry nonzero (or NaN, or inf) at some point is live.  Every
+entry, the point axes after it (clifford.unpaired gives a connection's
+pairs in the layout (4, 4, 4)).  A builder of nldirac.geometry returns
+the entries its formula writes, and ``live`` reads them from a dense
+field with ``live_rows``, so that an entry nonzero (or NaN, or inf) at
+some point is live.  Every
 consumer takes the entries that exist from the Live it is handed and
 skips the others, which would only add zeros.  The fields of the grid
 forms and of the identities are mostly zero: 8 of the 16 tetrad entries,
@@ -44,8 +46,7 @@ class Live:
     """A field by its live entries: ``shape`` its dense layout before the
     point axes, ``index`` the indices of its live entries in that layout,
     each a tuple of len(shape) ints, in ascending lexicographic order, and
-    ``values`` their values, one row each, the point axes after it (or the
-    points flattened to one axis)."""
+    ``values`` their values, one row each, the point axes after it."""
 
     shape: tuple
     index: tuple
@@ -55,22 +56,19 @@ class Live:
 def live_rows(field):
     """The rows of a field, shape (n,) + the points' shape, that are
     nonzero (or NaN, or inf) at some point, ascending."""
-    return np.reshape(field, (len(field), -1)).any(axis=1).nonzero()[0]
+    return field.any(axis=tuple(range(1, field.ndim))).nonzero()[0]
 
 
 def live(field, shape):
     """The live entries of a field of shape ``shape`` + the points'
     shape, read from the data."""
     shape = tuple(shape)
-    flat = np.reshape(field, (math.prod(shape), -1))
+    points = np.shape(field)[len(shape):]
+    flat = np.reshape(field, (math.prod(shape), math.prod(points)))
     rows = live_rows(flat)
     index = zip(*(i.tolist() for i in np.unravel_index(rows, shape)))
-    return Live(shape, tuple(index), flat.take(rows, axis=0))
-
-
-def flatten(a: Live):
-    """The Live ``a`` with its point axes as one, as ``live`` reads them."""
-    return Live(a.shape, a.index, np.reshape(a.values, (len(a.index), -1)))
+    return Live(shape, tuple(index),
+                flat.take(rows, axis=0).reshape((len(rows),) + points))
 
 
 def build(shape, points, dtype, entries):
@@ -132,8 +130,8 @@ def dense(a: Live, shape):
     entries."""
     out = np.zeros((math.prod(a.shape), math.prod(shape)),
                    dtype=a.values.dtype)
-    out[_positions(a.shape, a.index)] = np.reshape(a.values,
-                                                   (len(a.index), -1))
+    out[_positions(a.shape, a.index)] = np.reshape(
+        a.values, (len(a.index), out.shape[1]))
     return out.reshape(a.shape + shape)
 
 

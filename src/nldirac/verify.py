@@ -47,10 +47,10 @@ def _entry(max_residual, tol, n, extra=None):
 class Sample(NamedTuple):
     """The sampled suites' points and the solution's angle state at them.
 
-    ``angle_field(pt)`` returns polar.angle_state(pt, spec): evaluated once,
+    ``angle_field(pt)`` returns polar.angle_state(pt, spec), evaluated once,
     by draw_sample, at the points and at the two complex steps off them
-    (GridPoint.steps), which curvature-strength and transport both read,
-    and at any other GridPoint when it is asked.  The Christoffel symbols
+    (GridPoint.steps), which curvature-strength and transport both read;
+    these three are the GridPoints it takes.  The Christoffel symbols
     at the points are built once too, as ``points.christoffel``: the
     sparse.Live of their nine entries, each named by its index tuple (rho,
     mu, nu), which flatness, curvature-strength and transport read.  A
@@ -70,13 +70,7 @@ def draw_sample(spec: ModelSpec, seed):
     # by id, each with its GridPoint, which keeps the id unique
     states = {id(pt): (pt, polar.angle_state(pt, spec))
               for pt in (points, *points.steps[1:])}
-
-    def angle_field(pt):
-        if id(pt) in states:
-            return states[id(pt)][1]
-        return polar.angle_state(pt, spec)
-
-    return Sample(points, angle_field)
+    return Sample(points, lambda pt: states[id(pt)][1])
 
 
 def suite_fierz(spec, grid, sample, seed, tol):

@@ -122,7 +122,7 @@ def test_sigma_lorentz_algebra_closure():
 def _dense_spin_action(pairs, psi):
     """(1/2) C_{ab mu} sigma^{ab} psi summed over all sixteen (a, b) of the
     dense C of the pairs."""
-    C = clifford.expand_pairs(pairs)
+    C = sparse.dense(clifford.unpaired(pairs), pairs.values.shape[1:])
     dense = np.stack([np.stack([sigma_upper(a, b) for b in range(4)])
                       for a in range(4)])
     spin = 0.5 * np.einsum("abm...,abij->mij...", C, dense)

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nldirac import geometry, polar, sparse
-from nldirac.clifford import expand_pairs
+from nldirac import clifford, geometry, polar, sparse
+from nldirac.clifford import unpaired
 from nldirac.errors import PoleOrOrigin
 from nldirac.geometry import (
     GridPoint,
@@ -172,10 +172,12 @@ def test_velocity_spin_covector_norms():
 def test_tensorial_connection_values():
     spec = ModelSpec("njl")
     pt = GridPoint(1.3, np.pi / 2)
-    R = expand_pairs(tensorial_connection_at(pt, polar.angle_state(pt, spec)))
+    R = dense(unpaired(tensorial_connection_at(pt, polar.angle_state(pt, spec))),
+              pt)
     assert R[geometry.TH, geometry.PH, geometry.PH] == pytest.approx(0.0, abs=1e-12)
     pt = GridPoint(1.0, np.pi / 4)
-    R = expand_pairs(tensorial_connection_at(pt, polar.angle_state(pt, spec)))
+    R = dense(unpaired(tensorial_connection_at(pt, polar.angle_state(pt, spec))),
+              pt)
     assert R[geometry.R, geometry.PH, geometry.PH] == pytest.approx(-0.5)
     # exact antisymmetry in the first pair
     assert np.array_equal(R, -R.transpose(1, 0, 2))
@@ -220,7 +222,7 @@ def test_transport_identities_finite_difference_oracle():
         ang = polar.angle_state(pt, spec)
         lam = dense(christoffel_at(pt), pt)
         ginv = inverse_metric_at(pt)
-        Rc = expand_pairs(tensorial_connection_at(pt, ang))
+        Rc = dense(unpaired(tensorial_connection_at(pt, ang)), pt)
         for make in (velocity_covector, spin_covector):
             vec = dense(make(pt, ang), pt)
             vup = ginv * vec
@@ -240,7 +242,8 @@ def test_transport_identities_finite_difference_oracle():
 
 def test_spin_connection_static_limit():
     pt = GridPoint(2.0, 0.9)
-    C = expand_pairs(spin_connection_at(pt, geometry.AngleState(0.0, 1.0, 0.0, 1.0)))
+    C = dense(unpaired(spin_connection_at(
+        pt, geometry.AngleState(0.0, 1.0, 0.0, 1.0))), pt)
     th = pt.theta
     assert C[0, 2, geometry.R] == 0.0 and C[0, 2, geometry.TH] == 0.0
     assert C[1, 3, geometry.R] == 0.0
@@ -255,7 +258,7 @@ def test_spin_connection_equatorial_substitution():
     spec = ModelSpec("njl")
     pt = GridPoint(0.9, np.pi / 2)
     ang = polar.angle_state(pt, spec)
-    C = expand_pairs(spin_connection_at(pt, ang))
+    C = dense(unpaired(spin_connection_at(pt, ang)), pt)
     expected = -(np.cos(pt.theta) * ang.cos_gamma
                  - np.sin(pt.theta) * ang.sin_gamma) * ang.sinh_alpha
     assert C[0, 1, geometry.PH] == pytest.approx(expected, rel=1e-14)
@@ -327,7 +330,8 @@ def test_expanded_pairs_equal_the_dense_builders(spec):
             pairs = build(pt, ang)
             assert pairs.shape == (6, 4)
             assert pairs.values.shape == (len(pairs.index),) + pt.shape
-            expanded, reference = expand_pairs(pairs), dense(pt, ang)
+            expanded = sparse.dense(unpaired(pairs), pt.shape)
+            reference = dense(pt, ang)
             assert expanded.dtype == reference.dtype
             assert np.array_equal(expanded, reference), (spec.name, build)
 
@@ -343,6 +347,10 @@ def _live_fields(pt, ang):
     yield "tetrad_at", (4, 4), tetrad_at(pt, ang)
     yield "tensorial_connection_at", (6, 4), tensorial_connection_at(pt, ang)
     yield "spin_connection_at", (6, 4), spin_connection_at(pt, ang)
+    yield ("unpaired tensorial_connection_at", (4, 4, 4),
+           unpaired(tensorial_connection_at(pt, ang)))
+    yield ("unpaired spin_connection_at", (4, 4, 4),
+           unpaired(spin_connection_at(pt, ang)))
     for mu in range(4):
         yield (f"coordinate_epsilon_lower {mu}", (4, 4, 4, 4),
                geometry.coordinate_epsilon_lower(pt, mu))
@@ -355,7 +363,8 @@ def test_every_builder_names_its_entries_by_their_index_tuples(spec):
     # a float point, an array of points and both complex steps off it: each
     # live entry is a tuple of len(shape) ints inside the layout, the
     # entries strictly ascending; dense fills a zero array at them, and
-    # live reads them back from it
+    # live reads them back from it.  unpaired of either connection is
+    # checked alike, and against a fill of both signs of each pair row
     points = random_points(20, seed=43)
     pts = GridPoint(np.array([pt.r for pt in points]),
                     np.array([pt.theta for pt in points]))
@@ -377,9 +386,18 @@ def test_every_builder_names_its_entries_by_their_index_tuples(spec):
             full = sparse.dense(field, pt.shape)
             assert full.dtype == filled.dtype, name
             assert np.array_equal(full, filled), name
-            back, flat = sparse.live(full, layout), sparse.flatten(field)
+            back = sparse.live(full, layout)
             assert back.shape == layout and back.index == field.index, name
-            assert np.array_equal(back.values, flat.values), name
+            assert np.array_equal(back.values, field.values), name
+            if layout == (6, 4):
+                # unpaired fills C[a, b, mu] and C[b, a, mu] = -C[a, b, mu]
+                # from the pair row (k, mu) of the k-th pair (a, b)
+                C = np.zeros((4, 4, 4) + pt.shape, dtype=field.values.dtype)
+                for (k, mu), value in zip(field.index, field.values):
+                    a, b = clifford.PAIRS[k]
+                    C[a, b, mu], C[b, a, mu] = value, -value
+                assert np.array_equal(
+                    sparse.dense(unpaired(field), pt.shape), C), name
 
 
 ETA =np.diag([1.0, -1.0, -1.0, -1.0])
@@ -409,7 +427,7 @@ def test_frame_and_connection_invariants():
     for pt in random_points(10, seed=31):
         ang = polar.angle_state(pt, spec)
         _assert_orthonormal_frame(pt, dense(tetrad_at(pt, ang), pt))
-        R = expand_pairs(tensorial_connection_at(pt, ang))
+        R = dense(unpaired(tensorial_connection_at(pt, ang)), pt)
         assert np.array_equal(R, -R.transpose(1, 0, 2))
         P = momentum_covector(spec.E, spec.l)
         assert P[0] == spec.E and P[3] == spec.l
@@ -432,8 +450,8 @@ def tetrad_postulate_residual(pt, spec):
     dxi = np.zeros((4, 4, 4))  # [mu, a, nu]
     dxi[geometry.R], dxi[geometry.TH] = complex_step_partials(coframe, pt)
     co = coframe(pt)
-    c_up = np.diag(ETA)[:, None, None] * expand_pairs(spin_connection_at(
-        pt, polar.angle_state(pt, spec)))  # C^a_{b mu}
+    c_up = np.diag(ETA)[:, None, None] * dense(unpaired(spin_connection_at(
+        pt, polar.angle_state(pt, spec))), pt)  # C^a_{b mu}
     total = (dxi - np.einsum("rnm,ar->man", dense(christoffel_at(pt), pt), co)
              + np.einsum("abm,bn->man", c_up, co))
     return float(np.max(np.abs(total)))

@@ -76,7 +76,8 @@ def _reference_covector(pt, spec):
     f = polar.closed_form(pt, spec)
     ang, d = f.ang, f.density
     g = geometry.inverse_metric_at(pt)
-    Rc = clifford.expand_pairs(geometry.tensorial_connection_at(pt, ang))
+    Rc = sparse.dense(clifford.unpaired(
+        geometry.tensorial_connection_at(pt, ang)), pt.shape)
     eps = _dense_epsilon(pt)
     u = sparse.dense(geometry.velocity_covector(pt, ang), pt.shape)
     s_cov = sparse.dense(geometry.spin_covector(pt, ang), pt.shape)
@@ -392,7 +393,7 @@ def _mixed_connection(pt, spec):
     """g^i R_{ij mu} of the closed form as a dense tensor."""
     pairs = geometry.tensorial_connection_at(pt, polar.angle_state(pt, spec))
     return (geometry.inverse_metric_at(pt)[:, None, None]
-            * clifford.expand_pairs(pairs))
+            * sparse.dense(clifford.unpaired(pairs), pt.shape))
 
 
 def _reference_curvature(pt, spec):
@@ -441,12 +442,53 @@ def test_live_mixed_connection_equals_the_dense_product_at_the_steps():
     # at the real points
     for spec, pts in _cases(50):
         for p in [pts, *_stepped(pts)]:
-            pairs = geometry.tensorial_connection_at(
-                p, polar.angle_state(p, spec))
-            live = geometry._live_pairs(pairs, geometry.inverse_metric_at(p))
+            live = geometry._mixed_connection(p, polar.angle_state(p, spec))
             assert len(live.index) == 12, spec
             assert np.array_equal(sparse.dense(live, p.shape),
                                   _mixed_connection(p, spec)), spec
+
+
+def _no_entry(layout, pt):
+    """A field of the layout ``layout`` with no live entry at the points of
+    ``pt``."""
+    return sparse.Live(layout, (), np.empty(
+        (0,) + np.shape(pt.r), dtype=np.result_type(pt.r, pt.theta)))
+
+
+@pytest.mark.parametrize("pt", [GridPoint(1.3, 0.7),
+                                GridPoint(np.linspace(0.5, 3.0, 5), 0.7)],
+                         ids=["float", "5 points"])
+def test_a_live_with_no_entry_reads_and_expands_to_nothing(pt):
+    points = np.shape(pt.r)
+    for layout in ((6, 4), (4, 4, 4)):
+        field = _no_entry(layout, pt)
+        assert sparse.live_rows(field.values).shape == (0,)
+        zeros = np.zeros(layout + points)
+        assert np.array_equal(sparse.dense(field, points), zeros)
+        back = sparse.live(zeros, layout)
+        assert back.index == () and back.values.shape == (0,) + points
+    full = clifford.unpaired(_no_entry((6, 4), pt))
+    assert full.shape == (4, 4, 4) and full.index == ()
+    assert full.values.shape == (0,) + points
+    psi = np.ones((4,) + points, dtype=complex)
+    assert np.array_equal(clifford.spin_action(_no_entry((6, 4), pt), psi),
+                          np.zeros((4, 4) + points))
+
+
+def test_a_tensorial_connection_with_no_entry_gives_finite_residuals(
+        monkeypatch):
+    # the sampled suites that read the tensorial connection evaluate with
+    # no live entry of it, under both complex steps too
+    spec = ModelSpec("njl")
+    sample = verify.draw_sample(spec, 42)
+    monkeypatch.setattr(geometry, "tensorial_connection_at",
+                        lambda pt, ang: _no_entry((6, 4), pt))
+    (curvature,) = geometry.curvature_strength_residuals(
+        sample.points, sample.angle_field)
+    transport = geometry.transport_residuals(sample.points,
+                                             sample.angle_field)
+    decomposition = polar.polar_decomposition_residual(sample.points, spec)
+    assert np.isfinite([curvature, *transport, decomposition]).all()
 
 
 @pytest.mark.parametrize("subscripts", [
