@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +55,7 @@ COMMAND_READS = {
 DEFAULT_OUT = {"fieldmap": "fieldmap.csv", "ode": "trajectory.csv"}
 
 
-@dataclasses.dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     spec: ModelSpec
     grid: grids.GridConfig      # None: the command's own default grid
     seed: int
@@ -237,8 +236,7 @@ def resolve_config(args) -> RunConfig:
         raise ValueError(f"format must be csv or json, got {raw['format']!r}")
     if not isinstance(raw.get("out", ""), str):
         raise ValueError(f"out must be a string, got {raw['out']!r}")
-    _refuse_unknown("unknown grid key", raw["grid"],
-                    [f.name for f in dataclasses.fields(grids.GridConfig)])
+    _refuse_unknown("unknown grid key", raw["grid"], grids.GridConfig._fields)
     grid = {k: _whole(f"grid {k}", v) if k in ("n_r", "n_theta")
             else _number(f"grid {k}", v) for k, v in raw["grid"].items()}
     seed = _whole("seed", raw["seed"])

@@ -18,8 +18,8 @@ identities hold exactly in floating point.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -207,8 +207,7 @@ del _mat
 IMAG_TOL = 1e-10  # largest imaginary part of a bilinear, relative to its scale
 
 
-@dataclass(frozen=True)
-class BilinearSet:
+class BilinearSet(NamedTuple):
     """Real bilinear densities of a Dirac spinor, or of a stack of spinors
     (the point axes then follow the Lorentz index of S and U).
 

@@ -39,7 +39,7 @@ determinant is +r^2 sin(theta).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,15 +52,18 @@ T, R, TH, PH = 0, 1, 2, 3
 CS_STEP = 1e-30  # imaginary step of every complex-step partial (in r, <= 1e-20 r)
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    """A point of the (r, theta) half-plane, poles and origin excluded, or a
-    set of such points when ``r`` and ``theta`` are arrays."""
-
+class _PointFields(NamedTuple):
     r: float
     theta: float
 
-    def __post_init__(self):
+
+class GridPoint(_PointFields):
+    """A point of the (r, theta) half-plane, poles and origin excluded, or a
+    set of such points when ``r`` and ``theta`` are arrays.  It has no
+    __slots__: the cached properties keep their values in its __dict__."""
+
+    def __new__(cls, r, theta):
+        self = super().__new__(cls, r, theta)
         r_ok = np.greater(np.real(self.r), 0.0)
         if not r_ok.all():
             raise PoleOrOrigin("radial coordinate must be positive, got "
@@ -70,6 +73,7 @@ class GridPoint:
         if not theta_ok.all():
             raise PoleOrOrigin("polar angle must lie strictly between 0 and pi, "
                                f"got {self.first(~theta_ok)[1]!r}")
+        return self
 
     @functools.cached_property
     def shape(self):
@@ -97,8 +101,7 @@ class GridPoint:
         return r.flat[i].item(), theta.flat[i].item()
 
 
-@dataclass(frozen=True)
-class AngleState:
+class AngleState(NamedTuple):
     """Velocity rapidity and spin tilt at a point, through their components.
 
     The angles only ever enter through sinh/cosh and sin/cos, so those are
@@ -128,7 +131,7 @@ def _dtype(pt: GridPoint, *values):
 def _field(shape, pt: GridPoint, ang: AngleState, entries):
     """The Live of the entries ``entries`` at the points (see
     sparse.build), with the dtype of the points and the angle state."""
-    return build(shape, pt.shape, _dtype(pt, *vars(ang).values()), entries)
+    return build(shape, pt.shape, _dtype(pt, *ang), entries)
 
 
 def inverse_metric_at(pt: GridPoint):

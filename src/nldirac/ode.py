@@ -24,9 +24,8 @@ expanded form of equations on the would-be solutions of trial energies.
 
 from __future__ import annotations
 
-import csv
 import warnings
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,36 +38,37 @@ OVERFLOW_GUARD = 1e12
 EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class OdeState:
+class OdeState(NamedTuple):
     """Initial data (X, G); the start radius is the run's r_span[0]."""
 
     X: float
     G: float
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class _IntegratorFields(NamedTuple):
+    r_span: tuple
+    rtol: float
+    atol: float
+
+
+class IntegratorConfig(_IntegratorFields):
     """Settings of the Dormand-Prince 5(4) integrator: a step is accepted
     when the RMS of its error estimate, scaled by atol + rtol |y|, is below
     1.  The rtol and atol defaults are every command's defaults; an rtol
     below 100 machine epsilons is raised to it."""
 
-    r_span: tuple
-    rtol: float = 1e-9
-    atol: float = 1e-12
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.rtol > 0 and self.atol > 0):
+    def __new__(cls, r_span, rtol=1e-9, atol=1e-12):
+        if not (rtol > 0 and atol > 0):
             raise ValueError("tolerances must be positive")
-        if self.rtol < 100 * EPS:
-            warnings.warn(f"rtol {self.rtol!r} raised to 100 eps",
-                          stacklevel=3)
-            object.__setattr__(self, "rtol", 100 * EPS)
+        if rtol < 100 * EPS:
+            warnings.warn(f"rtol {rtol!r} raised to 100 eps", stacklevel=2)
+            rtol = 100 * EPS
+        return super().__new__(cls, r_span, rtol, atol)
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     r: np.ndarray
     X: np.ndarray
     G: np.ndarray
@@ -244,19 +244,20 @@ def tracking_deviation(traj: Trajectory, spec: ModelSpec):
 
 
 def trajectory_to_csv(traj: Trajectory, spec: ModelSpec, path):
-    """Write r, X, G, the closed-form values and relative deviations."""
+    """Write r, X, G, the closed-form values and relative deviations: the
+    repr of each value, comma-separated, each row ending in CRLF, as the
+    fieldmap and csv.writer write them."""
     columns = (traj.r, traj.X, traj.G, *_branch(traj.r, traj.X, traj.G, spec))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "X", "G", "X_exact", "G_exact", "dev_X", "dev_G"])
-        writer.writerows(zip(*(col.tolist() for col in columns)))
+        fh.write("r,X,G,X_exact,G_exact,dev_X,dev_G\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(
+            *(map(repr, col.tolist()) for col in columns)))
 
 
 # -- quantum-number rigidity scan ------------------------------------------------
 
 
-@dataclass
-class ScanResult:
+class ScanResult(NamedTuple):
     """Residual surface of the field equations at trial quantum numbers.
 
     surface[i, j] is the largest expanded-form residual, over 7 radii and 2
@@ -299,8 +300,8 @@ def quantum_number_scan(spec: ModelSpec) -> ScanResult:
                                 [np.pi / 3, np.pi / 5], indexing="ij"))
     surface = np.empty((e_over_m.size, l_values.size))
     for i, E in enumerate(e_over_m * spec.m):
-        f = polar.closed_form(pt, replace(spec, m=E))
+        f = polar.closed_form(pt, ModelSpec(spec.name, E, spec.E, spec.l))
         for j, l in enumerate(l_values):
             surface[i, j] = np.max(equations.residual_expanded(
-                pt, replace(spec, E=E, l=l), f))
+                pt, ModelSpec(spec.name, spec.m, E, l), f))
     return ScanResult(e_over_m=e_over_m, l_values=l_values, surface=surface)

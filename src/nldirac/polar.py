@@ -22,7 +22,7 @@ the point axes after the spinor and tensor axes, as geometry does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,15 @@ from .geometry import AngleState, GridPoint
 ENDPOINTS = {"njl": 1.0, "soler": 0.0}
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class _ModelFields(NamedTuple):
+    name: str
+    m: float
+    E: float
+    l: float
+    p: float
+
+
+class ModelSpec(_ModelFields):
     """Model, mass and quantum numbers of a run.
 
     ``name`` is the model's text, njl, soler or p:<value>, parsed here and
@@ -44,17 +51,13 @@ class ModelSpec:
     endpoint value too.  Every formula reads p alone; the name labels the
     output and selects what a report holds (verify.ENDPOINT_ONLY).  E
     defaults to the mass and l to one half: the only values the chiral
-    model admits, and the ones the closed-form solutions carry.
+    model admits, and the ones the closed-form solutions carry.  Build a
+    changed copy with the constructor: ``_replace`` would skip the checks.
     """
 
-    name: str = "njl"
-    m: float = 1.0
-    E: float = None
-    l: float = 0.5
-    p: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        name = self.name
+    def __new__(cls, name="njl", m=1.0, E=None, l=0.5):
         if name in ENDPOINTS:
             p = ENDPOINTS[name]
         elif isinstance(name, str) and name.startswith("p:"):
@@ -66,17 +69,21 @@ class ModelSpec:
         else:
             raise ValueError(f"unknown model {name!r}; expected njl, soler "
                              "or p:<value>")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "p", p)
-        if not 0.0 < self.m < np.inf:
-            raise ValueError(f"mass must be positive and finite, got {self.m!r}")
+        if not 0.0 < m < np.inf:
+            raise ValueError(f"mass must be positive and finite, got {m!r}")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"interpolation parameter must lie in [0,1], got {p!r}")
-        if self.E is None:
-            object.__setattr__(self, "E", self.m)
-        for key, value in (("E", self.E), ("l", self.l)):
+        if E is None:
+            E = m
+        for key, value in (("E", E), ("l", l)):
             if not np.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value!r}")
+        return super().__new__(cls, name, m, E, l, p)
+
+    def __reduce__(self):
+        # pickle and copy restore the checked fields as they are: p is
+        # derived, so __new__ takes one argument fewer than the fields
+        return type(self)._make, (tuple(self),)
 
 
 def X_exact(r, spec: ModelSpec):
@@ -160,8 +167,7 @@ def _phi2(r, q, S):
     return 2.0 * q / (r * S)
 
 
-@dataclass(frozen=True)
-class Density:
+class Density(NamedTuple):
     """phi^2, its two log-derivatives and the point quantities they are
     built from: cos/sin theta, sh = X = sinh zeta, ch = cosh zeta = sqrt(X^2
     + 1), and D, q = sqrt(D) and S as in _phi2; each a float or an array of
@@ -206,8 +212,7 @@ def phi2_grid(spec: ModelSpec, r, theta):
         return _phi2(r, np.sqrt(X2 + c2), X2 + spec.p * c2)
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(NamedTuple):
     """The closed-form solution at a point or a set of points.
 
     The four grid forms, the polar decomposition and the spinor read this

@@ -9,7 +9,7 @@ off like 1/r^2, with phi^2 r^2 -> 2/m.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .polar import ModelSpec, phi2_grid
 APPROACH_DISTANCES = (1e-11, 1e-12)  # d of r = rc (1 -+ d), outer first
 
 
-@dataclass(frozen=True)
-class SingularLocus:
+class SingularLocus(NamedTuple):
     """Analytic description of the divergence set."""
 
     kind: str  # "ring" | "shell" | "none"
@@ -27,8 +26,7 @@ class SingularLocus:
     angular_constraint: str | None  # e.g. "cos(theta) = 0"
 
 
-@dataclass(frozen=True)
-class LocusEstimate:
+class LocusEstimate(NamedTuple):
     """Divergence of phi^2 along approach paths to 2mr = 1.  On a ring,
     theta is pi/2 to within pi/4, the distance to the bounded path; the
     radius is good to the innermost distance probed.  ``refinements``
@@ -137,8 +135,8 @@ def singularity_report(spec: ModelSpec):
     return {
         "model": spec.name,
         "p": spec.p,
-        "locus": asdict(locus),
-        "numerical_locus": asdict(estimate),
+        "locus": locus._asdict(),
+        "numerical_locus": estimate._asdict(),
         "decay_exponent": asym["decay_exponent"],
         "limit_constant": asym["limit_constant"],
         "origin_value": asym["origin_value"],

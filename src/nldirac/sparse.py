@@ -36,13 +36,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True, eq=False)
-class Live:
+class Live(NamedTuple):
     """A field by its live entries: ``shape`` its dense layout before the
     point axes, ``index`` the indices of its live entries in that layout,
     each a tuple of len(shape) ints, in ascending lexicographic order, and

@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -153,7 +152,7 @@ def test_ode_deviation_is_the_maximum_of_the_csv_columns(capsys, tmp_path,
 
     def perturbed(r, spec):
         st = exact_state(r, spec)
-        return dataclasses.replace(st, X=st.X + 1e-3)
+        return st._replace(X=st.X + 1e-3)
 
     runs = [(mass, False) for mass in ("0.5", "1", "2")] + [("1", True)]
     for mass, off_branch in runs:
@@ -193,8 +192,8 @@ def _scaled_density_scan(monkeypatch):
 
     def scaled(pt, spec):
         f = closed_form(pt, spec)
-        return dataclasses.replace(f, density=dataclasses.replace(
-            f.density, phi2=f.density.phi2 * (1.0 + 1e-6)))
+        return f._replace(density=f.density._replace(
+            phi2=f.density.phi2 * (1.0 + 1e-6)))
 
     def wrong_scan(spec):
         with monkeypatch.context() as patch:
@@ -414,21 +413,47 @@ print(json.dumps({"codes": codes, "scipy": scipy}))
             {"codes": [code], "scipy": []}, argv
 
 
+def _cold_imports(tmp_path, argv):
+    """(exit code, stderr, every module imported) of one cold ``python -m
+    nldirac.cli`` run in ``tmp_path``, as -X importtime names them."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "nldirac.cli", *argv],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60)
+    modules = {line.rsplit("|", 1)[-1].strip()
+               for line in proc.stderr.splitlines()
+               if line.startswith("import time:")}
+    return proc.returncode, proc.stderr, modules
+
+
 def test_cold_verify_and_report_leave_numpy_ma_unimported(tmp_path):
     # np.quantile reaches np.unique, whose first call imports numpy.ma; the
     # sweep's statistics do without it, so a cold verify or report never
     # loads it.  -X importtime names every module a command imports.
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
     for argv in (["verify"], ["report", "--model", "soler"]):
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "nldirac.cli", *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        modules = {line.rsplit("|", 1)[-1].strip()
-                   for line in proc.stderr.splitlines()
-                   if line.startswith("import time:")}
+        code, stderr, modules = _cold_imports(tmp_path, argv)
+        assert code == 0, stderr
         assert "numpy" in modules, argv
         assert "numpy.ma" not in modules, argv
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verify", "--grid", SMALL_GRID], 0),
+    (["locus"], 0),
+    (["fieldmap", "--grid", "0.05,20,5,4"], 0),
+    (["ode", "--model", "soler"], 0),
+    (["report", "--model", "soler", "--grid", SMALL_GRID], 0),
+    (["verify", "--tol", "bogus=1"], 2),
+], ids=["verify", "locus", "fieldmap", "ode", "report", "usage-error"])
+def test_a_cold_command_imports_neither_dataclasses_nor_csv(
+        tmp_path, argv, expected):
+    # the package's records are NamedTuples and its CSV rows are joined
+    # text, so no command, a usage error included, pays for importing
+    # dataclasses or csv
+    code, stderr, modules = _cold_imports(tmp_path, argv)
+    assert code == expected, stderr
+    assert "nldirac.ode" in modules, argv
+    assert not {"dataclasses", "csv", "numpy.ma"} & modules, argv
 
 
 def test_locus_report(capsys):
@@ -1107,7 +1132,7 @@ def test_nan_residual_fails_its_suite(capsys, monkeypatch, tmp_path):
         def field(p):
             ang = angle_field(p)
             second = np.where(np.arange(np.size(p.r)) == 1, math.nan, 1.0)
-            return dataclasses.replace(ang, sin_gamma=ang.sin_gamma * second)
+            return ang._replace(sin_gamma=ang.sin_gamma * second)
 
         return original(pt, field)
 
@@ -1131,8 +1156,8 @@ def test_nan_residual_fails_its_suite(capsys, monkeypatch, tmp_path):
     def second_point_nan(pt, spec):
         f = closed_form(pt, spec)
         second = np.where(np.arange(np.size(pt.r)) == 1, math.nan, 1.0)
-        return dataclasses.replace(f, density=dataclasses.replace(
-            f.density, r_dlnphi2_dr=f.density.r_dlnphi2_dr * second))
+        return f._replace(density=f.density._replace(
+            r_dlnphi2_dr=f.density.r_dlnphi2_dr * second))
 
     def poisoned_decomposition(pt, spec):
         calls.append(pt.shape)
@@ -1158,7 +1183,7 @@ def test_nan_residual_fails_its_suite(capsys, monkeypatch, tmp_path):
     density = polar.density
 
     def nan_theta(pt, spec):
-        return dataclasses.replace(density(pt, spec), dlnphi2_dtheta=math.nan)
+        return density(pt, spec)._replace(dlnphi2_dtheta=math.nan)
 
     with monkeypatch.context() as patch:
         patch.setattr(polar, "density", nan_theta)

@@ -1,5 +1,5 @@
 """Every module-level function and every method of the package has a caller
-in the package, and every dataclass field of the package has a reader in it.
+in the package, and every record field of the package has a reader in it.
 
 A function that only tests call is a layer kept alive for its tests: the
 test should hold its own reference instead.  The package's public API,
@@ -85,9 +85,13 @@ def test_every_method_has_a_caller_in_the_package():
     assert uncalled == []
 
 
-def _is_dataclass(node):
-    return any("dataclass" in set(_referenced_names(d))
-               for d in node.decorator_list)
+def _is_record(node):
+    """Whether the class ``node`` declares record fields: a dataclass, or a
+    NamedTuple class, which a record that checks its values subclasses as
+    its field base."""
+    return (any("dataclass" in set(_referenced_names(d))
+                for d in node.decorator_list)
+            or any(_annotation_name(b) == "NamedTuple" for b in node.bases))
 
 
 def _annotation_name(node):
@@ -102,9 +106,10 @@ def _annotation_name(node):
 
 
 def _classes_read_whole(trees, returns):
-    """Classes whose instances package code passes whole to asdict or vars.
+    """Classes whose instances package code reads whole: passes to asdict
+    or vars, calls ``_asdict()`` on, or unpacks with a star.
 
-    The argument's class comes from its annotation as a parameter, or from
+    The instance's class comes from its annotation as a parameter, or from
     the call that built it: a constructor or a function whose return
     annotation names the class."""
     whole = set()
@@ -127,15 +132,23 @@ def _classes_read_whole(trees, returns):
                         and _annotation_name(node.func) in ("asdict", "vars")
                         and node.args):
                     arg = node.args[0]
-                    if isinstance(arg, ast.Name):
-                        whole.add(types.get(arg.id))
-                    elif isinstance(arg, ast.Call):
-                        callee = _annotation_name(arg.func)
-                        whole.add(returns.get(callee, callee))
+                elif (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "_asdict"):
+                    arg = node.func.value
+                elif isinstance(node, ast.Starred):
+                    arg = node.value
+                else:
+                    continue
+                if isinstance(arg, ast.Name):
+                    whole.add(types.get(arg.id))
+                elif isinstance(arg, ast.Call):
+                    callee = _annotation_name(arg.func)
+                    whole.add(returns.get(callee, callee))
     return whole
 
 
-def test_every_dataclass_field_has_a_reader_in_the_package():
+def test_every_record_field_has_a_reader_in_the_package():
     trees = _package_trees()
     reads = {node.attr for tree in trees.values() for node in ast.walk(tree)
              if isinstance(node, ast.Attribute)
@@ -145,10 +158,15 @@ def test_every_dataclass_field_has_a_reader_in_the_package():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and node.returns is not None}
     whole = _classes_read_whole(trees, returns)
+    # a record read whole reads the fields of its field base too
+    for tree in trees.values():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name in whole:
+                whole.update(_annotation_name(b) for b in cls.bases)
     unread = []
     for module, tree in trees.items():
         for cls in tree.body:
-            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+            if not (isinstance(cls, ast.ClassDef) and _is_record(cls)):
                 continue
             if cls.name in whole:
                 continue

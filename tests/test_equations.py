@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,8 +116,8 @@ def fields_of(pt, spec, model, phi2_factor=1.0):
     """The bundle of the model named ``model``, with phi^2 scaled by
     ``phi2_factor``, whatever model the equations are evaluated for."""
     f = polar.closed_form(pt, ModelSpec(model, m=spec.m))
-    return dataclasses.replace(f, density=dataclasses.replace(
-        f.density, phi2=f.density.phi2 * phi2_factor))
+    return f._replace(density=f.density._replace(
+        phi2=f.density.phi2 * phi2_factor))
 
 
 def test_cross_model_fields_leave_residual():
@@ -260,7 +258,7 @@ def test_standard_residual_wrong_coupling_sign_is_large(monkeypatch):
 
     def negated(pt, ang):
         pairs = connection(pt, ang)
-        return dataclasses.replace(pairs, values=-pairs.values)
+        return pairs._replace(values=-pairs.values)
 
     monkeypatch.setattr(geometry, "spin_connection_at", negated)
     assert on_solution(residual_standard, pt, spec) >= 1e-1
@@ -443,9 +441,7 @@ def test_chunked_sweep_equals_the_row_sweep():
 
 def _leaves(out):
     """The arrays of an evaluator's output, in a fixed order."""
-    if dataclasses.is_dataclass(out):
-        out = [getattr(out, f.name) for f in dataclasses.fields(out)]
-    elif isinstance(out, dict):
+    if isinstance(out, dict):
         out = list(out.values())
     elif not isinstance(out, tuple):
         return [np.asarray(out)]

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -204,7 +202,7 @@ def test_transport_detects_a_wrong_angle_partial():
                         ("d_alpha_dr", 1), ("d_alpha_dtheta", 1)):
         def wrong(p, name=name):
             ang = field(p)
-            return dataclasses.replace(ang, **{name: getattr(ang, name) + 0.01})
+            return ang._replace(**{name: getattr(ang, name) + 0.01})
 
         for pt in random_points(5, seed=17):
             assert max(transport_residuals(pt, field)) <= 1e-12
@@ -266,7 +264,7 @@ def test_spin_connection_equatorial_substitution():
 
 def _dense_zeros(pt, ang):
     return np.zeros((4, 4, 4) + pt.shape, dtype=np.result_type(
-        pt.r, pt.theta, *vars(ang).values()))
+        pt.r, pt.theta, *ang))
 
 
 def _dense_tensorial_connection(pt, ang):
@@ -479,7 +477,7 @@ def test_curvature_residual_detects_perturbation(monkeypatch):
     def perturbed(pt, ang):
         bump = 1.0 + 1e-3 * np.sin(3.0 * pt.r) * np.cos(2.0 * pt.theta)
         field = connection(pt, ang)
-        return dataclasses.replace(field, values=field.values * bump)
+        return field._replace(values=field.values * bump)
 
     monkeypatch.setattr(geometry, "tensorial_connection_at", perturbed)
     (rie,) = curvature_strength_residuals(

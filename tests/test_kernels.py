@@ -316,9 +316,9 @@ def _scalar_points(pts, n=20):
 
 
 def _equal_fields(a, b):
-    """Whether two dataclasses hold np.array_equal values in every field."""
+    """Whether two records hold np.array_equal values in every field."""
     return all(np.array_equal(x, y)
-               for x, y in zip(vars(a).values(), vars(b).values()))
+               for x, y in zip(a, b))
 
 
 def test_closed_form_equals_the_formula_by_formula_composition():

@@ -1,4 +1,6 @@
-import dataclasses
+import csv
+import io
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +202,46 @@ def test_trajectory_csv_columns(tmp_path):
     assert float(first[5]) <= 1e-12  # starts on the closed form
 
 
+def _csv_writer_text(columns):
+    """The text csv.writer writes for the trajectory columns ``columns``,
+    under trajectory_to_csv's header: the reference of its writer."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["r", "X", "G", "X_exact", "G_exact", "dev_X", "dev_G"])
+    writer.writerows(zip(*(col.tolist() for col in columns)))
+    return out.getvalue()
+
+
+def test_trajectory_csv_is_the_text_of_csv_writer(tmp_path):
+    # each row is the repr of its values, comma-separated and ended by CRLF:
+    # csv.writer's text, on a real run and on NaN, +-inf, -0.0 and the
+    # smallest subnormal
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0])
+    runs = (integrate(IntegratorConfig(r_span=(1.0, 2.0)),
+                      exact_state(1.0, SPEC), SPEC),
+            ode.Trajectory(r=np.linspace(0.6, 3.0, 6), X=special,
+                           G=special[::-1], n_steps=5, min_step=0.48))
+    for traj in runs:
+        path = tmp_path / "traj.csv"
+        trajectory_to_csv(traj, SPEC, path)
+        columns = (traj.r, traj.X, traj.G,
+                   *ode._branch(traj.r, traj.X, traj.G, SPEC))
+        assert path.read_bytes() == _csv_writer_text(columns).encode()
+    text = path.read_text()
+    assert all(v in text for v in (",nan,", ",inf,", ",-inf,", ",-0.0,",
+                                   ",5e-324,"))
+
+
+def test_the_rtol_warning_names_the_caller_of_the_config():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        IntegratorConfig(r_span=(1.0, 2.0), rtol=1e-20)
+    (warning,) = caught
+    assert warning.category is UserWarning
+    assert str(warning.message) == "rtol 1e-20 raised to 100 eps"
+    assert warning.filename == __file__
+
+
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(r_span=(1.0, 2.0), rtol=-1.0)
@@ -287,8 +329,8 @@ def test_scan_of_a_wrong_density_has_no_zero_cell(monkeypatch):
 
     def scaled(pt, spec):
         f = closed_form(pt, spec)
-        return dataclasses.replace(f, density=dataclasses.replace(
-            f.density, phi2=f.density.phi2 * (1.0 + 1e-6)))
+        return f._replace(density=f.density._replace(
+            phi2=f.density.phi2 * (1.0 + 1e-6)))
 
     monkeypatch.setattr(polar, "closed_form", scaled)
     result = quantum_number_scan(SPEC)

@@ -1,4 +1,5 @@
-import dataclasses
+import copy
+import pickle
 
 import mpmath
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nldirac import clifford, geometry, polar, sparse
+from nldirac import clifford, geometry, grids, ode, polar, sparse
 from nldirac.errors import SingularG, SingularPoint
 from nldirac.geometry import GridPoint, complex_step_partials
 from nldirac.polar import (
@@ -91,8 +92,24 @@ def test_model_spec_defaults_and_validation():
     assert ModelSpec("p:0.250").name == "p:0.25"
     assert ModelSpec("p:1.0").name == "p:1" and ModelSpec("p:1").p == 1.0
     # a copy with another mass or energy keeps the model
-    copy = dataclasses.replace(ModelSpec("p:0.50"), m=2.0, E=3.0)
+    original = ModelSpec("p:0.50")
+    copy = ModelSpec(original.name, m=2.0, E=3.0, l=original.l)
     assert (copy.name, copy.p, copy.m, copy.E) == ("p:0.5", 0.5, 2.0, 3.0)
+
+
+def test_checked_records_survive_pickle_and_copy():
+    # a record that checks its values comes back whole, p included, which
+    # the model's canonical name rounds to six digits
+    records = (ModelSpec("p:0.123456789", m=2.0, E=3.0, l=0.7),
+               grids.GridConfig(r_min=0.1, n_theta=7),
+               ode.IntegratorConfig(r_span=(1.0, 2.0), rtol=1e-7),
+               GridPoint(1.5, 0.5))
+    for record in records:
+        for restored in (pickle.loads(pickle.dumps(record)),
+                         copy.copy(record), copy.deepcopy(record)):
+            assert type(restored) is type(record)
+            assert restored == record
+    assert pickle.loads(pickle.dumps(records[0])).p == 0.123456789
 
 
 def test_X_exact_values():
@@ -325,8 +342,7 @@ def test_assembled_spinor_rest_frame_bilinears():
     spec = ModelSpec(m=1.0)
     pt = GridPoint(1.0, np.pi / 2)  # beta = 0 here
     f = closed_form(pt, spec)
-    psi = assemble_spinor(dataclasses.replace(
-        f, density=dataclasses.replace(f.density, phi2=1.0)))
+    psi = assemble_spinor(f._replace(density=f.density._replace(phi2=1.0)))
     bl = clifford.bilinears(psi)
     assert bl.phi == pytest.approx(2.0, rel=1e-14)
     assert bl.theta == pytest.approx(0.0, abs=1e-14)

@@ -5,6 +5,9 @@ pair rows a < b in clifford.PAIRS order.  clifford alone turns a pair row
 into its (a, b, mu) entries, through clifford.unpaired and its plan, and
 applies the pairs to a spinor (clifford.spin_action); every other module
 reads a connection through them, so no other module names PAIRS.
+
+Package code builds a changed record through its constructor: a record
+that checks its values does so in its __new__, which ``_replace`` skips.
 """
 
 import ast
@@ -31,3 +34,11 @@ def test_only_clifford_names_the_pair_order():
     naming = [path.name for path in sorted(PACKAGE.glob("*.py"))
               if "PAIRS" in _names(ast.parse(path.read_text(encoding="utf-8")))]
     assert naming == ["clifford.py"]
+
+
+def test_package_code_never_calls_replace():
+    calling = [f"{path.name}:{node.lineno}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "_replace"]
+    assert calling == []

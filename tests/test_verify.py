@@ -4,7 +4,7 @@ A wrong solution is fed in one way only: a negative control patches one
 layer function that its suite reads with a seeded perturbation, and the
 suite must then appear in the report's ``failing_suites``.  The closed
 form has three such seams: ``polar.closed_form``, whose bundle a control
-changes with ``dataclasses.replace`` (the sweep builds it once per chunk
+changes with ``_replace`` (the sweep builds it once per chunk
 and the four grid forms read it, as does the polar decomposition),
 ``polar.X_exact``, the one radial profile, which the density step and
 the kinematics read, and ``polar.angle_state`` itself (the transport and
@@ -15,7 +15,6 @@ the point and the model, which ``test_forms_take_no_perturbation_knob``
 pins.
 """
 
-import dataclasses
 import inspect
 import tracemalloc
 
@@ -35,15 +34,15 @@ def _scaled_density(f, d):
 
     def closed_form(pt, spec):
         fields = f(pt, spec)
-        return dataclasses.replace(fields, density=dataclasses.replace(
-            fields.density, phi2=fields.density.phi2 * (1.0 + d)))
+        return fields._replace(density=fields.density._replace(
+            phi2=fields.density.phi2 * (1.0 + d)))
 
     return closed_form
 
 
 def _scaled(field, factor):
     """The sparse.Live ``field`` times ``factor``, a factor per point."""
-    return dataclasses.replace(field, values=field.values * factor)
+    return field._replace(values=field.values * factor)
 
 
 # suite name -> (module, function, replacement made from the function f and
@@ -51,7 +50,7 @@ def _scaled(field, factor):
 CONTROLS = {
     # a scaled velocity vector breaks U.U = Theta^2 + Phi^2
     "fierz": (clifford, "bilinears", lambda f, d: lambda psi: (
-        dataclasses.replace(f(psi), U=f(psi).U * (1.0 + d)))),
+        f(psi)._replace(U=f(psi).U * (1.0 + d)))),
     # a scaled connection: d Lam + Lam Lam no longer cancel
     "flatness": (geometry, "christoffel_at",
                  lambda f, d: lambda pt: _scaled(f(pt), 1.0 + d)),
@@ -61,7 +60,7 @@ CONTROLS = {
                                1.0 + d * np.sin(3.0 * pt.r) * np.cos(2.0 * pt.theta)))),
     # a tilt partial that disagrees with the tilt the covectors carry
     "transport": (polar, "angle_state", lambda f, d: lambda pt, spec: (
-        dataclasses.replace(f(pt, spec), d_gamma_dr=f(pt, spec).d_gamma_dr + d))),
+        f(pt, spec)._replace(d_gamma_dr=f(pt, spec).d_gamma_dr + d))),
     # a momentum whose l disagrees with the spinor's phase
     "decomposition": (geometry, "momentum_covector",
                       lambda f, d: lambda E, l: f(E, l + d)),
@@ -136,7 +135,7 @@ def test_exact_solutions_pass_at_the_edges_of_the_stated_mass_range():
     # flatness reads 1.164e-10 against its absolute tolerance of 1e-10
     for m in (1e-4, 50.0):
         for model in MODELS:
-            spec = dataclasses.replace(model, m=m, E=m)
+            spec = ModelSpec(model.name, m=m, E=m, l=model.l)
             report = verify.run_suites(spec)
             assert report["pass"], (spec.name, m, report["failing_suites"])
 
@@ -587,8 +586,8 @@ _BETA_AND_ANGLES = ("expanded", "covector", "standard")
 FORMS_READING = {
     **dict.fromkeys(("sin_beta", "cos_beta", "r_d_beta_dr", "d_beta_dtheta"),
                     _BETA_AND_ANGLES),
-    **dict.fromkeys((f"ang.{f.name}" for f in dataclasses.fields(
-        geometry.AngleState)), _BETA_AND_ANGLES),
+    **dict.fromkeys((f"ang.{name}" for name in geometry.AngleState._fields),
+                    _BETA_AND_ANGLES),
     "density.c": ("expanded", "reduced"),
     "density.s": ("expanded", "reduced"),
     **dict.fromkeys(("density.sh", "density.ch", "density.D", "density.q",
@@ -601,19 +600,18 @@ FORMS_READING = {
 
 def _leaf_paths(f):
     """The dotted path of each leaf of a ClosedForm, such as "ang.d_gamma_dr"."""
-    for field in dataclasses.fields(f):
-        value = getattr(f, field.name)
-        if dataclasses.is_dataclass(value):
-            yield from (f"{field.name}.{path}" for path in _leaf_paths(value))
+    for name, value in zip(f._fields, f):
+        if hasattr(value, "_fields"):
+            yield from (f"{name}.{path}" for path in _leaf_paths(value))
         else:
-            yield field.name
+            yield name
 
 
 def _changed(f, path, change):
     """f with ``change`` applied to the leaf at ``path``."""
     name, _, rest = path.partition(".")
     value = getattr(f, name)
-    return dataclasses.replace(f, **{
+    return f._replace(**{
         name: _changed(value, rest, change) if rest else change(value)})
 
 
