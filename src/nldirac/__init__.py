@@ -1,44 +1,43 @@
 """Polar-form machinery of the nonlinear Dirac equation on a flat spherical
 background, with verified closed-form solutions of the chiral
-(Nambu--Jona-Lasinio), scalar (Soler) and interpolating models."""
+(Nambu--Jona-Lasinio), scalar (Soler) and interpolating models.
 
-from .clifford import BilinearSet, bilinears, sigma
-from .errors import (
-    DivergingState,
-    NonRealBilinear,
-    PoleOrOrigin,
-    SingularG,
-    SingularPoint,
-    StepUnderflow,
-)
-from .geometry import AngleState, GridPoint
-from .polar import (
-    G_exact,
-    ModelSpec,
-    X_exact,
-    assemble_spinor,
-)
-from .singular import SingularLocus, asymptotics_report, singular_locus
+The public names are imported from their modules on first access, so that
+importing the package, as ``python -m nldirac.cli`` does, loads no numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngleState",
-    "BilinearSet",
-    "DivergingState",
-    "G_exact",
-    "GridPoint",
-    "ModelSpec",
-    "NonRealBilinear",
-    "PoleOrOrigin",
-    "SingularG",
-    "SingularLocus",
-    "SingularPoint",
-    "StepUnderflow",
-    "X_exact",
-    "assemble_spinor",
-    "asymptotics_report",
-    "bilinears",
-    "sigma",
-    "singular_locus",
-]
+# each public name and the module that defines it
+_HOMES = {
+    "AngleState": "geometry",
+    "BilinearSet": "clifford",
+    "DivergingState": "errors",
+    "G_exact": "polar",
+    "GridPoint": "geometry",
+    "ModelSpec": "settings",
+    "NonRealBilinear": "errors",
+    "PoleOrOrigin": "errors",
+    "SingularG": "errors",
+    "SingularLocus": "singular",
+    "SingularPoint": "errors",
+    "StepUnderflow": "errors",
+    "X_exact": "polar",
+    "assemble_spinor": "polar",
+    "asymptotics_report": "singular",
+    "bilinears": "clifford",
+    "sigma": "clifford",
+    "singular_locus": "singular",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value

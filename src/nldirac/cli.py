@@ -5,6 +5,10 @@ radii read directly in Compton lengths.  Precedence: command-line flags
 override the --config JSON file, which overrides built-in defaults.  All
 outputs are deterministic functions of the resolved configuration (random
 suites are seeded, no wall-clock data is emitted).
+
+Every argument and config check runs before numpy or a numerical layer is
+loaded (see _load_layers), so a usage error or --help costs the interpreter
+and argparse alone.
 """
 
 from __future__ import annotations
@@ -13,20 +17,38 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
-from . import equations, grids, ode, singular, verify
 from .errors import DivergingState, SingularPoint, StepUnderflow
-from .geometry import GridPoint
-from .polar import ModelSpec, X_exact, chiral_components, phi2_grid
-from .verify import SCHEMA
+from .settings import (DEFAULT_MASK_MARGIN, DEFAULT_TOLERANCES, FIELDMAP_GRID,
+                       SCHEMA, GridConfig, ModelSpec)
 
 
-FIELDMAP_GRID = grids.GridConfig(r_min=0.01, r_max=100.0, n_r=200, n_theta=100)
+@functools.cache
+def _load_layers():
+    """Import numpy and the numerical layers into this module, on the first
+    call only.  ``main`` calls it once the usage checks have passed; an
+    import of this module calls it at once, so every layer module is
+    loaded when ``import nldirac.cli`` returns, and a name patched in this
+    module stays patched."""
+    global np, equations, grids, ode, singular, verify, GridPoint
+    global X_exact, chiral_components, phi2_grid, _FLAGS
+    import numpy as np
+
+    from . import equations, grids, ode, singular, verify
+    from .geometry import GridPoint
+    from .polar import X_exact, chiral_components, phi2_grid
+
+    # the masked column's texts, as an object array so that a block's mask,
+    # read as 0 and 1, picks them in one numpy call
+    _FLAGS = np.array(["false", "true"], dtype=object)
+
+
+if __name__ != "__main__":
+    _load_layers()
 
 
 # Every key the --config file accepts; a flag of the same name overrides it.
@@ -37,12 +59,12 @@ CONFIG_KEYS = ("model", "p", "mass", "grid", "seed", "tolerances",
                "format")
 ALIASES = {"energy": "E", "angular_momentum": "l"}
 DEFAULTS = {"model": "njl", "mass": 1.0, "grid": {}, "seed": 42,
-            "tolerances": {}, "mask_margin": equations.DEFAULT_MASK_MARGIN}
-TOLERANCE_NAMES = (*verify.DEFAULT_TOLERANCES, "rtol", "atol")
+            "tolerances": {}, "mask_margin": DEFAULT_MASK_MARGIN}
+TOLERANCE_NAMES = (*DEFAULT_TOLERANCES, "rtol", "atol")
 # The settings each command reads: config keys (the flags of the same name),
 # tolerance names, and "scan_el" for --scan-el.  A command given any other
 # setting fails with a usage error rather than ignore it.
-_VERIFY_READS = ("model", "p", "mass", "grid", "seed", *verify.DEFAULT_TOLERANCES,
+_VERIFY_READS = ("model", "p", "mass", "grid", "seed", *DEFAULT_TOLERANCES,
                  "mask_margin", "E", "l", "out")
 COMMAND_READS = {
     "verify": _VERIFY_READS,
@@ -57,7 +79,7 @@ DEFAULT_OUT = {"fieldmap": "fieldmap.csv", "ode": "trajectory.csv"}
 
 class RunConfig(NamedTuple):
     spec: ModelSpec
-    grid: grids.GridConfig      # None: the command's own default grid
+    grid: GridConfig            # None: the command's own default grid
     seed: int
     tolerances: dict
     mask_margin: float
@@ -225,18 +247,18 @@ def resolve_config(args) -> RunConfig:
                   for k, v in raw["tolerances"].items()}
     _refuse_unknown("unknown tolerance name", tolerances, TOLERANCE_NAMES)
     for k, v in tolerances.items():
-        if not 0.0 < v < np.inf:
+        if not 0.0 < v < math.inf:
             raise ValueError(f"tolerance {k} must be positive and finite, "
                              f"got {v!r}")
     margin = _number("mask margin", raw["mask_margin"])
-    if not 0.0 <= margin < np.inf:
+    if not 0.0 <= margin < math.inf:
         raise ValueError(f"mask margin must be non-negative and finite, got "
                          f"{margin!r}")
     if raw.get("format") not in (None, "csv", "json"):
         raise ValueError(f"format must be csv or json, got {raw['format']!r}")
     if not isinstance(raw.get("out", ""), str):
         raise ValueError(f"out must be a string, got {raw['out']!r}")
-    _refuse_unknown("unknown grid key", raw["grid"], grids.GridConfig._fields)
+    _refuse_unknown("unknown grid key", raw["grid"], GridConfig._fields)
     grid = {k: _whole(f"grid {k}", v) if k in ("n_r", "n_theta")
             else _number(f"grid {k}", v) for k, v in raw["grid"].items()}
     seed = _whole("seed", raw["seed"])
@@ -244,7 +266,7 @@ def resolve_config(args) -> RunConfig:
         raise ValueError(f"seed must be non-negative, got {seed!r}")
     cfg = RunConfig(
         spec=spec,
-        grid=grids.GridConfig(**grid) if grid else None,
+        grid=GridConfig(**grid) if grid else None,
         seed=seed,
         tolerances=tolerances,
         mask_margin=margin,
@@ -300,9 +322,6 @@ def cmd_verify(cfg: RunConfig):
 
 
 FIELDMAP_COLUMNS = ["r", "theta", "phi2", "sin_beta", "cos_beta", "X", "masked"]
-# the masked column's texts, as an object array so that a block's mask,
-# read as 0 and 1, picks them in one numpy call
-_FLAGS = np.array(["false", "true"], dtype=object)
 # json's spelling of the non-finite floats that repr spells nan, inf, -inf
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -428,10 +447,6 @@ def _ode_summary(cfg: RunConfig, **span):
 
 def cmd_ode(cfg: RunConfig):
     spec = cfg.spec
-    if spec.p != 0.0:
-        print("error: the radial system belongs to the scalar model; "
-              "run with --model soler or p:0", file=sys.stderr)
-        return 2
     # the span is the grid's radii; without a grid, ode_summary's default
     span = {} if cfg.grid is None else {"r_span": (cfg.grid.r_min,
                                                    cfg.grid.r_max)}
@@ -471,7 +486,7 @@ def cmd_report(cfg: RunConfig):
     spec = cfg.spec
     # the grid's radii, the singularity part and then the metric entries
     # refuse an extreme mass before the verify part evaluates them
-    grids.radii(cfg.grid or grids.GridConfig(), spec.m)
+    grids.radii(cfg.grid or GridConfig(), spec.m)
     singularity = singular.singularity_report(spec)
     verify.check_mass(spec, cfg.grid)
     doc = {
@@ -523,9 +538,13 @@ def main(argv=None):
         cfg = resolve_config(args)
         if cfg.out:
             _check_writable(cfg.out)
+        if args.command == "ode" and cfg.spec.p != 0.0:
+            raise ValueError("the radial system belongs to the scalar model; "
+                             "run with --model soler or p:0")
     except (argparse.ArgumentTypeError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _load_layers()
     try:
         return COMMANDS[args.command](cfg)
     except SingularPoint as exc:  # a verify or report grid point unmasked

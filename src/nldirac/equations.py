@@ -30,9 +30,8 @@ import numpy as np
 
 from . import clifford, geometry, polar, sparse
 from .geometry import GridPoint
-from .polar import ModelSpec
+from .settings import DEFAULT_MASK_MARGIN, ModelSpec
 
-DEFAULT_MASK_MARGIN = 0.02
 # Points per evaluation in a grid sweep.  Every call pays a fixed cost of
 # many small numpy calls, so a larger chunk costs less per point, and
 # memory sets the limit.  On 1024 points the covector and standard forms

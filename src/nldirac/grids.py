@@ -2,45 +2,14 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .geometry import GridPoint
+from .settings import GridConfig
 
 # The box of sample_points: radii in units of 1/m, and polar angles.
 SAMPLE_R = (0.1, 10.0)
 SAMPLE_THETA = (0.3, np.pi - 0.3)
-
-
-class _GridFields(NamedTuple):
-    r_min: float
-    r_max: float
-    n_r: int
-    n_theta: int
-    theta_margin: float
-
-
-class GridConfig(_GridFields):
-    """Rectangular (r, theta) grid; radii are log-spaced.
-
-    r_min and r_max are in units of 1/m (Compton lengths); theta spans
-    [theta_margin, pi - theta_margin] uniformly.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, r_min=0.05, r_max=20.0, n_r=25, n_theta=20,
-                theta_margin=1e-3):
-        if not (r_min > 0 and r_max > r_min):
-            raise ValueError("need 0 < r_min < r_max")
-        if not r_max < np.inf:
-            raise ValueError(f"grid r_max must be finite, got {r_max!r}")
-        if n_r < 2 or n_theta < 2:
-            raise ValueError("need at least 2 points per axis")
-        if not (0 < theta_margin < np.pi / 2):
-            raise ValueError("theta_margin must lie in (0, pi/2)")
-        return super().__new__(cls, r_min, r_max, n_r, n_theta, theta_margin)
 
 
 def over_mass(lengths, m):

@@ -32,7 +32,8 @@ import numpy as np
 from . import equations, polar
 from .errors import DivergingState, StepUnderflow
 from .geometry import GridPoint
-from .polar import G_exact, ModelSpec, X_exact
+from .polar import G_exact, X_exact
+from .settings import ModelSpec
 
 OVERFLOW_GUARD = 1e12
 EPS = np.finfo(float).eps

@@ -29,61 +29,7 @@ import numpy as np
 from . import clifford, geometry, sparse
 from .errors import SingularG, SingularPoint
 from .geometry import AngleState, GridPoint
-
-
-ENDPOINTS = {"njl": 1.0, "soler": 0.0}
-
-
-class _ModelFields(NamedTuple):
-    name: str
-    m: float
-    E: float
-    l: float
-    p: float
-
-
-class ModelSpec(_ModelFields):
-    """Model, mass and quantum numbers of a run.
-
-    ``name`` is the model's text, njl, soler or p:<value>, parsed here and
-    nowhere else: p, which cannot be passed, is 1, 0 or the value, and a
-    "p:" name becomes the canonical "p:<p:g>" (p:0.50 reads p:0.5), at an
-    endpoint value too.  Every formula reads p alone; the name labels the
-    output and selects what a report holds (verify.ENDPOINT_ONLY).  E
-    defaults to the mass and l to one half: the only values the chiral
-    model admits, and the ones the closed-form solutions carry.  Build a
-    changed copy with the constructor: ``_replace`` would skip the checks.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, name="njl", m=1.0, E=None, l=0.5):
-        if name in ENDPOINTS:
-            p = ENDPOINTS[name]
-        elif isinstance(name, str) and name.startswith("p:"):
-            try:
-                p = float(name[2:])
-            except ValueError:
-                raise ValueError(f"p must be a number, got {name[2:]!r}") from None
-            name = f"p:{p:g}"
-        else:
-            raise ValueError(f"unknown model {name!r}; expected njl, soler "
-                             "or p:<value>")
-        if not 0.0 < m < np.inf:
-            raise ValueError(f"mass must be positive and finite, got {m!r}")
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"interpolation parameter must lie in [0,1], got {p!r}")
-        if E is None:
-            E = m
-        for key, value in (("E", E), ("l", l)):
-            if not np.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value!r}")
-        return super().__new__(cls, name, m, E, l, p)
-
-    def __reduce__(self):
-        # pickle and copy restore the checked fields as they are: p is
-        # derived, so __new__ takes one argument fewer than the fields
-        return type(self)._make, (tuple(self),)
+from .settings import ModelSpec
 
 
 def X_exact(r, spec: ModelSpec):

@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .polar import ModelSpec, phi2_grid
+from .polar import phi2_grid
+from .settings import ModelSpec
 
 APPROACH_DISTANCES = (1e-11, 1e-12)  # d of r = rc (1 -+ d), outer first
 

@@ -14,24 +14,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import clifford, equations, geometry, grids, ode, polar
-from .equations import DEFAULT_MASK_MARGIN
 from .geometry import GridPoint
-from .polar import ModelSpec
-
-# The version of every JSON document the commands write.
-SCHEMA = "1"
-
-DEFAULT_TOLERANCES = {
-    "fierz": 1e-10,
-    "flatness": 1e-10,
-    "curvature-strength": 1e-8,
-    "transport": 1e-8,
-    "decomposition": 1e-8,
-    "expanded-residuals": 1e-8,
-    "covector-residuals": 1e-8,
-    "reduced-residuals": 1e-8,
-    "standard-residuals": 1e-8,
-}
+from .settings import (DEFAULT_MASK_MARGIN, DEFAULT_TOLERANCES, ENDPOINTS,
+                       SCHEMA, ModelSpec)
 
 
 def _entry(max_residual, tol, n, extra=None):
@@ -186,7 +171,7 @@ def run_suites(spec: ModelSpec, grid_cfg=None, seed=42, tolerances=None,
     there (see Sample).
     """
     names = [name for name in SUITES
-             if spec.name in polar.ENDPOINTS or name not in ENDPOINT_ONLY]
+             if spec.name in ENDPOINTS or name not in ENDPOINT_ONLY]
     grid = equations.sweep(
         grids.points(grid_cfg or grids.GridConfig(), m=spec.m), spec, margin,
         [form for form in equations.FORMS if f"{form}-residuals" in names])

@@ -13,6 +13,9 @@ up in a benchmark run.  The benchmark files are read, never changed.
 import importlib
 import inspect
 import json
+import os
+import random
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,6 +23,7 @@ from types import SimpleNamespace
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +61,39 @@ def test_suite_table_matches_the_benchmark(perfbench):
     assert list(verify.SUITES) == list(verify.DEFAULT_TOLERANCES)
     assert {k: f.__name__ for k, f in verify.SUITES.items()} == \
         perfbench.harness.SUITE_FUNCTIONS
+
+
+def test_importing_the_cli_loads_every_module_the_benchmark_patches(
+        perfbench):
+    # the tracer and the NaN sentinel read sys.modules["nldirac.<layer>"]
+    # right after import nldirac.cli, before the first command runs
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nldirac.cli; print(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    layers = {*perfbench.spans.LAYERS,
+              *(target[0] for target in perfbench.checks.NanSentinel.TARGETS)}
+    assert {f"nldirac.{layer}" for layer in layers} <= set(proc.stdout.split())
+
+
+def test_the_cold_decks_usage_errors_load_no_numpy(perfbench, tmp_path):
+    # the deck's usage errors are checked before numpy is imported
+    deck = perfbench.workloads._cold_deck(random.Random(0))
+    argvs = [op.argv for op in deck if op.kind == "usage-error"]
+    assert ["verify", "--model", "p:2"] in argvs
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "nldirac.cli", *argv],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, argv
+        modules = {line.rsplit("|", 1)[-1].strip()
+                   for line in proc.stderr.splitlines()
+                   if line.startswith("import time:")}
+        assert "nldirac.settings" in modules, argv
+        assert "numpy" not in modules, argv
 
 
 def _called_functions(argv):

@@ -414,16 +414,21 @@ print(json.dumps({"codes": codes, "scipy": scipy}))
 
 
 def _cold_imports(tmp_path, argv):
-    """(exit code, stderr, every module imported) of one cold ``python -m
-    nldirac.cli`` run in ``tmp_path``, as -X importtime names them."""
+    """(exit code, stdout, stderr, every module imported) of one cold
+    ``python -m nldirac.cli`` run in ``tmp_path``, with the modules as -X
+    importtime names them and stderr without its lines; help is wrapped at
+    80 columns."""
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "nldirac.cli", *argv],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"},
         capture_output=True, text=True, timeout=60)
-    modules = {line.rsplit("|", 1)[-1].strip()
-               for line in proc.stderr.splitlines()
+    lines = proc.stderr.splitlines(keepends=True)
+    modules = {line.rsplit("|", 1)[-1].strip() for line in lines
                if line.startswith("import time:")}
-    return proc.returncode, proc.stderr, modules
+    stderr = "".join(line for line in lines
+                     if not line.startswith("import time:"))
+    return proc.returncode, proc.stdout, stderr, modules
 
 
 def test_cold_verify_and_report_leave_numpy_ma_unimported(tmp_path):
@@ -431,7 +436,7 @@ def test_cold_verify_and_report_leave_numpy_ma_unimported(tmp_path):
     # sweep's statistics do without it, so a cold verify or report never
     # loads it.  -X importtime names every module a command imports.
     for argv in (["verify"], ["report", "--model", "soler"]):
-        code, stderr, modules = _cold_imports(tmp_path, argv)
+        code, _, stderr, modules = _cold_imports(tmp_path, argv)
         assert code == 0, stderr
         assert "numpy" in modules, argv
         assert "numpy.ma" not in modules, argv
@@ -450,10 +455,101 @@ def test_a_cold_command_imports_neither_dataclasses_nor_csv(
     # the package's records are NamedTuples and its CSV rows are joined
     # text, so no command, a usage error included, pays for importing
     # dataclasses or csv
-    code, stderr, modules = _cold_imports(tmp_path, argv)
+    code, _, stderr, modules = _cold_imports(tmp_path, argv)
     assert code == expected, stderr
-    assert "nldirac.ode" in modules, argv
+    if expected == 2:  # checked before any numerical layer is loaded
+        assert "numpy" not in modules and "nldirac.settings" in modules, argv
+    else:
+        assert "nldirac.ode" in modules, argv
     assert not {"dataclasses", "csv", "numpy.ma"} & modules, argv
+
+
+HELP = """\
+usage: nldirac [-h] {verify,fieldmap,ode,locus,report} ...
+
+Verify and explore the closed-form solutions of the nonlinear Dirac models on
+a flat spherical background.
+
+positional arguments:
+  {verify,fieldmap,ode,locus,report}
+    verify              run all identity and field-equation suites
+    fieldmap            write the matter distribution on a grid as CSV or JSON
+    ode                 integrate the scalar-model radial system
+    locus               report singular locus and asymptotics
+    report              aggregate verify + locus (+ ode) into one JSON
+                        document
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+USAGE_ERRORS = [
+    ("verify --model p:2", 2, "",
+     "error: interpolation parameter must lie in [0,1], got 2.0\n"),
+    ("ode --model njl", 2, "",
+     "error: the radial system belongs to the scalar model; run with "
+     "--model soler or p:0\n"),
+    ("locus --model p:1.5", 2, "",
+     "error: interpolation parameter must lie in [0,1], got 1.5\n"),
+    ("fieldmap --model p:-0.1", 2, "",
+     "error: interpolation parameter must lie in [0,1], got -0.1\n"),
+    ("--help", 0, HELP, ""),
+    ("verify --mass inf", 2, "",
+     "error: mass must be positive and finite, got inf\n"),
+    ("verify --seed -1", 2, "", "error: seed must be non-negative, got -1\n"),
+    ("verify --grid 0.05,inf,5,4", 2, "",
+     "error: grid r_max must be finite, got inf\n"),
+    ("verify --model soler --p 0.3", 2, "",
+     "error: --model and --p both set the model; give one of them\n"),
+    ("verify --tol bogus=1", 2, "",
+     "error: unknown tolerance name(s) bogus; expected fierz, flatness, "
+     "curvature-strength, transport, decomposition, expanded-residuals, "
+     "covector-residuals, reduced-residuals, standard-residuals, rtol, "
+     "atol\n"),
+    ("verify --format csv", 2, "",
+     "error: --format applies to fieldmap only, not verify\n"),
+    ("verify --out missing/r.json", 2, "",
+     "error: cannot write missing/r.json: No such file or directory\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected, stdout, stderr", USAGE_ERRORS,
+                         ids=[case[0] for case in USAGE_ERRORS])
+def test_a_usage_error_or_help_loads_no_numpy(tmp_path, argv, expected,
+                                              stdout, stderr):
+    # every argument and config check runs before numpy is imported, with
+    # the exit code and the text it had when the layers loaded first; the
+    # first four are the usage errors of the benchmark's cold-command deck
+    result = _cold_imports(tmp_path, argv.split())
+    assert result[:3] == (expected, stdout, stderr)
+    assert "numpy" not in result[3]
+    assert not list(tmp_path.iterdir())
+
+
+EVALUATED_REFUSALS = [
+    ("verify --grid 0.25,1,3,3 --mask-margin 0",
+     "error: singular locus hit at r=0.5, theta=1.5707963267948966 (locus "
+     "X^2 + p cos^2 theta = 0); raise --mask-margin to mask the singular "
+     "region\n"),
+    ("verify --mass 1e300",
+     "error: metric entries r^2 over- or underflow at mass 1e+300\n"),
+    ("locus --mass 1e-310",
+     "error: phi^2 over- or underflows at mass 1e-310\n"),
+    ("ode --model soler --mass 1e-310",
+     "error: grid radii r/m over- or underflow at mass 1e-310\n"),
+]
+
+
+@pytest.mark.parametrize("argv, stderr", EVALUATED_REFUSALS,
+                         ids=[case[0] for case in EVALUATED_REFUSALS])
+def test_a_refusal_that_evaluates_loads_the_layers_first(tmp_path, argv,
+                                                         stderr):
+    # these refusals read the solution or the metric, so a cold run loads
+    # the layers after the usage checks and then refuses as before
+    code, stdout, err, modules = _cold_imports(tmp_path, argv.split())
+    assert (code, stdout, err) == (2, "", stderr)
+    assert "numpy" in modules
 
 
 def test_locus_report(capsys):

@@ -49,12 +49,16 @@ def _uncalled(node, counts):
 
 
 def test_every_function_has_a_caller_in_the_package():
+    # a module-level dunder, such as the package's __getattr__, is called
+    # by Python
     trees = _package_trees()
     counts = _reference_counts(trees)
     uncalled = []
     for module, tree in trees.items():
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))
                     and _uncalled(node, counts)
                     and node.name not in nldirac.__all__):
                 uncalled.append(f"{module}: {node.name}")

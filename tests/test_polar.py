@@ -97,9 +97,21 @@ def test_model_spec_defaults_and_validation():
     assert (copy.name, copy.p, copy.m, copy.E) == ("p:0.5", 0.5, 2.0, 3.0)
 
 
+def test_a_model_name_gives_back_its_p():
+    # the canonical name is p:<p:g> where that text reads back as p, and
+    # p:<p!r> where it does not, so two models never share a name
+    spec = ModelSpec("p:0.123456789")
+    assert spec.name == "p:0.123456789"
+    assert ModelSpec(spec.name).p == 0.123456789
+    assert ModelSpec("p:0.1234567").name != ModelSpec("p:0.1234568").name
+    # a p that %g spells whole keeps its text
+    for name in ("njl", "soler", "p:0.5", "p:1", "p:0", "p:1e-23"):
+        assert ModelSpec(name).name == name
+    assert ModelSpec("p:0.50").name == "p:0.5"
+
+
 def test_checked_records_survive_pickle_and_copy():
-    # a record that checks its values comes back whole, p included, which
-    # the model's canonical name rounds to six digits
+    # a record that checks its values comes back whole, p included
     records = (ModelSpec("p:0.123456789", m=2.0, E=3.0, l=0.7),
                grids.GridConfig(r_min=0.1, n_theta=7),
                ode.IntegratorConfig(r_span=(1.0, 2.0), rtol=1e-7),

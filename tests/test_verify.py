@@ -20,8 +20,8 @@ import tracemalloc
 
 import numpy as np
 
-from nldirac import (clifford, equations, geometry, grids, polar, singular,
-                     sparse, verify)
+from nldirac import (clifford, equations, geometry, grids, polar, settings,
+                     singular, sparse, verify)
 from nldirac.polar import ModelSpec
 
 GRID = grids.GridConfig(r_min=0.05, r_max=20.0, n_r=5, n_theta=4)
@@ -495,7 +495,7 @@ def test_run_suites_builds_and_masks_the_grid_once(monkeypatch):
         assert all(n <= 50 for n in masked if n != 500), masked
         swept = [s["n_points"] for s in report["suites"].values()
                  if "n_points" in s]
-        assert swept == [500] * (4 if spec.name in polar.ENDPOINTS else 2)
+        assert swept == [500] * (4 if spec.name in settings.ENDPOINTS else 2)
 
 
 # Largest allocation peak of each grid form per point of a SWEEP_CHUNK
