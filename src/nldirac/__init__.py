@@ -41,3 +41,12 @@ def __getattr__(name):
     value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
     globals()[name] = value
     return value
+
+
+def main():
+    """The ``nldirac`` console script: runs nldirac.cli as ``python -m
+    nldirac.cli`` does, so that a usage error, --help or locus loads no
+    numpy; ``import nldirac.cli`` would load every layer first."""
+    import runpy
+
+    runpy.run_module("nldirac.cli", run_name="__main__", alter_sys=True)

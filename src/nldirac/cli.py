@@ -8,7 +8,8 @@ suites are seeded, no wall-clock data is emitted).
 
 Every argument and config check runs before numpy or a numerical layer is
 loaded (see _load_layers), so a usage error or --help costs the interpreter
-and argparse alone.
+and argparse alone; locus loads the singular layer only, which evaluates in
+floats without numpy.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import NamedTuple
 
 from .errors import DivergingState, SingularPoint, StepUnderflow
@@ -28,23 +30,32 @@ from .settings import (DEFAULT_MASK_MARGIN, DEFAULT_TOLERANCES, FIELDMAP_GRID,
 
 
 @functools.cache
+def _load_singular():
+    """Import the singular layer, which loads no numpy, into this module, on
+    the first call only; ``main`` calls it for locus."""
+    global singular
+    from . import singular
+
+
+@functools.cache
 def _load_layers():
     """Import numpy and the numerical layers into this module, on the first
-    call only.  ``main`` calls it once the usage checks have passed; an
-    import of this module calls it at once, so every layer module is
-    loaded when ``import nldirac.cli`` returns, and a name patched in this
-    module stays patched."""
-    global np, equations, grids, ode, singular, verify, GridPoint
+    call only.  ``main`` calls it once the usage checks have passed, for
+    every command but locus; an import of this module calls it at once, so
+    every layer module is loaded when ``import nldirac.cli`` returns, and a
+    name patched in this module stays patched."""
+    global np, equations, grids, ode, verify, GridPoint
     global X_exact, chiral_components, phi2_grid, _FLAGS
     import numpy as np
 
-    from . import equations, grids, ode, singular, verify
+    from . import equations, grids, ode, verify
     from .geometry import GridPoint
     from .polar import X_exact, chiral_components, phi2_grid
 
     # the masked column's texts, as an object array so that a block's mask,
     # read as 0 and 1, picks them in one numpy call
     _FLAGS = np.array(["false", "true"], dtype=object)
+    _load_singular()
 
 
 if __name__ != "__main__":
@@ -434,15 +445,27 @@ def cmd_fieldmap(cfg: RunConfig):
     return 0
 
 
+def _warning_line(message, category, filename, lineno, line=None):
+    """A warning as it is shown on stderr: one ``warning:`` line, without
+    the file, line number and source text of the code that raised it."""
+    return f"warning: {message}\n"
+
+
 def _ode_summary(cfg: RunConfig, **span):
     """verify.ode_summary of the run; None, after one ``error:`` line on
-    stderr, when the radial run fails or its span is invalid."""
+    stderr, when the radial run fails or its span is invalid.  A warning
+    of the run (an rtol raised to 100 eps) is shown as one ``warning:``
+    line; the warning filters, and a caller that records warnings, see it
+    as raised."""
+    saved, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return verify.ode_summary(cfg.spec, tolerances=cfg.tolerances,
                                   scan=cfg.scan_el, **span)
     except (DivergingState, SingularPoint, StepUnderflow, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
+    finally:
+        warnings.formatwarning = saved
 
 
 def cmd_ode(cfg: RunConfig):
@@ -544,7 +567,7 @@ def main(argv=None):
     except (argparse.ArgumentTypeError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _load_layers()
+    (_load_singular if args.command == "locus" else _load_layers)()
     try:
         return COMMANDS[args.command](cfg)
     except SingularPoint as exc:  # a verify or report grid point unmasked

@@ -26,20 +26,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import clifford, geometry, sparse
+from . import clifford, formulas, geometry, sparse
 from .errors import SingularG, SingularPoint
 from .geometry import AngleState, GridPoint
 from .settings import ModelSpec
 
 
 def X_exact(r, spec: ModelSpec):
-    """Radial profile (u - 1/u)/2 = sinh(ln u), u = 2mr; vanishes at u = 1.
-
-    Written as (u - 1)(u + 1)(0.5/u): next to u = 1 the difference u - 1
-    is exact, so X keeps its full relative precision at the locus, where
-    the spelling u - 1/u cancels.  Complex-analytic in r."""
-    u = 2.0 * spec.m * r
-    return (u - 1.0) * (u + 1.0) * (0.5 / u)
+    """Radial profile (u - 1/u)/2 = sinh(ln u), u = 2mr, of the model's
+    mass, spelled in formulas.profile; complex-analytic in r."""
+    return formulas.profile(r, spec.m)
 
 
 def G_exact(r, spec: ModelSpec):
@@ -107,17 +103,11 @@ def _kinematics(pt: GridPoint, X, ch, c, s, D, q):
 # -- matter distributions -----------------------------------------------------
 
 
-def _phi2(r, q, S):
-    """phi^2 = 2 q / (r S), q = sqrt(D), D = X^2 + cos^2 theta and S = X^2
-    + p cos^2 theta."""
-    return 2.0 * q / (r * S)
-
-
 class Density(NamedTuple):
     """phi^2, its two log-derivatives and the point quantities they are
     built from: cos/sin theta, sh = X = sinh zeta, ch = cosh zeta = sqrt(X^2
-    + 1), and D, q = sqrt(D) and S as in _phi2; each a float or an array of
-    the points' shape."""
+    + 1), and D, q = sqrt(D) and S as in formulas.density; each a float or
+    an array of the points' shape."""
 
     c: float
     s: float
@@ -142,7 +132,8 @@ def density(pt: GridPoint, spec: ModelSpec) -> Density:
     _refuse(pt, np.real(S) <= 1e-28, "locus X^2 + p cos^2 theta = 0")
     ch, q = np.sqrt(sh2 + 1.0), np.sqrt(D)
     return Density(
-        c=c, s=s, sh=sh, ch=ch, D=D, q=q, S=S, phi2=_phi2(pt.r, q, S),
+        c=c, s=s, sh=sh, ch=ch, D=D, q=q, S=S,
+        phi2=formulas.density(pt.r, q, S),
         r_dlnphi2_dr=sh * ch * (1.0 / D - 2.0 / S) - 1.0,
         dlnphi2_dtheta=-s * c / D + 2.0 * p * s * c / S,
     )
@@ -153,9 +144,8 @@ def phi2_grid(spec: ModelSpec, r, theta):
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        X2 = np.square(X_exact(r, spec))
-        c2 = np.cos(theta) ** 2
-        return _phi2(r, np.sqrt(X2 + c2), X2 + spec.p * c2)
+        return formulas.raw_density(r, X_exact(r, spec), np.cos(theta),
+                                    spec.p, np.sqrt)
 
 
 class ClosedForm(NamedTuple):

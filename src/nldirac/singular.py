@@ -5,18 +5,24 @@ symmetry: any chiral admixture (p > 0) confines the divergence to the
 equatorial plane, leaving a ring; the purely scalar model (p = 0) keeps the
 whole sphere.  The origin is regular (phi^2 -> 8m) and both densities fall
 off like 1/r^2, with phi^2 r^2 -> 2/m.
+
+Everything here evaluates in Python floats with math, through the
+arithmetic of formulas that polar.phi2_grid reads on arrays, so it agrees
+with phi2_grid bit for bit and a command that reads only this layer loads
+no numpy.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
-import numpy as np
-
-from .polar import phi2_grid
+from . import formulas
 from .settings import ModelSpec
 
 APPROACH_DISTANCES = (1e-11, 1e-12)  # d of r = rc (1 -+ d), outer first
+# m r of the decay fit's radii: 40 log-spaced from 10 to 1000, both exact
+DECAY_SCALES = tuple(10.0 * 100.0 ** (k / 39) for k in range(40))
 
 
 class SingularLocus(NamedTuple):
@@ -52,15 +58,21 @@ def singular_locus(spec: ModelSpec) -> SingularLocus:
                          angular_constraint="cos(theta) = 0")
 
 
-def _samples(spec: ModelSpec, r, theta):
-    """phi2_grid at (r, theta); FloatingPointError, naming the mass, if a
-    sample is not finite and nonzero (r S or r over- or underflowed)."""
-    with np.errstate(over="ignore"):
-        phi2 = phi2_grid(spec, r, theta)
-    if not np.all(np.isfinite(phi2) & (phi2 != 0.0)):
-        raise FloatingPointError(f"phi^2 over- or underflows at mass "
-                                 f"{spec.m!r}")
-    return phi2
+def phi2_samples(spec: ModelSpec, radii, thetas):
+    """phi^2 at the points (radii[i], thetas[i]), a list of floats; raises
+    FloatingPointError, naming the mass, if a sample is not finite and
+    nonzero (r S or r over- or underflowed).  A zero divisor, where
+    phi2_grid would read inf or nan, is refused the same way."""
+    m, p = spec.m, spec.p
+    try:
+        phi2 = [formulas.raw_density(r, formulas.profile(r, m), math.cos(t),
+                                     p, math.sqrt)
+                for r, t in zip(radii, thetas)]
+        if all(math.isfinite(v) and v != 0.0 for v in phi2):
+            return phi2
+    except ZeroDivisionError:
+        pass
+    raise FloatingPointError(f"phi^2 over- or underflows at mass {m!r}")
 
 
 def locate_numerically(spec: ModelSpec) -> LocusEstimate:
@@ -78,38 +90,47 @@ def locate_numerically(spec: ModelSpec) -> LocusEstimate:
     rc than d = 1e-12, which float64 cannot resolve: it reads as a shell.
     """
     rc = 1.0 / (2.0 * spec.m)
-    # one path a row: the equator inside and outside rc, then pi/4
-    r = rc * (1.0 + np.array([[-1.0], [1.0], [-1.0], [1.0]])
-              * np.array(APPROACH_DISTANCES))
-    phi2 = _samples(spec, r, np.array([[np.pi / 2]] * 2 + [[np.pi / 4]] * 2))
-    order = np.log10(phi2[:, 1] / phi2[:, 0])
-    diverged = bool(order[:2].min() > 0.5)
-    kind = ("none" if not diverged else "shell" if order[2:].max() > 1.0
+    # four paths, the equator inside and outside rc, then pi/4 inside and
+    # outside, each sampled at every distance, the farthest first
+    paths = [(side, theta) for theta in (math.pi / 2, math.pi / 4)
+             for side in (-1.0, 1.0)]
+    radii = [rc * (1.0 + side * d) for side, _ in paths
+             for d in APPROACH_DISTANCES]
+    phi2 = phi2_samples(spec, radii, [theta for _, theta in paths
+                                      for _ in APPROACH_DISTANCES])
+    order = [math.log10(near / far) for far, near in zip(phi2[::2],
+                                                          phi2[1::2])]
+    diverged = min(order[:2]) > 0.5
+    kind = ("none" if not diverged else "shell" if max(order[2:]) > 1.0
             else "ring")
-    (r0, r1), (y0, y1) = r[1], 1.0 / phi2[1]
+    (r0, r1), (y0, y1) = radii[2:4], (1.0 / phi2[2], 1.0 / phi2[3])
     ring = kind == "ring"
     return LocusEstimate(
         kind=kind,
-        radius=float(r1 - (r1 - r0) * (y1 / (y1 - y0))) if diverged else None,
+        radius=r1 - (r1 - r0) * (y1 / (y1 - y0)) if diverged else None,
         radius_uncertainty=rc * APPROACH_DISTANCES[-1],
-        theta=np.pi / 2 if ring else None,
-        theta_uncertainty=np.pi / 4 if ring else None,
+        theta=math.pi / 2 if ring else None,
+        theta_uncertainty=math.pi / 4 if ring else None,
         diverged=diverged,
         refinements=len(APPROACH_DISTANCES),
     )
 
 
 def decay_fit(spec: ModelSpec):
-    """Least-squares slope of ln phi^2 against ln r over 40 radii from 10/m
-    to 1000/m at theta = pi/4.
+    """Least-squares slope of ln phi^2 against ln r at the radii
+    DECAY_SCALES / m (10/m to 1000/m) at theta = pi/4, in closed form
+    from the centred logarithms, each sum taken by math.fsum.
 
     Returns (exponent, amplitude): phi^2 ~ amplitude * r^exponent.
     """
-    with np.errstate(invalid="ignore"):  # inf radii below m = 1e-307
-        rs = np.geomspace(10.0 / spec.m, 1000.0 / spec.m, 40)
-    vals = _samples(spec, rs, np.full_like(rs, np.pi / 4))
-    slope, intercept = np.polyfit(np.log(rs), np.log(vals), 1)
-    return float(slope), float(np.exp(intercept))
+    radii = [scale / spec.m for scale in DECAY_SCALES]
+    phi2 = phi2_samples(spec, radii, [math.pi / 4] * len(radii))
+    x, y = [math.log(r) for r in radii], [math.log(v) for v in phi2]
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [v - x_mean for v in x]
+    slope = (math.fsum(d * (v - y_mean) for d, v in zip(dx, y))
+             / math.fsum(d * d for d in dx))
+    return slope, math.exp(y_mean - slope * x_mean)
 
 
 def asymptotics_report(spec: ModelSpec):
@@ -117,8 +138,8 @@ def asymptotics_report(spec: ModelSpec):
     an O(1/r^2) error), and phi^2 near the origin with its finite limit 8m,
     the same for both models.
     """
-    exponent, amplitude = decay_fit(spec)
-    origin = float(_samples(spec, 1e-6 / spec.m, np.pi / 3))
+    exponent, _ = decay_fit(spec)
+    origin, = phi2_samples(spec, [1e-6 / spec.m], [math.pi / 3])
     return {
         "limit_constant": 2.0 / spec.m,
         "decay_exponent": exponent,

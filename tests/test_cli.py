@@ -413,13 +413,13 @@ print(json.dumps({"codes": codes, "scipy": scipy}))
             {"codes": [code], "scipy": []}, argv
 
 
-def _cold_imports(tmp_path, argv):
+def _cold_imports(tmp_path, argv, how=("-m", "nldirac.cli")):
     """(exit code, stdout, stderr, every module imported) of one cold
-    ``python -m nldirac.cli`` run in ``tmp_path``, with the modules as -X
-    importtime names them and stderr without its lines; help is wrapped at
-    80 columns."""
+    ``python -m nldirac.cli`` run in ``tmp_path`` (or ``python *how``), with
+    the modules as -X importtime names them and stderr without its lines;
+    help is wrapped at 80 columns."""
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "nldirac.cli", *argv],
+        [sys.executable, "-X", "importtime", *how, *argv],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"},
         capture_output=True, text=True, timeout=60)
@@ -459,6 +459,8 @@ def test_a_cold_command_imports_neither_dataclasses_nor_csv(
     assert code == expected, stderr
     if expected == 2:  # checked before any numerical layer is loaded
         assert "numpy" not in modules and "nldirac.settings" in modules, argv
+    elif argv[0] == "locus":  # the singular layer evaluates in floats
+        assert "nldirac.singular" in modules and "numpy" not in modules, argv
     else:
         assert "nldirac.ode" in modules, argv
     assert not {"dataclasses", "csv", "numpy.ma"} & modules, argv
@@ -546,10 +548,72 @@ EVALUATED_REFUSALS = [
 def test_a_refusal_that_evaluates_loads_the_layers_first(tmp_path, argv,
                                                          stderr):
     # these refusals read the solution or the metric, so a cold run loads
-    # the layers after the usage checks and then refuses as before
+    # the layers after the usage checks and then refuses as before; locus
+    # loads its singular layer alone, which evaluates without numpy
     code, stdout, err, modules = _cold_imports(tmp_path, argv.split())
     assert (code, stdout, err) == (2, "", stderr)
-    assert "numpy" in modules
+    if argv.startswith("locus"):
+        assert "nldirac.singular" in modules and "numpy" not in modules
+    else:
+        assert "numpy" in modules
+
+
+def _console_script():
+    """(module, function) of the ``nldirac`` entry in pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        entry = tomllib.load(fh)["project"]["scripts"]["nldirac"]
+    module, function = entry.split(":")
+    return module, function
+
+
+@pytest.mark.parametrize("argv, expected, stderr", [
+    ("verify --model p:2", 2,
+     "error: interpolation parameter must lie in [0,1], got 2.0\n"),
+    ("locus", 0, ""),
+])
+def test_the_console_script_loads_no_numpy(tmp_path, argv, expected,
+                                           stderr):
+    # the installed script calls its entry as the generated wrapper does,
+    # with sys.argv the command line; a usage error and locus load no numpy
+    module, function = _console_script()
+    code, stdout, err, modules = _cold_imports(tmp_path, argv.split(), (
+        "-c", f"import sys; from {module} import {function}; "
+              f"sys.argv[0] = 'nldirac'; sys.exit({function}())"))
+    assert (code, err) == (expected, stderr)
+    assert "numpy" not in modules, argv
+    if expected == 0:
+        assert json.loads(stdout)["numerical_locus"]["kind"] == "ring"
+
+
+@pytest.mark.parametrize("argv", [
+    "ode --model soler --tol rtol=1e-20 --out t.csv",
+    "report --model soler --grid 0.05,20,5,4 --tol rtol=1e-20 --out r.json",
+], ids=["ode", "report"])
+def test_a_raised_rtol_is_one_warning_line(tmp_path, argv):
+    # cold as python -m nldirac.cli and in process through cli.main in a
+    # fresh interpreter: the warning names no file, line or source text
+    for how in (("-m", "nldirac.cli"),
+                ("-c", "import sys; from nldirac import cli; "
+                       "sys.exit(cli.main(sys.argv[1:]))")):
+        code, stdout, err, _ = _cold_imports(tmp_path, argv.split(), how)
+        assert (code, err) == (0, "warning: rtol 1e-20 raised to 100 eps\n"), how
+        if argv.startswith("ode"):
+            assert json.loads(stdout)["rtol"] == 100 * np.finfo(float).eps
+
+
+def test_a_raised_rtol_warns_as_before_in_process(capsys, tmp_path):
+    # a caller that records warnings still sees the UserWarning, and the
+    # command leaves the way warnings are shown as it found it
+    shown = warnings.formatwarning
+    for argv in (("ode", "--model", "soler", "--out", str(tmp_path / "t.csv")),
+                 ("report", "--model", "soler", "--grid", "0.05,20,5,4")):
+        with pytest.warns(UserWarning, match="rtol 1e-20 raised to 100 eps"):
+            code, out, _ = run(capsys, *argv, "--tol", "rtol=1e-20")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc.get("ode", doc)["rtol"] == 100 * np.finfo(float).eps
+        assert warnings.formatwarning is shown
 
 
 def test_locus_report(capsys):

@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from nldirac import singular
+from nldirac import cli, singular
 from nldirac.polar import ModelSpec, phi2_grid
 from nldirac.singular import (
     asymptotics_report,
@@ -68,13 +68,13 @@ def test_numerical_locus_matches_the_analytic_kind(p, m):
 def test_locus_search_evaluates_ten_points_at_most(monkeypatch):
     # four paths of two points each; the radius reuses the outside equator
     # samples
-    density, sizes = singular.phi2_grid, []
+    density, sizes = singular.phi2_samples, []
 
-    def counted(spec, r, theta):
-        sizes.append(np.size(r))
-        return density(spec, r, theta)
+    def counted(spec, radii, thetas):
+        sizes.append(len(radii))
+        return density(spec, radii, thetas)
 
-    monkeypatch.setattr(singular, "phi2_grid", counted)
+    monkeypatch.setattr(singular, "phi2_samples", counted)
     locate_numerically(ModelSpec("p:0.5"))
     assert len(sizes) <= 5 and sum(sizes) <= 10, sizes
 
@@ -82,9 +82,10 @@ def test_locus_search_evaluates_ten_points_at_most(monkeypatch):
 def test_window_without_singular_radius_stays_bounded(monkeypatch):
     # the density shifted outwards by 0.55/m: the approach paths to r = 0.5
     # then see the bounded density next to r = 1.05
-    density = singular.phi2_grid
-    monkeypatch.setattr(singular, "phi2_grid",
-                        lambda spec, r, theta: density(spec, r + 0.55, theta))
+    density = singular.phi2_samples
+    monkeypatch.setattr(singular, "phi2_samples",
+                        lambda spec, radii, thetas: density(
+                            spec, [r + 0.55 for r in radii], thetas))
     for spec in (ModelSpec("njl"), ModelSpec("soler")):
         est = locate_numerically(spec)
         assert not est.diverged
@@ -188,3 +189,51 @@ def test_density_keeps_full_precision_next_to_the_ring():
                         spec.name, m, d, r, float(error / exact))
                     if m == 0.5:
                         assert rounding == 0
+
+
+def _array_locus(spec):
+    """(kind, diverged, radius) of the approach paths as polar.phi2_grid
+    reads them on arrays: the same eight points, orders and secant."""
+    rc = 1.0 / (2.0 * spec.m)
+    r = rc * (1.0 + np.array([[-1.0], [1.0], [-1.0], [1.0]])
+              * np.array(singular.APPROACH_DISTANCES))
+    with np.errstate(over="ignore"):
+        phi2 = phi2_grid(spec, r, np.array([[np.pi / 2]] * 2
+                                           + [[np.pi / 4]] * 2))
+    order = np.log10(phi2[:, 1] / phi2[:, 0])
+    diverged = bool(order[:2].min() > 0.5)
+    kind = ("none" if not diverged else "shell" if order[2:].max() > 1.0
+            else "ring")
+    (r0, r1), (y0, y1) = r[1], 1.0 / phi2[1]
+    radius = float(r1 - (r1 - r0) * (y1 / (y1 - y0))) if diverged else None
+    return kind, diverged, radius
+
+
+@pytest.mark.parametrize("m", (1e-299, 1e-3, 0.5, 1.0, 3.0, 1e283))
+@pytest.mark.parametrize("model", ("njl", "soler", "p:0.5", "p:1e-9"))
+def test_the_float_report_matches_the_array_density(model, m):
+    # singular evaluates in floats; its samples, and so its locus and
+    # origin value, are phi2_grid's bit for bit, and its closed-form slope
+    # is np.polyfit's on the same samples
+    spec = ModelSpec(model, m=m)
+    report = singularity_report(spec)
+    est = report["numerical_locus"]
+    assert (est["kind"], est["diverged"], est["radius"]) == _array_locus(spec)
+    assert report["origin_value"] == float(phi2_grid(spec, 1e-6 / m,
+                                                     np.pi / 3))
+    radii = np.array([scale / m for scale in singular.DECAY_SCALES])
+    thetas = np.full_like(radii, np.pi / 4)
+    vals = phi2_grid(spec, radii, thetas)
+    assert singular.phi2_samples(spec, radii.tolist(),
+                                 thetas.tolist()) == vals.tolist()
+    slope = np.polyfit(np.log(radii), np.log(vals), 1)[0]
+    assert abs(report["decay_exponent"] - slope) <= 1e-12
+
+
+@pytest.mark.parametrize("mass, stderr", [
+    ("1e-310", "error: phi^2 over- or underflows at mass 1e-310\n"),
+    ("1e300", "error: phi^2 over- or underflows at mass 1e+300\n"),
+])
+def test_locus_refuses_a_mass_beyond_the_floats(capsys, mass, stderr):
+    assert cli.main(["locus", "--mass", mass]) == 2
+    assert capsys.readouterr() == ("", stderr)
