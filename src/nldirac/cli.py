@@ -25,8 +25,8 @@ import warnings
 from typing import NamedTuple
 
 from .errors import DivergingState, SingularPoint, StepUnderflow
-from .settings import (DEFAULT_MASK_MARGIN, DEFAULT_TOLERANCES, FIELDMAP_GRID,
-                       SCHEMA, GridConfig, ModelSpec)
+from .settings import (DEFAULT_MASK_MARGIN, DEFAULT_SEED, DEFAULT_TOLERANCES,
+                       FIELDMAP_GRID, SCHEMA, GridConfig, ModelSpec)
 
 
 @functools.cache
@@ -69,7 +69,7 @@ CONFIG_KEYS = ("model", "p", "mass", "grid", "seed", "tolerances",
                "mask_margin", "E", "energy", "l", "angular_momentum", "out",
                "format")
 ALIASES = {"energy": "E", "angular_momentum": "l"}
-DEFAULTS = {"model": "njl", "mass": 1.0, "grid": {}, "seed": 42,
+DEFAULTS = {"model": "njl", "mass": 1.0, "grid": {}, "seed": DEFAULT_SEED,
             "tolerances": {}, "mask_margin": DEFAULT_MASK_MARGIN}
 TOLERANCE_NAMES = (*DEFAULT_TOLERANCES, "rtol", "atol")
 # The settings each command reads: config keys (the flags of the same name),
@@ -131,20 +131,23 @@ def _common_flags():
     a parent."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", default=None,
-                        help="njl | soler | p:<value> (default njl)")
+                        help="njl | soler | p:<value> "
+                             f"(default {DEFAULTS['model']})")
     common.add_argument("--mass", type=float, default=None,
-                        help="field mass m > 0 (default 1.0)")
+                        help=f"field mass m > 0 (default {DEFAULTS['mass']})")
     common.add_argument("--p", dest="p_flag", type=float, default=None,
                         help="interpolation parameter; shorthand for --model p:<v>")
     common.add_argument("--grid", default=None, metavar="r_min,r_max,n_r,n_theta",
                         help="radii in units of 1/m, log-spaced")
     common.add_argument("--seed", type=int, default=None,
-                        help="seed for the random-spinor/point suites (default 42)")
+                        help="seed for the random-spinor/point suites "
+                             f"(default {DEFAULT_SEED})")
     common.add_argument("--tol", action="append", default=None, metavar="name=value",
                         help="override a suite tolerance (or rtol/atol of the "
                              "radial integration in ode and report)")
     common.add_argument("--mask-margin", type=float, default=None,
-                        help="half-width of the singular-region mask (default 0.02)")
+                        help="half-width of the singular-region mask "
+                             f"(default {DEFAULT_MASK_MARGIN})")
     common.add_argument("--out", default=None, help="output file path")
     common.add_argument("--format", dest="fmt", choices=("csv", "json"),
                         default=None,
@@ -477,7 +480,7 @@ def cmd_ode(cfg: RunConfig):
     if result is None:
         return 1
     summary, traj, nonfinite = result
-    ode.trajectory_to_csv(traj, spec, cfg.out)
+    ode.trajectory_to_csv(traj, spec.m, cfg.out)
     doc = {"schema": SCHEMA, "model": spec.name, "mass": spec.m,
            "trajectory_csv": cfg.out, **summary}
     _emit_json(doc, None)

@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonRealBilinear
+from .settings import DEFAULT_SEED
 from .sparse import Live, constant, live_rows
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -306,7 +307,7 @@ def fierz_residuals(psis):
     )
 
 
-def random_spinors(n, seed=42):
+def random_spinors(n, seed=DEFAULT_SEED):
     """Seeded batch of complex-normal spinors for identity suites."""
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))

@@ -1,14 +1,17 @@
 """Radial system of the scalar (Soler) model and the quantum-number scan.
 
-The scalar model leaves two free radial fields, X and G, governed by
+The scalar model leaves two free radial fields, X and G.  In units of 1/m
+(r for mr and G for G/m) their system holds no mass, 2r is its only scale:
 
-    r X' / sqrt(X^2+1) = 2mr sqrt(X^2+1) - 2mr X - 2 + r X^2 G
-    2 + r G'/G        = 2mr sqrt(X^2+1) - r G X sqrt(X^2+1) - 2mr X
+    r X' / sqrt(X^2+1) = 2r sqrt(X^2+1) - 2r X - 2 + r X^2 G
+    2 + r G'/G        = 2r sqrt(X^2+1) - r G X sqrt(X^2+1) - 2r X
 
-The closed-form pair X = sinh(ln 2mr), G = 2/(r X^2) is an exact solution
-but not necessarily the only one; integrate takes any initial data, so a
-perturbed trajectory can be set against it.  G diverges on the sphere 2mr = 1,
-so every integration is confined to one side of that radius.
+and every run here is in those units; verify.ode_summary and
+trajectory_to_csv alone convert it to a mass.  The closed-form pair X =
+sinh(ln 2r), G = 2/(r X^2) is an exact solution but not necessarily the
+only one; integrate takes any initial data, so a perturbed trajectory can
+be set against it.  G diverges on the sphere 2r = 1, so every integration
+is confined to one side of that radius.
 
 The integrator is the explicit Dormand-Prince 5(4) pair with adaptive
 steps, numpy only.  Its initial-step rule, RMS error norm and step-size
@@ -36,6 +39,8 @@ from .polar import G_exact, X_exact
 from .settings import ModelSpec
 
 OVERFLOW_GUARD = 1e12
+# the scalar model in units of 1/m, whose closed form the radial run tracks
+UNIT_MASS = ModelSpec("soler")
 EPS = np.finfo(float).eps
 
 
@@ -55,8 +60,9 @@ class _IntegratorFields(NamedTuple):
 class IntegratorConfig(_IntegratorFields):
     """Settings of the Dormand-Prince 5(4) integrator: a step is accepted
     when the RMS of its error estimate, scaled by atol + rtol |y|, is below
-    1.  The rtol and atol defaults are every command's defaults; an rtol
-    below 100 machine epsilons is raised to it."""
+    1, for y = (X, G) in units of 1/m: atol applies to X and to G/m.  The
+    rtol and atol defaults are every command's defaults; an rtol below 100
+    machine epsilons is raised to it."""
 
     __slots__ = ()
 
@@ -77,34 +83,33 @@ class Trajectory(NamedTuple):
     min_step: float
 
 
-def soler_rhs(r, y, spec: ModelSpec):
-    """(dX/dr, dG/dr) of the radial system; G = 0 is an invariant manifold."""
+def soler_rhs(r, y):
+    """(dX/dr, dG/dr) in units of 1/m; G = 0 is an invariant manifold."""
     X, G = y
     if abs(X) > OVERFLOW_GUARD or abs(G) > OVERFLOW_GUARD:
         raise DivergingState(r, "radial state exceeded overflow guard")
     ch = np.sqrt(X * X + 1.0)
-    # 2mr (ch - X); for X > 0 as 2mr / (ch + X), which does not cancel
-    u = 2.0 * spec.m * r * (1.0 / (ch + X) if X > 0 else ch - X)
+    # 2r (ch - X); for X > 0 as 2r / (ch + X), which does not cancel
+    u = 2.0 * r * (1.0 / (ch + X) if X > 0 else ch - X)
     dX = (ch / r) * (u - 2.0 + r * X * X * G)
     dG = (G / r) * (u - r * G * X * ch - 2.0)
     return np.array([dX, dG])
 
 
-def exact_state(r, spec: ModelSpec) -> OdeState:
-    return OdeState(X=X_exact(r, spec), G=G_exact(r, spec))
+def exact_state(r) -> OdeState:
+    return OdeState(X=X_exact(r, UNIT_MASS), G=G_exact(r, UNIT_MASS))
 
 
-def check_span(r_span, spec: ModelSpec):
+def check_span(r_span):
     """Raise ValueError unless the span is positive, non-empty and on one
-    side of the singular radius."""
+    side of the singular radius 1/2."""
     r0, r1 = r_span
     if r0 <= 0 or r1 <= 0 or r0 == r1:
         raise ValueError("radial span must be positive and non-empty")
-    rc = 1.0 / (2.0 * spec.m)
-    if (r0 - rc) * (r1 - rc) < 0 or r0 == rc or r1 == rc:
+    if (r0 - 0.5) * (r1 - 0.5) <= 0:
         raise ValueError(
             f"integration span {r_span!r} straddles the singular radius "
-            f"1/(2m) = {rc!r}; split the run into r < 1/(2m) and r > 1/(2m) "
+            "1/(2m) = 0.5; split the run into r < 1/(2m) and r > 1/(2m) "
             "segments"
         )
 
@@ -126,14 +131,14 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, r0, y0, f0, r_end, direction, rtol, atol):
+def _initial_step(r0, y0, f0, r_end, direction, rtol, atol):
     """First step size from the scales of y, y' and y'' at r0 (Hairer,
     Norsett & Wanner, Sec. II.4)."""
     length = abs(r_end - r0)
     scale = atol + np.abs(y0) * rtol
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
-    f1 = fun(r0 + h0 * direction, y0 + h0 * direction * f0)
+    f1 = soler_rhs(r0 + h0 * direction, y0 + h0 * direction * f0)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -153,28 +158,24 @@ def _step_failure(r, r_span):
                           "spacing between numbers.")
 
 
-def integrate(config: IntegratorConfig, initial: OdeState, spec: ModelSpec):
+def integrate(config: IntegratorConfig, initial: OdeState):
     """Integrate the radial system from ``initial`` at r_span[0]: adaptive
     steps of the Dormand-Prince pair, advancing with the 5th-order solution
     and controlling the RMS of the 4th-order error estimate.
 
     Raises DivergingState when the overflow guard trips, StepUnderflow when
-    the adaptive step collapses (the signature of running into 2mr = 1), and
+    the adaptive step collapses (the signature of running into 2r = 1), and
     ValueError when the requested span straddles the singular radius.
     """
-    check_span(config.r_span, spec)
+    check_span(config.r_span)
     r, r_end = map(float, config.r_span)
     y = np.array([initial.X, initial.G], dtype=float)
     if not np.isfinite(y).all():
         raise ValueError("the initial state must be finite")
     rtol, atol = config.rtol, config.atol
-
-    def fun(r, y):
-        return soler_rhs(r, y, spec)
-
     direction = np.sign(r_end - r)
-    f = fun(r, y)
-    h_abs = _initial_step(fun, r, y, f, r_end, direction, rtol, atol)
+    f = soler_rhs(r, y)
+    h_abs = _initial_step(r, y, f, r_end, direction, rtol, atol)
     K = np.empty((len(C) + 1, y.size))
     rs, ys = [r], [y]
     while direction * (r - r_end) < 0:
@@ -191,9 +192,10 @@ def integrate(config: IntegratorConfig, initial: OdeState, spec: ModelSpec):
             h_abs = np.abs(h)
             K[0] = f
             for s in range(1, len(C)):
-                K[s] = fun(r + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
+                K[s] = soler_rhs(r + C[s] * h,
+                                 y + np.dot(K[:s].T, A[s, :s]) * h)
             y_new = y + h * np.dot(K[:-1].T, B)
-            K[-1] = f_new = fun(r + h, y_new)
+            K[-1] = f_new = soler_rhs(r + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             error = _rms(np.dot(K.T, E) * h / scale)
             if error < 1:
@@ -207,36 +209,25 @@ def integrate(config: IntegratorConfig, initial: OdeState, spec: ModelSpec):
         rs.append(r)
         ys.append(y)
     r_all, y_all = np.array(rs), np.vstack(ys)
-    steps = np.abs(np.diff(r_all))
-    interior = steps[:-1]  # the last step is truncated to land on r_end
-    if interior.size and interior.min() < 1e-10 * np.abs(
-        r_all[np.argmin(interior)]
-    ):
-        # the system is non-stiff away from 2mr = 1; collapsing steps mean
-        # the run is grazing the singular radius
-        warnings.warn(
-            f"step size {interior.min():.3e} suggests stiffness near the "
-            "singular radius", RuntimeWarning, stacklevel=2,
-        )
     return Trajectory(
         r=r_all, X=y_all[:, 0], G=y_all[:, 1],
-        n_steps=len(r_all) - 1, min_step=float(steps.min()),
+        n_steps=len(r_all) - 1, min_step=float(np.abs(np.diff(r_all)).min()),
     )
 
 
-def _branch(rs, X, G, spec: ModelSpec):
+def _branch(rs, X, G):
     """Closed-form (X, G) at the radii rs and the relative deviations of the
     values X, G from them: (Xe, Ge, dev_X, dev_G)."""
-    Xe, Ge = X_exact(rs, spec), G_exact(rs, spec)
+    Xe, Ge = X_exact(rs, UNIT_MASS), G_exact(rs, UNIT_MASS)
     dev_X = np.abs(X - Xe) / np.maximum(np.abs(Xe), 1e-300)
     dev_G = np.abs(G - Ge) / np.maximum(np.abs(Ge), 1e-300)
     return Xe, Ge, dev_X, dev_G
 
 
-def tracking_deviation(traj: Trajectory, spec: ModelSpec):
+def tracking_deviation(traj: Trajectory):
     """Max relative deviation of a trajectory from the closed-form branch at
     its accepted steps: the maxima of the CSV's dev_X and dev_G columns."""
-    _, _, dev_X, dev_G = _branch(traj.r, traj.X, traj.G, spec)
+    _, _, dev_X, dev_G = _branch(traj.r, traj.X, traj.G)
     return {
         "max_rel_X": float(dev_X.max()),
         "max_rel_G": float(dev_G.max()),
@@ -244,11 +235,20 @@ def tracking_deviation(traj: Trajectory, spec: ModelSpec):
     }
 
 
-def trajectory_to_csv(traj: Trajectory, spec: ModelSpec, path):
-    """Write r, X, G, the closed-form values and relative deviations: the
-    repr of each value, comma-separated, each row ending in CRLF, as the
-    fieldmap and csv.writer write them."""
-    columns = (traj.r, traj.X, traj.G, *_branch(traj.r, traj.X, traj.G, spec))
+def trajectory_to_csv(traj: Trajectory, m, path):
+    """Write the run at the mass m: r/m, X, G*m, the closed-form X and G*m,
+    and the relative deviations.  Each value is its repr, comma-separated,
+    each row ending in CRLF, as csv.writer writes them.  Raises
+    FloatingPointError, naming the mass, before anything is written where a
+    G*m is 0 or infinite and its G is not: G*m has left the floats."""
+    Xe, Ge, dev_X, dev_G = _branch(traj.r, traj.X, traj.G)
+    unit = np.array([traj.G, Ge])
+    with np.errstate(over="ignore"):  # the edges are what is checked
+        G = unit * m
+    if np.any((np.isinf(G) | (G == 0)) != (np.isinf(unit) | (unit == 0))):
+        raise FloatingPointError(f"trajectory G*m over- or underflows at mass "
+                                 f"{m!r}")
+    columns = (traj.r / m, traj.X, G[0], Xe, G[1], dev_X, dev_G)
     with open(path, "w", newline="") as fh:
         fh.write("r,X,G,X_exact,G_exact,dev_X,dev_G\r\n")
         fh.writelines(",".join(row) + "\r\n" for row in zip(

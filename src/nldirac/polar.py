@@ -210,35 +210,6 @@ def assemble_spinor(f: ClosedForm):
     return psi
 
 
-def spinor_coordinate_partials(pt: GridPoint, f: ClosedForm, psi):
-    """Analytic (d_r psi, d_theta psi) of the spinor psi assembled from the
-    bundle f, from the log-derivative of the density and the chiral-angle
-    partials: (d ln phi) psi - (i/2)(d beta) pi psi.
-
-    Each is the sparse.Live of the spinor (layout (4,)) on the components
-    i of psi that are nonzero at some point (sparse.live_rows), its
-    entries named (i,), taken one row at a time, as
-    clifford.spin_action takes them: numpy buffers a broadcast operand to
-    the size of the whole product.  The partials of a component that is
-    zero at every point are zero; a NaN is not zero.
-    """
-    d = f.density
-    coefficients = (
-        (0.5 * d.r_dlnphi2_dr / pt.r, 0.5j * (f.r_d_beta_dr / pt.r)),
-        (0.5 * d.dlnphi2_dtheta, 0.5j * f.d_beta_dtheta))
-    dtype = np.result_type(psi, *(c for pair in coefficients for c in pair))
-    live = sparse.live_rows(psi).tolist()
-    partials = [sparse.Live((4,), tuple((i,) for i in live), np.empty(
-        (len(live),) + np.shape(psi)[1:], dtype=dtype)) for _ in coefficients]
-    for n, i in enumerate(live):
-        pipsi = clifford.PI_SIGNS[i] * psi[i]
-        for partial, (ln_phi, beta) in zip(partials, coefficients):
-            row = partial.values[n, ...]
-            np.multiply(ln_phi, psi[i], out=row)
-            row -= beta * pipsi
-    return tuple(partials)
-
-
 def covariant_derivative(pt: GridPoint, spec: ModelSpec, f: ClosedForm):
     """nabla_mu psi = d_mu psi + (1/2) C_{ab mu} sigma^{ab} psi.
 
@@ -246,26 +217,34 @@ def covariant_derivative(pt: GridPoint, spec: ModelSpec, f: ClosedForm):
     the standard-form residual of the exact solutions vanishes, and the
     test suite pins it by showing that -C leaves a large residual.
 
-    The (r, theta) partials of psi are the analytic ones of
-    spinor_coordinate_partials, branch-free everywhere off the singular
-    locus; the tests compare them with complex-step derivatives of psi.
+    The (r, theta) partials of psi are the analytic ones, (d ln phi) psi -
+    (i/2)(d beta) pi psi from the log-derivative of the density and the
+    chiral-angle partials, branch-free everywhere off the singular locus;
+    the tests compare them with complex-step derivatives of psi.  The t
+    and azimuth partials are the pure phases exp(-i(E t + l phi)).
 
     Returns (nabla psi stacked over mu, shape (4, 4) + the points' shape;
     psi), both built from the closed-form bundle f.
 
-    Each partial d_mu psi is added in place to its row of the spin action,
-    one live component at a time, so no stack of the four partials is built
-    beside the result, and the two phase partials are added on the
-    components of psi that are nonzero at some point, one at a time.
+    Each partial is added in place to its row of the spin action, on the
+    components i of psi that are nonzero at some point
+    (sparse.live_rows), one at a time, so no stack of the four partials is
+    built beside the result: numpy buffers a broadcast operand to the size
+    of the whole product.  The partials of a component that is zero at
+    every point are zero; a NaN is not zero.
     """
     psi = assemble_spinor(f)
     nabla = clifford.spin_action(geometry.spin_connection_at(pt, f.ang), psi)
-    for mu, partial in zip((geometry.R, geometry.TH),
-                           spinor_coordinate_partials(pt, f, psi)):
-        for (i,), row in zip(partial.index, partial.values):
-            nabla[mu, i] += row
-    # the t and azimuth partials are the pure phases exp(-i(E t + l phi))
+    d = f.density
+    # (mu, d_mu ln phi, (1/2) i d_mu beta) of the r and theta rows
+    coefficients = (
+        (geometry.R, 0.5 * d.r_dlnphi2_dr / pt.r,
+         0.5j * (f.r_d_beta_dr / pt.r)),
+        (geometry.TH, 0.5 * d.dlnphi2_dtheta, 0.5j * f.d_beta_dtheta))
     for i in sparse.live_rows(psi):
+        pipsi = clifford.PI_SIGNS[i] * psi[i]
+        for mu, ln_phi, beta in coefficients:
+            nabla[mu, i] += ln_phi * psi[i] - beta * pipsi
         nabla[0, i] += -1j * spec.E * psi[i]
         nabla[3, i] += -1j * spec.l * psi[i]
     return nabla, psi

@@ -22,6 +22,9 @@ ENDPOINTS = {"njl": 1.0, "soler": 0.0}
 # Half-width of the singular-region mask of a grid sweep (equations.is_masked).
 DEFAULT_MASK_MARGIN = 0.02
 
+# Seed of the random spinors and points of the sampled suites.
+DEFAULT_SEED = 42
+
 DEFAULT_TOLERANCES = {
     "fierz": 1e-10,
     "flatness": 1e-10,

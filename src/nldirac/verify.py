@@ -15,8 +15,8 @@ import numpy as np
 
 from . import clifford, equations, geometry, grids, ode, polar
 from .geometry import GridPoint
-from .settings import (DEFAULT_MASK_MARGIN, DEFAULT_TOLERANCES, ENDPOINTS,
-                       SCHEMA, ModelSpec)
+from .settings import (DEFAULT_MASK_MARGIN, DEFAULT_SEED, DEFAULT_TOLERANCES,
+                       ENDPOINTS, SCHEMA, ModelSpec)
 
 
 def _entry(max_residual, tol, n, extra=None):
@@ -159,8 +159,8 @@ def check_mass(spec: ModelSpec, grid_cfg=None):
                                  f"mass {spec.m!r}")
 
 
-def run_suites(spec: ModelSpec, grid_cfg=None, seed=42, tolerances=None,
-               margin=DEFAULT_MASK_MARGIN):
+def run_suites(spec: ModelSpec, grid_cfg=None, seed=DEFAULT_SEED,
+               tolerances=None, margin=DEFAULT_MASK_MARGIN):
     """Run every applicable suite for one model; returns the JSON-ready report.
 
     An interpolating run skips the ENDPOINT_ONLY suites and reports the
@@ -199,27 +199,30 @@ def ode_summary(spec: ModelSpec, r_span=(1.0, 10.0), tolerances=None,
                 scan=False):
     """Exact-branch tracking run of the scalar radial system + optional scan.
 
-    The integrator reads "rtol" and "atol" from ``tolerances`` (the suite
-    tolerances there are ignored) and keeps its own default for each one
-    missing.  Returns (summary, trajectory, the names of the summary's
-    non-finite results: the deviation or scan cells).  Raises
-    FloatingPointError, naming the mass, where the span r/m leaves the
-    floats (grids.over_mass).
+    The run is that of ode, in units of 1/m: ``r_span`` is in those units,
+    as a grid's radii are, and the summary's r_span and min_step are
+    converted to radii of the mass here.  The integrator reads "rtol" and
+    "atol" from ``tolerances`` (the suite tolerances there are ignored) and
+    keeps its own default for each one missing.  Returns (summary,
+    trajectory in units of 1/m, the names of the summary's non-finite
+    results: the deviation or scan cells).  Raises FloatingPointError,
+    naming the mass, where the span r/m leaves the floats
+    (grids.over_mass).
     """
-    r0, r1 = grids.over_mass(r_span, spec.m)
-    ode.check_span((r0, r1), spec)  # before exact_state, which fails at 2mr = 1
+    radii = grids.over_mass(r_span, spec.m)
+    ode.check_span(r_span)  # before exact_state, which fails at 2r = 1
     cfg = ode.IntegratorConfig(
-        r_span=(r0, r1),
+        r_span=r_span,
         **{k: v for k, v in (tolerances or {}).items() if k in ("rtol", "atol")},
     )
-    traj = ode.integrate(cfg, ode.exact_state(r0, spec), spec)
-    dev = ode.tracking_deviation(traj, spec)
+    traj = ode.integrate(cfg, ode.exact_state(r_span[0]))
+    dev = ode.tracking_deviation(traj)
     out = {
-        "r_span": [r0, r1],
+        "r_span": radii,
         "rtol": cfg.rtol,
         "atol": cfg.atol,
         "n_steps": traj.n_steps,
-        "min_step": traj.min_step,
+        "min_step": traj.min_step / spec.m,
         "max_deviation": dev["max_rel"],
         "max_rel_X": dev["max_rel_X"],
         "max_rel_G": dev["max_rel_G"],

@@ -121,11 +121,11 @@ def test_criterion_06_quantum_number_rigidity():
 
 
 def test_criterion_07_ode_tracking():
-    spec = ModelSpec("soler", m=1.0)
+    # the radial run is in units of 1/m, where it holds no mass
     t0 = time.perf_counter()
     cfg = ode.IntegratorConfig(r_span=(1.0, 10.0), rtol=1e-9, atol=1e-12)
-    traj = ode.integrate(cfg, ode.exact_state(1.0, spec), spec)
-    dev = ode.tracking_deviation(traj, spec)["max_rel"]
+    traj = ode.integrate(cfg, ode.exact_state(1.0))
+    dev = ode.tracking_deviation(traj)["max_rel"]
     elapsed = time.perf_counter() - t0
     assert _report(7, "radial system tracks the closed form", dev, 1e-6,
                    elapsed, 5.0)

@@ -164,8 +164,7 @@ def test_result_counts_read_an_int(perfbench):
     spec = ModelSpec("soler")
     results = {
         "ode.integrate": ode.integrate(
-            ode.IntegratorConfig(r_span=(1.0, 10.0)),
-            ode.exact_state(1.0, spec), spec),
+            ode.IntegratorConfig(r_span=(1.0, 10.0)), ode.exact_state(1.0)),
         "singular.locate_numerically": singular.locate_numerically(spec),
     }
     assert set(results) == set(perfbench.spans.RESULT_COUNTS)

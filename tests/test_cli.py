@@ -150,8 +150,8 @@ def test_ode_deviation_is_the_maximum_of_the_csv_columns(capsys, tmp_path,
     # masses and for data started off the closed form
     exact_state = ode.exact_state
 
-    def perturbed(r, spec):
-        st = exact_state(r, spec)
+    def perturbed(r):
+        st = exact_state(r)
         return st._replace(X=st.X + 1e-3)
 
     runs = [(mass, False) for mass in ("0.5", "1", "2")] + [("1", True)]
@@ -638,17 +638,21 @@ def test_report_aggregates(capsys):
     assert doc["ode"]["max_deviation"] <= 1e-6
 
 
-def test_a_failed_radial_run_is_one_error_line(capsys, tmp_path):
-    # at m = 1e12 the radial state leaves the overflow guard: ode and report
-    # both exit 1 with one error line, write nothing and raise nothing; so
-    # does ode on a span that ends just inside the shell.  The line names
-    # the radius as a plain float, not as a numpy scalar.
-    for command, *flags in (("ode", "--mass", "1e12"),
-                            ("report", "--mass", "1e12"),
-                            ("ode", "--grid", "0.1,0.49999999,2,2")):
+def test_a_failed_radial_run_is_one_error_line(capsys, tmp_path,
+                                               monkeypatch):
+    # with an overflow guard of 1, below the initial G = 2/0.75^2 at r = 1,
+    # the radial state leaves it at once: ode and report both exit 1 with
+    # one error line, write nothing and raise nothing; so does ode, at the
+    # package's guard, on a span that ends just inside the shell.  The line
+    # names the radius as a plain float, not as a numpy scalar.
+    for command, guard, *flags in (("ode", 1.0), ("report", 1.0),
+                                   ("ode", ode.OVERFLOW_GUARD, "--grid",
+                                    "0.1,0.49999999,2,2")):
         out_file = tmp_path / f"{command}.out"
-        code, stdout, err = run(capsys, command, "--model", "soler", *flags,
-                                "--out", str(out_file))
+        with monkeypatch.context() as patch:
+            patch.setattr(ode, "OVERFLOW_GUARD", guard)
+            code, stdout, err = run(capsys, command, "--model", "soler",
+                                    *flags, "--out", str(out_file))
         assert code == 1, command
         assert stdout == "", command
         assert len(err.splitlines()) == 1, (command, err)
@@ -663,6 +667,54 @@ def test_a_failed_radial_run_is_one_error_line(capsys, tmp_path):
         assert type(exc) is kind
         assert "np." not in str(exc) and repr(radii[-1]) in str(exc), exc
     assert type(exc.r_last) is float  # the DivergingState
+
+
+def _ode_run(capsys, tmp_path, mass):
+    """(exit code, summary, stderr, CSV columns by name) of ode --model soler
+    at ``mass`` under warnings as errors."""
+    out = tmp_path / "traj.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(capsys, "ode", "--model", "soler", "--mass",
+                                mass, "--out", str(out))
+    if code:
+        return code, None, err, None
+    rows = list(csv.reader(out.read_text().splitlines()))
+    columns = {name: np.array([float(row[j]) for row in rows[1:]])
+               for j, name in enumerate(rows[0])}
+    return code, json.loads(stdout), err, columns
+
+
+def test_ode_holds_at_every_mass_of_the_floats(capsys, tmp_path):
+    # the radial run is in units of 1/m, so every mass runs the m = 1 run:
+    # its steps and deviation, with no warning; only the radii and G carry
+    # the mass, and at a power of two they carry it exactly
+    _, unit, _, unit_columns = _ode_run(capsys, tmp_path, "1")
+    for mass in ("1e-300", "1e-200", "1e-150", "1e-11", "0.5", "2", "3e11",
+                 "1e12", "1e100", "1e300"):
+        code, summary, err, _ = _ode_run(capsys, tmp_path, mass)
+        assert (code, err) == (0, ""), mass
+        for key in ("n_steps", "max_deviation", "max_rel_X", "max_rel_G"):
+            assert summary[key] == unit[key], (mass, key)
+        assert summary["r_span"] == [1.0 / float(mass), 10.0 / float(mass)]
+    for mass in (2.0 ** -100, 0.5, 2.0, 2.0 ** 100):
+        code, summary, err, columns = _ode_run(capsys, tmp_path, repr(mass))
+        assert (code, err) == (0, ""), mass
+        assert summary["min_step"] == unit["min_step"] / mass, mass
+        for name, scale in (("r", 1.0 / mass), ("X", 1.0), ("G", mass),
+                            ("X_exact", 1.0), ("G_exact", mass),
+                            ("dev_X", 1.0), ("dev_G", 1.0)):
+            assert np.array_equal(columns[name], unit_columns[name] * scale), (
+                mass, name)
+    # where r/m (1e-308) or G m (1e308) leaves the floats, the mass is
+    # refused and nothing is written
+    for mass, message in (
+            ("1e-308", "grid radii r/m over- or underflow at mass 1e-308"),
+            ("1e308", "trajectory G*m over- or underflows at mass 1e+308")):
+        (tmp_path / "traj.csv").unlink(missing_ok=True)
+        code, _, err, _ = _ode_run(capsys, tmp_path, mass)
+        assert (code, err) == (2, f"error: {message}\n"), mass
+        assert not (tmp_path / "traj.csv").exists(), mass
 
 
 def test_tiny_masses_do_not_overflow_the_asymptotics(capsys):

@@ -108,10 +108,13 @@ def _reference_covector(pt, spec):
 
 def _reference_covariant_derivative(pt, spec, f):
     """covariant_derivative as the stack of the four partials plus the
-    einsum spin action."""
+    einsum spin action; the (r, theta) partials (d ln phi) psi - (i/2)(d
+    beta) pi psi spelled from the bundle f."""
     psi = polar.assemble_spinor(f)
-    d_dr, d_dth = (sparse.dense(partial, pt.shape) for partial
-                   in polar.spinor_coordinate_partials(pt, f, psi))
+    d, pipsi = f.density, clifford.pi_action(psi)
+    d_dr = (0.5 * d.r_dlnphi2_dr / pt.r * psi
+            - 0.5j * (f.r_d_beta_dr / pt.r) * pipsi)
+    d_dth = 0.5 * d.dlnphi2_dtheta * psi - 0.5j * f.d_beta_dtheta * pipsi
     dpsi = np.stack([-1j * spec.E * psi, d_dr, d_dth, -1j * spec.l * psi])
     pairs = geometry.spin_connection_at(pt, f.ang)
     return dpsi + _einsum_spin_action(pairs, psi), psi

@@ -23,9 +23,10 @@ from nldirac.polar import ModelSpec, X_exact
 SPEC = ModelSpec("soler", m=1.0)
 
 
-def exact_rhs(r, spec: ModelSpec):
-    """Analytic (X', G') of the closed-form branch, for rhs consistency."""
-    z = np.log(2.0 * spec.m * r)
+def exact_rhs(r):
+    """Analytic (X', G') of the closed-form branch in units of 1/m, for rhs
+    consistency."""
+    z = np.log(2.0 * r)
     X = np.sinh(z)
     ch = np.cosh(z)
     dX = ch / r
@@ -36,39 +37,37 @@ def exact_rhs(r, spec: ModelSpec):
 
 def test_rhs_matches_closed_form_derivatives():
     for r in np.geomspace(0.6, 20.0, 100):
-        st = exact_state(r, SPEC)
-        dX, dG = soler_rhs(r, [st.X, st.G], SPEC)
-        eX, eG = exact_rhs(r, SPEC)
+        st = exact_state(r)
+        dX, dG = soler_rhs(r, [st.X, st.G])
+        eX, eG = exact_rhs(r)
         assert dX == pytest.approx(eX, rel=1e-10, abs=1e-10)
         assert dG == pytest.approx(eG, rel=1e-10, abs=1e-10)
     # the lower branch too
     for r in np.geomspace(0.05, 0.45, 50):
-        st = exact_state(r, SPEC)
-        dX, dG = soler_rhs(r, [st.X, st.G], SPEC)
-        eX, eG = exact_rhs(r, SPEC)
+        st = exact_state(r)
+        dX, dG = soler_rhs(r, [st.X, st.G])
+        eX, eG = exact_rhs(r)
         assert dX == pytest.approx(eX, rel=1e-10)
         assert dG == pytest.approx(eG, rel=1e-10)
     # and far out, where 2mr sqrt(X^2 + 1) and 2mr X both grow like
     # (2mr)^2/2 while their difference stays 1: the rhs must not form it by
-    # subtraction
-    for m in (0.5, 1.0, 2.0, 3.0):
-        spec = ModelSpec("soler", m=m)
-        for r in np.geomspace(10.0, 1e7, 60) / m:
-            st = exact_state(r, spec)
-            dX, dG = soler_rhs(r, [st.X, st.G], spec)
-            eX, eG = exact_rhs(r, spec)
-            assert dX == pytest.approx(eX, rel=1e-12), (m, r)
-            assert dG == pytest.approx(eG, rel=1e-12), (m, r)
+    # subtraction.  In units of 1/m every mass is this one run.
+    for r in np.geomspace(10.0, 1e7, 60):
+        st = exact_state(r)
+        dX, dG = soler_rhs(r, [st.X, st.G])
+        eX, eG = exact_rhs(r)
+        assert dX == pytest.approx(eX, rel=1e-12), r
+        assert dG == pytest.approx(eG, rel=1e-12), r
 
 
 def test_rhs_G_zero_is_invariant():
     for r in (0.2, 1.0, 5.0):
-        _, dG = soler_rhs(r, [0.7, 0.0], SPEC)
+        _, dG = soler_rhs(r, [0.7, 0.0])
         assert dG == 0.0
 
 
 def test_rhs_direct_substitution():
-    dX, dG = soler_rhs(1.0, [0.0, 1.0], SPEC)
+    dX, dG = soler_rhs(1.0, [0.0, 1.0])
     # bracket: 2*1*1*1 - 0 - 2 + 0 = 0
     assert dX == pytest.approx(0.0, abs=1e-16)
     assert dG == pytest.approx(0.0, abs=1e-16)
@@ -76,28 +75,28 @@ def test_rhs_direct_substitution():
 
 def test_exact_branch_tracking_forward():
     cfg = IntegratorConfig(r_span=(1.0, 10.0), rtol=1e-9, atol=1e-12)
-    traj = integrate(cfg, exact_state(1.0, SPEC), SPEC)
-    dev = tracking_deviation(traj, SPEC)
+    traj = integrate(cfg, exact_state(1.0))
+    dev = tracking_deviation(traj)
     assert dev["max_rel"] <= 1e-6
 
 
 def test_exact_branch_tracking_reverse_within_segment():
     # the outer segment ends at 2mr = 1; reverse integration stays inside it
     cfg = IntegratorConfig(r_span=(1.0, 0.55), rtol=1e-9, atol=1e-12)
-    traj = integrate(cfg, exact_state(1.0, SPEC), SPEC)
-    assert tracking_deviation(traj, SPEC)["max_rel"] <= 1e-6
+    traj = integrate(cfg, exact_state(1.0))
+    assert tracking_deviation(traj)["max_rel"] <= 1e-6
 
 
 def test_span_straddling_singular_radius_is_rejected():
     cfg = IntegratorConfig(r_span=(0.3, 1.0), rtol=1e-9, atol=1e-12)
     with pytest.raises(ValueError, match="split"):
-        integrate(cfg, exact_state(0.3, SPEC), SPEC)
+        integrate(cfg, exact_state(0.3))
 
 
 def test_perturbed_data_departs_from_closed_form():
     cfg = IntegratorConfig(r_span=(1.0, 10.0), rtol=1e-9, atol=1e-12)
-    st = exact_state(1.0, SPEC)
-    traj = integrate(cfg, OdeState(X=st.X + 1e-3, G=st.G), SPEC)
+    st = exact_state(1.0)
+    traj = integrate(cfg, OdeState(X=st.X + 1e-3, G=st.G))
     # the Euclidean distance from the closed-form branch at the steps
     Xe = X_exact(traj.r, SPEC)
     dist = np.hypot(traj.X - Xe, traj.G - 2.0 / (traj.r * Xe * Xe))
@@ -108,7 +107,7 @@ def test_perturbed_data_departs_from_closed_form():
 def test_divergence_guard_near_singular_radius():
     cfg = IntegratorConfig(r_span=(1.0, 0.5000001), rtol=1e-9, atol=1e-12)
     with pytest.raises(DivergingState) as err:
-        integrate(cfg, exact_state(1.0, SPEC), SPEC)
+        integrate(cfg, exact_state(1.0))
     assert err.value.r_last > 0.5
 
 
@@ -118,7 +117,7 @@ def test_step_underflow_when_guard_is_lifted(monkeypatch):
     monkeypatch.setattr(ode, "OVERFLOW_GUARD", 1e30)
     cfg = IntegratorConfig(r_span=(1.0, 0.5 + 5e-16), rtol=1e-9, atol=1e-12)
     with pytest.raises((StepUnderflow, DivergingState)):
-        integrate(cfg, exact_state(1.0, SPEC), SPEC)
+        integrate(cfg, exact_state(1.0))
 
 
 def test_observed_convergence_order():
@@ -126,12 +125,12 @@ def test_observed_convergence_order():
     # step must shrink the error at the end of the span at 5th order
     errs = []
     for h in (0.05, 0.025, 0.0125):
-        r, st = 1.0, exact_state(1.0, SPEC)
+        r, st = 1.0, exact_state(1.0)
         y, K = np.array([st.X, st.G]), np.empty((len(ode.C), 2))
         for _ in range(round(3.0 / h)):
             for s in range(len(ode.C)):
                 K[s] = soler_rhs(r + ode.C[s] * h,
-                                 y + h * K[:s].T @ ode.A[s, :s], SPEC)
+                                 y + h * K[:s].T @ ode.A[s, :s])
             y, r = y + h * K.T @ ode.B, r + h
         errs.append(abs(y[0] / X_exact(4.0, SPEC) - 1.0))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -152,33 +151,30 @@ def test_integrator_reproduces_scipy_rk45_bit_for_bit():
     pytest.importorskip("scipy")
     from scipy.integrate import solve_ivp
 
-    def reference(cfg, st, spec):
-        out = solve_ivp(lambda r, y: soler_rhs(r, y, spec), cfg.r_span,
-                        [st.X, st.G], method="RK45", rtol=cfg.rtol,
-                        atol=cfg.atol)
+    def reference(cfg, st):
+        out = solve_ivp(soler_rhs, cfg.r_span, [st.X, st.G], method="RK45",
+                        rtol=cfg.rtol, atol=cfg.atol)
         return out.t, out.y[0], out.y[1], len(out.t) - 1
 
-    def ours(cfg, st, spec):
-        traj = integrate(cfg, st, spec)
+    def ours(cfg, st):
+        traj = integrate(cfg, st)
         return traj.r, traj.X, traj.G, traj.n_steps
 
-    cases = [  # (m, span in units of 1/m, rtol, atol, dX)
-        (m, span, rtol, atol, dX)
-        for m in (0.5, 1.0, 2.0)
+    cases = [  # (span in units of 1/m, rtol, atol, dX)
+        (span, rtol, atol, dX)
         for span in ((1.0, 10.0), (1.0, 0.55), (0.05, 0.45))
         for rtol, atol in ((1e-9, 1e-12), (1e-3, 1e-5))
         for dX in (0.0, 1e-3)
     ]
-    cases += [(1.0, (1.0, 0.5000001), 1e-9, 1e-12, 0.0)]
+    cases += [((1.0, 0.5000001), 1e-9, 1e-12, 0.0)]
     diverged = 0
-    for m, (a, b), rtol, atol, dX in cases:
-        spec = ModelSpec("soler", m=m)
-        cfg = IntegratorConfig(r_span=(a / m, b / m), rtol=rtol, atol=atol)
-        st = exact_state(a / m, spec)
+    for (a, b), rtol, atol, dX in cases:
+        cfg = IntegratorConfig(r_span=(a, b), rtol=rtol, atol=atol)
+        st = exact_state(a)
         st = OdeState(X=st.X + dX, G=st.G)
-        want = _run_or_raise(lambda: reference(cfg, st, spec))
-        got = _run_or_raise(lambda: ours(cfg, st, spec))
-        case = (m, a, b, rtol, dX)
+        want = _run_or_raise(lambda: reference(cfg, st))
+        got = _run_or_raise(lambda: ours(cfg, st))
+        case = (a, b, rtol, dX)
         if isinstance(want, float):
             diverged += 1
             assert got == want, case
@@ -191,9 +187,9 @@ def test_integrator_reproduces_scipy_rk45_bit_for_bit():
 
 def test_trajectory_csv_columns(tmp_path):
     cfg = IntegratorConfig(r_span=(1.0, 2.0), rtol=1e-9, atol=1e-12)
-    traj = integrate(cfg, exact_state(1.0, SPEC), SPEC)
+    traj = integrate(cfg, exact_state(1.0))
     path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, SPEC, path)
+    trajectory_to_csv(traj, 1.0, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "r,X,G,X_exact,G_exact,dev_X,dev_G"
     assert len(lines) == traj.r.size + 1
@@ -217,15 +213,14 @@ def test_trajectory_csv_is_the_text_of_csv_writer(tmp_path):
     # csv.writer's text, on a real run and on NaN, +-inf, -0.0 and the
     # smallest subnormal
     special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0])
-    runs = (integrate(IntegratorConfig(r_span=(1.0, 2.0)),
-                      exact_state(1.0, SPEC), SPEC),
+    runs = (integrate(IntegratorConfig(r_span=(1.0, 2.0)), exact_state(1.0)),
             ode.Trajectory(r=np.linspace(0.6, 3.0, 6), X=special,
                            G=special[::-1], n_steps=5, min_step=0.48))
     for traj in runs:
         path = tmp_path / "traj.csv"
-        trajectory_to_csv(traj, SPEC, path)
+        trajectory_to_csv(traj, 1.0, path)
         columns = (traj.r, traj.X, traj.G,
-                   *ode._branch(traj.r, traj.X, traj.G, SPEC))
+                   *ode._branch(traj.r, traj.X, traj.G))
         assert path.read_bytes() == _csv_writer_text(columns).encode()
     text = path.read_text()
     assert all(v in text for v in (",nan,", ",inf,", ",-inf,", ",-0.0,",

@@ -21,7 +21,6 @@ from nldirac.polar import (
     density,
     phi2_grid,
     polar_decomposition_residual,
-    spinor_coordinate_partials,
 )
 
 
@@ -433,9 +432,11 @@ def test_analytic_and_fd_covariant_derivatives_agree(p, m, rm, theta):
     spec = ModelSpec(f"p:{p}", m=m)
     pt = GridPoint(rm / m, theta)
     f = closed_form(pt, spec)
-    _, psi = covariant_derivative(pt, spec, f)
-    analytic = np.stack([sparse.dense(partial, pt.shape) for partial
-                         in spinor_coordinate_partials(pt, f, psi)])
+    nabla, psi = covariant_derivative(pt, spec, f)
+    # the partials are nabla psi's (r, theta) rows less the spin action
+    analytic = (nabla - clifford.spin_action(
+        geometry.spin_connection_at(pt, f.ang), psi))[[geometry.R,
+                                                        geometry.TH]]
     rest = np.array([1.0, 0.0, 1.0, 0.0])
     rotated = -1j * clifford.PI @ rest
 
@@ -459,28 +460,31 @@ def test_a_nan_in_a_zero_spinor_component_reaches_its_partials_and_phases(
     # the partials and the phase terms of nabla psi act on the components
     # of psi that are nonzero at some point; a NaN is not zero, so at one
     # point of a component that is zero everywhere else it reaches that
-    # component's partials and its t and azimuth rows there, and nothing
-    # else (the spin connection has no t row)
+    # component's r, theta, t and azimuth rows there, and nothing else of
+    # the r and theta rows.  The spin connection is left out, so that those
+    # rows hold the partials alone (and it has no t row).
     spec = ModelSpec("njl")
     pts = GridPoint(np.linspace(0.2, 3.0, 9), np.linspace(0.4, 2.7, 9))
     f = polar.closed_form(pts, spec)
     assemble = polar.assemble_spinor
     clean_nabla, _ = polar.covariant_derivative(pts, spec, f)
+
+    def no_connection(pt, ang):
+        return sparse.Live((6, 4), (), np.empty((0,) + pt.shape))
     for component in (1, 3):
         def poisoned(f, component=component):
             psi = assemble(f)
             psi[component, 4] = np.nan
             return psi
 
-        psi = poisoned(f)
-        for live in polar.spinor_coordinate_partials(pts, f, psi):
-            assert (component,) in live.index
-            partial = sparse.dense(live, pts.shape)
-            assert np.isnan(partial[component, 4]), component
-            assert not np.isnan(np.delete(partial, 4, axis=1)).any()
+        assert component in sparse.live_rows(poisoned(f))
         with monkeypatch.context() as patch:
             patch.setattr(polar, "assemble_spinor", poisoned)
+            patch.setattr(geometry, "spin_connection_at", no_connection)
             nabla, _ = polar.covariant_derivative(pts, spec, f)
+        for mu in (geometry.R, geometry.TH):
+            assert np.isnan(nabla[mu, component, 4]), (component, mu)
+            assert not np.isnan(np.delete(nabla[mu], 4, axis=1)).any()
         for mu in (geometry.T, geometry.PH):
             assert np.isnan(nabla[mu, component, 4]), (component, mu)
         assert np.array_equal(nabla[geometry.T, :, :4],
