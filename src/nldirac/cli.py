@@ -8,8 +8,9 @@ suites are seeded, no wall-clock data is emitted).
 
 Every argument and config check runs before numpy or a numerical layer is
 loaded (see _load_layers), so a usage error or --help costs the interpreter
-and argparse alone; locus loads the singular layer only, which evaluates in
-floats without numpy.
+and argparse alone; locus loads the singular layer only and ode without
+--scan-el the ode layer only, each of which evaluates in floats without
+numpy.
 """
 
 from __future__ import annotations
@@ -38,12 +39,21 @@ def _load_singular():
 
 
 @functools.cache
+def _load_ode():
+    """Import the ode layer, which loads no numpy, into this module, on the
+    first call only; ``main`` calls it for ode without --scan-el."""
+    global ode
+    from . import ode
+
+
+@functools.cache
 def _load_layers():
     """Import numpy and the numerical layers into this module, on the first
     call only.  ``main`` calls it once the usage checks have passed, for
-    every command but locus; an import of this module calls it at once, so
-    every layer module is loaded when ``import nldirac.cli`` returns, and a
-    name patched in this module stays patched."""
+    every command but locus and an ode without --scan-el; an import of this
+    module calls it at once, so every layer module is loaded when ``import
+    nldirac.cli`` returns, and a name patched in this module stays
+    patched."""
     global np, equations, grids, ode, verify, GridPoint
     global X_exact, chiral_components, phi2_grid, _FLAGS
     import numpy as np
@@ -454,16 +464,15 @@ def _warning_line(message, category, filename, lineno, line=None):
     return f"warning: {message}\n"
 
 
-def _ode_summary(cfg: RunConfig, **span):
-    """verify.ode_summary of the run; None, after one ``error:`` line on
-    stderr, when the radial run fails or its span is invalid.  A warning
-    of the run (an rtol raised to 100 eps) is shown as one ``warning:``
-    line; the warning filters, and a caller that records warnings, see it
-    as raised."""
+def _ode_summary(cfg: RunConfig, summarize, **span):
+    """``summarize(cfg.spec, ...)`` of the run, ode.tracking_summary or
+    verify.ode_summary; None, after one ``error:`` line on stderr, when the
+    radial run fails or its span is invalid.  A warning of the run (an
+    rtol raised to 100 eps) is shown as one ``warning:`` line; the warning
+    filters, and a caller that records warnings, see it as raised."""
     saved, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
-        return verify.ode_summary(cfg.spec, tolerances=cfg.tolerances,
-                                  scan=cfg.scan_el, **span)
+        return summarize(cfg.spec, tolerances=cfg.tolerances, **span)
     except (DivergingState, SingularPoint, StepUnderflow, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
@@ -473,10 +482,13 @@ def _ode_summary(cfg: RunConfig, **span):
 
 def cmd_ode(cfg: RunConfig):
     spec = cfg.spec
-    # the span is the grid's radii; without a grid, ode_summary's default
+    # the span is the grid's radii; without a grid, tracking_summary's
+    # default.  Without the scan the run reads the ode layer alone.
     span = {} if cfg.grid is None else {"r_span": (cfg.grid.r_min,
                                                    cfg.grid.r_max)}
-    result = _ode_summary(cfg, **span)
+    summarize = (functools.partial(verify.ode_summary, scan=True)
+                 if cfg.scan_el else ode.tracking_summary)
+    result = _ode_summary(cfg, summarize, **span)
     if result is None:
         return 1
     summary, traj, nonfinite = result
@@ -525,7 +537,8 @@ def cmd_report(cfg: RunConfig):
     }
     nonfinite = []
     if spec.p == 0.0:
-        result = _ode_summary(cfg)
+        result = _ode_summary(cfg, functools.partial(verify.ode_summary,
+                                                     scan=cfg.scan_el))
         if result is None:
             return 1
         doc["ode"], _, nonfinite = result
@@ -570,7 +583,12 @@ def main(argv=None):
     except (argparse.ArgumentTypeError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    (_load_singular if args.command == "locus" else _load_layers)()
+    if args.command == "locus":
+        _load_singular()
+    elif args.command == "ode" and not cfg.scan_el:
+        _load_ode()
+    else:
+        _load_layers()
     try:
         return COMMANDS[args.command](cfg)
     except SingularPoint as exc:  # a verify or report grid point unmasked

@@ -19,6 +19,11 @@ def profile(r, m):
     return (u - 1.0) * (u + 1.0) * (0.5 / u)
 
 
+def companion(r, X):
+    """G = 2/(r X^2) of the scalar model at radius r from its profile X."""
+    return 2.0 / (r * X * X)
+
+
 def density(r, q, S):
     """phi^2 = 2 q / (r S), q = sqrt(D), D = X^2 + cos^2 theta and S = X^2
     + p cos^2 theta."""

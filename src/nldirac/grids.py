@@ -5,27 +5,16 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import GridPoint
-from .settings import GridConfig
+from .settings import GridConfig, over_mass
 
 # The box of sample_points: radii in units of 1/m, and polar angles.
 SAMPLE_R = (0.1, 10.0)
 SAMPLE_THETA = (0.3, np.pi - 0.3)
 
 
-def over_mass(lengths, m):
-    """The radii r/m of ``lengths`` r in units of 1/m.  Raises
-    FloatingPointError, naming the mass, unless each is finite and
-    positive: at an extreme mass r/m over- or underflows."""
-    out = [r / m for r in lengths]
-    if not all(0.0 < r < np.inf for r in out):
-        raise FloatingPointError(f"grid radii r/m over- or underflow at mass "
-                                 f"{m!r}")
-    return out
-
-
 def radii(cfg: GridConfig, m=1.0):
     """The grid's radii, log-spaced from r_min/m to r_max/m (see
-    over_mass)."""
+    settings.over_mass)."""
     return np.geomspace(*over_mass((cfg.r_min, cfg.r_max), m), cfg.n_r)
 
 

@@ -6,7 +6,7 @@ The scalar model leaves two free radial fields, X and G.  In units of 1/m
     r X' / sqrt(X^2+1) = 2r sqrt(X^2+1) - 2r X - 2 + r X^2 G
     2 + r G'/G        = 2r sqrt(X^2+1) - r G X sqrt(X^2+1) - 2r X
 
-and every run here is in those units; verify.ode_summary and
+and every run here is in those units; tracking_summary and
 trajectory_to_csv alone convert it to a mass.  The closed-form pair X =
 sinh(ln 2r), G = 2/(r X^2) is an exact solution but not necessarily the
 only one; integrate takes any initial data, so a perturbed trajectory can
@@ -14,34 +14,37 @@ be set against it.  G diverges on the sphere 2r = 1, so every integration
 is confined to one side of that radius.
 
 The integrator is the explicit Dormand-Prince 5(4) pair with adaptive
-steps, numpy only.  Its initial-step rule, RMS error norm and step-size
-control follow the standard RK45 of Hairer, Norsett & Wanner;
-tests/test_ode.py pins every step, state and the divergence radius to a
-reference RK45 implementation, bit for bit.  A run is judged at the steps it
-took: the deviation from the closed form is read at the accepted radii, the
-same rows the trajectory CSV holds.
+steps, in Python floats: the state and each stage are (X, G) pairs, and
+this module imports no numpy.  Its initial-step rule, RMS error norm and
+step-size control follow the standard RK45 of Hairer, Norsett & Wanner;
+each stage sum and error sum runs left to right, a product rounded before
+its addition, so tests/test_ode.py pins every step, state and the
+divergence radius to a reference RK45 implementation, bit for bit, where
+that reference's matrix-vector products do not fuse multiply and add.  A
+run is judged at the steps it took: the deviation from the closed form is
+read at the accepted radii, the same rows the trajectory CSV holds.
 
 The quantum-number scan holds no equations of its own: it evaluates the
-expanded form of equations on the would-be solutions of trial energies.
+expanded form of equations on the would-be solutions of trial energies,
+and loads numpy and the array layers when it runs.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+from . import formulas
+from .errors import DivergingState, SingularG, StepUnderflow
+from .settings import ModelSpec, over_mass
 
-from . import equations, polar
-from .errors import DivergingState, StepUnderflow
-from .geometry import GridPoint
-from .polar import G_exact, X_exact
-from .settings import ModelSpec
+if TYPE_CHECKING:
+    import numpy as np
 
 OVERFLOW_GUARD = 1e12
-# the scalar model in units of 1/m, whose closed form the radial run tracks
-UNIT_MASS = ModelSpec("soler")
-EPS = np.finfo(float).eps
+EPS = sys.float_info.epsilon
 
 
 class OdeState(NamedTuple):
@@ -76,9 +79,11 @@ class IntegratorConfig(_IntegratorFields):
 
 
 class Trajectory(NamedTuple):
-    r: np.ndarray
-    X: np.ndarray
-    G: np.ndarray
+    """The accepted radii and the states there, as lists of floats."""
+
+    r: list
+    X: list
+    G: list
     n_steps: int
     min_step: float
 
@@ -88,16 +93,25 @@ def soler_rhs(r, y):
     X, G = y
     if abs(X) > OVERFLOW_GUARD or abs(G) > OVERFLOW_GUARD:
         raise DivergingState(r, "radial state exceeded overflow guard")
-    ch = np.sqrt(X * X + 1.0)
+    ch = math.sqrt(X * X + 1.0)
     # 2r (ch - X); for X > 0 as 2r / (ch + X), which does not cancel
     u = 2.0 * r * (1.0 / (ch + X) if X > 0 else ch - X)
     dX = (ch / r) * (u - 2.0 + r * X * X * G)
     dG = (G / r) * (u - r * G * X * ch - 2.0)
-    return np.array([dX, dG])
+    return dX, dG
+
+
+def _exact_pair(r):
+    """The closed-form (X, G) at r; raises SingularG where X vanishes to
+    rounding (2r = 1) and G has no value, as polar.G_exact does."""
+    X = formulas.profile(r, 1.0)
+    if abs(X) < 1e-15 * max(1.0, 2.0 * r):
+        raise SingularG(r, None, "G = 2/(r X^2) with X = 0 at 2mr = 1")
+    return X, formulas.companion(r, X)
 
 
 def exact_state(r) -> OdeState:
-    return OdeState(X=X_exact(r, UNIT_MASS), G=G_exact(r, UNIT_MASS))
+    return OdeState(*_exact_pair(r))
 
 
 def check_span(r_span):
@@ -115,31 +129,45 @@ def check_span(r_span):
 
 
 # Dormand & Prince's 5(4) pair (Hairer, Norsett & Wanner, Solving ODEs I,
-# Sec. II.5).
-C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-A = np.array([[0, 0, 0, 0, 0], [1/5, 0, 0, 0, 0], [3/40, 9/40, 0, 0, 0],
-              [44/45, -56/15, 32/9, 0, 0],
-              [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-              [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
-B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+# Sec. II.5): the nodes C, the rows A[s] of the stages' weights of the
+# stages before them, the 5th-order weights B and the error weights E.
+C = (0.0, 1/5, 3/10, 4/5, 8/9, 1.0)
+A = ((), (1/5,), (3/40, 9/40), (44/45, -56/15, 32/9),
+     (19372/6561, -25360/2187, 64448/6561, -212/729),
+     (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656))
+B = (35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84)
+E = (-71/57600, 0.0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40)
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
 ERROR_EXPONENT = -1 / 5  # the error estimate is of order 4
 
 
-def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+def _combine(K, weights):
+    """The pair sum_j weights[j] K[j] of the stage pairs K, each component
+    summed left to right from 0, every product rounded before it is
+    added: a matrix-vector product that does not fuse."""
+    X = G = 0.0
+    for (kX, kG), w in zip(K, weights):
+        X += kX * w
+        G += kG * w
+    return X, G
+
+
+def _rms(a, b):
+    """RMS of the pair (a, b): its 2-norm over sqrt 2."""
+    return math.sqrt(a * a + b * b) / 2 ** 0.5
 
 
 def _initial_step(r0, y0, f0, r_end, direction, rtol, atol):
     """First step size from the scales of y, y' and y'' at r0 (Hairer,
     Norsett & Wanner, Sec. II.4)."""
     length = abs(r_end - r0)
-    scale = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    (X, G), (fX, fG) = y0, f0
+    sX, sG = atol + abs(X) * rtol, atol + abs(G) * rtol
+    d0, d1 = _rms(X / sX, G / sG), _rms(fX / sX, fG / sG)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
-    f1 = soler_rhs(r0 + h0 * direction, y0 + h0 * direction * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
+    step = h0 * direction
+    f1X, f1G = soler_rhs(r0 + step, (X + step * fX, G + step * fG))
+    d2 = _rms((f1X - fX) / sX, (f1G - fG) / sG) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -147,13 +175,18 @@ def _initial_step(r0, y0, f0, r_end, direction, rtol, atol):
     return min(100 * h0, h1, length)
 
 
+def _steps(r):
+    """The step lengths |r[i+1] - r[i]| of the accepted radii r."""
+    return [abs(b - a) for a, b in zip(r, r[1:])]
+
+
 def _step_failure(r, r_span):
     """The error of a run whose step fell below the float-spacing floor
     after the accepted radii r."""
-    steps = np.abs(np.diff(r))
-    if steps.size and steps.min() < 1e-10 * max(map(abs, r_span)):
+    steps = _steps(r)
+    if steps and min(steps) < 1e-10 * max(map(abs, r_span)):
         return StepUnderflow(
-            f"step collapsed to {steps.min():.3e} near r = {float(r[-1])!r}")
+            f"step collapsed to {min(steps):.3e} near r = {float(r[-1])!r}")
     return DivergingState(r[-1], "Required step size is less than "
                           "spacing between numbers.")
 
@@ -169,35 +202,37 @@ def integrate(config: IntegratorConfig, initial: OdeState):
     """
     check_span(config.r_span)
     r, r_end = map(float, config.r_span)
-    y = np.array([initial.X, initial.G], dtype=float)
-    if not np.isfinite(y).all():
+    X, G = float(initial.X), float(initial.G)
+    if not (math.isfinite(X) and math.isfinite(G)):
         raise ValueError("the initial state must be finite")
     rtol, atol = config.rtol, config.atol
-    direction = np.sign(r_end - r)
-    f = soler_rhs(r, y)
-    h_abs = _initial_step(r, y, f, r_end, direction, rtol, atol)
-    K = np.empty((len(C) + 1, y.size))
-    rs, ys = [r], [y]
+    direction = 1.0 if r_end > r else -1.0
+    f = soler_rhs(r, (X, G))
+    h_abs = _initial_step(r, (X, G), f, r_end, direction, rtol, atol)
+    rs, Xs, Gs = [r], [X], [G]
     while direction * (r - r_end) < 0:
-        min_step = 10 * np.abs(np.nextafter(r, direction * np.inf) - r)
+        min_step = 10 * abs(math.nextafter(r, direction * math.inf) - r)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
-                raise _step_failure(np.array(rs), config.r_span)
+                raise _step_failure(rs, config.r_span)
             r_new = r + h_abs * direction
             if direction * (r_new - r_end) > 0:
                 r_new = r_end
             h = r_new - r
-            h_abs = np.abs(h)
-            K[0] = f
-            for s in range(1, len(C)):
-                K[s] = soler_rhs(r + C[s] * h,
-                                 y + np.dot(K[:s].T, A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:-1].T, B)
-            K[-1] = f_new = soler_rhs(r + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error = _rms(np.dot(K.T, E) * h / scale)
+            h_abs = abs(h)
+            K = [f]
+            for a, c in zip(A[1:], C[1:]):
+                dX, dG = _combine(K, a)
+                K.append(soler_rhs(r + c * h, (X + dX * h, G + dG * h)))
+            dX, dG = _combine(K, B)
+            X_new, G_new = X + h * dX, G + h * dG
+            f_new = soler_rhs(r + h, (X_new, G_new))
+            K.append(f_new)
+            eX, eG = _combine(K, E)
+            error = _rms(eX * h / (atol + max(abs(X), abs(X_new)) * rtol),
+                         eG * h / (atol + max(abs(G), abs(G_new)) * rtol))
             if error < 1:
                 factor = (MAX_FACTOR if error == 0 else
                           min(MAX_FACTOR, SAFETY * error ** ERROR_EXPONENT))
@@ -205,34 +240,79 @@ def integrate(config: IntegratorConfig, initial: OdeState):
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
             rejected = True
-        r, y, f = r_new, y_new, f_new
+        r, X, G, f = r_new, X_new, G_new, f_new
         rs.append(r)
-        ys.append(y)
-    r_all, y_all = np.array(rs), np.vstack(ys)
-    return Trajectory(
-        r=r_all, X=y_all[:, 0], G=y_all[:, 1],
-        n_steps=len(r_all) - 1, min_step=float(np.abs(np.diff(r_all)).min()),
-    )
+        Xs.append(X)
+        Gs.append(G)
+    return Trajectory(r=rs, X=Xs, G=Gs, n_steps=len(rs) - 1,
+                      min_step=min(_steps(rs)))
+
+
+def _deviation(values, exact):
+    """|v - e| / |e| of each value v and its closed-form e, |e| at least
+    1e-300."""
+    return [abs(v - e) / max(abs(e), 1e-300) for v, e in zip(values, exact)]
 
 
 def _branch(rs, X, G):
     """Closed-form (X, G) at the radii rs and the relative deviations of the
-    values X, G from them: (Xe, Ge, dev_X, dev_G)."""
-    Xe, Ge = X_exact(rs, UNIT_MASS), G_exact(rs, UNIT_MASS)
-    dev_X = np.abs(X - Xe) / np.maximum(np.abs(Xe), 1e-300)
-    dev_G = np.abs(G - Ge) / np.maximum(np.abs(Ge), 1e-300)
-    return Xe, Ge, dev_X, dev_G
+    values X, G from them: (Xe, Ge, dev_X, dev_G), lists of floats."""
+    Xe, Ge = map(list, zip(*map(_exact_pair, rs)))
+    return Xe, Ge, _deviation(X, Xe), _deviation(G, Ge)
+
+
+def _max(values):
+    """The largest of ``values``; NaN if one is NaN, as numpy's max."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def tracking_deviation(traj: Trajectory):
     """Max relative deviation of a trajectory from the closed-form branch at
     its accepted steps: the maxima of the CSV's dev_X and dev_G columns."""
     _, _, dev_X, dev_G = _branch(traj.r, traj.X, traj.G)
-    return {
-        "max_rel_X": float(dev_X.max()),
-        "max_rel_G": float(dev_G.max()),
-        "max_rel": float(np.max([dev_X.max(), dev_G.max()])),
+    max_X, max_G = _max(dev_X), _max(dev_G)
+    return {"max_rel_X": max_X, "max_rel_G": max_G,
+            "max_rel": _max((max_X, max_G))}
+
+
+def tracking_summary(spec: ModelSpec, r_span=(1.0, 10.0), tolerances=None):
+    """The exact-branch tracking run of the ode command at the mass of
+    ``spec``: (summary, trajectory in units of 1/m, the names of the
+    summary's non-finite results).
+
+    The run is in units of 1/m: ``r_span`` is in those units, as a grid's
+    radii are, and the summary's r_span and min_step are converted to radii
+    of the mass here.  The integrator reads "rtol" and "atol" from
+    ``tolerances`` (the suite tolerances there are ignored) and keeps its
+    own default for each one missing.  Raises FloatingPointError, naming
+    the mass, where the span r/m leaves the floats (settings.over_mass).
+    """
+    radii = over_mass(r_span, spec.m)
+    check_span(r_span)  # before exact_state, which fails at 2r = 1
+    cfg = IntegratorConfig(
+        r_span=r_span,
+        **{k: v for k, v in (tolerances or {}).items() if k in ("rtol", "atol")},
+    )
+    traj = integrate(cfg, exact_state(r_span[0]))
+    dev = tracking_deviation(traj)
+    out = {
+        "r_span": radii,
+        "rtol": cfg.rtol,
+        "atol": cfg.atol,
+        "n_steps": traj.n_steps,
+        "min_step": traj.min_step / spec.m,
+        "max_deviation": dev["max_rel"],
+        "max_rel_X": dev["max_rel_X"],
+        "max_rel_G": dev["max_rel_G"],
     }
+    nonfinite = ([] if math.isfinite(dev["max_rel"])
+                 else [f"max_deviation {dev['max_rel']!r}"])
+    return out, traj, nonfinite
+
+
+def _at_edge(v):
+    """Whether v is 0 or infinite, the edges of the floats."""
+    return v == 0 or math.isinf(v)
 
 
 def trajectory_to_csv(traj: Trajectory, m, path):
@@ -242,17 +322,16 @@ def trajectory_to_csv(traj: Trajectory, m, path):
     FloatingPointError, naming the mass, before anything is written where a
     G*m is 0 or infinite and its G is not: G*m has left the floats."""
     Xe, Ge, dev_X, dev_G = _branch(traj.r, traj.X, traj.G)
-    unit = np.array([traj.G, Ge])
-    with np.errstate(over="ignore"):  # the edges are what is checked
-        G = unit * m
-    if np.any((np.isinf(G) | (G == 0)) != (np.isinf(unit) | (unit == 0))):
+    G, Gm = [g * m for g in traj.G], [g * m for g in Ge]
+    if any(_at_edge(gm) != _at_edge(g)
+           for g, gm in zip((*traj.G, *Ge), (*G, *Gm))):
         raise FloatingPointError(f"trajectory G*m over- or underflows at mass "
                                  f"{m!r}")
-    columns = (traj.r / m, traj.X, G[0], Xe, G[1], dev_X, dev_G)
+    columns = ([r / m for r in traj.r], traj.X, G, Xe, Gm, dev_X, dev_G)
     with open(path, "w", newline="") as fh:
         fh.write("r,X,G,X_exact,G_exact,dev_X,dev_G\r\n")
-        fh.writelines(",".join(row) + "\r\n" for row in zip(
-            *(map(repr, col.tolist()) for col in columns)))
+        fh.writelines(",".join(map(repr, row)) + "\r\n"
+                      for row in zip(*columns))
 
 
 # -- quantum-number rigidity scan ------------------------------------------------
@@ -273,28 +352,35 @@ class ScanResult(NamedTuple):
 
     def best_cell(self):
         """(E/m, l) of the smallest finite cell; None if no cell is finite."""
-        finite = np.isfinite(self.surface)
-        lowest = np.min(self.surface, where=finite, initial=np.inf)
-        cells = self._cells(finite & (self.surface == lowest))
-        return cells[0] if cells else None
+        lowest = min(filter(math.isfinite, self.surface.ravel().tolist()),
+                     default=None)
+        return next(iter(self._cells(lambda v: v == lowest)), None)
 
     def _cells(self, where):
-        return [(float(self.e_over_m[i]), float(self.l_values[j]))
-                for i, j in np.argwhere(where)]
+        """(E/m, l) of every cell whose residual v has ``where(v)``, row
+        by row."""
+        return [(e, l) for e, row in zip(self.e_over_m.tolist(),
+                                         self.surface.tolist())
+                for l, v in zip(self.l_values.tolist(), row) if where(v)]
 
     def nonfinite_cells(self):
         """(E/m, l) of every cell whose residual is NaN or infinite."""
-        return self._cells(~np.isfinite(self.surface))
+        return self._cells(lambda v: not math.isfinite(v))
 
     def zero_cells(self):
         """(E/m, l) of every cell whose residual is at most 1e-10."""
-        return self._cells(self.surface <= 1e-10)
+        return self._cells(lambda v: v <= 1e-10)
 
 
 def quantum_number_scan(spec: ModelSpec) -> ScanResult:
     """Max-residual surface over an 11 x 11 (E/m, l) grid of the run's model,
     each cell the maximum of equations.residual_expanded over 7 radii and 2
     polar angles; the maximum propagates NaN."""
+    import numpy as np
+
+    from . import equations, polar
+    from .geometry import GridPoint
+
     e_over_m = np.linspace(0.5, 1.5, 11)
     l_values = np.linspace(0.0, 1.0, 11)
     pt = GridPoint(*np.meshgrid(np.geomspace(0.3, 3.0, 7) / spec.m,

@@ -46,7 +46,7 @@ def G_exact(r, spec: ModelSpec):
     if np.any(at_zero):
         raise SingularG(float(np.asarray(r)[at_zero][0]), None,
                         "G = 2/(r X^2) with X = 0 at 2mr = 1")
-    return 2.0 / (r * X * X)
+    return formulas.companion(r, X)
 
 
 def chiral_components(X, theta):

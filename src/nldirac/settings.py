@@ -1,6 +1,6 @@
 """The settings of a run that are checked before anything is evaluated: the
-model, the grid, the mask margin, the suite tolerances and the version of
-the JSON documents.
+model, the grid and its radii at a mass, the mask margin, the suite
+tolerances and the version of the JSON documents.
 
 This module imports no numpy, so that the command line reports a usage
 error, or prints its help, before it loads a numerical layer.  Its checks
@@ -90,6 +90,17 @@ class ModelSpec(_ModelFields):
         # pickle and copy restore the checked fields as they are: p is
         # derived, so __new__ takes one argument fewer than the fields
         return type(self)._make, (tuple(self),)
+
+
+def over_mass(lengths, m):
+    """The radii r/m of ``lengths`` r in units of 1/m.  Raises
+    FloatingPointError, naming the mass, unless each is finite and
+    positive: at an extreme mass r/m over- or underflows."""
+    out = [r / m for r in lengths]
+    if not all(0.0 < r < math.inf for r in out):
+        raise FloatingPointError(f"grid radii r/m over- or underflow at mass "
+                                 f"{m!r}")
+    return out
 
 
 class _GridFields(NamedTuple):

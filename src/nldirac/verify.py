@@ -199,36 +199,13 @@ def ode_summary(spec: ModelSpec, r_span=(1.0, 10.0), tolerances=None,
                 scan=False):
     """Exact-branch tracking run of the scalar radial system + optional scan.
 
-    The run is that of ode, in units of 1/m: ``r_span`` is in those units,
-    as a grid's radii are, and the summary's r_span and min_step are
-    converted to radii of the mass here.  The integrator reads "rtol" and
-    "atol" from ``tolerances`` (the suite tolerances there are ignored) and
-    keeps its own default for each one missing.  Returns (summary,
+    The run and its results are those of ode.tracking_summary: (summary,
     trajectory in units of 1/m, the names of the summary's non-finite
-    results: the deviation or scan cells).  Raises FloatingPointError,
-    naming the mass, where the span r/m leaves the floats
-    (grids.over_mass).
+    results).  With ``scan`` the summary holds the (E/m, l) scan of the
+    model too, and a non-finite scan cell is named among the non-finite
+    results.
     """
-    radii = grids.over_mass(r_span, spec.m)
-    ode.check_span(r_span)  # before exact_state, which fails at 2r = 1
-    cfg = ode.IntegratorConfig(
-        r_span=r_span,
-        **{k: v for k, v in (tolerances or {}).items() if k in ("rtol", "atol")},
-    )
-    traj = ode.integrate(cfg, ode.exact_state(r_span[0]))
-    dev = ode.tracking_deviation(traj)
-    out = {
-        "r_span": radii,
-        "rtol": cfg.rtol,
-        "atol": cfg.atol,
-        "n_steps": traj.n_steps,
-        "min_step": traj.min_step / spec.m,
-        "max_deviation": dev["max_rel"],
-        "max_rel_X": dev["max_rel_X"],
-        "max_rel_G": dev["max_rel_G"],
-    }
-    nonfinite = ([] if np.isfinite(dev["max_rel"])
-                 else [f"max_deviation {dev['max_rel']!r}"])
+    out, traj, nonfinite = ode.tracking_summary(spec, r_span, tolerances)
     if scan:
         result = ode.quantum_number_scan(spec)
         zero_cells = result.zero_cells()

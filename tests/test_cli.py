@@ -549,13 +549,52 @@ def test_a_refusal_that_evaluates_loads_the_layers_first(tmp_path, argv,
                                                          stderr):
     # these refusals read the solution or the metric, so a cold run loads
     # the layers after the usage checks and then refuses as before; locus
-    # loads its singular layer alone, which evaluates without numpy
+    # loads its singular layer alone and ode its ode layer alone, which
+    # evaluate without numpy
     code, stdout, err, modules = _cold_imports(tmp_path, argv.split())
     assert (code, stdout, err) == (2, "", stderr)
     if argv.startswith("locus"):
         assert "nldirac.singular" in modules and "numpy" not in modules
+    elif argv.startswith("ode"):
+        assert "nldirac.ode" in modules and "numpy" not in modules
     else:
         assert "numpy" in modules
+
+
+@pytest.mark.parametrize("argv, numpy_loaded", [
+    ("ode --model soler", False),
+    ("ode --model soler --grid 0.6,1e7,2,2", False),
+    ("ode --model soler --scan-el", True),
+])
+def test_a_cold_ode_loads_numpy_for_the_scan_alone(tmp_path, argv,
+                                                  numpy_loaded):
+    # the radial run evaluates in floats in the ode layer; the (E/m, l)
+    # scan evaluates the field equations and loads every layer
+    code, _, stderr, modules = _cold_imports(tmp_path, argv.split())
+    assert (code, stderr) == (0, "")
+    assert "nldirac.ode" in modules
+    assert ("numpy" in modules) == numpy_loaded, argv
+    assert ("nldirac.verify" in modules) == numpy_loaded, argv
+
+
+def test_a_cold_ode_does_not_depend_on_the_blas_kernel(tmp_path):
+    # the same stdout and trajectory CSV, to the byte, whichever kernel
+    # OpenBLAS would run: a Prescott one, which does not fuse multiply and
+    # add, or the one it picks for the host
+    outputs = []
+    for coretype in ("Prescott", None):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        work = tmp_path / (coretype or "default")
+        work.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "nldirac.cli", "ode", "--model", "soler"],
+            cwd=work, env=env, capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b""), coretype
+        outputs.append((proc.stdout, (work / "trajectory.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def _console_script():
@@ -660,10 +699,10 @@ def test_a_failed_radial_run_is_one_error_line(capsys, tmp_path,
             command, err)
         assert "np." not in err, err
         assert not out_file.exists(), command
-    # both failures of a collapsed step, on the float array of accepted radii
+    # both failures of a collapsed step, on the float list of accepted radii
     for radii, kind in (([1.0, 1.0 + 1e-12], StepUnderflow),
                         ([1.0, 1.5], DivergingState)):
-        exc = ode._step_failure(np.array(radii), (1.0, 2.0))
+        exc = ode._step_failure(radii, (1.0, 2.0))
         assert type(exc) is kind
         assert "np." not in str(exc) and repr(radii[-1]) in str(exc), exc
     assert type(exc.r_last) is float  # the DivergingState

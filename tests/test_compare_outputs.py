@@ -18,10 +18,13 @@ def _tool():
 
 def test_the_command_list():
     # the 108 verify configurations first, then locus, two fieldmaps,
-    # report and ode of 4 models at 3 masses, then the usage errors
+    # report and ode of 4 models at 3 masses, then 5 edges of the radial
+    # run, then the usage errors
     commands = _tool().COMMANDS
     assert [c.argv[0] for c in commands[:108]] == ["verify"] * 108
-    assert len(commands) == 108 + 4 * 3 * 5 + 7
+    edges = commands[108 + 4 * 3 * 5:][:5]
+    assert [c.argv[:3] for c in edges] == [("ode", "--model", "soler")] * 5
+    assert len(commands) == 108 + 4 * 3 * 5 + 5 + 7
     assert len({c.label() for c in commands}) == len(commands)
 
 

@@ -1,5 +1,10 @@
 import csv
 import io
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -21,6 +26,7 @@ from nldirac.geometry import GridPoint
 from nldirac.polar import ModelSpec, X_exact
 
 SPEC = ModelSpec("soler", m=1.0)
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def exact_rhs(r):
@@ -98,8 +104,9 @@ def test_perturbed_data_departs_from_closed_form():
     st = exact_state(1.0)
     traj = integrate(cfg, OdeState(X=st.X + 1e-3, G=st.G))
     # the Euclidean distance from the closed-form branch at the steps
-    Xe = X_exact(traj.r, SPEC)
-    dist = np.hypot(traj.X - Xe, traj.G - 2.0 / (traj.r * Xe * Xe))
+    r, X, G = map(np.asarray, (traj.r, traj.X, traj.G))
+    Xe = X_exact(r, SPEC)
+    dist = np.hypot(X - Xe, G - 2.0 / (r * Xe * Xe))
     assert dist[0] == pytest.approx(1e-3, rel=1e-2)
     assert dist[-1] > 10 * dist[0]  # departure grows; no uniqueness here
 
@@ -130,35 +137,61 @@ def test_observed_convergence_order():
         for _ in range(round(3.0 / h)):
             for s in range(len(ode.C)):
                 K[s] = soler_rhs(r + ode.C[s] * h,
-                                 y + h * K[:s].T @ ode.A[s, :s])
-            y, r = y + h * K.T @ ode.B, r + h
+                                 y + h * K[:s].T @ np.array(ode.A[s]))
+            y, r = y + h * K.T @ np.array(ode.B), r + h
         errs.append(abs(y[0] / X_exact(4.0, SPEC) - 1.0))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 4.5
 
 
 def _run_or_raise(run):
-    """(r, X, G, n_steps) of a run, or the radius at which it diverged."""
+    """The result of a run, or the radius at which it diverged."""
     try:
         return run()
     except DivergingState as exc:
         return exc.r_last
 
 
+def _non_fusing_blas():
+    """The reason to skip unless numpy's BLAS is an OpenBLAS built with
+    DYNAMIC_ARCH, whose kernel OPENBLAS_CORETYPE selects; else None."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return f"numpy's BLAS {blas.get('name')!r} is not a DYNAMIC_ARCH OpenBLAS"
+    return None
+
+
+# scipy's RK45 on each case (span, rtol, atol, initial X and G), printed as
+# JSON: (r, X, G, n_steps) of a run, or the radius at which it diverged
+SCIPY_REFERENCE = """
+import json, sys
+from scipy.integrate import solve_ivp
+from nldirac.errors import DivergingState
+from nldirac.ode import soler_rhs
+runs = []
+for span, rtol, atol, y0 in json.loads(sys.stdin.read()):
+    try:
+        out = solve_ivp(soler_rhs, span, y0, method="RK45", rtol=rtol,
+                        atol=atol)
+        runs.append([out.t.tolist(), out.y[0].tolist(), out.y[1].tolist(),
+                     len(out.t) - 1])
+    except DivergingState as exc:
+        runs.append(exc.r_last)
+print(json.dumps(runs))
+"""
+
+
 def test_integrator_reproduces_scipy_rk45_bit_for_bit():
     # the in-module Dormand-Prince integrator is scipy's RK45: the same
-    # steps, states and divergence radius, to the last bit
+    # steps, states and divergence radius, to the last bit.  scipy forms
+    # its stage and error sums in BLAS matrix-vector products, whose digits
+    # depend on the kernel: the reference runs in a child interpreter whose
+    # OpenBLAS takes the Prescott kernels, which do not fuse multiply and
+    # add, as the integrator's float sums do not
     pytest.importorskip("scipy")
-    from scipy.integrate import solve_ivp
-
-    def reference(cfg, st):
-        out = solve_ivp(soler_rhs, cfg.r_span, [st.X, st.G], method="RK45",
-                        rtol=cfg.rtol, atol=cfg.atol)
-        return out.t, out.y[0], out.y[1], len(out.t) - 1
-
-    def ours(cfg, st):
-        traj = integrate(cfg, st)
-        return traj.r, traj.X, traj.G, traj.n_steps
+    reason = _non_fusing_blas()
+    if reason:
+        pytest.skip(reason)
 
     cases = [  # (span in units of 1/m, rtol, atol, dX)
         (span, rtol, atol, dX)
@@ -167,20 +200,32 @@ def test_integrator_reproduces_scipy_rk45_bit_for_bit():
         for dX in (0.0, 1e-3)
     ]
     cases += [((1.0, 0.5000001), 1e-9, 1e-12, 0.0)]
+    configs = []
+    for span, rtol, atol, dX in cases:
+        cfg = IntegratorConfig(r_span=span, rtol=rtol, atol=atol)
+        st = exact_state(span[0])
+        configs.append((cfg, OdeState(X=st.X + dX, G=st.G)))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_REFERENCE],
+        input=json.dumps([(cfg.r_span, cfg.rtol, cfg.atol, list(st))
+                          for cfg, st in configs]),
+        env={**os.environ, "PYTHONPATH": str(SRC),
+             "OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_VERBOSE": "2"},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the kernel OpenBLAS names for the Prescott core type
+    assert "Core: Katmai" in proc.stderr, proc.stderr
     diverged = 0
-    for (a, b), rtol, atol, dX in cases:
-        cfg = IntegratorConfig(r_span=(a, b), rtol=rtol, atol=atol)
-        st = exact_state(a)
-        st = OdeState(X=st.X + dX, G=st.G)
-        want = _run_or_raise(lambda: reference(cfg, st))
-        got = _run_or_raise(lambda: ours(cfg, st))
-        case = (a, b, rtol, dX)
+    for (cfg, st), want in zip(configs, json.loads(proc.stdout)):
+        got = _run_or_raise(lambda: integrate(cfg, st))
+        case = (*cfg.r_span, cfg.rtol, st.X)
         if isinstance(want, float):
             diverged += 1
             assert got == want, case
             continue
         assert not isinstance(got, float), case
-        for name, w, g in zip(("r", "X", "G", "n_steps"), want, got):
+        for name, w, g in zip(("r", "X", "G", "n_steps"), want,
+                              (got.r, got.X, got.G, got.n_steps)):
             assert np.array_equal(w, g), (case, name)
     assert diverged == 1  # the run into 2mr = 1
 
@@ -192,7 +237,7 @@ def test_trajectory_csv_columns(tmp_path):
     trajectory_to_csv(traj, 1.0, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "r,X,G,X_exact,G_exact,dev_X,dev_G"
-    assert len(lines) == traj.r.size + 1
+    assert len(lines) == len(traj.r) + 1
     first = lines[1].split(",")
     assert float(first[0]) == pytest.approx(1.0)
     assert float(first[5]) <= 1e-12  # starts on the closed form
@@ -204,7 +249,7 @@ def _csv_writer_text(columns):
     out = io.StringIO(newline="")
     writer = csv.writer(out)
     writer.writerow(["r", "X", "G", "X_exact", "G_exact", "dev_X", "dev_G"])
-    writer.writerows(zip(*(col.tolist() for col in columns)))
+    writer.writerows(zip(*columns))
     return out.getvalue()
 
 
@@ -212,9 +257,9 @@ def test_trajectory_csv_is_the_text_of_csv_writer(tmp_path):
     # each row is the repr of its values, comma-separated and ended by CRLF:
     # csv.writer's text, on a real run and on NaN, +-inf, -0.0 and the
     # smallest subnormal
-    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0])
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0]
     runs = (integrate(IntegratorConfig(r_span=(1.0, 2.0)), exact_state(1.0)),
-            ode.Trajectory(r=np.linspace(0.6, 3.0, 6), X=special,
+            ode.Trajectory(r=np.linspace(0.6, 3.0, 6).tolist(), X=special,
                            G=special[::-1], n_steps=5, min_step=0.48))
     for traj in runs:
         path = tmp_path / "traj.csv"

@@ -13,7 +13,9 @@ exit code is 1 if there is any, else 0.
 The commands are the 108 verify configurations (njl, soler, p:0.37 and
 p:0.5; m in {0.5, 1, 2}; the default 25 x 20 grid, 50 x 40 and 70 x 50;
 no override, E = 1.1m or l = 0.6), then locus, CSV and JSON fieldmap,
-report and ode of those models and masses, then a few usage errors.
+report and ode of those models and masses, then the edges of the radial
+run (a long span, a run into 2mr = 1 from inside, the inner branch, loose
+tolerances and the (E/m, l) scan), then a few usage errors.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ def _commands():
                 ("locus", *flags), ("fieldmap", *flags),
                 ("fieldmap", *flags, "--format", "json"),
                 ("report", *flags), ("ode", *flags))]
+    commands += [Command(("ode", "--model", "soler", *argv.split()), None)
+                 for argv in ("--grid 0.6,1e7,2,2", "--grid 0.1,0.4999999,2,2",
+                              "--grid 0.05,0.45,2,2",
+                              "--tol rtol=1e-3 --tol atol=1e-5", "--scan-el")]
     commands += [Command(tuple(argv.split()), None) for argv in (
         "verify --model p:2", "ode --model njl", "locus --model p:1.5",
         "fieldmap --model p:-0.1", "verify --mass inf",
